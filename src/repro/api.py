@@ -170,7 +170,6 @@ def run(
     config: Optional[ExperimentConfig] = None,
     engine: Optional[ExperimentEngine] = None,
     quick: bool = False,
-    backend: Optional[str] = None,
 ) -> ExperimentResult:
     """Execute any registered experiment and return its structured result.
 
@@ -190,12 +189,6 @@ def run(
     quick:
         Scenarios only: thin the sweep axis to its smoke-test values
         (:meth:`ScenarioSpec.values_for`).  Figures ignore it.
-    backend:
-        Convenience override of ``config.backend`` — the compute backend
-        for the batched PHY kernels (:func:`repro.backend.available_backends`).
-        ``None`` keeps whatever the config declares.  Digest-neutral
-        backends (``numpy``/``numba``) reuse each other's trial caches;
-        ``float32-fast`` forks the cache digest.
 
     Returns
     -------
@@ -207,8 +200,6 @@ def run(
     """
     entry = get_experiment(name)
     cfg = config if config is not None else ExperimentConfig()
-    if backend is not None:
-        cfg = cfg.with_overrides(backend=backend)
     eng = default_engine(engine)
     mark = len(eng.stats_log)
     started = time.perf_counter()

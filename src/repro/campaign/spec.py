@@ -67,9 +67,9 @@ def job_digest(experiment: str, quick: bool, config: ExperimentConfig) -> str:
     :meth:`~repro.experiments.config.ExperimentConfig.snapshot` forks it,
     and the snapshot's omission rules are audited to be injective by
     :func:`audit_snapshot_roundtrip`, so distinct configs can never share
-    a digest.  Execution knobs the snapshot keeps (``batch_size``, a
-    non-default ``backend``) fork the campaign digest too — deliberately
-    conservative; the engine's own trial cache still dedupes underneath.
+    a digest.  An execution knob the snapshot keeps (``batch_size``)
+    forks the campaign digest too — deliberately conservative; the
+    engine's own trial cache still dedupes underneath.
     """
     payload = {
         "schema": CAMPAIGN_SCHEMA,

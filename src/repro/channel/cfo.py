@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.channel.model import Channel
-from repro.signal.batch import SignalBatch
 from repro.signal.samples import ComplexSignal
 
 
@@ -61,21 +60,6 @@ class CarrierFrequencyOffsetChannel(Channel):
         ):
             return signal
         return ComplexSignal(signal.samples * self.ramp(signal.samples.size))
-
-    def apply_batch(self, batch: SignalBatch) -> SignalBatch:
-        """Rotate every row of a batch along the same oscillator ramp.
-
-        Bit-exactness contract: row ``i`` of the output equals
-        ``self.apply(batch.row(i))`` bitwise.  The ramp is computed once
-        (identical values to the scalar path) and broadcast-multiplied —
-        an elementwise operation over C-contiguous inputs, so IEEE-754
-        results cannot differ from the per-row products.
-        """
-        if batch.n_samples == 0 or (
-            self.frequency_offset == 0.0 and self.initial_phase == 0.0
-        ):
-            return batch
-        return SignalBatch(batch.samples * self.ramp(batch.n_samples)[None, :])
 
     def advanced(self, n_samples: int) -> "CarrierFrequencyOffsetChannel":
         """The same oscillator, ``n_samples`` later (phase-continuous ramp)."""

@@ -23,10 +23,7 @@ Each stage supports two time structures:
 
 All randomness comes from the ``rng`` handed to the stage — in the
 simulator that is the per-trial engine substream, so fades are
-reproducible and independent of worker scheduling.  The batched
-counterpart :meth:`FadingChannel.apply_batch` draws per-row gains in row
-order and applies them with one vectorized multiply, bit-identical per
-row to the scalar path (see ``docs/CHANNELS.md``).
+reproducible and independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ import numpy as np
 
 from repro.channel.model import Channel
 from repro.exceptions import ChannelError
-from repro.signal.batch import SignalBatch
 from repro.signal.samples import ComplexSignal
 from repro.utils.db import db_to_power_ratio
 
@@ -155,55 +151,6 @@ class FadingChannel(Channel):
             return signal
         return ComplexSignal(signal.samples * self.draw_gains(signal.samples.size))
 
-    def apply_batch(self, batch: SignalBatch) -> SignalBatch:
-        """Fade every row of a batch with an independent realisation.
-
-        Bit-exactness contract: gains are drawn row by row in row order —
-        exactly the draws ``apply`` would make on each row with the same
-        generator — and applied with one elementwise multiply over the
-        C-contiguous stack, so row ``i`` is bitwise what the scalar path
-        produces for that row.
-        """
-        if batch.n_samples == 0:
-            return batch
-        if self.mode == "block":
-            gains = np.stack(
-                [self.draw_gains(batch.n_samples) for _ in range(batch.n_trials)]
-            )[:, None]
-        else:
-            gains = self._drift_gains_batch(batch.n_trials, batch.n_samples)
-        return SignalBatch(batch.samples * gains)
-
-    def _drift_gains_batch(self, n_trials: int, n_samples: int) -> np.ndarray:
-        """Row-stacked drift tracks, bit-identical to per-row :meth:`draw_gains`.
-
-        The noise blocks are drawn per row in row order — the exact rng
-        calls the scalar path makes — and the Gauss–Markov recurrence
-        then advances *all* rows at once: one Python loop over samples
-        instead of ``n_trials × n_samples`` scalar iterations.  Every
-        recurrence operation is elementwise on the trial axis (the same
-        naive complex multiply/add sequence per element), so each row's
-        arithmetic equals the scalar sequence.
-        """
-        los = self._line_of_sight()
-        scale = self._scattered_power()
-        rho = 1.0 - self.doppler
-        innovation_scale = np.sqrt(max(1.0 - rho * rho, 0.0))
-        std = np.sqrt(scale / 2.0)
-        noise = np.stack(
-            [self._rng.normal(0.0, std, (2, n_samples)) for _ in range(n_trials)]
-        )
-        innovations = np.empty((n_trials, n_samples), dtype=np.complex128)
-        innovations.real = noise[:, 0, :]
-        innovations.imag = noise[:, 1, :]
-        gains = np.empty((n_trials, n_samples), dtype=np.complex128)
-        current = innovations[:, 0].copy()
-        gains[:, 0] = current
-        for index in range(1, n_samples):
-            current = rho * current + innovation_scale * innovations[:, index]
-            gains[:, index] = current
-        return los + gains
-
 
 class RayleighFadingChannel(FadingChannel):
     """Rayleigh fading: scattered energy only, no line-of-sight ray.
@@ -227,8 +174,7 @@ def make_fading_channel(
 
     This is the one place the string form (``Link.fading`` /
     ``ImpairmentConfig.fading``) is mapped to a concrete stage, so the
-    scalar simulator, the batched differential tests and the CLI all
-    agree on what each name means.
+    simulator, the tests and the CLI all agree on what each name means.
     """
     if kind == "none":
         return None

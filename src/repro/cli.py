@@ -34,13 +34,6 @@ paper-scale sweep picks up where it left off::
     python -m repro.cli alice-bob --runs 40 --packets 1000 --workers 8 --resume
     python -m repro.cli run chain_sweep --quick --workers 4 --batch-size 8
 
-``--backend`` selects the compute backend for the batched PHY kernels
-(``numpy`` default / ``numba`` / ``float32-fast`` — see
-``docs/PERFORMANCE.md`` for the selection matrix and the accuracy-gate
-semantics of the reduced-precision backend)::
-
-    python -m repro.cli alice-bob --workers 8 --backend numba
-
 ``--arrival-rate`` / ``--sim-duration`` / ``--mac-policy`` configure the
 event-driven traffic scenarios (and raise for every experiment that
 would ignore them)::
@@ -65,7 +58,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import __version__, api
-from repro.backend import available_backends
 from repro.channel.fading import FADING_KINDS, FADING_MODES
 from repro.channel.impairments import ImpairmentConfig
 from repro.exceptions import ConfigurationError
@@ -233,16 +225,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "larger blocks amortize dispatch overhead for short trials)",
     )
     parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="numpy",
-        help="compute backend for the batched PHY kernels (default numpy; "
-        "'numba' JIT-compiles the decode kernels when numba is installed "
-        "and falls back to numpy otherwise; 'float32-fast' trades "
-        "bit-exactness for speed under a tested accuracy gate — see "
-        "docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="cache completed trials to disk and reuse them on the next "
@@ -318,7 +300,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         payload_bits=args.payload_bits,
         seed=args.seed,
         batch_size=args.batch_size,
-        backend=args.backend,
         impairments=_impairments_from_args(args),
         arrival_rate=args.arrival_rate,
         sim_duration=args.sim_duration,
@@ -349,7 +330,6 @@ def _unified_config_from_args(
             quick=args.quick,
             seed=args.seed,
             batch_size=args.batch_size,
-            backend=args.backend,
             runs=explicit("runs"),
             packets=explicit("packets"),
             payload_bits=explicit("payload_bits"),
@@ -379,7 +359,6 @@ def _scenario_config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             ("packets_per_run", args.packets),
             ("payload_bits", args.payload_bits),
             ("batch_size", args.batch_size),
-            ("backend", args.backend if args.backend != "numpy" else None),
             ("arrival_rate", args.arrival_rate if args.arrival_rate != 0.0 else None),
             ("sim_duration", args.sim_duration if args.sim_duration != 0.0 else None),
             (

@@ -10,12 +10,6 @@ demodulation.
 """
 
 from repro.modulation.base import Demodulator, Modulator, ModulationScheme
-from repro.modulation.batch import (
-    BatchMSKDemodulator,
-    BatchMSKModulator,
-    batch_expected_phase_differences,
-    batch_msk_phase_trajectory,
-)
 from repro.modulation.msk import MSKDemodulator, MSKModulator, MSKScheme
 from repro.modulation.bpsk import BPSKDemodulator, BPSKModulator, BPSKScheme
 from repro.modulation.qpsk import QPSKDemodulator, QPSKModulator, QPSKScheme
@@ -25,8 +19,6 @@ __all__ = [
     "BPSKDemodulator",
     "BPSKModulator",
     "BPSKScheme",
-    "BatchMSKDemodulator",
-    "BatchMSKModulator",
     "Demodulator",
     "MSKDemodulator",
     "MSKModulator",
@@ -37,7 +29,5 @@ __all__ = [
     "QPSKModulator",
     "QPSKScheme",
     "available_schemes",
-    "batch_expected_phase_differences",
-    "batch_msk_phase_trajectory",
     "get_scheme",
 ]

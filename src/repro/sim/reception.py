@@ -17,42 +17,34 @@ any waveform is touched:
   amplify-and-forward territory, §7.5).
 
 The actual demodulation is delegated to :class:`DecodeService`, which
-runs the existing PHY: the scalar :class:`~repro.modulation.msk.MSKDemodulator`
-or the batched :class:`~repro.modulation.batch.BatchMSKDemodulator`
-(bit-identical by the PR 3 differential suite) followed by
-:class:`~repro.framing.frame.Deframer`.  ANC collisions go through the
-full :class:`~repro.anc.pipeline.ReceivePipeline` on the node instead.
+runs the existing PHY: the :class:`~repro.modulation.msk.MSKDemodulator`
+followed by :class:`~repro.framing.frame.Deframer`.  ANC collisions go
+through the full :class:`~repro.anc.pipeline.ReceivePipeline` on the node
+instead.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.framing.frame import Deframer, DeframeResult
-from repro.modulation.batch import BatchMSKDemodulator
 from repro.modulation.msk import MSKDemodulator
-from repro.signal.batch import SignalBatch
 from repro.signal.samples import ComplexSignal
 from repro.utils.bits import bit_error_rate
 
 __all__ = [
     "DecodeService",
-    "PHY_MODES",
     "ReceptionComponent",
     "ReceptionKind",
     "ReceptionSession",
     "SinrSegment",
     "classify_reception",
 ]
-
-#: PHY execution modes the decode service supports.
-PHY_MODES: Tuple[str, ...] = ("scalar", "batched")
-
 
 class ReceptionKind(enum.Enum):
     """What the capture/collision rules concluded about a reception."""
@@ -227,37 +219,24 @@ class _Window:
 
 
 class DecodeService:
-    """Aligned frame decoding through the scalar or batched PHY.
+    """Aligned frame decoding through the scalar MSK PHY.
 
     The event core knows exactly where each frame starts inside the
     composite it built (the MAC scheduled the offsets), so clean and
     captured receptions are decoded from an aligned window — no pilot
-    search — through either the scalar MSK demodulator or the batched
-    one.  The two are bit-identical (PR 3's differential suite), so the
-    ``phy`` knob is purely an execution choice, like the engine's
-    ``batch_size``.
+    search — through the MSK demodulator and the deframer.
 
     Parameters
     ----------
-    phy:
-        ``"scalar"`` decodes window by window;``"batched"`` stacks every
-        window of one resolution into a :class:`SignalBatch` and runs the
-        batched demodulator once.
     deframer:
         Frame parser shared by every decode (defaults to the standard
         layout).
     """
 
-    def __init__(self, phy: str = "scalar", deframer: Optional[Deframer] = None) -> None:
-        """Validate the PHY mode and build the demodulators."""
-        if phy not in PHY_MODES:
-            raise ConfigurationError(
-                f"unknown phy mode {phy!r}; choose from {', '.join(PHY_MODES)}"
-            )
-        self.phy = phy
+    def __init__(self, deframer: Optional[Deframer] = None) -> None:
+        """Build the demodulator and the deframer."""
         self.deframer = deframer if deframer is not None else Deframer()
-        self._scalar = MSKDemodulator(samples_per_symbol=1)
-        self._batched = BatchMSKDemodulator(samples_per_symbol=1)
+        self._demodulator = MSKDemodulator(samples_per_symbol=1)
 
     # ------------------------------------------------------------------
     def decode_window(
@@ -269,38 +248,17 @@ class DecodeService:
     def decode_windows(
         self, windows: Sequence[Tuple[ComplexSignal, int, int]]
     ) -> List[DeframeResult]:
-        """Decode several aligned windows, batching rows when possible.
+        """Decode several aligned windows, one at a time, in request order.
 
         Each request is ``(composite, start_sample, frame_samples)``.
-        Under the batched PHY, equal-length windows are stacked into one
-        :class:`SignalBatch` and demodulated in a single kernel call;
-        unequal lengths fall back to per-window rows (still through the
-        batched demodulator, one row at a time).
         """
-        slices: List[ComplexSignal] = []
+        results: List[DeframeResult] = []
         for composite, start, frame_samples in windows:
             if start < 0 or frame_samples <= 0:
                 raise ConfigurationError("decode windows need start >= 0 and length > 0")
             window = composite.slice(int(start), int(start) + int(frame_samples))
-            slices.append(window)
-        if self.phy == "scalar":
-            bit_rows = [self._scalar.demodulate(window) for window in slices]
-        else:
-            bit_rows = self._demodulate_batched(slices)
-        return [self.deframer.parse(bits) for bits in bit_rows]
-
-    def _demodulate_batched(self, slices: Sequence[ComplexSignal]) -> List[np.ndarray]:
-        """Batched demodulation, grouping equal-length windows into one call."""
-        groups: Dict[int, List[int]] = {}
-        for index, window in enumerate(slices):
-            groups.setdefault(len(window), []).append(index)
-        rows: List[Optional[np.ndarray]] = [None] * len(slices)
-        for _, indices in sorted(groups.items()):
-            batch = SignalBatch.from_signals([slices[i] for i in indices])
-            decoded = self._batched.demodulate(batch)
-            for row, index in enumerate(indices):
-                rows[index] = decoded[row]
-        return [row for row in rows if row is not None]
+            results.append(self.deframer.parse(self._demodulator.demodulate(window)))
+        return results
 
     # ------------------------------------------------------------------
     @staticmethod

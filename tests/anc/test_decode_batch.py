@@ -1,230 +1,39 @@
-"""Tests for the batched interference decoder and its vectorized kernels."""
+"""Tests for decoding a batch of collisions with the scalar interference decoder."""
 
 import numpy as np
 import pytest
 
-from repro.anc.batch import (
-    batch_differential_bits,
-    batch_interference_cosine,
-    batch_match_phase_differences,
-    batch_phase_solutions,
-)
 from repro.anc.decoder import ANCDecoder, InterferenceDecoder
-from repro.anc.lemma import interference_cosine, phase_solutions
-from repro.anc.matching import match_phase_differences
-from repro.exceptions import ConfigurationError, DecodingError
-from repro.modulation.msk import MSKModulator, expected_phase_differences
-from repro.signal.batch import SignalBatch
+from repro.exceptions import DecodingError
+from repro.modulation.msk import MSKModulator
+from repro.signal.samples import ComplexSignal
 
 
-def _collision_row(rng, known_bits, unknown_n_bits, known_offset, unknown_offset,
-                   amplitude_a, amplitude_b, total_samples, noise=0.02):
-    """One synthetic two-frame collision with random phases and noise."""
-    unknown_bits = rng.integers(0, 2, unknown_n_bits, dtype=np.uint8)
-    wave_known = MSKModulator(
-        amplitude=amplitude_a, initial_phase=float(rng.uniform(-np.pi, np.pi))
-    ).modulate(known_bits).samples
-    wave_unknown = MSKModulator(
-        amplitude=amplitude_b, initial_phase=float(rng.uniform(-np.pi, np.pi))
-    ).modulate(unknown_bits).samples
-    row = np.zeros(total_samples, dtype=np.complex128)
-    row[known_offset : known_offset + wave_known.size] += wave_known
-    row[unknown_offset : unknown_offset + wave_unknown.size] += wave_unknown
-    row += noise * (
-        rng.standard_normal(total_samples) + 1j * rng.standard_normal(total_samples)
-    ) / np.sqrt(2)
-    return row, unknown_bits
-
-
-def _build_batch(geometries, known_n_bits=48, unknown_n_bits=48, total_samples=140, seed=0):
-    """A batch with one collision per geometry entry (repeated cyclically)."""
+def _disjoint_rows(n_rows, n_bits, unknown_offset, total_samples, seed):
+    """Rows holding a known frame at 0 and a second frame that starts after it ends."""
     rng = np.random.default_rng(seed)
-    rows, known_rows, truth, known_offsets, unknown_offsets = [], [], [], [], []
-    for known_offset, unknown_offset in geometries:
-        known_bits = rng.integers(0, 2, known_n_bits, dtype=np.uint8)
-        row, unknown_bits = _collision_row(
-            rng, known_bits, unknown_n_bits, known_offset, unknown_offset,
-            float(rng.uniform(0.6, 1.2)), float(rng.uniform(0.4, 1.0)), total_samples,
-        )
-        rows.append(row)
+    rows, known_rows = [], []
+    for _ in range(n_rows):
+        known_bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
+        unknown_bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
+        wave_known = MSKModulator(amplitude=1.0).modulate(known_bits).samples
+        wave_unknown = MSKModulator(amplitude=0.7).modulate(unknown_bits).samples
+        row = np.zeros(total_samples, dtype=np.complex128)
+        row[: wave_known.size] += wave_known
+        row[unknown_offset : unknown_offset + wave_unknown.size] += wave_unknown
+        row += 0.02 * (
+            rng.standard_normal(total_samples) + 1j * rng.standard_normal(total_samples)
+        ) / np.sqrt(2)
+        rows.append(ComplexSignal(row))
         known_rows.append(known_bits)
-        truth.append(unknown_bits)
-        known_offsets.append(known_offset)
-        unknown_offsets.append(unknown_offset)
-    return (
-        SignalBatch(np.stack(rows)),
-        np.stack(known_rows),
-        np.stack(truth),
-        np.array(known_offsets),
-        np.array(unknown_offsets),
-    )
+    return rows, known_rows
 
 
 class TestDecodeBatch:
-    def test_forward_group_matches_scalar(self):
-        batch, known, truth, kos, uos = _build_batch([(0, 24)] * 6)
-        decoder = InterferenceDecoder()
-        bits, diagnostics = decoder.decode_batch(batch, known, 0, 24, truth.shape[1])
-        assert bits.shape == truth.shape
-        for i in range(len(batch)):
-            scalar_bits, scalar_diag = decoder.decode(
-                batch.row(i), known[i], 0, 24, truth.shape[1]
-            )
-            assert np.array_equal(bits[i], scalar_bits)
-            assert diagnostics[i].interfered_bits == scalar_diag.interfered_bits
-            assert diagnostics[i].clean_bits == scalar_diag.clean_bits
-        # The synthetic collisions are clean enough to decode correctly.
-        assert np.mean(bits != truth) < 0.05
-
-    def test_mixed_geometries_including_backward(self):
-        geometries = [(0, 24), (0, 31), (30, 4), (18, 0), (0, 24), (30, 4)]
-        batch, known, truth, kos, uos = _build_batch(geometries, seed=3)
-        decoder = ANCDecoder()
-        bits, diagnostics = decoder.decode_batch(batch, known, kos, uos, truth.shape[1])
-        for i in range(len(batch)):
-            scalar_bits, scalar_diag = decoder.decode(
-                batch.row(i), known[i], int(kos[i]), int(uos[i]), truth.shape[1]
-            )
-            assert np.array_equal(bits[i], scalar_bits)
-            assert diagnostics[i].reversed_decode == scalar_diag.reversed_decode
-            assert diagnostics[i].reversed_decode == (kos[i] > uos[i])
-
-    def test_accepts_plain_ndarray(self):
-        batch, known, truth, _, _ = _build_batch([(0, 24)] * 2, seed=4)
-        decoder = InterferenceDecoder()
-        from_array, _ = decoder.decode_batch(
-            np.asarray(batch.samples), known, 0, 24, truth.shape[1]
-        )
-        from_batch, _ = decoder.decode_batch(batch, known, 0, 24, truth.shape[1])
-        assert np.array_equal(from_array, from_batch)
-
-    def test_rejects_bad_inputs(self):
-        batch, known, truth, _, _ = _build_batch([(0, 24)] * 2, seed=5)
-        decoder = InterferenceDecoder()
-        n_bits = truth.shape[1]
-        with pytest.raises(DecodingError):
-            decoder.decode_batch(batch, known[:1], 0, 24, n_bits)
-        with pytest.raises(DecodingError):
-            decoder.decode_batch(batch, known, 0, 24, 0)
-        with pytest.raises(DecodingError):
-            decoder.decode_batch(batch, known, -1, 24, n_bits)
-        with pytest.raises(DecodingError):
-            decoder.decode_batch(batch, known, np.array([0, 1, 2]), 24, n_bits)
-        with pytest.raises(DecodingError):
-            decoder.decode_batch(batch, known, np.array([0.5, 1.5]), 24, n_bits)
-        with pytest.raises(DecodingError):
-            # A scalar float offset must be rejected, not silently truncated.
-            decoder.decode_batch(batch, known, 0, 8.7, n_bits)
-        with pytest.raises(DecodingError):
-            decoder.decode_batch(batch, known, 0, 24, 10_000)
-        with pytest.raises(ConfigurationError):
-            decoder.decode_batch(np.zeros(4, dtype=np.complex128), known, 0, 24, n_bits)
-
     def test_zero_overlap_raises_like_scalar(self):
         # Known frame [0, 21), unknown frame [40, ...): no overlap at all.
-        batch, known, truth, _, _ = _build_batch(
-            [(0, 40)] * 2, known_n_bits=20, unknown_n_bits=20, total_samples=90, seed=6
-        )
-        decoder = InterferenceDecoder()
-        with pytest.raises(DecodingError, match="overlap"):
-            decoder.decode(batch.row(0), known[0], 0, 40, truth.shape[1])
-        with pytest.raises(DecodingError, match="overlap"):
-            decoder.decode_batch(batch, known, 0, 40, truth.shape[1])
-
-
-class TestBatchKernels:
-    """The vectorized Lemma 6.1 / Eq. 7-8 kernels against the scalar ones."""
-
-    @staticmethod
-    def _interfered_rows(n_trials, n_samples, seed=0):
-        rng = np.random.default_rng(seed)
-        amplitudes_a = rng.uniform(0.5, 1.5, n_trials)
-        amplitudes_b = rng.uniform(0.3, 1.2, n_trials)
-        theta = rng.uniform(-np.pi, np.pi, (n_trials, n_samples))
-        phi = rng.uniform(-np.pi, np.pi, (n_trials, n_samples))
-        y = (
-            amplitudes_a[:, None] * np.exp(1j * theta)
-            + amplitudes_b[:, None] * np.exp(1j * phi)
-        )
-        return y, amplitudes_a, amplitudes_b
-
-    def test_cosine_matches_scalar(self):
-        y, amps_a, amps_b = self._interfered_rows(5, 40)
-        batch = batch_interference_cosine(y, amps_a, amps_b)
-        for i in range(5):
-            scalar = interference_cosine(y[i], float(amps_a[i]), float(amps_b[i]))
-            assert np.array_equal(batch[i], scalar)
-
-    def test_solutions_match_scalar(self):
-        y, amps_a, amps_b = self._interfered_rows(5, 40, seed=1)
-        batch = batch_phase_solutions(y, amps_a, amps_b)
-        for i in range(5):
-            scalar = phase_solutions(y[i], float(amps_a[i]), float(amps_b[i]))
-            assert np.array_equal(batch.theta1[i], scalar.theta1)
-            assert np.array_equal(batch.phi1[i], scalar.phi1)
-            assert np.array_equal(batch.theta2[i], scalar.theta2)
-            assert np.array_equal(batch.phi2[i], scalar.phi2)
-            assert np.array_equal(batch.cosine[i], scalar.cosine)
-
-    def test_empty_block(self):
-        batch = batch_phase_solutions(np.zeros((3, 0), dtype=complex), [1.0] * 3, [1.0] * 3)
-        assert batch.n_trials == 3
-        assert batch.n_samples == 0
-
-    def test_matching_matches_scalar(self):
-        rng = np.random.default_rng(2)
-        y, amps_a, amps_b = self._interfered_rows(4, 25, seed=2)
-        known = np.stack(
-            [
-                expected_phase_differences(rng.integers(0, 2, 24, dtype=np.uint8))
-                for _ in range(4)
-            ]
-        )
-        solutions = batch_phase_solutions(y, amps_a, amps_b)
-        batch = batch_match_phase_differences(solutions, known)
-        for i in range(4):
-            scalar = match_phase_differences(
-                phase_solutions(y[i], float(amps_a[i]), float(amps_b[i])), known[i]
-            )
-            assert np.array_equal(batch.bits[i], scalar.bits)
-            assert np.array_equal(batch.unknown_differences[i], scalar.unknown_differences)
-            assert np.array_equal(batch.match_errors[i], scalar.match_errors)
-
-    def test_matching_with_unwrapped_known_matches_scalar(self):
-        """Out-of-range known differences must fall back to the full wrap."""
-        y, amps_a, amps_b = self._interfered_rows(3, 12, seed=6)
-        # Deliberately unwrapped values far outside (-pi, pi].
-        known = np.full((3, 11), 10.0)
-        batch = batch_match_phase_differences(
-            batch_phase_solutions(y, amps_a, amps_b), known
-        )
-        for i in range(3):
-            scalar = match_phase_differences(
-                phase_solutions(y[i], float(amps_a[i]), float(amps_b[i])), known[i]
-            )
-            assert np.array_equal(batch.bits[i], scalar.bits)
-            assert np.array_equal(batch.match_errors[i], scalar.match_errors)
-
-    def test_matching_validates_shapes(self):
-        y, amps_a, amps_b = self._interfered_rows(2, 10, seed=3)
-        solutions = batch_phase_solutions(y, amps_a, amps_b)
-        with pytest.raises(DecodingError):
-            batch_match_phase_differences(solutions, np.zeros((2, 5)))
-        short = batch_phase_solutions(y[:, :1], amps_a, amps_b)
-        with pytest.raises(DecodingError):
-            batch_match_phase_differences(short, np.zeros((2, 0)))
-
-    def test_amplitude_validation(self):
-        y, amps_a, amps_b = self._interfered_rows(2, 10, seed=4)
-        with pytest.raises(ConfigurationError):
-            batch_phase_solutions(y, [1.0, -1.0], amps_b)
-        with pytest.raises(DecodingError):
-            batch_phase_solutions(y, [1.0], amps_b)
-
-    def test_differential_bits_match_clean_demodulation(self):
-        rng = np.random.default_rng(5)
-        bits = rng.integers(0, 2, (3, 30), dtype=np.uint8)
-        waves = np.stack(
-            [MSKModulator(amplitude=1.0).modulate(row).samples for row in bits]
-        )
-        assert np.array_equal(batch_differential_bits(waves), bits)
+        rows, known = _disjoint_rows(2, 20, 40, 90, seed=6)
+        for decoder in (InterferenceDecoder(), ANCDecoder()):
+            for row, known_bits in zip(rows, known):
+                with pytest.raises(DecodingError, match="overlap"):
+                    decoder.decode(row, known_bits, 0, 40, 20)

@@ -10,6 +10,7 @@ from repro.exceptions import DecodingError
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
 from repro.modulation.msk import MSKModulator
+from repro.signal.samples import ComplexSignal
 
 
 def _make_collision(
@@ -22,8 +23,13 @@ def _make_collision(
     cfo_b=-0.02,
     seed=0,
     phase_drift=0.0,
+    **link_fields,
 ):
-    """Build a two-frame collision plus the ground truth needed to verify decoding."""
+    """Build a two-frame collision plus the ground truth needed to verify decoding.
+
+    ``link_fields`` (e.g. ``sender_cfo``, ``fading``) are applied to both
+    links, shaping the collision through the impairment stages.
+    """
     rng = np.random.default_rng(seed)
     framer = Framer()
     packet_a = Packet.random(1, 2, 10, payload_bits, rng)
@@ -38,16 +44,33 @@ def _make_collision(
         phase_shift=float(rng.uniform(-np.pi, np.pi)),
         frequency_offset=cfo_a,
         phase_drift=phase_drift,
+        **link_fields,
     )
     link_b = Link(
         attenuation=attenuation_b,
         phase_shift=float(rng.uniform(-np.pi, np.pi)),
         frequency_offset=cfo_b,
         phase_drift=phase_drift,
+        **link_fields,
     )
     combiner = InterferenceCombiner(noise_power=noise, rng=rng)
     collision = combiner.combine([(wave_a, link_a, 0), (wave_b, link_b, offset)], tail_padding=24)
     return collision.signal, frame_a, frame_b, offset
+
+
+def _reference_partition(known_offset, known_n_bits, unknown_offset, unknown_n_bits):
+    """Per-bit loop reference for the decoder's (interfered, clean) bit counts.
+
+    Bit ``i`` of the unknown frame spans samples ``n`` and ``n + 1``; it
+    is interfered when both samples lie inside the known frame.
+    """
+    known_end = known_offset + known_n_bits + 1
+    interfered = 0
+    for i in range(unknown_n_bits):
+        n = unknown_offset + i
+        if known_offset <= n < known_end and known_offset <= n + 1 < known_end:
+            interfered += 1
+    return interfered, unknown_n_bits - interfered
 
 
 class TestForwardDecoding:
@@ -61,6 +84,9 @@ class TestForwardDecoding:
         assert np.mean(bits != frame_b.bits) < 0.02
         assert diagnostics.interfered_bits > 0
         assert diagnostics.clean_bits > 0
+        assert (diagnostics.interfered_bits, diagnostics.clean_bits) == (
+            _reference_partition(0, len(frame_a.bits), offset, len(frame_b.bits))
+        )
         assert not diagnostics.reversed_decode
 
     def test_amplitude_estimate_close_to_truth(self):
@@ -116,12 +142,24 @@ class TestBackwardDecoding:
         assert diagnostics.reversed_decode
 
     def test_both_directions_same_collision(self):
-        received, frame_a, frame_b, offset = _make_collision(seed=6)
+        """Both directions decode, also when CFO and fading shaped the collision."""
+        shapes = [
+            ({}, 0.02),
+            ({"sender_cfo": 0.04, "fading": "rayleigh"}, 0.02),
+            ({"sender_cfo": 0.04, "fading": "rician", "fading_k_db": 6.0}, 0.02),
+            (
+                {"fading": "rician", "fading_k_db": 10.0, "fading_mode": "drift",
+                 "fading_doppler": 0.002},
+                0.1,
+            ),
+        ]
         decoder = InterferenceDecoder()
-        bob_bits, _ = decoder.decode(received, frame_a.bits, 0, offset, len(frame_b.bits))
-        alice_bits, _ = decoder.decode(received, frame_b.bits, offset, 0, len(frame_a.bits))
-        assert np.mean(bob_bits != frame_b.bits) < 0.02
-        assert np.mean(alice_bits != frame_a.bits) < 0.02
+        for link_fields, max_ber in shapes:
+            received, frame_a, frame_b, offset = _make_collision(seed=6, **link_fields)
+            bob_bits, _ = decoder.decode(received, frame_a.bits, 0, offset, len(frame_b.bits))
+            alice_bits, _ = decoder.decode(received, frame_b.bits, offset, 0, len(frame_a.bits))
+            assert np.mean(bob_bits != frame_b.bits) < max_ber, link_fields
+            assert np.mean(alice_bits != frame_a.bits) < max_ber, link_fields
 
 
 class TestBackwardEdgeCases:
@@ -179,6 +217,9 @@ class TestBackwardEdgeCases:
         # The whole known burst is interference; everything else is clean.
         assert diagnostics.overlap_samples == len(wave_known)
         assert diagnostics.interfered_bits > 0
+        assert (diagnostics.interfered_bits, diagnostics.clean_bits) == (
+            _reference_partition(known_offset, len(known_bits), 0, len(frame_b.bits))
+        )
         assert np.mean(bits != frame_b.bits) < 0.05
 
     def test_unknown_frame_ends_exactly_at_waveform_boundary_forward(self):
@@ -235,11 +276,27 @@ class TestValidation:
             InterferenceDecoder().decode(truncated, frame_a.bits, 0, offset, len(frame_b.bits))
 
     def test_rejects_disjoint_packets(self):
-        """No overlap at all means there is nothing for ANC to do."""
+        """Fewer than four overlapping samples leave nothing for ANC to do.
+
+        Covers a frame beyond the waveform, two disjoint frames inside it,
+        and single-bit frames (two samples each), known-first and
+        known-second.
+        """
         received, frame_a, frame_b, _ = _make_collision(seed=10)
-        far_offset = len(received) + 100
-        with pytest.raises(DecodingError):
-            InterferenceDecoder().decode(received, frame_a.bits, 0, far_offset, len(frame_b.bits))
+        rng = np.random.default_rng(10)
+        noise = ComplexSignal(rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        one_bit = np.array([1], dtype=np.uint8)
+        cases = [
+            (received, frame_a.bits, 0, len(received) + 100, len(frame_b.bits)),
+            (noise, frame_a.bits[:16], 0, 21, 16),
+            (noise, one_bit, 0, 0, 1),
+            (noise, one_bit, 1, 0, 1),
+        ]
+        for signal, known_bits, known_offset, unknown_offset, unknown_n_bits in cases:
+            with pytest.raises(DecodingError):
+                InterferenceDecoder().decode(
+                    signal, known_bits, known_offset, unknown_offset, unknown_n_bits
+                )
 
     def test_invalid_config(self):
         with pytest.raises(DecodingError):

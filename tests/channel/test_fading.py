@@ -1,4 +1,4 @@
-"""Tests of the Rayleigh/Rician fading stages: statistics, seeding, batch."""
+"""Tests of the Rayleigh/Rician fading stages: statistics and seeding."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.channel.fading import (
     make_fading_channel,
 )
 from repro.exceptions import ChannelError
-from repro.signal.batch import SignalBatch
 from repro.signal.samples import ComplexSignal
 from repro.utils.db import db_to_power_ratio
 
@@ -138,35 +137,3 @@ class TestSeededReproducibility:
         empty = ComplexSignal.empty()
         channel = RayleighFadingChannel(rng=np.random.default_rng(0))
         assert channel.apply(empty) is empty
-
-
-class TestBatchEquivalence:
-    @pytest.mark.parametrize("mode,doppler", [("block", 0.0), ("drift", 0.01)])
-    def test_apply_batch_bit_identical_to_scalar_rows(self, mode, doppler):
-        rng = np.random.default_rng(21)
-        rows = rng.standard_normal((4, 48)) + 1j * rng.standard_normal((4, 48))
-        batch = SignalBatch(rows)
-        batched = RayleighFadingChannel(
-            mode=mode, doppler=doppler, rng=np.random.default_rng(5)
-        )
-        scalar = RayleighFadingChannel(
-            mode=mode, doppler=doppler, rng=np.random.default_rng(5)
-        )
-        out = batched.apply_batch(batch)
-        for i in range(4):
-            assert np.array_equal(out.samples[i], scalar.apply(batch.row(i)).samples)
-
-    def test_rician_apply_batch_bit_identical_to_scalar_rows(self):
-        rng = np.random.default_rng(22)
-        rows = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
-        batch = SignalBatch(rows)
-        batched = RicianFadingChannel(k_db=4.0, rng=np.random.default_rng(6))
-        scalar = RicianFadingChannel(k_db=4.0, rng=np.random.default_rng(6))
-        out = batched.apply_batch(batch)
-        for i in range(3):
-            assert np.array_equal(out.samples[i], scalar.apply(batch.row(i)).samples)
-
-    def test_apply_batch_empty_columns_passthrough(self):
-        batch = SignalBatch(np.zeros((2, 0), dtype=np.complex128))
-        channel = RayleighFadingChannel(rng=np.random.default_rng(0))
-        assert channel.apply_batch(batch) is batch

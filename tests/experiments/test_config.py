@@ -113,7 +113,6 @@ class TestSnapshotRoundTrip:
             "chain_redundancy_overhead": 0.1,
             "seed": 7,
             "batch_size": 4,
-            "backend": "float32-fast",
             "impairments": ImpairmentConfig(sender_cfo=0.01),
             "arrival_rate": 0.4,
             "sim_duration": 55.0,

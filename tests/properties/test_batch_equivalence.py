@@ -1,18 +1,15 @@
-"""Differential tests: the batched PHY fast path against the scalar reference.
+"""Batch properties of the scalar PHY path.
 
-Every batched kernel (batch MSK modulator, batch demodulator,
-:meth:`InterferenceDecoder.decode_batch`) claims to be **bit-identical**
-to mapping the scalar reference implementation over the batch rows.  These
-hypothesis-driven tests enforce the claim on randomly generated bits,
-collision offsets, amplitudes and noise levels (i.e. SNRs), including the
-§7.4 backward-decoding direction and the degenerate geometries: zero
-overlap (both paths must reject identically), full overlap, and
-single-bit frames (whose two-sample overlap is below the decoder's
-four-sample minimum, so both paths must reject those too).
+A batch of trials is decoded row by row with one shared
+:class:`InterferenceDecoder` and one shared MSK modem.  These
+hypothesis-driven tests check that sharing them is safe: every row of a
+batch decodes **bit-identically** to the same row decoded by a fresh
+decoder, so no state leaks from one trial into the next.  They also check
+that the degenerate geometries (zero overlap, and single-bit frames whose
+two-sample overlap is below the decoder's four-sample minimum) are
+rejected identically on every row.
 
-Assertions use exact array equality throughout — never ``approx`` — since
-a last-ULP divergence in an intermediate would eventually flip a sliced
-bit near a decision boundary.
+Assertions use exact array equality throughout — never ``approx``.
 """
 
 from __future__ import annotations
@@ -23,18 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anc.decoder import InterferenceDecoder
-from repro.backend import available_backends, get_backend, is_digest_neutral
 from repro.channel.cfo import CarrierFrequencyOffsetChannel
 from repro.channel.fading import make_fading_channel
 from repro.exceptions import ConfigurationError, DecodingError
-from repro.modulation.batch import BatchMSKDemodulator, BatchMSKModulator
 from repro.modulation.msk import MSKDemodulator, MSKModulator
-from repro.signal.batch import SignalBatch
 from repro.signal.samples import ComplexSignal
-
-# ----------------------------------------------------------------------
-# Strategies
-# ----------------------------------------------------------------------
 
 bit_matrices = st.tuples(
     st.integers(min_value=1, max_value=6),   # n_trials
@@ -46,240 +36,82 @@ bit_matrices = st.tuples(
     )
 )
 
-collision_specs = st.fixed_dictionaries(
-    {
-        "seed": st.integers(min_value=0, max_value=2**32 - 1),
-        "n_trials": st.integers(min_value=1, max_value=5),
-        "known_n_bits": st.integers(min_value=12, max_value=64),
-        "unknown_n_bits": st.integers(min_value=12, max_value=64),
-        # Offset of the later frame relative to the earlier one; kept
-        # small enough that the frames always overlap by >= 4 samples.
-        "offset": st.integers(min_value=0, max_value=8),
-        "known_first": st.booleans(),
-        "snr_db": st.floats(min_value=5.0, max_value=40.0),
-        "amplitude_a": st.floats(min_value=0.3, max_value=1.5),
-        "amplitude_b": st.floats(min_value=0.3, max_value=1.5),
-    }
-)
-
-
-def _build_collision_batch(spec):
-    """Synthesize one uniform-geometry collision batch from a spec."""
-    rng = np.random.default_rng(spec["seed"])
-    known_n_bits = spec["known_n_bits"]
-    unknown_n_bits = spec["unknown_n_bits"]
-    if spec["known_first"]:
-        known_offset, unknown_offset = 0, spec["offset"]
-    else:
-        known_offset, unknown_offset = spec["offset"], 0
-    total = max(
-        known_offset + known_n_bits + 1, unknown_offset + unknown_n_bits + 1
-    ) + 4
-    noise_scale = float(10.0 ** (-spec["snr_db"] / 20.0))
-    rows, known_rows = [], []
-    for _ in range(spec["n_trials"]):
-        known_bits = rng.integers(0, 2, known_n_bits, dtype=np.uint8)
-        unknown_bits = rng.integers(0, 2, unknown_n_bits, dtype=np.uint8)
-        wave_known = MSKModulator(
-            amplitude=spec["amplitude_a"],
-            initial_phase=float(rng.uniform(-np.pi, np.pi)),
-        ).modulate(known_bits).samples
-        wave_unknown = MSKModulator(
-            amplitude=spec["amplitude_b"],
-            initial_phase=float(rng.uniform(-np.pi, np.pi)),
-        ).modulate(unknown_bits).samples
-        row = np.zeros(total, dtype=np.complex128)
-        row[known_offset : known_offset + wave_known.size] += wave_known
-        row[unknown_offset : unknown_offset + wave_unknown.size] += wave_unknown
-        row += noise_scale * (
-            rng.standard_normal(total) + 1j * rng.standard_normal(total)
-        ) / np.sqrt(2)
-        rows.append(row)
-        known_rows.append(known_bits)
-    return (
-        SignalBatch(np.stack(rows)),
-        np.stack(known_rows),
-        known_offset,
-        unknown_offset,
-        unknown_n_bits,
-    )
-
-
 #: Error types a legitimate decode rejection may raise (e.g. a degenerate
 #: Eq. 5-6 solution with a zero amplitude raises through ensure_positive).
 _DECODE_ERRORS = (DecodingError, ConfigurationError)
 
 
-def _assert_batch_matches_scalar(batch, known, known_offsets, unknown_offsets, unknown_n_bits):
-    """Decode with both paths and require bit-for-bit identical outcomes.
-
-    ``known_offsets`` / ``unknown_offsets`` may be ints or per-trial
-    arrays.  When the scalar reference rejects *any* trial (degenerate
-    amplitude estimate, insufficient overlap, ...) the batch call must
-    reject too — a batch cannot silently decode a trial its reference
-    implementation refuses; otherwise both must produce identical bits
-    and diagnostics.
-    """
-    decoder = InterferenceDecoder()
-    n_trials = len(batch)
-    known_offsets = np.broadcast_to(np.asarray(known_offsets), (n_trials,))
-    unknown_offsets = np.broadcast_to(np.asarray(unknown_offsets), (n_trials,))
-    scalar_results = []
-    scalar_raised = False
-    for i in range(n_trials):
+def _assert_shared_decoder_matches_fresh(rows, known, known_offset, unknown_offset, unknown_n_bits):
+    """Decode each row with a shared and a fresh decoder; require identical outcomes."""
+    shared = InterferenceDecoder()
+    for row, known_bits in zip(rows, known):
+        args = (ComplexSignal(row), known_bits, known_offset, unknown_offset, unknown_n_bits)
         try:
-            scalar_results.append(
-                decoder.decode(
-                    batch.row(i), known[i], int(known_offsets[i]),
-                    int(unknown_offsets[i]), unknown_n_bits,
-                )
-            )
+            expected_bits, expected = InterferenceDecoder().decode(*args)
         except _DECODE_ERRORS:
-            scalar_raised = True
-            break
-    if scalar_raised:
-        with pytest.raises(_DECODE_ERRORS):
-            decoder.decode_batch(
-                batch, known, known_offsets, unknown_offsets, unknown_n_bits
-            )
-        return
-    bits, diagnostics = decoder.decode_batch(
-        batch, known, known_offsets, unknown_offsets, unknown_n_bits
-    )
-    for i, (scalar_bits, scalar_diag) in enumerate(scalar_results):
-        assert np.array_equal(bits[i], scalar_bits)
-        assert diagnostics[i].overlap_samples == scalar_diag.overlap_samples
-        assert diagnostics[i].interfered_bits == scalar_diag.interfered_bits
-        assert diagnostics[i].clean_bits == scalar_diag.clean_bits
-        assert diagnostics[i].reversed_decode == scalar_diag.reversed_decode
-        assert diagnostics[i].mean_match_error == scalar_diag.mean_match_error
-        assert diagnostics[i].amplitude_estimate == scalar_diag.amplitude_estimate
-
-
-# ----------------------------------------------------------------------
-# Modulator / demodulator equivalence
-# ----------------------------------------------------------------------
+            with pytest.raises(_DECODE_ERRORS):
+                shared.decode(*args)
+            continue
+        bits, diagnostics = shared.decode(*args)
+        assert bits.shape == (unknown_n_bits,)
+        assert np.array_equal(bits, expected_bits)
+        assert diagnostics.overlap_samples == expected.overlap_samples
+        assert diagnostics.interfered_bits == expected.interfered_bits
+        assert diagnostics.clean_bits == expected.clean_bits
+        assert diagnostics.reversed_decode == expected.reversed_decode
+        assert diagnostics.mean_match_error == expected.mean_match_error
+        assert diagnostics.amplitude_estimate == expected.amplitude_estimate
 
 
 class TestModemEquivalence:
-    @given(bits=bit_matrices, sps=st.sampled_from([1, 2, 4]),
-           initial_phase=st.floats(min_value=-np.pi, max_value=np.pi))
-    @settings(max_examples=60, deadline=None)
-    def test_batch_modulator_bit_identical(self, bits, sps, initial_phase):
-        batch = BatchMSKModulator(
-            amplitude=1.1, samples_per_symbol=sps, initial_phase=initial_phase
-        ).modulate(bits)
-        scalar = MSKModulator(
-            amplitude=1.1, samples_per_symbol=sps, initial_phase=initial_phase
-        )
-        for i in range(bits.shape[0]):
-            assert np.array_equal(batch.samples[i], scalar.modulate(bits[i]).samples)
-
-    @given(bits=bit_matrices, sps=st.sampled_from([1, 3]),
-           snr_db=st.floats(min_value=0.0, max_value=40.0),
-           seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_batch_demodulator_bit_identical(self, bits, sps, snr_db, seed):
-        """Noisy waveforms demodulate identically row-by-row and batched."""
-        rng = np.random.default_rng(seed)
-        clean = BatchMSKModulator(samples_per_symbol=sps).modulate(bits)
-        noise_scale = float(10.0 ** (-snr_db / 20.0))
-        noisy = clean.samples + noise_scale * (
-            rng.standard_normal(clean.samples.shape)
-            + 1j * rng.standard_normal(clean.samples.shape)
-        ) / np.sqrt(2)
-        noisy_batch = SignalBatch(noisy)
-        batch_bits = BatchMSKDemodulator(samples_per_symbol=sps).demodulate(noisy_batch)
-        scalar = MSKDemodulator(samples_per_symbol=sps)
-        for i in range(bits.shape[0]):
-            assert np.array_equal(batch_bits[i], scalar.demodulate(noisy_batch.row(i)))
-
     @given(bits=bit_matrices)
     @settings(max_examples=30, deadline=None)
     def test_modulate_demodulate_roundtrip(self, bits):
-        signal = BatchMSKModulator().modulate(bits)
-        assert np.array_equal(BatchMSKDemodulator().demodulate(signal), bits)
-
-
-# ----------------------------------------------------------------------
-# Decoder equivalence
-# ----------------------------------------------------------------------
+        """Every row of a bit matrix round-trips through one shared modem."""
+        modulator, demodulator = MSKModulator(), MSKDemodulator()
+        for row in bits:
+            assert np.array_equal(demodulator.demodulate(modulator.modulate(row)), row)
 
 
 class TestDecodeBatchEquivalence:
-    @given(spec=collision_specs)
-    @settings(max_examples=40, deadline=None)
-    def test_random_collisions_bit_identical(self, spec):
-        """Random bits/offsets/SNRs decode identically, forward and §7.4 backward."""
-        batch, known, known_offset, unknown_offset, unknown_n_bits = (
-            _build_collision_batch(spec)
-        )
-        _assert_batch_matches_scalar(
-            batch, known, known_offset, unknown_offset, unknown_n_bits
-        )
-
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           n_bits=st.integers(min_value=8, max_value=48))
-    @settings(max_examples=25, deadline=None)
-    def test_full_overlap_bit_identical(self, seed, n_bits):
-        """Degenerate geometry: both frames aligned sample-for-sample."""
-        spec = {
-            "seed": seed, "n_trials": 3,
-            "known_n_bits": n_bits, "unknown_n_bits": n_bits,
-            "offset": 0, "known_first": True,
-            "snr_db": 25.0, "amplitude_a": 1.0, "amplitude_b": 0.6,
-        }
-        batch, known, known_offset, unknown_offset, unknown_n_bits = (
-            _build_collision_batch(spec)
-        )
-        assert known_offset == unknown_offset == 0
-        _assert_batch_matches_scalar(
-            batch, known, known_offset, unknown_offset, unknown_n_bits
-        )
-
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_zero_overlap_rejected_identically(self, seed):
-        """Disjoint frames: the scalar path raises, and so must the batch."""
+        """Disjoint frames: every row is refused, in either decode direction."""
         rng = np.random.default_rng(seed)
         known_n_bits = unknown_n_bits = 16
-        unknown_offset = known_n_bits + 5  # strictly after the known frame
-        total = unknown_offset + unknown_n_bits + 1
-        rows = np.stack([
-            rng.standard_normal(total) + 1j * rng.standard_normal(total)
-            for _ in range(2)
-        ])
+        later_offset = known_n_bits + 5  # strictly after the earlier frame
+        total = later_offset + unknown_n_bits + 1
+        rows = rng.standard_normal((2, total)) + 1j * rng.standard_normal((2, total))
         known = rng.integers(0, 2, (2, known_n_bits), dtype=np.uint8)
         decoder = InterferenceDecoder()
-        with pytest.raises(DecodingError):
-            decoder.decode(ComplexSignal(rows[0]), known[0], 0, unknown_offset, unknown_n_bits)
-        with pytest.raises(DecodingError):
-            decoder.decode_batch(rows, known, 0, unknown_offset, unknown_n_bits)
+        for row, known_bits in zip(rows, known):
+            for known_offset, unknown_offset in ((0, later_offset), (later_offset, 0)):
+                with pytest.raises(DecodingError, match="overlap"):
+                    decoder.decode(
+                        ComplexSignal(row), known_bits, known_offset, unknown_offset,
+                        unknown_n_bits,
+                    )
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            known_first=st.booleans())
     @settings(max_examples=15, deadline=None)
     def test_single_bit_frames_rejected_identically(self, seed, known_first):
         """A single-bit frame spans two samples — below the 4-sample overlap
-        minimum — so both paths must refuse it the same way."""
-        spec = {
-            "seed": seed, "n_trials": 2,
-            "known_n_bits": 1, "unknown_n_bits": 1,
-            "offset": 0, "known_first": known_first,
-            "snr_db": 30.0, "amplitude_a": 1.0, "amplitude_b": 0.8,
-        }
-        batch, known, known_offset, unknown_offset, unknown_n_bits = (
-            _build_collision_batch(spec)
-        )
+        minimum — so every row is refused the same way."""
+        rng = np.random.default_rng(seed)
+        known_offset, unknown_offset = (0, 0) if known_first else (1, 0)
         decoder = InterferenceDecoder()
-        with pytest.raises(DecodingError):
-            decoder.decode(
-                batch.row(0), known[0], known_offset, unknown_offset, unknown_n_bits
+        for _ in range(2):
+            known_bits = rng.integers(0, 2, 1, dtype=np.uint8)
+            unknown_bits = rng.integers(0, 2, 1, dtype=np.uint8)
+            row = np.zeros(8, dtype=np.complex128)
+            row[known_offset : known_offset + 2] += MSKModulator().modulate(known_bits).samples
+            row[unknown_offset : unknown_offset + 2] += (
+                MSKModulator(amplitude=0.8).modulate(unknown_bits).samples
             )
-        with pytest.raises(DecodingError):
-            decoder.decode_batch(
-                batch, known, known_offset, unknown_offset, unknown_n_bits
-            )
+            with pytest.raises(DecodingError, match="overlap"):
+                decoder.decode(ComplexSignal(row), known_bits, known_offset, unknown_offset, 1)
 
     impaired_specs = st.fixed_dictionaries(
         {
@@ -302,9 +134,8 @@ class TestDecodeBatchEquivalence:
 
         Each component passes through a per-sender CFO ramp (opposite
         signs, the §6 relative-offset geometry) and a seeded
-        Rayleigh/Rician fade before superposition — proving the batched
-        decoder stays bit-identical to the scalar reference when its
-        inputs went through the new channel stages.
+        Rayleigh/Rician fade before superposition.  A shared decoder must
+        reproduce a fresh decoder's bits and diagnostics on every row.
         """
         rng = np.random.default_rng(spec["seed"])
         n_bits = spec["n_bits"]
@@ -318,18 +149,18 @@ class TestDecodeBatchEquivalence:
         for _ in range(spec["n_trials"]):
             known_bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
             unknown_bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-            wave_known = cfo_known.apply(
-                MSKModulator(
-                    amplitude=1.0, initial_phase=float(rng.uniform(-np.pi, np.pi))
-                ).modulate(known_bits)
-            )
-            wave_unknown = cfo_unknown.apply(
-                MSKModulator(
-                    amplitude=0.7, initial_phase=float(rng.uniform(-np.pi, np.pi))
-                ).modulate(unknown_bits)
-            )
-            for_stage = []
-            for wave in (wave_known, wave_unknown):
+            waves = [
+                cfo.apply(
+                    MSKModulator(
+                        amplitude=amplitude, initial_phase=float(rng.uniform(-np.pi, np.pi))
+                    ).modulate(bits)
+                )
+                for cfo, amplitude, bits in (
+                    (cfo_known, 1.0, known_bits), (cfo_unknown, 0.7, unknown_bits)
+                )
+            ]
+            faded = []
+            for wave in waves:
                 stage = make_fading_channel(
                     spec["fading"],
                     k_db=spec["k_db"],
@@ -338,8 +169,8 @@ class TestDecodeBatchEquivalence:
                     doppler=doppler,
                     rng=rng,
                 )
-                for_stage.append(wave if stage is None else stage.apply(wave))
-            wave_known, wave_unknown = for_stage
+                faded.append(wave if stage is None else stage.apply(wave))
+            wave_known, wave_unknown = faded
             row = np.zeros(total, dtype=np.complex128)
             row[: wave_known.samples.size] += wave_known.samples
             row[offset : offset + wave_unknown.samples.size] += wave_unknown.samples
@@ -348,131 +179,4 @@ class TestDecodeBatchEquivalence:
             ) / np.sqrt(2)
             rows.append(row)
             known_rows.append(known_bits)
-        _assert_batch_matches_scalar(
-            SignalBatch(np.stack(rows)), np.stack(known_rows), 0, offset, n_bits
-        )
-
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_mixed_geometry_batches_bit_identical(self, seed):
-        """One call covering several offset groups, both decode directions."""
-        rng = np.random.default_rng(seed)
-        known_n_bits = unknown_n_bits = 32
-        geometries = [(0, int(rng.integers(0, 8))) for _ in range(2)]
-        geometries += [(int(rng.integers(1, 8)), 0) for _ in range(2)]
-        total = known_n_bits + unknown_n_bits  # ample room for every geometry
-        rows, known_rows, kos, uos = [], [], [], []
-        for known_offset, unknown_offset in geometries:
-            known_bits = rng.integers(0, 2, known_n_bits, dtype=np.uint8)
-            unknown_bits = rng.integers(0, 2, unknown_n_bits, dtype=np.uint8)
-            row = np.zeros(total, dtype=np.complex128)
-            wave_known = MSKModulator(
-                amplitude=1.0, initial_phase=float(rng.uniform(-np.pi, np.pi))
-            ).modulate(known_bits).samples
-            wave_unknown = MSKModulator(
-                amplitude=0.7, initial_phase=float(rng.uniform(-np.pi, np.pi))
-            ).modulate(unknown_bits).samples
-            row[known_offset : known_offset + wave_known.size] += wave_known
-            row[unknown_offset : unknown_offset + wave_unknown.size] += wave_unknown
-            row += 0.02 * (
-                rng.standard_normal(total) + 1j * rng.standard_normal(total)
-            ) / np.sqrt(2)
-            rows.append(row)
-            known_rows.append(known_bits)
-            kos.append(known_offset)
-            uos.append(unknown_offset)
-        batch = SignalBatch(np.stack(rows))
-        known = np.stack(known_rows)
-        _assert_batch_matches_scalar(
-            batch, known, np.array(kos), np.array(uos), unknown_n_bits
-        )
-
-
-# ----------------------------------------------------------------------
-# Per-backend equivalence
-# ----------------------------------------------------------------------
-
-
-class TestBackendEquivalence:
-    """Every registered compute backend honours its declared contract.
-
-    Digest-neutral backends (``numpy``, and ``numba`` — JIT or numpy
-    fallback alike) must be **bit-identical** to the scalar reference:
-    same bits, same diagnostics.  The non-neutral ``float32-fast``
-    backend instead must stay within its declared BER accuracy gate
-    against the reference bits.
-    """
-
-    @pytest.mark.parametrize(
-        "name", [n for n in available_backends() if is_digest_neutral(n)]
-    )
-    @given(spec=collision_specs)
-    @settings(max_examples=25, deadline=None)
-    def test_digest_neutral_backends_bit_identical(self, name, spec):
-        batch, known, known_offset, unknown_offset, unknown_n_bits = (
-            _build_collision_batch(spec)
-        )
-        reference = InterferenceDecoder()
-        candidate = InterferenceDecoder(backend=name)
-        args = (known, known_offset, unknown_offset, unknown_n_bits)
-        try:
-            ref_bits, ref_diags = reference.decode_batch(batch, *args)
-        except _DECODE_ERRORS:
-            with pytest.raises(_DECODE_ERRORS):
-                candidate.decode_batch(batch, *args)
-            return
-        bits, diags = candidate.decode_batch(batch, *args)
-        assert np.array_equal(bits, ref_bits)
-        for got, expected in zip(diags, ref_diags):
-            assert got.mean_match_error == expected.mean_match_error
-            assert got.amplitude_estimate == expected.amplitude_estimate
-            assert got.reversed_decode == expected.reversed_decode
-
-    @given(spec=collision_specs)
-    @settings(max_examples=25, deadline=None)
-    def test_float32_fast_within_accuracy_gate(self, spec):
-        batch, known, known_offset, unknown_offset, unknown_n_bits = (
-            _build_collision_batch(spec)
-        )
-        reference = InterferenceDecoder()
-        candidate = InterferenceDecoder(backend="float32-fast")
-        args = (known, known_offset, unknown_offset, unknown_n_bits)
-        try:
-            ref_bits, _ = reference.decode_batch(batch, *args)
-        except _DECODE_ERRORS:
-            # The reduced-precision path must also refuse what the
-            # reference refuses (insufficient overlap, degenerate Eq. 5-6
-            # amplitudes) rather than fabricate bits.
-            with pytest.raises(_DECODE_ERRORS):
-                candidate.decode_batch(batch, *args)
-            return
-        bits, _ = candidate.decode_batch(batch, *args)
-        gate = float(get_backend("float32-fast").accuracy_gate["max_ber_deviation"])
-        assert float(np.mean(bits != ref_bits)) <= gate
-
-    @given(bits=bit_matrices)
-    @settings(max_examples=20, deadline=None)
-    def test_digest_neutral_modem_bit_identical(self, bits):
-        reference_wave = BatchMSKModulator().modulate(bits).samples
-        for name in available_backends():
-            if not is_digest_neutral(name):
-                continue
-            wave = BatchMSKModulator(backend=name).modulate(bits).samples
-            assert np.array_equal(wave, reference_wave)
-            decoded = BatchMSKDemodulator(backend=name).demodulate(
-                SignalBatch(reference_wave)
-            )
-            assert np.array_equal(decoded, bits)
-
-    @given(bits=bit_matrices)
-    @settings(max_examples=20, deadline=None)
-    def test_float32_fast_modem_roundtrip(self, bits):
-        """Reduced precision still round-trips clean waveforms exactly.
-
-        The batch container upcasts the synthesised complex64 samples to
-        its canonical complex128 layout; the decision margins (±pi/2) are
-        orders of magnitude above float32 rounding, so the bits survive.
-        """
-        wave = BatchMSKModulator(backend="float32-fast").modulate(bits)
-        decoded = BatchMSKDemodulator(backend="float32-fast").demodulate(wave)
-        assert np.array_equal(decoded, bits)
+        _assert_shared_decoder_matches_fresh(rows, known_rows, 0, offset, n_bits)

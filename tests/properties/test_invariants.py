@@ -23,11 +23,12 @@ bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size
 
 
 class TestModulationInvariants:
-    @given(bits=bit_lists)
+    @given(bits=bit_lists, sps=st.sampled_from([1, 2, 4]))
     @settings(max_examples=50, deadline=None)
-    def test_msk_roundtrip_is_identity(self, bits):
+    def test_msk_roundtrip_is_identity(self, bits, sps):
         data = np.array(bits, dtype=np.uint8)
-        decoded = MSKDemodulator().demodulate(MSKModulator().modulate(data))
+        signal = MSKModulator(samples_per_symbol=sps).modulate(data)
+        decoded = MSKDemodulator(samples_per_symbol=sps).demodulate(signal)
         assert np.array_equal(decoded, data)
 
     @given(bits=bit_lists, attenuation=st.floats(0.05, 2.0), phase=st.floats(-np.pi, np.pi))

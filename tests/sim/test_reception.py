@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.node.node import Node, NodeConfig
 from repro.sim.reception import (
-    PHY_MODES,
     DecodeService,
     ReceptionKind,
     ReceptionSession,
@@ -98,31 +97,28 @@ class TestClassifyReception:
 
 
 class TestDecodeService:
-    def test_unknown_phy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DecodeService(phy="quantum")
-
-    @pytest.mark.parametrize("phy", PHY_MODES)
-    def test_roundtrip_through_each_phy(self, phy):
+    def test_roundtrip(self):
         node = Node(1, NodeConfig(payload_bits=64))
         packet = node.make_packet(destination=2, rng=np.random.default_rng(0))
         waveform = node.transmit(packet)
-        result = DecodeService(phy=phy).decode_window(waveform, 0, len(waveform))
+        result = DecodeService().decode_window(waveform, 0, len(waveform))
         assert result.packet is not None
         assert np.array_equal(result.packet.payload, packet.payload)
 
-    def test_scalar_and_batched_bit_identical(self):
+    def test_decode_windows_in_request_order(self):
         node = Node(1, NodeConfig(payload_bits=64))
         rng = np.random.default_rng(1)
-        windows = []
+        packets, windows = [], []
         for _ in range(4):
-            waveform = node.transmit(node.make_packet(destination=2, rng=rng))
+            packet = node.make_packet(destination=2, rng=rng)
+            waveform = node.transmit(packet)
+            packets.append(packet)
             windows.append((waveform, 0, len(waveform)))
-        scalar = DecodeService(phy="scalar").decode_windows(windows)
-        batched = DecodeService(phy="batched").decode_windows(windows)
-        for a, b in zip(scalar, batched):
-            assert a.delivered and b.delivered
-            assert np.array_equal(a.packet.payload, b.packet.payload)
+        results = DecodeService().decode_windows(windows)
+        assert len(results) == len(packets)
+        for result, packet in zip(results, packets):
+            assert result.delivered
+            assert np.array_equal(result.packet.payload, packet.payload)
 
     def test_invalid_window_rejected(self):
         node = Node(1, NodeConfig(payload_bits=64))

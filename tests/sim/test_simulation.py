@@ -41,7 +41,6 @@ class TestSimParams:
             ("scheme", "flooding"),
             ("mac_policy", "aloha"),
             ("traffic_model", "fractal"),
-            ("phy", "quantum"),
             ("arrival_rate", 0.0),
             ("sim_duration_frames", -1.0),
             ("payload_bits", 100),
@@ -95,13 +94,6 @@ class TestDeterminism:
         a = TrafficSimulation(params, entropy=[1], conditions=CONDITIONS).run()
         b = TrafficSimulation(params, entropy=[2], conditions=CONDITIONS).run()
         assert a.trace_digest != b.trace_digest
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_scalar_and_batched_phy_are_bit_identical(self, scheme):
-        scalar = _run(scheme=scheme, phy="scalar")
-        batched = _run(scheme=scheme, phy="batched")
-        assert scalar.metrics() == batched.metrics()
-        assert scalar.trace_digest == batched.trace_digest
 
 
 class TestPatienceRegression:

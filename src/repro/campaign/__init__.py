@@ -1,7 +1,7 @@
 """Campaign orchestration: declarative sweep grids over the repro facade.
 
 This package turns "run one experiment" (:mod:`repro.api`) into "run a
-thousand of them, deterministically, resumably, and over the network":
+thousand of them, deterministically and resumably":
 
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec` declares a base
   config plus axes of parameter values; grid expansion is deterministic
@@ -12,17 +12,13 @@ thousand of them, deterministically, resumably, and over the network":
   write-rename publication; safe under concurrent workers, and the
   resume mechanism (stored digest → job skipped).
 * :mod:`repro.campaign.runner` — :class:`CampaignRunner`, the asyncio
-  job queue: bounded concurrency, per-job retry with exponential
-  backoff, in-flight dedupe by digest.
-* :mod:`repro.campaign.server` / :mod:`repro.campaign.client` — a
-  stdlib HTTP/JSON server mode (submit campaign, poll/stream progress,
-  fetch results) and the matching ``urllib`` client helpers.
+  job queue: bounded concurrency and per-job retry with exponential
+  backoff.
 
 See ``docs/CAMPAIGNS.md`` for the user-facing guide.
 """
 
 from repro.campaign.runner import CampaignReport, CampaignRunner, JobOutcome, execute_job
-from repro.campaign.server import CampaignServer
 from repro.campaign.spec import (
     CAMPAIGN_SCHEMA,
     CampaignJob,
@@ -37,7 +33,6 @@ __all__ = [
     "CampaignJob",
     "CampaignReport",
     "CampaignRunner",
-    "CampaignServer",
     "CampaignSpec",
     "JobOutcome",
     "NullResultStore",

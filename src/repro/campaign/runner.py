@@ -1,16 +1,14 @@
-"""The asyncio campaign runner: bounded concurrency, retries, dedupe.
+"""The asyncio campaign runner: bounded concurrency, retries, resume.
 
 :class:`CampaignRunner` turns an expanded job list into completed
 results.  Execution discipline:
 
-* **bounded concurrency** — at most ``concurrency`` jobs run at once
-  (an :class:`asyncio.Semaphore`); everything else waits in line, which
-  is the admission/backpressure posture the campaign server builds on;
-* **dedupe before work** — a job whose digest is already in the
+* **bounded concurrency** — at most ``concurrency`` jobs of one
+  campaign run at once (an :class:`asyncio.Semaphore`); everything else
+  waits in line;
+* **resume before work** — a job whose digest is already in the
   :class:`~repro.campaign.store.ResultStore` is counted as ``cached``
-  and never executed, and a digest already *in flight* in this process
-  (overlapping campaigns, duplicate submissions) awaits the existing
-  execution instead of starting a second one;
+  and never executed;
 * **retry with backoff** — a failing job is retried up to ``retries``
   times with exponential backoff; a job that exhausts its retries is
   recorded as ``failed`` without sinking the rest of the campaign;
@@ -19,8 +17,7 @@ results.  Execution discipline:
   the set of jobs that completed.
 
 Experiments execute through :func:`repro.api.run` on worker threads
-(:func:`asyncio.to_thread`), keeping the event loop free to serve
-status/progress requests while numpy crunches.
+(:func:`asyncio.to_thread`), so up to ``concurrency`` jobs overlap.
 """
 
 from __future__ import annotations
@@ -85,7 +82,7 @@ class JobOutcome:
     elapsed_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready view (for status payloads and the CLI summary)."""
+        """JSON-ready view (for the JSON report and the CLI summary)."""
         payload = dict(self.job.describe())
         payload.update(
             status=self.status,
@@ -203,8 +200,7 @@ class CampaignRunner:
     progress:
         Optional callback receiving one event dict per job transition
         (``started`` / ``retry`` / ``completed`` / ``cached`` /
-        ``failed``) — the hook the server's status and event-stream
-        endpoints hang off.
+        ``failed``).
     """
 
     def __init__(
@@ -234,71 +230,26 @@ class CampaignRunner:
         self.backoff = float(backoff)
         self.job_fn: JobFn = job_fn if job_fn is not None else execute_job
         self.progress = progress
-        #: Digest -> in-flight execution future; overlapping campaigns on
-        #: one runner await the same future instead of recomputing.
-        self._inflight: Dict[str, "asyncio.Future[ExperimentResult]"] = {}
-        #: One semaphore per event loop, shared by every campaign running
-        #: on that loop, so the concurrency bound is runner-global (the
-        #: server submits many campaigns through one runner).
-        self._semaphore: Optional[asyncio.Semaphore] = None
-        self._semaphore_loop: Optional[asyncio.AbstractEventLoop] = None
 
-    def _get_semaphore(self) -> asyncio.Semaphore:
-        """The loop-bound concurrency gate (rebuilt when the loop changes)."""
-        loop = asyncio.get_running_loop()
-        if self._semaphore is None or self._semaphore_loop is not loop:
-            self._semaphore = asyncio.Semaphore(self.concurrency)
-            self._semaphore_loop = loop
-        return self._semaphore
+    def _emit(self, event: str, job: CampaignJob, **extra: Any) -> None:
+        """Deliver one progress event to the callback, if any."""
+        if self.progress is not None:
+            self.progress({"event": event, **job.describe(), **extra})
 
-    # ------------------------------------------------------------------
-    # Events
-    # ------------------------------------------------------------------
-    def _emit(
-        self,
-        progress: Optional[ProgressFn],
-        event: str,
-        job: CampaignJob,
-        **extra: Any,
-    ) -> None:
-        """Deliver one progress event (best-effort; callbacks must not sink)."""
-        if progress is None:
-            return
-        payload = {"event": event, **job.describe(), **extra}
-        progress(payload)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     async def run(
-        self,
-        spec: CampaignSpec,
-        shard_index: int = 0,
-        shard_count: int = 1,
-        progress: Optional[ProgressFn] = None,
+        self, spec: CampaignSpec, shard_index: int = 0, shard_count: int = 1
     ) -> CampaignReport:
         """Run one campaign (shard) to completion and report every outcome."""
-        return await self.run_jobs(
-            spec, spec.jobs(shard_index, shard_count), progress=progress
-        )
+        return await self.run_jobs(spec, spec.jobs(shard_index, shard_count))
 
     async def run_jobs(
-        self,
-        spec: CampaignSpec,
-        jobs: Sequence[CampaignJob],
-        progress: Optional[ProgressFn] = None,
+        self, spec: CampaignSpec, jobs: Sequence[CampaignJob]
     ) -> CampaignReport:
-        """Run an explicit job list (already expanded/sharded) to completion.
-
-        ``progress`` overrides the runner-level callback for this
-        campaign only — how the server routes one shared runner's events
-        to the right campaign's subscribers.
-        """
+        """Run an explicit job list (already expanded/sharded) to completion."""
         started = time.perf_counter()
-        watcher = progress if progress is not None else self.progress
-        semaphore = self._get_semaphore()
+        semaphore = asyncio.Semaphore(self.concurrency)
         outcomes = await asyncio.gather(
-            *(self._run_job(job, semaphore, watcher) for job in jobs)
+            *(self._run_job(job, semaphore) for job in jobs)
         )
         return CampaignReport(
             spec=spec,
@@ -307,17 +258,11 @@ class CampaignRunner:
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    async def _run_job(
-        self,
-        job: CampaignJob,
-        semaphore: asyncio.Semaphore,
-        progress: Optional[ProgressFn],
-    ) -> JobOutcome:
-        """Dedupe, execute-with-retries and store one job."""
+    async def _run_job(self, job: CampaignJob, semaphore: asyncio.Semaphore) -> JobOutcome:
+        """Resume-check, execute-with-retries and store one job."""
         job_started = time.perf_counter()
-        cached = self.store.get(job.digest)
-        if cached is not None:
-            self._emit(progress, "cached", job)
+        if self.store.get(job.digest) is not None:
+            self._emit("cached", job)
             return JobOutcome(
                 job=job,
                 status="cached",
@@ -325,80 +270,43 @@ class CampaignRunner:
                 elapsed_seconds=time.perf_counter() - job_started,
             )
 
-        existing = self._inflight.get(job.digest)
-        if existing is not None:
-            # Same digest already executing in this process (overlapping
-            # campaign or duplicate submission): share its result.
-            try:
-                result = await asyncio.shield(existing)
-            except Exception as error:  # the executing job reports the failure
+        async with semaphore:
+            self._emit("started", job)
+            attempts = 0
+            last_error = ""
+            while attempts <= self.retries:
+                attempts += 1
+                try:
+                    result = await asyncio.to_thread(self.job_fn, job)
+                except Exception as error:
+                    last_error = "".join(
+                        traceback.format_exception_only(type(error), error)
+                    ).strip()
+                    if attempts <= self.retries:
+                        delay = self.backoff * (2 ** (attempts - 1))
+                        self._emit(
+                            "retry", job, attempt=attempts,
+                            error=last_error, delay_seconds=delay,
+                        )
+                        if delay:
+                            await asyncio.sleep(delay)
+                    continue
+                self.store.put(job.digest, result)
+                self._emit("completed", job, attempts=attempts)
                 return JobOutcome(
                     job=job,
-                    status="failed",
-                    attempts=0,
-                    error=f"shared in-flight job failed: {error}",
+                    status="completed",
+                    attempts=attempts,
                     elapsed_seconds=time.perf_counter() - job_started,
                 )
-            del result  # stored by the executing job
-            self._emit(progress, "cached", job, shared=True)
-            return JobOutcome(
-                job=job,
-                status="cached",
-                attempts=0,
-                elapsed_seconds=time.perf_counter() - job_started,
-            )
-
-        future: "asyncio.Future[ExperimentResult]" = (
-            asyncio.get_running_loop().create_future()
+        self._emit("failed", job, attempts=attempts, error=last_error)
+        return JobOutcome(
+            job=job,
+            status="failed",
+            attempts=attempts,
+            error=last_error,
+            elapsed_seconds=time.perf_counter() - job_started,
         )
-        self._inflight[job.digest] = future
-        try:
-            async with semaphore:
-                self._emit(progress, "started", job)
-                attempts = 0
-                last_error = ""
-                while attempts <= self.retries:
-                    attempts += 1
-                    try:
-                        result = await asyncio.to_thread(self.job_fn, job)
-                    except Exception as error:
-                        last_error = "".join(
-                            traceback.format_exception_only(type(error), error)
-                        ).strip()
-                        if attempts <= self.retries:
-                            delay = self.backoff * (2 ** (attempts - 1))
-                            self._emit(
-                                progress, "retry", job, attempt=attempts,
-                                error=last_error, delay_seconds=delay,
-                            )
-                            if delay:
-                                await asyncio.sleep(delay)
-                        continue
-                    self.store.put(job.digest, result)
-                    future.set_result(result)
-                    self._emit(progress, "completed", job, attempts=attempts)
-                    return JobOutcome(
-                        job=job,
-                        status="completed",
-                        attempts=attempts,
-                        elapsed_seconds=time.perf_counter() - job_started,
-                    )
-            future.set_exception(
-                ConfigurationError(f"job {job.digest[:12]} failed: {last_error}")
-            )
-            # A shared waiter may or may not exist; without this the
-            # exception would be logged as "never retrieved".
-            future.exception()
-            self._emit(progress, "failed", job, attempts=attempts, error=last_error)
-            return JobOutcome(
-                job=job,
-                status="failed",
-                attempts=attempts,
-                error=last_error,
-                elapsed_seconds=time.perf_counter() - job_started,
-            )
-        finally:
-            self._inflight.pop(job.digest, None)
 
     def run_sync(
         self,

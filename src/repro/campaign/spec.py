@@ -17,7 +17,7 @@ content-addressing digest per job, so that
 Validation happens up front, at spec construction and expansion time:
 axis names must be real :class:`~repro.experiments.config.ExperimentConfig`
 fields, time-domain traffic knobs are checked against the target
-scenario's ``consumes`` contract (figures reject them outright), and
+experiment's ``consumes`` contract (figures consume none), and
 every expanded config is audited to round-trip through
 ``ExperimentConfig.from_snapshot(config.snapshot())`` so omission rules
 in :meth:`~repro.experiments.config.ExperimentConfig.snapshot` can never
@@ -37,13 +37,14 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import check_consumes
 
 #: Schema tag of the serialized spec (and the job-digest payload).  Bump
 #: on any change that alters digests, so old stores are never misread.
 CAMPAIGN_SCHEMA = "anc-repro.campaign/1"
 
 #: Config knobs only the time-domain traffic scenarios consume; axes and
-#: base overrides naming one are validated against the target scenario's
+#: base overrides naming one are validated against the target entry's
 #: ``consumes`` declaration (see ``docs/SCENARIOS.md``).
 TRAFFIC_KNOBS = ("arrival_rate", "sim_duration", "mac_policy")
 
@@ -130,7 +131,7 @@ class CampaignJob:
     digest: str
 
     def describe(self) -> Dict[str, Any]:
-        """JSON-ready one-line description (for status payloads and logs)."""
+        """JSON-ready one-line description (for reports and progress events)."""
         return {
             "index": self.index,
             "experiment": self.experiment,
@@ -157,7 +158,7 @@ class CampaignSpec:
     quick:
         Scenario sweeps only: thin the sweep axis to smoke-test values.
     name:
-        Optional human label carried through status payloads; defaults
+        Optional human label carried through campaign reports; defaults
         to the experiment name.  Not part of any digest.
     """
 
@@ -174,7 +175,9 @@ class CampaignSpec:
             self, "axes", {str(k): tuple(v) for k, v in dict(self.axes).items()}
         )
         object.__setattr__(self, "name", str(self.name) or self.experiment)
-        entry = self._entry()
+        from repro import api
+
+        entry = api.get_experiment(self.experiment)
         unknown = sorted((set(self.base) | set(self.axes)) - set(CONFIG_FIELDS))
         if unknown:
             raise ConfigurationError(
@@ -196,43 +199,13 @@ class CampaignSpec:
                     "lists for tuple-typed fields); got "
                     f"{[v for v in values if not _jsonable_axis_value(v)]!r}"
                 )
-        self._check_traffic_knobs(entry.kind)
-
-    def _entry(self) -> Any:
-        """Resolve (and thereby validate) the target experiment entry."""
-        from repro import api
-
-        return api.get_experiment(self.experiment)
-
-    def _check_traffic_knobs(self, kind: str) -> None:
-        """Enforce the ``consumes`` contract before any job executes.
-
-        The per-run check in :func:`repro.experiments.scenarios.run_scenario`
-        would catch this too, but only after the campaign has been
-        admitted and sharded — a 1000-job grid that fails on job one is a
-        spec bug, so it is rejected at declaration time.
-        """
-        set_knobs = sorted(
-            knob for knob in TRAFFIC_KNOBS if knob in self.base or knob in self.axes
+        # Enforce the consumes contract at declaration time: the per-run
+        # check in repro.api.run would catch it too, but only once a job
+        # runs — a 1000-job grid that fails on job one is a spec bug.
+        check_consumes(
+            entry,
+            (knob for knob in TRAFFIC_KNOBS if knob in self.base or knob in self.axes),
         )
-        if not set_knobs:
-            return
-        if kind == "figure":
-            raise ConfigurationError(
-                f"figure experiment {self.experiment!r} ignores the traffic "
-                f"knob(s) {', '.join(set_knobs)}; they apply only to the "
-                "time-domain scenarios"
-            )
-        from repro.experiments.scenarios import SCENARIOS
-
-        consumes = set(SCENARIOS[self.experiment].consumes)
-        unconsumed = sorted(set(set_knobs) - consumes)
-        if unconsumed:
-            raise ConfigurationError(
-                f"scenario {self.experiment!r} does not consume the traffic "
-                f"knob(s) {', '.join(unconsumed)}; its consumes contract is "
-                f"({', '.join(sorted(consumes)) or 'empty'})"
-            )
 
     # ------------------------------------------------------------------
     # Expansion
@@ -309,10 +282,9 @@ class CampaignSpec:
     def campaign_id(self) -> str:
         """Stable content id of the whole campaign (spec digest, 20 hex).
 
-        Content-addressed like job digests: resubmitting the same spec to
-        a server yields the same id, which is what lets the server shed
-        duplicate submissions instead of queueing the same grid twice.
-        ``name`` is a display label and deliberately excluded.
+        Content-addressed like job digests: the same grid always yields
+        the same id, whatever its display ``name`` (deliberately
+        excluded).
         """
         payload = dict(self.to_dict())
         payload.pop("name", None)
@@ -323,7 +295,7 @@ class CampaignSpec:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation (the wire/spec-file format)."""
+        """JSON-ready representation (the spec-file format)."""
         return {
             "schema": CAMPAIGN_SCHEMA,
             "experiment": self.experiment,
@@ -334,7 +306,7 @@ class CampaignSpec:
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialize the spec to its JSON wire format."""
+        """Serialize the spec to its JSON spec-file format."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
     @classmethod
@@ -378,7 +350,7 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
-        """Parse a spec from its JSON wire format."""
+        """Parse a spec from its JSON spec-file format."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as error:

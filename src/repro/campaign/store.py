@@ -9,8 +9,8 @@ by the job's content digest (:func:`repro.campaign.spec.job_digest`), so
   recomputes nothing;
 * two campaigns whose grids overlap — or two workers sharding one grid —
   share results instead of duplicating work;
-* results are served to clients as the exact ``anc-repro.result/1`` JSON
-  documents that were stored, with no re-serialization drift.
+* a stored result reads back as the exact ``anc-repro.result/1`` JSON
+  document that was written, with no re-serialization drift.
 
 Concurrency model: writes go to a temp file in the final directory and
 are published with :func:`os.replace` — atomic on POSIX — so a reader
@@ -24,7 +24,6 @@ the job simply recomputes.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import tempfile
@@ -70,7 +69,7 @@ class StoreStats:
     races: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        """JSON-ready counter view (for status payloads and reports)."""
+        """JSON-ready counter view (for campaign reports)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -128,8 +127,8 @@ class ResultStore:
     def get_raw(self, digest: str) -> Optional[str]:
         """Load one stored document as its exact JSON text (or ``None``).
 
-        The server's fetch endpoint uses this so clients receive the
-        bytes that were stored, not a re-serialization.
+        These are the bytes that were stored, not a re-serialization;
+        :meth:`get` parses them.
         """
         path = self.path(digest)
         try:

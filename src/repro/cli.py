@@ -1,14 +1,15 @@
 """Command-line interface for the ANC reproduction experiments.
 
 ``python -m repro.cli <experiment>`` (or the ``anc-repro`` console script)
-runs any experiment in the unified :mod:`repro.api` namespace — the seven
-figure reproductions *and* the registered scenario sweeps — and emits the
-result in the requested format::
+runs any experiment in the :mod:`repro.api` registry — the seven figure
+reproductions *and* the registered scenario sweeps — and emits the result
+in the requested format::
 
     python -m repro.cli alice-bob --runs 10 --packets 20
     python -m repro.cli capacity --format json --output capacity.json
     python -m repro.cli sir --seed 3 --format csv
     python -m repro.cli chain_sweep --quick --workers 2
+    python -m repro.cli mesh_sweep --runs 20 --workers 8 --resume
     python -m repro.cli --version
 
 ``--format text`` (the default) prints the familiar plain-text report —
@@ -17,11 +18,10 @@ byte-identical to the pre-structured-results CLI — while ``json`` and
 underlying :class:`~repro.results.model.ExperimentResult` (see
 ``docs/API.md``).  ``--output PATH`` writes to a file instead of stdout.
 
-The legacy ``run`` subcommand for scenario sweeps is kept as an alias
-(``--quick`` shrinks them to smoke-test size)::
-
-    python -m repro.cli run chain_sweep --quick --workers 2
-    python -m repro.cli run mesh_sweep --runs 20 --workers 8 --resume
+``--runs`` / ``--packets`` / ``--payload-bits`` default to 10 / 10 / 768;
+``--quick`` shrinks a scenario sweep to smoke-test size (a thinned sweep
+axis and the :meth:`ExperimentConfig.quick` base of 3 / 4 / 512, which
+explicit flags still override).
 
 Monte-Carlo trials execute through the
 :class:`~repro.experiments.engine.ExperimentEngine`: ``--workers N`` fans
@@ -32,7 +32,7 @@ and ``--resume`` caches completed trials on disk so an interrupted
 paper-scale sweep picks up where it left off::
 
     python -m repro.cli alice-bob --runs 40 --packets 1000 --workers 8 --resume
-    python -m repro.cli run chain_sweep --quick --workers 4 --batch-size 8
+    python -m repro.cli chain_sweep --quick --workers 4 --batch-size 8
 
 ``--arrival-rate`` / ``--sim-duration`` / ``--mac-policy`` configure the
 event-driven traffic scenarios (and raise for every experiment that
@@ -41,13 +41,12 @@ would ignore them)::
     python -m repro.cli offered_load_sweep --quick --mac-policy scheduled
     python -m repro.cli queueing_delay --quick --arrival-rate 0.9
 
-The ``campaign`` subcommand family drives declarative sweep grids
-(:mod:`repro.campaign`, documented in ``docs/CAMPAIGNS.md``)::
+The ``campaign run`` subcommand runs a declarative sweep grid against a
+resumable result store (:mod:`repro.campaign`, documented in
+``docs/CAMPAIGNS.md``)::
 
     python -m repro.cli campaign run grid.json --store results/
-    python -m repro.cli campaign serve --store results/ --port 8642
-    python -m repro.cli campaign submit grid.json --url http://127.0.0.1:8642 --wait
-    python -m repro.cli campaign status --url http://127.0.0.1:8642
+    python -m repro.cli campaign run grid.json --store results/ --shard-index 0 --shard-count 2
 """
 
 from __future__ import annotations
@@ -67,22 +66,8 @@ from repro.sim.mac import MAC_POLICIES
 from repro.results.model import ExperimentResult
 from repro.results.render import render_text
 
-#: Experiment names accepted on the command line, with the figure they map
-#: to.  Derived from the unified registry (single source of truth).
-EXPERIMENTS = {e.name: e.description for e in api.experiment_entries(kind="figure")}
-
-#: Scenario names accepted by the ``run`` subcommand (same registry).
-SCENARIO_NAMES = {e.name: e.description for e in api.experiment_entries(kind="scenario")}
-
 #: Output formats the CLI can emit.
 FORMATS = ("text", "json", "csv")
-
-
-def _epilog(entries) -> str:
-    """The one help epilog both parsers derive from the unified registry."""
-    return "experiments: " + "; ".join(
-        f"{entry.name}: {entry.description}" for entry in entries
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,24 +79,30 @@ def build_parser() -> argparse.ArgumentParser:
         "registered scenario sweep (see docs/SCENARIOS.md).  Emits the "
         "plain-text report by default; --format json/csv emits the "
         "schema-versioned structured result (docs/API.md).",
-        epilog=_epilog(api.experiment_entries()),
+        epilog="experiments: " + "; ".join(
+            f"{name}: {api.get_experiment(name).description}"
+            for name in api.list_experiments()
+        ),
     )
     parser.add_argument(
         "experiment",
         choices=sorted(api.list_experiments()),
         help="which experiment (figure or scenario sweep) to run",
     )
-    parser.add_argument("--runs", type=int, default=10, help="independent testbed runs (default 10)")
     parser.add_argument(
-        "--packets", type=int, default=10, help="packets per direction per run (default 10)"
+        "--runs", type=int, default=None, help="independent testbed runs (default 10)"
     )
     parser.add_argument(
-        "--payload-bits", type=int, default=768, help="payload size in bits (default 768)"
+        "--packets", type=int, default=None, help="packets per direction per run (default 10)"
+    )
+    parser.add_argument(
+        "--payload-bits", type=int, default=None, help="payload size in bits (default 768)"
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="scenario sweeps only: thin the sweep axis to smoke-test size",
+        help="scenario sweeps only: thin the sweep axis and start from the "
+        "smoke-test size (3 runs, 4 packets, 512-bit payloads)",
     )
     _add_engine_arguments(parser)
     _add_impairment_arguments(parser)
@@ -121,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the time-domain traffic flags shared by both parsers.
+    """Add the time-domain traffic flags.
 
     These only apply to the event-driven traffic scenarios
     (``offered_load_sweep`` honours ``--sim-duration``/``--mac-policy``,
@@ -154,7 +145,7 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_impairment_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the channel-impairment flags shared by both parsers.
+    """Add the channel-impairment flags.
 
     The defaults disable every impairment, which reproduces the baseline
     flat channel byte-for-byte (see ``docs/CHANNELS.md``).
@@ -207,7 +198,7 @@ def _impairments_from_args(args: argparse.Namespace) -> ImpairmentConfig:
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the seed/engine flags shared by the figure and scenario parsers."""
+    """Add the seed/engine flags."""
     parser.add_argument("--seed", type=int, default=20070823, help="master random seed")
     parser.add_argument(
         "--workers",
@@ -239,7 +230,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the result-format/output/version flags shared by both parsers."""
+    """Add the result-format/output/version flags."""
     parser.add_argument(
         "--format",
         choices=FORMATS,
@@ -262,120 +253,30 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_scenario_parser() -> argparse.ArgumentParser:
-    """Construct the parser of the ``run`` (scenario) subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="anc-repro run",
-        description="Run a registered scenario sweep (see docs/SCENARIOS.md).",
-        epilog=_epilog(api.experiment_entries(kind="scenario")),
-    )
-    parser.add_argument(
-        "scenario", choices=sorted(SCENARIO_NAMES), help="which scenario sweep to run"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smoke-test size: few runs/packets and a thinned sweep axis",
-    )
-    parser.add_argument(
-        "--runs", type=int, default=None, help="independent runs per sweep point"
-    )
-    parser.add_argument(
-        "--packets", type=int, default=None, help="packets per flow per run"
-    )
-    parser.add_argument(
-        "--payload-bits", type=int, default=None, help="payload size in bits"
-    )
-    _add_engine_arguments(parser)
-    _add_impairment_arguments(parser)
-    _add_sim_arguments(parser)
-    _add_output_arguments(parser)
-    return parser
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        runs=args.runs,
-        packets_per_run=args.packets,
-        payload_bits=args.payload_bits,
-        seed=args.seed,
+    """The config the flags describe, with each experiment kind's size defaults.
+
+    A size flag the user gave always wins.  Otherwise the run is 10 runs
+    of 10 packets with 768-bit payloads, except that a scenario under
+    ``--quick`` starts from :meth:`ExperimentConfig.quick`.
+    """
+    if args.quick and api.get_experiment(args.experiment).kind == "scenario":
+        base = ExperimentConfig.quick(seed=args.seed)
+    else:
+        base = ExperimentConfig(runs=10, packets_per_run=10, payload_bits=768, seed=args.seed)
+    sizes = {
+        "runs": args.runs,
+        "packets_per_run": args.packets,
+        "payload_bits": args.payload_bits,
+    }
+    return base.with_overrides(
+        **{name: value for name, value in sizes.items() if value is not None},
         batch_size=args.batch_size,
         impairments=_impairments_from_args(args),
         arrival_rate=args.arrival_rate,
         sim_duration=args.sim_duration,
         mac_policy=args.mac_policy,
     )
-
-
-def _unified_config_from_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> ExperimentConfig:
-    """Config for the main parser, honouring each experiment kind's semantics.
-
-    Figures use the parser defaults directly.  Scenario names reuse the
-    ``run`` subcommand's semantics so ``anc-repro chain_sweep --quick``
-    behaves exactly like ``anc-repro run chain_sweep --quick``: under
-    ``--quick`` the smoke-test config is the base and only flags that
-    differ from the parser defaults override it.
-    """
-    if api.get_experiment(args.experiment).kind == "figure":
-        return _config_from_args(args)
-
-    def explicit(name: str):
-        value = getattr(args, name)
-        return None if value == parser.get_default(name) else value
-
-    return _scenario_config_from_args(
-        argparse.Namespace(
-            quick=args.quick,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            runs=explicit("runs"),
-            packets=explicit("packets"),
-            payload_bits=explicit("payload_bits"),
-            cfo=args.cfo,
-            fading=args.fading,
-            rician_k_db=args.rician_k_db,
-            fading_mode=args.fading_mode,
-            fading_doppler=args.fading_doppler,
-            arrival_rate=args.arrival_rate,
-            sim_duration=args.sim_duration,
-            mac_policy=args.mac_policy,
-        )
-    )
-
-
-def _scenario_config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Scenario config: ``--quick`` sets the smoke-test base, flags override."""
-    base = (
-        ExperimentConfig.quick(seed=args.seed)
-        if args.quick
-        else ExperimentConfig(runs=10, packets_per_run=10, seed=args.seed)
-    )
-    overrides = {
-        key: value
-        for key, value in (
-            ("runs", args.runs),
-            ("packets_per_run", args.packets),
-            ("payload_bits", args.payload_bits),
-            ("batch_size", args.batch_size),
-            ("arrival_rate", args.arrival_rate if args.arrival_rate != 0.0 else None),
-            ("sim_duration", args.sim_duration if args.sim_duration != 0.0 else None),
-            (
-                "mac_policy",
-                args.mac_policy if args.mac_policy != DEFAULT_MAC_POLICY else None,
-            ),
-        )
-        if value is not None
-    }
-    impairments = _impairments_from_args(args)
-    if impairments != ImpairmentConfig():
-        # Any non-default flag is carried — including a bare
-        # --fading-mode/--fading-doppler, which `enabled` alone would
-        # miss (scenarios like fading_sweep read the mode even when the
-        # family is chosen by the sweep axis).
-        overrides["impairments"] = impairments
-    return base.with_overrides(**overrides) if overrides else base
 
 
 def _engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
@@ -398,23 +299,21 @@ def format_result(result: ExperimentResult, fmt: str) -> str:
     raise ConfigurationError(f"unknown output format {fmt!r}; choose from {FORMATS}")
 
 
-def _emit(result: ExperimentResult, args: argparse.Namespace) -> None:
-    """Write the formatted result to stdout or to ``--output``."""
-    text = format_result(result, args.format)
+def _write(text: str, output: Optional[str]) -> None:
+    """Write newline-terminated text to stdout or to the ``--output`` file."""
     payload = text if text.endswith("\n") else text + "\n"
-    if args.output is not None:
-        Path(args.output).write_text(payload)
+    if output is not None:
+        Path(output).write_text(payload)
     else:
         sys.stdout.write(payload)
 
 
 def build_campaign_parser() -> argparse.ArgumentParser:
-    """Construct the parser of the ``campaign`` subcommand family."""
+    """Construct the parser of the ``campaign`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="anc-repro campaign",
-        description="Run, serve and query declarative sweep-grid campaigns "
-        "(see docs/CAMPAIGNS.md for the grid-spec format and the server's "
-        "HTTP/JSON endpoints).",
+        description="Run declarative sweep-grid campaigns against a resumable "
+        "result store (see docs/CAMPAIGNS.md for the grid-spec format).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -443,7 +342,25 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         default=1,
         help="total workers sharding the grid (default 1 = whole grid)",
     )
-    _add_campaign_runner_arguments(run_parser)
+    run_parser.add_argument(
+        "--concurrency",
+        type=int,
+        default=4,
+        help="jobs in flight at once on the asyncio queue (default 4)",
+    )
+    run_parser.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        help="extra attempts per failing job before it counts as failed "
+        "(default 2)",
+    )
+    run_parser.add_argument(
+        "--backoff",
+        type=float,
+        default=0.5,
+        help="base retry delay in seconds, doubling per attempt (default 0.5)",
+    )
     run_parser.add_argument(
         "--format",
         choices=("text", "json"),
@@ -453,218 +370,53 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--output", type=str, default=None, help="write the report to this file"
     )
-
-    serve_parser = commands.add_parser(
-        "serve", help="start the long-running HTTP/JSON campaign server"
-    )
-    serve_parser.add_argument(
-        "--store",
-        type=str,
-        required=True,
-        help="content-addressed result-store directory the server publishes to",
-    )
-    serve_parser.add_argument(
-        "--host", type=str, default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=8642, help="bind port (default 8642; 0 = pick free)"
-    )
-    serve_parser.add_argument(
-        "--max-pending-jobs",
-        type=int,
-        default=10_000,
-        help="admission bound: refuse submissions (HTTP 503) that would "
-        "push the pending-job total past this (default 10000)",
-    )
-    _add_campaign_runner_arguments(serve_parser)
-
-    submit_parser = commands.add_parser(
-        "submit", help="submit a grid spec to a running campaign server"
-    )
-    submit_parser.add_argument(
-        "spec", help="path to the campaign spec JSON ('-' reads stdin)"
-    )
-    _add_campaign_url_argument(submit_parser)
-    submit_parser.add_argument(
-        "--wait",
-        action="store_true",
-        help="poll until the campaign finishes and report the terminal status",
-    )
-    submit_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        help="--wait deadline in seconds (default 300)",
-    )
-
-    status_parser = commands.add_parser(
-        "status", help="query a campaign server for campaign progress"
-    )
-    status_parser.add_argument(
-        "campaign",
-        nargs="?",
-        default=None,
-        help="campaign id to query (default: every campaign the server knows)",
-    )
-    _add_campaign_url_argument(status_parser)
     return parser
-
-
-def _add_campaign_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the job-queue knobs shared by ``campaign run`` and ``serve``."""
-    parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=4,
-        help="jobs in flight at once on the asyncio queue (default 4)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="extra attempts per failing job before it counts as failed "
-        "(default 2)",
-    )
-    parser.add_argument(
-        "--backoff",
-        type=float,
-        default=0.5,
-        help="base retry delay in seconds, doubling per attempt (default 0.5)",
-    )
-
-
-def _add_campaign_url_argument(parser: argparse.ArgumentParser) -> None:
-    """Add the server-address flag of the client-side campaign commands."""
-    parser.add_argument(
-        "--url",
-        type=str,
-        default="http://127.0.0.1:8642",
-        help="campaign server base URL (default http://127.0.0.1:8642)",
-    )
-
-
-def _load_campaign_spec(path: str):
-    """Read a campaign spec from a JSON file (or stdin for ``-``)."""
-    from repro.campaign.spec import CampaignSpec
-
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return CampaignSpec.from_json(text)
 
 
 def run_campaign_main(argv: List[str]) -> int:
     """Entry point of the ``campaign`` subcommand; returns an exit code."""
-    import json as _json
+    import json
+
+    from repro.campaign.runner import CampaignRunner
+    from repro.campaign.spec import CampaignSpec
 
     args = build_campaign_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            from repro.campaign.runner import CampaignRunner
-
-            spec = _load_campaign_spec(args.spec)
-            runner = CampaignRunner(
-                store=args.store,
-                concurrency=args.concurrency,
-                retries=args.retries,
-                backoff=args.backoff,
-            )
-            report = runner.run_sync(
-                spec, shard_index=args.shard_index, shard_count=args.shard_count
-            )
-            text = (
-                _json.dumps(report.as_dict(), indent=2)
-                if args.format == "json"
-                else report.summary()
-            )
-            payload = text if text.endswith("\n") else text + "\n"
-            if args.output is not None:
-                Path(args.output).write_text(payload)
-            else:
-                sys.stdout.write(payload)
-            return 1 if report.failed else 0
-        if args.command == "serve":
-            import asyncio
-
-            from repro.campaign.server import CampaignServer
-
-            server = CampaignServer(
-                store=args.store,
-                host=args.host,
-                port=args.port,
-                concurrency=args.concurrency,
-                retries=args.retries,
-                backoff=args.backoff,
-                max_pending_jobs=args.max_pending_jobs,
-            )
-
-            async def _serve() -> None:
-                """Bind, announce the resolved port, and serve until killed."""
-                await server.start()
-                print(
-                    f"anc-repro campaign server on http://{server.host}:{server.port} "
-                    f"(store: {args.store})",
-                    flush=True,
-                )
-                await server.serve_forever()
-
-            try:
-                asyncio.run(_serve())
-            except KeyboardInterrupt:
-                pass
-            return 0
-        if args.command == "submit":
-            from repro.campaign import client
-
-            spec = _load_campaign_spec(args.spec)
-            status = client.submit_campaign(args.url, spec)
-            if args.wait:
-                status = client.wait_for_campaign(
-                    args.url, status["campaign"], timeout=args.timeout
-                )
-            sys.stdout.write(_json.dumps(status, indent=2) + "\n")
-            return 1 if status["state"] == "failed" else 0
-        if args.command == "status":
-            from repro.campaign import client
-
-            if args.campaign is not None:
-                payload = client.campaign_status(args.url, args.campaign)
-            else:
-                payload = {"campaigns": client.list_campaigns(args.url)}
-            sys.stdout.write(_json.dumps(payload, indent=2) + "\n")
-            return 0
-        raise ConfigurationError(f"unknown campaign command {args.command!r}")
+        spec = sys.stdin.read() if args.spec == "-" else Path(args.spec).read_text()
+        runner = CampaignRunner(
+            store=args.store,
+            concurrency=args.concurrency,
+            retries=args.retries,
+            backoff=args.backoff,
+        )
+        report = runner.run_sync(
+            CampaignSpec.from_json(spec),
+            shard_index=args.shard_index,
+            shard_count=args.shard_count,
+        )
+        _write(
+            json.dumps(report.as_dict(), indent=2)
+            if args.format == "json"
+            else report.summary(),
+            args.output,
+        )
     except (ConfigurationError, OSError) as error:
         print(f"anc-repro: error: {error}", file=sys.stderr)
         return 2
-
-
-def run_scenario_main(argv: List[str]) -> int:
-    """Entry point of the ``run`` subcommand; returns a process exit code."""
-    args = build_scenario_parser().parse_args(argv)
-    try:
-        config = _scenario_config_from_args(args)
-        engine = _engine_from_args(args)
-        result = api.run(args.scenario, config=config, engine=engine, quick=args.quick)
-        _emit(result, args)
-    except (ConfigurationError, OSError) as error:
-        print(f"anc-repro: error: {error}", file=sys.stderr)
-        return 2
-    return 0
+    return 1 if report.failed else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     arguments = list(argv) if argv is not None else sys.argv[1:]
-    if arguments and arguments[0] == "run":
-        return run_scenario_main(arguments[1:])
     if arguments and arguments[0] == "campaign":
         return run_campaign_main(arguments[1:])
-    parser = build_parser()
-    args = parser.parse_args(arguments)
+    args = build_parser().parse_args(arguments)
     try:
-        config = _unified_config_from_args(args, parser)
+        config = _config_from_args(args)
         engine = _engine_from_args(args)
         result = api.run(args.experiment, config=config, engine=engine, quick=args.quick)
-        _emit(result, args)
+        _write(format_result(result, args.format), args.output)
     except (ConfigurationError, OSError) as error:
         print(f"anc-repro: error: {error}", file=sys.stderr)
         return 2

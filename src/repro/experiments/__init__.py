@@ -13,21 +13,21 @@ Each module reproduces one figure:
   across operating SNR, compared against the Theorem 8.1 prediction.
 * :mod:`repro.experiments.summary` — the §11.3 summary-of-results table.
 
-Beyond the figures, the *scenario* registry
-(:mod:`repro.experiments.scenarios`) hosts N-node workloads declared as
-data — topology generator + flows + sweep axis — and runs them through
-the same engine; the shipped scenarios — :mod:`~repro.experiments.chain_sweep`
-(throughput gain vs chain length), :mod:`~repro.experiments.mesh_sweep`
-(multi-flow random meshes), :mod:`~repro.experiments.cfo_sweep` (BER vs
-carrier frequency offset), :mod:`~repro.experiments.fading_sweep` (ANC vs
-digital under Rayleigh/Rician fading),
-:mod:`~repro.experiments.geometry_mesh` (path-loss meshes with placed
-nodes), :mod:`~repro.experiments.offered_load` (event-driven goodput vs
-offered load, §8) and :mod:`~repro.experiments.queueing_delay` (delay vs
-traffic burstiness) — are dispatched from the CLI as
-``python -m repro.cli run <scenario>``.
+Beyond the figures, scenario sweeps (:mod:`repro.experiments.scenarios`)
+declare N-node workloads as data — topology generator + flows + sweep
+axis — and run them through the same engine; the shipped scenarios —
+:mod:`~repro.experiments.chain_sweep` (throughput gain vs chain length),
+:mod:`~repro.experiments.mesh_sweep` (multi-flow random meshes),
+:mod:`~repro.experiments.cfo_sweep` (BER vs carrier frequency offset),
+:mod:`~repro.experiments.fading_sweep` (ANC vs digital under
+Rayleigh/Rician fading), :mod:`~repro.experiments.geometry_mesh`
+(path-loss meshes with placed nodes), :mod:`~repro.experiments.offered_load`
+(event-driven goodput vs offered load, §8) and
+:mod:`~repro.experiments.queueing_delay` (delay vs traffic burstiness) —
+run from the CLI as ``python -m repro.cli <scenario>``.
 
-Both registries are merged into the single public facade
+Figures and scenarios share one registry,
+:data:`repro.experiments.runner.REGISTRY`, behind the public facade
 :mod:`repro.api`, whose ``run(name, ...)`` returns a typed
 :class:`~repro.results.model.ExperimentResult` (tables + scalars +
 config snapshot + engine metadata, lossless JSON/CSV export); plain text
@@ -52,13 +52,10 @@ from repro.experiments.sir_sweep import SIRPoint, run_sir_sweep
 from repro.experiments.snr_sweep import SNRPoint, run_snr_sweep
 from repro.experiments.capacity_fig7 import run_capacity_experiment
 from repro.experiments.summary import run_summary
-from repro.experiments.runner import RUNNERS, RunnerSpec, available_runners, get_runner
+from repro.experiments.runner import REGISTRY, ExperimentEntry
 from repro.experiments.scenarios import (
-    SCENARIOS,
     ScenarioReport,
     ScenarioSpec,
-    available_scenarios,
-    get_scenario,
     register_scenario,
     run_scenario,
 )
@@ -74,17 +71,12 @@ __all__ = [
     "EngineStats",
     "ExperimentConfig",
     "ExperimentEngine",
-    "RUNNERS",
-    "RunnerSpec",
-    "SCENARIOS",
+    "ExperimentEntry",
+    "REGISTRY",
     "SIRPoint",
     "SNRPoint",
     "ScenarioReport",
     "ScenarioSpec",
-    "available_runners",
-    "available_scenarios",
-    "get_runner",
-    "get_scenario",
     "register_scenario",
     "run_scenario",
     "run_alice_bob_experiment",

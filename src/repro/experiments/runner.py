@@ -1,28 +1,28 @@
-"""Uniform dispatch of the figure-reproduction experiments.
+"""The one experiment registry: every runnable name, figures and scenarios.
 
-Maps each experiment's CLI name to a :class:`RunnerSpec` — a description
-plus a ``run_result(config, engine)`` callable that executes the
-experiment through the :class:`~repro.experiments.engine.ExperimentEngine`
-and returns a typed :class:`~repro.results.model.ExperimentResult`.  The
-:mod:`repro.api` facade, the CLI and the tests all share this registry, so
-adding an experiment means registering one spec rather than editing an
-``if``-chain.
+:data:`REGISTRY` maps each public name to an :class:`ExperimentEntry` — a
+description, a kind, the time-domain traffic knobs the experiment
+consumes, and a ``run(config, engine, quick)`` callable that executes it
+through the :class:`~repro.experiments.engine.ExperimentEngine` and
+returns a typed :class:`~repro.results.model.ExperimentResult`.  The
+paper figures register here at import time; scenario sweeps register
+through :func:`repro.experiments.scenarios.register_scenario`.  The
+:mod:`repro.api` facade, the CLI and campaigns all read this one dict, and
+:func:`check_consumes` is the one place a set-but-ignored traffic knob is
+rejected.
 
-Plain text is a *view* over the structured result:
-``spec.run(config, engine)`` still returns the rendered report (via
-:func:`repro.results.render.render_text`, byte-identical to the
-pre-results-API output) and is kept as a compatibility shim for callers
-that predate the structured pipeline.
+Plain text is a view over the structured result:
+:func:`repro.results.render.render_text`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.alice_bob import run_alice_bob_experiment
-from repro.experiments.capacity_fig7 import render_capacity_table, run_capacity_experiment
+from repro.experiments.capacity_fig7 import run_capacity_experiment
 from repro.experiments.chain import run_chain_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
@@ -38,66 +38,84 @@ from repro.results.adapters import (
     summary_result,
 )
 from repro.results.model import ExperimentResult
-from repro.results.render import render_text
 
 __all__ = [
-    "RUNNERS",
-    "ResultRunnerFn",
-    "RunnerFn",
-    "RunnerSpec",
-    "available_runners",
-    "get_runner",
-    "render_capacity_table",  # re-export kept for callers of the old module layout
+    "ExperimentEntry",
+    "REGISTRY",
+    "RunFn",
+    "check_consumes",
+    "register",
 ]
 
-#: Signature of one registered experiment: config + engine -> typed result.
-ResultRunnerFn = Callable[[ExperimentConfig, Optional[ExperimentEngine]], ExperimentResult]
-
-#: Legacy signature (config + engine -> rendered text); today this is the
-#: type of :meth:`RunnerSpec.run`, the deprecated text-view shim.
-RunnerFn = Callable[[ExperimentConfig, Optional[ExperimentEngine]], str]
+#: Signature of one registered experiment: (config, engine, quick) -> result.
+RunFn = Callable[[ExperimentConfig, Optional[ExperimentEngine], bool], ExperimentResult]
 
 
 @dataclass(frozen=True)
-class RunnerSpec:
-    """One experiment the facade, CLI and tests can execute by name.
+class ExperimentEntry:
+    """One runnable experiment.
 
     Attributes
     ----------
     name:
-        The CLI name (e.g. ``"alice-bob"``).
+        The public name :func:`repro.api.run` and the CLI accept.
     description:
         One-line description shown in ``--help``, naming the paper figure.
-    build:
-        Executes the experiment through the given engine and returns its
-        typed :class:`~repro.results.model.ExperimentResult`.
+    kind:
+        ``"figure"`` for the paper-figure runners, ``"scenario"`` for
+        registered scenario sweeps.
+    consumes:
+        The config's time-domain traffic knobs (``arrival_rate`` /
+        ``sim_duration`` / ``mac_policy``) this experiment honours; any
+        other set knob is rejected by :func:`check_consumes`.
+    run:
+        Executes the experiment and returns its structured result
+        (without engine metadata — :func:`repro.api.run` attaches that).
+        ``quick`` thins a scenario's sweep axis; figures ignore it.
     """
 
     name: str
     description: str
-    build: ResultRunnerFn
+    kind: str
+    consumes: Tuple[str, ...]
+    run: RunFn
 
-    def run_result(
-        self, config: ExperimentConfig, engine: Optional[ExperimentEngine]
-    ) -> ExperimentResult:
-        """Execute the experiment and return its structured result."""
-        return self.build(config, engine)
 
-    def run(self, config: ExperimentConfig, engine: Optional[ExperimentEngine]) -> str:
-        """Deprecated text shim: execute and render the plain-text report.
+#: Every experiment, keyed by public name.  Figures first (registered
+#: below), then scenarios in registration order.
+REGISTRY: Dict[str, ExperimentEntry] = {}
 
-        Kept so call sites that predate the structured-results pipeline
-        keep working; the output is byte-identical to theirs because the
-        rendering is a pure view over the result.  New code should call
-        :meth:`run_result` (or :func:`repro.api.run`) and render with
-        :func:`repro.results.render.render_text` only where text is
-        actually needed.
-        """
-        return render_text(self.run_result(config, engine))
+
+def register(entry: ExperimentEntry) -> ExperimentEntry:
+    """Add one entry (idempotent per name; a kind change is a collision)."""
+    existing = REGISTRY.get(entry.name)
+    if existing is not None and existing.kind != entry.kind:
+        raise ConfigurationError(
+            f"{entry.kind} name {entry.name!r} collides with a {existing.kind}"
+        )
+    REGISTRY[entry.name] = entry
+    return entry
+
+
+def check_consumes(entry, knobs: Iterable[str]) -> None:
+    """Reject traffic knobs the experiment would silently ignore.
+
+    ``entry`` is anything with a ``name`` and a ``consumes`` tuple (an
+    :class:`ExperimentEntry` or a
+    :class:`~repro.experiments.scenarios.ScenarioSpec`); ``knobs`` are the
+    traffic knobs a config or campaign sets.
+    """
+    unconsumed = sorted(set(knobs) - set(entry.consumes))
+    if unconsumed:
+        raise ConfigurationError(
+            f"experiment {entry.name!r} ignores the traffic knob(s) "
+            f"{', '.join(unconsumed)}; its consumes contract is "
+            f"({', '.join(sorted(entry.consumes)) or 'empty'})"
+        )
 
 
 def _build_capacity(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine]
+    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
 ) -> ExperimentResult:
     return capacity_result(
         "capacity", run_capacity_experiment(config=config, engine=engine), config
@@ -105,7 +123,7 @@ def _build_capacity(
 
 
 def _build_alice_bob(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine]
+    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
 ) -> ExperimentResult:
     return experiment_report_result(
         "alice-bob", run_alice_bob_experiment(config, engine=engine), config
@@ -113,7 +131,7 @@ def _build_alice_bob(
 
 
 def _build_x(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine]
+    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
 ) -> ExperimentResult:
     return experiment_report_result(
         "x", run_x_topology_experiment(config, engine=engine), config
@@ -121,7 +139,7 @@ def _build_x(
 
 
 def _build_chain(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine]
+    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
 ) -> ExperimentResult:
     return experiment_report_result(
         "chain", run_chain_experiment(config, engine=engine), config
@@ -129,7 +147,7 @@ def _build_chain(
 
 
 def _build_sir(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine]
+    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
 ) -> ExperimentResult:
     points = run_sir_sweep(
         config, packets_per_point=config.packets_per_run, engine=engine
@@ -140,43 +158,26 @@ def _build_sir(
 
 
 def _build_snr(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine]
+    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
 ) -> ExperimentResult:
     return snr_result("snr", run_snr_sweep(config, engine=engine), config)
 
 
 def _build_summary(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine]
+    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
 ) -> ExperimentResult:
     return summary_result("summary", run_summary(config, engine=engine), config)
 
 
-#: Registry of every experiment, keyed by CLI name (insertion order is the
-#: order the ``--help`` epilogue lists them in).
-RUNNERS: Dict[str, RunnerSpec] = {
-    spec.name: spec
-    for spec in (
-        RunnerSpec("capacity", "Fig. 7  — capacity bounds vs SNR", _build_capacity),
-        RunnerSpec("alice-bob", "Fig. 9  — Alice-Bob topology", _build_alice_bob),
-        RunnerSpec("x", "Fig. 10 — the X topology", _build_x),
-        RunnerSpec("chain", "Fig. 12 — chain topology", _build_chain),
-        RunnerSpec("sir", "Fig. 13 — BER vs SIR", _build_sir),
-        RunnerSpec("snr", "extension — gain and BER vs operating SNR", _build_snr),
-        RunnerSpec("summary", "§11.3  — summary of results", _build_summary),
-    )
-}
-
-
-def available_runners() -> List[str]:
-    """Names of every registered experiment, in registry order."""
-    return list(RUNNERS)
-
-
-def get_runner(name: str) -> RunnerSpec:
-    """Look up one experiment by CLI name."""
-    try:
-        return RUNNERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; choose from {', '.join(RUNNERS)}"
-        ) from None
+for _entry in (
+    ExperimentEntry("capacity", "Fig. 7  — capacity bounds vs SNR", "figure", (), _build_capacity),
+    ExperimentEntry("alice-bob", "Fig. 9  — Alice-Bob topology", "figure", (), _build_alice_bob),
+    ExperimentEntry("x", "Fig. 10 — the X topology", "figure", (), _build_x),
+    ExperimentEntry("chain", "Fig. 12 — chain topology", "figure", (), _build_chain),
+    ExperimentEntry("sir", "Fig. 13 — BER vs SIR", "figure", (), _build_sir),
+    ExperimentEntry(
+        "snr", "extension — gain and BER vs operating SNR", "figure", (), _build_snr
+    ),
+    ExperimentEntry("summary", "§11.3  — summary of results", "figure", (), _build_summary),
+):
+    register(_entry)

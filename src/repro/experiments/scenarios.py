@@ -14,9 +14,10 @@ runners get from PR 1's runner registry for free:
 * **deterministic aggregation** — cells are keyed by ``(value, run)``
   and re-ordered after execution, so parallel runs render byte-identical
   summary tables;
-* **CLI dispatch** — ``python -m repro.cli run <scenario>`` resolves the
-  name through :data:`SCENARIOS` exactly like figure names resolve
-  through :data:`~repro.experiments.runner.RUNNERS`.
+* **one registry** — :func:`register_scenario` adds the sweep to
+  :data:`~repro.experiments.runner.REGISTRY` beside the figures, so
+  ``python -m repro.cli <scenario>``, :func:`repro.api.run` and campaigns
+  resolve it like any figure name.
 
 See ``docs/SCENARIOS.md`` for the authoring guide (anatomy of a spec, the
 topology generator API, the scheduler contract, and a worked example).
@@ -25,6 +26,7 @@ topology generator API, the scheduler contract, and a worked example).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +34,10 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
+from repro.experiments.runner import ExperimentEntry, check_consumes, register
 from repro.protocols.base import RunResult
+from repro.results.adapters import scenario_result
+from repro.results.model import ExperimentResult
 
 #: Signature of a scenario trial: ``(config, (sweep_value, run_index),
 #: **params) -> {scheme: {metric: float}}``.  Must be a picklable
@@ -169,10 +174,8 @@ class ScenarioReport:
             runs=self.runs,
         )
 
-    def to_result(self, config: Optional[ExperimentConfig] = None) -> "ExperimentResult":
+    def to_result(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Flatten the report into a typed, serializable result object."""
-        from repro.results.adapters import scenario_result
-
         return scenario_result(self, config if config is not None else ExperimentConfig())
 
 
@@ -247,13 +250,7 @@ def run_scenario(
     keyed and re-ordered so the report is identical however they ran.
     """
     cfg = config if config is not None else ExperimentConfig()
-    unconsumed = sorted(set(cfg.sim_overrides()) - set(spec.consumes))
-    if unconsumed:
-        raise ConfigurationError(
-            f"scenario {spec.name!r} ignores the traffic knob(s) "
-            f"{', '.join(unconsumed)}; they apply only to time-domain "
-            "scenarios such as offered_load_sweep / queueing_delay"
-        )
+    check_consumes(spec, cfg.sim_overrides())
     values = spec.values_for(quick)
     keys = [(value, run) for value in values for run in range(cfg.runs)]
     cells = default_engine(engine).run_batched(
@@ -277,27 +274,25 @@ def run_scenario(
     return ScenarioReport(spec=spec, sweep_values=values, rows=rows, runs=cfg.runs)
 
 
-#: Registry of every scenario, keyed by CLI name.  Populated by the
-#: scenario modules at import time via :func:`register_scenario`.
-SCENARIOS: Dict[str, ScenarioSpec] = {}
+def _run_registered(
+    spec: ScenarioSpec,
+    config: ExperimentConfig,
+    engine: Optional[ExperimentEngine],
+    quick: bool,
+) -> ExperimentResult:
+    """The registry entry of one scenario: run the sweep, flatten the report."""
+    return scenario_result(run_scenario(spec, config, engine=engine, quick=quick), config)
 
 
 def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
-    """Add one scenario to the registry (idempotent per name)."""
-    SCENARIOS[spec.name] = spec
+    """Add one scenario to the experiment registry (idempotent per name)."""
+    register(
+        ExperimentEntry(
+            name=spec.name,
+            description=spec.description,
+            kind="scenario",
+            consumes=spec.consumes,
+            run=partial(_run_registered, spec),
+        )
+    )
     return spec
-
-
-def available_scenarios() -> List[str]:
-    """Names of every registered scenario, in registration order."""
-    return list(SCENARIOS)
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    """Look up one scenario by CLI name."""
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}"
-        ) from None

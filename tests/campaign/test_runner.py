@@ -1,14 +1,17 @@
-"""Tests for the asyncio campaign runner: retries, dedupe, resume."""
+"""Tests for the asyncio campaign runner: retries, resume, the CLI."""
 
+import json
 import threading
 
 import pytest
 
+from repro import api
 from repro.campaign.runner import CampaignRunner
+from repro.cli import main
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.exceptions import ConfigurationError
-from repro.results.model import ExperimentResult
+from repro.results.model import SCHEMA_VERSION, ExperimentResult
 
 
 def toy_spec(seeds=(1, 2, 3, 4), **overrides):
@@ -191,64 +194,21 @@ class TestResume:
         assert report.cached == 7 and report.completed == 3
         assert sorted(executed) == [j.config.seed for j in jobs[7:]]
 
-
-class TestInFlightDedupe:
-    def test_overlapping_campaigns_share_execution(self, tmp_path):
-        import asyncio
-
-        executions = []
+    def test_superset_campaign_reuses_stored_results(self, tmp_path):
+        executed = []
         lock = threading.Lock()
-        gate = threading.Event()
 
-        def slow(job):
+        def counting(job):
             with lock:
-                executions.append(job.digest)
-            gate.wait(5.0)
+                executed.append(job.config.seed)
             return fake_result(job)
 
-        runner = CampaignRunner(store=tmp_path, concurrency=4, job_fn=slow)
-        spec = toy_spec(seeds=(1, 2))
-
-        async def overlapping():
-            first = asyncio.ensure_future(runner.run(spec))
-            await asyncio.sleep(0.2)  # let campaign one start executing
-            second = asyncio.ensure_future(runner.run(spec))
-            await asyncio.sleep(0.2)
-            gate.set()
-            return await asyncio.gather(first, second)
-
-        report1, report2 = asyncio.run(overlapping())
-        assert report1.completed == 2
-        # Campaign two shared the in-flight executions: nothing ran twice.
-        assert len(executions) == 2
-        assert report2.cached == 2 and report2.completed == 0
-
-    def test_shared_failure_propagates(self, tmp_path):
-        import asyncio
-
-        gate = threading.Event()
-
-        def doomed(job):
-            gate.wait(5.0)
-            raise RuntimeError("shared crash")
-
-        runner = CampaignRunner(
-            store=tmp_path, concurrency=4, retries=0, backoff=0.0, job_fn=doomed
-        )
-        spec = toy_spec(seeds=(1,))
-
-        async def overlapping():
-            first = asyncio.ensure_future(runner.run(spec))
-            await asyncio.sleep(0.2)
-            second = asyncio.ensure_future(runner.run(spec))
-            await asyncio.sleep(0.2)
-            gate.set()
-            return await asyncio.gather(first, second)
-
-        report1, report2 = asyncio.run(overlapping())
-        assert report1.failed == 1
-        assert report2.failed == 1
-        assert "shared" in report2.failures()[0].error
+        runner = CampaignRunner(store=tmp_path, concurrency=2, job_fn=counting)
+        assert runner.run_sync(toy_spec(seeds=(1, 2))).completed == 2
+        # A superset grid: the overlap must come from the store.
+        report = runner.run_sync(toy_spec(seeds=(1, 2, 3), name="superset"))
+        assert report.cached == 2 and report.completed == 1
+        assert sorted(executed) == [1, 2, 3]
 
 
 class TestReport:
@@ -262,3 +222,90 @@ class TestReport:
         assert "campaign runner-unit" in report.summary()
         with pytest.raises(ConfigurationError):
             report.count("bogus")
+
+
+class TestLocalCampaign:
+    def test_run_campaign_reports_and_stores_results(self, tmp_path):
+        report = api.run_campaign(toy_spec(seeds=(1, 2)), store=tmp_path, concurrency=2)
+        assert report.completed == 2 and report.cached == 0 and report.failed == 0
+        store = ResultStore(tmp_path)
+        results = [store.get(outcome.job.digest) for outcome in report.outcomes]
+        assert all(r.schema_version == SCHEMA_VERSION for r in results)
+        assert [r.config["seed"] for r in results] == [1, 2]
+
+    def test_rerun_under_another_name_is_idempotent(self, tmp_path):
+        runner = CampaignRunner(store=tmp_path, concurrency=2, job_fn=fake_result)
+        first = runner.run_sync(toy_spec())
+
+        def must_not_run(job):
+            raise AssertionError("stored job was recomputed")
+
+        rerun = CampaignRunner(store=tmp_path, concurrency=2, job_fn=must_not_run)
+        again = rerun.run_sync(toy_spec(name="other-label"))
+        assert again.as_dict()["campaign"] == first.as_dict()["campaign"]
+        assert again.cached == 4 and again.completed == 0
+        assert len(ResultStore(tmp_path).digests()) == 4
+
+    def test_fetch_single_result_by_digest(self, tmp_path):
+        spec = toy_spec()
+        CampaignRunner(store=tmp_path, job_fn=fake_result).run_sync(spec)
+        store = ResultStore(tmp_path)
+        for job in spec.jobs():
+            result = store.get(job.digest)
+            assert result.scalars["seed"] == float(job.config.seed)
+            assert json.loads(store.get_raw(job.digest))["scalars"] == result.scalars
+
+    def test_digest_outside_grid_is_a_miss(self, tmp_path):
+        CampaignRunner(store=tmp_path, job_fn=fake_result).run_sync(toy_spec())
+        store = ResultStore(tmp_path)
+        assert store.get("ab" * 32) is None
+        assert "ab" * 32 not in store
+
+    def test_progress_events_account_for_every_job(self, tmp_path):
+        events = []
+        runner = CampaignRunner(
+            store=tmp_path, concurrency=2, job_fn=fake_result, progress=events.append
+        )
+        spec = toy_spec(seeds=(5, 6, 7))
+        runner.run_sync(spec)
+        digests = [job.digest for job in spec.jobs()]
+        for digest in digests:
+            kinds = [e["event"] for e in events if e["digest"] == digest]
+            assert kinds == ["started", "completed"]
+        events.clear()
+        runner.run_sync(spec)
+        assert sorted(e["digest"] for e in events) == sorted(digests)
+        assert {e["event"] for e in events} == {"cached"}
+
+
+class TestCampaignCommand:
+    def test_sharded_run_then_resume(self, tmp_path, capsys):
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text(toy_spec(seeds=(1, 2, 3)).to_json())
+        store = str(tmp_path / "store")
+        payloads = []
+        for shard in ("0", "1"):
+            report = tmp_path / f"shard{shard}.json"
+            argv = ["campaign", "run", str(spec_path), "--store", store,
+                    "--shard-index", shard, "--shard-count", "2",
+                    "--format", "json", "--output", str(report)]
+            assert main(argv) == 0
+            payloads.append(json.loads(report.read_text()))
+        assert [p["total"] for p in payloads] == [2, 1]
+        assert sum(p["completed"] for p in payloads) == 3
+        assert len(ResultStore(store).digests()) == 3
+        assert main(["campaign", "run", str(spec_path), "--store", store]) == 0
+        assert "0 computed, 3 from store, 0 failed" in capsys.readouterr().out
+
+    def test_bad_spec_is_clean_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text(json.dumps({"experiment": "chain_sweep",
+                                         "base": {"arrival_rate": 0.5}}))
+        assert main(["campaign", "run", str(spec_path)]) == 2
+        assert "ignores the traffic knob" in capsys.readouterr().err
+
+    def test_malformed_spec_is_clean_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text(json.dumps({"bogus": True}))
+        assert main(["campaign", "run", str(spec_path)]) == 2
+        assert "unknown key(s): bogus" in capsys.readouterr().err

@@ -2,19 +2,24 @@
 
 import pytest
 
-from repro.cli import (
-    EXPERIMENTS,
-    SCENARIO_NAMES,
-    build_parser,
-    build_scenario_parser,
-    main,
-)
+from repro import api
+from repro.cli import _config_from_args, build_parser, main
+
+SCENARIO_NAMES = {
+    "chain_sweep",
+    "mesh_sweep",
+    "cfo_sweep",
+    "fading_sweep",
+    "geometry_mesh",
+    "offered_load_sweep",
+    "queueing_delay",
+}
 
 
 class TestParser:
     def test_all_experiments_listed(self):
         parser = build_parser()
-        for name in EXPERIMENTS:
+        for name in api.list_experiments(kind="figure"):
             args = parser.parse_args([name])
             assert args.experiment == name
 
@@ -24,9 +29,13 @@ class TestParser:
 
     def test_defaults(self):
         args = build_parser().parse_args(["capacity"])
-        assert args.runs == 10
-        assert args.packets == 10
-        assert args.payload_bits == 768
+        # Size flags default to "not given"; the 10/10/768 size is
+        # resolved per experiment kind by _config_from_args.
+        assert (args.runs, args.packets, args.payload_bits) == (None, None, None)
+        config = _config_from_args(args)
+        assert config.runs == 10
+        assert config.packets_per_run == 10
+        assert config.payload_bits == 768
         assert args.workers == 1
         assert args.resume is False
         assert args.cache_dir is None
@@ -85,44 +94,36 @@ class TestMain:
 
 class TestScenarioCommand:
     def test_all_scenarios_listed(self):
-        parser = build_scenario_parser()
-        assert set(SCENARIO_NAMES) == {
-            "chain_sweep",
-            "mesh_sweep",
-            "cfo_sweep",
-            "fading_sweep",
-            "geometry_mesh",
-            "offered_load_sweep",
-            "queueing_delay",
-        }
+        parser = build_parser()
+        assert set(api.list_experiments(kind="scenario")) == SCENARIO_NAMES
         for name in SCENARIO_NAMES:
             args = parser.parse_args([name, "--quick"])
-            assert args.scenario == name
+            assert args.experiment == name
             assert args.quick is True
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
-            build_scenario_parser().parse_args(["does-not-exist"])
+            build_parser().parse_args(["does-not-exist", "--quick"])
 
     def test_chain_sweep_quick_runs(self, capsys):
-        assert main(["run", "chain_sweep", "--quick", "--runs", "1",
+        assert main(["chain_sweep", "--quick", "--runs", "1",
                      "--packets", "2"]) == 0
         out = capsys.readouterr().out
         assert "=== scenario chain_sweep ===" in out
         assert "anc/traditional" in out
 
     def test_mesh_sweep_quick_runs(self, capsys):
-        assert main(["run", "mesh_sweep", "--quick", "--runs", "1",
+        assert main(["mesh_sweep", "--quick", "--runs", "1",
                      "--packets", "2"]) == 0
         assert "=== scenario mesh_sweep ===" in capsys.readouterr().out
 
     def test_parallel_output_matches_serial(self, capsys):
-        base = ["run", "chain_sweep", "--quick", "--runs", "1", "--packets", "2"]
+        base = ["chain_sweep", "--quick", "--runs", "1", "--packets", "2"]
         assert main(base) == 0
         serial_out = capsys.readouterr().out
         assert main(base + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial_out
 
     def test_invalid_workers_is_clean_error(self, capsys):
-        assert main(["run", "chain_sweep", "--quick", "--workers", "0"]) == 2
+        assert main(["chain_sweep", "--quick", "--workers", "0"]) == 2
         assert "workers must be a positive integer" in capsys.readouterr().err

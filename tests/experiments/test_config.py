@@ -77,7 +77,7 @@ class TestSnapshotRoundTrip:
         assert ExperimentConfig.from_snapshot(config.snapshot()) == config
 
     def test_every_consumed_knob_round_trips(self):
-        from repro.experiments.scenarios import SCENARIOS
+        from repro.experiments import REGISTRY
 
         non_default = {
             "arrival_rate": 0.7,
@@ -85,7 +85,7 @@ class TestSnapshotRoundTrip:
             "mac_policy": "scheduled",
         }
         consumed = {
-            knob for spec in SCENARIOS.values() for knob in spec.consumes
+            knob for entry in REGISTRY.values() for knob in entry.consumes
         }
         assert consumed  # the contract exists
         for knob in sorted(consumed):

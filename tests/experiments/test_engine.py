@@ -18,6 +18,7 @@ from multiprocessing.shared_memory import SharedMemory
 import numpy as np
 import pytest
 
+from repro import api
 from repro.exceptions import ConfigurationError
 from repro.experiments.alice_bob import run_alice_bob_experiment, run_alice_bob_trial
 from repro.experiments.config import ExperimentConfig
@@ -27,9 +28,10 @@ from repro.experiments.engine import (
     _key_slug,
     default_engine,
 )
-from repro.experiments.runner import RUNNERS, available_runners, get_runner
+from repro.experiments.runner import REGISTRY
 from repro.experiments.sir_sweep import run_sir_sweep
 from repro.experiments.snr_sweep import run_snr_sweep
+from repro.results.render import render_text
 
 
 def _draw_trial(cfg: ExperimentConfig, key: int) -> float:
@@ -473,20 +475,20 @@ class TestSharedMemoryHandoff:
 
 class TestRunnerRegistry:
     def test_registry_covers_every_cli_experiment(self):
-        assert available_runners() == [
+        assert api.list_experiments(kind="figure") == [
             "capacity", "alice-bob", "x", "chain", "sir", "snr", "summary",
         ]
 
     def test_get_runner_unknown_name(self):
         with pytest.raises(ConfigurationError):
-            get_runner("does-not-exist")
+            api.get_experiment("does-not-exist")
 
     def test_capacity_runner_renders(self, quick_config):
-        text = RUNNERS["capacity"].run(quick_config, ExperimentEngine())
-        assert "crossover" in text
+        result = REGISTRY["capacity"].run(quick_config, ExperimentEngine(), False)
+        assert "crossover" in render_text(result)
 
     def test_alice_bob_runner_matches_direct_call(self, quick_config):
-        via_registry = get_runner("alice-bob").run(quick_config, None)
+        via_registry = render_text(api.run("alice-bob", config=quick_config))
         direct = run_alice_bob_experiment(quick_config).render()
         assert via_registry == direct
 

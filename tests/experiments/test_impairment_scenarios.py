@@ -5,11 +5,11 @@ import pytest
 
 from repro import api
 from repro.channel.impairments import ImpairmentConfig
-from repro.experiments.cfo_sweep import run_cfo_sweep_trial
+from repro.experiments.cfo_sweep import CFO_SWEEP, run_cfo_sweep_trial
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.fading_sweep import RAYLEIGH_K_DB, run_fading_sweep_trial
-from repro.experiments.geometry_mesh import run_geometry_mesh_trial
-from repro.experiments.scenarios import get_scenario, run_scenario
+from repro.experiments.fading_sweep import FADING_SWEEP, RAYLEIGH_K_DB, run_fading_sweep_trial
+from repro.experiments.geometry_mesh import GEOMETRY_MESH, run_geometry_mesh_trial
+from repro.experiments.scenarios import run_scenario
 
 TINY = ExperimentConfig(runs=1, packets_per_run=2, payload_bits=512, seed=5)
 
@@ -24,7 +24,8 @@ class TestRegistration:
         ],
     )
     def test_specs_registered_with_expected_shape(self, name, axis, schemes):
-        spec = get_scenario(name)
+        spec = {s.name: s for s in (CFO_SWEEP, FADING_SWEEP, GEOMETRY_MESH)}[name]
+        assert api.get_experiment(name).description == spec.description
         assert spec.sweep_axis == axis
         assert spec.schemes == schemes
         assert len(spec.values_for(quick=True)) < len(spec.values_for(quick=False))
@@ -190,13 +191,13 @@ class TestImpairmentThreading:
     def test_cli_scenario_config_carries_bare_drift_flags(self):
         """A lone --fading-mode/--fading-doppler reaches the config even
         though no impairment is 'enabled' by it."""
-        from repro.cli import _scenario_config_from_args, build_scenario_parser
+        from repro.cli import _config_from_args, build_parser
 
-        args = build_scenario_parser().parse_args(
+        args = build_parser().parse_args(
             ["fading_sweep", "--quick", "--fading-mode", "drift",
              "--fading-doppler", "0.01"]
         )
-        cfg = _scenario_config_from_args(args)
+        cfg = _config_from_args(args)
         assert cfg.impairments.fading_mode == "drift"
         assert cfg.impairments.fading_doppler == 0.01
         # ... and it forks the snapshot/digest, so cached block-mode
@@ -228,7 +229,7 @@ class TestImpairmentThreading:
 
 class TestScenarioRuns:
     def test_cfo_sweep_report_renders(self):
-        report = run_scenario(get_scenario("cfo_sweep"), TINY, quick=True)
+        report = run_scenario(CFO_SWEEP, TINY, quick=True)
         text = report.render()
         assert "=== scenario cfo_sweep ===" in text
         assert "anc/traditional" in text

@@ -7,9 +7,9 @@ from repro.exceptions import ConfigurationError
 from repro.results.model import config_digest
 from repro.experiments import ExperimentConfig, ExperimentEngine, run_scenario
 from repro.experiments.config import DEFAULT_MAC_POLICY
-from repro.experiments.offered_load import run_offered_load_trial
-from repro.experiments.queueing_delay import run_queueing_delay_trial
-from repro.experiments.scenarios import get_scenario
+from repro.experiments.chain_sweep import CHAIN_SWEEP
+from repro.experiments.offered_load import OFFERED_LOAD_SWEEP, run_offered_load_trial
+from repro.experiments.queueing_delay import QUEUEING_DELAY, run_queueing_delay_trial
 from repro.sim.traffic import TRAFFIC_MODELS
 
 QUICK = ExperimentConfig(runs=1, packets_per_run=2, payload_bits=512, seed=7)
@@ -18,14 +18,14 @@ SHORT = QUICK.with_overrides(sim_duration=24.0)
 
 class TestRegistration:
     def test_offered_load_spec_shape(self):
-        spec = get_scenario("offered_load_sweep")
+        spec = OFFERED_LOAD_SWEEP
         assert spec.sweep_axis == "load"
         assert spec.schemes == ("anc", "cope", "traditional")
         assert set(spec.values_for(quick=True)) <= set(spec.values_for(quick=False))
         assert set(spec.consumes) == {"sim_duration", "mac_policy"}
 
     def test_queueing_delay_spec_shape(self):
-        spec = get_scenario("queueing_delay")
+        spec = QUEUEING_DELAY
         assert spec.sweep_axis == "traffic"
         assert spec.sweep_values == TRAFFIC_MODELS
         assert set(spec.consumes) == {"arrival_rate", "sim_duration", "mac_policy"}
@@ -114,13 +114,13 @@ class TestConfigKnobs:
             ExperimentConfig(mac_policy="aloha")
 
     def test_unconsumed_knob_rejected_by_scenarios(self):
-        spec = get_scenario("chain_sweep")
+        spec = CHAIN_SWEEP
         with pytest.raises(ConfigurationError, match="ignores the traffic knob"):
             run_scenario(spec, QUICK.with_overrides(arrival_rate=0.5), quick=True)
 
     def test_sweep_axis_knob_rejected_by_offered_load(self):
         # arrival_rate IS the sweep axis: setting it would be silently wrong.
-        spec = get_scenario("offered_load_sweep")
+        spec = OFFERED_LOAD_SWEEP
         with pytest.raises(ConfigurationError, match="arrival_rate"):
             run_scenario(spec, QUICK.with_overrides(arrival_rate=0.5), quick=True)
 

@@ -1,18 +1,12 @@
-"""Tests for the scenario registry and the two shipped sweeps."""
+"""Tests for scenario registration and the two shipped sweeps."""
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.exceptions import ConfigurationError
-from repro.experiments import (
-    SCENARIOS,
-    ExperimentConfig,
-    ExperimentEngine,
-    available_scenarios,
-    get_scenario,
-    run_scenario,
-)
-from repro.experiments.chain_sweep import run_chain_sweep_trial
+from repro.experiments import REGISTRY, ExperimentConfig, ExperimentEngine, run_scenario
+from repro.experiments.chain_sweep import CHAIN_SWEEP, run_chain_sweep_trial
 from repro.experiments.mesh_sweep import draw_mesh_flows, run_mesh_sweep_trial
 from repro.network.generator import generate_random_mesh
 from repro.network.topologies import ChannelConditions
@@ -23,21 +17,23 @@ TINY = ExperimentConfig(runs=1, packets_per_run=2, payload_bits=512, seed=3)
 
 class TestRegistry:
     def test_shipped_scenarios_registered(self):
-        assert "chain_sweep" in available_scenarios()
-        assert "mesh_sweep" in available_scenarios()
+        assert "chain_sweep" in api.list_experiments(kind="scenario")
+        assert "mesh_sweep" in api.list_experiments(kind="scenario")
 
     def test_lookup(self):
-        spec = get_scenario("chain_sweep")
-        assert spec is SCENARIOS["chain_sweep"]
-        assert spec.schemes[0] == "anc"
-        assert spec.topology == "chain"
+        entry = api.get_experiment("chain_sweep")
+        assert entry is REGISTRY["chain_sweep"]
+        assert entry.kind == "scenario"
+        assert entry.description == CHAIN_SWEEP.description
+        assert CHAIN_SWEEP.schemes[0] == "anc"
+        assert CHAIN_SWEEP.topology == "chain"
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
-            get_scenario("does-not-exist")
+            api.get_experiment("does-not-exist")
 
     def test_quick_values_thin_the_axis(self):
-        spec = get_scenario("chain_sweep")
+        spec = CHAIN_SWEEP
         assert set(spec.values_for(quick=True)) <= set(spec.values_for(quick=False))
 
 
@@ -62,7 +58,7 @@ class TestChainSweep:
         assert cell["cope"]["throughput"] >= cell["traditional"]["throughput"]
 
     def test_report_renders_table(self):
-        spec = get_scenario("chain_sweep")
+        spec = CHAIN_SWEEP
         report = run_scenario(spec, QUICK, quick=True)
         text = report.render()
         assert "=== scenario chain_sweep ===" in text
@@ -96,13 +92,13 @@ class TestMeshSweep:
 
 class TestEngineIntegration:
     def test_parallel_equals_serial(self):
-        spec = get_scenario("chain_sweep")
+        spec = CHAIN_SWEEP
         serial = run_scenario(spec, TINY, engine=ExperimentEngine(workers=1), quick=True)
         parallel = run_scenario(spec, TINY, engine=ExperimentEngine(workers=2), quick=True)
         assert serial.render() == parallel.render()
 
     def test_cache_resume(self, tmp_path):
-        spec = get_scenario("chain_sweep")
+        spec = CHAIN_SWEEP
         engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
         first = run_scenario(spec, TINY, engine=engine, quick=True)
         assert engine.last_stats.executed_trials > 0

@@ -3,32 +3,46 @@
 import pytest
 
 from repro import api
+from repro.campaign.spec import TRAFFIC_KNOBS, CampaignSpec
 from repro.exceptions import ConfigurationError
-from repro.experiments import ExperimentConfig, ExperimentEngine
-from repro.experiments.runner import RUNNERS, get_runner
-from repro.experiments.scenarios import SCENARIOS
+from repro.experiments import REGISTRY, ExperimentConfig, ExperimentEngine
+from repro.experiments.chain_sweep import CHAIN_SWEEP
+from repro.experiments.mesh_sweep import MESH_SWEEP
 from repro.results import ExperimentResult, SCHEMA_VERSION, render_text
 
 QUICK = ExperimentConfig.quick(seed=11)
 TINY = ExperimentConfig(runs=1, packets_per_run=2, payload_bits=512, seed=3)
 
+FIGURES = ["capacity", "alice-bob", "x", "chain", "sir", "snr", "summary"]
+SCENARIOS_IN_ORDER = [
+    "chain_sweep", "mesh_sweep", "cfo_sweep", "fading_sweep",
+    "geometry_mesh", "offered_load_sweep", "queueing_delay",
+]
+
+#: A non-default value for each traffic knob.
+KNOB_VALUES = {"arrival_rate": 0.7, "sim_duration": 123.0, "mac_policy": "scheduled"}
+
 
 class TestRegistry:
     def test_namespace_merges_both_registries(self):
         names = api.list_experiments()
-        assert names == list(RUNNERS) + list(SCENARIOS)
+        assert names == list(REGISTRY) == FIGURES + SCENARIOS_IN_ORDER
 
     def test_kind_filters(self):
-        assert api.list_experiments(kind="figure") == list(RUNNERS)
-        assert api.list_experiments(kind="scenario") == list(SCENARIOS)
+        assert api.list_experiments(kind="figure") == FIGURES
+        assert api.list_experiments(kind="scenario") == SCENARIOS_IN_ORDER
         with pytest.raises(ConfigurationError):
             api.list_experiments(kind="nope")
 
     def test_get_experiment(self):
         entry = api.get_experiment("alice-bob")
+        assert entry is REGISTRY["alice-bob"]
         assert entry.kind == "figure"
-        assert entry.description == RUNNERS["alice-bob"].description
-        assert api.get_experiment("mesh_sweep").kind == "scenario"
+        assert entry.description == "Fig. 9  — Alice-Bob topology"
+        assert entry.consumes == ()
+        mesh = api.get_experiment("mesh_sweep")
+        assert mesh.kind == "scenario"
+        assert mesh.description == MESH_SWEEP.description
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -79,16 +93,33 @@ class TestRun:
         assert result.meta["engine"]["invocations"] > 1
 
     def test_quick_thins_scenario_axis(self):
-        spec = SCENARIOS["chain_sweep"]
         result = api.run("chain_sweep", config=TINY, quick=True)
-        assert tuple(result.meta["sweep_values"]) == spec.values_for(quick=True)
+        assert tuple(result.meta["sweep_values"]) == CHAIN_SWEEP.values_for(quick=True)
+
+
+class TestConsumesContract:
+    """Every entry rejects exactly the traffic knobs outside its ``consumes``."""
+
+    @pytest.mark.parametrize("knob", TRAFFIC_KNOBS)
+    @pytest.mark.parametrize("name", api.list_experiments())
+    def test_knob_rejected_or_accepted_per_entry(self, name, knob):
+        entry = api.get_experiment(name)
+        value = KNOB_VALUES[knob]
+        if knob in entry.consumes:
+            spec = CampaignSpec(experiment=name, base={knob: value}, quick=True)
+            assert spec.total_jobs == 1
+            return
+        engine = ExperimentEngine(workers=1)
+        with pytest.raises(ConfigurationError, match="ignores the traffic knob") as run_error:
+            api.run(name, config=TINY.with_overrides(**{knob: value}), engine=engine)
+        assert engine.stats_log == []  # rejected before any trial ran
+        with pytest.raises(ConfigurationError, match="consumes") as spec_error:
+            CampaignSpec(experiment=name, base={knob: value})
+        assert str(run_error.value) == str(spec_error.value)
+        assert knob in str(run_error.value)
 
 
 class TestDeprecationShims:
-    def test_runner_text_shim_matches_render_text(self):
-        spec = get_runner("capacity")
-        assert spec.run(QUICK, None) == render_text(spec.run_result(QUICK, None))
-
     def test_parallel_equals_serial_through_facade(self):
         serial = api.run("chain_sweep", config=TINY, quick=True)
         parallel = api.run(

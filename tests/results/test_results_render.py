@@ -14,7 +14,9 @@ from repro.experiments import ExperimentConfig
 from repro.experiments.capacity_fig7 import render_capacity_table, run_capacity_experiment
 from repro.experiments.alice_bob import run_alice_bob_experiment
 from repro.experiments.chain import run_chain_experiment
-from repro.experiments.scenarios import get_scenario, run_scenario
+from repro.experiments.chain_sweep import CHAIN_SWEEP
+from repro.experiments.mesh_sweep import MESH_SWEEP
+from repro.experiments.scenarios import run_scenario
 from repro.experiments.sir_sweep import render_sir_table, run_sir_sweep
 from repro.experiments.snr_sweep import render_snr_table, run_snr_sweep
 from repro.experiments.summary import run_summary
@@ -79,12 +81,13 @@ class TestFigureByteIdentity:
 class TestScenarioByteIdentity:
     @pytest.mark.parametrize("name", ["chain_sweep", "mesh_sweep"])
     def test_scenarios(self, name, tiny_config):
-        legacy = run_scenario(get_scenario(name), tiny_config, quick=True).render()
+        spec = {"chain_sweep": CHAIN_SWEEP, "mesh_sweep": MESH_SWEEP}[name]
+        legacy = run_scenario(spec, tiny_config, quick=True).render()
         result = api.run(name, config=tiny_config, quick=True)
         assert render_text(roundtripped(result)) == legacy
 
     def test_scenario_report_to_result(self, tiny_config):
-        report = run_scenario(get_scenario("chain_sweep"), tiny_config, quick=True)
+        report = run_scenario(CHAIN_SWEEP, tiny_config, quick=True)
         result = report.to_result(tiny_config)
         assert result.kind == "scenario"
         assert render_text(result) == report.render()

@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """Regenerate the golden regression fixtures under ``tests/golden/``.
 
-Each fixture freezes the full plain-text rendering of one quick-scale
-figure reproduction (fig09 Alice-Bob, fig10 X topology, fig12 chain) at a
-pinned configuration.  ``tests/integration/test_golden.py`` replays the
-same experiments — through the scalar engine and through the batched
-engine — and requires byte-identical renderings, so any refactor that
-silently drifts the reproduced numbers fails CI.
+Each JSON fixture freezes the full plain-text rendering of one
+quick-scale figure reproduction (fig09 Alice-Bob, fig10 X topology, fig12
+chain) at a pinned configuration.  ``tests/integration/test_golden.py``
+replays the same experiments — through the scalar engine and through the
+batched engine — and requires byte-identical renderings, so any refactor
+that silently drifts the reproduced numbers fails CI.  One
+``render_<name>_quick.txt`` per registered experiment pins the
+``render_text`` view of its JSON-round-tripped quick result
+(``tests/results/test_results_render.py`` replays them).
 
 Run from the repository root after an *intentional* change to the
 reproduced numbers::
@@ -62,6 +65,11 @@ GOLDEN_SCENARIOS = ("offered_load_sweep", "queueing_delay")
 def scenario_fixture_name(scenario: str) -> str:
     """Fixture file name for one golden scenario."""
     return f"scenario_{scenario}_quick.json"
+
+
+def render_fixture_name(name: str) -> str:
+    """Text-fixture file name for one registered experiment."""
+    return f"render_{name}_quick.txt"
 
 
 def golden_config() -> ExperimentConfig:
@@ -133,6 +141,16 @@ def main(argv=None) -> int:
         path.write_text(
             json.dumps(normalized_result_dict(result), indent=2, sort_keys=True) + "\n"
         )
+        print(f"wrote {_describe(path)}")
+
+    from repro.experiments.runner import REGISTRY
+    from repro.results.model import ExperimentResult
+    from repro.results.render import render_text
+
+    for name in REGISTRY:
+        result = api.run(name, config=config, quick=True)
+        path = output_dir / render_fixture_name(name)
+        path.write_text(render_text(ExperimentResult.from_json(result.to_json())) + "\n")
         print(f"wrote {_describe(path)}")
     return 0
 

@@ -15,6 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.results.model import ExperimentResult
+from repro.results.render import gain_samples
+from repro.utils.cdf import EmpiricalCDF
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -61,6 +64,22 @@ def write_result(name: str, text: str, check_reference: bool = True) -> Path:
         )
     path.write_text(text + "\n")
     return path
+
+
+def mean_gain(result: ExperimentResult, baseline: str) -> float:
+    """Mean per-run throughput gain over ``baseline`` (a figure's ``gains`` table)."""
+    gains = gain_samples(result, baseline)
+    return sum(gains) / len(gains)
+
+
+def gain_cdf(result: ExperimentResult, baseline: str) -> EmpiricalCDF:
+    """CDF of the per-run gains over ``baseline`` (Figs. 9a / 10a / 12a)."""
+    return EmpiricalCDF.from_samples(gain_samples(result, baseline))
+
+
+def ber_cdf(result: ExperimentResult) -> EmpiricalCDF:
+    """CDF of the per-packet ANC BER (a figure's ``ber`` table)."""
+    return EmpiricalCDF.from_samples(result.get_series("ber").column("ber"))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ the prediction inside the practical operating range.
 from conftest import write_result
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.snr_sweep import render_snr_table, run_snr_sweep
+from repro.experiments.snr_sweep import run_snr_sweep
+from repro.results import render_text
 
 
 def test_extension_gain_and_ber_vs_snr(benchmark, bench_config):
@@ -20,15 +21,14 @@ def test_extension_gain_and_ber_vs_snr(benchmark, bench_config):
         payload_bits=bench_config.payload_bits,
         seed=bench_config.seed,
     )
-    points = benchmark.pedantic(
-        run_snr_sweep, args=(config,), kwargs={"runs_per_point": 2}, rounds=1, iterations=1
-    )
-    write_result("extension_snr_sweep", render_snr_table(points))
+    result = benchmark.pedantic(run_snr_sweep, args=(config,), rounds=1, iterations=1)
+    write_result("extension_snr_sweep", render_text(result))
 
-    by_snr = {p.snr_db: p for p in points}
+    points = result.get_series("points").records()
+    by_snr = {p["snr_db"]: p for p in points}
     # ANC wins throughout the practical operating range the paper targets.
-    assert all(p.anc_wins for p in points if p.snr_db >= 20.0)
+    assert all(p["gain_over_traditional"] > 1.0 for p in points if p["snr_db"] >= 20.0)
     # BER falls (or stays negligible) as SNR rises.
-    assert by_snr[36.0].mean_ber <= by_snr[16.0].mean_ber + 1e-9
+    assert by_snr[36.0]["mean_ber"] <= by_snr[16.0]["mean_ber"] + 1e-9
     # Measured gains stay below the information-theoretic 2x ceiling.
-    assert all(p.gain_over_traditional < 2.0 for p in points)
+    assert all(p["gain_over_traditional"] < 2.0 for p in points)

@@ -11,29 +11,30 @@ absolute gain factors land a little below the testbed's (see
 EXPERIMENTS.md for the accounting).
 """
 
-from conftest import write_result
+from conftest import ber_cdf, gain_cdf, mean_gain, write_result
 
 from repro.experiments.alice_bob import run_alice_bob_experiment
+from repro.results import render_text
 
 
 def test_fig09_alice_bob(benchmark, bench_config):
-    report = benchmark.pedantic(
+    result = benchmark.pedantic(
         run_alice_bob_experiment, args=(bench_config,), rounds=1, iterations=1
     )
-    write_result("fig09_alice_bob", report.render())
+    write_result("fig09_alice_bob", render_text(result))
 
-    gain_traditional = report.comparisons["traditional"].mean_gain
-    gain_cope = report.comparisons["cope"].mean_gain
+    gain_traditional = mean_gain(result, "traditional")
+    gain_cope = mean_gain(result, "cope")
 
     # Ordering and rough factors: ANC > COPE > traditional.
     assert gain_traditional > 1.35
     assert gain_cope > 1.05
     assert gain_traditional > gain_cope
     # The gain never exceeds the theoretical 2x / 1.5x ceilings.
-    assert report.comparisons["traditional"].cdf.maximum < 2.0
-    assert report.comparisons["cope"].cdf.maximum < 1.5
+    assert gain_cdf(result, "traditional").maximum < 2.0
+    assert gain_cdf(result, "cope").maximum < 1.5
     # BER CDF: the bulk of packets decode with low error rates.
-    assert report.ber_cdf.quantile(0.9) < 0.06
-    assert report.ber_cdf.median < 0.02
+    assert ber_cdf(result).quantile(0.9) < 0.06
+    assert ber_cdf(result).median < 0.02
     # Nearly everything offered is delivered once FEC is accounted for.
-    assert report.extras["anc_delivery_ratio"] > 0.9
+    assert result.scalars["anc_delivery_ratio"] > 0.9

@@ -8,20 +8,21 @@ Paper's claims for this figure:
   failed overhearing.
 """
 
-from conftest import write_result
+from conftest import ber_cdf, mean_gain, write_result
 
 from repro.experiments.alice_bob import run_alice_bob_experiment
 from repro.experiments.x_topology import run_x_topology_experiment
+from repro.results import render_text
 
 
 def test_fig10_x_topology(benchmark, bench_config):
-    report = benchmark.pedantic(
+    result = benchmark.pedantic(
         run_x_topology_experiment, args=(bench_config,), rounds=1, iterations=1
     )
-    write_result("fig10_x_topology", report.render())
+    write_result("fig10_x_topology", render_text(result))
 
-    gain_traditional = report.comparisons["traditional"].mean_gain
-    gain_cope = report.comparisons["cope"].mean_gain
+    gain_traditional = mean_gain(result, "traditional")
+    gain_cope = mean_gain(result, "cope")
 
     assert gain_traditional > 1.25
     assert gain_cope > 1.0
@@ -30,10 +31,10 @@ def test_fig10_x_topology(benchmark, bench_config):
     # Heavier BER tail than the Alice-Bob case: compare against Fig. 9 run
     # with the same configuration.
     alice_bob = run_alice_bob_experiment(bench_config)
-    assert report.ber_cdf.quantile(0.99) >= alice_bob.ber_cdf.quantile(0.99)
+    assert ber_cdf(result).quantile(0.99) >= ber_cdf(alice_bob).quantile(0.99)
     # ...but the bulk of decoded packets is still low-BER.
-    assert report.ber_cdf.median < 0.02
+    assert ber_cdf(result).median < 0.02
     # Overhearing failures cost a few percent of deliveries, not most.
-    assert 0.75 < report.extras["anc_delivery_ratio"] <= 1.0
+    assert 0.75 < result.scalars["anc_delivery_ratio"] <= 1.0
     # Gains remain at or below the Alice-Bob topology's (paper: 65% vs 70%).
-    assert gain_traditional <= alice_bob.comparisons["traditional"].mean_gain + 0.05
+    assert gain_traditional <= mean_gain(alice_bob, "traditional") + 0.05

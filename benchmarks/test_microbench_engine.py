@@ -81,5 +81,5 @@ def test_engine_parallel_speedup_alice_bob():
         check_reference=False,  # timings vary per machine
     )
 
-    assert serial.render() == parallel.render(), "parallel run must be bit-identical"
+    assert serial == parallel, "parallel run must be bit-identical"
     assert speedup >= 2.5, f"expected >= 2.5x speedup on 4 workers, got {speedup:.2f}x"

@@ -10,15 +10,13 @@ Paper's headline numbers:
 from conftest import write_result
 
 from repro.experiments.summary import run_summary
+from repro.results import render_text
 
 
 def test_summary_of_results(benchmark, bench_config):
-    summary = benchmark.pedantic(
-        run_summary, args=(bench_config,), kwargs={"include_sir_sweep": True},
-        rounds=1, iterations=1,
-    )
-    write_result("summary_table", summary.render())
-    rows = summary.rows()
+    result = benchmark.pedantic(run_summary, args=(bench_config,), rounds=1, iterations=1)
+    write_result("summary_table", render_text(result))
+    rows = dict(result.get_series("rows").rows)
 
     # Every topology shows the paper's ordering: ANC beats both baselines.
     assert rows["alice_bob_gain_over_traditional"] > 1.35

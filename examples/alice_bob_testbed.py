@@ -13,8 +13,9 @@ Run with::
 
 import sys
 
-from repro.experiments.alice_bob import run_alice_bob_experiment
+from repro import api
 from repro.experiments.config import ExperimentConfig
+from repro.results import render_text
 
 
 def main() -> None:
@@ -23,8 +24,8 @@ def main() -> None:
     config = ExperimentConfig(runs=runs, packets_per_run=packets, seed=7)
     print(f"running {runs} Alice-Bob testbed runs, "
           f"{packets} packets per direction per run ...")
-    report = run_alice_bob_experiment(config)
-    print(report.render())
+    result = api.run("alice-bob", config=config)
+    print(render_text(result))
     print()
     print("paper reference points: +70% over traditional, +30% over COPE, "
           "BER mostly below 4%")

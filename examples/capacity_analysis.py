@@ -10,13 +10,14 @@ Run with::
     python examples/capacity_analysis.py
 """
 
+from repro import api
 from repro.capacity.bounds import capacity_gain
-from repro.experiments.capacity_fig7 import render_capacity_table, run_capacity_experiment
+from repro.results import render_text
 
 
 def main() -> None:
-    curve = run_capacity_experiment()
-    print(render_capacity_table(curve, step=5))
+    result = api.run("capacity")
+    print(render_text(result))
     print()
     for snr_db in (5.0, 10.0, 20.0, 30.0, 40.0):
         print(f"  gain at {snr_db:4.0f} dB SNR: {capacity_gain(snr_db):.2f}x")

@@ -15,8 +15,9 @@ Run with::
 
 import sys
 
-from repro.experiments.chain import run_chain_experiment
+from repro import api
 from repro.experiments.config import ExperimentConfig
+from repro.results import render_text
 
 
 def main() -> None:
@@ -24,13 +25,14 @@ def main() -> None:
     packets = int(sys.argv[2]) if len(sys.argv) > 2 else 12
     config = ExperimentConfig(runs=runs, packets_per_run=packets, seed=12)
     print(f"running {runs} chain-topology runs, {packets} packets per run ...")
-    report = run_chain_experiment(config)
-    print(report.render())
+    result = api.run("chain", config=config)
+    print(render_text(result))
     print()
-    comparison = report.comparisons["traditional"]
-    print(f"mean gain over traditional routing: {comparison.mean_gain:.2f}x "
+    gains = result.get_series("gains").column("gain")
+    bers = result.get_series("ber").column("ber")
+    print(f"mean gain over traditional routing: {sum(gains) / len(gains):.2f}x "
           f"(paper: 1.36x, theoretical ceiling 1.5x)")
-    print(f"mean BER at the decoding node N2: {report.ber_cdf.mean:.4f} "
+    print(f"mean BER at the decoding node N2: {sum(bers) / len(bers):.4f} "
           "(paper: ~1%, lower than Alice-Bob because there is no "
           "amplify-and-forward noise)")
 

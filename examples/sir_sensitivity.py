@@ -13,18 +13,19 @@ Run with::
 
 import sys
 
+from repro import api
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.sir_sweep import render_sir_table, run_sir_sweep
+from repro.results import render_text
 
 
 def main() -> None:
     packets = int(sys.argv[1]) if len(sys.argv) > 1 else 12
     config = ExperimentConfig(runs=1, packets_per_run=packets, seed=31)
-    points = run_sir_sweep(config, packets_per_point=packets)
-    print(render_sir_table(points))
+    result = api.run("sir", config=config)  # packets_per_run collisions per point
+    print(render_text(result))
     print()
-    lowest = min(points, key=lambda p: p.sir_db)
-    print(f"at {lowest.sir_db:+.0f} dB SIR the BER is {lowest.mean_ber:.3%} — "
+    lowest = min(result.get_series("points").records(), key=lambda p: p["sir_db"])
+    print(f"at {lowest['sir_db']:+.0f} dB SIR the BER is {lowest['mean_ber']:.3%} — "
           "the wanted signal is weaker than the interference, yet it decodes "
           "(paper: < 5%; blind separation schemes need about +6 dB).")
 

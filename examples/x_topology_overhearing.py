@@ -13,8 +13,9 @@ Run with::
 
 import sys
 
+from repro import api
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.x_topology import run_x_topology_experiment
+from repro.results import render_text
 
 
 def main() -> None:
@@ -22,10 +23,10 @@ def main() -> None:
     packets = int(sys.argv[2]) if len(sys.argv) > 2 else 10
     config = ExperimentConfig(runs=runs, packets_per_run=packets, seed=23)
     print(f"running {runs} X-topology runs, {packets} packets per flow per run ...")
-    report = run_x_topology_experiment(config)
-    print(report.render())
+    result = api.run("x", config=config)
+    print(render_text(result))
     print()
-    print(f"ANC delivery ratio: {report.extras['anc_delivery_ratio']:.2%} — "
+    print(f"ANC delivery ratio: {result.scalars['anc_delivery_ratio']:.2%} — "
           "the shortfall is exactly the overhearing failures the paper "
           "blames for the X topology's slightly lower gain (§11.5)")
 

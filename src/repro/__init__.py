@@ -23,12 +23,13 @@ Quickstart (structured results through the facade)::
     print(render_text(result))       # the classic text report
     print(result.to_json())          # machine-readable export
 
-The rich per-experiment entry points remain available::
+Each experiment module's ``run_*`` function returns the same result
+(without the engine metadata ``api.run`` attaches)::
 
     from repro.experiments import ExperimentConfig, run_alice_bob_experiment
 
-    report = run_alice_bob_experiment(ExperimentConfig.quick())
-    print(report.render())
+    result = run_alice_bob_experiment(ExperimentConfig.quick())
+    print(result.get_series("gains"))
 """
 
 from repro import constants, exceptions

@@ -25,21 +25,19 @@ Quickstart::
                     engine=ExperimentEngine(workers=4), quick=True)
     gains = sweep.get_series("cells")
 
-Text output is a view: ``render_text(result)`` (from
-:mod:`repro.results`) reproduces the legacy reports byte-for-byte.
-See ``docs/API.md`` for the full reference.
+Text output is formatted from the result tables: ``render_text(result)``
+(from :mod:`repro.results`).  See ``docs/API.md`` for the full reference.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engine import ExperimentEngine, default_engine
+from repro.experiments.engine import EngineStats, ExperimentEngine, default_engine
 from repro.experiments.runner import REGISTRY, ExperimentEntry, check_consumes
-from repro.results.adapters import attach_engine_meta
 from repro.results.model import ExperimentResult
 
 __all__ = [
@@ -100,8 +98,7 @@ def run(
     ExperimentResult
         The typed result; round-trips losslessly through
         ``ExperimentResult.from_dict(result.to_dict())`` and renders to
-        the legacy text report via
-        :func:`repro.results.render.render_text`.
+        its text report via :func:`repro.results.render.render_text`.
     """
     entry = get_experiment(name)
     cfg = config if config is not None else ExperimentConfig()
@@ -111,7 +108,32 @@ def run(
     started = time.perf_counter()
     result = entry.run(cfg, eng, quick)
     elapsed = time.perf_counter() - started
-    return attach_engine_meta(result, eng, eng.stats_log[mark:], elapsed)
+    return _attach_engine_meta(result, eng, eng.stats_log[mark:], elapsed)
+
+
+def _attach_engine_meta(
+    result: ExperimentResult,
+    engine: ExperimentEngine,
+    stats: Sequence[EngineStats],
+    elapsed_seconds: float,
+) -> ExperimentResult:
+    """Stamp the executing engine's cache/timing statistics onto a result.
+
+    ``stats`` is the slice of :attr:`ExperimentEngine.stats_log` produced
+    while the experiment ran (one entry per ``map`` invocation —
+    composite experiments like the summary produce several).
+    """
+    return result.with_meta(engine={
+        "workers": int(engine.workers),
+        "batch_size": int(engine.batch_size),
+        "invocations": len(stats),
+        "total_trials": sum(s.total_trials for s in stats),
+        "executed_trials": sum(s.executed_trials for s in stats),
+        "cached_trials": sum(s.cached_trials for s in stats),
+        "elapsed_seconds": float(elapsed_seconds),
+        "digests": [s.digest for s in stats],
+        "cache_dir": str(engine.cache_dir) if engine.cache_dir is not None else None,
+    })
 
 
 def run_campaign(

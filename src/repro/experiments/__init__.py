@@ -28,11 +28,13 @@ run from the CLI as ``python -m repro.cli <scenario>``.
 
 Figures and scenarios share one registry,
 :data:`repro.experiments.runner.REGISTRY`, behind the public facade
-:mod:`repro.api`, whose ``run(name, ...)`` returns a typed
+:mod:`repro.api`.  Every experiment has one result path: its ``run_*``
+function (signature ``(config, engine, quick)``) builds a typed
 :class:`~repro.results.model.ExperimentResult` (tables + scalars +
-config snapshot + engine metadata, lossless JSON/CSV export); plain text
-is a view over it (:func:`repro.results.render.render_text`).  See
-``docs/API.md``.
+config snapshot; ``api.run`` adds the engine metadata; lossless JSON/CSV
+export) directly from its trial outputs, and
+:func:`repro.results.render.render_text` formats the text from those
+tables.  See ``docs/API.md``.
 
 All runners are deterministic given an :class:`ExperimentConfig` seed and
 scale from quick CI-sized runs to paper-scale runs by changing the config.
@@ -53,12 +55,7 @@ from repro.experiments.snr_sweep import SNRPoint, run_snr_sweep
 from repro.experiments.capacity_fig7 import run_capacity_experiment
 from repro.experiments.summary import run_summary
 from repro.experiments.runner import REGISTRY, ExperimentEntry
-from repro.experiments.scenarios import (
-    ScenarioReport,
-    ScenarioSpec,
-    register_scenario,
-    run_scenario,
-)
+from repro.experiments.scenarios import ScenarioSpec, register_scenario, run_scenario
 from repro.experiments import chain_sweep as _chain_sweep  # noqa: F401  (registers)
 from repro.experiments import mesh_sweep as _mesh_sweep  # noqa: F401  (registers)
 from repro.experiments import cfo_sweep as _cfo_sweep  # noqa: F401  (registers)
@@ -75,7 +72,6 @@ __all__ = [
     "REGISTRY",
     "SIRPoint",
     "SNRPoint",
-    "ScenarioReport",
     "ScenarioSpec",
     "register_scenario",
     "run_scenario",

@@ -12,23 +12,20 @@ traditional approach and ~30 % over COPE, with most packets below 4 % BER.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.channel.impairments import IMPAIRMENT_STREAM, apply_impairments
 from repro.channel.interference import OverlapModel
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
-from repro.metrics.ber import ber_cdf
-from repro.metrics.gain import pair_runs
-from repro.metrics.report import ComparisonReport, ExperimentReport
+from repro.metrics.report import report_result
 from repro.network.flows import Flow
 from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions, alice_bob_topology
 from repro.protocols.anc import ANCRelayProtocol, default_min_offset
 from repro.protocols.base import RunResult
 from repro.protocols.cope import CopeRelayProtocol
 from repro.protocols.traditional import TraditionalRouting
+from repro.results.model import ExperimentResult
 
 
 def run_alice_bob_trial(
@@ -101,39 +98,27 @@ def run_alice_bob_trial(
 def run_alice_bob_experiment(
     config: Optional[ExperimentConfig] = None,
     engine: Optional[ExperimentEngine] = None,
-) -> ExperimentReport:
-    """Run the Fig. 9 experiment and return its report.
+    quick: bool = False,
+) -> ExperimentResult:
+    """Run the Fig. 9 experiment and return its result tables.
 
     ``engine`` selects how the per-run trials execute (serial, parallel,
     batched into worker blocks via ``config.batch_size``, resumed from
-    cache); the aggregated report is identical in every mode.
+    cache); the result is identical in every mode.  ``quick`` is unused
+    (the run count comes from ``config``).
     """
     cfg = config if config is not None else ExperimentConfig()
     trials = default_engine(engine).run_batched(
         "fig09_alice_bob", run_alice_bob_trial, cfg, range(cfg.runs),
         batch_size=cfg.engine_batch_size,
     )
-    traditional_runs: List[RunResult] = [t[0] for t in trials]
-    cope_runs: List[RunResult] = [t[1] for t in trials]
-    anc_runs: List[RunResult] = [t[2] for t in trials]
-
-    report = ExperimentReport(name="fig09_alice_bob", anc_runs=anc_runs)
-    report.baseline_runs = {"traditional": traditional_runs, "cope": cope_runs}
-    report.comparisons = {
-        "traditional": ComparisonReport(
-            baseline_scheme="traditional",
-            samples=pair_runs(anc_runs, traditional_runs),
-        ),
-        "cope": ComparisonReport(
-            baseline_scheme="cope",
-            samples=pair_runs(anc_runs, cope_runs),
-        ),
-    }
-    report.ber_cdf = ber_cdf(anc_runs, include_losses=True)
-    report.extras = {
-        "mean_overlap": float(np.mean([r.mean_overlap for r in anc_runs])),
-        "anc_delivery_ratio": float(
-            np.mean([r.delivery_ratio for r in anc_runs])
-        ),
-    }
-    return report
+    return report_result(
+        "alice-bob",
+        "fig09_alice_bob",
+        cfg,
+        anc_runs=[t[2] for t in trials],
+        baseline_runs={
+            "traditional": [t[0] for t in trials],
+            "cope": [t[1] for t in trials],
+        },
+    )

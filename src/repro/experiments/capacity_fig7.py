@@ -11,7 +11,7 @@ SNR.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,10 +21,10 @@ from repro.capacity.bounds import (
     crossover_snr_db,
     traditional_capacity_upper_bound,
 )
-from repro.capacity.sweep import CapacityCurve, validate_snr_grid
-from repro.exceptions import CapacityError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
+from repro.results.model import ExperimentResult, Series, make_result
 
 
 def run_capacity_point_trial(
@@ -47,57 +47,40 @@ def run_capacity_point_trial(
 
 
 def run_capacity_experiment(
-    snr_db_values: Optional[Sequence[float]] = None,
     config: Optional[ExperimentConfig] = None,
     engine: Optional[ExperimentEngine] = None,
-    alpha: float = DEFAULT_ALPHA,
-) -> CapacityCurve:
-    """Evaluate the Theorem 8.1 bounds over the Fig. 7 SNR range.
+    quick: bool = False,
+) -> ExperimentResult:
+    """Evaluate the Theorem 8.1 bounds over the Fig. 7 SNR range (0-55 dB).
 
     The bounds are closed-form information-theoretic expressions, not a
     waveform simulation, so channel impairments cannot apply; a config
     that requests them is rejected loudly rather than producing a result
-    whose snapshot claims impairments that never acted.
+    whose snapshot claims impairments that never acted.  ``quick`` is
+    unused (the grid is fixed).
     """
-    if snr_db_values is None:
-        snr_db_values = np.arange(0.0, 56.0, 1.0)
-    grid = validate_snr_grid(snr_db_values)
-
     cfg = config if config is not None else ExperimentConfig()
     if cfg.impairments.enabled:
         raise ConfigurationError(
             "the capacity experiment evaluates analytic Theorem 8.1 bounds; "
             "channel impairments (--cfo/--fading) do not apply to it"
         )
+    grid = [float(v) for v in np.arange(0.0, 56.0, 1.0)]
     points = default_engine(engine).run_batched(
         "fig07_capacity",
         run_capacity_point_trial,
         cfg,
-        [float(v) for v in grid],
-        params={"alpha": float(alpha)},
+        grid,
+        params={"alpha": float(DEFAULT_ALPHA)},
         batch_size=cfg.engine_batch_size,
     )
-    try:
-        crossover = crossover_snr_db(low_db=float(grid[0]), high_db=float(grid[-1]), alpha=alpha)
-    except CapacityError:
-        crossover = float("nan")
-    return CapacityCurve(
-        snr_db=tuple(float(v) for v in grid),
-        traditional=tuple(p[0] for p in points),
-        anc=tuple(p[1] for p in points),
-        gain=tuple(p[2] for p in points),
-        crossover_db=crossover,
+    curve = Series(
+        "curve",
+        ("snr_db", "traditional", "anc", "gain"),
+        tuple((snr,) + tuple(point) for snr, point in zip(grid, points)),
     )
-
-
-def render_capacity_table(curve: CapacityCurve, step: int = 5) -> str:
-    """Plain-text rendering of the Fig. 7 series (every ``step``-th point)."""
-    lines = ["SNR (dB) | traditional (b/s/Hz) | ANC (b/s/Hz) | gain"]
-    lines.append("-" * len(lines[0]))
-    rows = curve.as_rows()
-    for index in range(0, len(rows), step):
-        snr, trad, anc, gain = rows[index]
-        lines.append(f"{snr:8.1f} | {trad:20.3f} | {anc:12.3f} | {gain:5.2f}")
-    lines.append(f"crossover SNR: {curve.crossover_db:.1f} dB")
-    lines.append(f"gain at {rows[-1][0]:.0f} dB: {curve.asymptotic_gain:.2f}x")
-    return "\n".join(lines)
+    scalars = {
+        "crossover_db": crossover_snr_db(low_db=grid[0], high_db=grid[-1]),
+        "asymptotic_gain": float(points[-1][2]),
+    }
+    return make_result("capacity", "figure", cfg, "capacity", [curve], scalars)

@@ -10,22 +10,19 @@ relay.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.channel.impairments import IMPAIRMENT_STREAM, apply_impairments
 from repro.channel.interference import OverlapModel
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
-from repro.metrics.ber import ber_cdf
-from repro.metrics.gain import pair_runs
-from repro.metrics.report import ComparisonReport, ExperimentReport
+from repro.metrics.report import report_result
 from repro.network.flows import Flow
 from repro.network.topologies import ChannelConditions, chain_topology
 from repro.protocols.anc import ANCChainProtocol, default_min_offset
 from repro.protocols.base import RunResult
 from repro.protocols.traditional import TraditionalRouting
+from repro.results.model import ExperimentResult
 
 #: Node ids of the 3-hop chain N1 -> N2 -> N3 -> N4.
 CHAIN_PATH = (1, 2, 3, 4)
@@ -82,27 +79,18 @@ def run_chain_trial(
 def run_chain_experiment(
     config: Optional[ExperimentConfig] = None,
     engine: Optional[ExperimentEngine] = None,
-) -> ExperimentReport:
-    """Run the Fig. 12 experiment and return its report."""
+    quick: bool = False,
+) -> ExperimentResult:
+    """Run the Fig. 12 experiment and return its result tables."""
     cfg = config if config is not None else ExperimentConfig()
     trials = default_engine(engine).run_batched(
         "fig12_chain", run_chain_trial, cfg, range(cfg.runs),
         batch_size=cfg.engine_batch_size,
     )
-    traditional_runs: List[RunResult] = [t[0] for t in trials]
-    anc_runs: List[RunResult] = [t[1] for t in trials]
-
-    report = ExperimentReport(name="fig12_chain", anc_runs=anc_runs)
-    report.baseline_runs = {"traditional": traditional_runs}
-    report.comparisons = {
-        "traditional": ComparisonReport(
-            baseline_scheme="traditional",
-            samples=pair_runs(anc_runs, traditional_runs),
-        ),
-    }
-    report.ber_cdf = ber_cdf(anc_runs, include_losses=True)
-    report.extras = {
-        "mean_overlap": float(np.mean([r.mean_overlap for r in anc_runs])),
-        "anc_delivery_ratio": float(np.mean([r.delivery_ratio for r in anc_runs])),
-    }
-    return report
+    return report_result(
+        "chain",
+        "fig12_chain",
+        cfg,
+        anc_runs=[t[1] for t in trials],
+        baseline_runs={"traditional": [t[0] for t in trials]},
+    )

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import pickle
 import re
@@ -57,6 +58,8 @@ TrialFn = Callable[..., Any]
 #: Accepted trial-key types (must be stable under ``repr`` for cache slugs).
 TrialKey = Union[int, float, str, tuple]
 
+logger = logging.getLogger(__name__)
+
 #: Where ``--resume`` caches trials when no explicit directory is given.
 DEFAULT_CACHE_DIR = Path(".anc_cache")
 
@@ -70,6 +73,23 @@ _SLUG_SANITISER = re.compile(r"[^A-Za-z0-9_.+-]+")
 #: task payload.  Below it, the segment bookkeeping costs more than the
 #: pickle copy it saves.
 _SHM_MIN_BYTES = 1 << 16
+
+
+def _array_digest(value: Any) -> Any:
+    """JSON stand-in for an ndarray trial param when building a cache digest.
+
+    ndarray params (the ones shared memory carries to workers) are keyed
+    by dtype, shape and a hash of their bytes, never by their ``repr``;
+    any other non-JSON value raises ``TypeError``.
+    """
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value).tobytes()
+        return {
+            "ndarray": value.dtype.str,
+            "shape": list(value.shape),
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+    raise TypeError(f"{type(value).__name__} is not JSON-serializable")
 
 
 @dataclass(frozen=True)
@@ -306,7 +326,7 @@ class ExperimentEngine:
         #: Stats of every :meth:`map` call this engine executed, in order.
         #: The structured-results pipeline slices this log to attach the
         #: cache/timing metadata of exactly one experiment to its result
-        #: (see :func:`repro.results.adapters.attach_engine_meta`).
+        #: (see :func:`repro.api.run`).
         self.stats_log: List[EngineStats] = []
 
     # ------------------------------------------------------------------
@@ -358,14 +378,31 @@ class ExperimentEngine:
                     "would embed memory addresses, so resume would never hit)"
                 ) from None
             config_repr = config
+        params_repr = dict(params) if params else {}
+        for name, value in params_repr.items():
+            try:
+                json.dumps(value, default=_array_digest)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"cannot build a stable cache digest: trial param {name!r} "
+                    f"of type {type(value).__name__} is not JSON-serializable "
+                    "(its repr could embed memory addresses, so resume would "
+                    "never hit)"
+                ) from None
         payload = {
             "version": getattr(repro, "__version__", "0"),
             "experiment": experiment,
             "trial_fn": f"{trial_fn.__module__}.{trial_fn.__qualname__}",
             "config": config_repr,
-            "params": dict(params) if params else {},
+            "params": params_repr,
         }
-        blob = json.dumps(payload, sort_keys=True, default=repr)
+        try:
+            blob = json.dumps(payload, sort_keys=True, default=_array_digest)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"cannot build a stable cache digest for config of type "
+                f"{type(config).__name__}: a field is not JSON-serializable"
+            ) from None
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
     # ------------------------------------------------------------------
@@ -383,14 +420,19 @@ class ExperimentEngine:
         The sentinel (rather than ``None``) keeps trials whose legitimate
         result is ``None`` cacheable.  Any unpickling failure — torn
         write, garbled bytes, a class that no longer exists — counts as a
-        miss and the trial is recomputed.
+        miss and the trial is recomputed; a warning names the entry and
+        the error type.
         """
         if path is None or not path.is_file():
             return _CACHE_MISS
         try:
             with path.open("rb") as handle:
                 return pickle.load(handle)
-        except Exception:
+        except Exception as error:
+            logger.warning(
+                "corrupt trial-cache entry %s (%s); recomputing the trial",
+                path, type(error).__name__,
+            )
             return _CACHE_MISS
 
     @staticmethod

@@ -4,14 +4,17 @@
 description, a kind, the time-domain traffic knobs the experiment
 consumes, and a ``run(config, engine, quick)`` callable that executes it
 through the :class:`~repro.experiments.engine.ExperimentEngine` and
-returns a typed :class:`~repro.results.model.ExperimentResult`.  The
-paper figures register here at import time; scenario sweeps register
-through :func:`repro.experiments.scenarios.register_scenario`.  The
+returns a typed :class:`~repro.results.model.ExperimentResult`.  That
+callable is the experiment module's own ``run_*`` function, which builds
+the result tables directly from its trial outputs.  The paper figures
+register here at import time; scenario sweeps register through
+:func:`repro.experiments.scenarios.register_scenario` (their ``run`` is
+:func:`~repro.experiments.scenarios.run_scenario` bound to the spec).  The
 :mod:`repro.api` facade, the CLI and campaigns all read this one dict, and
 :func:`check_consumes` is the one place a set-but-ignored traffic knob is
 rejected.
 
-Plain text is a view over the structured result:
+Plain text is formatted from the result tables by
 :func:`repro.results.render.render_text`.
 """
 
@@ -30,13 +33,6 @@ from repro.experiments.sir_sweep import run_sir_sweep
 from repro.experiments.snr_sweep import run_snr_sweep
 from repro.experiments.summary import run_summary
 from repro.experiments.x_topology import run_x_topology_experiment
-from repro.results.adapters import (
-    capacity_result,
-    experiment_report_result,
-    sir_result,
-    snr_result,
-    summary_result,
-)
 from repro.results.model import ExperimentResult
 
 __all__ = [
@@ -114,70 +110,13 @@ def check_consumes(entry, knobs: Iterable[str]) -> None:
         )
 
 
-def _build_capacity(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
-) -> ExperimentResult:
-    return capacity_result(
-        "capacity", run_capacity_experiment(config=config, engine=engine), config
-    )
-
-
-def _build_alice_bob(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
-) -> ExperimentResult:
-    return experiment_report_result(
-        "alice-bob", run_alice_bob_experiment(config, engine=engine), config
-    )
-
-
-def _build_x(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
-) -> ExperimentResult:
-    return experiment_report_result(
-        "x", run_x_topology_experiment(config, engine=engine), config
-    )
-
-
-def _build_chain(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
-) -> ExperimentResult:
-    return experiment_report_result(
-        "chain", run_chain_experiment(config, engine=engine), config
-    )
-
-
-def _build_sir(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
-) -> ExperimentResult:
-    points = run_sir_sweep(
-        config, packets_per_point=config.packets_per_run, engine=engine
-    )
-    return sir_result(
-        "sir", points, config, params={"packets_per_point": config.packets_per_run}
-    )
-
-
-def _build_snr(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
-) -> ExperimentResult:
-    return snr_result("snr", run_snr_sweep(config, engine=engine), config)
-
-
-def _build_summary(
-    config: ExperimentConfig, engine: Optional[ExperimentEngine], quick: bool = False
-) -> ExperimentResult:
-    return summary_result("summary", run_summary(config, engine=engine), config)
-
-
-for _entry in (
-    ExperimentEntry("capacity", "Fig. 7  — capacity bounds vs SNR", "figure", (), _build_capacity),
-    ExperimentEntry("alice-bob", "Fig. 9  — Alice-Bob topology", "figure", (), _build_alice_bob),
-    ExperimentEntry("x", "Fig. 10 — the X topology", "figure", (), _build_x),
-    ExperimentEntry("chain", "Fig. 12 — chain topology", "figure", (), _build_chain),
-    ExperimentEntry("sir", "Fig. 13 — BER vs SIR", "figure", (), _build_sir),
-    ExperimentEntry(
-        "snr", "extension — gain and BER vs operating SNR", "figure", (), _build_snr
-    ),
-    ExperimentEntry("summary", "§11.3  — summary of results", "figure", (), _build_summary),
+for _name, _description, _run in (
+    ("capacity", "Fig. 7  — capacity bounds vs SNR", run_capacity_experiment),
+    ("alice-bob", "Fig. 9  — Alice-Bob topology", run_alice_bob_experiment),
+    ("x", "Fig. 10 — the X topology", run_x_topology_experiment),
+    ("chain", "Fig. 12 — chain topology", run_chain_experiment),
+    ("sir", "Fig. 13 — BER vs SIR", run_sir_sweep),
+    ("snr", "extension — gain and BER vs operating SNR", run_snr_sweep),
+    ("summary", "§11.3  — summary of results", run_summary),
 ):
-    register(_entry)
+    register(ExperimentEntry(_name, _description, "figure", (), _run))

@@ -12,8 +12,9 @@ runners get from PR 1's runner registry for free:
   :class:`~repro.experiments.engine.ExperimentEngine` trial, so
   ``--workers`` fans the whole grid out and ``--resume`` caches it;
 * **deterministic aggregation** — cells are keyed by ``(value, run)``
-  and re-ordered after execution, so parallel runs render byte-identical
-  summary tables;
+  and re-ordered after execution, so parallel runs build identical
+  result tables (and byte-identical text through
+  :func:`repro.results.render.render_text`);
 * **one registry** — :func:`register_scenario` adds the sweep to
   :data:`~repro.experiments.runner.REGISTRY` beside the figures, so
   ``python -m repro.cli <scenario>``, :func:`repro.api.run` and campaigns
@@ -36,8 +37,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
 from repro.experiments.runner import ExperimentEntry, check_consumes, register
 from repro.protocols.base import RunResult
-from repro.results.adapters import scenario_result
-from repro.results.model import ExperimentResult
+from repro.results.model import ExperimentResult, Series, make_result
 
 #: Signature of a scenario trial: ``(config, (sweep_value, run_index),
 #: **params) -> {scheme: {metric: float}}``.  Must be a picklable
@@ -137,117 +137,20 @@ class ScenarioSpec:
         return self.sweep_values
 
 
-@dataclass
-class ScenarioReport:
-    """Aggregated scenario results, renderable as a deterministic table.
-
-    Attributes
-    ----------
-    spec:
-        The scenario that produced the results.
-    sweep_values:
-        The axis values actually run, in order.
-    rows:
-        Per-value mean metrics: ``rows[value][scheme][metric]`` averaged
-        over the runs.
-    runs:
-        Number of independent runs behind each row.
-    """
-
-    spec: ScenarioSpec
-    sweep_values: Tuple[Any, ...]
-    rows: Dict[Any, Dict[str, Dict[str, float]]]
-    runs: int
-
-    def gain(self, value: Any, baseline: str) -> float:
-        """Mean throughput of the lead scheme over ``baseline`` at a value."""
-        return scenario_gain(self.rows, self.spec.schemes, value, baseline)
-
-    def render(self) -> str:
-        """Render the scenario summary table as deterministic plain text."""
-        return render_scenario_table(
-            name=self.spec.name,
-            sweep_axis=self.spec.sweep_axis,
-            schemes=self.spec.schemes,
-            sweep_values=self.sweep_values,
-            rows=self.rows,
-            runs=self.runs,
-        )
-
-    def to_result(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-        """Flatten the report into a typed, serializable result object."""
-        return scenario_result(self, config if config is not None else ExperimentConfig())
-
-
-def scenario_gain(
-    rows: Mapping[Any, Mapping[str, Mapping[str, float]]],
-    schemes: Sequence[str],
-    value: Any,
-    baseline: str,
-) -> float:
-    """Mean throughput of the lead scheme over ``baseline`` at one value."""
-    lead = schemes[0]
-    base = rows[value][baseline]["throughput"]
-    if base == 0.0:
-        return float("inf")
-    return rows[value][lead]["throughput"] / base
-
-
-def render_scenario_table(
-    name: str,
-    sweep_axis: str,
-    schemes: Sequence[str],
-    sweep_values: Sequence[Any],
-    rows: Mapping[Any, Mapping[str, Mapping[str, float]]],
-    runs: int,
-) -> str:
-    """Render a scenario's summary table from its aggregated row mapping.
-
-    Shared by :meth:`ScenarioReport.render` and the structured-results
-    renderer (:mod:`repro.results.render`), so the text view stays
-    byte-identical whichever path produced the numbers.
-    """
-    lead = schemes[0]
-    baselines = [s for s in schemes if s != lead]
-    labels = [sweep_axis]
-    labels += [f"{s} thpt" for s in schemes]
-    labels += [f"{lead}/{b}" for b in baselines]
-    labels += [f"{lead} dlvr", f"{lead} BER"]
-    widths = [max(8, len(label)) for label in labels]
-    lines = [f"=== scenario {name} ==="]
-    lines.append(
-        " | ".join(f"{label:>{w}}" for label, w in zip(labels, widths))
-    )
-    lines.append("-" * len(lines[1]))
-    for value in sweep_values:
-        row = rows[value]
-        cells = [f"{value!s}"]
-        cells += [f"{row[s]['throughput']:.4f}" for s in schemes]
-        cells += [f"{scenario_gain(rows, schemes, value, b):.2f}" for b in baselines]
-        delivery = (
-            row[lead]["delivered"] / row[lead]["offered"]
-            if row[lead]["offered"]
-            else 0.0
-        )
-        cells += [f"{delivery:.3f}", f"{row[lead]['mean_ber']:.4f}"]
-        lines.append(
-            " | ".join(f"{cell:>{w}}" for cell, w in zip(cells, widths))
-        )
-    lines.append(f"runs per point: {runs}")
-    return "\n".join(lines)
-
-
 def run_scenario(
     spec: ScenarioSpec,
     config: Optional[ExperimentConfig] = None,
     engine: Optional[ExperimentEngine] = None,
     quick: bool = False,
-) -> ScenarioReport:
+) -> ExperimentResult:
     """Execute every cell of a scenario's sweep grid through the engine.
 
     Each ``(sweep value, run index)`` pair is one engine trial, so worker
     fan-out and disk caching apply to the whole grid at once; results are
-    keyed and re-ordered so the report is identical however they ran.
+    keyed and re-ordered so the result is identical however they ran.
+    The ``cells`` table holds one row per (sweep value, scheme, metric)
+    with the metric's mean over the runs; ``meta`` carries the axis name,
+    scheme order, value order and runs per point.
     """
     cfg = config if config is not None else ExperimentConfig()
     check_consumes(spec, cfg.sim_overrides())
@@ -258,30 +161,27 @@ def run_scenario(
         params=spec.params, batch_size=cfg.engine_batch_size,
     )
 
-    rows: Dict[Any, Dict[str, Dict[str, float]]] = {}
+    cell_rows = []
     for value in values:
         value_cells = [
             cell for (cell_value, _), cell in zip(keys, cells) if cell_value == value
         ]
-        row: Dict[str, Dict[str, float]] = {}
         for scheme in spec.schemes:
-            metrics = sorted(value_cells[0][scheme])
-            row[scheme] = {
-                metric: float(np.mean([cell[scheme][metric] for cell in value_cells]))
-                for metric in metrics
-            }
-        rows[value] = row
-    return ScenarioReport(spec=spec, sweep_values=values, rows=rows, runs=cfg.runs)
-
-
-def _run_registered(
-    spec: ScenarioSpec,
-    config: ExperimentConfig,
-    engine: Optional[ExperimentEngine],
-    quick: bool,
-) -> ExperimentResult:
-    """The registry entry of one scenario: run the sweep, flatten the report."""
-    return scenario_result(run_scenario(spec, config, engine=engine, quick=quick), config)
+            for metric in sorted(value_cells[0][scheme]):
+                mean = float(np.mean([cell[scheme][metric] for cell in value_cells]))
+                cell_rows.append((value, scheme, metric, mean))
+    return make_result(
+        spec.name,
+        "scenario",
+        cfg,
+        "scenario",
+        [Series("cells", ("value", "scheme", "metric", "mean"), tuple(cell_rows))],
+        sweep_axis=spec.sweep_axis,
+        schemes=list(spec.schemes),
+        sweep_values=list(values),
+        runs=int(cfg.runs),
+        params=dict(spec.params),
+    )
 
 
 def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
@@ -292,7 +192,7 @@ def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
             description=spec.description,
             kind="scenario",
             consumes=spec.consumes,
-            run=partial(_run_registered, spec),
+            run=partial(run_scenario, spec),
         )
     )
     return spec

@@ -15,7 +15,7 @@ forward relay, decodes Bob's packet at Alice, and averages the payload BER.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +32,7 @@ from repro.framing.packet import Packet
 from repro.anc.pipeline import ReceiveOutcome, ReceivePipeline
 from repro.modulation.msk import MSKModulator
 from repro.protocols.anc import default_min_offset
+from repro.results.model import ExperimentResult, Series, make_result
 from repro.utils.db import db_to_linear
 
 
@@ -156,19 +157,22 @@ def run_sir_point_trial(
     )
 
 
-def run_sir_sweep(
-    config: Optional[ExperimentConfig] = None,
+def sir_points(
+    config: ExperimentConfig,
+    engine: Optional[ExperimentEngine] = None,
     sir_db_values: Sequence[float] = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0),
     packets_per_point: int = 20,
     snr_db: float = 19.0,
-    engine: Optional[ExperimentEngine] = None,
 ) -> List[SIRPoint]:
-    """Measure Alice's decoding BER as a function of SIR (Fig. 13).
+    """Measure Alice's decoding BER at each SIR of a grid (Fig. 13).
 
     Parameters
     ----------
     config:
         Supplies payload size, overlap statistics and the master seed.
+    engine:
+        How the grid points execute (serial, parallel, resumed from a
+        disk cache); the points are identical either way.
     sir_db_values:
         The SIR grid; the paper sweeps −3 dB to +4 dB.
     packets_per_point:
@@ -176,11 +180,7 @@ def run_sir_sweep(
     snr_db:
         Operating SNR of all links during the sweep (power control changes
         only Bob's transmit power, not the noise).
-    engine:
-        How the grid points execute (serial, parallel, resumed from a
-        disk cache); the sweep result is identical either way.
     """
-    cfg = config if config is not None else ExperimentConfig()
     params = {
         "sir_db_values": tuple(float(v) for v in sir_db_values),
         "packets_per_point": int(packets_per_point),
@@ -189,17 +189,30 @@ def run_sir_sweep(
     return default_engine(engine).run_batched(
         "fig13_sir_sweep",
         run_sir_point_trial,
-        cfg,
+        config,
         range(len(params["sir_db_values"])),
         params=params,
-        batch_size=cfg.engine_batch_size,
+        batch_size=config.engine_batch_size,
     )
 
 
-def render_sir_table(points: Sequence[SIRPoint]) -> str:
-    """Plain-text rendering of the Fig. 13 curve."""
-    lines = ["SIR (dB) | mean BER | failures"]
-    lines.append("-" * len(lines[0]))
-    for point in points:
-        lines.append(f"{point.sir_db:8.1f} | {point.mean_ber:8.4f} | {point.decode_failures:8d}")
-    return "\n".join(lines)
+def run_sir_sweep(
+    config: Optional[ExperimentConfig] = None,
+    engine: Optional[ExperimentEngine] = None,
+    quick: bool = False,
+) -> ExperimentResult:
+    """Run the Fig. 13 sweep and return its ``points`` table.
+
+    The table has one row per :class:`SIRPoint`, its fields as columns.
+    Each SIR point simulates ``config.packets_per_run`` collisions.
+    ``quick`` is unused (the grid is fixed).
+    """
+    cfg = config if config is not None else ExperimentConfig()
+    points = sir_points(cfg, engine, packets_per_point=cfg.packets_per_run)
+    table = Series(
+        "points", tuple(f.name for f in fields(SIRPoint)), tuple(astuple(p) for p in points)
+    )
+    return make_result(
+        "sir", "figure", cfg, "sir", [table],
+        params={"packets_per_point": cfg.packets_per_run},
+    )

@@ -12,7 +12,7 @@ theoretical one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +26,7 @@ from repro.network.flows import Flow
 from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions, alice_bob_topology
 from repro.protocols.anc import ANCRelayProtocol, default_min_offset
 from repro.protocols.traditional import TraditionalRouting
+from repro.results.model import ExperimentResult, Series, make_result
 
 
 @dataclass(frozen=True)
@@ -109,30 +110,29 @@ def run_snr_point_trial(
     )
 
 
-def run_snr_sweep(
-    config: Optional[ExperimentConfig] = None,
+def snr_points(
+    config: ExperimentConfig,
+    engine: Optional[ExperimentEngine] = None,
     snr_db_values: Sequence[float] = (16.0, 20.0, 24.0, 28.0, 32.0, 36.0),
     runs_per_point: int = 2,
-    engine: Optional[ExperimentEngine] = None,
 ) -> List[SNRPoint]:
-    """Measure throughput gain and BER of ANC across operating SNRs.
+    """Measure throughput gain and BER of ANC at each operating SNR of a grid.
 
     Parameters
     ----------
     config:
         Supplies payload size, per-run packet counts, overlap statistics
         and the master seed.
+    engine:
+        How the grid points execute (serial, parallel, resumed from a
+        disk cache); the points are identical either way.
     snr_db_values:
         Operating SNRs to evaluate.  Values much below ~14 dB make packet
         detection itself unreliable, mirroring how real 802.11 receivers
         cannot associate below ~5-10 dB (§8).
     runs_per_point:
         Independent topology draws averaged per SNR value.
-    engine:
-        How the grid points execute (serial, parallel, resumed from a
-        disk cache); the sweep result is identical either way.
     """
-    cfg = config if config is not None else ExperimentConfig()
     params = {
         "snr_db_values": tuple(float(v) for v in snr_db_values),
         "runs_per_point": int(runs_per_point),
@@ -140,21 +140,27 @@ def run_snr_sweep(
     return default_engine(engine).run_batched(
         "extension_snr_sweep",
         run_snr_point_trial,
-        cfg,
+        config,
         range(len(params["snr_db_values"])),
         params=params,
-        batch_size=cfg.engine_batch_size,
+        batch_size=config.engine_batch_size,
     )
 
 
-def render_snr_table(points: Sequence[SNRPoint]) -> str:
-    """Plain-text rendering of the SNR sweep."""
-    lines = ["SNR (dB) | measured gain | theory gain | mean BER | delivery"]
-    lines.append("-" * len(lines[0]))
-    for point in points:
-        lines.append(
-            f"{point.snr_db:8.1f} | {point.gain_over_traditional:13.3f} | "
-            f"{point.theoretical_gain:11.3f} | {point.mean_ber:8.4f} | "
-            f"{point.delivery_ratio:8.3f}"
-        )
-    return "\n".join(lines)
+def run_snr_sweep(
+    config: Optional[ExperimentConfig] = None,
+    engine: Optional[ExperimentEngine] = None,
+    quick: bool = False,
+) -> ExperimentResult:
+    """Run the SNR sweep and return its ``points`` table.
+
+    The table has one row per :class:`SNRPoint`, its fields as columns.
+    ``quick`` is unused (the grid is fixed).
+    """
+    cfg = config if config is not None else ExperimentConfig()
+    table = Series(
+        "points",
+        tuple(f.name for f in fields(SNRPoint)),
+        tuple(astuple(p) for p in snr_points(cfg, engine)),
+    )
+    return make_result("snr", "figure", cfg, "snr", [table], params={})

@@ -8,99 +8,56 @@ decoding still works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
+
+import numpy as np
 
 from repro.experiments.alice_bob import run_alice_bob_experiment
 from repro.experiments.chain import run_chain_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.sir_sweep import SIRPoint, run_sir_sweep
+from repro.experiments.sir_sweep import sir_points
 from repro.experiments.x_topology import run_x_topology_experiment
-from repro.metrics.report import ExperimentReport
-
-#: The paper's §11.3 headline numbers, shown next to the measured column.
-PAPER_REFERENCE = {
-    "alice_bob_gain_over_traditional": 1.70,
-    "alice_bob_gain_over_cope": 1.30,
-    "alice_bob_mean_ber": 0.04,
-    "x_gain_over_traditional": 1.65,
-    "x_gain_over_cope": 1.28,
-    "chain_gain_over_traditional": 1.36,
-    "chain_mean_ber": 0.015,
-    "ber_at_minus3db_sir": 0.05,
-}
+from repro.results.model import ExperimentResult, Series, make_result
+from repro.results.render import gain_samples
 
 
-def render_summary_rows(rows: Dict[str, float]) -> str:
-    """Render the §11.3 measured-vs-paper table from its metric rows.
-
-    Shared by :meth:`SummaryResult.render` and the structured-results
-    renderer (:mod:`repro.results.render`), so the text view stays
-    byte-identical whichever path produced the numbers.
-    """
-    lines = ["=== Summary of results (paper §11.3) ==="]
-    lines.append(f"{'metric':38} | {'measured':>9} | {'paper':>7}")
-    lines.append("-" * 62)
-    for key, value in rows.items():
-        reference = PAPER_REFERENCE.get(key, float('nan'))
-        lines.append(f"{key:38} | {value:9.3f} | {reference:7.3f}")
-    return "\n".join(lines)
+def _mean_gain(result: ExperimentResult, baseline: str) -> float:
+    """Mean per-run gain over ``baseline`` of a testbed figure result."""
+    gains = gain_samples(result, baseline)
+    return float(sum(gains) / len(gains))
 
 
-@dataclass
-class SummaryResult:
-    """All headline numbers of §11.3 in one object."""
-
-    alice_bob: ExperimentReport
-    x_topology: ExperimentReport
-    chain: ExperimentReport
-    sir_points: List[SIRPoint] = field(default_factory=list)
-
-    def rows(self) -> Dict[str, float]:
-        """The summary numbers, keyed the way the benchmarks print them."""
-        rows: Dict[str, float] = {}
-        rows["alice_bob_gain_over_traditional"] = self.alice_bob.comparisons[
-            "traditional"
-        ].mean_gain
-        rows["alice_bob_gain_over_cope"] = self.alice_bob.comparisons["cope"].mean_gain
-        rows["alice_bob_mean_ber"] = self.alice_bob.ber_cdf.mean
-        rows["x_gain_over_traditional"] = self.x_topology.comparisons["traditional"].mean_gain
-        rows["x_gain_over_cope"] = self.x_topology.comparisons["cope"].mean_gain
-        rows["chain_gain_over_traditional"] = self.chain.comparisons["traditional"].mean_gain
-        rows["chain_mean_ber"] = self.chain.ber_cdf.mean
-        if self.sir_points:
-            lowest = min(self.sir_points, key=lambda p: p.sir_db)
-            rows["ber_at_minus3db_sir"] = lowest.mean_ber
-        return rows
-
-    def render(self) -> str:
-        """Plain-text rendering of the summary table."""
-        return render_summary_rows(self.rows())
+def _mean_ber(result: ExperimentResult) -> float:
+    """Mean per-packet BER of a testbed figure result's ANC decodes."""
+    return float(np.mean(result.get_series("ber").column("ber")))
 
 
 def run_summary(
     config: Optional[ExperimentConfig] = None,
-    include_sir_sweep: bool = True,
     engine: Optional[ExperimentEngine] = None,
-) -> SummaryResult:
-    """Run every evaluation experiment and collect the §11.3 summary.
+    quick: bool = False,
+) -> ExperimentResult:
+    """Run every evaluation experiment and collect the §11.3 summary rows.
 
     ``engine`` is forwarded to each sub-experiment, so a parallel or
-    resumable engine accelerates the whole summary at once.
+    resumable engine accelerates the whole summary at once.  ``quick`` is
+    unused (sizes come from ``config``).
     """
     cfg = config if config is not None else ExperimentConfig()
-    alice_bob = run_alice_bob_experiment(cfg, engine=engine)
-    x_top = run_x_topology_experiment(cfg, engine=engine)
-    chain = run_chain_experiment(cfg, engine=engine)
-    sir_points: List[SIRPoint] = []
-    if include_sir_sweep:
-        sir_points = run_sir_sweep(
-            cfg, packets_per_point=max(4, cfg.packets_per_run // 2), engine=engine
-        )
-    return SummaryResult(
-        alice_bob=alice_bob,
-        x_topology=x_top,
-        chain=chain,
-        sir_points=sir_points,
-    )
+    alice_bob = run_alice_bob_experiment(cfg, engine)
+    x_top = run_x_topology_experiment(cfg, engine)
+    chain = run_chain_experiment(cfg, engine)
+    points = sir_points(cfg, engine, packets_per_point=max(4, cfg.packets_per_run // 2))
+    rows = {
+        "alice_bob_gain_over_traditional": _mean_gain(alice_bob, "traditional"),
+        "alice_bob_gain_over_cope": _mean_gain(alice_bob, "cope"),
+        "alice_bob_mean_ber": _mean_ber(alice_bob),
+        "x_gain_over_traditional": _mean_gain(x_top, "traditional"),
+        "x_gain_over_cope": _mean_gain(x_top, "cope"),
+        "chain_gain_over_traditional": _mean_gain(chain, "traditional"),
+        "chain_mean_ber": _mean_ber(chain),
+        "ber_at_minus3db_sir": min(points, key=lambda p: p.sir_db).mean_ber,
+    }
+    table = Series("rows", ("metric", "measured"), tuple(rows.items()))
+    return make_result("summary", "figure", cfg, "summary", [table], rows)

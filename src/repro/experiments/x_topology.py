@@ -11,23 +11,20 @@ few points lower than Alice–Bob's and the BER CDF has a heavier tail
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.channel.impairments import IMPAIRMENT_STREAM, apply_impairments
 from repro.channel.interference import OverlapModel
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
-from repro.metrics.ber import ber_cdf
-from repro.metrics.gain import pair_runs
-from repro.metrics.report import ComparisonReport, ExperimentReport
+from repro.metrics.report import report_result
 from repro.network.flows import Flow
 from repro.network.topologies import N1, N2, N3, N4, N5, ChannelConditions, x_topology
 from repro.protocols.anc import ANCRelayProtocol, default_min_offset
 from repro.protocols.base import RunResult
 from repro.protocols.cope import CopeRelayProtocol
 from repro.protocols.traditional import TraditionalRouting
+from repro.results.model import ExperimentResult
 
 
 def run_x_topology_trial(
@@ -99,32 +96,21 @@ def run_x_topology_trial(
 def run_x_topology_experiment(
     config: Optional[ExperimentConfig] = None,
     engine: Optional[ExperimentEngine] = None,
-) -> ExperimentReport:
-    """Run the Fig. 10 experiment and return its report."""
+    quick: bool = False,
+) -> ExperimentResult:
+    """Run the Fig. 10 experiment and return its result tables."""
     cfg = config if config is not None else ExperimentConfig()
     trials = default_engine(engine).run_batched(
         "fig10_x_topology", run_x_topology_trial, cfg, range(cfg.runs),
         batch_size=cfg.engine_batch_size,
     )
-    traditional_runs: List[RunResult] = [t[0] for t in trials]
-    cope_runs: List[RunResult] = [t[1] for t in trials]
-    anc_runs: List[RunResult] = [t[2] for t in trials]
-
-    report = ExperimentReport(name="fig10_x_topology", anc_runs=anc_runs)
-    report.baseline_runs = {"traditional": traditional_runs, "cope": cope_runs}
-    report.comparisons = {
-        "traditional": ComparisonReport(
-            baseline_scheme="traditional",
-            samples=pair_runs(anc_runs, traditional_runs),
-        ),
-        "cope": ComparisonReport(
-            baseline_scheme="cope",
-            samples=pair_runs(anc_runs, cope_runs),
-        ),
-    }
-    report.ber_cdf = ber_cdf(anc_runs, include_losses=True)
-    report.extras = {
-        "mean_overlap": float(np.mean([r.mean_overlap for r in anc_runs])),
-        "anc_delivery_ratio": float(np.mean([r.delivery_ratio for r in anc_runs])),
-    }
-    return report
+    return report_result(
+        "x",
+        "fig10_x_topology",
+        cfg,
+        anc_runs=[t[2] for t in trials],
+        baseline_runs={
+            "traditional": [t[0] for t in trials],
+            "cope": [t[1] for t in trials],
+        },
+    )

@@ -1,138 +1,89 @@
-"""Human-readable experiment reports.
+"""The result tables of a testbed figure (Figs. 9, 10 and 12).
 
-The benchmark harness prints, for every reproduced figure, the same rows
-or series the paper reports: mean gains, BER statistics and CDF tables.
-These dataclasses hold the aggregated numbers and render them as plain
-text so the regenerated "figure" can be read directly from the benchmark
-output (no plotting dependency is assumed in the offline environment).
+Each testbed figure runs ANC and one or two baselines over the same
+per-run topology draws and reports the same three tables:
+
+* ``runs`` — one summary row per (scheme, run);
+* ``gains`` — the per-run throughput gain of ANC over each baseline (the
+  Figs. 9a / 10a / 12a CDFs);
+* ``ber`` — the sorted per-packet BER of the ANC decodes (Figs. 9b / 10b /
+  12b), lost packets included.
+
+:func:`report_result` builds them straight from the protocol runs;
+:func:`repro.results.render.render_text` formats them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.metrics.gain import GainSample, gain_cdf, mean_gain
+from repro.metrics.ber import ber_cdf
+from repro.metrics.gain import pair_runs
 from repro.protocols.base import RunResult
-from repro.utils.cdf import EmpiricalCDF
+from repro.results.model import ExperimentResult, Series, make_result
+
+#: Columns of the per-run table shared by every testbed figure.
+RUN_COLUMNS = (
+    "run",
+    "scheme",
+    "topology",
+    "throughput",
+    "packets_offered",
+    "packets_delivered",
+    "packets_lost",
+    "air_time_samples",
+    "slots_used",
+    "mean_ber",
+    "delivery_ratio",
+    "mean_overlap",
+    "redundancy_overhead",
+)
+
+#: Columns of the per-run gain table.
+GAIN_COLUMNS = ("baseline", "run", "gain", "anc_throughput", "baseline_throughput")
 
 
-def format_cdf_table(cdf: EmpiricalCDF, points: Sequence[float], label: str = "value") -> str:
-    """Render a CDF as a small text table evaluated at the given points."""
-    lines = [f"{label:>12} | CDF"]
-    lines.append("-" * len(lines[0]))
-    for x, y in cdf.table(points):
-        lines.append(f"{x:12.4f} | {y:5.3f}")
-    return "\n".join(lines)
+def report_result(
+    name: str,
+    title: str,
+    config,
+    anc_runs: Sequence[RunResult],
+    baseline_runs: Mapping[str, Sequence[RunResult]],
+) -> ExperimentResult:
+    """Build a testbed figure's result from its paired protocol runs.
 
-
-@dataclass
-class ComparisonReport:
-    """Aggregate comparison of ANC against one baseline over paired runs."""
-
-    baseline_scheme: str
-    samples: List[GainSample]
-
-    @property
-    def cdf(self) -> EmpiricalCDF:
-        return gain_cdf(self.samples)
-
-    @property
-    def mean_gain(self) -> float:
-        return mean_gain(self.samples)
-
-    @property
-    def median_gain(self) -> float:
-        return self.cdf.median
-
-    @property
-    def mean_gain_percent(self) -> float:
-        """The headline "+X %" formulation used in §11.3."""
-        return (self.mean_gain - 1.0) * 100.0
-
-    def render(self, points: Optional[Sequence[float]] = None) -> str:
-        """Plain-text rendering: headline numbers plus the gain CDF table."""
-        pts = points if points is not None else np.round(np.arange(0.6, 2.05, 0.1), 2)
-        header = (
-            f"ANC gain over {self.baseline_scheme}: mean {self.mean_gain:.2f}x "
-            f"({self.mean_gain_percent:+.0f}%), median {self.median_gain:.2f}x, "
-            f"runs={len(self.samples)}"
-        )
-        return header + "\n" + format_cdf_table(self.cdf, pts, label="gain")
-
-
-@dataclass
-class ExperimentReport:
-    """Everything one reproduced figure needs to be printed.
-
-    Attributes
-    ----------
-    name:
-        Experiment identifier (e.g. ``"fig09_alice_bob"``).
-    anc_runs / baseline_runs:
-        Per-run results keyed by scheme name.
-    comparisons:
-        Gain comparison against each baseline.
-    ber_cdf:
-        CDF of per-packet BER for ANC-decoded packets (if applicable).
-    extras:
-        Free-form scalar results (e.g. crossover SNR, mean overlap).
+    ``name`` is the registry name, ``title`` the report heading;
+    ``baseline_runs`` maps each baseline scheme to its runs, paired by
+    index with ``anc_runs``.
     """
-
-    name: str
-    anc_runs: List[RunResult] = field(default_factory=list)
-    baseline_runs: Dict[str, List[RunResult]] = field(default_factory=dict)
-    comparisons: Dict[str, ComparisonReport] = field(default_factory=dict)
-    ber_cdf: Optional[EmpiricalCDF] = None
-    extras: Dict[str, float] = field(default_factory=dict)
-
-    def render(self) -> str:
-        """Render the full experiment report as plain text."""
-        lines = [f"=== {self.name} ==="]
-        for baseline, comparison in self.comparisons.items():
-            lines.append(comparison.render())
-            lines.append("")
-        if self.ber_cdf is not None:
-            lines.append(
-                f"ANC packet BER: mean {self.ber_cdf.mean:.4f}, "
-                f"median {self.ber_cdf.median:.4f}, p90 {self.ber_cdf.quantile(0.9):.4f}"
-            )
-            lines.append(
-                format_cdf_table(
-                    self.ber_cdf,
-                    points=[0.0, 0.01, 0.02, 0.04, 0.06, 0.1, 0.2, 0.3, 0.5],
-                    label="BER",
-                )
-            )
-            lines.append("")
-        for key, value in sorted(self.extras.items()):
-            lines.append(f"{key}: {value:.4f}")
-        return "\n".join(lines)
-
-    def to_result(self, name: str, config) -> "ExperimentResult":
-        """Flatten the report into a typed, serializable result object.
-
-        ``name`` is the registry name the result is filed under (e.g.
-        ``"alice-bob"``); ``config`` is the
-        :class:`~repro.experiments.config.ExperimentConfig` of the run,
-        snapshotted into the result.  The returned
-        :class:`~repro.results.model.ExperimentResult` carries everything
-        :meth:`render` consumes, so
-        :func:`repro.results.render.render_text` reproduces this report's
-        text byte-for-byte.
-        """
-        from repro.results.adapters import experiment_report_result
-
-        return experiment_report_result(name, self, config)
-
-    def summary_row(self) -> Dict[str, float]:
-        """Compact dictionary of the headline numbers (for the summary table)."""
-        row: Dict[str, float] = {}
-        for baseline, comparison in self.comparisons.items():
-            row[f"gain_over_{baseline}"] = comparison.mean_gain
-        if self.ber_cdf is not None:
-            row["mean_ber"] = self.ber_cdf.mean
-        row.update(self.extras)
-        return row
+    scheme_runs = {"anc": anc_runs, **baseline_runs}
+    run_rows = []
+    for scheme, runs in scheme_runs.items():
+        for index, run in enumerate(runs):
+            record = run.to_record()
+            run_rows.append((index, scheme) + tuple(record[c] for c in RUN_COLUMNS[2:]))
+    gain_rows = [
+        (baseline, s.run_index, s.gain, s.anc_throughput, s.baseline_throughput)
+        for baseline, runs in baseline_runs.items()
+        for s in pair_runs(anc_runs, runs)
+    ]
+    ber = ber_cdf(anc_runs, include_losses=True)
+    return make_result(
+        name,
+        "figure",
+        config,
+        "report",
+        [
+            Series("runs", RUN_COLUMNS, tuple(run_rows)),
+            Series("gains", GAIN_COLUMNS, tuple(gain_rows)),
+            Series("ber", ("ber",), tuple((float(v),) for v in ber.samples)),
+        ],
+        {
+            "mean_overlap": float(np.mean([r.mean_overlap for r in anc_runs])),
+            "anc_delivery_ratio": float(np.mean([r.delivery_ratio for r in anc_runs])),
+        },
+        title=title,
+        baselines=list(baseline_runs),
+    )

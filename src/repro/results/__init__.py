@@ -6,13 +6,14 @@ the reproduction:
 * :mod:`repro.results.model` — :class:`ExperimentResult`, its
   :class:`Series`/:class:`Record` tables, and the lossless
   ``to_dict``/``from_dict``/JSON/CSV serialization with a versioned
-  schema (:data:`SCHEMA_VERSION`);
-* :mod:`repro.results.adapters` — builders that flatten the rich
-  experiment objects (reports, curves, point lists, scenario tables)
-  into results;
-* :mod:`repro.results.render` — :func:`render_text`, the plain-text view
-  that regenerates the legacy reports byte-for-byte from the structured
-  data.
+  schema (:data:`SCHEMA_VERSION`), and
+  :func:`~repro.results.model.make_result`, which every experiment uses
+  to build its result directly from its trial outputs;
+* :mod:`repro.results.render` — :func:`render_text`, which formats the
+  plain-text report of any result from its tables, scalars and metadata
+  (all of the library's text formatting lives there).
+
+There is one result path: experiment → result tables → ``render_text``.
 
 Obtain results through the facade::
 

@@ -18,10 +18,10 @@ instead:
   exactly (``from_dict(to_dict(r)) == r``), with JSON and sectioned-CSV
   exports layered on top.
 
-Plain-text rendering is a *view* over this model
-(:func:`repro.results.render.render_text`), byte-identical to the legacy
-``.render()`` reports, so nothing downstream of the text output changes.
-See ``docs/API.md`` for the schema reference.
+Each experiment builds its result directly from its trial outputs
+(through :func:`make_result`), and plain text is formatted from these
+tables by :func:`repro.results.render.render_text`.  See ``docs/API.md``
+for the schema reference.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+import repro
 from repro.exceptions import ConfigurationError
 
 #: Versioned schema tag embedded in every export.  Bump the trailing
@@ -380,3 +381,31 @@ class ExperimentResult:
 def result_fields() -> List[str]:
     """Names of the top-level result fields (the schema's key set)."""
     return [f.name for f in fields(ExperimentResult)]
+
+
+def make_result(
+    name: str,
+    kind: str,
+    config: Any,
+    renderer: str,
+    series: Iterable[Series],
+    scalars: Optional[Mapping[str, float]] = None,
+    **meta: Any,
+) -> ExperimentResult:
+    """Assemble one experiment's result from its tables.
+
+    ``config`` is the run's :class:`~repro.experiments.config.ExperimentConfig`;
+    its snapshot and seed are recorded.  ``meta`` starts with the
+    ``renderer`` tag :func:`~repro.results.render.render_text` dispatches
+    on and the library version, followed by the extra ``meta`` entries in
+    the order given.
+    """
+    return ExperimentResult(
+        name=name,
+        kind=kind,
+        config=config.snapshot(),
+        seed=int(config.seed),
+        series={table.name: table for table in series},
+        scalars=dict(scalars or {}),
+        meta={"renderer": renderer, "version": repro.__version__, **meta},
+    )

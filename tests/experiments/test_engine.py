@@ -13,6 +13,7 @@ Covers the three guarantees the experiment runners rely on:
 
 from __future__ import annotations
 
+import logging
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
@@ -29,8 +30,8 @@ from repro.experiments.engine import (
     default_engine,
 )
 from repro.experiments.runner import REGISTRY
-from repro.experiments.sir_sweep import run_sir_sweep
-from repro.experiments.snr_sweep import run_snr_sweep
+from repro.experiments.sir_sweep import sir_points
+from repro.experiments.snr_sweep import snr_points
 from repro.results.render import render_text
 
 
@@ -123,20 +124,14 @@ class TestSerialParallelEquivalence:
         serial = run_alice_bob_experiment(quick_config, engine=ExperimentEngine(workers=1))
         parallel = run_alice_bob_experiment(quick_config, engine=ExperimentEngine(workers=2))
         # Exact equality, not approx: parallel execution must reproduce the
-        # serial reports bit for bit.
-        assert serial.render() == parallel.render()
-        assert [r.throughput for r in serial.anc_runs] == [
-            r.throughput for r in parallel.anc_runs
-        ]
-        assert serial.comparisons["traditional"].mean_gain == (
-            parallel.comparisons["traditional"].mean_gain
-        )
-        assert serial.ber_cdf.mean == parallel.ber_cdf.mean
+        # serial result tables bit for bit.
+        assert serial == parallel
+        assert render_text(serial) == render_text(parallel)
 
     def test_sir_sweep_bit_identical(self, quick_config):
         kwargs = dict(sir_db_values=(-3.0, 1.0), packets_per_point=2)
-        serial = run_sir_sweep(quick_config, engine=ExperimentEngine(workers=1), **kwargs)
-        parallel = run_sir_sweep(quick_config, engine=ExperimentEngine(workers=2), **kwargs)
+        serial = sir_points(quick_config, engine=ExperimentEngine(workers=1), **kwargs)
+        parallel = sir_points(quick_config, engine=ExperimentEngine(workers=2), **kwargs)
         assert serial == parallel
 
 
@@ -215,7 +210,7 @@ class TestRunBatched:
             runner(config, engine=engine)
             assert engine.last_stats.batch_size == 2
         engine = ExperimentEngine()
-        run_capacity_experiment(config=config, snr_db_values=[10.0, 20.0], engine=engine)
+        run_capacity_experiment(config=config, engine=engine)
         assert engine.last_stats.batch_size == 2
 
     def test_engine_batch_size_survives_default_config(self, quick_config):
@@ -233,7 +228,8 @@ class TestRunBatched:
             quick_config.with_overrides(batch_size=2),
             engine=ExperimentEngine(workers=2),
         )
-        assert serial.render() == batched.render()
+        assert serial.series == batched.series
+        assert render_text(serial) == render_text(batched)
 
 
 class TestResume:
@@ -268,6 +264,23 @@ class TestResume:
         resumed = ExperimentEngine(cache_dir=tmp_path)
         assert resumed.map("toy", _draw_trial, quick_config, range(2)) == results
         assert resumed.last_stats.executed_trials == 1
+
+    def test_corrupt_cache_entry_logs_one_warning(self, quick_config, tmp_path, caplog):
+        clean = ExperimentEngine().map("toy", _draw_trial, quick_config, range(3))
+        engine = ExperimentEngine(cache_dir=tmp_path)
+        engine.map("toy", _draw_trial, quick_config, range(3))
+        victim = tmp_path / engine.last_stats.digest / f"{_key_slug(1)}.pkl"
+        victim.write_bytes(b"\x80\x04garbled")
+
+        resumed = ExperimentEngine(cache_dir=tmp_path)
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.engine"):
+            assert resumed.map("toy", _draw_trial, quick_config, range(3)) == clean
+        assert resumed.last_stats.executed_trials == 1
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert str(victim) in message
+        assert "UnpicklingError" in message
 
     def test_truncated_cache_entry_recomputed(self, quick_config, tmp_path):
         """A torn write that is a *prefix* of a valid pickle still recomputes.
@@ -311,9 +324,9 @@ class TestResume:
     def test_experiment_resume_matches_uncached_run(self, quick_config, tmp_path):
         kwargs = dict(snr_db_values=(20.0, 30.0), runs_per_point=1)
         cached_engine = ExperimentEngine(cache_dir=tmp_path)
-        first = run_snr_sweep(quick_config, engine=cached_engine, **kwargs)
-        resumed = run_snr_sweep(quick_config, engine=ExperimentEngine(cache_dir=tmp_path), **kwargs)
-        uncached = run_snr_sweep(quick_config, engine=ExperimentEngine(), **kwargs)
+        first = snr_points(quick_config, engine=cached_engine, **kwargs)
+        resumed = snr_points(quick_config, engine=ExperimentEngine(cache_dir=tmp_path), **kwargs)
+        uncached = snr_points(quick_config, engine=ExperimentEngine(), **kwargs)
         assert first == resumed == uncached
 
 
@@ -351,6 +364,28 @@ class TestCacheKeying:
 
         with pytest.raises(ConfigurationError, match="stable cache digest"):
             ExperimentEngine.task_digest("toy", _draw_trial, Opaque())
+
+    def test_non_json_param_rejected_by_name(self, quick_config):
+        """A param digested through its repr would bake in a memory address."""
+        with pytest.raises(ConfigurationError, match="trial param 'marker'"):
+            ExperimentEngine.task_digest(
+                "toy", _echo_trial, quick_config, params={"scale": 1.0, "marker": object()}
+            )
+
+    def test_ndarray_param_keyed_by_content(self, quick_config):
+        """numpy's repr elides the middle of large arrays; the digest must not."""
+        base = np.arange(5000, dtype=np.float64)
+        edited = base.copy()
+        edited[2500] = -1.0
+        assert repr(base) == repr(edited)
+
+        def digest(weights):
+            return ExperimentEngine.task_digest(
+                "toy", _weighted_trial, quick_config, params={"weights": weights}
+            )
+
+        assert digest(base) == digest(base.copy())
+        assert digest(base) != digest(edited)
 
     def test_json_serializable_plain_config_still_digests(self):
         plain = {"seed": 7, "snr_db": 15.0}
@@ -488,9 +523,11 @@ class TestRunnerRegistry:
         assert "crossover" in render_text(result)
 
     def test_alice_bob_runner_matches_direct_call(self, quick_config):
-        via_registry = render_text(api.run("alice-bob", config=quick_config))
-        direct = run_alice_bob_experiment(quick_config).render()
-        assert via_registry == direct
+        via_registry = api.run("alice-bob", config=quick_config)
+        direct = run_alice_bob_experiment(quick_config)
+        assert REGISTRY["alice-bob"].run is run_alice_bob_experiment
+        assert via_registry.series == direct.series
+        assert render_text(via_registry) == render_text(direct)
 
 
 class TestTrialFunctionsAreEngineCompatible:
@@ -501,7 +538,10 @@ class TestTrialFunctionsAreEngineCompatible:
 
     def test_trial_matches_experiment_runs(self, quick_config):
         traditional, cope, anc = run_alice_bob_trial(quick_config, 0)
-        report = run_alice_bob_experiment(quick_config)
-        assert report.baseline_runs["traditional"][0].throughput == traditional.throughput
-        assert report.baseline_runs["cope"][0].throughput == cope.throughput
-        assert report.anc_runs[0].throughput == anc.throughput
+        runs = run_alice_bob_experiment(quick_config).get_series("runs").records()
+        first_run = {r["scheme"]: r["throughput"] for r in runs if r["run"] == 0}
+        assert first_run == {
+            "traditional": traditional.throughput,
+            "cope": cope.throughput,
+            "anc": anc.throughput,
+        }

@@ -10,6 +10,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.fading_sweep import FADING_SWEEP, RAYLEIGH_K_DB, run_fading_sweep_trial
 from repro.experiments.geometry_mesh import GEOMETRY_MESH, run_geometry_mesh_trial
 from repro.experiments.scenarios import run_scenario
+from repro.results import render_text
 
 TINY = ExperimentConfig(runs=1, packets_per_run=2, payload_bits=512, seed=5)
 
@@ -169,10 +170,10 @@ class TestImpairmentThreading:
         assert clean != impaired
 
     def test_sir_sweep_honours_impairments(self):
-        from repro.experiments.sir_sweep import run_sir_sweep
+        from repro.experiments.sir_sweep import sir_points
 
-        clean = run_sir_sweep(TINY, sir_db_values=(0.0,), packets_per_point=3)
-        impaired = run_sir_sweep(
+        clean = sir_points(TINY, sir_db_values=(0.0,), packets_per_point=3)
+        impaired = sir_points(
             self.IMPAIRED, sir_db_values=(0.0,), packets_per_point=3
         )
         assert clean != impaired
@@ -228,9 +229,8 @@ class TestImpairmentThreading:
 
 
 class TestScenarioRuns:
-    def test_cfo_sweep_report_renders(self):
-        report = run_scenario(CFO_SWEEP, TINY, quick=True)
-        text = report.render()
+    def test_cfo_sweep_result_renders(self):
+        text = render_text(run_scenario(CFO_SWEEP, TINY, quick=True))
         assert "=== scenario cfo_sweep ===" in text
         assert "anc/traditional" in text
 

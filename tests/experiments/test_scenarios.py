@@ -10,6 +10,7 @@ from repro.experiments.chain_sweep import CHAIN_SWEEP, run_chain_sweep_trial
 from repro.experiments.mesh_sweep import draw_mesh_flows, run_mesh_sweep_trial
 from repro.network.generator import generate_random_mesh
 from repro.network.topologies import ChannelConditions
+from repro.results import render_text
 
 QUICK = ExperimentConfig(runs=2, packets_per_run=3, payload_bits=512, seed=11)
 TINY = ExperimentConfig(runs=1, packets_per_run=2, payload_bits=512, seed=3)
@@ -57,10 +58,9 @@ class TestChainSweep:
         # the optimal-MAC pipelined routing schedule.
         assert cell["cope"]["throughput"] >= cell["traditional"]["throughput"]
 
-    def test_report_renders_table(self):
+    def test_result_renders_table(self):
         spec = CHAIN_SWEEP
-        report = run_scenario(spec, QUICK, quick=True)
-        text = report.render()
+        text = render_text(run_scenario(spec, QUICK, quick=True))
         assert "=== scenario chain_sweep ===" in text
         assert "anc/traditional" in text
         assert f"runs per point: {QUICK.runs}" in text
@@ -95,7 +95,7 @@ class TestEngineIntegration:
         spec = CHAIN_SWEEP
         serial = run_scenario(spec, TINY, engine=ExperimentEngine(workers=1), quick=True)
         parallel = run_scenario(spec, TINY, engine=ExperimentEngine(workers=2), quick=True)
-        assert serial.render() == parallel.render()
+        assert serial == parallel
 
     def test_cache_resume(self, tmp_path):
         spec = CHAIN_SWEEP
@@ -105,4 +105,4 @@ class TestEngineIntegration:
         second = run_scenario(spec, TINY, engine=engine, quick=True)
         assert engine.last_stats.executed_trials == 0
         assert engine.last_stats.cached_trials == engine.last_stats.total_trials
-        assert first.render() == second.render()
+        assert first == second

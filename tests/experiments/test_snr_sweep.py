@@ -3,13 +3,14 @@
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.snr_sweep import render_snr_table, run_snr_sweep
+from repro.experiments.snr_sweep import run_snr_sweep, snr_points
+from repro.results import render_text
 
 
 @pytest.fixture(scope="module")
 def sweep_points():
     config = ExperimentConfig(runs=1, packets_per_run=4, payload_bits=512, seed=17)
-    return run_snr_sweep(config, snr_db_values=(18.0, 26.0, 32.0), runs_per_point=1)
+    return snr_points(config, snr_db_values=(18.0, 26.0, 32.0), runs_per_point=1)
 
 
 class TestSnrSweep:
@@ -32,7 +33,11 @@ class TestSnrSweep:
     def test_delivery_high_across_range(self, sweep_points):
         assert all(p.delivery_ratio > 0.8 for p in sweep_points)
 
-    def test_render_table(self, sweep_points):
-        table = render_snr_table(sweep_points)
+    def test_result_table_and_text(self):
+        config = ExperimentConfig(runs=1, packets_per_run=2, payload_bits=512, seed=17)
+        result = run_snr_sweep(config)
+        points = result.get_series("points")
+        assert points.column("snr_db") == [16.0, 20.0, 24.0, 28.0, 32.0, 36.0]
+        table = render_text(result)
         assert "SNR (dB)" in table
-        assert "18.0" in table
+        assert "16.0" in table

@@ -3,12 +3,13 @@
 The JSON files under ``tests/golden/`` (written by
 ``tools/make_golden.py``) freeze the full plain-text renderings of the
 quick-scale fig09/fig10/fig12 reproductions.  Each test replays the same
-experiment twice — through the scalar reference engine and through the
-batched engine (``batch_size > 1`` with worker blocks) — and requires the
-renderings to match the fixture byte for byte.  This is what stops a
-future refactor of the signal/modulation/anc layers from silently
-drifting the reference renderings: the drift surfaces here as a readable
-diff rather than deep inside a benchmark.
+experiment twice through ``api.run`` + ``render_text`` — once with the
+scalar reference engine and once with the batched engine
+(``batch_size > 1`` with worker blocks) — and requires the renderings to
+match the fixture byte for byte.  This is what stops a future refactor of
+the signal/modulation/anc layers from silently drifting the reference
+renderings: the drift surfaces here as a readable diff rather than deep
+inside a benchmark.
 
 After an *intentional* change to the reproduced numbers, regenerate with
 ``PYTHONPATH=src python tools/make_golden.py`` and commit the new
@@ -23,18 +24,17 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.experiments.alice_bob import run_alice_bob_experiment
-from repro.experiments.chain import run_chain_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.x_topology import run_x_topology_experiment
+from repro.results import render_text
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
-RUNNERS = {
-    "fig09_alice_bob": run_alice_bob_experiment,
-    "fig10_x_topology": run_x_topology_experiment,
-    "fig12_chain": run_chain_experiment,
+#: Golden fixture name -> registry name of the experiment it freezes.
+EXPERIMENTS = {
+    "fig09_alice_bob": "alice-bob",
+    "fig10_x_topology": "x",
+    "fig12_chain": "chain",
 }
 
 #: Time-domain scenarios pinned as structured-result fixtures (quick
@@ -55,24 +55,28 @@ def _fixture_config(fixture: dict, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**{**fixture["config"], **overrides})
 
 
-@pytest.mark.parametrize("name", sorted(RUNNERS))
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_scalar_run_matches_golden(name):
     """The scalar reference path must reproduce the fixture byte for byte."""
     fixture = _load_fixture(name)
-    report = RUNNERS[name](_fixture_config(fixture), engine=ExperimentEngine(workers=1))
-    assert report.render() == fixture["render"], (
+    result = api.run(
+        EXPERIMENTS[name], config=_fixture_config(fixture), engine=ExperimentEngine(workers=1)
+    )
+    assert render_text(result) == fixture["render"], (
         f"{name} drifted from its golden rendering; if the change is "
         "intentional, regenerate with tools/make_golden.py"
     )
 
 
-@pytest.mark.parametrize("name", sorted(RUNNERS))
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_batched_run_matches_golden(name):
     """The batched path (worker blocks, batch_size > 1) must match too."""
     fixture = _load_fixture(name)
     config = _fixture_config(fixture, batch_size=2)
-    report = RUNNERS[name](config, engine=ExperimentEngine(workers=2, batch_size=2))
-    assert report.render() == fixture["render"], (
+    result = api.run(
+        EXPERIMENTS[name], config=config, engine=ExperimentEngine(workers=2, batch_size=2)
+    )
+    assert render_text(result) == fixture["render"], (
         f"{name} batched run drifted from the golden rendering: batching "
         "must be invisible in results"
     )
@@ -116,7 +120,7 @@ def test_scenario_parallel_run_matches_golden(scenario):
 
 def test_fixture_metadata_is_consistent():
     """Every fixture names its experiment and carries the pinned config."""
-    for name in RUNNERS:
+    for name in EXPERIMENTS:
         fixture = _load_fixture(name)
         assert fixture["experiment"] == name
         assert fixture["config"]["seed"] == 7

@@ -5,14 +5,16 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.metrics.ber import ber_cdf, mean_ber, packet_ber, payload_ber_samples
 from repro.metrics.gain import GainSample, gain_cdf, mean_gain, pair_runs
-from repro.metrics.report import ComparisonReport, ExperimentReport, format_cdf_table
+from repro.metrics.report import report_result
 from repro.metrics.throughput import (
     aggregate_delivery_ratio,
     mean_throughput,
     network_throughput,
     throughput_gain,
 )
+from repro.experiments.config import ExperimentConfig
 from repro.protocols.base import RunResult
+from repro.results.render import format_cdf_table, gain_samples, render_text
 from repro.utils.cdf import EmpiricalCDF
 
 
@@ -113,27 +115,20 @@ class TestReports:
         assert "gain" in text
         assert "1.000" in text
 
-    def test_comparison_report(self):
-        samples = [
-            GainSample(0, 1.6, 1.0, 1.0, "traditional"),
-            GainSample(1, 1.8, 1.0, 1.0, "traditional"),
+    def test_report_result_tables_and_text(self):
+        anc = [_run(delivered=10, air=500, bers=(0.01, 0.02)), _run(delivered=10, air=600)]
+        traditional = [
+            _run("traditional", delivered=10, air=1000),
+            _run("traditional", delivered=10, air=1000),
         ]
-        report = ComparisonReport(baseline_scheme="traditional", samples=samples)
-        assert report.mean_gain == pytest.approx(1.7)
-        assert report.mean_gain_percent == pytest.approx(70.0)
-        assert "traditional" in report.render()
-
-    def test_experiment_report_render_and_summary(self):
-        samples = [GainSample(0, 1.5, 1.0, 1.0, "cope")]
-        report = ExperimentReport(
-            name="fig09",
-            comparisons={"cope": ComparisonReport("cope", samples)},
-            ber_cdf=EmpiricalCDF.from_samples([0.01, 0.02]),
-            extras={"mean_overlap": 0.8},
+        result = report_result(
+            "toy", "fig_toy", ExperimentConfig(), anc, {"traditional": traditional}
         )
-        text = report.render()
-        assert "fig09" in text
+        assert gain_samples(result, "traditional") == pytest.approx([2.0, 1000 / 600])
+        assert result.get_series("ber").column("ber") == [0.01, 0.02]
+        assert set(result.get_series("runs").column("scheme")) == {"anc", "traditional"}
+        assert result.meta["baselines"] == ["traditional"]
+        text = render_text(result)
+        assert text.startswith("=== fig_toy ===")
+        assert "ANC gain over traditional: mean 1.83x (+83%)" in text
         assert "mean_overlap" in text
-        row = report.summary_row()
-        assert row["gain_over_cope"] == pytest.approx(1.5)
-        assert row["mean_ber"] == pytest.approx(0.015)

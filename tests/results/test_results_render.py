@@ -55,20 +55,23 @@ def test_renderer_dispatch_rejects_unknown():
         render_text(stray)
 
 
-def test_capacity_nan_crossover_omitted_and_restored():
-    from repro.capacity.sweep import CapacityCurve
-    from repro.results.adapters import capacity_result
+def test_capacity_absent_crossover_renders_nan():
+    from repro.results import Series
 
-    curve = CapacityCurve(
-        snr_db=(10.0, 20.0),
-        traditional=(1.0, 2.0),
-        anc=(1.5, 3.0),
-        gain=(1.5, 1.5),
-        crossover_db=float("nan"),
+    # A crossover outside the swept grid is undefined; the model stores
+    # only finite numbers, so the scalar is omitted and renders as nan.
+    result = ExperimentResult(
+        name="capacity",
+        kind="figure",
+        config={},
+        series={
+            "curve": Series(
+                "curve", ("snr_db", "traditional", "anc", "gain"),
+                ((10.0, 1.0, 1.5, 1.5), (20.0, 2.0, 3.0, 1.5)),
+            )
+        },
+        meta={"renderer": "capacity"},
     )
-    result = capacity_result("capacity", curve, GOLDEN_CONFIG)
-    # The model stores only finite numbers; the undefined crossover is
-    # omitted and the text view restores the legacy NaN rendering.
-    assert "crossover_db" not in result.scalars
-    assert "crossover SNR: nan dB" in render_text(result)
-    assert ExperimentResult.from_json(result.to_json()) == result
+    text = render_text(ExperimentResult.from_json(result.to_json()))
+    assert "crossover SNR: nan dB" in text
+    assert text.endswith("gain at 20 dB: 1.50x")

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Regenerate the golden regression fixtures under ``tests/golden/``.
 
-Each JSON fixture freezes the full plain-text rendering of one
-quick-scale figure reproduction (fig09 Alice-Bob, fig10 X topology, fig12
-chain) at a pinned configuration.  ``tests/integration/test_golden.py``
+Each JSON fixture freezes the full plain-text rendering (``api.run`` +
+``render_text``) of one quick-scale figure reproduction (fig09
+Alice-Bob, fig10 X topology, fig12 chain) at a pinned configuration.  ``tests/integration/test_golden.py``
 replays the same experiments — through the scalar engine and through the
 batched engine — and requires byte-identical renderings, so any refactor
 that silently drifts the reproduced numbers fails CI.  One
@@ -33,21 +33,23 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.alice_bob import run_alice_bob_experiment  # noqa: E402
-from repro.experiments.chain import run_chain_experiment  # noqa: E402
+from repro import api  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
-from repro.experiments.x_topology import run_x_topology_experiment  # noqa: E402
+from repro.experiments.runner import REGISTRY  # noqa: E402
+from repro.results.model import ExperimentResult  # noqa: E402
+from repro.results.render import render_text  # noqa: E402
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
 #: The pinned quick-scale configuration every fixture is generated at.
 GOLDEN_CONFIG_FIELDS = {"runs": 3, "packets_per_run": 4, "payload_bits": 512, "seed": 7}
 
-#: The three figure experiments frozen as fixtures.
+#: The three figure experiments frozen as fixtures: fixture name ->
+#: registry name.
 GOLDEN_EXPERIMENTS = {
-    "fig09_alice_bob": run_alice_bob_experiment,
-    "fig10_x_topology": run_x_topology_experiment,
-    "fig12_chain": run_chain_experiment,
+    "fig09_alice_bob": "alice-bob",
+    "fig10_x_topology": "x",
+    "fig12_chain": "chain",
 }
 
 
@@ -115,18 +117,15 @@ def main(argv=None) -> int:
     output_dir = args.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
     config = golden_config()
-    for name, runner in GOLDEN_EXPERIMENTS.items():
-        report = runner(config)
+    for name, experiment in GOLDEN_EXPERIMENTS.items():
         payload = {
             "experiment": name,
             "config": GOLDEN_CONFIG_FIELDS,
-            "render": report.render(),
+            "render": render_text(api.run(experiment, config=config)),
         }
         path = output_dir / f"{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {_describe(path)}")
-
-    from repro import api  # noqa: E402  (after sys.path setup)
 
     result = api.run(RESULT_FIXTURE_EXPERIMENT, config=config)
     path = output_dir / RESULT_FIXTURE_NAME
@@ -142,10 +141,6 @@ def main(argv=None) -> int:
             json.dumps(normalized_result_dict(result), indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote {_describe(path)}")
-
-    from repro.experiments.runner import REGISTRY
-    from repro.results.model import ExperimentResult
-    from repro.results.render import render_text
 
     for name in REGISTRY:
         result = api.run(name, config=config, quick=True)

@@ -8,6 +8,7 @@ in decoded payloads when computing packet delivery statistics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -34,23 +35,40 @@ class CRCSpec:
 
 
 class _BitwiseCRC:
-    """Straightforward bitwise CRC engine (MSB-first, no reflection)."""
+    """MSB-first, non-reflected CRC engine.
+
+    Whole bytes go through a 256-entry table and the ``len % 8`` tail bits
+    through the bitwise shift register; both produce exactly the register
+    the plain bit-at-a-time division would.  The register is kept
+    left-aligned in ``max(width, 8)`` bits so the byte table also serves
+    CRCs narrower than a byte.
+    """
 
     def __init__(self, spec: CRCSpec) -> None:
         self.spec = spec
-        self._top_bit = 1 << (spec.width - 1)
-        self._mask = (1 << spec.width) - 1
+        self._register_bits = max(spec.width, 8)
+        self._align = self._register_bits - spec.width
+        self._mask = (1 << self._register_bits) - 1
+        self._polynomial = (spec.polynomial & ((1 << spec.width) - 1)) << self._align
+        self._table = _byte_table(self._register_bits, self._polynomial)
 
     def compute(self, bits) -> int:
         """CRC register value after shifting in all data bits."""
         data = as_bit_array(bits)
-        register = self.spec.initial & self._mask
-        for bit in data:
-            incoming = int(bit) ^ ((register >> (self.spec.width - 1)) & 1)
-            register = (register << 1) & self._mask
+        whole = data.size - data.size % 8
+        top = self._register_bits - 1
+        byte_shift = self._register_bits - 8
+        mask = self._mask
+        table = self._table
+        register = (self.spec.initial << self._align) & mask
+        for byte in np.packbits(data[:whole]).tobytes():
+            register = ((register << 8) & mask) ^ table[(register >> byte_shift) ^ byte]
+        for bit in data[whole:].tolist():
+            incoming = bit ^ (register >> top)
+            register = (register << 1) & mask
             if incoming:
-                register ^= self.spec.polynomial & self._mask
-        return register
+                register ^= self._polynomial
+        return register >> self._align
 
     def compute_bits(self, bits) -> np.ndarray:
         """CRC value rendered as a bit array of the CRC's width."""
@@ -76,6 +94,20 @@ class _BitwiseCRC:
         if not self.verify(data):
             raise CRCError(f"{self.spec.name} check failed")
         return data[: -self.spec.width]
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_table(register_bits: int, polynomial: int) -> Tuple[int, ...]:
+    """Register after shifting eight zero data bits into each top byte value."""
+    top = 1 << (register_bits - 1)
+    mask = (1 << register_bits) - 1
+    table = []
+    for byte in range(256):
+        register = byte << (register_bits - 8)
+        for _ in range(8):
+            register = ((register << 1) & mask) ^ (polynomial if register & top else 0)
+        table.append(register)
+    return tuple(table)
 
 
 #: CRC-16/CCITT-FALSE: polynomial 0x1021, initial value 0xFFFF.

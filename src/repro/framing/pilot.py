@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.constants import PILOT_LENGTH_BITS, PILOT_SEED
 from repro.exceptions import ConfigurationError
@@ -75,23 +76,11 @@ def find_all_pilots(
     candidate and keeping the frame that validates is how the overhearing
     path locks onto the decodable one.
     """
-    bits = as_bit_array(decoded_bits)
-    target = pilot.bits
-    n = bits.size
-    if n < pilot.length:
-        return []
-    last_start = n - pilot.length
-    if search_limit is not None:
-        last_start = min(last_start, max(int(search_limit), 0))
-    scored = []
-    for start in range(last_start + 1):
-        window = bits[start : start + pilot.length]
-        errors = int(np.count_nonzero(window != target))
-        if errors <= max_errors:
-            scored.append((errors, start))
-    scored.sort()
-    selected = []
-    for _, start in scored:
+    errors = _window_errors(decoded_bits, pilot, search_limit)
+    candidates = np.flatnonzero(errors <= max_errors)
+    ranked = candidates[np.argsort(errors[candidates], kind="stable")]
+    selected: list = []
+    for start in ranked.tolist():
         if all(abs(start - chosen) >= pilot.length for chosen in selected):
             selected.append(start)
     return selected
@@ -127,24 +116,26 @@ def find_pilot(
         Index of the first bit of the pilot within ``decoded_bits``, or
         ``None`` if no window matches.
     """
-    bits = as_bit_array(decoded_bits)
-    target = pilot.bits
-    n = bits.size
-    if n < pilot.length:
+    errors = _window_errors(decoded_bits, pilot, search_limit)
+    if errors.size == 0:
         return None
-    last_start = n - pilot.length
-    if search_limit is not None:
-        last_start = min(last_start, max(int(search_limit), 0))
-    best_index = None
-    best_errors = max_errors + 1
-    for start in range(last_start + 1):
-        window = bits[start : start + pilot.length]
-        errors = int(np.count_nonzero(window != target))
-        if errors < best_errors:
-            best_errors = errors
-            best_index = start
-            if errors == 0:
-                break
-    if best_errors <= max_errors:
+    best_index = int(np.argmin(errors))
+    if errors[best_index] <= max_errors:
         return best_index
     return None
+
+
+def _window_errors(decoded_bits, pilot: PilotSequence, search_limit: Optional[int]) -> np.ndarray:
+    """Bit errors against the pilot of every window starting at or below the limit.
+
+    Entry ``i`` scores the window starting at bit ``i``; the array is empty
+    when the stream is shorter than the pilot.
+    """
+    bits = as_bit_array(decoded_bits)
+    last_start = bits.size - pilot.length
+    if last_start < 0:
+        return np.zeros(0, dtype=np.intp)
+    if search_limit is not None:
+        last_start = min(last_start, max(int(search_limit), 0))
+    windows = sliding_window_view(bits[: last_start + pilot.length], pilot.length)
+    return np.count_nonzero(windows != pilot.bits, axis=1)

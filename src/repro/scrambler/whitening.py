@@ -21,10 +21,12 @@ class Scrambler:
     Parameters
     ----------
     seed:
-        LFSR seed shared by every node in the network.  The PN sequence is
-        regenerated from the seed for every call, so the scrambler is
-        stateless across packets and the n-th payload bit is always XORed
-        with the n-th PN bit regardless of what was scrambled before.
+        LFSR seed shared by every node in the network.  Every call XORs
+        with the PN stream from its start (read from the per-process
+        prefix :class:`~repro.utils.pn.PNSequence` serves), so the
+        scrambler is stateless across packets and the n-th payload bit is
+        always XORed with the n-th PN bit regardless of what was scrambled
+        before.
     """
 
     def __init__(self, seed: int = SCRAMBLER_SEED) -> None:

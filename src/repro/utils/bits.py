@@ -22,13 +22,29 @@ def as_bit_array(bits: BitsLike) -> np.ndarray:
     """Coerce an iterable / string of 0s and 1s into the canonical bit array."""
     if isinstance(bits, str):
         return string_to_bits(bits)
-    arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
-    arr = arr.astype(np.uint8)
+    return checked_bit_array(bits, "bit arrays")
+
+
+def checked_bit_array(bits: Union[Iterable[int], np.ndarray], name: str) -> np.ndarray:
+    """A fresh canonical copy of ``bits``, whose values must all be 0 or 1.
+
+    The values are checked before the cast to ``uint8``, so 256, -1 or 0.7
+    are rejected rather than wrapped or truncated into a bit.  ``uint8`` and
+    ``bool`` input only needs a range check; other dtypes are compared with
+    0 and 1 elementwise.  ``name`` starts the error messages.
+    """
+    arr = bits if isinstance(bits, np.ndarray) else np.asarray(list(bits))
     if arr.ndim != 1:
-        raise ConfigurationError("bit arrays must be one-dimensional")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise ConfigurationError("bit arrays may only contain 0s and 1s")
-    return arr
+        raise ConfigurationError(f"{name} must be one-dimensional")
+    if arr.dtype == np.bool_:
+        return arr.astype(np.uint8)
+    if arr.dtype == np.uint8:
+        valid = arr.size == 0 or int(arr.max()) <= 1
+    else:
+        valid = bool(np.all((arr == 0) | (arr == 1)))
+    if not valid:
+        raise ConfigurationError(f"{name} may only contain 0s and 1s")
+    return arr.astype(np.uint8)
 
 
 def string_to_bits(text: str) -> np.ndarray:
@@ -52,16 +68,14 @@ def bits_from_int(value: int, width: int) -> np.ndarray:
         raise ConfigurationError("only unsigned integers can be encoded")
     if value >= (1 << width):
         raise ConfigurationError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+    packed = np.frombuffer(int(value).to_bytes((width + 7) // 8, "big"), dtype=np.uint8)
+    return np.unpackbits(packed)[-width:]
 
 
 def bits_to_int(bits: BitsLike) -> int:
     """Decode a most-significant-first bit array into an unsigned integer."""
     arr = as_bit_array(bits)
-    value = 0
-    for bit in arr:
-        value = (value << 1) | int(bit)
-    return value
+    return int.from_bytes(np.packbits(arr).tobytes(), "big") >> (-arr.size % 8)
 
 
 def bits_from_bytes(data: bytes) -> np.ndarray:

@@ -13,7 +13,8 @@ Both are served by a maximal-length LFSR implemented here.
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +42,10 @@ class PNSequence:
         Feedback tap positions (1-indexed from the output bit).
     register_bits:
         Width of the shift register.
+
+    Output is served from a per-process prefix of the generator's stream
+    (see :func:`_stream`), so a generator only keeps its position in that
+    stream; the register itself is stepped only to extend the prefix.
     """
 
     def __init__(
@@ -60,40 +65,93 @@ class PNSequence:
         if max(taps) > register_bits:
             raise ConfigurationError("tap positions cannot exceed the register width")
         self._register_bits = register_bits
-        self._mask = mask
         self._taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
         self._initial_state = state
-        self._state = state
+        self._key = (state, self._taps, register_bits)
+        self._position = 0
 
     @property
     def state(self) -> int:
-        """Current register contents."""
-        return self._state
+        """Current register contents.
+
+        Bit ``i`` of the right-shifting register is the output ``i`` steps
+        ahead, so the state is read off the next ``register_bits`` bits of
+        the stream without advancing it.
+        """
+        stop = self._position + self._register_bits
+        upcoming = _stream(self._key, stop)[self._position : stop]
+        return int.from_bytes(np.packbits(upcoming, bitorder="little").tobytes(), "little")
 
     def reset(self) -> None:
         """Restore the register to its seed state."""
-        self._state = self._initial_state
+        self._position = 0
 
     def next_bit(self) -> int:
         """Advance the register one step and return the output bit."""
-        feedback = 0
-        for tap in self._taps:
-            feedback ^= (self._state >> (tap - 1)) & 1
-        output = self._state & 1
-        self._state = ((self._state >> 1) | (feedback << (self._register_bits - 1))) & self._mask
-        return output
+        bit = int(_stream(self._key, self._position + 1)[self._position])
+        self._position += 1
+        return bit
 
     def bits(self, length: int) -> np.ndarray:
         """Generate the next ``length`` bits as a canonical bit array."""
         if length < 0:
             raise ConfigurationError("length must be non-negative")
-        return np.array([self.next_bit() for _ in range(length)], dtype=np.uint8)
+        stop = self._position + length
+        out = _stream(self._key, stop)[self._position : stop].copy()
+        self._position = stop
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PNSequence(seed={self._initial_state:#x}, taps={self._taps}, "
             f"register_bits={self._register_bits})"
         )
+
+
+#: Smallest number of bits by which a cached stream prefix grows.
+_MIN_GROWTH_BITS = 1024
+
+_EMPTY = np.zeros(0, dtype=np.uint8)
+_EMPTY.setflags(write=False)
+
+#: Per-process stream prefixes keyed by ``(initial state, taps,
+#: register_bits)``.  Each value is ``(bits, state)``: the read-only output
+#: generated so far and the register state after producing it.  A value is
+#: replaced whole, never mutated, so readers need no lock; extensions hold
+#: ``_STREAMS_LOCK`` so two threads never race to replace the same prefix.
+_STREAMS: Dict[Tuple[int, Tuple[int, ...], int], Tuple[np.ndarray, int]] = {}
+_STREAMS_LOCK = threading.Lock()
+
+
+def _stream(key: Tuple[int, Tuple[int, ...], int], stop: int) -> np.ndarray:
+    """Read-only output of the LFSR ``key`` holding at least ``stop`` bits.
+
+    The prefix grows on demand (at least doubling) by stepping the register
+    from where it left off.  No period is assumed: taps without position 1
+    never return to the seed state, and a wide register's period is
+    astronomically long.
+    """
+    bits, _ = _STREAMS.get(key, (_EMPTY, 0))
+    if bits.size >= stop:
+        return bits
+    with _STREAMS_LOCK:
+        bits, state = _STREAMS.get(key, (_EMPTY, key[0]))
+        if bits.size >= stop:
+            return bits
+        _, taps, register_bits = key
+        count = max(stop, 2 * bits.size, _MIN_GROWTH_BITS) - bits.size
+        top = register_bits - 1
+        fresh = bytearray(count)
+        for i in range(count):
+            feedback = 0
+            for tap in taps:
+                feedback ^= (state >> (tap - 1)) & 1
+            fresh[i] = state & 1
+            state = (state >> 1) | (feedback << top)
+        bits = np.concatenate([bits, np.frombuffer(fresh, dtype=np.uint8)])
+        bits.setflags(write=False)
+        _STREAMS[key] = (bits, state)
+        return bits
 
 
 def pn_bits(length: int, seed: int, taps: tuple = DEFAULT_TAPS) -> np.ndarray:

@@ -13,6 +13,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.utils.bits import checked_bit_array
 
 
 def ensure_positive(value: Real, name: str) -> float:
@@ -70,12 +71,7 @@ def ensure_non_negative_int(value: int, name: str) -> int:
 
 def ensure_bit_array(bits: Union[Iterable[int], np.ndarray], name: str = "bits") -> np.ndarray:
     """Require an iterable of 0/1 values and return the canonical bit array."""
-    arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
-    if arr.ndim != 1:
-        raise ConfigurationError(f"{name} must be one-dimensional")
-    if arr.size and not np.all(np.isin(arr, (0, 1))):
-        raise ConfigurationError(f"{name} may only contain 0s and 1s")
-    return arr.astype(np.uint8)
+    return checked_bit_array(bits, name)
 
 
 def ensure_complex_array(samples, name: str = "samples") -> np.ndarray:

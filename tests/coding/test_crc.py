@@ -2,10 +2,43 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.coding.crc import CRC16, CRC32, append_crc, check_and_strip_crc
+from repro.coding.crc import (
+    CRC16,
+    CRC32,
+    CRCSpec,
+    _BitwiseCRC,
+    append_crc,
+    check_and_strip_crc,
+)
 from repro.exceptions import CRCError
-from repro.utils.bits import random_bits
+from repro.utils.bits import bits_from_bytes, random_bits
+
+
+def reference_crc(spec: CRCSpec, bits) -> int:
+    """Bit-at-a-time MSB-first division, the definition the engine must match."""
+    mask = (1 << spec.width) - 1
+    register = spec.initial & mask
+    for bit in bits:
+        incoming = int(bit) ^ ((register >> (spec.width - 1)) & 1)
+        register = (register << 1) & mask
+        if incoming:
+            register ^= spec.polynomial & mask
+    return register
+
+
+#: The two production CRCs plus narrow and odd widths, which exercise the
+#: left-aligned register the byte table uses below eight bits.
+SPECS = [
+    CRC16.spec,
+    CRC32.spec,
+    CRCSpec(width=3, polynomial=0x3, initial=0x7, name="CRC-3"),
+    CRCSpec(width=5, polynomial=0x25, initial=0x1F, name="CRC-5 (poly wider than width)"),
+    CRCSpec(width=8, polynomial=0x07, initial=0x00, name="CRC-8"),
+    CRCSpec(width=12, polynomial=0x80F, initial=0x123, name="CRC-12"),
+]
 
 
 class TestCRC16:
@@ -64,6 +97,39 @@ class TestCRC32:
         coded = CRC32.append(data)
         coded[100] ^= 1
         assert not CRC32.verify(coded)
+
+
+class TestKnownAnswers:
+    CHECK = bits_from_bytes(b"123456789")
+
+    def test_crc16_ccitt_false_check_value(self):
+        assert CRC16.compute(self.CHECK) == 0x29B1
+
+    def test_crc32_mpeg2_check_value(self):
+        assert CRC32.compute(self.CHECK) == 0x0376E6E7
+
+
+class TestByteTableMatchesBitwise:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS),
+        bits=st.lists(st.integers(0, 1), min_size=0, max_size=300),
+    )
+    def test_matches_reference(self, spec, bits):
+        data = np.array(bits, dtype=np.uint8)
+        assert _BitwiseCRC(spec).compute(data) == reference_crc(spec, data)
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 299, 300])
+    def test_byte_boundaries(self, length):
+        data = random_bits(length, np.random.default_rng(length))
+        for spec in SPECS:
+            assert _BitwiseCRC(spec).compute(data) == reference_crc(spec, data)
+
+    def test_appended_bits_encode_the_reference_register(self):
+        data = random_bits(123, np.random.default_rng(12))
+        coded = CRC32.append(data)
+        assert CRC32.verify(coded)
+        assert int("".join(map(str, coded[-32:])), 2) == reference_crc(CRC32.spec, data)
 
 
 class TestHelpers:

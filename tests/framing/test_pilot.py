@@ -92,3 +92,34 @@ class TestFindAllPilots:
 
     def test_empty_when_absent(self):
         assert find_all_pilots(random_bits(128, np.random.default_rng(7)), PilotSequence(), max_errors=1) == []
+
+
+def reference_window_scores(bits, pilot, search_limit):
+    """(errors, start) of every window, one at a time as a receiver would slide."""
+    last_start = bits.size - pilot.length
+    if search_limit is not None:
+        last_start = min(last_start, max(int(search_limit), 0))
+    return [
+        (int(np.count_nonzero(bits[start : start + pilot.length] != pilot.bits)), start)
+        for start in range(last_start + 1)
+    ]
+
+
+class TestVectorisedSearchMatchesWindowLoop:
+    def test_ties_and_limits(self):
+        pilot = PilotSequence(length=8)
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            bits = random_bits(int(rng.integers(0, 60)), rng)
+            max_errors = int(rng.integers(-1, 6))
+            limit = None if trial % 3 else int(rng.integers(-3, 50))
+            scored = reference_window_scores(bits, pilot, limit)
+            in_range = sorted(s for s in scored if s[0] <= max_errors)
+            expected_all = []
+            for _, start in in_range:
+                if all(abs(start - chosen) >= pilot.length for chosen in expected_all):
+                    expected_all.append(start)
+            # The first window with the fewest errors wins a tie.
+            expected_one = in_range[0][1] if in_range else None
+            assert find_all_pilots(bits, pilot, max_errors, limit) == expected_all
+            assert find_pilot(bits, pilot, max_errors, limit) == expected_one

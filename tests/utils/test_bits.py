@@ -63,6 +63,41 @@ class TestConversion:
     def test_as_bit_array_accepts_string(self):
         assert np.array_equal(as_bit_array("0110"), [0, 1, 1, 0])
 
+    def test_as_bit_array_accepts_whole_floats(self):
+        out = as_bit_array([0.0, 1.0])
+        assert out.dtype == np.uint8
+        assert out.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("bad", [256, -1, 0.7, 1.9])
+    def test_as_bit_array_checks_values_before_the_cast(self, bad):
+        # A cast first would wrap 256 to 0 and truncate 0.7 / 1.9 to bits.
+        with pytest.raises(ConfigurationError):
+            as_bit_array([0, 1, bad])
+        with pytest.raises(ConfigurationError):
+            as_bit_array(np.array([1, bad]))
+
+    def test_as_bit_array_rejects_large_uint8(self):
+        with pytest.raises(ConfigurationError):
+            as_bit_array(np.array([0, 1, 2], dtype=np.uint8))
+
+    def test_as_bit_array_accepts_bool(self):
+        out = as_bit_array(np.array([True, False, True]))
+        assert out.dtype == np.uint8
+        assert out.tolist() == [1, 0, 1]
+
+    def test_as_bit_array_returns_a_copy(self):
+        source = np.array([0, 1, 1], dtype=np.uint8)
+        as_bit_array(source)[0] = 1
+        assert source.tolist() == [0, 1, 1]
+
+    def test_int_roundtrip_wide_and_unaligned(self):
+        for width in (1, 7, 9, 33, 64, 65, 100):
+            for value in (0, 1, (1 << width) - 1, (1 << width) // 3):
+                bits = bits_from_int(value, width)
+                assert bits.dtype == np.uint8
+                assert bits.size == width
+                assert bits_to_int(bits) == value
+
 
 class TestRandomBits:
     def test_length(self):

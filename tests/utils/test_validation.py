@@ -68,6 +68,15 @@ class TestArrayValidators:
         with pytest.raises(ConfigurationError):
             ensure_bit_array([0, 1, 3])
 
+    @pytest.mark.parametrize("bad", [256, -1, 0.7, 1.9])
+    def test_bit_array_rejects_non_bits_of_any_dtype(self, bad):
+        with pytest.raises(ConfigurationError, match="known_bits may only contain"):
+            ensure_bit_array(np.array([0, bad]), "known_bits")
+
+    def test_bit_array_accepts_bool_and_whole_floats(self):
+        assert ensure_bit_array(np.array([True, False])).tolist() == [1, 0]
+        assert ensure_bit_array([1.0, 0.0]).tolist() == [1, 0]
+
     def test_bit_array_rejects_2d(self):
         with pytest.raises(ConfigurationError):
             ensure_bit_array(np.zeros((2, 2), dtype=int))

@@ -11,7 +11,7 @@ they do vary with time").
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class FlatFadingChannel(Channel):
             return signal.scaled(self.complex_gain)
         index = np.arange(samples.size)
         phase = self.phase_shift + self.frequency_offset * index
-        attenuation = np.full(samples.size, self.attenuation)
+        attenuation: Union[float, np.ndarray] = self.attenuation
         if self.attenuation_drift > 0.0:
             attenuation = attenuation + np.cumsum(
                 self._rng.normal(0.0, self.attenuation_drift, samples.size)
@@ -98,4 +98,4 @@ class FlatFadingChannel(Channel):
         if self.phase_drift > 0.0:
             phase = phase + np.cumsum(self._rng.normal(0.0, self.phase_drift, samples.size))
         gains = attenuation * np.exp(1j * phase)
-        return ComplexSignal(samples * gains)
+        return ComplexSignal._adopt(samples * gains)

@@ -162,7 +162,7 @@ class InterferenceCombiner:
         composite = overlap_add(distorted, total_length=total_length)
         if self.noise_power > 0:
             noise = complex_gaussian_noise(len(composite), self.noise_power, self._rng)
-            composite = ComplexSignal(composite.samples + noise)
+            composite = ComplexSignal._adopt(composite.samples + noise)
         overlap = self._overlap_fraction(lengths)
         offsets = tuple(offset for _, offset in distorted)
         return CollisionResult(signal=composite, offsets=offsets, overlap_fraction=overlap)

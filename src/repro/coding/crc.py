@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.exceptions import CRCError, ConfigurationError
-from repro.utils.bits import as_bit_array, bits_from_int, bits_to_int
+from repro.utils.bits import _int_from_bits, as_bit_array, bits_from_int
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,10 @@ class _BitwiseCRC:
 
     def compute(self, bits) -> int:
         """CRC register value after shifting in all data bits."""
-        data = as_bit_array(bits)
+        return self._register(as_bit_array(bits))
+
+    def _register(self, data: np.ndarray) -> int:
+        """:meth:`compute` of an already checked canonical bit array."""
         whole = data.size - data.size % 8
         top = self._register_bits - 1
         byte_shift = self._register_bits - 8
@@ -84,9 +87,8 @@ class _BitwiseCRC:
         data = as_bit_array(bits_with_crc)
         if data.size < self.spec.width:
             return False
-        payload = data[: -self.spec.width]
-        received = bits_to_int(data[-self.spec.width :])
-        return self.compute(payload) == received
+        received = _int_from_bits(data[-self.spec.width :])
+        return self._register(data[: -self.spec.width]) == received
 
     def strip(self, bits_with_crc) -> np.ndarray:
         """Verify and remove the trailing CRC, raising :class:`CRCError` on failure."""

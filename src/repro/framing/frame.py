@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.coding.crc import CRC16, check_and_strip_crc
+from repro.coding.crc import CRC16
 from repro.exceptions import FramingError, HeaderError
 from repro.framing.header import Header
 from repro.framing.packet import Packet
@@ -137,7 +137,7 @@ class Framer:
                 header_bits[::-1],
                 pilot_bits[::-1],
             ]
-        ).astype(np.uint8)
+        )
         return Frame(packet=packet, bits=bits, layout=self.layout_for(packet.payload_length))
 
 
@@ -198,7 +198,7 @@ class Deframer:
             segment = segment[::-1]
         else:
             segment = arr[layout.header_start : layout.payload_start]
-        return Header.from_bits(segment)
+        return Header._decode(segment)
 
     def parse(self, bits) -> DeframeResult:
         """Parse a full forward-ordered frame bit stream into a packet."""
@@ -208,17 +208,16 @@ class Deframer:
         except FramingError:
             return DeframeResult(packet=None, header=None, payload_crc_ok=False)
         try:
-            header = self.parse_header(arr)
+            header = Header._decode(arr[layout.header_start : layout.payload_start])
         except HeaderError:
             return DeframeResult(packet=None, header=None, payload_crc_ok=False)
         scrambled = arr[layout.payload_start : layout.trailing_header_start]
         payload_with_crc = self.scrambler.descramble(scrambled)
-        payload, crc_ok = check_and_strip_crc(payload_with_crc)
-        packet = Packet(
-            source=header.source,
-            destination=header.destination,
-            sequence=header.sequence,
-            payload=payload,
+        # The layout guarantees the 16 CRC bits; the descrambled array is
+        # fresh, so the packet adopts its payload part without a copy.
+        crc_ok = CRC16.verify(payload_with_crc)
+        packet = Packet._adopt(
+            header.source, header.destination, header.sequence, payload_with_crc[:-16]
         )
         return DeframeResult(packet=packet, header=header, payload_crc_ok=crc_ok)
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.coding.crc import CRC16
 from repro.constants import HEADER_DST_BITS, HEADER_SEQ_BITS, HEADER_SRC_BITS
 from repro.exceptions import HeaderError
-from repro.utils.bits import as_bit_array, bits_from_int, bits_to_int
+from repro.utils.bits import _int_from_bits, as_bit_array, bits_from_int
 
 
 @dataclass(frozen=True)
@@ -60,18 +60,23 @@ class Header:
         HeaderError
             If the bit array has the wrong length or the CRC check fails.
         """
-        arr = as_bit_array(bits)
+        return cls._decode(as_bit_array(bits))
+
+    @classmethod
+    def _decode(cls, arr: np.ndarray) -> "Header":
+        """:meth:`from_bits` of an already checked canonical bit array."""
         if arr.size != cls.ENCODED_LENGTH:
             raise HeaderError(
                 f"header must be {cls.ENCODED_LENGTH} bits, got {arr.size}"
             )
         if not CRC16.verify(arr):
             raise HeaderError("header CRC check failed")
-        fields = arr[:-16]
-        src = bits_to_int(fields[:HEADER_SRC_BITS])
-        dst = bits_to_int(fields[HEADER_SRC_BITS : HEADER_SRC_BITS + HEADER_DST_BITS])
-        seq = bits_to_int(fields[HEADER_SRC_BITS + HEADER_DST_BITS :])
-        return cls(source=src, destination=dst, sequence=seq)
+        fields = _int_from_bits(arr[:-16])
+        return cls(
+            source=fields >> (HEADER_DST_BITS + HEADER_SEQ_BITS),
+            destination=(fields >> HEADER_SEQ_BITS) & ((1 << HEADER_DST_BITS) - 1),
+            sequence=fields & ((1 << HEADER_SEQ_BITS) - 1),
+        )
 
     @classmethod
     def try_from_bits(cls, bits):

@@ -51,6 +51,22 @@ class Packet:
         object.__setattr__(self, "payload", bits)
 
     @classmethod
+    def _adopt(cls, source: int, destination: int, sequence: int, payload: np.ndarray) -> "Packet":
+        """A packet that takes ownership of ``payload``, a fresh canonical bit array.
+
+        For callers that just built the array themselves from checked
+        bits and header fields: the array is frozen in place instead of
+        being checked and copied again.
+        """
+        packet = object.__new__(cls)
+        payload.setflags(write=False)
+        object.__setattr__(packet, "source", source)
+        object.__setattr__(packet, "destination", destination)
+        object.__setattr__(packet, "sequence", sequence)
+        object.__setattr__(packet, "payload", payload)
+        return packet
+
+    @classmethod
     def random(
         cls,
         source: int,

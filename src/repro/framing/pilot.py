@@ -15,11 +15,11 @@ configurable number of bit errors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.constants import PILOT_LENGTH_BITS, PILOT_SEED
 from repro.exceptions import ConfigurationError
@@ -44,8 +44,11 @@ class PilotSequence:
 
     @property
     def bits(self) -> np.ndarray:
-        """The pilot bit pattern (most-significant generated bit first)."""
-        return pn_bits(self.length, seed=self.seed)
+        """The pilot bit pattern (most-significant generated bit first).
+
+        Every pilot with this ``(length, seed)`` shares one read-only array.
+        """
+        return _pilot_bits(self.length, self.seed)
 
     @property
     def mirrored_bits(self) -> np.ndarray:
@@ -58,6 +61,14 @@ class PilotSequence:
         if arr.size != self.length:
             return False
         return int(np.count_nonzero(arr != self.bits)) <= max_errors
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _pilot_bits(length: int, seed: int) -> np.ndarray:
+    """The shared pilot, read-only through a view so it cannot be unfrozen."""
+    bits = pn_bits(length, seed=seed)
+    bits.setflags(write=False)
+    return bits.view()
 
 
 def find_all_pilots(
@@ -129,13 +140,20 @@ def _window_errors(decoded_bits, pilot: PilotSequence, search_limit: Optional[in
     """Bit errors against the pilot of every window starting at or below the limit.
 
     Entry ``i`` scores the window starting at bit ``i``; the array is empty
-    when the stream is shorter than the pilot.
+    when the stream is shorter than the pilot.  A window of 0/1 bits
+    differs from the pilot in ``ones(window) + ones(pilot) - 2 * (1s they
+    share)`` places, all exact integer sums.
     """
     bits = as_bit_array(decoded_bits)
-    last_start = bits.size - pilot.length
+    length = pilot.length
+    last_start = bits.size - length
     if last_start < 0:
         return np.zeros(0, dtype=np.intp)
     if search_limit is not None:
         last_start = min(last_start, max(int(search_limit), 0))
-    windows = sliding_window_view(bits[: last_start + pilot.length], pilot.length)
-    return np.count_nonzero(windows != pilot.bits, axis=1)
+    head = bits[: last_start + length].astype(np.intp)
+    pattern = pilot.bits.astype(np.intp)
+    shared = np.correlate(head, pattern, mode="valid")
+    cumulative = np.concatenate(([0], np.cumsum(head)))
+    window_ones = cumulative[length:] - cumulative[:-length]
+    return window_ones - 2 * shared + int(pattern.sum())

@@ -110,7 +110,7 @@ class MSKModulator(Modulator):
         else:
             # Linearly interpolate the phase ramp inside each symbol.
             phases = interpolate_phase_ramp(boundary_phases, self._samples_per_symbol)
-        return ComplexSignal(self.amplitude * np.exp(1j * phases))
+        return ComplexSignal._adopt(self.amplitude * np.exp(1j * phases))
 
 
 class MSKDemodulator(Demodulator):

@@ -134,6 +134,6 @@ class WirelessMedium:
             noise_power = self.topology.noise_power(receiver)
             if noise_power > 0:
                 noise = complex_gaussian_noise(slot_length, noise_power, self._rng)
-                composite = ComplexSignal(composite.samples + noise)
+                composite = ComplexSignal._adopt(composite.samples + noise)
             observations[receiver] = composite
         return observations

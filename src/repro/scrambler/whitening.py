@@ -40,7 +40,8 @@ class Scrambler:
         clean = ensure_bit_array(bits, "bits")
         if clean.size == 0:
             return clean
-        return np.bitwise_xor(clean, self._pn(clean.size)).astype(np.uint8)
+        # ``clean`` is a fresh copy, so it can take the result in place.
+        return np.bitwise_xor(clean, self._pn(clean.size), out=clean)
 
     def descramble(self, bits) -> np.ndarray:
         """Undo :meth:`scramble`; identical operation because XOR is an involution."""

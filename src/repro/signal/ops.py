@@ -106,7 +106,7 @@ def overlap_add(
             continue
         end = min(off + arr.size, length)
         out[off:end] += arr[: end - off]
-    return ComplexSignal(out)
+    return ComplexSignal._adopt(out)
 
 
 def scale_to_power(signal: SignalLike, target_power: float) -> ComplexSignal:

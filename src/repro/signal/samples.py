@@ -20,6 +20,16 @@ from repro.utils.angles import phase_difference
 from repro.utils.validation import ensure_complex_array
 
 
+def _frozen(samples: np.ndarray) -> np.ndarray:
+    """``samples`` made read-only, seen through a view so the flag stays off.
+
+    numpy lets an array that owns its memory be made writable again; a
+    view of a read-only array refuses.
+    """
+    samples.setflags(write=False)
+    return samples.view()
+
+
 @dataclass(frozen=True)
 class ComplexSignal:
     """An immutable sequence of complex baseband samples.
@@ -29,16 +39,29 @@ class ComplexSignal:
     samples:
         One-dimensional array (or iterable) of complex values.  The array
         is copied and frozen, so a ``ComplexSignal`` can be shared freely
-        between nodes without aliasing surprises.
+        between nodes without aliasing surprises.  Signals the library
+        builds itself adopt their fresh arrays instead (``_adopt``); they
+        are frozen the same way.
     """
 
     samples: np.ndarray
 
     def __init__(self, samples: Union[np.ndarray, Iterable[complex]]) -> None:
-        arr = ensure_complex_array(samples, "samples")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        # ensure_complex_array casts with astype, which always allocates, so
+        # the signal never aliases the caller's array.
+        object.__setattr__(self, "samples", _frozen(ensure_complex_array(samples, "samples")))
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray) -> "ComplexSignal":
+        """A signal that takes ownership of ``samples`` without a copy.
+
+        Only for a one-dimensional complex128 array, or a view of one, that
+        the library has just built and nobody else writes to.  It is frozen
+        in place, skipping the public constructor's validation and copy.
+        """
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "samples", _frozen(samples))
+        return signal
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -115,8 +138,8 @@ class ComplexSignal:
     # Structural operations
     # ------------------------------------------------------------------
     def slice(self, start: int, stop: int) -> "ComplexSignal":
-        """Return the sub-signal ``samples[start:stop]``."""
-        return ComplexSignal(self.samples[start:stop])
+        """Return the sub-signal ``samples[start:stop]`` (a read-only view)."""
+        return ComplexSignal._adopt(self.samples[start:stop])
 
     def concatenate(self, other: "ComplexSignal") -> "ComplexSignal":
         """Append ``other`` after this signal."""
@@ -142,7 +165,7 @@ class ComplexSignal:
 
     def scaled(self, factor: complex) -> "ComplexSignal":
         """Multiply every sample by ``factor`` (attenuation and/or phase shift)."""
-        return ComplexSignal(self.samples * factor)
+        return ComplexSignal._adopt(self.samples * factor)
 
     def __add__(self, other: "ComplexSignal") -> "ComplexSignal":
         """Superpose two signals of identical length (what the channel does)."""

@@ -16,6 +16,9 @@ ArrayLike = Union[float, np.ndarray]
 
 TWO_PI = 2.0 * np.pi
 
+#: ``np.isclose``'s default ``atol + rtol * |-pi|``.
+_NEAR_MINUS_PI = 1e-8 + 1e-5 * np.pi
+
 
 def wrap_angle(angle: ArrayLike) -> ArrayLike:
     """Wrap an angle (radians) into the interval ``(-pi, pi]``.
@@ -32,8 +35,10 @@ def wrap_angle(angle: ArrayLike) -> ArrayLike:
     """
     wrapped = np.mod(np.asarray(angle, dtype=float) + np.pi, TWO_PI) - np.pi
     # np.mod maps exact multiples of 2*pi to -pi; keep +pi as the principal
-    # representative so that wrap_angle(pi) == pi.
-    wrapped = np.where(np.isclose(wrapped, -np.pi), np.pi, wrapped)
+    # representative so that wrap_angle(pi) == pi.  The test is exactly
+    # np.isclose(wrapped, -pi) with its default tolerances, minus its
+    # per-call set-up.
+    wrapped = np.where(np.abs(wrapped + np.pi) <= _NEAR_MINUS_PI, np.pi, wrapped)
     if np.isscalar(angle) or np.ndim(angle) == 0:
         return float(wrapped)
     return wrapped

@@ -74,7 +74,11 @@ def bits_from_int(value: int, width: int) -> np.ndarray:
 
 def bits_to_int(bits: BitsLike) -> int:
     """Decode a most-significant-first bit array into an unsigned integer."""
-    arr = as_bit_array(bits)
+    return _int_from_bits(as_bit_array(bits))
+
+
+def _int_from_bits(arr: np.ndarray) -> int:
+    """:func:`bits_to_int` of an already checked canonical bit array."""
     return int.from_bytes(np.packbits(arr).tobytes(), "big") >> (-arr.size % 8)
 
 

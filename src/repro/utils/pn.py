@@ -13,6 +13,7 @@ Both are served by a maximal-length LFSR implemented here.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -54,20 +55,8 @@ class PNSequence:
         taps: tuple = DEFAULT_TAPS,
         register_bits: int = DEFAULT_REGISTER_BITS,
     ) -> None:
-        if register_bits <= 0:
-            raise ConfigurationError("register_bits must be positive")
-        mask = (1 << register_bits) - 1
-        state = seed & mask
-        if state == 0:
-            raise ConfigurationError("LFSR seed must be non-zero modulo the register width")
-        if not taps:
-            raise ConfigurationError("at least one feedback tap is required")
-        if max(taps) > register_bits:
-            raise ConfigurationError("tap positions cannot exceed the register width")
-        self._register_bits = register_bits
-        self._taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
-        self._initial_state = state
-        self._key = (state, self._taps, register_bits)
+        self._key = _stream_key(seed, tuple(taps), register_bits)
+        self._initial_state, self._taps, self._register_bits = self._key
         self._position = 0
 
     @property
@@ -106,6 +95,27 @@ class PNSequence:
             f"PNSequence(seed={self._initial_state:#x}, taps={self._taps}, "
             f"register_bits={self._register_bits})"
         )
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _stream_key(seed: int, taps: tuple, register_bits: int) -> Tuple[int, Tuple[int, ...], int]:
+    """Validated ``(initial state, taps, register_bits)`` of a generator.
+
+    Memoised (``typed``, so ``1`` and ``1.0`` stay apart): the same few
+    generators are constructed for every packet.  Invalid arguments raise
+    on every call, since exceptions are not cached.
+    """
+    if register_bits <= 0:
+        raise ConfigurationError("register_bits must be positive")
+    mask = (1 << register_bits) - 1
+    state = seed & mask
+    if state == 0:
+        raise ConfigurationError("LFSR seed must be non-zero modulo the register width")
+    if not taps:
+        raise ConfigurationError("at least one feedback tap is required")
+    if max(taps) > register_bits:
+        raise ConfigurationError("tap positions cannot exceed the register width")
+    return state, tuple(sorted(set(int(t) for t in taps), reverse=True)), register_bits
 
 
 #: Smallest number of bits by which a cached stream prefix grows.

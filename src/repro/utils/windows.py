@@ -29,11 +29,27 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """
     arr = np.asarray(values, dtype=float)
     _validate_window(window, arr.size)
-    cumulative = np.cumsum(np.insert(arr, 0, 0.0))
-    idx = np.arange(1, arr.size + 1)
-    start = np.maximum(idx - window, 0)
-    counts = idx - start
-    return (cumulative[idx] - cumulative[start]) / counts
+    buffer = np.empty(arr.size + 1)
+    buffer[0] = 0.0
+    buffer[1:] = arr
+    return _trailing_means(buffer, window)
+
+
+def _trailing_means(buffer: np.ndarray, window: int) -> np.ndarray:
+    """Trailing window means of ``buffer[..., 1:]``, whose column 0 holds 0.0.
+
+    ``buffer`` is cumsummed in place along its last axis, which adds in
+    the same order as ``np.cumsum(np.insert(values, 0, 0.0))``.  Entry
+    ``i`` is then ``(c[i + 1] - c[max(i + 1 - window, 0)]) / min(i + 1,
+    window)``; the first ``window`` entries skip subtracting ``c[0]``,
+    which is +0.0 and so changes no value.
+    """
+    np.cumsum(buffer, axis=-1, out=buffer)
+    n = buffer.shape[-1] - 1
+    sums = buffer[..., 1:].copy()
+    if window < n:
+        sums[..., window:] -= buffer[..., 1 : n + 1 - window]
+    return sums / np.minimum(np.arange(1, n + 1), window)
 
 
 def moving_energy(samples: np.ndarray, window: int) -> np.ndarray:
@@ -47,8 +63,12 @@ def moving_variance(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving variance (population variance within each window)."""
     arr = np.asarray(values, dtype=float)
     _validate_window(window, arr.size)
-    mean = moving_average(arr, window)
-    mean_sq = moving_average(arr ** 2, window)
+    # One buffer, one in-place cumsum: row 0 averages arr, row 1 arr**2.
+    buffer = np.empty((2, arr.size + 1))
+    buffer[:, 0] = 0.0
+    buffer[0, 1:] = arr
+    buffer[1, 1:] = arr ** 2
+    mean, mean_sq = _trailing_means(buffer, window)
     variance = mean_sq - mean ** 2
     # Numerical noise can push the variance a hair below zero.
     return np.maximum(variance, 0.0)

@@ -1,6 +1,7 @@
 """Tests for pilot sequences and pilot search."""
 
 import numpy as np
+import pytest
 
 from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
 from repro.utils.bits import random_bits
@@ -123,3 +124,25 @@ class TestVectorisedSearchMatchesWindowLoop:
             expected_one = in_range[0][1] if in_range else None
             assert find_all_pilots(bits, pilot, max_errors, limit) == expected_all
             assert find_pilot(bits, pilot, max_errors, limit) == expected_one
+
+
+class TestPilotBitsAreShared:
+    def test_bits_cannot_be_written(self):
+        bits = PilotSequence().bits
+        assert not bits.flags.writeable
+        with pytest.raises(ValueError):
+            bits[0] ^= 1
+        with pytest.raises(ValueError):
+            bits.setflags(write=True)
+
+    def test_equal_pilots_share_one_array(self):
+        assert PilotSequence().bits is PilotSequence().bits
+        assert not np.array_equal(PilotSequence(seed=0x1234).bits, PilotSequence().bits)
+
+    def test_mirrored_bits_is_a_writable_copy(self):
+        pilot = PilotSequence()
+        mirrored = pilot.mirrored_bits
+        assert mirrored.flags.writeable
+        mirrored[:] = 0
+        assert np.array_equal(pilot.mirrored_bits, pilot.bits[::-1])
+        assert pilot.bits.any()

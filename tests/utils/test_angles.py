@@ -75,3 +75,71 @@ class TestUnwrapPhase:
         wrapped = wrap_angle(ramp)
         unwrapped = unwrap_phase(wrapped)
         assert np.allclose(np.diff(unwrapped), np.diff(ramp), atol=1e-9)
+
+
+def reference_wrap_angle(angle):
+    """The ``np.isclose`` definition the fast path must match bit for bit."""
+    wrapped = np.mod(np.asarray(angle, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    wrapped = np.where(np.isclose(wrapped, -np.pi), np.pi, wrapped)
+    if np.isscalar(angle) or np.ndim(angle) == 0:
+        return float(wrapped)
+    return wrapped
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestWrapAngleBitEqualToReference:
+    CASES = [
+        np.pi,
+        -np.pi,
+        0.0,
+        -0.0,
+        2 * np.pi,
+        -2 * np.pi,
+        4 * np.pi,
+        -6 * np.pi,
+        1000 * 2 * np.pi,
+        -np.pi + 1e-9,
+        -np.pi - 1e-9,
+        -np.pi + 5e-8,
+        -np.pi + 3.2e-5,
+        np.pi - 1e-9,
+        np.pi + 1e-9,
+        np.nextafter(-np.pi, 0.0),
+        np.nextafter(np.pi, 4.0),
+    ]
+
+    @pytest.mark.parametrize("angle", CASES)
+    def test_python_float(self, angle):
+        out = wrap_angle(float(angle))
+        assert isinstance(out, float)
+        assert _bits(out) == _bits(reference_wrap_angle(float(angle)))
+
+    @pytest.mark.parametrize("angle", CASES)
+    def test_zero_dimensional_array(self, angle):
+        out = wrap_angle(np.array(angle))
+        assert isinstance(out, float)
+        assert _bits(out) == _bits(reference_wrap_angle(np.array(angle)))
+
+    def test_non_finite(self):
+        values = np.array([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            assert _bits(wrap_angle(values)) == _bits(reference_wrap_angle(values))
+            for value in values:
+                assert _bits(wrap_angle(float(value))) == _bits(reference_wrap_angle(float(value)))
+
+    def test_three_dimensional_array(self):
+        rng = np.random.default_rng(9)
+        values = rng.uniform(-50, 50, size=(3, 4, 5))
+        values[0, 0, :] = np.array(self.CASES[:5])
+        values[1, 2, :] = np.array(self.CASES[9:14])
+        out = wrap_angle(values)
+        assert out.shape == values.shape
+        assert out.tobytes() == reference_wrap_angle(values).tobytes()
+
+    def test_every_value_within_the_tolerance_of_minus_pi(self):
+        offsets = np.linspace(-4e-5, 4e-5, 4001)
+        values = -np.pi + offsets
+        assert wrap_angle(values).tobytes() == reference_wrap_angle(values).tobytes()

@@ -69,3 +69,67 @@ class TestBlockMean:
     def test_partial_trailing_block(self):
         out = block_mean(np.array([1.0, 1.0, 4.0]), block=2)
         assert out == pytest.approx([1.0, 4.0])
+
+
+def reference_moving_average(values, window):
+    """The ``np.insert`` + ``np.cumsum`` definition the fast path must match bit for bit."""
+    arr = np.asarray(values, dtype=float)
+    cumulative = np.cumsum(np.insert(arr, 0, 0.0))
+    idx = np.arange(1, arr.size + 1)
+    start = np.maximum(idx - window, 0)
+    counts = idx - start
+    return (cumulative[idx] - cumulative[start]) / counts
+
+
+def reference_moving_variance(values, window):
+    arr = np.asarray(values, dtype=float)
+    mean = reference_moving_average(arr, window)
+    mean_sq = reference_moving_average(arr ** 2, window)
+    return np.maximum(mean_sq - mean ** 2, 0.0)
+
+
+def _window_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 64, 1500):
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7)
+        values[0] = -0.0
+        for window in (1, 2, n - 1, n, n + 1, 5 * n, 32):
+            if window > 0:
+                yield values, window
+
+
+class TestBitEqualToReference:
+    def test_moving_average(self):
+        for values, window in _window_cases():
+            expected = reference_moving_average(values, window)
+            assert moving_average(values, window).tobytes() == expected.tobytes()
+
+    def test_moving_variance(self):
+        for values, window in _window_cases():
+            expected = reference_moving_variance(values, window)
+            assert moving_variance(values, window).tobytes() == expected.tobytes()
+
+    def test_moving_energy(self):
+        rng = np.random.default_rng(12)
+        samples = rng.normal(size=700) + 1j * rng.normal(size=700)
+        for window in (1, 16, 700, 701):
+            expected = reference_moving_average(np.abs(samples) ** 2, window)
+            assert moving_energy(samples, window).tobytes() == expected.tobytes()
+
+    def test_leading_negative_zero_and_non_finite_values(self):
+        values = np.array([-0.0, -0.0, 1.5, np.inf, 2.0, np.nan, -3.0, -0.0])
+        with np.errstate(invalid="ignore"):
+            for window in (1, 2, 3, 8, 9):
+                for fast, reference in (
+                    (moving_average, reference_moving_average),
+                    (moving_variance, reference_moving_variance),
+                ):
+                    expected = reference(values, window)
+                    assert fast(values, window).tobytes() == expected.tobytes()
+
+    def test_input_is_not_modified(self):
+        values = np.array([-0.0, 1.0, 2.0, 3.0])
+        before = values.tobytes()
+        moving_average(values, 2)
+        moving_variance(values, 2)
+        assert values.tobytes() == before

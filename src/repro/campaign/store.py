@@ -18,12 +18,13 @@ either sees a complete document or nothing; *torn reads are impossible*.
 When two workers race on the same digest the content-addressing makes
 the race benign (both wrote byte-identical content — same digest, same
 deterministic experiment), so last-rename-wins is a correct "one winner".
-Reads of a corrupt or schema-incompatible document count as a miss and
-the job simply recomputes.
+Reads of a corrupt or schema-incompatible document log a warning, count
+as a miss, and the job simply recomputes.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import re
 import tempfile
@@ -35,6 +36,8 @@ from repro.exceptions import ConfigurationError
 from repro.results.model import ExperimentResult
 
 _DIGEST = re.compile(r"^[0-9a-f]{16,64}$")
+
+logger = logging.getLogger(__name__)
 
 
 def _check_digest(digest: str) -> str:
@@ -109,26 +112,28 @@ class ResultStore:
     def get(self, digest: str) -> Optional[ExperimentResult]:
         """Load one stored result; ``None`` (a miss) when absent or corrupt.
 
-        A document that fails JSON parsing or schema validation counts as
-        a miss — the caller recomputes and republished content heals the
-        store — so a half-written or foreign file can never poison a
-        campaign.
+        A document that fails decoding, JSON parsing or schema validation
+        counts as a miss — the caller recomputes and republished content
+        heals the store — so a half-written or foreign file can never
+        poison a campaign; a warning names the document and the error
+        type.
         """
         raw = self.get_raw(digest)
         if raw is None:
             return None
         try:
             return ExperimentResult.from_json(raw)
-        except ConfigurationError:
+        except ConfigurationError as error:
             self.stats.hits -= 1
-            self.stats.misses += 1
+            self._corrupt(digest, error)
             return None
 
     def get_raw(self, digest: str) -> Optional[str]:
         """Load one stored document as its exact JSON text (or ``None``).
 
         These are the bytes that were stored, not a re-serialization;
-        :meth:`get` parses them.
+        :meth:`get` parses them.  A document that is not UTF-8 text is
+        corrupt and reads as a miss.
         """
         path = self.path(digest)
         try:
@@ -136,8 +141,19 @@ class ResultStore:
         except OSError:
             self.stats.misses += 1
             return None
+        except UnicodeDecodeError as error:
+            self._corrupt(digest, error)
+            return None
         self.stats.hits += 1
         return raw
+
+    def _corrupt(self, digest: str, error: Exception) -> None:
+        """Count a corrupt document as a miss and log which one it was."""
+        self.stats.misses += 1
+        logger.warning(
+            "corrupt campaign-store document %s (%s); recomputing the job",
+            self.path(digest), type(error).__name__,
+        )
 
     def __contains__(self, digest: str) -> bool:
         """Membership test (does not touch the hit/miss counters)."""

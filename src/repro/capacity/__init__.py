@@ -4,7 +4,9 @@ The paper bounds the Alice–Bob network's capacity under half-duplex
 radios: an upper bound for traditional routing and an achievable lower
 bound for analog network coding, both as functions of SNR.  The ratio
 approaches 2 as SNR grows; below roughly 8 dB the amplified noise makes
-ANC worse than routing.
+ANC worse than routing.  :mod:`repro.capacity.bounds` holds the bounds
+Fig. 7 plots; :mod:`repro.capacity.relay` derives the receiver SNR of the
+amplify-and-forward link that the ANC bound rests on.
 """
 
 from repro.capacity.bounds import (
@@ -18,15 +20,12 @@ from repro.capacity.relay import (
     anc_receiver_snr,
     relay_received_snr,
 )
-from repro.capacity.sweep import CapacityCurve, capacity_sweep
 
 __all__ = [
-    "CapacityCurve",
     "amplification_factor",
     "anc_capacity_lower_bound",
     "anc_receiver_snr",
     "capacity_gain",
-    "capacity_sweep",
     "crossover_snr_db",
     "relay_received_snr",
     "traditional_capacity_upper_bound",

@@ -3,8 +3,8 @@
 These helpers expose the intermediate quantities of the Theorem 8.1
 derivation — the relay's power-constrained amplification factor and the
 effective SNR Alice sees after cancelling her own signal — so that tests
-and the capacity sweep can check the published bound against the explicit
-link-level computation rather than trusting a single closed-form line.
+can check the published bound against the explicit link-level
+computation rather than trusting a single closed-form line.
 """
 
 from __future__ import annotations

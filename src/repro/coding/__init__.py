@@ -3,27 +3,20 @@
 ANC-decoded packets have a small residual bit error rate (2-4 % in the
 paper's testbed), which the system absorbs with extra error-correcting
 redundancy — the ~8 % overhead charged against ANC's throughput in §11.4.
-This package provides the concrete machinery: CRCs for error *detection*
-on frame headers and payloads, simple FEC (repetition and Hamming(7,4))
-for error *correction*, a block interleaver to spread burst errors, and a
-composable :class:`FECPipeline` that chains them.
+This package provides the CRCs that detect errors in frame headers and
+payloads, and the :class:`FECPipeline` interface that chains block codes
+and reports their aggregate redundancy.
 """
 
 from repro.coding.crc import CRC16, CRC32, append_crc, check_and_strip_crc
-from repro.coding.repetition import RepetitionCode
-from repro.coding.hamming import Hamming74Code
-from repro.coding.interleaver import BlockInterleaver
 from repro.coding.fec import FECPipeline, IdentityCode, BlockCode
 
 __all__ = [
     "BlockCode",
-    "BlockInterleaver",
     "CRC16",
     "CRC32",
     "FECPipeline",
-    "Hamming74Code",
     "IdentityCode",
-    "RepetitionCode",
     "append_crc",
     "check_and_strip_crc",
 ]

@@ -1,11 +1,12 @@
 """Composable forward-error-correction interface.
 
-All concrete codes (repetition, Hamming) implement :class:`BlockCode`:
-``encode(bits)`` expands ``k`` data bits into ``n`` coded bits and
-``decode(bits)`` maps possibly-corrupted coded bits back to data bits.
-:class:`FECPipeline` chains codes (and the interleaver) and computes the
-aggregate redundancy overhead, which is the quantity §11.4 of the paper
-charges against ANC's throughput.
+A code implements :class:`BlockCode`: ``encode(bits)`` expands ``k`` data
+bits into ``n`` coded bits and ``decode(bits)`` maps possibly-corrupted
+coded bits back to data bits.  :class:`FECPipeline` chains codes and
+computes the aggregate redundancy overhead, which is the quantity §11.4
+of the paper charges against ANC's throughput.  The reproduction charges
+that overhead as a fixed fraction, so the only concrete code shipped is
+the rate-1 :class:`IdentityCode`.
 """
 
 from __future__ import annotations
@@ -50,18 +51,6 @@ class BlockCode(abc.ABC):
         """Extra transmitted bits per data bit, ``n/k - 1``."""
         return self.coded_bits_per_block / self.data_bits_per_block - 1.0
 
-    def _validate_encode_length(self, bits: np.ndarray) -> None:
-        if bits.size % self.data_bits_per_block != 0:
-            raise CodingError(
-                f"data length {bits.size} is not a multiple of k={self.data_bits_per_block}"
-            )
-
-    def _validate_decode_length(self, bits: np.ndarray) -> None:
-        if bits.size % self.coded_bits_per_block != 0:
-            raise CodingError(
-                f"coded length {bits.size} is not a multiple of n={self.coded_bits_per_block}"
-            )
-
 
 class IdentityCode(BlockCode):
     """The trivial rate-1 code (no redundancy); useful as a pipeline default."""
@@ -87,9 +76,9 @@ class FECPipeline:
     Parameters
     ----------
     stages:
-        Codes applied outermost-first on encode.  For example
-        ``FECPipeline([Hamming74Code(), RepetitionCode(3)])`` first Hamming
-        encodes the data and then repeats every coded bit three times.
+        Codes applied outermost-first on encode: ``FECPipeline([a, b])``
+        encodes the data with ``a`` and then encodes ``a``'s output with
+        ``b``; decode runs ``b`` first.
     """
 
     def __init__(self, stages: Iterable[BlockCode]) -> None:

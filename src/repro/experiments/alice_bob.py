@@ -108,7 +108,7 @@ def run_alice_bob_experiment(
     (the run count comes from ``config``).
     """
     cfg = config if config is not None else ExperimentConfig()
-    trials = default_engine(engine).run_batched(
+    trials = default_engine(engine).map(
         "fig09_alice_bob", run_alice_bob_trial, cfg, range(cfg.runs),
         batch_size=cfg.engine_batch_size,
     )

@@ -3,10 +3,10 @@
 Evaluates the Theorem 8.1 bounds over the figure's SNR range through the
 :class:`~repro.experiments.engine.ExperimentEngine` (one trial per grid
 point — the bounds are elementwise in SNR, so per-point evaluation is
-bit-identical to the vectorised sweep) and returns the curve plus the
-headline observations the paper draws from the figure: the crossover SNR
-below which amplify-and-forward hurts, and the asymptotic 2x gain at high
-SNR.
+bit-identical to evaluating the whole grid at once) and returns the
+curve plus the headline observations the paper draws from the figure:
+the crossover SNR below which amplify-and-forward hurts, and the
+asymptotic 2x gain at high SNR.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def run_capacity_experiment(
             "channel impairments (--cfo/--fading) do not apply to it"
         )
     grid = [float(v) for v in np.arange(0.0, 56.0, 1.0)]
-    points = default_engine(engine).run_batched(
+    points = default_engine(engine).map(
         "fig07_capacity",
         run_capacity_point_trial,
         cfg,

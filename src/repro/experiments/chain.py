@@ -83,7 +83,7 @@ def run_chain_experiment(
 ) -> ExperimentResult:
     """Run the Fig. 12 experiment and return its result tables."""
     cfg = config if config is not None else ExperimentConfig()
-    trials = default_engine(engine).run_batched(
+    trials = default_engine(engine).map(
         "fig12_chain", run_chain_trial, cfg, range(cfg.runs),
         batch_size=cfg.engine_batch_size,
     )

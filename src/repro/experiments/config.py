@@ -59,7 +59,7 @@ class ExperimentConfig:
         Master seed; every run derives its own substream from it.
     batch_size:
         Trials handed to an engine worker as one block
-        (:meth:`~repro.experiments.engine.ExperimentEngine.run_batched`).
+        (:meth:`~repro.experiments.engine.ExperimentEngine.map`).
         ``1`` dispatches trial by trial; larger values amortize dispatch
         overhead for short trials.  Purely an execution knob — results
         are identical at every batch size, and it is excluded from the

@@ -43,11 +43,8 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, is_dataclass
-from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 import repro
 from repro.exceptions import ConfigurationError
@@ -68,131 +65,18 @@ _CACHE_MISS = object()
 
 _SLUG_SANITISER = re.compile(r"[^A-Za-z0-9_.+-]+")
 
-#: Arrays at or above this many bytes ride to workers through
-#: :mod:`multiprocessing.shared_memory` instead of being pickled into the
-#: task payload.  Below it, the segment bookkeeping costs more than the
-#: pickle copy it saves.
-_SHM_MIN_BYTES = 1 << 16
-
-
-def _array_digest(value: Any) -> Any:
-    """JSON stand-in for an ndarray trial param when building a cache digest.
-
-    ndarray params (the ones shared memory carries to workers) are keyed
-    by dtype, shape and a hash of their bytes, never by their ``repr``;
-    any other non-JSON value raises ``TypeError``.
-    """
-    if isinstance(value, np.ndarray):
-        data = np.ascontiguousarray(value).tobytes()
-        return {
-            "ndarray": value.dtype.str,
-            "shape": list(value.shape),
-            "sha256": hashlib.sha256(data).hexdigest(),
-        }
-    raise TypeError(f"{type(value).__name__} is not JSON-serializable")
-
-
-@dataclass(frozen=True)
-class _SharedArrayRef:
-    """Picklable stand-in for an ndarray parked in a shared-memory segment.
-
-    Crossing the process boundary this is all that gets pickled — name,
-    shape, dtype string — instead of the array's bytes; the worker
-    re-materializes a read-only view onto the same physical pages.
-    """
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-def _untrack_shared_memory(shm: SharedMemory) -> None:
-    """Detach a worker-side attachment from the resource tracker.
-
-    The parent process owns segment lifetime (create *and* unlink); a
-    worker that merely attaches must not let its resource tracker also
-    claim the segment, or interpreter shutdown double-unlinks and logs
-    spurious leak warnings.  Best-effort: tracker internals are private,
-    and failing to untrack is cosmetic, not incorrect.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:
-        pass
-
-
-def _export_shared_arrays(
-    kwargs: Dict[str, Any],
-) -> Tuple[Dict[str, Any], List[SharedMemory]]:
-    """Move large array params into shared memory for zero-copy handoff.
-
-    Returns the kwargs with each exported ndarray replaced by a
-    :class:`_SharedArrayRef`, plus the created segments (the caller must
-    close *and* unlink them once every worker is done — including when a
-    worker crashes).  Small arrays, object arrays and non-array values
-    pass through untouched.
-    """
-    exported: Dict[str, Any] = {}
-    segments: List[SharedMemory] = []
-    for name, value in kwargs.items():
-        if (
-            isinstance(value, np.ndarray)
-            and not value.dtype.hasobject
-            and value.nbytes >= _SHM_MIN_BYTES
-        ):
-            shm = SharedMemory(create=True, size=value.nbytes)
-            view: np.ndarray = np.ndarray(value.shape, dtype=value.dtype, buffer=shm.buf)
-            view[...] = value
-            segments.append(shm)
-            exported[name] = _SharedArrayRef(shm.name, value.shape, value.dtype.str)
-        else:
-            exported[name] = value
-    return exported, segments
-
-
-def _resolve_shared_arrays(
-    kwargs: Dict[str, Any],
-) -> Tuple[Dict[str, Any], List[SharedMemory]]:
-    """Worker-side inverse of :func:`_export_shared_arrays`.
-
-    Replaces every :class:`_SharedArrayRef` with a read-only ndarray view
-    onto the attached segment.  The returned handles must stay open for
-    as long as the views are in use (the views alias the mapping).
-    """
-    resolved = dict(kwargs)
-    handles: List[SharedMemory] = []
-    for name, value in kwargs.items():
-        if isinstance(value, _SharedArrayRef):
-            shm = SharedMemory(name=value.name)
-            _untrack_shared_memory(shm)
-            handles.append(shm)
-            view: np.ndarray = np.ndarray(value.shape, dtype=np.dtype(value.dtype), buffer=shm.buf)
-            view.setflags(write=False)
-            resolved[name] = view
-    return resolved, handles
-
 
 def _execute_trial_block(
     trial_fn: "TrialFn", config: Any, keys: List["TrialKey"], kwargs: Dict[str, Any]
 ) -> List[Any]:
-    """Execute one batch of trials in order; the unit ``run_batched`` ships.
+    """Execute one batch of trials in order; the unit a worker receives.
 
     Top-level (hence picklable) so a whole block crosses the process
     boundary as one task: one submit, one pickle round-trip and one
     future per ``batch_size`` trials instead of per trial.  Results come
-    back in ``keys`` order, so batching cannot reorder anything.  Any
-    shared-memory array refs in ``kwargs`` are resolved to views here and
-    released when the block finishes.
+    back in ``keys`` order, so batching cannot reorder anything.
     """
-    resolved, handles = _resolve_shared_arrays(kwargs)
-    try:
-        return [trial_fn(config, key, **resolved) for key in keys]
-    finally:
-        del resolved  # drop array views before closing their mappings
-        for handle in handles:
-            handle.close()
+    return [trial_fn(config, key, **kwargs) for key in keys]
 
 
 def _key_token(key: TrialKey) -> str:
@@ -288,18 +172,10 @@ class ExperimentEngine:
         resumable.  ``None`` (the default) disables all disk I/O.
     batch_size:
         Default number of trials shipped to a worker as one block (see
-        :meth:`run_batched`).  ``1`` (the default) dispatches trial by
-        trial — the reference behaviour.  Batching only amortizes
-        dispatch overhead; results and the per-trial cache layout are
-        identical at every batch size.
-    shared_memory:
-        When ``True`` (the default), large ndarray ``params`` cross the
-        process boundary as :mod:`multiprocessing.shared_memory` segments
-        instead of being pickled into every task — zero-copy handoff for
-        trial-block waveform arrays.  Results are bit-identical either
-        way (workers see the same values, read-only); the knob exists for
-        differential testing and as an escape hatch.  Segments are always
-        unlinked by the parent, worker crashes included.
+        :meth:`map`).  ``1`` (the default) dispatches trial by trial —
+        the reference behaviour.  Batching only amortizes dispatch
+        overhead; results and the per-trial cache layout are identical
+        at every batch size.
     """
 
     def __init__(
@@ -307,7 +183,6 @@ class ExperimentEngine:
         workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         batch_size: int = 1,
-        shared_memory: bool = True,
     ) -> None:
         """See the class docstring for the constructor-knob semantics."""
         if int(workers) < 1:
@@ -317,10 +192,6 @@ class ExperimentEngine:
         self.workers = int(workers)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.batch_size = int(batch_size)
-        self.shared_memory = bool(shared_memory)
-        #: Segment names created by the most recent parallel :meth:`map`
-        #: (diagnostics/tests: each must be unlinked once the call ends).
-        self._last_shm_names: List[str] = []
         #: Stats of the most recent :meth:`map` call (``None`` before any).
         self.last_stats: Optional[EngineStats] = None
         #: Stats of every :meth:`map` call this engine executed, in order.
@@ -381,7 +252,7 @@ class ExperimentEngine:
         params_repr = dict(params) if params else {}
         for name, value in params_repr.items():
             try:
-                json.dumps(value, default=_array_digest)
+                json.dumps(value)
             except (TypeError, ValueError):
                 raise ConfigurationError(
                     f"cannot build a stable cache digest: trial param {name!r} "
@@ -397,7 +268,7 @@ class ExperimentEngine:
             "params": params_repr,
         }
         try:
-            blob = json.dumps(payload, sort_keys=True, default=_array_digest)
+            blob = json.dumps(payload, sort_keys=True)
         except (TypeError, ValueError):
             raise ConfigurationError(
                 f"cannot build a stable cache digest for config of type "
@@ -530,37 +401,19 @@ class ExperimentEngine:
                 self._store_cached(self._trial_path(digest, key), result)
                 results[_key_slug(key)] = result
         else:
-            ship_kwargs = kwargs
-            shm_segments: List[SharedMemory] = []
-            if self.shared_memory:
-                ship_kwargs, shm_segments = _export_shared_arrays(kwargs)
-            self._last_shm_names = [segment.name for segment in shm_segments]
-            try:
-                max_workers = min(self.workers, len(blocks))
-                with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                    futures = {
-                        pool.submit(
-                            _execute_trial_block, trial_fn, config, block, ship_kwargs
-                        ): block
-                        for block in blocks
-                    }
-                    for future in as_completed(futures):
-                        block = futures[future]
-                        # Persist incrementally so an interruption after this
-                        # point never re-runs this block's trials.
-                        for key, result in zip(block, future.result()):
-                            self._store_cached(self._trial_path(digest, key), result)
-                            results[_key_slug(key)] = result
-            finally:
-                # The parent owns segment lifetime: close and unlink even
-                # when a worker crashed or the pool broke, or the segments
-                # would outlive the run in /dev/shm.
-                for segment in shm_segments:
-                    segment.close()
-                    try:
-                        segment.unlink()
-                    except FileNotFoundError:  # pragma: no cover - defensive
-                        pass
+            max_workers = min(self.workers, len(blocks))
+            with ProcessPoolExecutor(max_workers=max_workers) as pool:
+                futures = {
+                    pool.submit(_execute_trial_block, trial_fn, config, block, kwargs): block
+                    for block in blocks
+                }
+                for future in as_completed(futures):
+                    block = futures[future]
+                    # Persist incrementally so an interruption after this
+                    # point never re-runs this block's trials.
+                    for key, result in zip(block, future.result()):
+                        self._store_cached(self._trial_path(digest, key), result)
+                        results[_key_slug(key)] = result
 
         self.last_stats = EngineStats(
             total_trials=len(keys),
@@ -573,36 +426,6 @@ class ExperimentEngine:
         )
         self.stats_log.append(self.last_stats)
         return [results[_key_slug(key)] for key in keys]
-
-    def run_batched(
-        self,
-        experiment: str,
-        trial_fn: TrialFn,
-        config: Any,
-        trial_keys: Iterable[TrialKey],
-        params: Optional[Mapping[str, Any]] = None,
-        batch_size: Optional[int] = None,
-    ) -> List[Any]:
-        """Execute trials in worker-sized blocks instead of one at a time.
-
-        Identical results to :meth:`map` — only the dispatch unit changes:
-        workers receive ``batch_size`` trials per task, which amortizes
-        process-pool pickling and future bookkeeping for sweeps whose
-        individual trials are short.  With ``batch_size=None`` the
-        engine's configured default applies (the resolution :meth:`map`
-        already performs).  Large
-        ndarray ``params`` additionally ride to workers through shared
-        memory (see the ``shared_memory`` constructor knob) — zero-copy,
-        bit-identical to the pickling path.
-        """
-        return self.map(
-            experiment,
-            trial_fn,
-            config,
-            trial_keys,
-            params=params,
-            batch_size=batch_size,
-        )
 
 
 def default_engine(engine: Optional[ExperimentEngine]) -> ExperimentEngine:

@@ -100,7 +100,7 @@ def run_x_topology_experiment(
 ) -> ExperimentResult:
     """Run the Fig. 10 experiment and return its result tables."""
     cfg = config if config is not None else ExperimentConfig()
-    trials = default_engine(engine).run_batched(
+    trials = default_engine(engine).map(
         "fig10_x_topology", run_x_topology_trial, cfg, range(cfg.runs),
         batch_size=cfg.engine_batch_size,
     )

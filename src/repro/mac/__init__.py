@@ -1,16 +1,14 @@
-"""MAC-layer scheduling abstractions.
+"""MAC-layer scheduling plans.
 
 The paper compares ANC, COPE and traditional routing under an *optimal*
 MAC: "the MAC employs an optimal scheduler and benefits from knowing the
 traffic pattern and the topology.  Thus, the MAC never encounters
-collisions or backoffs" (§11.1).  This package provides the schedule
-representation and the oracle scheduler that the protocol implementations
-use, plus the random-startup-delay model the trigger protocol adds on top
-for deliberately concurrent transmissions.
+collisions or backoffs" (§11.1).  This package provides the planner that
+turns a topology into those collision-free slot plans — the relay
+exchange, the chain pipeline and the mesh exchanges — which the protocol
+implementations execute.
 """
 
-from repro.mac.schedule import ScheduledTransmission, Slot, Schedule
-from repro.mac.optimal import OptimalScheduler
 from repro.mac.planner import (
     ChainPipelinePlan,
     MeshSchedule,
@@ -24,12 +22,8 @@ from repro.mac.planner import (
 __all__ = [
     "ChainPipelinePlan",
     "MeshSchedule",
-    "OptimalScheduler",
     "PhaseTemplate",
     "RelayExchangePlan",
-    "Schedule",
-    "ScheduledTransmission",
-    "Slot",
     "plan_chain_pipeline",
     "plan_mesh_exchanges",
     "plan_relay_exchange",

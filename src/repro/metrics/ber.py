@@ -10,23 +10,9 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 from repro.protocols.base import RunResult
-from repro.utils.bits import as_bit_array
 from repro.utils.cdf import EmpiricalCDF
-
-
-def packet_ber(sent_payload, decoded_payload) -> float:
-    """Per-packet BER between the transmitted and the decoded payload."""
-    sent = as_bit_array(sent_payload)
-    decoded = as_bit_array(decoded_payload)
-    if sent.size == 0:
-        return 0.0
-    if sent.size != decoded.size:
-        raise ConfigurationError("payloads must have equal length to compute BER")
-    return float(np.count_nonzero(sent != decoded)) / sent.size
 
 
 def payload_ber_samples(runs: Iterable[RunResult], include_losses: bool = True) -> List[float]:
@@ -58,10 +44,3 @@ def ber_cdf(runs: Iterable[RunResult], include_losses: bool = True) -> Empirical
         raise ConfigurationError("no BER samples found in the provided runs")
     return EmpiricalCDF.from_samples(samples)
 
-
-def mean_ber(runs: Iterable[RunResult], include_losses: bool = False) -> float:
-    """Average per-packet BER across runs (losses excluded by default)."""
-    samples = payload_ber_samples(runs, include_losses=include_losses)
-    if not samples:
-        return 0.0
-    return float(np.mean(samples))

@@ -3,18 +3,17 @@
 Figures 9(a), 10(a) and 12(a) plot the CDF, across testbed runs, of the
 ratio of ANC's network throughput to a baseline's throughput in the same
 run.  :func:`pair_runs` pairs up the per-run results of two schemes (same
-topology draw, same traffic) and :func:`gain_cdf` turns the resulting
-gain samples into the CDF the figures show.
+topology draw, same traffic) into the per-run gain samples those CDFs are
+drawn from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.protocols.base import RunResult
-from repro.utils.cdf import EmpiricalCDF
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,3 @@ def pair_runs(
         )
     return samples
 
-
-def gain_cdf(samples: Iterable[GainSample]) -> EmpiricalCDF:
-    """Empirical CDF of per-run gains (the Figs. 9a / 10a / 12a curves)."""
-    values = [s.gain for s in samples]
-    if not values:
-        raise ConfigurationError("no gain samples provided")
-    return EmpiricalCDF.from_samples(values)
-
-
-def mean_gain(samples: Iterable[GainSample]) -> float:
-    """Average per-run gain (the headline 70 % / 30 % numbers of §11.3)."""
-    values = [s.gain for s in samples]
-    if not values:
-        raise ConfigurationError("no gain samples provided")
-    return float(sum(values) / len(values))

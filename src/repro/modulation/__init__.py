@@ -1,33 +1,19 @@
-"""Modulation and demodulation schemes.
+"""MSK modulation and demodulation.
 
 The paper's prototype uses MSK (a form of continuous-phase / differential
 phase-shift keying) because it has constant envelope, a trivially robust
-differential demodulator, and is what GSM uses (§4).  The ANC decoding
-algorithm itself only needs *some* phase-shift-keying scheme, so we also
-provide BPSK and QPSK (the 802.11 modulations the paper mentions) with the
-same interface, plus differential variants used for channel-insensitive
-demodulation.
+differential demodulator, and is what GSM uses (§4, §6).  The ANC decoder
+works on the MSK phase differences, so MSK is the one scheme this package
+implements, behind the narrow :class:`Modulator` / :class:`Demodulator`
+interface.
 """
 
-from repro.modulation.base import Demodulator, Modulator, ModulationScheme
-from repro.modulation.msk import MSKDemodulator, MSKModulator, MSKScheme
-from repro.modulation.bpsk import BPSKDemodulator, BPSKModulator, BPSKScheme
-from repro.modulation.qpsk import QPSKDemodulator, QPSKModulator, QPSKScheme
-from repro.modulation.registry import available_schemes, get_scheme
+from repro.modulation.base import Demodulator, Modulator
+from repro.modulation.msk import MSKDemodulator, MSKModulator
 
 __all__ = [
-    "BPSKDemodulator",
-    "BPSKModulator",
-    "BPSKScheme",
     "Demodulator",
     "MSKDemodulator",
     "MSKModulator",
-    "MSKScheme",
-    "ModulationScheme",
     "Modulator",
-    "QPSKDemodulator",
-    "QPSKModulator",
-    "QPSKScheme",
-    "available_schemes",
-    "get_scheme",
 ]

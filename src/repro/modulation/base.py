@@ -1,23 +1,21 @@
 """Abstract interfaces for modulators and demodulators.
 
-All schemes in :mod:`repro.modulation` map a bit array to a
-:class:`~repro.signal.samples.ComplexSignal` and back.  The interface is
-deliberately narrow — ``modulate(bits) -> signal`` and
-``demodulate(signal) -> bits`` — because that is all the framing layer and
-the ANC pipeline need.
+A modulator maps a bit array to a
+:class:`~repro.signal.samples.ComplexSignal` and a demodulator maps it
+back.  The interface is deliberately narrow — ``modulate(bits) -> signal``
+and ``demodulate(signal) -> bits`` — because that is all the framing layer
+and the ANC pipeline need.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from repro.exceptions import ModulationError
 from repro.signal.samples import ComplexSignal
-from repro.utils.validation import ensure_bit_array
 
 BitsLike = Union[np.ndarray, list, tuple, str]
 
@@ -63,16 +61,3 @@ class Demodulator(abc.ABC):
     def demodulate(self, signal: ComplexSignal) -> np.ndarray:
         """Convert a complex baseband signal into a bit array."""
 
-
-@dataclass(frozen=True)
-class ModulationScheme:
-    """A paired modulator/demodulator with a human-readable name."""
-
-    name: str
-    modulator: Modulator
-    demodulator: Demodulator
-
-    def roundtrip(self, bits: BitsLike) -> np.ndarray:
-        """Modulate then demodulate a bit array (useful in tests and examples)."""
-        clean = ensure_bit_array(bits, "bits")
-        return self.demodulator.demodulate(self.modulator.modulate(clean))

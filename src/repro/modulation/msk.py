@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DEFAULT_TX_AMPLITUDE, MSK_PHASE_STEP
-from repro.modulation.base import BitsLike, Demodulator, ModulationScheme, Modulator
+from repro.modulation.base import BitsLike, Demodulator, Modulator
 from repro.signal.samples import ComplexSignal
 from repro.utils.validation import ensure_bit_array, ensure_positive, ensure_positive_int
 
@@ -153,23 +153,6 @@ class MSKDemodulator(Demodulator):
         use these for erasures if desired.
         """
         return self.phase_differences(signal)
-
-
-def MSKScheme(
-    amplitude: float = DEFAULT_TX_AMPLITUDE,
-    samples_per_symbol: int = 1,
-    initial_phase: float = 0.0,
-) -> ModulationScheme:
-    """Construct a paired MSK modulator/demodulator."""
-    return ModulationScheme(
-        name="msk",
-        modulator=MSKModulator(
-            amplitude=amplitude,
-            samples_per_symbol=samples_per_symbol,
-            initial_phase=initial_phase,
-        ),
-        demodulator=MSKDemodulator(samples_per_symbol=samples_per_symbol),
-    )
 
 
 def expected_phase_differences(bits: BitsLike) -> np.ndarray:

@@ -5,14 +5,12 @@ framer, modulator, sent-packet buffer and the ANC receive pipeline — and is
 the unit the network simulator schedules.  :class:`RelayNode` adds the
 amplify-and-forward behaviour of the Alice–Bob / "X" router, and
 :class:`RouterNode` adds the decode-vs-amplify-vs-drop decision logic of
-§7.5.  The trigger protocol of §7.6 is modelled by
-:class:`~repro.node.trigger.TriggerScheduler`.
+§7.5.
 """
 
 from repro.node.node import Node, NodeConfig
 from repro.node.relay import RelayNode
 from repro.node.router import RouterAction, RouterDecision, RouterNode
-from repro.node.trigger import Trigger, TriggerScheduler
 
 __all__ = [
     "Node",
@@ -21,6 +19,4 @@ __all__ = [
     "RouterAction",
     "RouterDecision",
     "RouterNode",
-    "Trigger",
-    "TriggerScheduler",
 ]

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.anc.amplitude import (
+    AmplitudeEstimate,
     estimate_amplitudes,
     estimate_amplitudes_with_known,
     mean_energy,
     sigma_statistic,
 )
 from repro.exceptions import DecodingError
+from repro.signal.samples import ComplexSignal
 
 
 def _random_phase_mixture(amplitude_a, amplitude_b, n, seed=0):
@@ -31,6 +33,11 @@ class TestStatistics:
         y = _random_phase_mixture(amplitude_a, amplitude_b, 400_000, seed=1)
         expected = amplitude_a ** 2 + amplitude_b ** 2 + 4 * amplitude_a * amplitude_b / np.pi
         assert sigma_statistic(y) == pytest.approx(expected, rel=0.02)
+
+    def test_statistics_accept_complex_signal_container(self):
+        y = _random_phase_mixture(1.0, 0.6, 1000, seed=9)
+        assert mean_energy(ComplexSignal(y)) == mean_energy(y)
+        assert sigma_statistic(ComplexSignal(y)) == sigma_statistic(y)
 
     def test_sigma_degenerate_constant_energy(self):
         y = np.ones(100, dtype=complex)
@@ -55,6 +62,10 @@ class TestEstimateAmplitudes:
         larger, smaller = estimate_amplitudes(y)
         assert larger == pytest.approx(0.8, rel=0.1)
         assert smaller == pytest.approx(0.8, rel=0.1)
+
+    def test_silent_block_rejected(self):
+        with pytest.raises(DecodingError, match="mean energy must be positive"):
+            estimate_amplitudes(np.zeros(64, dtype=complex))
 
     def test_ordering(self):
         y = _random_phase_mixture(0.4, 1.2, 50_000, seed=4)
@@ -88,3 +99,11 @@ class TestEstimateWithKnown:
     def test_invalid_hint_rejected(self):
         with pytest.raises(DecodingError):
             estimate_amplitudes_with_known(np.ones(10, dtype=complex), 0.0)
+
+    @pytest.mark.parametrize("amplitude_a, amplitude_b", [(0.0, 1.0), (1.0, 0.0)])
+    def test_sir_undefined_for_a_vanished_component(self, amplitude_a, amplitude_b):
+        estimate = AmplitudeEstimate(
+            amplitude_a=amplitude_a, amplitude_b=amplitude_b, mu=1.0, sigma=1.0
+        )
+        with pytest.raises(DecodingError, match="SIR undefined"):
+            estimate.sir_db

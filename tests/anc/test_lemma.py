@@ -84,6 +84,12 @@ class TestPhaseSolutions:
         with pytest.raises(DecodingError):
             sol.theta(3)
 
+    @pytest.mark.parametrize("branch", [0, 3])
+    def test_phi_accessor_rejects_unknown_branch(self, branch):
+        sol = phase_solutions(_mixture(1.0, 0.5, [0.1], [1.2]), 1.0, 0.5)
+        with pytest.raises(DecodingError, match="branch must be 1 or 2"):
+            sol.phi(branch)
+
     def test_accepts_complex_signal_container(self):
         from repro.signal.samples import ComplexSignal
 

@@ -169,6 +169,16 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="JSON"):
             CampaignSpec.from_json("{not json")
 
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be a JSON object"):
+            CampaignSpec.from_json('["alice_bob"]')
+
+    def test_non_object_axes_rejected(self):
+        payload = small_spec().to_dict()
+        payload["axes"] = [["seed", [1, 2]]]
+        with pytest.raises(ConfigurationError, match="'axes' must be an object"):
+            CampaignSpec.from_dict(payload)
+
     def test_schema_optional_on_input(self):
         payload = small_spec().to_dict()
         del payload["schema"]

@@ -1,6 +1,7 @@
 """Tests for the content-addressed result store: atomicity, concurrency."""
 
 import json
+import logging
 import multiprocessing
 import os
 
@@ -61,6 +62,23 @@ class TestBasics:
         assert store.get(DIGEST) is None
         assert store.stats.misses == 1 and store.stats.hits == 0
 
+    @pytest.mark.parametrize(
+        "garbage, error",
+        [(b"{not json", "ConfigurationError"), (b"\x00garbage\xff", "UnicodeDecodeError")],
+    )
+    def test_corrupt_document_logs_one_warning(self, tmp_path, caplog, garbage, error):
+        store = ResultStore(tmp_path)
+        store.put(DIGEST, toy_result())
+        store.path(DIGEST).write_bytes(garbage)
+        with caplog.at_level(logging.WARNING, logger="repro.campaign.store"):
+            assert store.get(DIGEST) is None
+        assert store.stats.as_dict() == {"hits": 0, "misses": 1, "puts": 1, "races": 0}
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert str(store.path(DIGEST)) in message
+        assert error in message
+
     def test_wrong_schema_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(DIGEST, toy_result())
@@ -79,6 +97,19 @@ class TestBasics:
         store.put(DIGEST, toy_result())
         leftovers = [p for p in (tmp_path / DIGEST[:2]).iterdir() if p.suffix != ".json"]
         assert leftovers == []
+
+    def test_non_result_value_rejected(self, tmp_path):
+        store = ResultStore(tmp_path)
+        with pytest.raises(ConfigurationError, match="must be ExperimentResult, got dict"):
+            store.put(DIGEST, toy_result().to_dict())
+        assert DIGEST not in store
+        assert store.stats.puts == 0
+
+    def test_absent_root_is_an_empty_store(self, tmp_path):
+        store = ResultStore(tmp_path / "never-created")
+        assert store.digests() == []
+        assert len(store) == 0
+        assert store.get(DIGEST) is None
 
     def test_null_store_remembers_nothing(self):
         store = NullResultStore()

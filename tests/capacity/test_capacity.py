@@ -1,4 +1,4 @@
-"""Tests for the Theorem 8.1 capacity bounds and the Fig. 7 sweep."""
+"""Tests for the Theorem 8.1 capacity bounds and the relay SNR derivation."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.capacity.bounds import (
     traditional_capacity_upper_bound,
 )
 from repro.capacity.relay import amplification_factor, anc_receiver_snr, relay_received_snr
-from repro.capacity.sweep import capacity_sweep
 from repro.exceptions import CapacityError
 from repro.utils.db import db_to_power_ratio
 
@@ -64,6 +63,24 @@ class TestBounds:
         with pytest.raises(CapacityError):
             traditional_capacity_upper_bound(10.0, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.25])
+    def test_anc_bound_rejects_non_positive_alpha(self, alpha):
+        with pytest.raises(CapacityError, match="alpha must be positive"):
+            anc_capacity_lower_bound(10.0, alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"low_db": 10.0, "high_db": 10.0}, "high_db must exceed low_db"),
+            ({"resolution_db": 0.0}, "resolution_db must be positive"),
+            ({"low_db": 0.0, "high_db": 5.0}, "never overtakes routing"),
+        ],
+        ids=["empty_range", "zero_resolution", "below_crossover"],
+    )
+    def test_crossover_search_rejections(self, kwargs, match):
+        with pytest.raises(CapacityError, match=match):
+            crossover_snr_db(**kwargs)
+
 
 class TestRelayDerivation:
     def test_amplification_factor_normalises_power(self):
@@ -94,34 +111,12 @@ class TestRelayDerivation:
         with pytest.raises(CapacityError):
             anc_receiver_snr(-1.0)
 
+    def test_amplification_factor_rejects_zero_noise(self):
+        with pytest.raises(CapacityError, match="noise power must be positive"):
+            amplification_factor(10.0, noise_power=0.0)
 
-class TestCapacitySweep:
-    def test_default_range(self):
-        curve = capacity_sweep()
-        assert curve.snr_db[0] == 0.0
-        assert curve.snr_db[-1] == 55.0
-        assert len(curve.snr_db) == len(curve.anc) == len(curve.traditional)
+    @pytest.mark.parametrize("transmit_power, noise_power", [(0.0, 1.0), (1.0, 0.0)])
+    def test_relay_received_snr_rejects_non_positive_powers(self, transmit_power, noise_power):
+        with pytest.raises(CapacityError, match="powers must be positive"):
+            relay_received_snr(transmit_power, gain=1.0, noise_power=noise_power)
 
-    def test_asymptotic_gain(self):
-        curve = capacity_sweep()
-        assert curve.asymptotic_gain > 1.7
-
-    def test_crossover_in_curve(self):
-        curve = capacity_sweep()
-        assert 6.0 <= curve.crossover_db <= 11.0
-
-    def test_gain_interpolation(self):
-        curve = capacity_sweep()
-        assert curve.gain_at(30.0) == pytest.approx(capacity_gain(30.0), abs=0.02)
-
-    def test_rows(self):
-        curve = capacity_sweep([0.0, 10.0, 20.0])
-        rows = curve.as_rows()
-        assert len(rows) == 3
-        assert rows[1][0] == 10.0
-
-    def test_grid_validation(self):
-        with pytest.raises(CapacityError):
-            capacity_sweep([])
-        with pytest.raises(CapacityError):
-            capacity_sweep([10.0, 5.0])

@@ -100,6 +100,12 @@ class TestChannelChain:
         with pytest.raises(ChannelError):
             ChannelChain([FlatFadingChannel(0.5), "not a channel"])
 
+    def test_calling_a_stage_applies_it(self):
+        chain = ChannelChain([FlatFadingChannel(0.5), DelayChannel(2)])
+        sig = ComplexSignal([2 + 0j, 1j])
+        assert chain(sig) == chain.apply(sig)
+        assert IdentityChannel()(sig) == sig
+
     def test_chain_length(self):
         assert len(ChannelChain([IdentityChannel(), IdentityChannel()])) == 2
 

@@ -101,3 +101,7 @@ class TestInterferenceCombiner:
     def test_negative_offset_rejected(self):
         with pytest.raises(ChannelError):
             InterferenceCombiner().combine([(_burst(10), Link(), -5)])
+
+    def test_negative_noise_power_rejected(self):
+        with pytest.raises(ChannelError, match="noise power must be non-negative"):
+            InterferenceCombiner(noise_power=-0.1)

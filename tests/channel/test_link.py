@@ -40,6 +40,10 @@ class TestLinkDerivedQuantities:
     def test_received_power(self):
         assert Link(attenuation=0.5).received_power(4.0) == pytest.approx(1.0)
 
+    def test_received_power_rejects_negative_transmit_power(self):
+        with pytest.raises(ChannelError, match="transmit power must be non-negative"):
+            Link(attenuation=0.5).received_power(-1.0)
+
     def test_snr_db(self):
         link = Link(attenuation=1.0, noise_power=0.01)
         assert link.snr_db(1.0) == pytest.approx(20.0)

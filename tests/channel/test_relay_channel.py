@@ -54,3 +54,8 @@ class TestAmplifyAndForward:
     def test_all_zero_signal_rejected(self):
         with pytest.raises(ChannelError):
             AmplifyAndForwardRelayChannel(transmit_power=1.0).apply(ComplexSignal.silence(10))
+
+    def test_all_zero_signal_rejected_by_full_average(self):
+        relay = AmplifyAndForwardRelayChannel(transmit_power=1.0, measure_over_active_samples=False)
+        with pytest.raises(ChannelError, match="all-zero signal"):
+            relay.apply(ComplexSignal.silence(10))

@@ -13,7 +13,7 @@ from repro.coding.crc import (
     append_crc,
     check_and_strip_crc,
 )
-from repro.exceptions import CRCError
+from repro.exceptions import CRCError, ConfigurationError
 from repro.utils.bits import bits_from_bytes, random_bits
 
 
@@ -154,3 +154,17 @@ class TestHelpers:
     def test_check_and_strip_too_short(self):
         payload, ok = check_and_strip_crc(np.array([1, 0, 1], dtype=np.uint8))
         assert not ok
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "width, polynomial, match",
+        [
+            (0, 0x07, "CRC width must be positive"),
+            (-8, 0x07, "CRC width must be positive"),
+            (8, 0, "CRC polynomial must be positive"),
+        ],
+    )
+    def test_degenerate_spec_rejected(self, width, polynomial, match):
+        with pytest.raises(ConfigurationError, match=match):
+            CRCSpec(width=width, polynomial=polynomial, initial=0, name="bad")

@@ -1,110 +1,34 @@
-"""Tests for the repetition code, Hamming(7,4), interleaver and FEC pipeline."""
+"""Tests for the FEC pipeline and the block-code interface."""
 
 import numpy as np
 import pytest
 
-from repro.coding.fec import FECPipeline, IdentityCode
-from repro.coding.hamming import Hamming74Code
-from repro.coding.interleaver import BlockInterleaver
-from repro.coding.repetition import RepetitionCode
+from repro.coding.fec import BlockCode, FECPipeline, IdentityCode
 from repro.exceptions import CodingError
 from repro.utils.bits import random_bits
 
 
-class TestRepetitionCode:
-    def test_roundtrip_clean(self):
-        code = RepetitionCode(3)
-        data = random_bits(50, np.random.default_rng(0))
-        assert np.array_equal(code.decode(code.encode(data)), data)
+class _ParityCode(BlockCode):
+    """Systematic (n, k) stub: each k-bit block is followed by n - k parity bits."""
 
-    def test_corrects_single_error_per_block(self):
-        code = RepetitionCode(3)
-        data = np.array([1, 0, 1, 1], dtype=np.uint8)
-        coded = code.encode(data)
-        coded[0] ^= 1  # one error in the first block
-        coded[5] ^= 1  # one error in the second block
-        assert np.array_equal(code.decode(coded), data)
+    def __init__(self, k: int, n: int) -> None:
+        self.k, self.n = k, n
 
-    def test_fails_with_majority_errors(self):
-        code = RepetitionCode(3)
-        coded = code.encode(np.array([1], dtype=np.uint8))
-        coded[0] ^= 1
-        coded[1] ^= 1
-        assert code.decode(coded)[0] == 0
+    @property
+    def data_bits_per_block(self) -> int:
+        return self.k
 
-    def test_even_repetitions_rejected(self):
-        with pytest.raises(CodingError):
-            RepetitionCode(4)
+    @property
+    def coded_bits_per_block(self) -> int:
+        return self.n
 
-    def test_rate_and_overhead(self):
-        code = RepetitionCode(3)
-        assert code.rate == pytest.approx(1 / 3)
-        assert code.redundancy_overhead == pytest.approx(2.0)
-        assert code.correctable_errors_per_block() == 1
+    def encode(self, bits) -> np.ndarray:
+        blocks = np.asarray(bits, dtype=np.uint8).reshape(-1, self.k)
+        parity = np.bitwise_xor.reduce(blocks, axis=1, keepdims=True)
+        return np.hstack([blocks] + [parity] * (self.n - self.k)).ravel()
 
-    def test_decode_length_validation(self):
-        with pytest.raises(CodingError):
-            RepetitionCode(3).decode([1, 0])
-
-
-class TestHamming74:
-    def test_roundtrip_clean(self):
-        code = Hamming74Code()
-        data = random_bits(64, np.random.default_rng(1))
-        assert np.array_equal(code.decode(code.encode(data)), data)
-
-    def test_corrects_any_single_error(self):
-        code = Hamming74Code()
-        data = random_bits(4, np.random.default_rng(2))
-        coded = code.encode(data)
-        for position in range(7):
-            corrupted = coded.copy()
-            corrupted[position] ^= 1
-            assert np.array_equal(code.decode(corrupted), data), position
-
-    def test_double_error_not_corrected(self):
-        code = Hamming74Code()
-        data = np.array([1, 0, 1, 0], dtype=np.uint8)
-        coded = code.encode(data)
-        coded[0] ^= 1
-        coded[1] ^= 1
-        assert not np.array_equal(code.decode(coded), data)
-
-    def test_rate(self):
-        assert Hamming74Code().rate == pytest.approx(4 / 7)
-
-    def test_encode_length_validation(self):
-        with pytest.raises(CodingError):
-            Hamming74Code().encode([1, 0, 1])
-
-    def test_empty_input(self):
-        assert Hamming74Code().encode(np.array([], dtype=np.uint8)).size == 0
-
-
-class TestBlockInterleaver:
-    def test_roundtrip(self):
-        interleaver = BlockInterleaver(rows=4, columns=8)
-        data = random_bits(64, np.random.default_rng(3))
-        assert np.array_equal(interleaver.decode(interleaver.encode(data)), data)
-
-    def test_rate_one(self):
-        assert BlockInterleaver(4, 4).rate == 1.0
-
-    def test_spreads_bursts(self):
-        """A burst of consecutive errors lands in distinct de-interleaved blocks."""
-        rows, columns = 7, 8
-        interleaver = BlockInterleaver(rows=rows, columns=columns)
-        data = np.zeros(rows * columns, dtype=np.uint8)
-        coded = interleaver.encode(data)
-        coded[:4] ^= 1  # a 4-bit burst on the wire
-        decoded = interleaver.decode(coded)
-        error_positions = np.nonzero(decoded)[0]
-        blocks = set(int(p) // 7 for p in error_positions)
-        assert len(blocks) == 4  # each error falls into a different Hamming block
-
-    def test_length_validation(self):
-        with pytest.raises(CodingError):
-            BlockInterleaver(4, 4).encode(random_bits(10, np.random.default_rng(4)))
+    def decode(self, bits) -> np.ndarray:
+        return np.asarray(bits, dtype=np.uint8).reshape(-1, self.n)[:, : self.k].ravel()
 
 
 class TestFECPipeline:
@@ -113,49 +37,38 @@ class TestFECPipeline:
         data = random_bits(16, np.random.default_rng(5))
         assert np.array_equal(pipeline.encode(data), data)
 
-    def test_hamming_plus_repetition_roundtrip(self):
-        pipeline = FECPipeline([Hamming74Code(), RepetitionCode(3)])
+    def test_two_stage_roundtrip(self):
+        pipeline = FECPipeline([_ParityCode(2, 3), _ParityCode(1, 3)])
         data = random_bits(32, np.random.default_rng(6))
-        assert np.array_equal(pipeline.decode(pipeline.encode(data)), data)
+        coded = pipeline.encode(data)
+        assert coded.size == pipeline.expansion(32) == 144
+        assert np.array_equal(pipeline.decode(coded), data)
 
     def test_combined_rate(self):
-        pipeline = FECPipeline([Hamming74Code(), RepetitionCode(3)])
-        assert pipeline.rate == pytest.approx(4 / 21)
+        pipeline = FECPipeline([_ParityCode(2, 3), _ParityCode(1, 3)])
+        assert pipeline.rate == pytest.approx(2 / 9)
+        assert pipeline.redundancy_overhead == pytest.approx(3.5)
+        assert _ParityCode(1, 3).redundancy_overhead == pytest.approx(2.0)
 
     def test_expansion(self):
-        pipeline = FECPipeline([Hamming74Code()])
+        pipeline = FECPipeline([_ParityCode(4, 7)])
         assert pipeline.expansion(8) == 14
 
     def test_expansion_validates_length(self):
         with pytest.raises(CodingError):
-            FECPipeline([Hamming74Code()]).expansion(10)
-
-    def test_interleaved_hamming_corrects_burst(self):
-        """Interleaving lets Hamming(7,4) fix a burst it could not fix alone."""
-        pipeline = FECPipeline([Hamming74Code(), BlockInterleaver(rows=7, columns=8)])
-        data = random_bits(32, np.random.default_rng(7))
-        coded = pipeline.encode(data)
-        corrupted = coded.copy()
-        corrupted[10:14] ^= 1  # 4-bit burst
-        assert np.array_equal(pipeline.decode(corrupted), data)
+            FECPipeline([_ParityCode(4, 7)]).expansion(10)
 
     def test_rejects_non_code_stage(self):
         with pytest.raises(CodingError):
-            FECPipeline([Hamming74Code(), "xor"])
+            FECPipeline([_ParityCode(4, 7), "xor"])
 
     def test_identity_code_properties(self):
         code = IdentityCode()
         assert code.rate == 1.0
         assert code.redundancy_overhead == 0.0
 
-    def test_random_error_correction_rate(self):
-        """Hamming+interleaver repairs a 2 % random BER almost always."""
-        rng = np.random.default_rng(8)
-        pipeline = FECPipeline([Hamming74Code(), BlockInterleaver(rows=7, columns=8)])
-        data = random_bits(448, rng)
-        coded = pipeline.encode(data)
-        flips = rng.uniform(size=coded.size) < 0.02
-        corrupted = np.bitwise_xor(coded, flips.astype(np.uint8))
-        decoded = pipeline.decode(corrupted)
-        residual = np.mean(decoded != data)
-        assert residual < 0.01
+    def test_identity_code_passes_bits_through(self):
+        code = IdentityCode()
+        bits = random_bits(37, np.random.default_rng(5))
+        assert np.array_equal(code.encode(bits), bits)
+        assert np.array_equal(code.decode(code.encode(bits)), bits)

@@ -39,6 +39,17 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(overlap_jitter=0.9)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("batch_size", 0, "batch_size must be positive"),
+            ("sim_duration", -1.0, "sim_duration must be non-negative"),
+        ],
+    )
+    def test_execution_knob_validation(self, field, value, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig(**{field: value})
+
     def test_run_rng_deterministic(self):
         config = ExperimentConfig(seed=99)
         a = config.run_rng(3, stream=1).integers(0, 1000, 5)

@@ -14,7 +14,6 @@ Covers the three guarantees the experiment runners rely on:
 from __future__ import annotations
 
 import logging
-from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
@@ -23,12 +22,7 @@ from repro import api
 from repro.exceptions import ConfigurationError
 from repro.experiments.alice_bob import run_alice_bob_experiment, run_alice_bob_trial
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engine import (
-    _SHM_MIN_BYTES,
-    ExperimentEngine,
-    _key_slug,
-    default_engine,
-)
+from repro.experiments.engine import ExperimentEngine, _key_slug, default_engine
 from repro.experiments.runner import REGISTRY
 from repro.experiments.sir_sweep import sir_points
 from repro.experiments.snr_sweep import snr_points
@@ -53,16 +47,6 @@ def _failing_trial(cfg: ExperimentConfig, key: int) -> float:
 def _none_trial(cfg: ExperimentConfig, key: int) -> None:
     """Toy trial whose legitimate result is ``None``."""
     return None
-
-
-def _weighted_trial(cfg: ExperimentConfig, key: int, weights=None) -> float:
-    """Toy trial reading a (possibly shared-memory) array parameter."""
-    return float(weights[key % weights.size]) * (key + 1)
-
-
-def _crashing_weighted_trial(cfg: ExperimentConfig, key: int, weights=None) -> float:
-    """Toy trial that crashes after touching its shared array."""
-    raise RuntimeError(f"trial {key} exploded with {float(weights[0])}")
 
 
 @pytest.fixture
@@ -91,9 +75,10 @@ class TestMapBasics:
         with pytest.raises(ConfigurationError):
             ExperimentEngine(workers=0)
 
-    def test_trial_errors_propagate(self, quick_config):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trial_errors_propagate(self, quick_config, workers):
         with pytest.raises(RuntimeError, match="exploded"):
-            ExperimentEngine().map("toy", _failing_trial, quick_config, range(2))
+            ExperimentEngine(workers=workers).map("toy", _failing_trial, quick_config, range(2))
 
     def test_stats_recorded(self, quick_config):
         engine = ExperimentEngine()
@@ -135,27 +120,27 @@ class TestSerialParallelEquivalence:
         assert serial == parallel
 
 
-class TestRunBatched:
+class TestBatchDispatch:
     """Block dispatch must be invisible in results, caching and ordering."""
 
     def test_results_identical_at_every_batch_size(self, quick_config):
         reference = ExperimentEngine().map("toy", _draw_trial, quick_config, range(10))
         for batch_size in (1, 3, 4, 10, 99):
-            batched = ExperimentEngine().run_batched(
+            batched = ExperimentEngine().map(
                 "toy", _draw_trial, quick_config, range(10), batch_size=batch_size
             )
             assert batched == reference
 
     def test_parallel_batched_identical_to_serial(self, quick_config):
         serial = ExperimentEngine(workers=1).map("toy", _draw_trial, quick_config, range(8))
-        parallel = ExperimentEngine(workers=2).run_batched(
+        parallel = ExperimentEngine(workers=2).map(
             "toy", _draw_trial, quick_config, range(8), batch_size=3
         )
         assert parallel == serial
 
     def test_constructor_default_batch_size(self, quick_config):
         engine = ExperimentEngine(batch_size=4)
-        results = engine.run_batched("toy", _draw_trial, quick_config, range(6))
+        results = engine.map("toy", _draw_trial, quick_config, range(6))
         assert results == ExperimentEngine().map("toy", _draw_trial, quick_config, range(6))
         assert engine.last_stats.batch_size == 4
 
@@ -167,7 +152,7 @@ class TestRunBatched:
 
     def test_batched_cache_is_per_trial(self, quick_config, tmp_path):
         batched = ExperimentEngine(cache_dir=tmp_path, batch_size=3)
-        results = batched.run_batched("toy", _draw_trial, quick_config, range(7))
+        results = batched.map("toy", _draw_trial, quick_config, range(7))
         assert batched.last_stats.executed_trials == 7
         # A later run at a *different* batch size reuses every trial: the
         # cache layout (and the digest) are independent of batching.
@@ -193,7 +178,7 @@ class TestRunBatched:
         # Module-level picklability is not needed on the serial path.
         engine = ExperimentEngine(cache_dir=tmp_path, batch_size=4)
         with pytest.raises(RuntimeError):
-            engine.run_batched("toy", _fail_on_two, quick_config, range(4))
+            engine.map("toy", _fail_on_two, quick_config, range(4))
         digest = ExperimentEngine.task_digest("toy", _fail_on_two, quick_config)
         cached = sorted(p.name for p in (tmp_path / digest).glob("*.pkl"))
         assert cached == [f"{_key_slug(0)}.pkl", f"{_key_slug(1)}.pkl"]
@@ -365,27 +350,17 @@ class TestCacheKeying:
         with pytest.raises(ConfigurationError, match="stable cache digest"):
             ExperimentEngine.task_digest("toy", _draw_trial, Opaque())
 
-    def test_non_json_param_rejected_by_name(self, quick_config):
-        """A param digested through its repr would bake in a memory address."""
+    @pytest.mark.parametrize("marker", [object(), np.arange(5000, dtype=np.float64)])
+    def test_non_json_param_rejected_by_name(self, quick_config, marker):
+        """A param digested through its repr would bake in a memory address.
+
+        numpy's repr also elides the middle of large arrays, so an ndarray
+        param is refused rather than keyed by a lossy repr.
+        """
         with pytest.raises(ConfigurationError, match="trial param 'marker'"):
             ExperimentEngine.task_digest(
-                "toy", _echo_trial, quick_config, params={"scale": 1.0, "marker": object()}
+                "toy", _echo_trial, quick_config, params={"scale": 1.0, "marker": marker}
             )
-
-    def test_ndarray_param_keyed_by_content(self, quick_config):
-        """numpy's repr elides the middle of large arrays; the digest must not."""
-        base = np.arange(5000, dtype=np.float64)
-        edited = base.copy()
-        edited[2500] = -1.0
-        assert repr(base) == repr(edited)
-
-        def digest(weights):
-            return ExperimentEngine.task_digest(
-                "toy", _weighted_trial, quick_config, params={"weights": weights}
-            )
-
-        assert digest(base) == digest(base.copy())
-        assert digest(base) != digest(edited)
 
     def test_json_serializable_plain_config_still_digests(self):
         plain = {"seed": 7, "snr_db": 15.0}
@@ -428,6 +403,13 @@ class TestCacheKeySlugs:
         with pytest.raises(ConfigurationError):
             _key_slug(True)
 
+    @pytest.mark.parametrize(
+        "key", [None, b"raw", ("ok", [1])], ids=["none", "bytes", "nested_list"]
+    )
+    def test_unencodable_keys_rejected(self, key):
+        with pytest.raises(ConfigurationError, match="trial keys must be int, float, str or tuple"):
+            _key_slug(key)
+
     def test_colliding_keys_resume_to_their_own_results(self, quick_config, tmp_path):
         """Keys the old slug merged now cache — and resume — separately."""
         keys = ["a/b", "a_b", ("a", "b"), ("a_b",)]
@@ -439,73 +421,6 @@ class TestCacheKeySlugs:
         assert resumed.map("toy", _echo_trial, quick_config, keys) == results
         assert resumed.last_stats.cached_trials == 4
         assert resumed.last_stats.executed_trials == 0
-
-
-class TestSharedMemoryHandoff:
-    """Zero-copy parameter shipping must be invisible except in speed.
-
-    Large ndarray params cross the process boundary as
-    ``multiprocessing.shared_memory`` segments instead of being pickled
-    per block; results must be bit-identical either way, and the parent
-    must unlink every segment when the run ends — including when a worker
-    crashes.
-    """
-
-    #: Big enough to cross the export threshold (float64 elements).
-    _BIG = np.arange(_SHM_MIN_BYTES // 8 + 512, dtype=np.float64)
-
-    def _run(self, config, *, shared_memory, trial=_weighted_trial):
-        engine = ExperimentEngine(workers=2, shared_memory=shared_memory)
-        results = engine.run_batched(
-            "toy", trial, config, range(8),
-            params={"weights": self._BIG}, batch_size=2,
-        )
-        return engine, results
-
-    def test_shm_results_bit_identical_to_pickled(self, quick_config):
-        shm_engine, shm_results = self._run(quick_config, shared_memory=True)
-        pickled_engine, pickled_results = self._run(quick_config, shared_memory=False)
-        assert shm_results == pickled_results
-        # The shm run really took the zero-copy path; the control didn't.
-        assert shm_engine._last_shm_names
-        assert not pickled_engine._last_shm_names
-
-    def test_segments_unlinked_after_run(self, quick_config):
-        engine, _ = self._run(quick_config, shared_memory=True)
-        for name in engine._last_shm_names:
-            with pytest.raises(FileNotFoundError):
-                SharedMemory(name=name)
-
-    def test_segments_unlinked_after_worker_crash(self, quick_config):
-        engine = ExperimentEngine(workers=2, shared_memory=True)
-        with pytest.raises(RuntimeError, match="exploded"):
-            engine.run_batched(
-                "toy", _crashing_weighted_trial, quick_config, range(8),
-                params={"weights": self._BIG}, batch_size=2,
-            )
-        assert engine._last_shm_names
-        for name in engine._last_shm_names:
-            with pytest.raises(FileNotFoundError):
-                SharedMemory(name=name)
-
-    def test_small_arrays_still_pickled(self, quick_config):
-        """Below the size threshold the segment overhead isn't worth it."""
-        small = np.arange(16, dtype=np.float64)
-        engine = ExperimentEngine(workers=2, shared_memory=True)
-        results = engine.run_batched(
-            "toy", _weighted_trial, quick_config, range(8),
-            params={"weights": small}, batch_size=2,
-        )
-        assert not engine._last_shm_names
-        assert results == [float(small[k % 16]) * (k + 1) for k in range(8)]
-
-    def test_serial_path_matches_parallel_shm(self, quick_config):
-        serial = ExperimentEngine(workers=1).map(
-            "toy", _weighted_trial, quick_config, range(8),
-            params={"weights": self._BIG},
-        )
-        _, parallel = self._run(quick_config, shared_memory=True)
-        assert serial == parallel
 
 
 class TestRunnerRegistry:

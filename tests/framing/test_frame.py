@@ -22,6 +22,7 @@ class TestFrameLayout:
 
     def test_field_offsets_are_contiguous(self):
         layout = FrameLayout(pilot_length=64, header_length=48, payload_length=128)
+        assert layout.pilot_start == 0
         assert layout.header_start == 64
         assert layout.payload_start == 112
         assert layout.trailing_header_start == 112 + 144

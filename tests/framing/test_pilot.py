@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
 from repro.utils.bits import random_bits
 
@@ -13,6 +14,11 @@ class TestPilotSequence:
 
     def test_deterministic(self):
         assert np.array_equal(PilotSequence().bits, PilotSequence().bits)
+
+    @pytest.mark.parametrize("length", [0, -64])
+    def test_non_positive_length_rejected(self, length):
+        with pytest.raises(ConfigurationError, match="pilot length must be positive"):
+            PilotSequence(length=length)
 
     def test_mirrored(self):
         pilot = PilotSequence()

@@ -126,6 +126,24 @@ class TestRelayExchangePlan:
         with pytest.raises(ConfigurationError):
             plan_relay_exchange(topo, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 3))
 
+    def test_relay_cannot_be_an_endpoint(self):
+        topo = alice_bob_topology(CONDITIONS, np.random.default_rng(5))
+        with pytest.raises(ConfigurationError, match="relay cannot be a flow endpoint"):
+            plan_relay_exchange(topo, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 2), relay=ALICE)
+
+    def test_relay_off_the_route_rejected(self):
+        topo = _chain(4)
+        with pytest.raises(ConfigurationError, match="flow 1->3 does not cross relay 0"):
+            plan_relay_exchange(topo, Flow(1, 3, 2), Flow(3, 1, 2), relay=0)
+
+    def test_forbidding_overhearing_rejects_the_x_topology(self):
+        # X-topology destinations only learn the paired packet by overhearing.
+        topo = x_topology(CONDITIONS, np.random.default_rng(6))
+        with pytest.raises(ConfigurationError, match="has no side information"):
+            plan_relay_exchange(
+                topo, Flow(N1, N4, 4), Flow(N3, N2, 4), relay=N5, overhearing=False
+            )
+
 
 class TestMeshExchanges:
     def test_pairs_reverse_flows_on_a_star(self):

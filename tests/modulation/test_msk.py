@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.channel.flat import FlatFadingChannel
+from repro.exceptions import ConfigurationError, ModulationError
 from repro.modulation.msk import (
     MSKDemodulator,
     MSKModulator,
-    MSKScheme,
     expected_phase_differences,
     msk_phase_trajectory,
     verify_constant_envelope,
 )
+from repro.signal.samples import ComplexSignal
 from repro.utils.bits import random_bits, string_to_bits
 
 
@@ -61,6 +62,19 @@ class TestModulator:
     def test_samples_for_bits(self):
         mod = MSKModulator()
         assert mod.samples_for_bits(10) == 11
+
+    def test_samples_for_bits_negative(self):
+        with pytest.raises(ModulationError):
+            MSKModulator().samples_for_bits(-1)
+
+    def test_samples_for_bits_validates_multiple(self):
+        """The base class rejects counts that fill no whole symbol."""
+
+        class TwoBitModulator(MSKModulator):
+            bits_per_symbol = 2
+
+        with pytest.raises(ModulationError):
+            TwoBitModulator().samples_for_bits(3)
 
 
 class TestVectorizedOversampling:
@@ -119,8 +133,8 @@ class TestVectorizedOversampling:
 class TestDemodulator:
     def test_roundtrip_no_channel(self):
         bits = random_bits(256, np.random.default_rng(1))
-        scheme = MSKScheme()
-        assert np.array_equal(scheme.roundtrip(bits), bits)
+        signal = MSKModulator().modulate(bits)
+        assert np.array_equal(MSKDemodulator().demodulate(signal), bits)
 
     def test_roundtrip_with_attenuation_and_phase(self):
         """Eq. 1: demodulation is invariant to channel gain and phase offset."""
@@ -140,12 +154,10 @@ class TestDemodulator:
 
     def test_oversampled_roundtrip(self):
         bits = random_bits(64, np.random.default_rng(4))
-        scheme = MSKScheme(samples_per_symbol=4)
-        assert np.array_equal(scheme.roundtrip(bits), bits)
+        signal = MSKModulator(samples_per_symbol=4).modulate(bits)
+        assert np.array_equal(MSKDemodulator(samples_per_symbol=4).demodulate(signal), bits)
 
     def test_short_signal_gives_no_bits(self):
-        from repro.signal.samples import ComplexSignal
-
         assert MSKDemodulator().demodulate(ComplexSignal([1 + 0j])).size == 0
 
     def test_soft_decisions_magnitude(self):
@@ -153,6 +165,25 @@ class TestDemodulator:
         sig = MSKModulator().modulate(bits)
         soft = MSKDemodulator().soft_decisions(sig)
         assert soft == pytest.approx([np.pi / 2, -np.pi / 2])
+
+    def test_samples_per_symbol_reported(self):
+        assert MSKDemodulator(samples_per_symbol=3).samples_per_symbol == 3
+
+    @pytest.mark.parametrize("sps", [0, -2])
+    def test_non_positive_oversampling_rejected(self, sps):
+        with pytest.raises(ConfigurationError, match="samples_per_symbol"):
+            MSKDemodulator(samples_per_symbol=sps)
+
+
+class TestConstantEnvelopeCheck:
+    def test_empty_signal_is_trivially_constant(self):
+        assert verify_constant_envelope(ComplexSignal(np.zeros(0, dtype=np.complex128)))
+
+    def test_amplitude_step_detected(self):
+        sig = MSKModulator().modulate(random_bits(16, np.random.default_rng(6)))
+        stepped = ComplexSignal(sig.samples * np.r_[np.ones(8), 1.5 * np.ones(len(sig) - 8)])
+        assert not verify_constant_envelope(stepped)
+        assert verify_constant_envelope(stepped, tolerance=0.6)
 
 
 class TestExpectedPhaseDifferences:

@@ -77,6 +77,28 @@ class TestWirelessMedium:
         )
         assert duration == len(wave) + 25
 
+    def test_slot_duration_spans_the_latest_transmission(self):
+        medium = WirelessMedium(_simple_topology())
+        short, long = _burst(n=40), _burst(seed=1, n=80)
+        duration = medium.slot_duration(
+            [
+                Transmission(sender=1, waveform=long, start_offset=0),
+                Transmission(sender=2, waveform=short, start_offset=60),
+            ]
+        )
+        assert duration == max(len(long), len(short) + 60)
+
+    def test_empty_slot_has_no_duration(self):
+        assert WirelessMedium(_simple_topology()).slot_duration([]) == 0
+
+    def test_negative_start_offset_rejected(self):
+        with pytest.raises(SimulationError, match="start offsets must be non-negative"):
+            Transmission(sender=1, waveform=_burst(), start_offset=-1)
+
+    def test_negative_tail_padding_rejected(self):
+        with pytest.raises(SimulationError, match="tail padding must be non-negative"):
+            WirelessMedium(_simple_topology(), tail_padding=-1)
+
     def test_duplicate_sender_rejected(self):
         medium = WirelessMedium(_simple_topology())
         wave = _burst()

@@ -43,6 +43,12 @@ class TestConstruction:
         with pytest.raises(TopologyError):
             Topology().add_node(-1)
 
+    def test_negative_noise_power_rejected(self):
+        topo = Topology()
+        with pytest.raises(TopologyError, match="noise power must be non-negative"):
+            topo.add_node(0, noise_power=-1e-3)
+        assert 0 not in topo
+
     def test_validate_passes_for_wellformed(self):
         _triangle().validate()
 

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from repro.anc.lemma import phase_solutions, reconstruct_sample
 from repro.coding.crc import CRC16
-from repro.coding.hamming import Hamming74Code
-from repro.coding.interleaver import BlockInterleaver
-from repro.coding.repetition import RepetitionCode
 from repro.framing.frame import Deframer, Framer
 from repro.framing.header import Header
 from repro.framing.packet import Packet
@@ -98,42 +95,6 @@ class TestCodingInvariants:
     def test_crc_roundtrip(self, bits):
         data = np.array(bits, dtype=np.uint8)
         assert CRC16.verify(CRC16.append(data))
-
-    @given(data=st.lists(st.integers(0, 1), min_size=4, max_size=64).filter(lambda x: len(x) % 4 == 0))
-    @settings(max_examples=50, deadline=None)
-    def test_hamming_roundtrip(self, data):
-        code = Hamming74Code()
-        bits = np.array(data, dtype=np.uint8)
-        assert np.array_equal(code.decode(code.encode(bits)), bits)
-
-    @given(
-        data=st.lists(st.integers(0, 1), min_size=4, max_size=64).filter(lambda x: len(x) % 4 == 0),
-        error_position=st.integers(0, 10_000),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_hamming_corrects_any_single_error(self, data, error_position):
-        code = Hamming74Code()
-        bits = np.array(data, dtype=np.uint8)
-        coded = code.encode(bits)
-        corrupted = coded.copy()
-        corrupted[error_position % coded.size] ^= 1
-        assert np.array_equal(code.decode(corrupted), bits)
-
-    @given(bits=bit_lists, repetitions=st.sampled_from([3, 5, 7]))
-    @settings(max_examples=30, deadline=None)
-    def test_repetition_roundtrip(self, bits, repetitions):
-        code = RepetitionCode(repetitions)
-        data = np.array(bits, dtype=np.uint8)
-        assert np.array_equal(code.decode(code.encode(data)), data)
-
-    @given(bits=st.lists(st.integers(0, 1), min_size=64, max_size=64))
-    @settings(max_examples=30, deadline=None)
-    def test_interleaver_is_permutation(self, bits):
-        interleaver = BlockInterleaver(rows=8, columns=8)
-        data = np.array(bits, dtype=np.uint8)
-        encoded = interleaver.encode(data)
-        assert sorted(encoded.tolist()) == sorted(data.tolist())
-        assert np.array_equal(interleaver.decode(encoded), data)
 
     @given(bits=bit_lists)
     @settings(max_examples=50, deadline=None)

@@ -121,10 +121,24 @@ class TestSeries:
         assert isinstance(records[0], Record)
         assert records[0]["y"] == 2.0
         assert dict(records[1]) == {"x": 3, "y": 4.0}
+        assert len(records[0]) == 2
+        assert repr(records[0]) == "Record({'x': 1, 'y': 2.0})"
 
     def test_row_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             Series(name="bad", columns=("a", "b"), rows=((1,),))
+
+    @pytest.mark.parametrize(
+        "name, columns, match",
+        [("", ("a",), "non-empty name"), ("bare", (), "needs at least one column")],
+    )
+    def test_degenerate_shape_rejected(self, name, columns, match):
+        with pytest.raises(ConfigurationError, match=match):
+            Series(name=name, columns=columns, rows=())
+
+    def test_from_dict_names_the_missing_key(self):
+        with pytest.raises(ConfigurationError, match="series payload is missing key 'rows'"):
+            Series.from_dict({"name": "points", "columns": ["x"]})
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -163,6 +177,16 @@ class TestExperimentResult:
         del payload["schema_version"]
         with pytest.raises(ConfigurationError):
             ExperimentResult.from_dict(payload)
+
+    def test_from_dict_names_the_missing_key(self):
+        payload = self._result().to_dict()
+        del payload["scalars"]
+        with pytest.raises(ConfigurationError, match="result payload is missing key 'scalars'"):
+            ExperimentResult.from_dict(payload)
+
+    def test_series_values_must_be_series(self):
+        with pytest.raises(ConfigurationError, match="series 't' must be a Series instance"):
+            ExperimentResult(name="toy", kind="figure", config={}, series={"t": {"v": [1]}})
 
     def test_series_key_must_match_table_name(self):
         with pytest.raises(ConfigurationError):

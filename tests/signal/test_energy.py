@@ -38,6 +38,13 @@ class TestPowerHelpers:
     def test_empty_signal_zero(self):
         assert average_power(ComplexSignal.empty()) == 0.0
         assert peak_power(ComplexSignal.empty()) == 0.0
+        assert energy_variance(ComplexSignal.empty()) == 0.0
+
+    def test_helpers_accept_raw_sample_arrays(self):
+        samples = np.array([1.0, 1j, -2.0])
+        assert average_power(samples) == pytest.approx(2.0)
+        assert peak_power(samples) == pytest.approx(4.0)
+        assert energy_variance(samples) == pytest.approx(np.var([1.0, 1.0, 4.0]))
 
 
 class TestEnergyDetector:
@@ -57,6 +64,14 @@ class TestEnergyDetector:
         detection = EnergyDetector(noise_power=NOISE).detect(noise_only)
         assert not detection.detected
         assert detection.length == 0
+
+    def test_detection_length_spans_the_burst(self):
+        rng = np.random.default_rng(1)
+        burst = _msk_burst()
+        noisy = awgn(burst.padded(50, 80), NOISE, rng)
+        detection = EnergyDetector(noise_power=NOISE).detect(noisy)
+        assert detection.length == detection.end_index - detection.start_index
+        assert abs(detection.length - len(burst)) <= 32
 
     def test_is_busy(self):
         burst = _msk_burst()
@@ -99,3 +114,7 @@ class TestInterferenceDetector:
     def test_empty_signal_raises(self):
         with pytest.raises(DetectionError):
             InterferenceDetector(noise_power=NOISE).detect(ComplexSignal.empty())
+
+    def test_metric_of_empty_signal_raises(self):
+        with pytest.raises(DetectionError, match="empty signal"):
+            InterferenceDetector(noise_power=NOISE).interference_metric(ComplexSignal.empty())

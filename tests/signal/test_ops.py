@@ -31,6 +31,15 @@ class TestDelaySignal:
         with pytest.raises(ChannelError):
             delay_signal(ComplexSignal([1 + 0j]), -1)
 
+    def test_negative_total_length_rejected(self):
+        with pytest.raises(ChannelError, match="total_length must be non-negative"):
+            delay_signal(ComplexSignal([1 + 0j]), 0, total_length=-1)
+
+    def test_accepts_raw_sample_array(self):
+        out = delay_signal(np.array([1.0, 2.0]), 2)
+        assert isinstance(out, ComplexSignal)
+        assert np.array_equal(out.samples, [0, 0, 1, 2])
+
 
 class TestAddSignals:
     def test_superposition(self):
@@ -64,6 +73,14 @@ class TestOverlapAdd:
     def test_negative_offset_rejected(self):
         with pytest.raises(ChannelError):
             overlap_add([(ComplexSignal([1 + 0j]), -1)])
+
+    def test_no_components_rejected(self):
+        with pytest.raises(ChannelError, match="at least one component"):
+            overlap_add([])
+
+    def test_negative_total_length_rejected(self):
+        with pytest.raises(ChannelError, match="total_length must be non-negative"):
+            overlap_add([(ComplexSignal([1 + 0j]), 0)], total_length=-3)
 
     def test_collision_is_sum_of_delayed_components(self):
         rng = np.random.default_rng(0)

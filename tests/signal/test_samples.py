@@ -118,6 +118,17 @@ class TestStructuralOps:
         assert a.isclose(b)
         assert not a.isclose(ComplexSignal([2 + 0j]))
 
+    def test_add_refuses_raw_arrays(self):
+        # Superposition is only defined between signals; a bare ndarray
+        # must not be silently broadcast into one.
+        with pytest.raises(TypeError):
+            ComplexSignal([1 + 0j]) + [1 + 0j]
+
+    def test_never_equal_to_raw_samples(self):
+        sig = ComplexSignal([1 + 0j, 2 + 0j])
+        assert sig != [1 + 0j, 2 + 0j]
+        assert not (sig == "signal")
+
 
 def _assert_frozen(signal):
     assert not signal.samples.flags.writeable

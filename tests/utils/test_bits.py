@@ -133,3 +133,10 @@ class TestDistance:
 
     def test_bit_error_rate_empty_is_zero(self):
         assert bit_error_rate([], []) == 0.0
+
+
+class TestIntGuards:
+    @pytest.mark.parametrize("width", [0, -4])
+    def test_non_positive_width_rejected(self, width):
+        with pytest.raises(ConfigurationError, match="bit width must be positive"):
+            bits_from_int(0, width)

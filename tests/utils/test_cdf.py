@@ -74,3 +74,15 @@ class TestEvaluation:
 
     def test_len(self):
         assert len(EmpiricalCDF.from_samples([1.0, 1.0, 1.0])) == 3
+
+
+class TestEmptyCDF:
+    """A directly constructed CDF with no samples refuses to evaluate."""
+
+    def test_evaluate_rejected(self):
+        with pytest.raises(ConfigurationError, match="empty CDF"):
+            EmpiricalCDF().evaluate(0.0)
+
+    def test_fraction_below_rejected(self):
+        with pytest.raises(ConfigurationError, match="empty CDF"):
+            EmpiricalCDF().fraction_below(0.0)

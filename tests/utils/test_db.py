@@ -61,3 +61,38 @@ class TestSNRandSIR:
         # SIR = 10 log10(P_bob / P_alice); equal powers give 0 dB.
         assert sir_db_from_powers(1.0, 1.0) == pytest.approx(0.0)
         assert sir_db_from_powers(0.5, 1.0) == pytest.approx(-3.0103, abs=1e-3)
+
+
+class TestConversionGuards:
+    def test_linear_to_db_rejects_non_positive(self):
+        with pytest.raises(ConfigurationError, match="amplitude ratio"):
+            linear_to_db(0.0)
+
+    def test_array_inputs_stay_arrays(self):
+        values = np.array([1.0, 10.0, 100.0])
+        assert isinstance(power_ratio_to_db(values), np.ndarray)
+        assert power_ratio_to_db(values) == pytest.approx([0.0, 10.0, 20.0])
+        assert linear_to_db(values) == pytest.approx([0.0, 20.0, 40.0])
+        assert db_to_linear(np.array([0.0, 20.0])) == pytest.approx([1.0, 10.0])
+
+    def test_scalar_inputs_become_floats(self):
+        assert type(power_ratio_to_db(np.float32(10.0))) is float
+        assert type(linear_to_db(10)) is float
+        assert type(db_to_linear(np.array(20.0))) is float
+
+    @pytest.mark.parametrize("signal_power", [0.0, -1.0])
+    def test_snr_requires_positive_signal(self, signal_power):
+        with pytest.raises(ConfigurationError, match="signal power"):
+            snr_db_from_powers(signal_power, 1.0)
+
+    @pytest.mark.parametrize(
+        "wanted, interference, match",
+        [
+            (0.0, 1.0, "wanted power"),
+            (1.0, 0.0, "interference power"),
+            (1.0, -2.0, "interference power"),
+        ],
+    )
+    def test_sir_requires_positive_powers(self, wanted, interference, match):
+        with pytest.raises(ConfigurationError, match=match):
+            sir_db_from_powers(wanted, interference)

@@ -74,6 +74,13 @@ class TestPNSequence:
         with pytest.raises(ConfigurationError):
             PNSequence(seed=1).bits(-1)
 
+    @pytest.mark.parametrize("register_bits", [0, -8])
+    def test_non_positive_register_rejected_on_every_call(self, register_bits):
+        # The validated stream key is memoised; a rejected one must not be.
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="register_bits must be positive"):
+                PNSequence(seed=1, taps=(1,), register_bits=register_bits)
+
     def test_maximal_length_period(self):
         # A maximal-length 16-bit LFSR revisits its initial state only
         # after 2^16 - 1 steps.

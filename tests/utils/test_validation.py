@@ -88,3 +88,32 @@ class TestArrayValidators:
     def test_complex_array_rejects_2d(self):
         with pytest.raises(ConfigurationError):
             ensure_complex_array(np.zeros((2, 2)))
+
+    def test_complex_array_rejects_non_numeric(self):
+        with pytest.raises(ConfigurationError, match="iq must be convertible to complex"):
+            ensure_complex_array(["a", "b"], "iq")
+
+
+_SCALAR_VALIDATORS = {
+    "positive": ensure_positive,
+    "non_negative": ensure_non_negative,
+    "probability": ensure_probability,
+    "in_range": lambda value, name: ensure_in_range(value, 0, 10, name),
+    "positive_int": ensure_positive_int,
+    "non_negative_int": ensure_non_negative_int,
+}
+
+
+class TestTypeGuards:
+    """Every scalar validator rejects bools and non-numbers by name."""
+
+    @pytest.mark.parametrize("bad", [True, "1", None], ids=["bool", "str", "none"])
+    @pytest.mark.parametrize("kind", sorted(_SCALAR_VALIDATORS))
+    def test_rejects_non_numbers(self, kind, bad):
+        with pytest.raises(ConfigurationError, match=r"^width must be (a real number|an integer)"):
+            _SCALAR_VALIDATORS[kind](bad, "width")
+
+    @pytest.mark.parametrize("kind", ["positive_int", "non_negative_int"])
+    def test_integer_validators_reject_whole_floats(self, kind):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            _SCALAR_VALIDATORS[kind](2.0, "n")

@@ -39,6 +39,8 @@ DOCSTRING_PACKAGES = (
     "src/repro/channel",
     "src/repro/sim",
     "src/repro/campaign",
+    "src/repro/metrics",
+    "src/repro/capacity",
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -33,11 +33,7 @@ import numpy as np
 
 from repro.anc.alignment import align_known_frame
 from repro.anc.decoder import DecodeDiagnostics, DecoderConfig, InterferenceDecoder
-from repro.exceptions import (
-    DecodingError,
-    HeaderError,
-    SynchronizationError,
-)
+from repro.exceptions import DecodingError, SynchronizationError
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Deframer, Framer
 from repro.framing.header import Header
@@ -46,6 +42,11 @@ from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
 from repro.modulation.msk import MSKDemodulator
 from repro.signal.energy import EnergyDetector, InterferenceDetector
 from repro.signal.samples import ComplexSignal
+
+
+#: ``ReceiveResult.failure_reason`` of a packet whose header validated but
+#: whose payload failed its CRC.
+PAYLOAD_CRC_FAILURE = "payload crc"
 
 
 class ReceiveOutcome(enum.Enum):
@@ -220,6 +221,7 @@ class ReceivePipeline:
                 interfered=False,
                 first_header=parsed.header,
                 decoded_bits=bits,
+                failure_reason="" if parsed.payload_crc_ok else PAYLOAD_CRC_FAILURE,
             )
             if parsed.payload_crc_ok:
                 return result
@@ -370,6 +372,7 @@ class ReceivePipeline:
             second_header=second_header,
             decoded_bits=bits,
             diagnostics=diagnostics,
+            failure_reason="" if parsed_crc_ok else PAYLOAD_CRC_FAILURE,
         )
 
     def _with_best_effort(self, region: ComplexSignal, result: ReceiveResult) -> ReceiveResult:

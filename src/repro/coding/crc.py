@@ -8,7 +8,7 @@ in decoded payloads when computing packet delivery statistics.
 
 from __future__ import annotations
 
-import functools
+import binascii
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -37,20 +37,17 @@ class CRCSpec:
 class _BitwiseCRC:
     """MSB-first, non-reflected CRC engine.
 
-    Whole bytes go through a 256-entry table and the ``len % 8`` tail bits
-    through the bitwise shift register; both produce exactly the register
-    the plain bit-at-a-time division would.  The register is kept
-    left-aligned in ``max(width, 8)`` bits so the byte table also serves
-    CRCs narrower than a byte.
+    The register is the plain bit-at-a-time division.  The CCITT
+    polynomial (0x1021, 16 bits) is the one ``binascii.crc_hqx``
+    computes, so for it the whole bytes go through that C loop and only
+    the ``len % 8`` tail bits through the shift register.
     """
 
     def __init__(self, spec: CRCSpec) -> None:
         self.spec = spec
-        self._register_bits = max(spec.width, 8)
-        self._align = self._register_bits - spec.width
-        self._mask = (1 << self._register_bits) - 1
-        self._polynomial = (spec.polynomial & ((1 << spec.width) - 1)) << self._align
-        self._table = _byte_table(self._register_bits, self._polynomial)
+        self._mask = (1 << spec.width) - 1
+        self._polynomial = spec.polynomial & self._mask
+        self._ccitt = spec.width == 16 and self._polynomial == 0x1021
 
     def compute(self, bits) -> int:
         """CRC register value after shifting in all data bits."""
@@ -58,20 +55,19 @@ class _BitwiseCRC:
 
     def _register(self, data: np.ndarray) -> int:
         """:meth:`compute` of an already checked canonical bit array."""
-        whole = data.size - data.size % 8
-        top = self._register_bits - 1
-        byte_shift = self._register_bits - 8
+        top = self.spec.width - 1
         mask = self._mask
-        table = self._table
-        register = (self.spec.initial << self._align) & mask
-        for byte in np.packbits(data[:whole]).tobytes():
-            register = ((register << 8) & mask) ^ table[(register >> byte_shift) ^ byte]
-        for bit in data[whole:].tolist():
+        register = self.spec.initial & mask
+        if self._ccitt:
+            whole = data.size - data.size % 8
+            register = binascii.crc_hqx(np.packbits(data[:whole]).tobytes(), register)
+            data = data[whole:]
+        for bit in data.tolist():
             incoming = bit ^ (register >> top)
             register = (register << 1) & mask
             if incoming:
                 register ^= self._polynomial
-        return register >> self._align
+        return register
 
     def compute_bits(self, bits) -> np.ndarray:
         """CRC value rendered as a bit array of the CRC's width."""
@@ -96,20 +92,6 @@ class _BitwiseCRC:
         if not self.verify(data):
             raise CRCError(f"{self.spec.name} check failed")
         return data[: -self.spec.width]
-
-
-@functools.lru_cache(maxsize=None)
-def _byte_table(register_bits: int, polynomial: int) -> Tuple[int, ...]:
-    """Register after shifting eight zero data bits into each top byte value."""
-    top = 1 << (register_bits - 1)
-    mask = (1 << register_bits) - 1
-    table = []
-    for byte in range(256):
-        register = byte << (register_bits - 8)
-        for _ in range(8):
-            register = ((register << 1) & mask) ^ (polynomial if register & top else 0)
-        table.append(register)
-    return tuple(table)
 
 
 #: CRC-16/CCITT-FALSE: polynomial 0x1021, initial value 0xFFFF.

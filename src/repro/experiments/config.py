@@ -158,11 +158,6 @@ class ExperimentConfig:
         return cls(runs=3, packets_per_run=4, payload_bits=512, seed=seed)
 
     @classmethod
-    def benchmark(cls, seed: int = 20070823) -> "ExperimentConfig":
-        """The default benchmark size: 40 runs, modest per-run packet count."""
-        return cls(runs=40, packets_per_run=12, seed=seed)
-
-    @classmethod
     def paper_scale(cls, seed: int = 20070823) -> "ExperimentConfig":
         """The paper's full workload (slow: 40 runs x 1000 packets/direction).
 

@@ -120,7 +120,11 @@ class Framer:
         return self.layout_for(payload_length).total_length
 
     def build(self, packet: Packet) -> Frame:
-        """Assemble the over-the-air bit sequence for a packet."""
+        """Assemble the over-the-air bit sequence for a packet.
+
+        The frame's bits are read-only, like the signals modulated from
+        them, so one built frame can be shared by every copy of the packet.
+        """
         header_bits = Header(
             source=packet.source,
             destination=packet.destination,
@@ -138,7 +142,11 @@ class Framer:
                 pilot_bits[::-1],
             ]
         )
-        return Frame(packet=packet, bits=bits, layout=self.layout_for(packet.payload_length))
+        # Frozen through a view so the flag cannot be switched back on.
+        bits.setflags(write=False)
+        return Frame(
+            packet=packet, bits=bits.view(), layout=self.layout_for(packet.payload_length)
+        )
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,6 @@ class Topology:
             raise TopologyError(f"unknown node {node_id}")
         return sorted(self._graph.successors(node_id))
 
-    def receivers_of(self, sender: int) -> List[int]:
-        """Alias of :meth:`neighbors`, named for the medium model."""
-        return self.neighbors(sender)
-
     def is_routable(self, source: int, destination: int) -> bool:
         """Is the directed path from ``source`` to ``destination`` a routing hop?"""
         if not self.in_range(source, destination):

@@ -10,6 +10,10 @@ A node bundles everything one radio needs:
 * a :class:`~repro.anc.pipeline.ReceivePipeline` for the receive path
   (Fig. 8, right), sharing that buffer.
 
+Every node's transmit path shares one bounded memo of the frames already
+put on the air, so a retry or a forward of the same packet is not framed
+and modulated again.
+
 The node is deliberately passive: *when* it transmits is decided by the
 protocol / scheduler driving the simulation, mirroring how the paper
 separates the signal processing from the (optimal) MAC used in the
@@ -18,8 +22,9 @@ evaluation (§11.1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +33,11 @@ from repro.anc.pipeline import ReceivePipeline, ReceiveResult
 from repro.constants import DEFAULT_TX_AMPLITUDE
 from repro.exceptions import ConfigurationError
 from repro.framing.buffer import SentPacketBuffer
-from repro.framing.frame import Frame, Framer
+from repro.framing.frame import Frame, FrameLayout, Framer
 from repro.framing.packet import Packet
 from repro.framing.pilot import PilotSequence
 from repro.modulation.msk import MSKModulator
+from repro.scrambler.whitening import Scrambler
 from repro.signal.samples import ComplexSignal
 
 
@@ -53,6 +59,33 @@ class NodeConfig:
             raise ConfigurationError("tx_amplitude must be positive")
         if self.noise_power < 0:
             raise ConfigurationError("noise_power must be non-negative")
+
+
+@functools.lru_cache(maxsize=64)
+def _on_air(
+    pilot: PilotSequence,
+    scrambler_seed: int,
+    amplitude: float,
+    samples_per_symbol: int,
+    initial_phase: float,
+    source: int,
+    destination: int,
+    sequence: int,
+    payload: bytes,
+) -> Tuple[np.ndarray, FrameLayout, ComplexSignal]:
+    """Frame bits, layout and waveform a packet goes on the air as.
+
+    A pure function of the packet and the sender's pilot, scrambler and
+    modulator settings, so one bounded LRU serves every node: MAC
+    retries, relay forwards and schemes that redraw the same payload
+    stream frame and modulate a packet once while it stays among the 64
+    most recent.  64 frames of a 768-bit payload hold about 1 MB.  The
+    values are read-only arrays, so sharing them is safe.
+    """
+    packet = Packet._adopt(source, destination, sequence, np.frombuffer(payload, dtype=np.uint8))
+    frame = Framer(pilot=pilot, scrambler=Scrambler(scrambler_seed)).build(packet)
+    modulator = MSKModulator(amplitude, samples_per_symbol, initial_phase)
+    return frame.bits, frame.layout, modulator.modulate(frame.bits)
 
 
 class Node:
@@ -99,22 +132,32 @@ class Node:
             rng=rng,
         )
 
-    def build_frame(self, packet: Packet) -> Frame:
-        """Frame a packet and remember it for future interference cancellation."""
-        frame = self.framer.build(packet)
-        self.known_frames.store(frame)
-        return frame
-
-    def modulate(self, frame: Frame) -> ComplexSignal:
-        """Produce the transmit waveform for a frame."""
-        return self.modulator.modulate(frame.bits)
-
     def transmit(self, packet: Packet) -> ComplexSignal:
-        """Frame, remember and modulate a packet in one step."""
-        return self.modulate(self.build_frame(packet))
+        """Frame, remember and modulate a packet in one step.
+
+        A packet that any node already put on the air with the same content
+        and the same pilot, scrambler and modulator settings is not framed
+        and modulated again while it is still in the :func:`_on_air` LRU.
+        The frame is remembered either way.
+        """
+        modulator = self.modulator
+        bits, layout, waveform = _on_air(
+            self.framer.pilot,
+            self.framer.scrambler.seed,
+            modulator.amplitude,
+            modulator.samples_per_symbol,
+            modulator.initial_phase,
+            packet.source,
+            packet.destination,
+            packet.sequence,
+            packet.payload.tobytes(),
+        )
+        frame = Frame(packet=packet, bits=bits, layout=layout)
+        self.known_frames.store(frame)
+        return waveform
 
     def forward(self, packet: Packet) -> ComplexSignal:
-        """Re-frame and transmit a packet originated elsewhere (routing).
+        """Transmit a packet originated elsewhere (routing).
 
         The forwarded copy keeps the original addressing fields, so any
         downstream node that overhears or previously saw the packet can

@@ -34,8 +34,3 @@ class RelayNode(Node):
         what the relay broadcasts in the next slot.
         """
         return self._relay_channel.apply(waveform)
-
-    @property
-    def amplification_channel(self) -> AmplifyAndForwardRelayChannel:
-        """The underlying amplify-and-forward stage (exposed for analysis)."""
-        return self._relay_channel

@@ -89,8 +89,7 @@ class RunResult:
 
         Derived quantities (throughput, delivery ratio, mean BER, mean
         overlap) are materialised as plain floats so the record is
-        self-contained; the per-packet lists stay out of it — use
-        :meth:`to_dict` for the full lossless representation.
+        self-contained; the per-packet lists stay out of it.
         """
         return {
             "scheme": self.scheme,
@@ -107,46 +106,6 @@ class RunResult:
             "delivery_ratio": float(self.delivery_ratio),
             "mean_overlap": float(self.mean_overlap),
         }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless plain-data representation (JSON-ready)."""
-        return {
-            "scheme": self.scheme,
-            "topology": self.topology,
-            "payload_bits": self.payload_bits,
-            "packets_offered": self.packets_offered,
-            "packets_delivered": self.packets_delivered,
-            "packets_lost": self.packets_lost,
-            "air_time_samples": self.air_time_samples,
-            "slots_used": self.slots_used,
-            "packet_bers": [float(b) for b in self.packet_bers],
-            "overlap_fractions": [float(f) for f in self.overlap_fractions],
-            "redundancy_overhead": float(self.redundancy_overhead),
-            "notes": self.notes,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RunResult":
-        """Rebuild a run result from :meth:`to_dict` output (lossless)."""
-        try:
-            return cls(
-                scheme=str(payload["scheme"]),
-                topology=str(payload["topology"]),
-                payload_bits=int(payload["payload_bits"]),
-                packets_offered=int(payload["packets_offered"]),
-                packets_delivered=int(payload["packets_delivered"]),
-                packets_lost=int(payload["packets_lost"]),
-                air_time_samples=int(payload["air_time_samples"]),
-                slots_used=int(payload["slots_used"]),
-                packet_bers=[float(b) for b in payload["packet_bers"]],
-                overlap_fractions=[float(f) for f in payload["overlap_fractions"]],
-                redundancy_overhead=float(payload["redundancy_overhead"]),
-                notes=str(payload["notes"]),
-            )
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"run-result payload is missing key {missing}"
-            ) from None
 
 
 class ProtocolRun:

@@ -31,7 +31,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro
@@ -376,11 +376,6 @@ class ExperimentResult:
                     for cell in row
                 ])
         return buffer.getvalue()
-
-
-def result_fields() -> List[str]:
-    """Names of the top-level result fields (the schema's key set)."""
-    return [f.name for f in fields(ExperimentResult)]
 
 
 def make_result(

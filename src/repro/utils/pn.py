@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -167,8 +167,3 @@ def _stream(key: Tuple[int, Tuple[int, ...], int], stop: int) -> np.ndarray:
 def pn_bits(length: int, seed: int, taps: tuple = DEFAULT_TAPS) -> np.ndarray:
     """Convenience wrapper: the first ``length`` bits of a fresh LFSR."""
     return PNSequence(seed=seed, taps=taps).bits(length)
-
-
-def make_rng(seed: Optional[int]) -> np.random.Generator:
-    """Create a numpy Generator, tolerating ``None`` for nondeterministic use."""
-    return np.random.default_rng(seed)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.anc.pipeline import ReceiveOutcome, ReceivePipeline
+from repro.anc.pipeline import PAYLOAD_CRC_FAILURE, ReceiveOutcome, ReceivePipeline
 from repro.channel.interference import InterferenceCombiner
 from repro.channel.link import Link
 from repro.channel.relay import AmplifyAndForwardRelayChannel
@@ -24,6 +24,13 @@ def _framed(seed, src, dst, seq):
     frame = framer.build(packet)
     wave = MSKModulator(amplitude=1.0).modulate(frame.bits)
     return packet, frame, wave
+
+
+def _corrupted_payload(frame):
+    """The frame's waveform with one payload bit flipped on the air."""
+    bits = frame.bits.copy()
+    bits[frame.layout.payload_start + 10] ^= 1
+    return MSKModulator(amplitude=1.0).modulate(bits)
 
 
 def _pipeline(buffer=None):
@@ -52,6 +59,25 @@ class TestCleanPath:
         assert result.delivered
         assert result.packet.identity == packet.identity
         assert not result.interfered
+
+    def test_payload_crc_failure_has_a_reason(self):
+        packet, frame, _ = _framed(16, 1, 2, 23)
+        link = Link(attenuation=0.8, phase_shift=0.4, noise_power=NOISE)
+        received = link.propagate(
+            _corrupted_payload(frame).padded(20, 20), rng=np.random.default_rng(16)
+        )
+        result = _pipeline().receive(received)
+        assert result.outcome == ReceiveOutcome.CLEAN_DECODED
+        assert result.packet.identity == packet.identity
+        assert not result.delivered
+        assert result.failure_reason == PAYLOAD_CRC_FAILURE == "payload crc"
+
+    def test_delivered_packet_has_no_failure_reason(self):
+        _, _, wave = _framed(0, 1, 2, 5)
+        link = Link(attenuation=0.8, phase_shift=0.4, noise_power=NOISE)
+        result = _pipeline().receive(link.propagate(wave.padded(20, 20), rng=np.random.default_rng(0)))
+        assert result.delivered
+        assert result.failure_reason == ""
 
     def test_noise_only_gives_no_signal(self):
         noise = awgn(ComplexSignal.silence(600), NOISE, np.random.default_rng(1))
@@ -143,3 +169,15 @@ class TestInterferedPath:
         result = _pipeline(buffer).receive(collision.signal)
         # delivered implies crc_ok; if residual errors exist the flag is False.
         assert result.delivered == (result.crc_ok and result.packet is not None)
+
+    def test_anc_payload_crc_failure_has_a_reason(self):
+        packet_a, frame_a, wave_a = _framed(2, 1, 2, 7)
+        packet_b, frame_b, _ = _framed(3, 2, 1, 9)
+        collision = _collision(wave_a, _corrupted_payload(frame_b), offset=150, seed=2)
+        buffer = SentPacketBuffer()
+        buffer.store(frame_a)
+        result = _pipeline(buffer).receive(collision.signal)
+        assert result.outcome == ReceiveOutcome.ANC_DECODED
+        assert result.packet.identity == packet_b.identity
+        assert not result.delivered
+        assert result.failure_reason == PAYLOAD_CRC_FAILURE

@@ -29,11 +29,13 @@ def reference_crc(spec: CRCSpec, bits) -> int:
     return register
 
 
-#: The two production CRCs plus narrow and odd widths, which exercise the
-#: left-aligned register the byte table uses below eight bits.
+#: The two production CRCs plus narrow and odd widths, and a second
+#: CCITT-polynomial CRC, which takes the ``binascii.crc_hqx`` path from
+#: another initial value.
 SPECS = [
     CRC16.spec,
     CRC32.spec,
+    CRCSpec(width=16, polynomial=0x1021, initial=0x0000, name="CRC-16/XMODEM"),
     CRCSpec(width=3, polynomial=0x3, initial=0x7, name="CRC-3"),
     CRCSpec(width=5, polynomial=0x25, initial=0x1F, name="CRC-5 (poly wider than width)"),
     CRCSpec(width=8, polynomial=0x07, initial=0x00, name="CRC-8"),
@@ -113,13 +115,15 @@ class TestByteTableMatchesBitwise:
     @settings(max_examples=300, deadline=None)
     @given(
         spec=st.sampled_from(SPECS),
-        bits=st.lists(st.integers(0, 1), min_size=0, max_size=300),
+        bits=st.lists(st.integers(0, 1), min_size=0, max_size=800),
     )
     def test_matches_reference(self, spec, bits):
         data = np.array(bits, dtype=np.uint8)
         assert _BitwiseCRC(spec).compute(data) == reference_crc(spec, data)
 
-    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 299, 300])
+    @pytest.mark.parametrize(
+        "length", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 299, 300, 768, 784, 800]
+    )
     def test_byte_boundaries(self, length):
         data = random_bits(length, np.random.default_rng(length))
         for spec in SPECS:

@@ -35,6 +35,13 @@ class TestFramer:
         frame = framer.build(packet)
         assert frame.length == framer.frame_length(packet.payload_length)
 
+    def test_frame_bits_are_read_only(self, framer, packet):
+        frame = framer.build(packet)
+        with pytest.raises(ValueError, match="read-only"):
+            frame.bits[0] ^= 1
+        with pytest.raises(ValueError):
+            frame.bits.setflags(write=True)
+
     def test_frame_starts_with_pilot(self, framer, packet):
         frame = framer.build(packet)
         assert np.array_equal(frame.bits[:64], PilotSequence().bits)

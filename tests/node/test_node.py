@@ -56,7 +56,7 @@ class TestNode:
         node = Node(5, NodeConfig(payload_bits=64))
         other = Node(1, NodeConfig(payload_bits=64))
         packet = other.make_packet(9, rng)
-        frame = other.build_frame(packet)
+        frame = other.remember_packet(packet)
         node.overhear(frame)
         assert node.known_frames.contains_header(frame.header)
         node.known_frames.clear()

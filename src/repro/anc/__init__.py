@@ -11,7 +11,7 @@ This package implements the paper's primary contribution (§6 and §7):
 * :mod:`repro.anc.decoder` — the full interference decoder, forward
   (Alice) and backward (Bob, §7.4),
 * :mod:`repro.anc.alignment` — pilot-based alignment of the known signal
-  and detection of where the second packet starts (§7.2),
+  (§7.2),
 * :mod:`repro.anc.pipeline` — the complete receive chain of Fig. 8 /
   Algorithm 1 (detection, classification, header decode, ANC decode).
 """
@@ -32,12 +32,7 @@ from repro.anc.decoder import (
     InterferenceDecoder,
     SubtractionDecoder,
 )
-from repro.anc.alignment import (
-    AlignmentResult,
-    align_known_frame,
-    find_interference_start,
-    refine_unknown_offset,
-)
+from repro.anc.alignment import AlignmentResult, align_known_frame
 from repro.anc.pipeline import ReceivePipeline, ReceiveResult, ReceiveOutcome
 
 __all__ = [
@@ -56,11 +51,9 @@ __all__ = [
     "align_known_frame",
     "estimate_amplitudes",
     "estimate_amplitudes_with_known",
-    "find_interference_start",
     "interference_cosine",
     "match_phase_differences",
     "mean_energy",
     "phase_solutions",
-    "refine_unknown_offset",
     "sigma_statistic",
 ]

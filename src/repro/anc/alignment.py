@@ -1,18 +1,10 @@
-"""Alignment of the known signal and detection of the second packet (§7.2).
+"""Alignment of the known signal in a collision (§7.2).
 
 A collision is never perfectly synchronised: the first packet's head and
-the second packet's tail are interference-free.  The receiver exploits
-this in three steps, implemented here:
-
-* ``align_known_frame`` — demodulate the interference-free head with
-  standard MSK, search for the protocol pilot, and return the sample
-  offset at which the first frame starts.
-* ``find_interference_start`` — locate where the second signal joins, via
-  the step in the windowed energy of the composite.
-* ``refine_unknown_offset`` — fine-tune that coarse estimate by trying
-  nearby offsets and scoring the ANC-decoded first bits of the unknown
-  frame against the pilot (the unknown frame also begins with the known
-  protocol pilot, so the best-scoring offset is the right one).
+the second packet's tail are interference-free.  ``align_known_frame``
+demodulates the interference-free head with standard MSK, searches for
+the protocol pilot, and returns the sample offset at which the first
+frame starts.
 """
 
 from __future__ import annotations
@@ -22,13 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.anc.lemma import phase_solutions
-from repro.anc.matching import match_phase_differences
 from repro.exceptions import SynchronizationError
 from repro.framing.pilot import PilotSequence, find_pilot
 from repro.modulation.msk import MSKDemodulator
 from repro.signal.samples import ComplexSignal
-from repro.utils.windows import moving_average
 
 
 @dataclass(frozen=True)
@@ -91,104 +80,3 @@ def align_known_frame(
         head_bits=head_bits,
     )
 
-
-def find_interference_start(
-    received: ComplexSignal,
-    window: int = 16,
-    min_step_ratio: float = 1.5,
-    search_from: int = 0,
-) -> Optional[int]:
-    """Coarse estimate of the sample at which the second signal joins.
-
-    The windowed mean energy of the composite jumps from ``A^2`` to roughly
-    ``A^2 + B^2`` when the second transmission starts.  This function
-    returns the first sample (at or after ``search_from``) where the
-    windowed energy exceeds ``min_step_ratio`` times the energy of the
-    initial clean region, or ``None`` if no such step exists (i.e. the
-    packets do not actually overlap).
-    """
-    samples = received.samples
-    if samples.size < 2 * window:
-        return None
-    energy = np.abs(samples) ** 2
-    smoothed = moving_average(energy, window)
-    baseline_region = smoothed[search_from + window : search_from + 4 * window]
-    if baseline_region.size == 0:
-        return None
-    baseline = float(np.median(baseline_region))
-    if baseline <= 0:
-        return None
-    threshold = min_step_ratio * baseline
-    above = np.nonzero(smoothed[search_from:] > threshold)[0]
-    if above.size == 0:
-        return None
-    # The moving window is trailing, so the true step is up to (window - 1)
-    # samples before the index at which the smoothed energy crosses.
-    return int(search_from + above[0] - (window - 1))
-
-
-def refine_unknown_offset(
-    received: ComplexSignal,
-    coarse_offset: int,
-    amplitude_known: float,
-    amplitude_unknown: float,
-    known_differences_for: "callable",
-    pilot: Optional[PilotSequence] = None,
-    search_radius: int = 6,
-) -> int:
-    """Fine-tune the unknown frame's start offset using its leading pilot.
-
-    The unknown frame starts with the protocol pilot, which the receiver
-    knows.  For every candidate offset around the coarse estimate, the
-    first ``pilot.length`` unknown bits are decoded with the ANC algorithm
-    and scored against the pilot; the offset with the fewest mismatches
-    wins.  This mirrors the "Matching" stage of Fig. 5.
-
-    Parameters
-    ----------
-    received:
-        The composite sample stream.
-    coarse_offset:
-        Starting point of the search (e.g. from :func:`find_interference_start`).
-    amplitude_known, amplitude_unknown:
-        Estimated received amplitudes of the known and unknown signals.
-    known_differences_for:
-        Callable ``(first_sample, n_intervals) -> np.ndarray`` returning
-        the known signal's phase differences for the sample intervals
-        starting at ``first_sample``; the decoder provides this from the
-        aligned known frame.
-    pilot:
-        The protocol pilot (defaults to the standard one).
-    search_radius:
-        Candidate offsets ``coarse_offset ± search_radius`` are evaluated.
-
-    Returns
-    -------
-    int
-        The best-scoring start offset for the unknown frame.
-    """
-    pilot_seq = pilot if pilot is not None else PilotSequence()
-    pilot_bits = pilot_seq.bits
-    n_bits = pilot_bits.size
-    samples = received.samples
-    best_offset = int(coarse_offset)
-    best_errors = n_bits + 1
-    for offset in range(coarse_offset - search_radius, coarse_offset + search_radius + 1):
-        if offset < 0:
-            continue
-        end = offset + n_bits + 1
-        if end > samples.size:
-            continue
-        block = samples[offset:end]
-        known_diffs = known_differences_for(offset, n_bits)
-        if known_diffs is None or known_diffs.size != n_bits:
-            continue
-        solutions = phase_solutions(block, amplitude_known, amplitude_unknown)
-        result = match_phase_differences(solutions, known_diffs)
-        errors = int(np.count_nonzero(result.bits != pilot_bits))
-        if errors < best_errors:
-            best_errors = errors
-            best_offset = offset
-            if errors == 0:
-                break
-    return best_offset

@@ -7,9 +7,9 @@ thousand of them, deterministically and resumably":
   config plus axes of parameter values; grid expansion is deterministic
   (sorted axes, last axis fastest) and every job carries a stable
   content digest.
-* :mod:`repro.campaign.store` — :class:`ResultStore`, a content-
-  addressed store of ``anc-repro.result/1`` documents with atomic
-  write-rename publication; safe under concurrent workers, and the
+* :mod:`repro.campaign.store` — :class:`ResultStore`, the
+  ``anc-repro.result/1`` codec over the package's one content-addressed
+  store (:mod:`repro.store`); safe under concurrent workers, and the
   resume mechanism (stored digest → job skipped).
 * :mod:`repro.campaign.runner` — :class:`CampaignRunner`, the asyncio
   job queue: bounded concurrency and per-job retry with exponential
@@ -26,7 +26,7 @@ from repro.campaign.spec import (
     audit_snapshot_roundtrip,
     job_digest,
 )
-from repro.campaign.store import NullResultStore, ResultStore, StoreStats
+from repro.campaign.store import ResultStore
 
 __all__ = [
     "CAMPAIGN_SCHEMA",
@@ -35,9 +35,7 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "JobOutcome",
-    "NullResultStore",
     "ResultStore",
-    "StoreStats",
     "audit_snapshot_roundtrip",
     "execute_job",
     "job_digest",

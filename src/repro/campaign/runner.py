@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.spec import CampaignJob, CampaignSpec
-from repro.campaign.store import NullResultStore, ResultStore
+from repro.campaign.store import ResultStore
 from repro.exceptions import ConfigurationError
 from repro.results.model import ExperimentResult
 
@@ -219,12 +219,7 @@ class CampaignRunner:
             raise ConfigurationError("retries must be non-negative")
         if float(backoff) < 0:
             raise ConfigurationError("backoff must be non-negative")
-        if store is None:
-            self.store: Any = NullResultStore()
-        elif isinstance(store, (ResultStore, NullResultStore)):
-            self.store = store
-        else:
-            self.store = ResultStore(store)
+        self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.concurrency = int(concurrency)
         self.retries = int(retries)
         self.backoff = float(backoff)

@@ -29,7 +29,6 @@ examples.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, fields
@@ -38,6 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import check_consumes
+from repro.store import content_digest
 
 #: Schema tag of the serialized spec (and the job-digest payload).  Bump
 #: on any change that alters digests, so old stores are never misread.
@@ -78,8 +78,7 @@ def job_digest(experiment: str, quick: bool, config: ExperimentConfig) -> str:
         "quick": bool(quick),
         "config": config.snapshot(),
     }
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_digest(payload)
 
 
 def audit_snapshot_roundtrip(config: ExperimentConfig) -> ExperimentConfig:
@@ -288,8 +287,7 @@ class CampaignSpec:
         """
         payload = dict(self.to_dict())
         payload.pop("name", None)
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
+        return content_digest(payload, 20)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -337,14 +335,27 @@ class CampaignSpec:
             raise ConfigurationError(
                 "campaign spec is missing the 'experiment' key"
             ) from None
+        quick = payload.get("quick", False)
+        if not isinstance(quick, bool):
+            raise ConfigurationError(
+                f"campaign 'quick' must be true or false, got {quick!r}"
+            )
+        base = payload.get("base", {})
+        if not isinstance(base, Mapping):
+            raise ConfigurationError("campaign 'base' must be an object")
         axes = payload.get("axes", {})
         if not isinstance(axes, Mapping):
             raise ConfigurationError("campaign 'axes' must be an object")
+        for axis, values in axes.items():
+            if not isinstance(values, (list, tuple)):
+                raise ConfigurationError(
+                    f"campaign axis {axis!r} must be a list of values, got {values!r}"
+                )
         return cls(
             experiment=str(experiment),
-            base=dict(payload.get("base", {})),
+            base=dict(base),
             axes={str(k): tuple(v) for k, v in axes.items()},
-            quick=bool(payload.get("quick", False)),
+            quick=quick,
             name=str(payload.get("name", "")),
         )
 

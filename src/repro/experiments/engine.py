@@ -14,32 +14,27 @@ property:
   by trial key afterwards, so the output is *bit-identical* to serial
   execution (``workers=1``), just faster.
 * **Resumability** — with a ``cache_dir`` set, every completed trial is
-  pickled to disk under a digest of (library version, experiment name,
-  trial function, config fields, sweep parameters).  A re-run of an
-  interrupted paper-scale sweep loads the finished trials from the cache
-  and only executes the missing ones.  Changing any config field (or the
-  sweep grid) changes the digest, so results from a different
-  configuration are never reused.  The digest cannot see arbitrary code
-  edits, though — only the package version — so after changing
-  simulation code in place, clear the cache directory (or bump
-  ``repro.__version__``) before resuming.
+  pickled into the package's one content-addressed store
+  (:mod:`repro.store`) under a digest of (experiment name, trial
+  function, config fields, sweep parameters, trial key), inside a
+  directory named by the fingerprint of the package's source.  A re-run
+  of an interrupted paper-scale sweep loads the finished trials and only
+  executes the missing ones.  Changing any config field, the sweep grid
+  or any line of the package's code changes where a trial is looked up,
+  so a result computed by other code or another configuration is never
+  reused.
 
 The engine is deliberately generic: a trial function is any picklable
 top-level callable ``trial_fn(config, key, **params)``, and a trial key is
 any int/float/str/tuple that identifies the trial (a run index, an SNR
-value, ...).  All seven runners in :mod:`repro.experiments` execute
-through :meth:`ExperimentEngine.map`.
+value, ...).  Every runner in :mod:`repro.experiments` executes through
+:meth:`ExperimentEngine.map`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
-import os
 import pickle
-import re
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, is_dataclass
@@ -48,22 +43,16 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 import repro
 from repro.exceptions import ConfigurationError
+from repro.store import Store, content_digest
 
 #: Signature every trial function must satisfy: ``(config, key, **params)``.
 TrialFn = Callable[..., Any]
 
-#: Accepted trial-key types (must be stable under ``repr`` for cache slugs).
+#: Accepted trial-key types (see :func:`_key_token`).
 TrialKey = Union[int, float, str, tuple]
-
-logger = logging.getLogger(__name__)
 
 #: Where ``--resume`` caches trials when no explicit directory is given.
 DEFAULT_CACHE_DIR = Path(".anc_cache")
-
-#: Sentinel distinguishing "not in the cache" from a cached ``None`` result.
-_CACHE_MISS = object()
-
-_SLUG_SANITISER = re.compile(r"[^A-Za-z0-9_.+-]+")
 
 
 def _execute_trial_block(
@@ -80,12 +69,11 @@ def _execute_trial_block(
 
 
 def _key_token(key: TrialKey) -> str:
-    """Injective text encoding of a trial key (hashed into the slug).
+    """Injective text encoding of a trial key (part of its store key).
 
-    Unlike the display slug, this encoding never collides: values are
-    type-tagged (``1`` vs ``"1"``), strings are length-prefixed (so tuple
-    joins cannot be forged by embedded separators), and tuples keep their
-    structure.
+    Distinct keys never share a token: values are type-tagged (``1`` vs
+    ``"1"``), strings are length-prefixed (so tuple joins cannot be
+    forged by embedded separators), and tuples keep their structure.
     """
     if isinstance(key, bool):
         raise ConfigurationError("trial keys must be int, float, str or tuple")
@@ -100,31 +88,12 @@ def _key_token(key: TrialKey) -> str:
     raise ConfigurationError("trial keys must be int, float, str or tuple")
 
 
-def _key_base(key: TrialKey) -> str:
-    """Human-readable (possibly colliding) base of a cache-file name."""
-    if isinstance(key, int):
-        return f"{key:08d}"
-    if isinstance(key, tuple):
-        return "t_" + "_".join(_key_base(part) for part in key)
-    text = repr(key) if isinstance(key, float) else str(key)
-    return _SLUG_SANITISER.sub("_", text) or "_"
+def _pickle(result: Any) -> bytes:
+    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _key_slug(key: TrialKey) -> str:
-    """Filesystem-safe, unique-per-key name for one trial's cache file.
-
-    ``<readable base>-<8 hex digest>``: the base keeps cache directories
-    human-navigable (int keys stay zero-padded, hence sorted), while the
-    digest of the injective :func:`_key_token` encoding makes the name
-    collision-free — ``"a/b"`` vs ``"a_b"``, ``("a", "b")`` vs
-    ``("a_b",)`` and ``1`` vs ``"00000001"`` all sanitize to the same
-    base but hash apart, so resume can never serve one key's cached
-    result for another.  The base is truncated to bound file-name length;
-    uniqueness rides entirely on the digest.
-    """
-    token = _key_token(key)
-    digest = hashlib.sha256(token.encode("utf-8")).hexdigest()[:8]
-    return f"{_key_base(key)[:96]}-{digest}"
+def _unpickle_boxed(raw: bytes) -> tuple:
+    return (pickle.loads(raw),)
 
 
 @dataclass(frozen=True)
@@ -165,11 +134,12 @@ class ExperimentEngine:
         serially in-process — the reference behaviour every parallel run
         must be bit-identical to.
     cache_dir:
-        When set, completed trials are pickled to
-        ``<cache_dir>/<digest>/<key>.pkl`` as soon as they finish, and
-        later invocations with the same digest load them instead of
-        recomputing — this is what makes interrupted paper-scale sweeps
-        resumable.  ``None`` (the default) disables all disk I/O.
+        When set, completed trials are pickled into a
+        :class:`~repro.store.Store` rooted there as soon as they finish,
+        and later invocations of the same task on the same source tree
+        load them instead of recomputing — this is what makes interrupted
+        paper-scale sweeps resumable.  ``None`` (the default) disables
+        all disk I/O.
     batch_size:
         Default number of trials shipped to a worker as one block (see
         :meth:`map`).  ``1`` (the default) dispatches trial by trial —
@@ -190,7 +160,8 @@ class ExperimentEngine:
         if int(batch_size) < 1:
             raise ConfigurationError("batch_size must be a positive integer")
         self.workers = int(workers)
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        #: The trial cache; remembers nothing when ``cache_dir`` is ``None``.
+        self.store = Store(cache_dir, ".pkl")
         self.batch_size = int(batch_size)
         #: Stats of the most recent :meth:`map` call (``None`` before any).
         self.last_stats: Optional[EngineStats] = None
@@ -215,8 +186,8 @@ class ExperimentEngine:
         Any change to the library version, the experiment name, the trial
         function's qualified name, a config field, or a sweep parameter
         yields a different digest, so cached trials can never leak across
-        configurations (in-place code edits within one version are the
-        one thing it cannot detect — see the module docstring).
+        configurations (code edits are caught by the store's source
+        fingerprint instead).
 
         ``batch_size`` is deliberately excluded: it is an execution knob
         the test suite proves result-neutral.  Configs that are neither
@@ -268,61 +239,17 @@ class ExperimentEngine:
             "params": params_repr,
         }
         try:
-            blob = json.dumps(payload, sort_keys=True)
+            return content_digest(payload, 20)
         except (TypeError, ValueError):
             raise ConfigurationError(
                 f"cannot build a stable cache digest for config of type "
                 f"{type(config).__name__}: a field is not JSON-serializable"
             ) from None
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
-    # ------------------------------------------------------------------
-    # Cache I/O
-    # ------------------------------------------------------------------
-    def _trial_path(self, digest: str, key: TrialKey) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / digest / f"{_key_slug(key)}.pkl"
-
-    @staticmethod
-    def _load_cached(path: Optional[Path]) -> Any:
-        """Load one cached trial; returns :data:`_CACHE_MISS` if unavailable.
-
-        The sentinel (rather than ``None``) keeps trials whose legitimate
-        result is ``None`` cacheable.  Any unpickling failure — torn
-        write, garbled bytes, a class that no longer exists — counts as a
-        miss and the trial is recomputed; a warning names the entry and
-        the error type.
-        """
-        if path is None or not path.is_file():
-            return _CACHE_MISS
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except Exception as error:
-            logger.warning(
-                "corrupt trial-cache entry %s (%s); recomputing the trial",
-                path, type(error).__name__,
-            )
-            return _CACHE_MISS
-
-    @staticmethod
-    def _store_cached(path: Optional[Path], result: Any) -> None:
-        """Atomically persist one completed trial (write-temp-then-rename)."""
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+    @property
+    def cache_dir(self) -> Optional[Path]:
+        """Root of the trial cache (``None`` when caching is off)."""
+        return self.store.root
 
     # ------------------------------------------------------------------
     # Execution
@@ -370,22 +297,26 @@ class ExperimentEngine:
         """
         started = time.perf_counter()
         keys = list(trial_keys)
-        if len(set(map(_key_slug, keys))) != len(keys):
+        tokens = [_key_token(key) for key in keys]
+        if len(set(tokens)) != len(keys):
             raise ConfigurationError("trial keys must be unique")
         effective_batch = self.batch_size if batch_size is None else int(batch_size)
         if effective_batch < 1:
             raise ConfigurationError("batch_size must be a positive integer")
         kwargs = dict(params) if params else {}
         digest = self.task_digest(experiment, trial_fn, config, params)
-
-        results: Dict[str, Any] = {}
-        pending: List[TrialKey] = []
-        for key in keys:
-            cached = self._load_cached(self._trial_path(digest, key))
-            if cached is not _CACHE_MISS:
-                results[_key_slug(key)] = cached
+        # Trials are tracked by position: distinct keys may compare equal
+        # (``1 == 1.0``) although their tokens differ.
+        entries = [content_digest({"task": digest, "key": token}, 64) for token in tokens]
+        results: List[Any] = [None] * len(keys)
+        pending: List[int] = []
+        for index, entry in enumerate(entries):
+            # A hit comes boxed in a 1-tuple so a cached ``None`` is no miss.
+            cached = self.store.get(entry, _unpickle_boxed)
+            if cached is None:
+                pending.append(index)
             else:
-                pending.append(key)
+                results[index] = cached[0]
 
         blocks = [
             pending[start : start + effective_batch]
@@ -396,24 +327,25 @@ class ExperimentEngine:
             # future bookkeeping to amortize), so keep the per-trial
             # execute-then-persist loop: an interruption never loses a
             # completed trial from the resume cache.
-            for key in pending:
-                result = trial_fn(config, key, **kwargs)
-                self._store_cached(self._trial_path(digest, key), result)
-                results[_key_slug(key)] = result
+            for index in pending:
+                results[index] = trial_fn(config, keys[index], **kwargs)
+                self.store.put(entries[index], results[index], _pickle)
         else:
             max_workers = min(self.workers, len(blocks))
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
                 futures = {
-                    pool.submit(_execute_trial_block, trial_fn, config, block, kwargs): block
+                    pool.submit(
+                        _execute_trial_block, trial_fn, config,
+                        [keys[index] for index in block], kwargs,
+                    ): block
                     for block in blocks
                 }
                 for future in as_completed(futures):
-                    block = futures[future]
                     # Persist incrementally so an interruption after this
                     # point never re-runs this block's trials.
-                    for key, result in zip(block, future.result()):
-                        self._store_cached(self._trial_path(digest, key), result)
-                        results[_key_slug(key)] = result
+                    for index, result in zip(futures[future], future.result()):
+                        self.store.put(entries[index], result, _pickle)
+                        results[index] = result
 
         self.last_stats = EngineStats(
             total_trials=len(keys),
@@ -425,7 +357,7 @@ class ExperimentEngine:
             elapsed_seconds=time.perf_counter() - started,
         )
         self.stats_log.append(self.last_stats)
-        return [results[_key_slug(key)] for key in keys]
+        return results
 
 
 def default_engine(engine: Optional[ExperimentEngine]) -> ExperimentEngine:

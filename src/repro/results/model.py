@@ -27,7 +27,6 @@ for the schema reference.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -36,6 +35,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 import repro
 from repro.exceptions import ConfigurationError
+from repro.store import content_digest
 
 #: Versioned schema tag embedded in every export.  Bump the trailing
 #: integer on any backward-incompatible change to the serialized layout;
@@ -75,8 +75,7 @@ def _jsonify(value: Any) -> Any:
 
 def config_digest(config_snapshot: Mapping[str, Any]) -> str:
     """Stable short digest of a config snapshot (for result identity)."""
-    blob = json.dumps(_jsonify(config_snapshot), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
+    return content_digest(_jsonify(config_snapshot), 20)
 
 
 class Record(Mapping):

@@ -1,15 +1,14 @@
-"""Tests for pilot alignment and interference-start detection (§7.2)."""
+"""Tests for pilot alignment of the known frame (§7.2)."""
 
 import numpy as np
 import pytest
 
-from repro.anc.alignment import align_known_frame, find_interference_start, refine_unknown_offset
-from repro.channel.interference import InterferenceCombiner
+from repro.anc.alignment import align_known_frame
 from repro.channel.link import Link
 from repro.exceptions import SynchronizationError
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
-from repro.modulation.msk import MSKModulator, expected_phase_differences
+from repro.modulation.msk import MSKModulator
 from repro.signal.noise import awgn
 from repro.signal.samples import ComplexSignal
 
@@ -48,48 +47,3 @@ class TestAlignKnownFrame:
         received = link.propagate(wave.padded(15, 0), rng=np.random.default_rng(4))
         assert align_known_frame(received).frame_start_sample == 15
 
-
-class TestFindInterferenceStart:
-    def test_detects_energy_step(self):
-        frame_a, wave_a = _frame_waveform(seed=5)
-        frame_b, wave_b = _frame_waveform(seed=6, amplitude=0.9)
-        offset = 150
-        combiner = InterferenceCombiner(noise_power=1e-4, rng=np.random.default_rng(5))
-        collision = combiner.combine([(wave_a, Link(), 0), (wave_b, Link(), offset)])
-        estimate = find_interference_start(collision.signal)
-        assert abs(estimate - offset) <= 20
-
-    def test_returns_none_without_step(self):
-        frame, wave = _frame_waveform(seed=7)
-        noisy = awgn(wave, 1e-4, np.random.default_rng(7))
-        assert find_interference_start(noisy, min_step_ratio=1.5) is None
-
-    def test_short_input_returns_none(self):
-        assert find_interference_start(ComplexSignal.silence(10)) is None
-
-
-class TestRefineUnknownOffset:
-    def test_refines_to_true_offset(self):
-        frame_a, wave_a = _frame_waveform(seed=8)
-        frame_b, wave_b = _frame_waveform(seed=9, amplitude=0.8)
-        offset = 140
-        combiner = InterferenceCombiner(noise_power=1e-4, rng=np.random.default_rng(8))
-        collision = combiner.combine([(wave_a, Link(attenuation=1.0), 0), (wave_b, Link(attenuation=0.8), offset)])
-        known_diffs_full = expected_phase_differences(frame_a.bits)
-
-        def known_differences_for(first_sample, n_intervals):
-            indices = np.arange(first_sample, first_sample + n_intervals)
-            valid = indices < known_diffs_full.size
-            out = np.zeros(n_intervals)
-            out[valid] = known_diffs_full[indices[valid]]
-            return out
-
-        refined = refine_unknown_offset(
-            collision.signal,
-            coarse_offset=offset - 4,
-            amplitude_known=1.0,
-            amplitude_unknown=0.8,
-            known_differences_for=known_differences_for,
-            search_radius=8,
-        )
-        assert refined == offset

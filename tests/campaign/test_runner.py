@@ -55,6 +55,16 @@ class TestExecution:
         assert report.completed == 4 and report.cached == 0 and report.failed == 0
         assert len(store.digests()) == 4
 
+    @pytest.mark.parametrize("store", [None, ResultStore(None)], ids=["none", "rootless"])
+    def test_storeless_campaign_computes_everything_and_counts_nothing(self, store):
+        runner = CampaignRunner(store=store, concurrency=2, job_fn=fake_result)
+        for _ in range(2):
+            report = runner.run_sync(toy_spec())
+            assert report.completed == 4 and report.cached == 0
+            assert report.store_stats == {
+                "hits": 0, "misses": 0, "puts": 0, "races": 0, "corrupt": 0,
+            }
+
     def test_concurrency_bound_respected(self, tmp_path):
         active = {"now": 0, "peak": 0}
         lock = threading.Lock()
@@ -253,7 +263,7 @@ class TestLocalCampaign:
         for job in spec.jobs():
             result = store.get(job.digest)
             assert result.scalars["seed"] == float(job.config.seed)
-            assert json.loads(store.get_raw(job.digest))["scalars"] == result.scalars
+            assert json.loads(store.path(job.digest).read_text())["scalars"] == result.scalars
 
     def test_digest_outside_grid_is_a_miss(self, tmp_path):
         CampaignRunner(store=tmp_path, job_fn=fake_result).run_sync(toy_spec())

@@ -173,10 +173,22 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="must be a JSON object"):
             CampaignSpec.from_json('["alice_bob"]')
 
-    def test_non_object_axes_rejected(self):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("axes", [["seed", [1, 2]]], "'axes' must be an object"),
+            ("quick", "false", "'quick' must be true or false"),
+            ("quick", 1, "'quick' must be true or false"),
+            ("base", [["runs", 1]], "'base' must be an object"),
+            ("axes", {"seed": 5}, "axis 'seed' must be a list"),
+            ("axes", {"seed": "12"}, "axis 'seed' must be a list"),
+        ],
+        ids=["axes_list", "quick_string", "quick_int", "base_list", "axis_scalar", "axis_string"],
+    )
+    def test_malformed_spec_field_rejected(self, key, value, message):
         payload = small_spec().to_dict()
-        payload["axes"] = [["seed", [1, 2]]]
-        with pytest.raises(ConfigurationError, match="'axes' must be an object"):
+        payload[key] = value
+        with pytest.raises(ConfigurationError, match=message):
             CampaignSpec.from_dict(payload)
 
     def test_schema_optional_on_input(self):

@@ -1,15 +1,15 @@
 """Tests for the content-addressed result store: atomicity, concurrency."""
 
 import json
-import logging
 import multiprocessing
 import os
 
 import pytest
 
-from repro.campaign.store import NullResultStore, ResultStore
+from repro.campaign.store import ResultStore
 from repro.exceptions import ConfigurationError
 from repro.results.model import ExperimentResult
+from repro.store import source_fingerprint
 
 DIGEST = "ab" * 32
 
@@ -28,11 +28,22 @@ class TestBasics:
         assert store.put(DIGEST, toy_result())
         loaded = store.get(DIGEST)
         assert loaded is not None and loaded.name == "toy"
-        assert store.stats.as_dict() == {"hits": 1, "misses": 1, "puts": 1, "races": 0}
+        assert store.stats.as_dict() == {
+            "hits": 1, "misses": 1, "puts": 1, "races": 0, "corrupt": 0,
+        }
 
-    def test_layout_fans_by_prefix(self, tmp_path):
+    def test_layout_fans_by_prefix_under_the_source_fingerprint(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert store.path(DIGEST) == tmp_path / DIGEST[:2] / f"{DIGEST}.json"
+        tree = tmp_path / source_fingerprint()[:16]
+        assert store.path(DIGEST) == tree / DIGEST[:2] / f"{DIGEST}.json"
+
+    def test_entries_of_other_source_trees_are_ignored(self, tmp_path):
+        stale = tmp_path / ("0" * 16) / DIGEST[:2] / f"{DIGEST}.json"
+        stale.parent.mkdir(parents=True)
+        stale.write_text(toy_result().to_json())
+        store = ResultStore(tmp_path)
+        assert store.get(DIGEST) is None and DIGEST not in store
+        assert store.digests() == []
 
     def test_contains_len_iter(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -61,41 +72,25 @@ class TestBasics:
         path.write_text("{not json")
         assert store.get(DIGEST) is None
         assert store.stats.misses == 1 and store.stats.hits == 0
-
-    @pytest.mark.parametrize(
-        "garbage, error",
-        [(b"{not json", "ConfigurationError"), (b"\x00garbage\xff", "UnicodeDecodeError")],
-    )
-    def test_corrupt_document_logs_one_warning(self, tmp_path, caplog, garbage, error):
-        store = ResultStore(tmp_path)
-        store.put(DIGEST, toy_result())
-        store.path(DIGEST).write_bytes(garbage)
-        with caplog.at_level(logging.WARNING, logger="repro.campaign.store"):
-            assert store.get(DIGEST) is None
-        assert store.stats.as_dict() == {"hits": 0, "misses": 1, "puts": 1, "races": 0}
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        message = warnings[0].getMessage()
-        assert str(store.path(DIGEST)) in message
-        assert error in message
+        assert store.stats.corrupt == 1
 
     def test_wrong_schema_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(DIGEST, toy_result())
-        doc = json.loads(store.get_raw(DIGEST))
+        doc = json.loads(store.path(DIGEST).read_text())
         doc["schema_version"] = "anc-repro.result/999"
         store.path(DIGEST).write_text(json.dumps(doc))
         assert store.get(DIGEST) is None
 
-    def test_get_raw_returns_exact_bytes(self, tmp_path):
+    def test_stored_document_is_the_exact_json_export(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(DIGEST, toy_result())
-        assert store.get_raw(DIGEST) == store.path(DIGEST).read_text()
+        assert store.path(DIGEST).read_text() == toy_result().to_json()
 
     def test_no_temp_litter_after_put(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(DIGEST, toy_result())
-        leftovers = [p for p in (tmp_path / DIGEST[:2]).iterdir() if p.suffix != ".json"]
+        leftovers = [p for p in store.path(DIGEST).parent.iterdir() if p.suffix != ".json"]
         assert leftovers == []
 
     def test_non_result_value_rejected(self, tmp_path):
@@ -111,19 +106,13 @@ class TestBasics:
         assert len(store) == 0
         assert store.get(DIGEST) is None
 
-    def test_null_store_remembers_nothing(self):
-        store = NullResultStore()
+    def test_rootless_store_remembers_nothing(self):
+        store = ResultStore(None)
         assert store.put(DIGEST, toy_result())
         assert store.get(DIGEST) is None
         assert DIGEST not in store
-        assert store.stats.as_dict() == {"hits": 0, "misses": 0, "puts": 0, "races": 0}
-
-
-def _hammer(root, digest, tag, count):
-    """Worker: repeatedly publish under one digest (racing its sibling)."""
-    store = ResultStore(root)
-    for _ in range(count):
-        store.put(digest, toy_result(tag))
+        assert store.path(DIGEST) is None and store.digests() == []
+        assert set(store.stats.as_dict().values()) == {0}
 
 
 class TestConcurrency:
@@ -139,14 +128,12 @@ class TestConcurrency:
         # Read concurrently while the writers race: every observed
         # document must be complete and schema-valid (atomic publish).
         reader = ResultStore(tmp_path)
-        observed = 0
         while any(w.is_alive() for w in workers):
             for digest in digests:
-                raw = reader.get_raw(digest)
-                if raw is not None:
-                    result = ExperimentResult.from_json(raw)
+                result = reader.get(digest)
+                if result is not None:
                     assert result.name in ("alpha", "beta")
-                    observed += 1
+        assert reader.stats.corrupt == 0
         for w in workers:
             w.join(timeout=60)
             assert w.exitcode == 0

@@ -13,7 +13,7 @@ Covers the three guarantees the experiment runners rely on:
 
 from __future__ import annotations
 
-import logging
+import re
 
 import numpy as np
 import pytest
@@ -22,11 +22,12 @@ from repro import api
 from repro.exceptions import ConfigurationError
 from repro.experiments.alice_bob import run_alice_bob_experiment, run_alice_bob_trial
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engine import ExperimentEngine, _key_slug, default_engine
+from repro.experiments.engine import ExperimentEngine, _key_token, default_engine
 from repro.experiments.runner import REGISTRY
 from repro.experiments.sir_sweep import sir_points
 from repro.experiments.snr_sweep import snr_points
 from repro.results.render import render_text
+from repro.store import content_digest
 
 
 def _draw_trial(cfg: ExperimentConfig, key: int) -> float:
@@ -47,6 +48,11 @@ def _failing_trial(cfg: ExperimentConfig, key: int) -> float:
 def _none_trial(cfg: ExperimentConfig, key: int) -> None:
     """Toy trial whose legitimate result is ``None``."""
     return None
+
+
+def _trial_file(engine: ExperimentEngine, digest: str, key):
+    """Where ``engine`` caches trial ``key`` of the task with ``digest``."""
+    return engine.store.path(content_digest({"task": digest, "key": _key_token(key)}, 64))
 
 
 @pytest.fixture
@@ -180,8 +186,8 @@ class TestBatchDispatch:
         with pytest.raises(RuntimeError):
             engine.map("toy", _fail_on_two, quick_config, range(4))
         digest = ExperimentEngine.task_digest("toy", _fail_on_two, quick_config)
-        cached = sorted(p.name for p in (tmp_path / digest).glob("*.pkl"))
-        assert cached == [f"{_key_slug(0)}.pkl", f"{_key_slug(1)}.pkl"]
+        cached = sorted(tmp_path.rglob("*.pkl"))
+        assert cached == sorted(_trial_file(engine, digest, key) for key in (0, 1))
 
     def test_config_batch_size_reaches_every_figure_runner(self, quick_config):
         """chain/x/capacity honor the config knob like alice-bob does."""
@@ -233,7 +239,7 @@ class TestResume:
         engine = ExperimentEngine(cache_dir=tmp_path)
         results = engine.map("toy", _draw_trial, quick_config, range(4))
         digest = engine.last_stats.digest
-        (tmp_path / digest / f"{_key_slug(2)}.pkl").unlink()
+        _trial_file(engine, digest, 2).unlink()
 
         resumed = ExperimentEngine(cache_dir=tmp_path)
         assert resumed.map("toy", _draw_trial, quick_config, range(4)) == results
@@ -244,28 +250,11 @@ class TestResume:
         engine = ExperimentEngine(cache_dir=tmp_path)
         results = engine.map("toy", _draw_trial, quick_config, range(2))
         digest = engine.last_stats.digest
-        (tmp_path / digest / f"{_key_slug(1)}.pkl").write_bytes(b"torn write")
+        _trial_file(engine, digest, 1).write_bytes(b"torn write")
 
         resumed = ExperimentEngine(cache_dir=tmp_path)
         assert resumed.map("toy", _draw_trial, quick_config, range(2)) == results
         assert resumed.last_stats.executed_trials == 1
-
-    def test_corrupt_cache_entry_logs_one_warning(self, quick_config, tmp_path, caplog):
-        clean = ExperimentEngine().map("toy", _draw_trial, quick_config, range(3))
-        engine = ExperimentEngine(cache_dir=tmp_path)
-        engine.map("toy", _draw_trial, quick_config, range(3))
-        victim = tmp_path / engine.last_stats.digest / f"{_key_slug(1)}.pkl"
-        victim.write_bytes(b"\x80\x04garbled")
-
-        resumed = ExperimentEngine(cache_dir=tmp_path)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.engine"):
-            assert resumed.map("toy", _draw_trial, quick_config, range(3)) == clean
-        assert resumed.last_stats.executed_trials == 1
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        message = warnings[0].getMessage()
-        assert str(victim) in message
-        assert "UnpicklingError" in message
 
     def test_truncated_cache_entry_recomputed(self, quick_config, tmp_path):
         """A torn write that is a *prefix* of a valid pickle still recomputes.
@@ -277,7 +266,7 @@ class TestResume:
         engine = ExperimentEngine(cache_dir=tmp_path)
         results = engine.map("toy", _draw_trial, quick_config, range(3))
         digest = engine.last_stats.digest
-        victim = tmp_path / digest / f"{_key_slug(1)}.pkl"
+        victim = _trial_file(engine, digest, 1)
         valid = victim.read_bytes()
         assert len(valid) > 2
         victim.write_bytes(valid[: len(valid) // 2])
@@ -292,7 +281,7 @@ class TestResume:
         engine = ExperimentEngine(cache_dir=tmp_path)
         results = engine.map("toy", _draw_trial, quick_config, range(2))
         digest = engine.last_stats.digest
-        (tmp_path / digest / f"{_key_slug(0)}.pkl").write_bytes(b"")
+        _trial_file(engine, digest, 0).write_bytes(b"")
 
         resumed = ExperimentEngine(cache_dir=tmp_path)
         assert resumed.map("toy", _draw_trial, quick_config, range(2)) == results
@@ -369,14 +358,14 @@ class TestCacheKeying:
         assert first == second
 
 
-class TestCacheKeySlugs:
-    """Regression tests for the historical slug collisions.
+class TestTrialKeys:
+    """Regression tests for the historical cache-file collisions.
 
-    The old sanitising slug mapped distinct keys to one cache file —
+    An old sanitising file name mapped distinct keys to one cache file —
     ``"a/b"`` and ``"a_b"`` both became ``a_b``; ``("a", "b")`` and
     ``("a_b",)`` both became ``t_a_b`` — so on resume one key could be
-    served another key's cached result.  The slug now appends a short
-    hash of an injective key encoding.
+    served another key's cached result.  Trials are now stored under a
+    digest of an injective key encoding.
     """
 
     @pytest.mark.parametrize(
@@ -390,36 +379,39 @@ class TestCacheKeySlugs:
             ("a b", "a.b"),
         ],
     )
-    def test_distinct_keys_get_distinct_slugs(self, left, right):
-        assert _key_slug(left) != _key_slug(right)
+    def test_distinct_keys_get_distinct_tokens(self, left, right):
+        assert _key_token(left) != _key_token(right)
 
-    def test_slugs_stay_filesystem_safe_and_bounded(self):
-        slug = _key_slug(("x" * 500, "y/z", 3, 2.5))
-        assert len(slug) <= 96 + 9
-        assert "/" not in slug
+    def test_store_entries_are_fixed_length_hex(self, quick_config, tmp_path):
+        ExperimentEngine(cache_dir=tmp_path).map(
+            "toy", _echo_trial, quick_config, [("x" * 500, "y/z", 3, 2.5)]
+        )
+        (entry,) = tmp_path.rglob("*.pkl")
+        assert re.fullmatch(r"[0-9a-f]{64}", entry.stem)
 
-    def test_bool_keys_rejected(self):
+    def test_bool_keys_rejected(self, quick_config):
         # bool is an int subclass; allowing it would alias True with 1.
         with pytest.raises(ConfigurationError):
-            _key_slug(True)
+            ExperimentEngine().map("toy", _echo_trial, quick_config, [True])
 
     @pytest.mark.parametrize(
         "key", [None, b"raw", ("ok", [1])], ids=["none", "bytes", "nested_list"]
     )
-    def test_unencodable_keys_rejected(self, key):
+    def test_unencodable_keys_rejected(self, quick_config, key):
         with pytest.raises(ConfigurationError, match="trial keys must be int, float, str or tuple"):
-            _key_slug(key)
+            ExperimentEngine().map("toy", _echo_trial, quick_config, [key])
 
     def test_colliding_keys_resume_to_their_own_results(self, quick_config, tmp_path):
-        """Keys the old slug merged now cache — and resume — separately."""
-        keys = ["a/b", "a_b", ("a", "b"), ("a_b",)]
+        """Keys an old file name merged (or that compare equal) stay apart."""
+        keys = ["a/b", "a_b", ("a", "b"), ("a_b",), 1, 1.0]
         engine = ExperimentEngine(cache_dir=tmp_path)
         results = engine.map("toy", _echo_trial, quick_config, keys)
-        assert [r[0] for r in results] == keys
+        assert [repr(r[0]) for r in results] == [repr(key) for key in keys]
 
         resumed = ExperimentEngine(cache_dir=tmp_path)
-        assert resumed.map("toy", _echo_trial, quick_config, keys) == results
-        assert resumed.last_stats.cached_trials == 4
+        again = resumed.map("toy", _echo_trial, quick_config, keys)
+        assert [repr(r[0]) for r in again] == [repr(key) for key in keys]
+        assert resumed.last_stats.cached_trials == len(keys)
         assert resumed.last_stats.executed_trials == 0
 
 

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import EngineStats, ExperimentEngine, default_engine
-from repro.experiments.runner import REGISTRY, ExperimentEntry, check_consumes
+from repro.experiments.runner import REGISTRY, ExperimentEntry, check_reads
 from repro.results.model import ExperimentResult
 
 __all__ = [
@@ -84,6 +84,9 @@ def run(
         :func:`list_experiments`.
     config:
         The experiment configuration; defaults to ``ExperimentConfig()``.
+        A config that sets a model field the experiment does not read
+        (:attr:`ExperimentEntry.reads`) is rejected before any trial runs
+        (:func:`~repro.experiments.runner.check_reads`).
     engine:
         How Monte-Carlo trials execute (serial, parallel, resumed from a
         disk cache); defaults to a fresh serial engine.  The engine's
@@ -102,7 +105,7 @@ def run(
     """
     entry = get_experiment(name)
     cfg = config if config is not None else ExperimentConfig()
-    check_consumes(entry, cfg.sim_overrides())
+    check_reads(entry, cfg)
     eng = default_engine(engine)
     mark = len(eng.stats_log)
     started = time.perf_counter()

@@ -16,9 +16,11 @@ content-addressing digest per job, so that
 
 Validation happens up front, at spec construction and expansion time:
 axis names must be real :class:`~repro.experiments.config.ExperimentConfig`
-fields, time-domain traffic knobs are checked against the target
-experiment's ``consumes`` contract (figures consume none), and
-every expanded config is audited to round-trip through
+fields, every expanded job's config is checked against the target
+experiment's ``reads`` declaration
+(:func:`~repro.experiments.runner.check_reads`, the same check
+:func:`repro.api.run` applies), and every expanded config is audited to
+round-trip through
 ``ExperimentConfig.from_snapshot(config.snapshot())`` so omission rules
 in :meth:`~repro.experiments.config.ExperimentConfig.snapshot` can never
 make two distinct grid points collide on one digest.
@@ -32,21 +34,16 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import check_consumes
+from repro.experiments.runner import check_reads
 from repro.store import content_digest
 
 #: Schema tag of the serialized spec (and the job-digest payload).  Bump
 #: on any change that alters digests, so old stores are never misread.
 CAMPAIGN_SCHEMA = "anc-repro.campaign/1"
-
-#: Config knobs only the time-domain traffic scenarios consume; axes and
-#: base overrides naming one are validated against the target entry's
-#: ``consumes`` declaration (see ``docs/SCENARIOS.md``).
-TRAFFIC_KNOBS = ("arrival_rate", "sim_duration", "mac_policy")
 
 #: Config fields campaigns may set (every ExperimentConfig field).
 CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
@@ -68,9 +65,7 @@ def job_digest(experiment: str, quick: bool, config: ExperimentConfig) -> str:
     :meth:`~repro.experiments.config.ExperimentConfig.snapshot` forks it,
     and the snapshot's omission rules are audited to be injective by
     :func:`audit_snapshot_roundtrip`, so distinct configs can never share
-    a digest.  An execution knob the snapshot keeps (``batch_size``)
-    forks the campaign digest too — deliberately conservative; the
-    engine's own trial cache still dedupes underneath.
+    a digest.
     """
     payload = {
         "schema": CAMPAIGN_SCHEMA,
@@ -86,7 +81,7 @@ def audit_snapshot_roundtrip(config: ExperimentConfig) -> ExperimentConfig:
 
     ``snapshot()`` omits default-valued knobs so historical digests stay
     stable; that omission is only safe for content addressing if it is
-    *injective* — every knob a scenario ``consumes`` (and every other
+    *injective* — every field an experiment ``reads`` (and every other
     field) must reconstruct to an equal config.  A failure here means two
     distinct grid points would collide on one digest, so it raises
     instead of letting a campaign silently dedupe wrong results.
@@ -168,7 +163,7 @@ class CampaignSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        """Validate field names, axis values and the traffic-knob contract."""
+        """Validate field names, axis values and every job's ``reads`` contract."""
         object.__setattr__(self, "base", dict(self.base))
         object.__setattr__(
             self, "axes", {str(k): tuple(v) for k, v in dict(self.axes).items()}
@@ -198,13 +193,11 @@ class CampaignSpec:
                     "lists for tuple-typed fields); got "
                     f"{[v for v in values if not _jsonable_axis_value(v)]!r}"
                 )
-        # Enforce the consumes contract at declaration time: the per-run
+        # Enforce the reads contract at declaration time: the per-run
         # check in repro.api.run would catch it too, but only once a job
         # runs — a 1000-job grid that fails on job one is a spec bug.
-        check_consumes(
-            entry,
-            (knob for knob in TRAFFIC_KNOBS if knob in self.base or knob in self.axes),
-        )
+        for _, config in self._configs():
+            check_reads(entry, config)
 
     # ------------------------------------------------------------------
     # Expansion
@@ -242,22 +235,10 @@ class CampaignSpec:
                 f"invalid shard {shard_index}/{shard_count}: need "
                 "0 <= shard_index < shard_count"
             )
-        base_config = ExperimentConfig.from_snapshot(dict(self.base))
-        names = self.axis_names
         jobs: List[CampaignJob] = []
         seen: Dict[str, int] = {}
-        for index, values in enumerate(
-            itertools.product(*(self.axes[name] for name in names))
-        ):
-            overrides = tuple(zip(names, values))
-            config = audit_snapshot_roundtrip(
-                base_config.with_overrides(
-                    **{
-                        name: ExperimentConfig.coerce_field(name, value)
-                        for name, value in overrides
-                    }
-                )
-            )
+        for index, (overrides, config) in enumerate(self._configs()):
+            config = audit_snapshot_roundtrip(config)
             digest = job_digest(self.experiment, self.quick, config)
             if digest in seen:
                 raise ConfigurationError(
@@ -277,6 +258,16 @@ class CampaignSpec:
                 )
             )
         return [job for job in jobs if job.index % shard_count == shard_index]
+
+    def _configs(self) -> Iterator[Tuple[Tuple[Tuple[str, Any], ...], ExperimentConfig]]:
+        """Each grid point's axis overrides and built config, in job order."""
+        base_config = ExperimentConfig.from_snapshot(dict(self.base))
+        names = self.axis_names
+        for values in itertools.product(*(self.axes[name] for name in names)):
+            overrides = tuple(zip(names, values))
+            yield overrides, base_config.with_overrides(
+                **{name: ExperimentConfig.coerce_field(name, value) for name, value in overrides}
+            )
 
     def campaign_id(self) -> str:
         """Stable content id of the whole campaign (spec digest, 20 hex).

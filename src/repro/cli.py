@@ -35,8 +35,8 @@ paper-scale sweep picks up where it left off::
     python -m repro.cli chain_sweep --quick --workers 4 --batch-size 8
 
 ``--arrival-rate`` / ``--sim-duration`` / ``--mac-policy`` configure the
-event-driven traffic scenarios (and raise for every experiment that
-would ignore them)::
+event-driven traffic scenarios.  A flag that sets a config field the
+chosen experiment does not read is an error, not a silent no-op::
 
     python -m repro.cli offered_load_sweep --quick --mac-policy scheduled
     python -m repro.cli queueing_delay --quick --arrival-rate 0.9
@@ -115,7 +115,7 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
     """Add the time-domain traffic flags.
 
     These only apply to the event-driven traffic scenarios
-    (``offered_load_sweep`` honours ``--sim-duration``/``--mac-policy``,
+    (``offered_load_sweep`` reads ``--sim-duration``/``--mac-policy``,
     ``queueing_delay`` all three); setting one for any other experiment
     is a :class:`ConfigurationError`, not a silent no-op.
     """
@@ -271,7 +271,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     }
     return base.with_overrides(
         **{name: value for name, value in sizes.items() if value is not None},
-        batch_size=args.batch_size,
         impairments=_impairments_from_args(args),
         arrival_rate=args.arrival_rate,
         sim_duration=args.sim_duration,

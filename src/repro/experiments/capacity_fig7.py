@@ -21,7 +21,6 @@ from repro.capacity.bounds import (
     crossover_snr_db,
     traditional_capacity_upper_bound,
 )
-from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
 from repro.results.model import ExperimentResult, Series, make_result
@@ -54,17 +53,12 @@ def run_capacity_experiment(
     """Evaluate the Theorem 8.1 bounds over the Fig. 7 SNR range (0-55 dB).
 
     The bounds are closed-form information-theoretic expressions, not a
-    waveform simulation, so channel impairments cannot apply; a config
-    that requests them is rejected loudly rather than producing a result
-    whose snapshot claims impairments that never acted.  ``quick`` is
-    unused (the grid is fixed).
+    waveform simulation, so the experiment reads no model field of the
+    config (its registry entry declares none, and
+    :func:`repro.api.run` rejects any that is set).  ``quick`` is unused
+    (the grid is fixed).
     """
     cfg = config if config is not None else ExperimentConfig()
-    if cfg.impairments.enabled:
-        raise ConfigurationError(
-            "the capacity experiment evaluates analytic Theorem 8.1 bounds; "
-            "channel impairments (--cfo/--fading) do not apply to it"
-        )
     grid = [float(v) for v in np.arange(0.0, 56.0, 1.0)]
     points = default_engine(engine).map(
         "fig07_capacity",
@@ -72,7 +66,6 @@ def run_capacity_experiment(
         cfg,
         grid,
         params={"alpha": float(DEFAULT_ALPHA)},
-        batch_size=cfg.engine_batch_size,
     )
     curve = Series(
         "curve",

@@ -30,6 +30,7 @@ from repro.channel.impairments import apply_impairments
 from repro.channel.interference import OverlapModel
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import TESTBED_READS
 from repro.experiments.scenarios import (
     ScenarioSpec,
     register_scenario,
@@ -116,5 +117,6 @@ CFO_SWEEP = register_scenario(
         quick_sweep_values=(0.0, 0.02, 0.1),
         schemes=("anc", "traditional"),
         trial_fn=run_cfo_sweep_trial,
+        reads=TESTBED_READS + ("anc_redundancy_overhead",),
     )
 )

@@ -31,6 +31,7 @@ from typing import Dict, Tuple
 from repro.channel.impairments import apply_impairments
 from repro.channel.interference import OverlapModel
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import TESTBED_READS
 from repro.experiments.scenarios import (
     ScenarioSpec,
     register_scenario,
@@ -130,5 +131,6 @@ CHAIN_SWEEP = register_scenario(
         quick_sweep_values=(2, 3, 5, 8),
         schemes=("anc", "cope", "traditional"),
         trial_fn=run_chain_sweep_trial,
+        reads=TESTBED_READS + ("chain_redundancy_overhead",),
     )
 )

@@ -10,8 +10,9 @@ published workload for users with time to spare.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -23,6 +24,27 @@ from repro.sim.mac import MAC_POLICIES
 #: Default MAC policy — the value at which ``mac_policy`` stays out of
 #: :meth:`ExperimentConfig.snapshot`.
 DEFAULT_MAC_POLICY = "csma"
+
+#: Fields that size a run rather than model it.  Every preset sets them
+#: (:meth:`ExperimentConfig.quick`, the CLI's 10/10/768 base, benchmark
+#: sizes), so every experiment accepts them whether it reads them or not.
+SIZE_FIELDS = ("runs", "packets_per_run", "payload_bits", "seed")
+
+#: Scalar fields that must be finite real numbers.
+_FLOAT_FIELDS = (
+    "overlap_jitter",
+    "ber_acceptance",
+    "anc_redundancy_overhead",
+    "chain_redundancy_overhead",
+    "arrival_rate",
+    "sim_duration",
+)
+
+
+def _check_finite(name: str, value: Any) -> None:
+    """Reject a non-number, NaN or infinity for one field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +71,7 @@ class ExperimentConfig:
         Within-run jitter of individual collision offsets.
     ber_acceptance:
         Residual BER that the error-correcting redundancy is assumed able
-        to repair; packets above it count as lost.
+        to repair; packets above it count as lost.  Lies in [0, 0.5).
     anc_redundancy_overhead:
         Extra redundancy charged against ANC throughput (8 % in §11.4).
     chain_redundancy_overhead:
@@ -57,14 +79,6 @@ class ExperimentConfig:
         less redundancy.
     seed:
         Master seed; every run derives its own substream from it.
-    batch_size:
-        Trials handed to an engine worker as one block
-        (:meth:`~repro.experiments.engine.ExperimentEngine.map`).
-        ``1`` dispatches trial by trial; larger values amortize dispatch
-        overhead for short trials.  Purely an execution knob — results
-        are identical at every batch size, and it is excluded from the
-        engine's cache digest for exactly that reason.  See
-        ``docs/PERFORMANCE.md`` for guidance on setting it.
     impairments:
         Optional channel impairments (per-sender CFO, stochastic fading)
         applied on top of the baseline flat channel — see
@@ -77,21 +91,22 @@ class ExperimentConfig:
         (:mod:`repro.sim`), in packets per frame-time over both
         directions.  ``0`` (the default) lets each scenario use its own
         default and keeps the knob out of :meth:`snapshot`, so existing
-        digests and golden fixtures are untouched.  Fixed-trial scenarios
-        and the figure runners ignore traffic knobs entirely, so setting
-        this for one of them raises a :class:`ConfigurationError` instead
-        of silently doing nothing.
+        digests and golden fixtures are untouched.
     sim_duration:
         Simulated horizon of the traffic scenarios, in frame-times.
         ``0`` (the default) defers to the scenario default and stays out
-        of :meth:`snapshot`; the same set-but-unconsumed check as
-        ``arrival_rate`` applies.
+        of :meth:`snapshot`.
     mac_policy:
         Medium-access policy of the traffic scenarios — one of
         :data:`repro.sim.mac.MAC_POLICIES` (``"csma"`` contention with
         binary exponential backoff, or the collision-free ``"scheduled"``
-        TDMA grid).  The default is omitted from :meth:`snapshot`; the
-        same set-but-unconsumed check applies.
+        TDMA grid).  The default is omitted from :meth:`snapshot`.
+
+    Each experiment declares the model fields it reads
+    (:attr:`~repro.experiments.runner.ExperimentEntry.reads`);
+    :func:`~repro.experiments.runner.check_reads` rejects a config that
+    sets any other field away from its default, so a knob never
+    silently does nothing.  The :data:`SIZE_FIELDS` are exempt.
     """
 
     runs: int = PAPER_NUM_RUNS
@@ -104,22 +119,30 @@ class ExperimentConfig:
     anc_redundancy_overhead: float = DEFAULT_ANC_REDUNDANCY_OVERHEAD
     chain_redundancy_overhead: float = 0.04
     seed: int = 20070823
-    batch_size: int = 1
     impairments: ImpairmentConfig = ImpairmentConfig()
     arrival_rate: float = 0.0
     sim_duration: float = 0.0
     mac_policy: str = DEFAULT_MAC_POLICY
 
     def __post_init__(self) -> None:
-        """Validate the configured ranges."""
+        """Validate every field; CLI flags and spec files feed them."""
+        for name in SIZE_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            _check_finite(name, getattr(self, name))
+        for name in self._TUPLE_FIELDS:
+            for end in getattr(self, name):
+                _check_finite(name, end)
         if self.runs <= 0:
             raise ConfigurationError("runs must be positive")
-        if self.batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
         if self.packets_per_run <= 0:
             raise ConfigurationError("packets_per_run must be positive")
         if self.payload_bits <= 0 or self.payload_bits % 8 != 0:
             raise ConfigurationError("payload_bits must be a positive multiple of 8")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         low, high = self.snr_db_range
         if low > high:
             raise ConfigurationError("snr_db_range must be (low, high) with low <= high")
@@ -128,6 +151,11 @@ class ExperimentConfig:
             raise ConfigurationError("overlap_range must satisfy 0 < low <= high <= 1")
         if not 0.0 <= self.overlap_jitter <= 0.5:
             raise ConfigurationError("overlap_jitter must lie in [0, 0.5]")
+        if not 0.0 <= self.ber_acceptance < 0.5:
+            raise ConfigurationError("ber_acceptance must lie in [0, 0.5)")
+        for name in ("anc_redundancy_overhead", "chain_redundancy_overhead"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be non-negative")
         if not isinstance(self.impairments, ImpairmentConfig):
             raise ConfigurationError(
                 "impairments must be an ImpairmentConfig instance"
@@ -247,32 +275,6 @@ class ExperimentConfig:
                 payload.pop(knob)
         return payload
 
-    def sim_overrides(self) -> Dict[str, Any]:
-        """The time-domain traffic knobs that differ from their defaults.
-
-        Traffic scenarios consume these; :func:`~repro.experiments.scenarios.run_scenario`
-        raises when any appear for a scenario that ignores them, so a
-        ``--arrival-rate`` flag can never be silently dropped.
-        """
-        overrides: Dict[str, Any] = {}
-        if self.arrival_rate != 0.0:
-            overrides["arrival_rate"] = self.arrival_rate
-        if self.sim_duration != 0.0:
-            overrides["sim_duration"] = self.sim_duration
-        if self.mac_policy != DEFAULT_MAC_POLICY:
-            overrides["mac_policy"] = self.mac_policy
-        return overrides
-
-    @property
-    def engine_batch_size(self) -> Optional[int]:
-        """The batch size a runner should request from the engine.
-
-        ``None`` while the config keeps the default of 1, so that an
-        engine constructed with its own ``batch_size`` still applies it;
-        the config knob takes precedence only when explicitly set.
-        """
-        return self.batch_size if self.batch_size != 1 else None
-
     # ------------------------------------------------------------------
     # Per-run draws
     # ------------------------------------------------------------------
@@ -295,3 +297,8 @@ class ExperimentConfig:
         if low == high:
             return float(low)
         return float(rng.uniform(low, high))
+
+
+#: The fields that model the experiment (everything but :data:`SIZE_FIELDS`);
+#: an experiment's ``reads`` declaration is a subset of these.
+MODEL_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in SIZE_FIELDS)

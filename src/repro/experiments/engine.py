@@ -189,26 +189,20 @@ class ExperimentEngine:
         configurations (code edits are caught by the store's source
         fingerprint instead).
 
-        ``batch_size`` is deliberately excluded: it is an execution knob
-        the test suite proves result-neutral.  Configs that are neither
-        snapshot-bearing, nor dataclasses, nor plainly JSON-serializable
-        are rejected with :class:`~repro.exceptions.ConfigurationError`:
-        silently digesting their ``repr`` would bake memory addresses
-        into the digest and resume would never hit.
+        Configs that are neither snapshot-bearing, nor dataclasses, nor
+        plainly JSON-serializable are rejected with
+        :class:`~repro.exceptions.ConfigurationError`: silently digesting
+        their ``repr`` would bake memory addresses into the digest and
+        resume would never hit.
         """
         snapshot = getattr(config, "snapshot", None)
         if callable(snapshot):
             # Configs that curate their own JSON view (ExperimentConfig
             # omits disabled impairments so old digests stay valid) are
             # digested through it.
-            config_repr: Any = dict(snapshot())
-            config_repr.pop("batch_size", None)
+            config_repr: Any = snapshot()
         elif is_dataclass(config) and not isinstance(config, type):
             config_repr = asdict(config)
-            # Execution knobs that provably do not change trial results
-            # (the test suite enforces this for batch_size) stay
-            # out of the digest so caches survive changing them.
-            config_repr.pop("batch_size", None)
         else:
             try:
                 json.dumps(config)
@@ -261,14 +255,17 @@ class ExperimentEngine:
         config: Any,
         trial_keys: Iterable[TrialKey],
         params: Optional[Mapping[str, Any]] = None,
-        batch_size: Optional[int] = None,
     ) -> List[Any]:
         """Execute ``trial_fn(config, key, **params)`` for every key.
 
         Results are returned in ``trial_keys`` order regardless of
         completion order, worker count, batch size, or cache hits, which
         is what guarantees parallel runs aggregate identically to serial
-        ones.
+        ones.  The engine's ``batch_size`` sets how many trials a worker
+        receives as one block; each trial is still cached under its own
+        key, so a sweep interrupted mid-block resumes at per-trial
+        granularity and a cache written at one batch size is reused at
+        any other.
 
         Parameters
         ----------
@@ -288,21 +285,12 @@ class ExperimentEngine:
         params:
             Extra keyword arguments passed to every trial; also part of
             the cache digest (e.g. the sweep grid).
-        batch_size:
-            Trials per dispatched block; ``None`` uses the engine's
-            configured default.  The block is purely an execution unit —
-            each trial is still cached under its own key, so a sweep
-            interrupted mid-block resumes at per-trial granularity and a
-            cache written at one batch size is reused at any other.
         """
         started = time.perf_counter()
         keys = list(trial_keys)
         tokens = [_key_token(key) for key in keys]
         if len(set(tokens)) != len(keys):
             raise ConfigurationError("trial keys must be unique")
-        effective_batch = self.batch_size if batch_size is None else int(batch_size)
-        if effective_batch < 1:
-            raise ConfigurationError("batch_size must be a positive integer")
         kwargs = dict(params) if params else {}
         digest = self.task_digest(experiment, trial_fn, config, params)
         # Trials are tracked by position: distinct keys may compare equal
@@ -319,8 +307,8 @@ class ExperimentEngine:
                 results[index] = cached[0]
 
         blocks = [
-            pending[start : start + effective_batch]
-            for start in range(0, len(pending), effective_batch)
+            pending[start : start + self.batch_size]
+            for start in range(0, len(pending), self.batch_size)
         ]
         if self.workers == 1 or len(blocks) <= 1:
             # Serial execution gains nothing from blocks (no pickling or
@@ -353,7 +341,7 @@ class ExperimentEngine:
             cached_trials=len(keys) - len(pending),
             workers=self.workers,
             digest=digest,
-            batch_size=effective_batch,
+            batch_size=self.batch_size,
             elapsed_seconds=time.perf_counter() - started,
         )
         self.stats_log.append(self.last_stats)

@@ -26,6 +26,7 @@ from repro.channel.impairments import apply_impairments
 from repro.channel.interference import OverlapModel
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import TESTBED_READS
 from repro.experiments.scenarios import (
     ScenarioSpec,
     register_scenario,
@@ -149,5 +150,6 @@ FADING_SWEEP = register_scenario(
         schemes=("anc", "cope", "traditional"),
         trial_fn=run_fading_sweep_trial,
         params={"fading_mode": "block", "fading_doppler": 0.0},
+        reads=TESTBED_READS + ("anc_redundancy_overhead",),
     )
 )

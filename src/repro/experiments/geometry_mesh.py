@@ -24,6 +24,7 @@ from typing import Dict, Tuple
 from repro.channel.impairments import apply_impairments
 from repro.channel.pathloss import PathLossModel
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import TESTBED_READS
 from repro.experiments.mesh_sweep import draw_mesh_flows, run_mesh_schemes
 from repro.experiments.scenarios import ScenarioSpec, register_scenario
 from repro.network.generator import generate_geometric_mesh
@@ -89,5 +90,6 @@ GEOMETRY_MESH = register_scenario(
             "exponent": 2.0,
             "reference_distance": 0.2,
         },
+        reads=TESTBED_READS + ("anc_redundancy_overhead",),
     )
 )

@@ -29,6 +29,7 @@ from repro.channel.impairments import apply_impairments
 from repro.channel.interference import OverlapModel
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import TESTBED_READS
 from repro.experiments.scenarios import (
     ScenarioSpec,
     combine_runs,
@@ -228,5 +229,6 @@ MESH_SWEEP = register_scenario(
         schemes=("anc", "cope", "traditional"),
         trial_fn=run_mesh_sweep_trial,
         params={"nodes": 12, "radius": 0.45},
+        reads=TESTBED_READS + ("anc_redundancy_overhead",),
     )
 )

@@ -19,8 +19,9 @@ triggered concurrent uplinks — which *want* the collision — keep scaling,
 reproducing the paper's ``anc > cope > traditional`` high-load ordering.
 
 The config's ``sim_duration`` and ``mac_policy`` knobs are honoured;
-``arrival_rate`` is the sweep axis itself, so setting it on the config
-raises instead of being silently ignored.
+``arrival_rate`` is the sweep axis itself, so it is left out of the
+scenario's ``reads`` and setting it on the config raises instead of
+being silently ignored.
 """
 
 from __future__ import annotations
@@ -114,6 +115,9 @@ OFFERED_LOAD_SWEEP = register_scenario(
         quick_sweep_values=(0.2, 0.8, 1.2),
         schemes=("anc", "cope", "traditional"),
         trial_fn=run_offered_load_trial,
-        consumes=("sim_duration", "mac_policy"),
+        reads=(
+            "snr_db_range", "overlap_range", "overlap_jitter", "ber_acceptance",
+            "anc_redundancy_overhead", "sim_duration", "mac_policy",
+        ),
     )
 )

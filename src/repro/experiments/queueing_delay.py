@@ -62,6 +62,9 @@ QUEUEING_DELAY = register_scenario(
         sweep_values=TRAFFIC_MODELS,
         schemes=("anc", "cope", "traditional"),
         trial_fn=run_queueing_delay_trial,
-        consumes=("arrival_rate", "sim_duration", "mac_policy"),
+        reads=(
+            "snr_db_range", "overlap_range", "overlap_jitter", "ber_acceptance",
+            "anc_redundancy_overhead", "arrival_rate", "sim_duration", "mac_policy",
+        ),
     )
 )

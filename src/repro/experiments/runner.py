@@ -1,8 +1,8 @@
 """The one experiment registry: every runnable name, figures and scenarios.
 
 :data:`REGISTRY` maps each public name to an :class:`ExperimentEntry` — a
-description, a kind, the time-domain traffic knobs the experiment
-consumes, and a ``run(config, engine, quick)`` callable that executes it
+description, a kind, the config fields the experiment reads, and a
+``run(config, engine, quick)`` callable that executes it
 through the :class:`~repro.experiments.engine.ExperimentEngine` and
 returns a typed :class:`~repro.results.model.ExperimentResult`.  That
 callable is the experiment module's own ``run_*`` function, which builds
@@ -11,7 +11,7 @@ register here at import time; scenario sweeps register through
 :func:`repro.experiments.scenarios.register_scenario` (their ``run`` is
 :func:`~repro.experiments.scenarios.run_scenario` bound to the spec).  The
 :mod:`repro.api` facade, the CLI and campaigns all read this one dict, and
-:func:`check_consumes` is the one place a set-but-ignored traffic knob is
+:func:`check_reads` is the one place a set-but-ignored config field is
 rejected.
 
 Plain text is formatted from the result tables by
@@ -21,13 +21,13 @@ Plain text is formatted from the result tables by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.alice_bob import run_alice_bob_experiment
 from repro.experiments.capacity_fig7 import run_capacity_experiment
 from repro.experiments.chain import run_chain_experiment
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import MODEL_FIELDS, SIZE_FIELDS, ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.sir_sweep import run_sir_sweep
 from repro.experiments.snr_sweep import run_snr_sweep
@@ -39,7 +39,8 @@ __all__ = [
     "ExperimentEntry",
     "REGISTRY",
     "RunFn",
-    "check_consumes",
+    "TESTBED_READS",
+    "check_reads",
     "register",
 ]
 
@@ -60,10 +61,10 @@ class ExperimentEntry:
     kind:
         ``"figure"`` for the paper-figure runners, ``"scenario"`` for
         registered scenario sweeps.
-    consumes:
-        The config's time-domain traffic knobs (``arrival_rate`` /
-        ``sim_duration`` / ``mac_policy``) this experiment honours; any
-        other set knob is rejected by :func:`check_consumes`.
+    reads:
+        The model fields of :class:`ExperimentConfig` the computation
+        depends on; :func:`check_reads` rejects a config that sets any
+        other model field away from its default.
     run:
         Executes the experiment and returns its structured result
         (without engine metadata — :func:`repro.api.run` attaches that).
@@ -73,7 +74,7 @@ class ExperimentEntry:
     name: str
     description: str
     kind: str
-    consumes: Tuple[str, ...]
+    reads: Tuple[str, ...]
     run: RunFn
 
 
@@ -93,30 +94,49 @@ def register(entry: ExperimentEntry) -> ExperimentEntry:
     return entry
 
 
-def check_consumes(entry, knobs: Iterable[str]) -> None:
-    """Reject traffic knobs the experiment would silently ignore.
+#: The reference each field's value is compared against in :func:`check_reads`.
+_DEFAULTS = ExperimentConfig()
 
-    ``entry`` is anything with a ``name`` and a ``consumes`` tuple (an
-    :class:`ExperimentEntry` or a
-    :class:`~repro.experiments.scenarios.ScenarioSpec`); ``knobs`` are the
-    traffic knobs a config or campaign sets.
+
+def check_reads(entry: ExperimentEntry, config: ExperimentConfig) -> None:
+    """Reject a config that sets a field the experiment never reads.
+
+    A model field counts as set when it differs from
+    ``ExperimentConfig()``.  The :data:`~repro.experiments.config.SIZE_FIELDS`
+    are exempt, because every preset sets them for every experiment.
     """
-    unconsumed = sorted(set(knobs) - set(entry.consumes))
-    if unconsumed:
+    ignored = [
+        name
+        for name in MODEL_FIELDS
+        if name not in entry.reads and getattr(config, name) != getattr(_DEFAULTS, name)
+    ]
+    if ignored:
+        reads = ", ".join(entry.reads) or "none of the model fields"
         raise ConfigurationError(
-            f"experiment {entry.name!r} ignores the traffic knob(s) "
-            f"{', '.join(unconsumed)}; its consumes contract is "
-            f"({', '.join(sorted(entry.consumes)) or 'empty'})"
+            f"experiment {entry.name!r} does not read the config field(s) "
+            f"{', '.join(ignored)}; it reads {reads} "
+            f"(the size fields {', '.join(SIZE_FIELDS)} are always accepted)"
         )
 
 
-for _name, _description, _run in (
-    ("capacity", "Fig. 7  — capacity bounds vs SNR", run_capacity_experiment),
-    ("alice-bob", "Fig. 9  — Alice-Bob topology", run_alice_bob_experiment),
-    ("x", "Fig. 10 — the X topology", run_x_topology_experiment),
-    ("chain", "Fig. 12 — chain topology", run_chain_experiment),
-    ("sir", "Fig. 13 — BER vs SIR", run_sir_sweep),
-    ("snr", "extension — gain and BER vs operating SNR", run_snr_sweep),
-    ("summary", "§11.3  — summary of results", run_summary),
+#: What one sample-level testbed exchange reads: the per-run SNR and
+#: overlap draws, the loss threshold and the channel impairments.
+TESTBED_READS = ("snr_db_range", "overlap_range", "overlap_jitter", "ber_acceptance", "impairments")
+
+for _name, _description, _reads, _run in (
+    ("capacity", "Fig. 7  — capacity bounds vs SNR", (), run_capacity_experiment),
+    ("alice-bob", "Fig. 9  — Alice-Bob topology",
+     TESTBED_READS + ("anc_redundancy_overhead",), run_alice_bob_experiment),
+    ("x", "Fig. 10 — the X topology",
+     TESTBED_READS + ("anc_redundancy_overhead",), run_x_topology_experiment),
+    ("chain", "Fig. 12 — chain topology",
+     TESTBED_READS + ("chain_redundancy_overhead",), run_chain_experiment),
+    ("sir", "Fig. 13 — BER vs SIR",
+     ("overlap_range", "overlap_jitter", "impairments"), run_sir_sweep),
+    ("snr", "extension — gain and BER vs operating SNR",
+     ("overlap_range", "overlap_jitter", "ber_acceptance", "impairments",
+      "anc_redundancy_overhead"), run_snr_sweep),
+    ("summary", "§11.3  — summary of results",
+     TESTBED_READS + ("anc_redundancy_overhead", "chain_redundancy_overhead"), run_summary),
 ):
-    register(ExperimentEntry(_name, _description, "figure", (), _run))
+    register(ExperimentEntry(_name, _description, "figure", _reads, _run))

@@ -35,7 +35,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
-from repro.experiments.runner import ExperimentEntry, check_consumes, register
+from repro.experiments.runner import ExperimentEntry, register
 from repro.protocols.base import RunResult
 from repro.results.model import ExperimentResult, Series, make_result
 
@@ -110,13 +110,11 @@ class ScenarioSpec:
     params:
         Extra keyword arguments passed to every trial (and hashed into
         the engine's cache digest), e.g. the mesh size.
-    consumes:
-        Names of the config's time-domain traffic knobs
-        (``arrival_rate`` / ``sim_duration`` / ``mac_policy``) this
-        scenario's trials actually honour.  :func:`run_scenario` raises a
-        :class:`ConfigurationError` when the config sets a knob outside
-        this set — fixed-trial scenarios would otherwise silently ignore
-        it.
+    reads:
+        The model fields of :class:`ExperimentConfig` the trials depend
+        on; becomes the registry entry's
+        :attr:`~repro.experiments.runner.ExperimentEntry.reads`, so
+        :func:`repro.api.run` and campaigns reject any other set field.
     """
 
     name: str
@@ -128,7 +126,7 @@ class ScenarioSpec:
     trial_fn: ScenarioTrialFn
     quick_sweep_values: Optional[Tuple[Any, ...]] = None
     params: Mapping[str, Any] = field(default_factory=dict)
-    consumes: Tuple[str, ...] = ()
+    reads: Tuple[str, ...] = ()
 
     def values_for(self, quick: bool) -> Tuple[Any, ...]:
         """The sweep values to run at the requested size."""
@@ -153,12 +151,10 @@ def run_scenario(
     scheme order, value order and runs per point.
     """
     cfg = config if config is not None else ExperimentConfig()
-    check_consumes(spec, cfg.sim_overrides())
     values = spec.values_for(quick)
     keys = [(value, run) for value in values for run in range(cfg.runs)]
     cells = default_engine(engine).map(
-        f"scenario_{spec.name}", spec.trial_fn, cfg, keys,
-        params=spec.params, batch_size=cfg.engine_batch_size,
+        f"scenario_{spec.name}", spec.trial_fn, cfg, keys, params=spec.params
     )
 
     cell_rows = []
@@ -191,7 +187,7 @@ def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
             name=spec.name,
             description=spec.description,
             kind="scenario",
-            consumes=spec.consumes,
+            reads=spec.reads,
             run=partial(run_scenario, spec),
         )
     )

@@ -192,7 +192,6 @@ def sir_points(
         config,
         range(len(params["sir_db_values"])),
         params=params,
-        batch_size=config.engine_batch_size,
     )
 
 

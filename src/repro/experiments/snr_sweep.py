@@ -143,7 +143,6 @@ def snr_points(
         config,
         range(len(params["snr_db_values"])),
         params=params,
-        batch_size=config.engine_batch_size,
     )
 
 

@@ -312,7 +312,7 @@ class TestCampaignCommand:
         spec_path.write_text(json.dumps({"experiment": "chain_sweep",
                                          "base": {"arrival_rate": 0.5}}))
         assert main(["campaign", "run", str(spec_path)]) == 2
-        assert "ignores the traffic knob" in capsys.readouterr().err
+        assert "does not read the config field(s) arrival_rate" in capsys.readouterr().err
 
     def test_malformed_spec_is_clean_error(self, tmp_path, capsys):
         spec_path = tmp_path / "grid.json"

@@ -124,13 +124,13 @@ class TestValidation:
             small_spec(axes={"seed": (1, 1)}).jobs()
 
     def test_figure_rejects_traffic_knobs(self):
-        with pytest.raises(ConfigurationError, match="traffic"):
+        with pytest.raises(ConfigurationError, match="does not read the config field"):
             small_spec(axes={"arrival_rate": (0.2, 0.4)})
 
-    def test_scenario_consumes_contract(self):
-        # offered_load_sweep consumes sim_duration/mac_policy but sweeps
-        # arrival_rate itself; chain_sweep consumes none of them.
-        with pytest.raises(ConfigurationError, match="consume"):
+    def test_scenario_reads_contract(self):
+        # offered_load_sweep reads sim_duration/mac_policy but sweeps
+        # arrival_rate itself; chain_sweep reads none of them.
+        with pytest.raises(ConfigurationError, match="does not read"):
             CampaignSpec(
                 experiment="chain_sweep",
                 base={"arrival_rate": 0.5},

@@ -4,6 +4,7 @@ import pytest
 
 from repro import api
 from repro.cli import _config_from_args, build_parser, main
+from repro.experiments.engine import ExperimentEngine
 
 SCENARIO_NAMES = {
     "chain_sweep",
@@ -127,3 +128,10 @@ class TestScenarioCommand:
     def test_invalid_workers_is_clean_error(self, capsys):
         assert main(["chain_sweep", "--quick", "--workers", "0"]) == 2
         assert "workers must be a positive integer" in capsys.readouterr().err
+
+    def test_infinite_sim_duration_fails_before_any_trial(self, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(ExperimentEngine, "map", lambda *args, **kwargs: trials.append(args))
+        assert main(["queueing_delay", "--quick", "--sim-duration", "inf"]) == 2
+        assert "sim_duration must be a finite number" in capsys.readouterr().err
+        assert trials == []

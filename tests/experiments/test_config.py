@@ -1,5 +1,7 @@
 """Tests for the experiment configuration."""
 
+import math
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -42,8 +44,21 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("batch_size", 0, "batch_size must be positive"),
             ("sim_duration", -1.0, "sim_duration must be non-negative"),
+            ("sim_duration", math.inf, "sim_duration must be a finite number"),
+            ("sim_duration", math.nan, "sim_duration must be a finite number"),
+            ("arrival_rate", math.nan, "arrival_rate must be a finite number"),
+            ("seed", -1, "seed must be non-negative"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("runs", 2.5, "runs must be an integer"),
+            ("runs", True, "runs must be an integer"),
+            ("snr_db_range", (math.nan, 20.0), "snr_db_range must be a finite number"),
+            ("overlap_range", (0.5, math.inf), "overlap_range must be a finite number"),
+            ("ber_acceptance", -1.0, r"ber_acceptance must lie in \[0, 0.5\)"),
+            ("ber_acceptance", 0.5, r"ber_acceptance must lie in \[0, 0.5\)"),
+            ("ber_acceptance", 2.0, r"ber_acceptance must lie in \[0, 0.5\)"),
+            ("anc_redundancy_overhead", -0.5, "anc_redundancy_overhead must be non-negative"),
+            ("chain_redundancy_overhead", -1.0, "chain_redundancy_overhead must be non-negative"),
         ],
     )
     def test_execution_knob_validation(self, field, value, match):
@@ -77,7 +92,7 @@ class TestSnapshotRoundTrip:
 
     Campaign job digests hash the config snapshot
     (repro.campaign.spec.job_digest), so every knob — in particular
-    every knob a scenario declares in its ``consumes`` contract — must
+    every field an experiment declares in its ``reads`` contract — must
     survive ``from_snapshot(cfg.snapshot())`` unchanged.  A lossy
     omission rule would let two distinct grid points collide on one
     digest and silently dedupe wrong results.
@@ -96,9 +111,9 @@ class TestSnapshotRoundTrip:
             "mac_policy": "scheduled",
         }
         consumed = {
-            knob for entry in REGISTRY.values() for knob in entry.consumes
-        }
-        assert consumed  # the contract exists
+            knob for entry in REGISTRY.values() for knob in entry.reads
+        } & set(non_default)
+        assert consumed == set(non_default)  # every traffic knob is read somewhere
         for knob in sorted(consumed):
             config = ExperimentConfig(**{knob: non_default[knob]})
             rebuilt = ExperimentConfig.from_snapshot(config.snapshot())
@@ -123,7 +138,6 @@ class TestSnapshotRoundTrip:
             "anc_redundancy_overhead": 0.2,
             "chain_redundancy_overhead": 0.1,
             "seed": 7,
-            "batch_size": 4,
             "impairments": ImpairmentConfig(sender_cfo=0.01),
             "arrival_rate": 0.4,
             "sim_duration": 55.0,

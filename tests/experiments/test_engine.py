@@ -132,15 +132,15 @@ class TestBatchDispatch:
     def test_results_identical_at_every_batch_size(self, quick_config):
         reference = ExperimentEngine().map("toy", _draw_trial, quick_config, range(10))
         for batch_size in (1, 3, 4, 10, 99):
-            batched = ExperimentEngine().map(
-                "toy", _draw_trial, quick_config, range(10), batch_size=batch_size
+            batched = ExperimentEngine(batch_size=batch_size).map(
+                "toy", _draw_trial, quick_config, range(10)
             )
             assert batched == reference
 
     def test_parallel_batched_identical_to_serial(self, quick_config):
         serial = ExperimentEngine(workers=1).map("toy", _draw_trial, quick_config, range(8))
-        parallel = ExperimentEngine(workers=2).map(
-            "toy", _draw_trial, quick_config, range(8), batch_size=3
+        parallel = ExperimentEngine(workers=2, batch_size=3).map(
+            "toy", _draw_trial, quick_config, range(8)
         )
         assert parallel == serial
 
@@ -150,11 +150,9 @@ class TestBatchDispatch:
         assert results == ExperimentEngine().map("toy", _draw_trial, quick_config, range(6))
         assert engine.last_stats.batch_size == 4
 
-    def test_invalid_batch_size_rejected(self, quick_config):
+    def test_invalid_batch_size_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentEngine(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            ExperimentEngine().map("toy", _draw_trial, quick_config, range(2), batch_size=0)
 
     def test_batched_cache_is_per_trial(self, quick_config, tmp_path):
         batched = ExperimentEngine(cache_dir=tmp_path, batch_size=3)
@@ -166,12 +164,6 @@ class TestBatchDispatch:
         assert resumed.map("toy", _draw_trial, quick_config, range(7)) == results
         assert resumed.last_stats.cached_trials == 7
         assert resumed.last_stats.executed_trials == 0
-
-    def test_config_batch_size_not_in_digest(self, quick_config):
-        bigger = quick_config.with_overrides(batch_size=32)
-        assert ExperimentEngine.task_digest("toy", _draw_trial, quick_config) == (
-            ExperimentEngine.task_digest("toy", _draw_trial, bigger)
-        )
 
     def test_serial_batched_run_persists_per_trial(self, quick_config, tmp_path):
         """A serial block must not lose completed trials to an interruption."""
@@ -189,35 +181,10 @@ class TestBatchDispatch:
         cached = sorted(tmp_path.rglob("*.pkl"))
         assert cached == sorted(_trial_file(engine, digest, key) for key in (0, 1))
 
-    def test_config_batch_size_reaches_every_figure_runner(self, quick_config):
-        """chain/x/capacity honor the config knob like alice-bob does."""
-        from repro.experiments.capacity_fig7 import run_capacity_experiment
-        from repro.experiments.chain import run_chain_experiment
-        from repro.experiments.x_topology import run_x_topology_experiment
-
-        config = quick_config.with_overrides(batch_size=2)
-        for runner in (run_chain_experiment, run_x_topology_experiment):
-            engine = ExperimentEngine()
-            runner(config, engine=engine)
-            assert engine.last_stats.batch_size == 2
-        engine = ExperimentEngine()
-        run_capacity_experiment(config=config, engine=engine)
-        assert engine.last_stats.batch_size == 2
-
-    def test_engine_batch_size_survives_default_config(self, quick_config):
-        """A config that keeps batch_size=1 must not clobber the engine's."""
-        engine = ExperimentEngine(batch_size=3)
-        run_alice_bob_experiment(quick_config, engine=engine)
-        assert engine.last_stats.batch_size == 3
-        # An explicitly configured batch size wins over the engine default.
-        run_alice_bob_experiment(quick_config.with_overrides(batch_size=2), engine=engine)
-        assert engine.last_stats.batch_size == 2
-
     def test_alice_bob_batched_report_bit_identical(self, quick_config):
         serial = run_alice_bob_experiment(quick_config, engine=ExperimentEngine(workers=1))
         batched = run_alice_bob_experiment(
-            quick_config.with_overrides(batch_size=2),
-            engine=ExperimentEngine(workers=2),
+            quick_config, engine=ExperimentEngine(workers=2, batch_size=2)
         )
         assert serial.series == batched.series
         assert render_text(serial) == render_text(batched)

@@ -143,7 +143,8 @@ class TestImpairmentThreading:
     def test_capacity_rejects_impairments(self):
         from repro.exceptions import ConfigurationError
 
-        with pytest.raises(ConfigurationError, match="analytic"):
+        unread = r"does not read the config field\(s\) impairments"
+        with pytest.raises(ConfigurationError, match=unread):
             api.run("capacity", config=self.IMPAIRED)
 
     def test_mesh_sweep_trial_honours_impairments(self):

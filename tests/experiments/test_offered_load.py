@@ -5,7 +5,7 @@ import pytest
 from repro import api
 from repro.exceptions import ConfigurationError
 from repro.results.model import config_digest
-from repro.experiments import ExperimentConfig, ExperimentEngine, run_scenario
+from repro.experiments import ExperimentConfig, ExperimentEngine
 from repro.experiments.config import DEFAULT_MAC_POLICY
 from repro.experiments.chain_sweep import CHAIN_SWEEP
 from repro.experiments.offered_load import OFFERED_LOAD_SWEEP, run_offered_load_trial
@@ -22,13 +22,14 @@ class TestRegistration:
         assert spec.sweep_axis == "load"
         assert spec.schemes == ("anc", "cope", "traditional")
         assert set(spec.values_for(quick=True)) <= set(spec.values_for(quick=False))
-        assert set(spec.consumes) == {"sim_duration", "mac_policy"}
+        assert {"sim_duration", "mac_policy"} <= set(spec.reads)
+        assert "arrival_rate" not in spec.reads  # the sweep axis
 
     def test_queueing_delay_spec_shape(self):
         spec = QUEUEING_DELAY
         assert spec.sweep_axis == "traffic"
         assert spec.sweep_values == TRAFFIC_MODELS
-        assert set(spec.consumes) == {"arrival_rate", "sim_duration", "mac_policy"}
+        assert {"arrival_rate", "sim_duration", "mac_policy"} <= set(spec.reads)
 
     def test_reachable_through_api(self):
         for name in ("offered_load_sweep", "queueing_delay"):
@@ -114,16 +115,16 @@ class TestConfigKnobs:
             ExperimentConfig(mac_policy="aloha")
 
     def test_unconsumed_knob_rejected_by_scenarios(self):
-        spec = CHAIN_SWEEP
-        with pytest.raises(ConfigurationError, match="ignores the traffic knob"):
-            run_scenario(spec, QUICK.with_overrides(arrival_rate=0.5), quick=True)
+        with pytest.raises(ConfigurationError, match="does not read the config field"):
+            api.run(CHAIN_SWEEP.name, QUICK.with_overrides(arrival_rate=0.5), quick=True)
 
     def test_sweep_axis_knob_rejected_by_offered_load(self):
         # arrival_rate IS the sweep axis: setting it would be silently wrong.
-        spec = OFFERED_LOAD_SWEEP
         with pytest.raises(ConfigurationError, match="arrival_rate"):
-            run_scenario(spec, QUICK.with_overrides(arrival_rate=0.5), quick=True)
+            api.run(
+                OFFERED_LOAD_SWEEP.name, QUICK.with_overrides(arrival_rate=0.5), quick=True
+            )
 
     def test_unconsumed_knob_rejected_by_figures(self):
-        with pytest.raises(ConfigurationError, match="ignores the traffic knob"):
+        with pytest.raises(ConfigurationError, match="does not read the config field"):
             api.run("alice-bob", config=QUICK.with_overrides(sim_duration=10.0))

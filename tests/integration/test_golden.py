@@ -51,8 +51,8 @@ def _load_fixture(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def _fixture_config(fixture: dict, **overrides) -> ExperimentConfig:
-    return ExperimentConfig(**{**fixture["config"], **overrides})
+def _fixture_config(fixture: dict) -> ExperimentConfig:
+    return ExperimentConfig(**fixture["config"])
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -72,9 +72,10 @@ def test_scalar_run_matches_golden(name):
 def test_batched_run_matches_golden(name):
     """The batched path (worker blocks, batch_size > 1) must match too."""
     fixture = _load_fixture(name)
-    config = _fixture_config(fixture, batch_size=2)
     result = api.run(
-        EXPERIMENTS[name], config=config, engine=ExperimentEngine(workers=2, batch_size=2)
+        EXPERIMENTS[name],
+        config=_fixture_config(fixture),
+        engine=ExperimentEngine(workers=2, batch_size=2),
     )
     assert render_text(result) == fixture["render"], (
         f"{name} batched run drifted from the golden rendering: batching "

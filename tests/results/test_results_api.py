@@ -1,11 +1,15 @@
 """Tests for the unified :mod:`repro.api` facade."""
 
+import functools
+
 import pytest
 
 from repro import api
-from repro.campaign.spec import TRAFFIC_KNOBS, CampaignSpec
+from repro.campaign.spec import CampaignSpec
+from repro.channel.impairments import ImpairmentConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments import REGISTRY, ExperimentConfig, ExperimentEngine
+from repro.experiments.config import MODEL_FIELDS
 from repro.experiments.chain_sweep import CHAIN_SWEEP
 from repro.experiments.mesh_sweep import MESH_SWEEP
 from repro.results import ExperimentResult, SCHEMA_VERSION, render_text
@@ -19,8 +23,36 @@ SCENARIOS_IN_ORDER = [
     "geometry_mesh", "offered_load_sweep", "queueing_delay",
 ]
 
-#: A non-default value for each traffic knob.
-KNOB_VALUES = {"arrival_rate": 0.7, "sim_duration": 123.0, "mac_policy": "scheduled"}
+#: A non-default value for each model field; every experiment that reads
+#: the field computes something different with it, except the pairs
+#: :data:`MOVE_CASES` overrides.
+FIELD_VALUES = {
+    "snr_db_range": (14.0, 16.0),
+    "overlap_range": (0.3, 0.4),
+    "overlap_jitter": 0.5,
+    "ber_acceptance": 0.0,
+    "anc_redundancy_overhead": 0.5,
+    "chain_redundancy_overhead": 0.5,
+    "impairments": ImpairmentConfig(sender_cfo=0.01),
+    "arrival_rate": 0.5,
+    "sim_duration": 20.0,
+    "mac_policy": "scheduled",
+}
+
+#: The size every declared read is bumped at (all 14 entries in seconds).
+MOVE_BASE = ExperimentConfig(runs=2, packets_per_run=3, payload_bits=128, seed=7)
+
+#: (experiment, field) pairs whose effect depends on the data, with a
+#: (base, value) that provably moves them: 128-bit chain packets all
+#: decode at BER 0, so the acceptance threshold needs 512-bit payloads;
+#: a 0.01 CFO leaves the mesh's decodes unchanged while fading does not;
+#: and ``cfo_sweep`` rejects a set CFO (its sweep axis), so only fading
+#: can move it.
+MOVE_CASES = {
+    ("chain", "ber_acceptance"): (MOVE_BASE.with_overrides(payload_bits=512), 0.0),
+    ("mesh_sweep", "impairments"): (MOVE_BASE, ImpairmentConfig(fading="rayleigh")),
+    ("cfo_sweep", "impairments"): (MOVE_BASE, ImpairmentConfig(fading="rayleigh")),
+}
 
 
 class TestRegistry:
@@ -39,7 +71,10 @@ class TestRegistry:
         assert entry is REGISTRY["alice-bob"]
         assert entry.kind == "figure"
         assert entry.description == "Fig. 9  — Alice-Bob topology"
-        assert entry.consumes == ()
+        assert entry.reads == (
+            "snr_db_range", "overlap_range", "overlap_jitter", "ber_acceptance",
+            "impairments", "anc_redundancy_overhead",
+        )
         mesh = api.get_experiment("mesh_sweep")
         assert mesh.kind == "scenario"
         assert mesh.description == MESH_SWEEP.description
@@ -97,26 +132,56 @@ class TestRun:
         assert tuple(result.meta["sweep_values"]) == CHAIN_SWEEP.values_for(quick=True)
 
 
-class TestConsumesContract:
-    """Every entry rejects exactly the traffic knobs outside its ``consumes``."""
+class TestReadsContract:
+    """Every entry rejects exactly the model fields outside its ``reads``."""
 
-    @pytest.mark.parametrize("knob", TRAFFIC_KNOBS)
+    @pytest.mark.parametrize("field", MODEL_FIELDS)
     @pytest.mark.parametrize("name", api.list_experiments())
-    def test_knob_rejected_or_accepted_per_entry(self, name, knob):
+    def test_field_rejected_or_accepted_per_entry(self, name, field):
         entry = api.get_experiment(name)
-        value = KNOB_VALUES[knob]
-        if knob in entry.consumes:
-            spec = CampaignSpec(experiment=name, base={knob: value}, quick=True)
+        value = ExperimentConfig(**{field: FIELD_VALUES[field]}).snapshot()[field]
+        if field in entry.reads:
+            spec = CampaignSpec(experiment=name, base={field: value}, quick=True)
             assert spec.total_jobs == 1
             return
         engine = ExperimentEngine(workers=1)
-        with pytest.raises(ConfigurationError, match="ignores the traffic knob") as run_error:
-            api.run(name, config=TINY.with_overrides(**{knob: value}), engine=engine)
+        with pytest.raises(ConfigurationError, match="does not read") as run_error:
+            api.run(name, config=TINY.with_overrides(**{field: FIELD_VALUES[field]}), engine=engine)
         assert engine.stats_log == []  # rejected before any trial ran
-        with pytest.raises(ConfigurationError, match="consumes") as spec_error:
-            CampaignSpec(experiment=name, base={knob: value})
+        with pytest.raises(ConfigurationError, match="does not read") as spec_error:
+            CampaignSpec(experiment=name, base={field: value})
         assert str(run_error.value) == str(spec_error.value)
-        assert knob in str(run_error.value)
+        assert field in str(run_error.value)
+
+    def test_spec_checks_every_job(self):
+        # One of the two grid points sets a field alice-bob does not read.
+        with pytest.raises(ConfigurationError, match="chain_redundancy_overhead"):
+            CampaignSpec(
+                experiment="alice-bob",
+                axes={"chain_redundancy_overhead": (0.04, 0.5)},
+            )
+        # An axis that only ever takes the default value sets nothing.
+        assert CampaignSpec(
+            experiment="alice-bob", axes={"chain_redundancy_overhead": (0.04,)}
+        ).total_jobs == 1
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [(name, field) for name in api.list_experiments() for field in REGISTRY[name].reads],
+    )
+    def test_every_declared_read_moves_the_result(self, name, field):
+        base, value = MOVE_CASES.get((name, field), (MOVE_BASE, FIELD_VALUES[field]))
+        moved = api.run(name, config=base.with_overrides(**{field: value}), quick=True)
+        reference = _move_reference(name, base)
+        assert (moved.series, moved.scalars) != (reference.series, reference.scalars), (
+            f"{name} accepts {field} but computes the same result with it"
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _move_reference(name, base):
+    """The unbumped result of one experiment at one base."""
+    return api.run(name, config=base, quick=True)
 
 
 class TestDeprecationShims:

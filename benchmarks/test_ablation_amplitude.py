@@ -17,7 +17,7 @@ import numpy as np
 from conftest import write_result
 
 from repro.anc.decoder import DecoderConfig, InterferenceDecoder
-from repro.channel.interference import InterferenceCombiner
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
@@ -42,9 +42,9 @@ def _collision(rng):
     link_b = Link(attenuation=attenuation_b, phase_shift=float(rng.uniform(-np.pi, np.pi)),
                   frequency_offset=-float(rng.uniform(0.01, 0.04)))
     offset = int(rng.integers(140, 220))
-    combiner = InterferenceCombiner(noise_power=NOISE, rng=rng)
-    collision = combiner.combine([(wave_a, link_a, 0), (wave_b, link_b, offset)], tail_padding=24)
-    return collision.signal, frame_a, frame_b, offset, (attenuation_a, attenuation_b)
+    length = max(len(wave_a), offset + len(wave_b)) + 24
+    collision = superpose([(wave_a, link_a, 0), (wave_b, link_b, offset)], NOISE, rng, length)
+    return collision, frame_a, frame_b, offset, (attenuation_a, attenuation_b)
 
 
 def _mean_ber(method: str, seed: int = 1) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 from conftest import write_result
 
 from repro.anc.decoder import InterferenceDecoder, SubtractionDecoder
-from repro.channel.interference import InterferenceCombiner
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
@@ -39,10 +39,12 @@ def _mean_bers(phase_drift: float, seed: int = 3):
         link_b = Link(attenuation=0.6, phase_shift=float(rng.uniform(-np.pi, np.pi)),
                       frequency_offset=0.02, phase_drift=phase_drift)
         offset = int(rng.integers(140, 200))
-        combiner = InterferenceCombiner(noise_power=1e-4, rng=rng)
-        received = combiner.combine(
-            [(wave_a, link_a, 0), (wave_b, link_b, offset)], tail_padding=24
-        ).signal
+        received = superpose(
+            [(wave_a, link_a, 0), (wave_b, link_b, offset)],
+            1e-4,
+            rng,
+            max(len(wave_a), offset + len(wave_b)) + 24,
+        )
         anc_bits, _ = anc.decode(received, frame_a.bits, 0, offset, len(frame_b.bits))
         sub_bits = subtraction.decode(received, frame_a.bits, 0, offset, len(frame_b.bits))
         anc_bers.append(float(np.mean(anc_bits != frame_b.bits)))

@@ -11,7 +11,7 @@ import pytest
 
 from repro.anc.decoder import InterferenceDecoder
 from repro.anc.pipeline import ReceivePipeline
-from repro.channel.interference import InterferenceCombiner
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Framer
@@ -32,9 +32,12 @@ def collision_setup():
     link_a = Link(attenuation=0.9, phase_shift=0.4, frequency_offset=0.03)
     link_b = Link(attenuation=0.7, phase_shift=-1.0, frequency_offset=-0.02)
     offset = 170
-    received = InterferenceCombiner(noise_power=1e-3, rng=rng).combine(
-        [(wave_a, link_a, 0), (wave_b, link_b, offset)], tail_padding=32
-    ).signal
+    received = superpose(
+        [(wave_a, link_a, 0), (wave_b, link_b, offset)],
+        1e-3,
+        rng,
+        max(len(wave_a), offset + len(wave_b)) + 32,
+    )
     return received, frame_a, frame_b, offset
 
 

@@ -15,7 +15,7 @@ Run with::
 import numpy as np
 
 from repro.anc.pipeline import ReceiveOutcome, ReceivePipeline
-from repro.channel.interference import InterferenceCombiner, OverlapModel
+from repro.channel.interference import OverlapModel, superpose
 from repro.channel.link import Link
 from repro.channel.relay import AmplifyAndForwardRelayChannel
 from repro.framing.buffer import SentPacketBuffer
@@ -55,18 +55,20 @@ def main() -> None:
     _, bob_offset = overlap.draw_offsets(len(alice_wave))
     uplink_alice = Link(attenuation=0.85, phase_shift=0.7, frequency_offset=0.025)
     uplink_bob = Link(attenuation=0.80, phase_shift=-1.9, frequency_offset=-0.02)
-    collision = InterferenceCombiner(noise_power=NOISE_POWER, rng=rng).combine(
+    collision = superpose(
         [(alice_wave, uplink_alice, 0), (bob_wave, uplink_bob, bob_offset)],
-        tail_padding=32,
+        NOISE_POWER,
+        rng,
+        bob_offset + len(bob_wave) + 32,
     )
     print(f"collision: Bob starts {bob_offset} samples late "
-          f"-> {collision.overlap_fraction:.0%} of the packets overlap")
+          f"-> {1 - bob_offset / len(alice_wave):.0%} of the packets overlap")
 
     # ------------------------------------------------------------------
     # 3. The router does not decode; it re-amplifies the interfered
     #    waveform to its power budget and broadcasts it.
     # ------------------------------------------------------------------
-    broadcast = AmplifyAndForwardRelayChannel(transmit_power=1.0).apply(collision.signal)
+    broadcast = AmplifyAndForwardRelayChannel(transmit_power=1.0).apply(collision)
     downlink_to_alice = Link(attenuation=0.82, phase_shift=2.1,
                              frequency_offset=0.01, noise_power=NOISE_POWER)
     received_at_alice = downlink_to_alice.propagate(broadcast, rng=rng)

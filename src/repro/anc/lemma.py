@@ -135,16 +135,3 @@ def phase_solutions(
     phi2 = np.angle(y * (b + a * cosine - 1j * a * sine))
     return PhaseSolutions(theta1=theta1, phi1=phi1, theta2=theta2, phi2=phi2, cosine=cosine)
 
-
-def reconstruct_sample(
-    amplitude_a: float,
-    amplitude_b: float,
-    theta: float,
-    phi: float,
-) -> complex:
-    """Rebuild ``A e^{i theta} + B e^{i phi}`` — the inverse of the lemma.
-
-    Used in tests and diagnostics to confirm that a chosen solution pair is
-    consistent with the observed sample.
-    """
-    return amplitude_a * np.exp(1j * theta) + amplitude_b * np.exp(1j * phi)

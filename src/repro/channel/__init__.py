@@ -5,7 +5,7 @@ signal as an attenuation plus a phase shift (§5.3, §6), with additive white
 Gaussian noise at the receiver and an unknown time offset between
 unsynchronised transmitters.  This package provides those effects as
 composable channel stages, a :class:`Link` that bundles the per-hop
-parameters, and the interference combiner that models concurrent
+parameters, and :func:`superpose`, the one model of concurrent
 transmissions arriving at one receiver.
 
 Beyond the baseline flat channel, the *impairment subsystem* models the
@@ -19,7 +19,7 @@ mechanism), stochastic Rayleigh/Rician fading
 catalogue and composition order.
 """
 
-from repro.channel.model import Channel, ChannelChain, IdentityChannel
+from repro.channel.model import Channel, ChannelChain
 from repro.channel.flat import FlatFadingChannel
 from repro.channel.awgn import AWGNChannel
 from repro.channel.cfo import CarrierFrequencyOffsetChannel
@@ -41,7 +41,7 @@ from repro.channel.impairments import (
     apply_impairments,
     impair_link,
 )
-from repro.channel.interference import InterferenceCombiner, OverlapModel, CollisionResult
+from repro.channel.interference import OverlapModel, superpose
 
 __all__ = [
     "AWGNChannel",
@@ -49,16 +49,13 @@ __all__ = [
     "CarrierFrequencyOffsetChannel",
     "Channel",
     "ChannelChain",
-    "CollisionResult",
     "DelayChannel",
     "FADING_KINDS",
     "FADING_MODES",
     "FadingChannel",
     "FlatFadingChannel",
     "IMPAIRMENT_STREAM",
-    "IdentityChannel",
     "ImpairmentConfig",
-    "InterferenceCombiner",
     "Link",
     "OverlapModel",
     "PathLossModel",
@@ -67,4 +64,5 @@ __all__ = [
     "apply_impairments",
     "impair_link",
     "make_fading_channel",
+    "superpose",
 ]

@@ -27,14 +27,6 @@ class Channel(abc.ABC):
         return self.apply(signal)
 
 
-class IdentityChannel(Channel):
-    """A channel that passes the signal through unchanged (ideal wire)."""
-
-    def apply(self, signal: ComplexSignal) -> ComplexSignal:
-        """Return the signal unchanged."""
-        return signal
-
-
 class ChannelChain(Channel):
     """Apply a sequence of channel stages in order."""
 

@@ -96,21 +96,6 @@ class PathLossModel:
         result = -linear_to_db(gain)
         return result
 
-    def range_for(self, min_gain: float) -> float:
-        """Largest distance whose (unfloored) amplitude gain is ``min_gain``.
-
-        The inverse of :meth:`attenuation` on its power-law branch — handy
-        for choosing a generator radius that matches a link budget.
-        """
-        if not 0.0 < min_gain <= self.reference_attenuation:
-            raise ChannelError(
-                "min_gain must lie in (0, reference_attenuation]"
-            )
-        return float(
-            self.reference_distance
-            * (self.reference_attenuation / min_gain) ** (2.0 / self.exponent)
-        )
-
     @classmethod
     def free_space(cls, **overrides: float) -> "PathLossModel":
         """The free-space law (``n = 2``) with optional field overrides."""

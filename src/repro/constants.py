@@ -36,10 +36,6 @@ PACKET_DETECTION_THRESHOLD_DB: float = 20.0
 #: Energy-variance threshold (dB) used to declare interference (§7.1).
 INTERFERENCE_VARIANCE_THRESHOLD_DB: float = 20.0
 
-#: Maximum random startup delay, in slots of the trigger protocol
-#: (§7.2: "picking a random number between 1 and 32").
-MAX_RANDOM_DELAY_SLOTS: int = 32
-
 #: Average fraction of two interfering packets that overlap in the paper's
 #: testbed (§11.4: "the average overlap ... is 80%").
 DEFAULT_OVERLAP_FRACTION: float = 0.80

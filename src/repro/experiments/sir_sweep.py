@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.impairments import impair_link
-from repro.channel.interference import InterferenceCombiner, OverlapModel
+from repro.channel.interference import OverlapModel, superpose
 from repro.channel.link import Link
 from repro.channel.relay import AmplifyAndForwardRelayChannel
 from repro.experiments.config import ExperimentConfig
@@ -106,14 +106,15 @@ def run_sir_point_trial(
             offsets = cfg.impairments.sender_offsets([0, 1, 2])
             impair_link(link_alice, offsets[1], cfg.impairments, rng)
             impair_link(link_bob, offsets[2], cfg.impairments, rng)
-        combiner = InterferenceCombiner(noise_power=noise_power, rng=rng)
         _, offset = overlap_model.draw_offsets(len(alice_wave))
-        collision = combiner.combine(
+        collision = superpose(
             [(alice_wave, link_alice, 0), (bob_wave, link_bob, offset)],
-            tail_padding=32,
+            noise_power,
+            rng,
+            max(len(alice_wave), offset + len(bob_wave)) + 32,
         )
         relay = AmplifyAndForwardRelayChannel(transmit_power=1.0)
-        broadcast = relay.apply(collision.signal)
+        broadcast = relay.apply(collision)
         downlink = Link(
             attenuation=0.8,
             phase_shift=float(rng.uniform(-np.pi, np.pi)),

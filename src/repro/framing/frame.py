@@ -188,26 +188,6 @@ class Deframer:
             payload_length=payload_length,
         )
 
-    def parse_header(self, bits, from_end: bool = False) -> Header:
-        """Extract and validate the header from the start (or end) of a frame.
-
-        Parameters
-        ----------
-        bits:
-            The demodulated frame bits (full frame, forward bit order).
-        from_end:
-            When ``True`` the *trailing* header copy is parsed instead of
-            the leading one (what a backward-decoding receiver sees first).
-        """
-        arr = as_bit_array(bits)
-        layout = self._layout(arr.size)
-        if from_end:
-            segment = arr[layout.trailing_header_start : layout.trailing_pilot_start]
-            segment = segment[::-1]
-        else:
-            segment = arr[layout.header_start : layout.payload_start]
-        return Header._decode(segment)
-
     def parse(self, bits) -> DeframeResult:
         """Parse a full forward-ordered frame bit stream into a packet."""
         arr = as_bit_array(bits)

@@ -83,17 +83,8 @@ class MSKModulator(Modulator):
         self.initial_phase = float(initial_phase)
 
     @property
-    def bits_per_symbol(self) -> int:
-        return 1
-
-    @property
     def samples_per_symbol(self) -> int:
         return self._samples_per_symbol
-
-    @property
-    def overhead_samples(self) -> int:
-        # The reference sample carrying the initial phase.
-        return 1
 
     def modulate(self, bits: BitsLike) -> ComplexSignal:
         """Produce the MSK waveform for ``bits``.
@@ -144,16 +135,6 @@ class MSKDemodulator(Demodulator):
         """
         diffs = self.phase_differences(signal)
         return (diffs >= 0).astype(np.uint8)
-
-    def soft_decisions(self, signal: ComplexSignal) -> np.ndarray:
-        """Return the raw phase differences as soft decision metrics.
-
-        The magnitude of each difference (relative to ±pi/2) indicates the
-        confidence of the corresponding hard decision; the FEC layer can
-        use these for erasures if desired.
-        """
-        return self.phase_differences(signal)
-
 
 def expected_phase_differences(bits: BitsLike) -> np.ndarray:
     """The ±pi/2 phase-difference sequence a given bit pattern produces.

@@ -1,15 +1,15 @@
-"""Network layer: topologies, the wireless medium and the slot simulator.
+"""Network layer: topologies and the wireless medium.
 
 The evaluation runs on the paper's three canonical topologies (Alice–Bob,
 the 3-hop chain and the "X") plus the parameterized families produced by
 :mod:`repro.network.generator` (chains of any length, stars, seeded
 random meshes), each described by a :class:`Topology` of nodes and
 directed :class:`~repro.channel.link.Link` parameters.  The
-:class:`WirelessMedium` computes, for every receiver, the superposition of
+:class:`WirelessMedium` runs one transmission slot at a time: it computes,
+for every receiver, the :func:`~repro.channel.interference.superpose` of
 all concurrent in-range transmissions plus receiver noise — which is all a
-wireless channel does to colliding packets.  The :class:`SlotSimulator`
-advances a schedule of transmission slots through the medium and hands the
-resulting waveforms to the nodes' receive pipelines.
+wireless channel does to colliding packets — and charges the slot's air
+time to its ledger.
 """
 
 from repro.network.topology import Topology
@@ -19,7 +19,6 @@ from repro.network.topologies import (
     x_topology,
 )
 from repro.network.medium import Transmission, WirelessMedium
-from repro.network.simulator import SlotResult, SlotSimulator
 from repro.network.flows import Flow
 from repro.network.generator import (
     GENERATORS,
@@ -33,8 +32,6 @@ from repro.network.generator import (
 __all__ = [
     "Flow",
     "GENERATORS",
-    "SlotResult",
-    "SlotSimulator",
     "Topology",
     "Transmission",
     "WirelessMedium",

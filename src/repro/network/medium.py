@@ -1,24 +1,32 @@
 """The wireless medium: superposition of concurrent transmissions.
 
 Given a set of transmissions that happen in the same slot, the medium
-computes what every node in the topology hears: the sum of each in-range
-transmitter's waveform after its directed link's distortion (attenuation,
-phase, CFO, propagation delay), aligned on the transmitters' start
-offsets, plus the receiver's own thermal noise.  A node that is itself
-transmitting in the slot hears nothing (half-duplex radios, §8).
+computes what every node in the topology hears: the
+:func:`~repro.channel.interference.superpose` of each in-range
+transmitter's waveform through its directed link, placed at the
+transmitters' start offsets, plus the receiver's own thermal noise.  A
+node that is itself transmitting in the slot hears nothing (half-duplex
+radios, §8).
+
+The protocols under comparison all run on an *optimal* MAC (§11.1): the
+schedule of who transmits in which slot is known in advance, so the
+medium does not arbitrate access.  It keeps the air-time ledger the
+throughput metric is computed from (time is measured in samples, so a
+collision slot stretched by the partial-overlap offset automatically
+costs more air time, which is exactly the effect §11.4 blames for the
+gap between the 2x theory and the measured 1.7x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.channel.interference import superpose
 from repro.exceptions import SimulationError
 from repro.network.topology import Topology
-from repro.signal.noise import complex_gaussian_noise
-from repro.signal.ops import overlap_add
 from repro.signal.samples import ComplexSignal
 
 
@@ -53,7 +61,16 @@ class Transmission:
 
 
 class WirelessMedium:
-    """Computes per-receiver waveforms for each slot of the simulation."""
+    """Computes per-receiver waveforms for each slot and charges its air time.
+
+    Attributes
+    ----------
+    air_time:
+        Total air time (in samples, see :meth:`slot_duration`) of every
+        slot delivered so far.
+    slots:
+        Number of slots delivered so far.
+    """
 
     def __init__(
         self,
@@ -63,15 +80,17 @@ class WirelessMedium:
     ) -> None:
         """Create a medium over ``topology``.
 
-        ``rng`` drives every receiver's thermal noise; ``tail_padding``
-        extends each slot by a few silent samples so channel delay spread
-        never truncates a waveform.
+        ``rng`` drives every link's distortion and receiver's thermal
+        noise; ``tail_padding`` extends each slot by a few silent samples
+        so detectors see the energy drop back to the noise floor.
         """
         self.topology = topology
         self._rng = rng if rng is not None else np.random.default_rng()
         if tail_padding < 0:
             raise SimulationError("tail padding must be non-negative")
         self.tail_padding = int(tail_padding)
+        self.air_time = 0
+        self.slots = 0
 
     def slot_duration(self, transmissions: Sequence[Transmission]) -> int:
         """Air-time (in samples) a slot with these transmissions occupies."""
@@ -84,7 +103,7 @@ class WirelessMedium:
         transmissions: Sequence[Transmission],
         receivers: Optional[Iterable[int]] = None,
     ) -> Dict[int, ComplexSignal]:
-        """Compute the waveform observed at each receiver during one slot.
+        """Run one slot: the waveform each receiver hears, charged to the ledger.
 
         Parameters
         ----------
@@ -99,7 +118,7 @@ class WirelessMedium:
         dict
             Mapping from receiver node id to the waveform it hears.  Nodes
             that hear none of the transmitters receive pure noise of the
-            slot's duration.
+            slot's length.
         """
         if not transmissions:
             raise SimulationError("a slot must contain at least one transmission")
@@ -110,30 +129,24 @@ class WirelessMedium:
             if not self.topology.has_node(t.sender):
                 raise SimulationError(f"unknown sender {t.sender}")
 
-        slot_length = self.slot_duration(transmissions) + self.tail_padding
+        duration = self.slot_duration(transmissions)
         if receivers is None:
-            target_nodes = [n for n in self.topology.nodes if n not in set(senders)]
-        else:
-            target_nodes = [n for n in receivers if n not in set(senders)]
-
+            receivers = self.topology.nodes
         observations: Dict[int, ComplexSignal] = {}
-        for receiver in target_nodes:
-            components: List = []
-            for transmission in transmissions:
-                if not self.topology.in_range(transmission.sender, receiver):
-                    continue
-                link = self.topology.link(transmission.sender, receiver)
-                distorted = link.distort(transmission.waveform, rng=self._rng)
-                components.append(
-                    (distorted, transmission.start_offset + link.propagation_delay)
-                )
-            if components:
-                composite = overlap_add(components, total_length=slot_length)
-            else:
-                composite = ComplexSignal.silence(slot_length)
-            noise_power = self.topology.noise_power(receiver)
-            if noise_power > 0:
-                noise = complex_gaussian_noise(slot_length, noise_power, self._rng)
-                composite = ComplexSignal._adopt(composite.samples + noise)
-            observations[receiver] = composite
+        for receiver in receivers:
+            if receiver in senders:
+                continue
+            components = [
+                (t.waveform, self.topology.link(t.sender, receiver), t.start_offset)
+                for t in transmissions
+                if self.topology.in_range(t.sender, receiver)
+            ]
+            observations[receiver] = superpose(
+                components,
+                self.topology.noise_power(receiver),
+                self._rng,
+                duration + self.tail_padding,
+            )
+        self.air_time += duration
+        self.slots += 1
         return observations

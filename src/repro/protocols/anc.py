@@ -46,8 +46,7 @@ from repro.framing.packet import Packet
 from repro.framing.pilot import PilotSequence
 from repro.mac.planner import RelayExchangePlan, plan_relay_exchange
 from repro.network.flows import Flow
-from repro.network.medium import Transmission
-from repro.network.simulator import SlotSimulator
+from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
 from repro.protocols.scheduled import ChainPipelineProtocol
@@ -117,16 +116,16 @@ class ANCRelayProtocol(ProtocolRun):
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Execute every two-slot exchange and return the run's accounting."""
-        simulator = SlotSimulator(self.topology, rng=self.rng)
+        medium = WirelessMedium(self.topology, rng=self.rng)
         result = fresh_run_result(self, self.topology_name)
         for _ in range(self.flow_a.packets):
-            self._run_exchange(simulator, result)
-        result.air_time_samples = simulator.total_air_time
-        result.slots_used = simulator.slots_run
+            self._run_exchange(medium, result)
+        result.air_time_samples = medium.air_time
+        result.slots_used = medium.slots
         return result
 
     # ------------------------------------------------------------------
-    def _run_exchange(self, simulator: SlotSimulator, result: RunResult) -> None:
+    def _run_exchange(self, medium: WirelessMedium, result: RunResult) -> None:
         plan = self.plan
         src_a, dst_a = plan.flow_a.source, plan.flow_a.destination
         src_b, dst_b = plan.flow_b.source, plan.flow_b.destination
@@ -149,7 +148,7 @@ class ANCRelayProtocol(ProtocolRun):
             1.0 - abs(offset_a - offset_b) / frame_samples
         )
 
-        uplink = simulator.run_slot(
+        uplink = medium.deliver(
             [
                 Transmission(sender=src_a, waveform=waveform_a, start_offset=offset_a),
                 Transmission(sender=src_b, waveform=waveform_b, start_offset=offset_b),
@@ -161,14 +160,14 @@ class ANCRelayProtocol(ProtocolRun):
         # collision to learn the packet they will later cancel.
         overheard: Dict[int, bool] = {}
         if plan.side_info[dst_b] == "overhear":
-            overheard[dst_b] = self._try_overhear(dst_b, uplink.waveform_at(dst_b), packet_a)
+            overheard[dst_b] = self._try_overhear(dst_b, uplink[dst_b], packet_a)
         if plan.side_info[dst_a] == "overhear":
-            overheard[dst_a] = self._try_overhear(dst_a, uplink.waveform_at(dst_a), packet_b)
+            overheard[dst_a] = self._try_overhear(dst_a, uplink[dst_a], packet_b)
 
         # Slot 2: the router amplifies the collision and broadcasts it.
         relay_node = self.nodes[self.relay_id]
-        broadcast = relay_node.amplify_and_forward(uplink.waveform_at(self.relay_id))
-        downlink = simulator.run_slot(
+        broadcast = relay_node.amplify_and_forward(uplink[self.relay_id])
+        downlink = medium.deliver(
             [Transmission(sender=self.relay_id, waveform=broadcast)],
             receivers=list(plan.downlink_receivers),
         )
@@ -176,14 +175,14 @@ class ANCRelayProtocol(ProtocolRun):
         self._account_destination(
             result,
             destination=dst_a,
-            waveform=downlink.waveform_at(dst_a),
+            waveform=downlink[dst_a],
             truth=packet_a,
             side_available=plan.side_info[dst_a] == "reverse" or overheard.get(dst_a, False),
         )
         self._account_destination(
             result,
             destination=dst_b,
-            waveform=downlink.waveform_at(dst_b),
+            waveform=downlink[dst_b],
             truth=packet_b,
             side_available=plan.side_info[dst_b] == "reverse" or overheard.get(dst_b, False),
         )

@@ -22,7 +22,6 @@ from repro.framing.packet import Packet
 from repro.network.topology import Topology
 from repro.node.node import Node, NodeConfig
 from repro.node.relay import RelayNode
-from repro.node.router import RouterNode
 from repro.utils.bits import bit_error_rate
 
 
@@ -160,21 +159,6 @@ class ProtocolRun:
         existing = self.nodes.get(node_id)
         if not isinstance(existing, RelayNode):
             self.nodes[node_id] = RelayNode(node_id, self._node_config(node_id))
-        return self.nodes[node_id]
-
-    def make_router(self, node_id: int) -> RouterNode:
-        """Create (or return the cached) decision-making router node.
-
-        As with :meth:`make_relay`, a plain node already registered under
-        this id is upgraded in place.
-        """
-        existing = self.nodes.get(node_id)
-        if not isinstance(existing, RouterNode):
-            self.nodes[node_id] = RouterNode(
-                node_id,
-                neighbors=self.topology.neighbors(node_id),
-                config=self._node_config(node_id),
-            )
         return self.nodes[node_id]
 
     # ------------------------------------------------------------------

@@ -24,8 +24,7 @@ import numpy as np
 from repro.anc.pipeline import ReceiveOutcome
 from repro.framing.packet import Packet
 from repro.network.flows import Flow
-from repro.network.medium import Transmission
-from repro.network.simulator import SlotSimulator
+from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
 
@@ -68,18 +67,18 @@ class CopeRelayProtocol(ProtocolRun):
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Execute every coded exchange and return the run's accounting."""
-        simulator = SlotSimulator(self.topology, rng=self.rng)
+        medium = WirelessMedium(self.topology, rng=self.rng)
         result = fresh_run_result(self, self.topology_name)
         for _ in range(self.flow_a.packets):
-            self._run_exchange(simulator, result)
-        result.air_time_samples = simulator.total_air_time
-        result.slots_used = simulator.slots_run
+            self._run_exchange(medium, result)
+        result.air_time_samples = medium.air_time
+        result.slots_used = medium.slots
         return result
 
     # ------------------------------------------------------------------
     def _uplink(
         self,
-        simulator: SlotSimulator,
+        medium: WirelessMedium,
         sender_id: int,
         packet: Packet,
         overhearer: Optional[int],
@@ -90,21 +89,21 @@ class CopeRelayProtocol(ProtocolRun):
         receivers = [self.relay_id]
         if overhearer is not None:
             receivers.append(overhearer)
-        slot = simulator.run_slot(
+        slot = medium.deliver(
             [Transmission(sender=sender_id, waveform=waveform)], receivers=receivers
         )
-        relay_result = self.nodes[self.relay_id].receive(slot.waveform_at(self.relay_id))
+        relay_result = self.nodes[self.relay_id].receive(slot[self.relay_id])
         relay_packet = relay_result.packet if relay_result.delivered else None
         overheard_packet = None
         if overhearer is not None:
-            ov_result = self.nodes[overhearer].receive(slot.waveform_at(overhearer))
+            ov_result = self.nodes[overhearer].receive(slot[overhearer])
             if ov_result.delivered:
                 overheard_packet = ov_result.packet
                 # Remember the overheard frame (useful to ANC; harmless here).
                 self.nodes[overhearer].remember_packet(ov_result.packet)
         return relay_packet, overheard_packet
 
-    def _run_exchange(self, simulator: SlotSimulator, result: RunResult) -> None:
+    def _run_exchange(self, medium: WirelessMedium, result: RunResult) -> None:
         """Three slots: two clean uplinks and one XOR broadcast."""
         src_a, dst_a = self.flow_a.source, self.flow_a.destination
         src_b, dst_b = self.flow_b.source, self.flow_b.destination
@@ -116,8 +115,8 @@ class CopeRelayProtocol(ProtocolRun):
 
         overhear_a = dst_b if self.overhearing else None  # dst of flow B hears src A
         overhear_b = dst_a if self.overhearing else None
-        relay_a, overheard_by_dst_b = self._uplink(simulator, src_a, packet_a, overhear_a)
-        relay_b, overheard_by_dst_a = self._uplink(simulator, src_b, packet_b, overhear_b)
+        relay_a, overheard_by_dst_b = self._uplink(medium, src_a, packet_a, overhear_a)
+        relay_b, overheard_by_dst_a = self._uplink(medium, src_b, packet_b, overhear_b)
 
         if relay_a is None or relay_b is None:
             # The relay failed to receive one of the packets: nothing to code.
@@ -134,20 +133,20 @@ class CopeRelayProtocol(ProtocolRun):
             payload=xor_payload,
         )
         waveform = relay_node.transmit(coded)
-        slot = simulator.run_slot(
+        slot = medium.deliver(
             [Transmission(sender=self.relay_id, waveform=waveform)],
             receivers=[dst_a, dst_b],
         )
 
         delivered_a = self._decode_at_destination(
             destination=dst_a,
-            coded_slot_waveform=slot.waveform_at(dst_a),
+            coded_slot_waveform=slot[dst_a],
             side_packet=packet_b if not self.overhearing else overheard_by_dst_a,
             truth=packet_a,
         )
         delivered_b = self._decode_at_destination(
             destination=dst_b,
-            coded_slot_waveform=slot.waveform_at(dst_b),
+            coded_slot_waveform=slot[dst_b],
             side_packet=packet_a if not self.overhearing else overheard_by_dst_b,
             truth=packet_b,
         )

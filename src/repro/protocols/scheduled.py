@@ -28,8 +28,7 @@ from repro.constants import DEFAULT_ANC_REDUNDANCY_OVERHEAD
 from repro.exceptions import ConfigurationError
 from repro.framing.packet import Packet
 from repro.mac.planner import ChainPipelinePlan, PhaseTemplate, plan_chain_pipeline
-from repro.network.medium import Transmission
-from repro.network.simulator import SlotSimulator
+from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
 
@@ -119,7 +118,7 @@ class ChainPipelineProtocol(ProtocolRun):
         """Pipeline the packets down the chain following the plan's phases."""
         plan = self.plan
         length = len(plan.path)
-        simulator = SlotSimulator(self.topology, rng=self.rng)
+        medium = WirelessMedium(self.topology, rng=self.rng)
         result = fresh_run_result(self, self.topology_name)
 
         source_node = self.nodes[plan.node_at(1)]
@@ -137,11 +136,11 @@ class ChainPipelineProtocol(ProtocolRun):
         # Bootstrap: the first packet's hand-off to position 2 happens in a
         # dedicated clean slot before the steady-state phase cycle starts.
         waveform = source_node.transmit(packets[next_index])
-        slot = simulator.run_slot(
+        slot = medium.deliver(
             [Transmission(sender=plan.node_at(1), waveform=waveform)],
             receivers=[plan.node_at(2)],
         )
-        receive = self.nodes[plan.node_at(2)].receive(slot.waveform_at(plan.node_at(2)))
+        receive = self.nodes[plan.node_at(2)].receive(slot[plan.node_at(2)])
         held[2] = receive.packet if receive.delivered else None
         if held[2] is None:
             result.packets_lost += 1
@@ -152,22 +151,22 @@ class ChainPipelineProtocol(ProtocolRun):
             for phase in plan.phases:
                 pending = next_index < len(packets)
                 if not self._run_phase(
-                    phase, simulator, result, packets, held, next_index, pending
+                    phase, medium, result, packets, held, next_index, pending
                 ):
                     continue
                 if 1 in phase.transmit_positions and pending:
                     next_index += 1
             pending = next_index < len(packets)
 
-        result.air_time_samples = simulator.total_air_time
-        result.slots_used = simulator.slots_run
+        result.air_time_samples = medium.air_time
+        result.slots_used = medium.slots
         return result
 
     # ------------------------------------------------------------------
     def _run_phase(
         self,
         phase: PhaseTemplate,
-        simulator: SlotSimulator,
+        medium: WirelessMedium,
         result: RunResult,
         packets: List[Packet],
         held: Dict[int, Optional[Packet]],
@@ -215,7 +214,7 @@ class ChainPipelineProtocol(ProtocolRun):
         ]
 
         listeners = [plan.node_at(position) for position in phase.listen_positions]
-        slot = simulator.run_slot(transmissions, receivers=listeners)
+        slot = medium.deliver(transmissions, receivers=listeners)
 
         # Transmitted packets leave their positions; receptions below then
         # place them one hop further (or count them delivered / lost).
@@ -230,7 +229,7 @@ class ChainPipelineProtocol(ProtocolRun):
                 continue
             truth = outgoing[position - 1]
             node = self.nodes[plan.node_at(position)]
-            receive = node.receive(slot.waveform_at(plan.node_at(position)))
+            receive = node.receive(slot[plan.node_at(position)])
             if position == length:
                 if receive.delivered and receive.packet is not None:
                     result.packets_delivered += 1

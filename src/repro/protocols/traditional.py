@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.anc.pipeline import ReceiveOutcome
 from repro.network.flows import Flow
-from repro.network.medium import Transmission
-from repro.network.simulator import SlotSimulator
+from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
 
@@ -52,7 +51,7 @@ class TraditionalRouting(ProtocolRun):
 
     def run(self) -> RunResult:
         """Deliver every flow's packets hop by hop and account the air time."""
-        simulator = SlotSimulator(self.topology, rng=self.rng)
+        medium = WirelessMedium(self.topology, rng=self.rng)
         result = fresh_run_result(self, self.topology_name)
 
         # Interleave the flows round-robin, matching the fair time-sharing
@@ -63,7 +62,7 @@ class TraditionalRouting(ProtocolRun):
                 flow, count = entry
                 if count <= 0:
                     continue
-                delivered = self._send_one_packet(flow, simulator)
+                delivered = self._send_one_packet(flow, medium)
                 result.packets_offered += 1
                 if delivered:
                     result.packets_delivered += 1
@@ -71,12 +70,12 @@ class TraditionalRouting(ProtocolRun):
                     result.packets_lost += 1
                 entry[1] = count - 1
 
-        result.air_time_samples = simulator.total_air_time
-        result.slots_used = simulator.slots_run
+        result.air_time_samples = medium.air_time
+        result.slots_used = medium.slots
         return result
 
     # ------------------------------------------------------------------
-    def _send_one_packet(self, flow: Flow, simulator: SlotSimulator) -> bool:
+    def _send_one_packet(self, flow: Flow, medium: WirelessMedium) -> bool:
         """Push one packet along the flow's path, one hop per slot."""
         path = self.topology.shortest_path(flow.source, flow.destination)
         source_node = self.nodes[flow.source]
@@ -87,11 +86,11 @@ class TraditionalRouting(ProtocolRun):
             receiver_id = path[hop_index + 1]
             sender = self.nodes[sender_id]
             waveform = sender.transmit(current_packet)
-            slot = simulator.run_slot(
+            slot = medium.deliver(
                 [Transmission(sender=sender_id, waveform=waveform)],
                 receivers=[receiver_id],
             )
-            outcome = self.nodes[receiver_id].receive(slot.waveform_at(receiver_id))
+            outcome = self.nodes[receiver_id].receive(slot[receiver_id])
             if outcome.outcome != ReceiveOutcome.CLEAN_DECODED or not outcome.delivered:
                 return False
             current_packet = outcome.packet

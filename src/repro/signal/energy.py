@@ -174,16 +174,3 @@ class InterferenceDetector:
         energy = np.abs(samples) ** 2
         variance = moving_variance(energy, self.window)
         return bool(np.max(variance) > self.threshold_variance)
-
-    def interference_metric(self, signal: SignalLike) -> float:
-        """Peak windowed energy variance, normalised by the noise power.
-
-        Exposed for diagnostics and the ablation benchmarks; values far
-        above ``db_to_power_ratio(threshold_db)`` indicate a collision.
-        """
-        samples = _as_samples(signal)
-        if samples.size == 0:
-            raise DetectionError("cannot compute interference metric of an empty signal")
-        energy = np.abs(samples) ** 2
-        variance = moving_variance(energy, self.window)
-        return float(np.max(variance) / self.noise_power)

@@ -78,17 +78,6 @@ class ComplexSignal:
             raise ConfigurationError("silence length must be non-negative")
         return cls(np.zeros(length, dtype=np.complex128))
 
-    @classmethod
-    def from_polar(cls, amplitude, phase) -> "ComplexSignal":
-        """Build a signal from per-sample amplitude and phase arrays."""
-        amp = np.asarray(amplitude, dtype=float)
-        ph = np.asarray(phase, dtype=float)
-        if amp.ndim == 0:
-            amp = np.full(ph.shape, float(amp))
-        if amp.shape != ph.shape:
-            raise ConfigurationError("amplitude and phase must have the same shape")
-        return cls(amp * np.exp(1j * ph))
-
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------

@@ -139,15 +139,3 @@ class ScheduledMac:
     def slot_start(self, slot_index: int) -> float:
         """Absolute start time of a slot."""
         return float(int(slot_index) * self.slot_samples)
-
-    def next_owned_slot(self, now: float, rank: int) -> float:
-        """Start time of the first slot at or after ``now`` owned by ``rank``.
-
-        ``rank`` must be one of the grid's ranks; the returned time is
-        always ``>= now``.
-        """
-        if not 0 <= rank < self.n_ranks:
-            raise ConfigurationError(f"rank {rank} outside the slot grid")
-        current = int(np.ceil(max(now, 0.0) / self.slot_samples))
-        offset = (rank - current) % self.n_ranks
-        return self.slot_start(current + offset)

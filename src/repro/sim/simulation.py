@@ -43,7 +43,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.channel.interference import InterferenceCombiner, OverlapModel
+from repro.channel.interference import OverlapModel, superpose
 from repro.exceptions import ConfigurationError
 from repro.framing.packet import Packet
 from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions, alice_bob_topology
@@ -51,6 +51,7 @@ from repro.network.topology import Topology
 from repro.node.node import Node, NodeConfig
 from repro.node.relay import RelayNode
 from repro.protocols.anc import default_min_offset
+from repro.signal.samples import ComplexSignal
 from repro.sim.core import EventScheduler, RngStreams
 from repro.sim.mac import MAC_POLICIES, CsmaBackoffMac, CsmaState, ScheduledMac
 from repro.sim.queueing import PacketQueue
@@ -794,21 +795,7 @@ class TrafficSimulation:
             return
         primary = next(tx for tx in components if tx.tx_id == primary_id)
         if self._primary_relevant(receiver, primary):
-            combiner = InterferenceCombiner(
-                noise_power=node.config.noise_power,
-                rng=self.streams.node_stream(receiver, "noise"),
-            )
-            composite = combiner.combine(
-                [
-                    (
-                        tx.waveform,
-                        self.topology.link(tx.sender, receiver),
-                        int(round(tx.start - group_start)),
-                    )
-                    for tx in components
-                ],
-                tail_padding=24,
-            ).signal
+            composite = self._composite(receiver, components, group_start)
             if primary.kind == "anc_broadcast":
                 self._decode_anc_broadcast(receiver, primary, composite, handled)
             else:
@@ -819,6 +806,29 @@ class TrafficSimulation:
         for tx in components:
             if tx.tx_id != primary.tx_id:
                 self._component_failed_at(receiver, tx, handled)
+
+    def _composite(
+        self, receiver: int, components: List[_Tx], group_start: float
+    ) -> ComplexSignal:
+        """What ``receiver`` hears of ``components``: their noisy superposition.
+
+        The composite runs 24 samples past the latest component's end, so
+        the detectors see the energy drop back to the noise floor.
+        """
+        placed = [
+            (
+                tx.waveform,
+                self.topology.link(tx.sender, receiver),
+                int(round(tx.start - group_start)),
+            )
+            for tx in components
+        ]
+        return superpose(
+            placed,
+            self.nodes[receiver].config.noise_power,
+            self.streams.node_stream(receiver, "noise"),
+            max(offset + len(waveform) for waveform, _, offset in placed) + 24,
+        )
 
     @staticmethod
     def _primary_relevant(receiver: int, tx: _Tx) -> bool:
@@ -841,21 +851,7 @@ class TrafficSimulation:
         """The relay turns a clean paired uplink into a broadcast job."""
         relay = self.nodes[RELAY]
         if len(uplinks) == 2 and len(components) == 2:
-            combiner = InterferenceCombiner(
-                noise_power=relay.config.noise_power,
-                rng=self.streams.node_stream(RELAY, "noise"),
-            )
-            composite = combiner.combine(
-                [
-                    (
-                        tx.waveform,
-                        self.topology.link(tx.sender, RELAY),
-                        int(round(tx.start - group_start)),
-                    )
-                    for tx in uplinks
-                ],
-                tail_padding=24,
-            ).signal
+            composite = self._composite(RELAY, uplinks, group_start)
             broadcast = relay.amplify_and_forward(composite)
             truths = {
                 tx.meta["dst"]: {"packet": tx.meta["packet"], "arrival": tx.meta["arrival"]}

@@ -68,13 +68,3 @@ def unwrap_phase(phases: np.ndarray) -> np.ndarray:
     the library never import numpy's signal helpers directly.
     """
     return np.unwrap(np.asarray(phases, dtype=float))
-
-
-def angular_distance(a: ArrayLike, b: ArrayLike) -> ArrayLike:
-    """Absolute wrapped distance between two angles, in ``[0, pi]``.
-
-    Used by the ANC phase-difference matcher (Eq. 8) to score how well a
-    candidate phase difference matches the known transmitted one.
-    """
-    diff = phase_difference(a, b)
-    return np.abs(diff)

@@ -77,16 +77,6 @@ class EmpiricalCDF:
             raise ConfigurationError("empty CDF")
         return float(np.searchsorted(np.asarray(self.samples), x, side="left")) / self.n
 
-    def as_plot_points(self) -> Tuple[List[float], List[float]]:
-        """Return ``(x, y)`` lists suitable for plotting a step CDF.
-
-        ``x`` is the sorted sample values and ``y`` the cumulative fraction
-        at each, matching how the paper's gnuplot CDFs are drawn.
-        """
-        xs = list(self.samples)
-        ys = [(i + 1) / self.n for i in range(self.n)]
-        return xs, ys
-
     def table(self, points: Sequence[float]) -> List[Tuple[float, float]]:
         """Evaluate the CDF at the given points, returning (x, F(x)) pairs."""
         return [(float(p), self.evaluate(float(p))) for p in points]

@@ -62,16 +62,3 @@ def snr_db_from_powers(signal_power: float, noise_power: float) -> float:
     if noise_power <= 0:
         raise ConfigurationError("noise power must be positive")
     return float(10.0 * np.log10(signal_power / noise_power))
-
-
-def sir_db_from_powers(wanted_power: float, interference_power: float) -> float:
-    """Signal-to-interference ratio in dB, as defined in Eq. 9 of the paper.
-
-    For Alice decoding Bob's packet, the *wanted* power is Bob's received
-    power and the *interference* power is Alice's own signal.
-    """
-    if wanted_power <= 0:
-        raise ConfigurationError("wanted power must be positive")
-    if interference_power <= 0:
-        raise ConfigurationError("interference power must be positive")
-    return float(10.0 * np.log10(wanted_power / interference_power))

@@ -72,14 +72,3 @@ def moving_variance(values: np.ndarray, window: int) -> np.ndarray:
     variance = mean_sq - mean ** 2
     # Numerical noise can push the variance a hair below zero.
     return np.maximum(variance, 0.0)
-
-
-def block_mean(values: np.ndarray, block: int) -> np.ndarray:
-    """Mean of consecutive non-overlapping blocks (trailing partial block kept)."""
-    arr = np.asarray(values, dtype=float)
-    _validate_window(block, arr.size)
-    n_blocks = int(np.ceil(arr.size / block))
-    means = np.empty(n_blocks, dtype=float)
-    for i in range(n_blocks):
-        means[i] = arr[i * block : (i + 1) * block].mean()
-    return means

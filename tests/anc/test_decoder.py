@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.anc.decoder import DecoderConfig, InterferenceDecoder, SubtractionDecoder
-from repro.channel.interference import InterferenceCombiner
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.exceptions import DecodingError
 from repro.framing.frame import Framer
@@ -53,9 +53,9 @@ def _make_collision(
         phase_drift=phase_drift,
         **link_fields,
     )
-    combiner = InterferenceCombiner(noise_power=noise, rng=rng)
-    collision = combiner.combine([(wave_a, link_a, 0), (wave_b, link_b, offset)], tail_padding=24)
-    return collision.signal, frame_a, frame_b, offset
+    length = max(len(wave_a), offset + len(wave_b)) + 24
+    collision = superpose([(wave_a, link_a, 0), (wave_b, link_b, offset)], noise, rng, length)
+    return collision, frame_a, frame_b, offset
 
 
 def _reference_partition(known_offset, known_n_bits, unknown_offset, unknown_n_bits):
@@ -173,15 +173,17 @@ class TestBackwardEdgeCases:
         wave_a = modulator.modulate(frame_a.bits)
         wave_b = modulator.modulate(frame_b.bits)
         gap_offset = len(wave_a) + 40  # B starts after A has fully ended
-        combiner = InterferenceCombiner(noise_power=1e-3, rng=rng)
         link = Link(attenuation=0.9, phase_shift=0.3, frequency_offset=0.01)
-        collision = combiner.combine(
-            [(wave_a, link, 0), (wave_b, link, gap_offset)], tail_padding=24
+        collision = superpose(
+            [(wave_a, link, 0), (wave_b, link, gap_offset)],
+            1e-3,
+            rng,
+            gap_offset + len(wave_b) + 24,
         )
         with pytest.raises(DecodingError):
             # frame_b is the known one and starts second -> backward path.
             InterferenceDecoder().decode(
-                collision.signal, frame_b.bits, known_offset=gap_offset,
+                collision, frame_b.bits, known_offset=gap_offset,
                 unknown_offset=0, unknown_n_bits=len(frame_a.bits),
             )
 
@@ -204,13 +206,12 @@ class TestBackwardEdgeCases:
         assert known_offset + len(wave_known) < len(wave_b)  # full containment
         link_b = Link(attenuation=0.95, phase_shift=0.4, frequency_offset=0.015)
         link_k = Link(attenuation=0.6, phase_shift=-0.8, frequency_offset=-0.01)
-        combiner = InterferenceCombiner(noise_power=1e-4, rng=rng)
-        collision = combiner.combine(
-            [(wave_b, link_b, 0), (wave_known, link_k, known_offset)], tail_padding=0
+        collision = superpose(
+            [(wave_b, link_b, 0), (wave_known, link_k, known_offset)], 1e-4, rng, len(wave_b)
         )
         decoder = InterferenceDecoder()
         bits, diagnostics = decoder.decode(
-            collision.signal, known_bits, known_offset=known_offset,
+            collision, known_bits, known_offset=known_offset,
             unknown_offset=0, unknown_n_bits=len(frame_b.bits),
         )
         assert diagnostics.reversed_decode

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.anc.pipeline import PAYLOAD_CRC_FAILURE, ReceiveOutcome, ReceivePipeline
-from repro.channel.interference import InterferenceCombiner
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.channel.relay import AmplifyAndForwardRelayChannel
 from repro.framing.buffer import SentPacketBuffer
@@ -45,8 +45,8 @@ def _collision(wave_a, wave_b, offset, seed=0, att_a=0.9, att_b=0.75):
     rng = np.random.default_rng(seed)
     link_a = Link(attenuation=att_a, phase_shift=rng.uniform(-3, 3), frequency_offset=0.03)
     link_b = Link(attenuation=att_b, phase_shift=rng.uniform(-3, 3), frequency_offset=-0.025)
-    combiner = InterferenceCombiner(noise_power=NOISE, rng=rng)
-    return combiner.combine([(wave_a, link_a, 0), (wave_b, link_b, offset)], tail_padding=32)
+    length = max(len(wave_a), offset + len(wave_b)) + 32
+    return superpose([(wave_a, link_a, 0), (wave_b, link_b, offset)], NOISE, rng, length)
 
 
 class TestCleanPath:
@@ -101,7 +101,7 @@ class TestInterferedPath:
         collision = _collision(wave_a, wave_b, offset=150, seed=2)
         buffer = SentPacketBuffer()
         buffer.store(frame_a)
-        result = _pipeline(buffer).receive(collision.signal)
+        result = _pipeline(buffer).receive(collision)
         assert result.outcome == ReceiveOutcome.ANC_DECODED
         assert result.interfered
         assert result.packet.identity == packet_b.identity
@@ -113,7 +113,7 @@ class TestInterferedPath:
         collision = _collision(wave_a, wave_b, offset=150, seed=4)
         buffer = SentPacketBuffer()
         buffer.store(frame_b)
-        result = _pipeline(buffer).receive(collision.signal)
+        result = _pipeline(buffer).receive(collision)
         assert result.outcome == ReceiveOutcome.ANC_DECODED
         assert result.packet.identity == packet_a.identity
         assert result.diagnostics.reversed_decode
@@ -124,7 +124,7 @@ class TestInterferedPath:
         collision = _collision(wave_a, wave_b, offset=150, seed=6)
         buffer = SentPacketBuffer()
         buffer.store(frame_a)
-        result = _pipeline(buffer).receive(collision.signal)
+        result = _pipeline(buffer).receive(collision)
         headers = {result.first_header.identity, result.second_header.identity}
         assert headers == {packet_a.identity, packet_b.identity}
 
@@ -132,7 +132,7 @@ class TestInterferedPath:
         _, _, wave_a = _framed(8, 1, 2, 15)
         _, _, wave_b = _framed(9, 2, 1, 16)
         collision = _collision(wave_a, wave_b, offset=150, seed=8)
-        result = _pipeline().receive(collision.signal)
+        result = _pipeline().receive(collision)
         assert result.outcome == ReceiveOutcome.NEEDS_RELAY
         assert result.first_header is not None
         assert result.second_header is not None
@@ -141,7 +141,7 @@ class TestInterferedPath:
         packet_a, frame_a, wave_a = _framed(10, 1, 2, 17)
         packet_b, frame_b, wave_b = _framed(11, 2, 1, 18)
         collision = _collision(wave_a, wave_b, offset=160, seed=10)
-        broadcast = AmplifyAndForwardRelayChannel(transmit_power=1.0).apply(collision.signal)
+        broadcast = AmplifyAndForwardRelayChannel(transmit_power=1.0).apply(collision)
         downlink = Link(attenuation=0.85, phase_shift=-0.7, frequency_offset=0.01, noise_power=NOISE)
         received = downlink.propagate(broadcast, rng=np.random.default_rng(10))
         buffer = SentPacketBuffer()
@@ -156,7 +156,7 @@ class TestInterferedPath:
         packet_a, frame_a, wave_a = _framed(12, 1, 2, 19)
         packet_b, frame_b, wave_b = _framed(13, 3, 4, 20)
         collision = _collision(wave_a, wave_b, offset=150, seed=12, att_a=0.9, att_b=0.12)
-        result = _pipeline().receive(collision.signal)
+        result = _pipeline().receive(collision)
         assert result.packet is not None
         assert result.packet.identity == packet_a.identity
 
@@ -166,7 +166,7 @@ class TestInterferedPath:
         collision = _collision(wave_a, wave_b, offset=150, seed=14)
         buffer = SentPacketBuffer()
         buffer.store(frame_a)
-        result = _pipeline(buffer).receive(collision.signal)
+        result = _pipeline(buffer).receive(collision)
         # delivered implies crc_ok; if residual errors exist the flag is False.
         assert result.delivered == (result.crc_ok and result.packet is not None)
 
@@ -176,7 +176,7 @@ class TestInterferedPath:
         collision = _collision(wave_a, _corrupted_payload(frame_b), offset=150, seed=2)
         buffer = SentPacketBuffer()
         buffer.store(frame_a)
-        result = _pipeline(buffer).receive(collision.signal)
+        result = _pipeline(buffer).receive(collision)
         assert result.outcome == ReceiveOutcome.ANC_DECODED
         assert result.packet.identity == packet_b.identity
         assert not result.delivered

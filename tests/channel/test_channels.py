@@ -6,7 +6,7 @@ import pytest
 from repro.channel.awgn import AWGNChannel
 from repro.channel.delay import DelayChannel
 from repro.channel.flat import FlatFadingChannel
-from repro.channel.model import ChannelChain, IdentityChannel
+from repro.channel.model import ChannelChain
 from repro.exceptions import ChannelError
 from repro.modulation.msk import MSKModulator
 from repro.signal.samples import ComplexSignal
@@ -86,10 +86,6 @@ class TestDelayChannel:
 
 
 class TestChannelChain:
-    def test_identity(self):
-        sig = ComplexSignal([1 + 1j])
-        assert IdentityChannel().apply(sig) == sig
-
     def test_chain_applies_in_order(self):
         chain = ChannelChain([FlatFadingChannel(0.5), DelayChannel(2)])
         out = chain.apply(ComplexSignal([2 + 0j]))
@@ -104,10 +100,9 @@ class TestChannelChain:
         chain = ChannelChain([FlatFadingChannel(0.5), DelayChannel(2)])
         sig = ComplexSignal([2 + 0j, 1j])
         assert chain(sig) == chain.apply(sig)
-        assert IdentityChannel()(sig) == sig
 
     def test_chain_length(self):
-        assert len(ChannelChain([IdentityChannel(), IdentityChannel()])) == 2
+        assert len(ChannelChain([DelayChannel(0), DelayChannel(0)])) == 2
 
     def test_msk_survives_realistic_chain(self):
         bits = random_bits(128, np.random.default_rng(4))

@@ -81,17 +81,6 @@ class TestDerivedQuantities:
         delta = model.path_loss_db(0.4) - model.path_loss_db(0.2)
         assert delta == pytest.approx(6.0206, abs=1e-3)
 
-    def test_range_for_inverts_attenuation(self):
-        model = PathLossModel(exponent=2.7)
-        distance = model.range_for(0.2)
-        assert model.attenuation(distance) == pytest.approx(0.2)
-
-    def test_range_for_rejects_bad_gain(self):
-        with pytest.raises(ChannelError):
-            PathLossModel().range_for(0.0)
-        with pytest.raises(ChannelError):
-            PathLossModel(reference_attenuation=0.5).range_for(0.9)
-
     def test_presets(self):
         assert PathLossModel.free_space().exponent == 2.0
         assert PathLossModel.indoor_office().exponent == pytest.approx(3.1)

@@ -92,8 +92,10 @@ class TestDeframer:
 
     def test_header_parse_from_both_ends(self, framer, deframer, packet):
         frame = framer.build(packet)
-        assert deframer.parse_header(frame.bits).identity == packet.identity
-        assert deframer.parse_header(frame.bits, from_end=True).identity == packet.identity
+        forward = deframer.parse(frame.bits).header
+        backward = deframer.parse_backward(frame.bits[::-1]).header
+        assert forward == backward == frame.header
+        assert (backward.source, backward.destination, backward.sequence) == packet.identity
 
     def test_corrupted_payload_fails_crc_but_keeps_header(self, framer, deframer, packet):
         frame = framer.build(packet)

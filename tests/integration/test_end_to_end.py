@@ -11,8 +11,7 @@ import numpy as np
 from repro.anc.pipeline import ReceiveOutcome
 from repro.channel.interference import OverlapModel
 from repro.network.flows import Flow
-from repro.network.medium import Transmission
-from repro.network.simulator import SlotSimulator
+from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topologies import (
     ALICE,
     BOB,
@@ -54,7 +53,7 @@ class TestAliceBobExchangeManual:
         alice = Node(ALICE, config)
         bob = Node(BOB, config)
         router = RouterNode(RELAY, neighbors=[ALICE, BOB], config=config)
-        simulator = SlotSimulator(topology, rng=rng)
+        medium = WirelessMedium(topology, rng=rng)
 
         packet_a = alice.make_packet(BOB, rng)
         packet_b = bob.make_packet(ALICE, rng)
@@ -63,22 +62,22 @@ class TestAliceBobExchangeManual:
         offsets = _overlap(1).draw_offsets(len(wave_a))
 
         # Slot 1: deliberate collision at the router.
-        uplink = simulator.run_slot(
+        uplink = medium.deliver(
             [
                 Transmission(ALICE, wave_a, offsets[0]),
                 Transmission(BOB, wave_b, offsets[1]),
             ],
             receivers=[RELAY],
         )
-        decision = router.process(uplink.waveform_at(RELAY))
+        decision = router.process(uplink[RELAY])
         assert decision.action == RouterAction.AMPLIFY_FORWARD
 
         # Slot 2: the router broadcasts the amplified collision.
-        downlink = simulator.run_slot(
+        downlink = medium.deliver(
             [Transmission(RELAY, decision.broadcast)], receivers=[ALICE, BOB]
         )
-        alice_result = alice.receive(downlink.waveform_at(ALICE))
-        bob_result = bob.receive(downlink.waveform_at(BOB))
+        alice_result = alice.receive(downlink[ALICE])
+        bob_result = bob.receive(downlink[BOB])
 
         assert alice_result.outcome == ReceiveOutcome.ANC_DECODED
         assert bob_result.outcome == ReceiveOutcome.ANC_DECODED
@@ -87,7 +86,7 @@ class TestAliceBobExchangeManual:
         assert np.mean(alice_result.packet.payload != packet_b.payload) < 0.05
         assert np.mean(bob_result.packet.payload != packet_a.payload) < 0.05
         # Two packets crossed the network in exactly two slots.
-        assert simulator.slots_run == 2
+        assert medium.slots == 2
 
 
 class TestThroughputOrdering:
@@ -146,7 +145,7 @@ class TestChainPipeline:
         topology = chain_topology(conditions, rng)
         config = NodeConfig(payload_bits=PAYLOAD, noise_power=conditions.noise_power)
         n1, n2, n3 = Node(1, config), Node(2, config), Node(3, config)
-        simulator = SlotSimulator(topology, rng=rng)
+        medium = WirelessMedium(topology, rng=rng)
 
         # N2 previously forwarded packet P to N3, so it knows P.
         old_packet = n1.make_packet(4, rng)
@@ -156,14 +155,14 @@ class TestChainPipeline:
         new_wave = n1.transmit(new_packet)
 
         offsets = _overlap(17).draw_offsets(len(new_wave))
-        slot = simulator.run_slot(
+        slot = medium.deliver(
             [
                 Transmission(1, new_wave, offsets[0]),
                 Transmission(3, forwarded_wave, offsets[1]),
             ],
             receivers=[2, 4],
         )
-        result = n2.receive(slot.waveform_at(2))
+        result = n2.receive(slot[2])
         assert result.outcome == ReceiveOutcome.ANC_DECODED
         assert result.packet.identity == new_packet.identity
         assert np.mean(result.packet.payload != new_packet.payload) < 0.05

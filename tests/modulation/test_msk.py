@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.flat import FlatFadingChannel
-from repro.exceptions import ConfigurationError, ModulationError
+from repro.exceptions import ConfigurationError
 from repro.modulation.msk import (
     MSKDemodulator,
     MSKModulator,
@@ -55,26 +55,6 @@ class TestModulator:
     def test_oversampling_length(self):
         mod = MSKModulator(samples_per_symbol=4)
         assert len(mod.modulate([1, 0])) == 9  # 2*4 + reference
-
-    def test_overhead_samples(self):
-        assert MSKModulator().overhead_samples == 1
-
-    def test_samples_for_bits(self):
-        mod = MSKModulator()
-        assert mod.samples_for_bits(10) == 11
-
-    def test_samples_for_bits_negative(self):
-        with pytest.raises(ModulationError):
-            MSKModulator().samples_for_bits(-1)
-
-    def test_samples_for_bits_validates_multiple(self):
-        """The base class rejects counts that fill no whole symbol."""
-
-        class TwoBitModulator(MSKModulator):
-            bits_per_symbol = 2
-
-        with pytest.raises(ModulationError):
-            TwoBitModulator().samples_for_bits(3)
 
 
 class TestVectorizedOversampling:
@@ -159,12 +139,6 @@ class TestDemodulator:
 
     def test_short_signal_gives_no_bits(self):
         assert MSKDemodulator().demodulate(ComplexSignal([1 + 0j])).size == 0
-
-    def test_soft_decisions_magnitude(self):
-        bits = string_to_bits("10")
-        sig = MSKModulator().modulate(bits)
-        soft = MSKDemodulator().soft_decisions(sig)
-        assert soft == pytest.approx([np.pi / 2, -np.pi / 2])
 
     def test_samples_per_symbol_reported(self):
         assert MSKDemodulator(samples_per_symbol=3).samples_per_symbol == 3

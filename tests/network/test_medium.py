@@ -1,14 +1,21 @@
-"""Tests for the wireless medium and slot simulator."""
+"""Tests for the wireless medium: delivery, the superposition and the air-time ledger."""
 
 import numpy as np
 import pytest
 
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.exceptions import SimulationError
 from repro.modulation.msk import MSKModulator
 from repro.network.medium import Transmission, WirelessMedium
-from repro.network.simulator import SlotSimulator
+from repro.network.topologies import (
+    ChannelConditions,
+    alice_bob_topology,
+    chain_topology,
+    x_topology,
+)
 from repro.network.topology import Topology
+from repro.signal.noise import complex_gaussian_noise
 from repro.utils.bits import random_bits
 
 
@@ -69,6 +76,21 @@ class TestWirelessMedium:
         out = medium.deliver([Transmission(sender=1, waveform=_burst())], receivers=[2])
         assert set(out) == {2}
 
+    def test_receivers_may_be_any_iterable_and_senders_are_skipped(self):
+        medium = WirelessMedium(_simple_topology())
+        out = medium.deliver(
+            [Transmission(sender=1, waveform=_burst())], receivers=iter([3, 1, 2])
+        )
+        assert list(out) == [3, 2]
+
+    def test_out_of_range_receiver_hears_exactly_one_noise_draw(self):
+        topo = _simple_topology(noise=1e-4)
+        wave = _burst()
+        medium = WirelessMedium(topo, rng=np.random.default_rng(5))
+        out = medium.deliver([Transmission(sender=1, waveform=wave)], receivers=[3])
+        expected = complex_gaussian_noise(len(wave) + 32, 1e-4, np.random.default_rng(5))
+        assert np.array_equal(out[3].samples, expected)
+
     def test_slot_duration(self):
         medium = WirelessMedium(_simple_topology())
         wave = _burst()
@@ -117,35 +139,110 @@ class TestWirelessMedium:
             WirelessMedium(_simple_topology()).deliver([])
 
 
-class TestSlotSimulator:
-    def test_air_time_accumulates(self):
-        topo = _simple_topology()
-        simulator = SlotSimulator(topo, rng=np.random.default_rng(0))
+class TestSuperposition:
+    @staticmethod
+    def _assert_deliver_equals_superpose(topo, slots, tail_padding):
+        medium = WirelessMedium(topo, rng=np.random.default_rng(11), tail_padding=tail_padding)
+        delivered = [medium.deliver(slot) for slot in slots]
+
+        rng = np.random.default_rng(11)
+        for slot, observed in zip(slots, delivered):
+            length = medium.slot_duration(slot) + tail_padding
+            senders = {t.sender for t in slot}
+            expected = {}
+            for receiver in (n for n in topo.nodes if n not in senders):
+                components = [
+                    (t.waveform, topo.link(t.sender, receiver), t.start_offset)
+                    for t in slot
+                    if topo.in_range(t.sender, receiver)
+                ]
+                expected[receiver] = superpose(
+                    components, topo.noise_power(receiver), rng, length
+                )
+            assert list(observed) == list(expected)
+            for receiver, composite in expected.items():
+                assert np.array_equal(observed[receiver].samples, composite.samples)
+
+    def test_deliver_equals_superpose_called_directly(self):
+        topo = _simple_topology(noise=1e-3)
+        topo.add_link(1, 3, Link(attenuation=0.3, phase_shift=1.1, fading="rayleigh"))
+        wave_a, wave_b = _burst(3), _burst(4, n=60)
+        slots = [
+            [
+                Transmission(sender=1, waveform=wave_a, start_offset=5),
+                Transmission(sender=2, waveform=wave_b, start_offset=12),
+            ],
+            [Transmission(sender=2, waveform=wave_a)],
+        ]
+        self._assert_deliver_equals_superpose(topo, slots, tail_padding=16)
+
+    @pytest.mark.parametrize(
+        "build, senders",
+        [(alice_bob_topology, (1, 2)), (chain_topology, (1, 3)), (x_topology, (1, 3))],
+        ids=["alice_bob", "chain", "x"],
+    )
+    def test_deliver_equals_superpose_on_the_paper_topologies(self, build, senders):
+        topo = build(ChannelConditions(snr_db=25.0), np.random.default_rng(4))
+        first, second = senders
+        slots = [
+            [
+                Transmission(sender=first, waveform=_burst(5), start_offset=0),
+                Transmission(sender=second, waveform=_burst(6), start_offset=17),
+            ],
+            [Transmission(sender=second, waveform=_burst(7))],
+        ]
+        self._assert_deliver_equals_superpose(topo, slots, tail_padding=32)
+
+    @pytest.mark.parametrize(
+        "delay, tail_padding", [(3, 0), (0, 0), (3, 32), (40, 32)]
+    )
+    def test_propagation_delay_applied_once_and_nothing_truncated(self, delay, tail_padding):
+        topo = Topology()
+        topo.add_node(1, noise_power=0.0)
+        topo.add_node(2, noise_power=0.0)
+        topo.add_link(1, 2, Link(attenuation=0.5, propagation_delay=delay))
+        wave = _burst(n=9)
+        assert len(wave) == 10
+        medium = WirelessMedium(topo, tail_padding=tail_padding)
+        received = medium.deliver([Transmission(sender=1, waveform=wave)])[2].samples
+        assert len(received) == max(10 + tail_padding, delay + 10)
+        assert np.array_equal(received[:delay], np.zeros(delay))
+        assert np.allclose(received[delay : delay + 10], 0.5 * wave.samples)
+        assert np.array_equal(received[delay + 10 :], np.zeros(len(received) - delay - 10))
+        # The ledger charges the slot as transmitted; the delay is not air time.
+        assert medium.air_time == 10
+
+
+class TestAirTimeLedger:
+    def test_air_time_and_slots_accumulate(self):
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         wave = _burst()
-        simulator.run_slot([Transmission(sender=1, waveform=wave)])
-        simulator.run_slot([Transmission(sender=2, waveform=wave, start_offset=30)])
-        assert simulator.slots_run == 2
-        assert simulator.total_air_time == 2 * len(wave) + 30
+        assert (medium.air_time, medium.slots) == (0, 0)
+        medium.deliver([Transmission(sender=1, waveform=wave)])
+        medium.deliver([Transmission(sender=2, waveform=wave, start_offset=30)], receivers=[])
+        assert medium.slots == 2
+        assert medium.air_time == 2 * len(wave) + 30
 
-    def test_slot_result_waveforms(self):
-        topo = _simple_topology()
-        simulator = SlotSimulator(topo, rng=np.random.default_rng(1))
-        result = simulator.run_slot([Transmission(sender=1, waveform=_burst())], receivers=[2])
-        assert result.waveform_at(2) is not None
+    def test_ledger_charges_the_slot_duration_not_the_padding(self):
+        medium = WirelessMedium(_simple_topology(), tail_padding=50)
+        slot = [
+            Transmission(sender=1, waveform=_burst(n=40)),
+            Transmission(sender=3, waveform=_burst(n=80), start_offset=7),
+        ]
+        observed = medium.deliver(slot)
+        assert medium.air_time == medium.slot_duration(slot) == 7 + 81
+        assert len(observed[2]) == medium.air_time + 50
+
+    def test_slot_heard_by_every_receiver_is_charged_once(self):
+        medium = WirelessMedium(_simple_topology(), tail_padding=5)
+        wave = _burst(n=60)
+        observed = medium.deliver([Transmission(sender=2, waveform=wave, start_offset=4)])
+        assert sorted(observed) == [1, 3]
+        assert {len(signal) for signal in observed.values()} == {4 + len(wave) + 5}
+        assert (medium.air_time, medium.slots) == (4 + len(wave), 1)
+
+    def test_rejected_slot_is_not_charged(self):
+        medium = WirelessMedium(_simple_topology())
         with pytest.raises(SimulationError):
-            result.waveform_at(3)
-
-    def test_history_recording(self):
-        topo = _simple_topology()
-        simulator = SlotSimulator(topo)
-        simulator.run_slot([Transmission(sender=1, waveform=_burst())], record=True)
-        simulator.run_slot([Transmission(sender=1, waveform=_burst())], record=False)
-        assert len(simulator.history) == 1
-
-    def test_reset(self):
-        topo = _simple_topology()
-        simulator = SlotSimulator(topo)
-        simulator.run_slot([Transmission(sender=1, waveform=_burst())])
-        simulator.reset()
-        assert simulator.slots_run == 0
-        assert simulator.total_air_time == 0
+            medium.deliver([Transmission(sender=9, waveform=_burst())])
+        assert (medium.air_time, medium.slots) == (0, 0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.interference import InterferenceCombiner
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.node.node import NodeConfig
 from repro.node.relay import RelayNode
@@ -25,9 +25,9 @@ def _collision(frame_a_node, frame_b_node, dst_a=2, dst_b=1, offset=140, seed=0)
     wave_b = frame_b_node.transmit(packet_b)
     link_a = Link(attenuation=0.85, phase_shift=0.5, frequency_offset=0.03)
     link_b = Link(attenuation=0.8, phase_shift=-1.0, frequency_offset=-0.02)
-    combiner = InterferenceCombiner(noise_power=NOISE, rng=rng)
-    collision = combiner.combine([(wave_a, link_a, 0), (wave_b, link_b, offset)], tail_padding=32)
-    return packet_a, packet_b, collision.signal
+    length = max(len(wave_a), offset + len(wave_b)) + 32
+    collision = superpose([(wave_a, link_a, 0), (wave_b, link_b, offset)], NOISE, rng, length)
+    return packet_a, packet_b, collision
 
 
 class TestRelayNode:
@@ -73,15 +73,16 @@ class TestRouterNode:
         wave_new = upstream.transmit(new_packet)
         wave_fwd = downstream.framer.build(forwarded)
         wave_fwd = downstream.modulator.modulate(wave_fwd.bits)
-        combiner = InterferenceCombiner(noise_power=NOISE, rng=rng)
-        collision = combiner.combine(
+        collision = superpose(
             [
                 (wave_new, Link(attenuation=0.85, frequency_offset=0.03), 0),
                 (wave_fwd, Link(attenuation=0.8, frequency_offset=-0.02), 150),
             ],
-            tail_padding=32,
+            NOISE,
+            rng,
+            max(len(wave_new), 150 + len(wave_fwd)) + 32,
         )
-        decision = router.process(collision.signal)
+        decision = router.process(collision)
         assert decision.action == RouterAction.DECODE
         assert decision.packet.identity == new_packet.identity
 

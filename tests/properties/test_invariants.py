@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.anc.lemma import phase_solutions, reconstruct_sample
+from repro.anc.lemma import phase_solutions
 from repro.coding.crc import CRC16
 from repro.framing.frame import Deframer, Framer
 from repro.framing.header import Header
@@ -60,9 +60,8 @@ class TestLemmaInvariants:
         assume(abs(y) > 1e-3)
         solutions = phase_solutions(np.array([y]), amplitude_a, amplitude_b)
         for branch in (1, 2):
-            rebuilt = reconstruct_sample(
-                amplitude_a, amplitude_b,
-                float(solutions.theta(branch)[0]), float(solutions.phi(branch)[0]),
+            rebuilt = amplitude_a * np.exp(1j * solutions.theta(branch)[0]) + (
+                amplitude_b * np.exp(1j * solutions.phi(branch)[0])
             )
             assert abs(rebuilt - y) < 1e-7
 

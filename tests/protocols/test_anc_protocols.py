@@ -77,6 +77,23 @@ class TestANCAliceBob:
         ).run()
         assert 0.6 < result.mean_overlap < 1.0
 
+    def test_air_time_charges_the_stretched_collision_and_broadcast(self):
+        """Each exchange costs (frame + offset) twice, plus the medium's tail padding.
+
+        The uplink slot lasts until the later sender ends; the relay
+        rebroadcasts that whole slot, padding included (§11.4).
+        """
+        topo = alice_bob_topology(_conditions(), np.random.default_rng(6))
+        protocol = ANCRelayProtocol(
+            topo, RELAY, Flow(ALICE, BOB, 3), Flow(BOB, ALICE, 3),
+            payload_bits=PAYLOAD, overlap_model=_overlap(7), rng=np.random.default_rng(7),
+        )
+        result = protocol.run()
+        frame = protocol.nodes[ALICE].frame_samples
+        offsets = [round(frame * (1.0 - overlap)) for overlap in result.overlap_fractions]
+        assert len(offsets) == 3
+        assert result.air_time_samples == sum(2 * (frame + offset) + 32 for offset in offsets)
+
     def test_beats_traditional_and_cope(self):
         topo = alice_bob_topology(_conditions(), np.random.default_rng(6))
         flow_a, flow_b = Flow(ALICE, BOB, 5), Flow(BOB, ALICE, 5)

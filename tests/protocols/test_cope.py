@@ -38,6 +38,16 @@ class TestCopeAliceBob:
         assert result.packets_offered == 8
         assert result.packets_delivered == 8
 
+    def test_air_time_is_slots_times_frame(self):
+        """Every COPE slot carries one frame of the same length, at offset 0."""
+        topo = alice_bob_topology(_conditions(), np.random.default_rng(2))
+        protocol = CopeRelayProtocol(
+            topo, RELAY, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 2),
+            payload_bits=PAYLOAD, rng=np.random.default_rng(3),
+        )
+        result = protocol.run()
+        assert result.air_time_samples == result.slots_used * protocol.nodes[ALICE].frame_samples
+
     def test_throughput_beats_traditional(self):
         from repro.protocols.traditional import TraditionalRouting
 

@@ -7,7 +7,6 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.framing.packet import Packet
 from repro.network.topologies import ChannelConditions, alice_bob_topology, RELAY
 from repro.node.relay import RelayNode
-from repro.node.router import RouterNode
 from repro.protocols.base import ProtocolRun, RunResult, fresh_run_result
 
 
@@ -61,12 +60,6 @@ class TestProtocolRunHelpers:
         relay = protocol.make_relay(RELAY)
         assert isinstance(relay, RelayNode)
         assert protocol.make_relay(RELAY) is relay
-
-    def test_make_router_upgrades_plain_node(self):
-        protocol = self._protocol()
-        protocol.make_node(RELAY)
-        router = protocol.make_router(RELAY)
-        assert isinstance(router, RouterNode)
 
     def test_packet_ber_handles_missing_decode(self):
         protocol = self._protocol()

@@ -100,21 +100,6 @@ class TestInterferenceDetector:
         noisy = awgn(collision, NOISE, rng)
         assert InterferenceDetector(noise_power=NOISE).detect(noisy)
 
-    def test_interference_metric_orders_cases(self):
-        rng = np.random.default_rng(5)
-        detector = InterferenceDetector(noise_power=NOISE)
-        clean = awgn(_msk_burst(seed=20), NOISE, rng)
-        collision = awgn(
-            overlap_add([(_msk_burst(seed=21), 0), (_msk_burst(seed=22, amplitude=0.9), 30)]),
-            NOISE,
-            rng,
-        )
-        assert detector.interference_metric(collision) > detector.interference_metric(clean)
-
     def test_empty_signal_raises(self):
         with pytest.raises(DetectionError):
             InterferenceDetector(noise_power=NOISE).detect(ComplexSignal.empty())
-
-    def test_metric_of_empty_signal_raises(self):
-        with pytest.raises(DetectionError, match="empty signal"):
-            InterferenceDetector(noise_power=NOISE).interference_metric(ComplexSignal.empty())

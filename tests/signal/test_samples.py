@@ -36,15 +36,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ComplexSignal.silence(-1)
 
-    def test_from_polar(self):
-        sig = ComplexSignal.from_polar(2.0, np.array([0.0, np.pi / 2]))
-        assert sig.samples[0] == pytest.approx(2.0)
-        assert sig.samples[1] == pytest.approx(2j)
-
-    def test_from_polar_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            ComplexSignal.from_polar(np.array([1.0, 2.0]), np.array([0.0]))
-
     def test_rejects_2d(self):
         with pytest.raises(ConfigurationError):
             ComplexSignal(np.zeros((2, 2)))
@@ -67,7 +58,7 @@ class TestDerivedQuantities:
 
     def test_phase_differences(self):
         phases = np.array([0.0, np.pi / 2, 0.0])
-        sig = ComplexSignal.from_polar(1.0, phases)
+        sig = ComplexSignal(np.exp(1j * phases))
         diffs = sig.phase_differences()
         assert diffs == pytest.approx([np.pi / 2, -np.pi / 2])
 

@@ -74,17 +74,9 @@ class TestScheduledMac:
         assert [mac.slot_owner(i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
         assert mac.slot_start(4) == 400.0
 
-    def test_next_owned_slot_at_or_after_now(self):
-        mac = ScheduledMac(slot_samples=100, n_ranks=3)
-        assert mac.next_owned_slot(0.0, rank=0) == 0.0
-        assert mac.next_owned_slot(0.0, rank=2) == 200.0
-        assert mac.next_owned_slot(150.0, rank=1) == 400.0
-        for now in (0.0, 37.0, 99.9, 100.0, 512.0):
-            for rank in range(3):
-                start = mac.next_owned_slot(now, rank)
-                assert start >= now
-                assert mac.slot_owner(int(start) // 100) == rank
-
-    def test_foreign_rank_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScheduledMac(slot_samples=100, n_ranks=3).next_owned_slot(0.0, rank=3)
+    def test_each_rank_owns_one_slot_per_round(self):
+        mac = ScheduledMac(slot_samples=50, n_ranks=4)
+        for round_start in (0, 4, 40):
+            owners = [mac.slot_owner(round_start + i) for i in range(4)]
+            assert sorted(owners) == [0, 1, 2, 3]
+        assert [mac.slot_start(i + 1) - mac.slot_start(i) for i in range(5)] == [50.0] * 5

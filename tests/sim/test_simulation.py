@@ -89,6 +89,28 @@ class TestDeterminism:
         assert first.trace_digest == second.trace_digest
         assert first.events == second.events
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_propagation_delay_within_the_tail_changes_no_outcome(self, scheme):
+        """The composite carries each link's delay once and the decoder aligns on it.
+
+        A 5-sample delay on every link fits inside the composite's silent
+        tail, so every reception decodes the same frames as without it.
+        """
+
+        def run(delay):
+            params = SimParams(sim_duration_frames=24.0, scheme=scheme)
+            sim = TrafficSimulation(
+                params, entropy=ENTROPY, conditions=ChannelConditions(snr_db=30.0)
+            )
+            for source, destination in sim.topology.graph.edges:
+                sim.topology.link(source, destination).propagation_delay = delay
+            return sim.run()
+
+        plain, delayed = run(0), run(5)
+        assert plain.metrics()["delivered"] > 0
+        assert delayed.metrics()["delivered"] == plain.metrics()["delivered"]
+        assert delayed.trace_digest == plain.trace_digest
+
     def test_different_entropy_diverges(self):
         params = SimParams(sim_duration_frames=24.0)
         a = TrafficSimulation(params, entropy=[1], conditions=CONDITIONS).run()

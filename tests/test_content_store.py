@@ -3,7 +3,9 @@
 * a corrupt entry — a trial pickle or a campaign document — is a
   logged, counted miss that is recomputed and republished;
 * entries are keyed by the package's source: an unedited package (even
-  at another path) hits, and a one-line edit makes every entry miss.
+  at another path) hits, and a one-line edit makes every entry miss;
+* entries are keyed by the runtime too: another numpy, networkx or
+  Python minor version makes every entry miss.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
+import networkx
+import numpy
 import pytest
 
 import repro
@@ -24,6 +29,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
 from repro.results.model import ExperimentResult
+from repro.store import source_fingerprint
 
 
 def _draw_trial(cfg: ExperimentConfig, key: int) -> float:
@@ -130,3 +136,44 @@ def test_code_edit_misses_and_unedited_rerun_hits(tmp_path):
     assert edited["digests"] == first["digests"]
     assert edited["cached_trials"] == 0
     assert edited["executed_trials"] == edited["total_trials"]
+
+
+_VersionInfo = namedtuple("_VersionInfo", "major minor micro releaselevel serial")
+
+#: One way to move each runtime component the fingerprint hashes.
+RUNTIME_BUMPS = {
+    "numpy": (numpy, "__version__", "0.0.1"),
+    "networkx": (networkx, "__version__", "0.0.1"),
+    "python": (sys, "version_info", _VersionInfo(sys.version_info.major, 99, 0, "final", 0)),
+}
+
+
+@pytest.fixture
+def fresh_fingerprint():
+    """Recompute the memoised fingerprint before and after the test."""
+    source_fingerprint.cache_clear()
+    yield
+    source_fingerprint.cache_clear()
+
+
+@pytest.mark.parametrize("component", sorted(RUNTIME_BUMPS))
+def test_fingerprint_hashes_the_runtime(monkeypatch, fresh_fingerprint, component):
+    before = source_fingerprint()
+    monkeypatch.setattr(*RUNTIME_BUMPS[component])
+    source_fingerprint.cache_clear()
+    assert source_fingerprint() != before
+
+
+@pytest.mark.parametrize("side", [_trial_side, _campaign_side], ids=["trial", "campaign"])
+def test_numpy_upgrade_misses_every_entry(tmp_path, monkeypatch, fresh_fingerprint, side):
+    _, rerun = side(tmp_path)
+    monkeypatch.setattr(numpy, "__version__", "0.0.1")
+    source_fingerprint.cache_clear()
+    stats, recomputed = rerun()
+    assert recomputed == 3 and stats["hits"] == 0 and stats["misses"] == 3
+
+    # Back on the original runtime, the original entries are still there.
+    monkeypatch.undo()
+    source_fingerprint.cache_clear()
+    stats, recomputed = rerun()
+    assert recomputed == 0 and stats["hits"] == 3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.angles import angular_distance, phase_difference, unwrap_phase, wrap_angle
+from repro.utils.angles import phase_difference, unwrap_phase, wrap_angle
 
 
 class TestWrapAngle:
@@ -53,20 +53,6 @@ class TestPhaseDifference:
         earlier = np.array([0.0, 2.0])
         out = phase_difference(later, earlier)
         assert out == pytest.approx([0.5, -1.0])
-
-
-class TestAngularDistance:
-    def test_distance_is_symmetric(self):
-        assert angular_distance(0.3, -0.2) == pytest.approx(angular_distance(-0.2, 0.3))
-
-    def test_distance_wraps(self):
-        # pi - epsilon and -pi + epsilon are close on the circle.
-        assert angular_distance(np.pi - 0.01, -np.pi + 0.01) == pytest.approx(0.02)
-
-    def test_distance_bounded_by_pi(self):
-        values = np.linspace(-10, 10, 101)
-        distances = angular_distance(values, 0.0)
-        assert np.all(distances <= np.pi + 1e-12)
 
 
 class TestUnwrapPhase:

@@ -26,7 +26,7 @@ ENTRY_POINTS = {
     "Header.from_bits": Header.from_bits,
     "Deframer.parse": Deframer().parse,
     "Deframer.parse_backward": Deframer().parse_backward,
-    "Deframer.parse_header": Deframer().parse_header,
+    "Deframer.extract_payload_region": Deframer().extract_payload_region,
     "Scrambler.scramble": Scrambler().scramble,
     "CRC16.compute": CRC16.compute,
     "CRC16.verify": CRC16.verify,

@@ -61,12 +61,6 @@ class TestEvaluation:
         assert cdf.minimum == 2.0
         assert cdf.maximum == 6.0
 
-    def test_plot_points_shape(self):
-        cdf = EmpiricalCDF.from_samples([1.0, 2.0, 3.0])
-        xs, ys = cdf.as_plot_points()
-        assert xs == [1.0, 2.0, 3.0]
-        assert ys == pytest.approx([1 / 3, 2 / 3, 1.0])
-
     def test_table(self):
         cdf = EmpiricalCDF.from_samples([1.0, 2.0])
         table = cdf.table([0.0, 1.5, 2.5])

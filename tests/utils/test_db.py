@@ -9,7 +9,6 @@ from repro.utils.db import (
     db_to_power_ratio,
     linear_to_db,
     power_ratio_to_db,
-    sir_db_from_powers,
     snr_db_from_powers,
 )
 
@@ -57,11 +56,6 @@ class TestSNRandSIR:
         with pytest.raises(ConfigurationError):
             snr_db_from_powers(1.0, 0.0)
 
-    def test_sir_definition_matches_eq9(self):
-        # SIR = 10 log10(P_bob / P_alice); equal powers give 0 dB.
-        assert sir_db_from_powers(1.0, 1.0) == pytest.approx(0.0)
-        assert sir_db_from_powers(0.5, 1.0) == pytest.approx(-3.0103, abs=1e-3)
-
 
 class TestConversionGuards:
     def test_linear_to_db_rejects_non_positive(self):
@@ -84,15 +78,3 @@ class TestConversionGuards:
     def test_snr_requires_positive_signal(self, signal_power):
         with pytest.raises(ConfigurationError, match="signal power"):
             snr_db_from_powers(signal_power, 1.0)
-
-    @pytest.mark.parametrize(
-        "wanted, interference, match",
-        [
-            (0.0, 1.0, "wanted power"),
-            (1.0, 0.0, "interference power"),
-            (1.0, -2.0, "interference power"),
-        ],
-    )
-    def test_sir_requires_positive_powers(self, wanted, interference, match):
-        with pytest.raises(ConfigurationError, match=match):
-            sir_db_from_powers(wanted, interference)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.utils.windows import block_mean, moving_average, moving_energy, moving_variance
+from repro.utils.windows import moving_average, moving_energy, moving_variance
 
 
 class TestMovingAverage:
@@ -59,16 +59,6 @@ class TestMovingVariance:
         rng = np.random.default_rng(3)
         out = moving_variance(rng.normal(size=200), window=16)
         assert np.all(out >= 0)
-
-
-class TestBlockMean:
-    def test_exact_blocks(self):
-        out = block_mean(np.array([1.0, 3.0, 5.0, 7.0]), block=2)
-        assert out == pytest.approx([2.0, 6.0])
-
-    def test_partial_trailing_block(self):
-        out = block_mean(np.array([1.0, 1.0, 4.0]), block=2)
-        assert out == pytest.approx([1.0, 4.0])
 
 
 def reference_moving_average(values, window):

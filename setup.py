@@ -34,6 +34,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     entry_points={"console_scripts": ["anc-repro=repro.cli:main"]},
 )

@@ -146,7 +146,7 @@ def apply_impairments(
     if not impairments.enabled:
         return topology
     offsets = impairments.sender_offsets(topology.nodes)
-    for source, destination in sorted(topology.graph.edges):
+    for source, destination in sorted(topology.edges()):
         impair_link(
             topology.link(source, destination), offsets[source], impairments, rng
         )

@@ -4,8 +4,7 @@ The paper evaluates ANC on three fixed topologies; the scenario subsystem
 generalizes that to whole *families* of workloads.  Every generator here
 takes the same three ingredients — a :class:`ChannelConditions` description
 of the radio environment, a seeded ``numpy`` generator, and a handful of
-shape parameters — and returns a validated
-:class:`~repro.network.topology.Topology`:
+shape parameters — and returns a :class:`~repro.network.topology.Topology`:
 
 * :func:`generate_chain` — a linear chain of ``hops`` hops (the Fig. 2
   shape at arbitrary length, the substrate of the chain-length sweep);
@@ -92,7 +91,6 @@ def generate_star(
         topology.add_symmetric_link(
             leaf, hub, _draw_link(cond, generator), _draw_link(cond, generator)
         )
-    topology.validate()
     return topology
 
 
@@ -255,7 +253,6 @@ def _mesh_from_positions(
     for a, b in _component_bridges(topology, positions):
         _link_pair(a, b)
 
-    topology.validate()
     return topology
 
 
@@ -265,29 +262,40 @@ def _component_bridges(
     """Closest cross-component node pairs needed to connect the radio graph.
 
     Components are merged greedily: while more than one remains, the
-    geometrically closest pair of nodes living in different components is
-    bridged.  Deterministic given the positions (ties broken by node id).
+    geometrically closest pair of nodes joining the component of the
+    lowest node id to another component is bridged.  Deterministic given
+    the positions (ties broken by node id).
     """
-    import networkx as nx
+    root = {node: node for node in topology.nodes}
 
+    def find(node: int) -> int:
+        """The root of ``node``'s component."""
+        while root[node] != node:
+            node = root[node]
+        return node
+
+    def components() -> List[List[int]]:
+        """Sorted members of each component, by lowest node id."""
+        members: Dict[int, List[int]] = {}
+        for node in topology.nodes:
+            members.setdefault(find(node), []).append(node)
+        return list(members.values())
+
+    for a, b in topology.edges():
+        root[find(a)] = find(b)
     bridges: List[Tuple[int, int]] = []
-    undirected = topology.graph.to_undirected()
-    components = [sorted(c) for c in nx.connected_components(undirected)]
-    while len(components) > 1:
-        best: Optional[Tuple[float, int, int]] = None
-        base = components[0]
-        for other in components[1:]:
-            for a in base:
-                for b in other:
-                    distance = float(np.linalg.norm(positions[a] - positions[b]))
-                    candidate = (distance, a, b)
-                    if best is None or candidate < best:
-                        best = candidate
-        assert best is not None
-        _, a, b = best
+    groups = components()
+    while len(groups) > 1:
+        base = groups[0]
+        _, a, b = min(
+            (float(np.linalg.norm(positions[x] - positions[y])), x, y)
+            for other in groups[1:]
+            for x in base
+            for y in other
+        )
         bridges.append((a, b))
-        undirected.add_edge(a, b)
-        components = [sorted(c) for c in nx.connected_components(undirected)]
+        root[find(a)] = find(b)
+        groups = components()
     return bridges
 
 

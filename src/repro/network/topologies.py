@@ -128,7 +128,6 @@ def alice_bob_topology(
     topology.add_symmetric_link(
         BOB, RELAY, _draw_link(cond, generator), _draw_link(cond, generator)
     )
-    topology.validate()
     return topology
 
 
@@ -155,7 +154,6 @@ def chain_topology(
         topology.add_symmetric_link(
             a, b, _draw_link(cond, generator), _draw_link(cond, generator)
         )
-    topology.validate()
     return topology
 
 
@@ -205,5 +203,4 @@ def x_topology(
         _draw_link(cond, generator, attenuation=cond.cross_interference_attenuation),
         routable=False,
     )
-    topology.validate()
     return topology

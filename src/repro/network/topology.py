@@ -7,13 +7,16 @@ per-node receiver noise power.  Only node pairs connected by an edge hear
 each other at all — exactly the "radio range" notion the paper's canonical
 topologies rely on (e.g. Alice and Bob are *not* connected, N1 and N4 in
 the chain are not connected).
+
+The graph is a plain insertion-ordered adjacency dict,
+``{source: {destination: (link, routable)}}``.  That order is part of
+the model: when several shortest routes tie, :meth:`Topology.shortest_path`
+picks one by the order in which nodes and links were added.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.channel.link import Link
 from repro.exceptions import TopologyError
@@ -24,7 +27,7 @@ class Topology:
 
     def __init__(self) -> None:
         """Create an empty topology (no nodes, no links)."""
-        self._graph = nx.DiGraph()
+        self._adjacency: Dict[int, Dict[int, Tuple[Link, bool]]] = {}
         self._noise_power: Dict[int, float] = {}
         #: Node placement ``{node_id: (x, y)}`` when the topology was
         #: built from geometry (the mesh generators set it); ``None`` for
@@ -40,7 +43,7 @@ class Topology:
             raise TopologyError("node ids must be non-negative")
         if noise_power < 0:
             raise TopologyError("noise power must be non-negative")
-        self._graph.add_node(int(node_id))
+        self._adjacency.setdefault(int(node_id), {})
         self._noise_power[int(node_id)] = float(noise_power)
 
     def add_link(
@@ -52,12 +55,16 @@ class Topology:
         propagation — overhearing and cross-interference links — which the
         routing layer must not treat as usable hops.
         """
+        if not isinstance(link, Link):
+            raise TopologyError(
+                f"link {source}->{destination} must be a Link, not {type(link).__name__}"
+            )
         if source == destination:
             raise TopologyError("a node cannot have a link to itself")
         for node in (source, destination):
-            if node not in self._graph:
+            if node not in self._adjacency:
                 raise TopologyError(f"node {node} must be added before linking it")
-        self._graph.add_edge(int(source), int(destination), link=link, routable=bool(routable))
+        self._adjacency[int(source)][int(destination)] = (link, bool(routable))
 
     def add_symmetric_link(self, a: int, b: int, link: Link, reverse: Optional[Link] = None) -> None:
         """Add both directions of a path; ``reverse`` defaults to the same parameters."""
@@ -70,16 +77,23 @@ class Topology:
     @property
     def nodes(self) -> List[int]:
         """All node identifiers, sorted."""
-        return sorted(self._graph.nodes)
+        return sorted(self._adjacency)
 
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying directed graph (read-only use expected)."""
-        return self._graph
+    def edges(self) -> List[Tuple[int, int]]:
+        """Every directed ``(source, destination)`` link, in insertion order.
+
+        Sources come in :meth:`add_node` order and each source's
+        destinations in :meth:`add_link` order.
+        """
+        return [
+            (source, destination)
+            for source, out in self._adjacency.items()
+            for destination in out
+        ]
 
     def has_node(self, node_id: int) -> bool:
         """Is ``node_id`` registered in this topology?"""
-        return node_id in self._graph
+        return node_id in self._adjacency
 
     def noise_power(self, node_id: int) -> float:
         """Receiver noise floor of a node."""
@@ -89,59 +103,77 @@ class Topology:
 
     def in_range(self, source: int, destination: int) -> bool:
         """Does a transmission by ``source`` reach ``destination`` at all?"""
-        return self._graph.has_edge(source, destination)
+        return destination in self._adjacency.get(source, {})
 
     def link(self, source: int, destination: int) -> Link:
         """The directed link parameters from ``source`` to ``destination``."""
         if not self.in_range(source, destination):
             raise TopologyError(f"no radio path from {source} to {destination}")
-        return self._graph.edges[source, destination]["link"]
-
-    def neighbors(self, node_id: int) -> List[int]:
-        """Nodes that can hear ``node_id`` (out-neighbours), sorted."""
-        if node_id not in self._graph:
-            raise TopologyError(f"unknown node {node_id}")
-        return sorted(self._graph.successors(node_id))
+        return self._adjacency[source][destination][0]
 
     def is_routable(self, source: int, destination: int) -> bool:
         """Is the directed path from ``source`` to ``destination`` a routing hop?"""
-        if not self.in_range(source, destination):
-            return False
-        return bool(self._graph.edges[source, destination].get("routable", True))
-
-    def routable_graph(self) -> nx.DiGraph:
-        """Subgraph containing only the links routing is allowed to use."""
-        routable = nx.DiGraph()
-        routable.add_nodes_from(self._graph.nodes)
-        for source, destination, data in self._graph.edges(data=True):
-            if data.get("routable", True):
-                routable.add_edge(source, destination, **data)
-        return routable
+        return self.in_range(source, destination) and self._adjacency[source][destination][1]
 
     def shortest_path(self, source: int, destination: int) -> List[int]:
         """Hop sequence a traditional routing protocol would use.
 
-        Only routable links are considered; overhearing / cross-interference
-        links are radio propagation, not usable hops.
+        Only routable links are hops; overhearing / cross-interference
+        links are radio propagation.  A bidirectional breadth-first search
+        whose ties fall as in networkx's ``bidirectional_shortest_path``
+        over the routable links: the smaller fringe grows first (the
+        forward one on a tie), a node's out-links are visited in
+        :meth:`add_link` order and its in-links in the :meth:`add_node`
+        order of their sources, and the search stops at the first node
+        both fringes reach.
         """
-        try:
-            return nx.shortest_path(self.routable_graph(), source, destination)
-        except nx.NetworkXNoPath as exc:
-            raise TopologyError(f"no route from {source} to {destination}") from exc
+        for node in (source, destination):
+            if node not in self._adjacency:
+                raise TopologyError(f"unknown node {node}")
+        if source == destination:
+            return [source]
+        # previous[n]: n's parent towards the source; following[n]: n's
+        # next hop towards the destination.
+        previous: Dict[int, Optional[int]] = {source: None}
+        following: Dict[int, Optional[int]] = {destination: None}
+        forward, reverse = [source], [destination]
+        meet: Optional[int] = None
+        while forward and reverse and meet is None:
+            if len(forward) <= len(reverse):
+                forward, meet = _grow(forward, previous, following, self._hops_from)
+            else:
+                reverse, meet = _grow(reverse, following, previous, self._hops_into)
+        if meet is None:
+            raise TopologyError(f"no route from {source} to {destination}")
+        path = [meet]
+        while previous[path[0]] is not None:
+            path.insert(0, previous[path[0]])
+        while following[path[-1]] is not None:
+            path.append(following[path[-1]])
+        return path
 
-    def validate(self) -> None:
-        """Sanity-check that every edge carries a Link and nodes have noise floors."""
-        for source, destination, data in self._graph.edges(data=True):
-            if "link" not in data or not isinstance(data["link"], Link):
-                raise TopologyError(f"edge {source}->{destination} is missing its Link")
-        for node in self._graph.nodes:
-            if node not in self._noise_power:
-                raise TopologyError(f"node {node} has no noise power configured")
+    def _hops_from(self, node: int) -> Iterable[int]:
+        """Routable out-neighbours of ``node``, in :meth:`add_link` order."""
+        return (d for d, (_, routable) in self._adjacency[node].items() if routable)
 
-    def __contains__(self, node_id: int) -> bool:
-        """Alias of :meth:`has_node`."""
-        return self.has_node(node_id)
+    def _hops_into(self, node: int) -> Iterable[int]:
+        """Routable in-neighbours of ``node``, in :meth:`add_node` order."""
+        return (s for s, out in self._adjacency.items() if out.get(node, (None, False))[1])
 
-    def __len__(self) -> int:
-        """Number of nodes in the topology."""
-        return self._graph.number_of_nodes()
+
+def _grow(
+    fringe: List[int],
+    tree: Dict[int, Optional[int]],
+    other: Dict[int, Optional[int]],
+    hops: Callable[[int], Iterable[int]],
+) -> Tuple[List[int], Optional[int]]:
+    """Grow one BFS fringe by a level; also return where it met ``other``."""
+    grown: List[int] = []
+    for node in fringe:
+        for hop in hops(node):
+            if hop not in tree:
+                tree[hop] = node
+                grown.append(hop)
+            if hop in other:
+                return grown, hop
+    return grown, None

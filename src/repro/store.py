@@ -5,10 +5,9 @@ that produced it: the code, the configuration and the seed.  The callers
 put the configuration and the seed into the key (through
 :func:`content_digest`); this module adds the code.  Every entry lives
 under a directory named by :func:`source_fingerprint`, a hash of the
-package's own source files and of the Python, numpy and networkx
-versions, so an in-place edit of any module or an upgrade of the
-runtime makes every old entry miss — there is nothing to clear and no
-version to bump.
+package's own source files and of the Python and numpy versions, so
+an in-place edit of any module or an upgrade of the runtime makes every
+old entry miss — there is nothing to clear and no version to bump.
 
 Two caches read and write through :class:`Store`:
 
@@ -42,7 +41,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-import networkx
 import numpy
 
 from repro.exceptions import ConfigurationError
@@ -67,8 +65,10 @@ def content_digest(payload: Any, length: int = 64) -> str:
 def source_fingerprint() -> str:
     """SHA-256 over the runtime and the package's own ``*.py`` files.
 
-    The runtime is the Python minor version and the numpy and networkx
-    versions, whose numerics and graph orderings the results depend on.
+    The runtime is the Python minor version and the numpy version, whose
+    numerics the results depend on.  Route ties are decided by package
+    source (:meth:`~repro.network.topology.Topology.shortest_path`), so
+    the files cover them.
     Files are hashed in sorted relative-path order, each as its path,
     its length and its bytes, so the fingerprint depends on what the
     code says and not on where it is installed or when it was touched.
@@ -80,7 +80,7 @@ def source_fingerprint() -> str:
     )
     runtime = (
         f"python {sys.version_info.major}.{sys.version_info.minor}\0"
-        f"numpy {numpy.__version__}\0networkx {networkx.__version__}\0"
+        f"numpy {numpy.__version__}\0"
     )
     hasher = hashlib.sha256(runtime.encode("utf-8"))
     for name, path in sources:

@@ -90,7 +90,7 @@ class TestApplyImpairments:
                 topology.link(s, d).sender_cfo,
                 topology.link(s, d).fading,
             )
-            for s, d in topology.graph.edges
+            for s, d in topology.edges()
         }
         rng = np.random.default_rng(2)
         state = _rng_state(rng)
@@ -107,7 +107,7 @@ class TestApplyImpairments:
             topology, ImpairmentConfig(sender_cfo=0.04), np.random.default_rng(4)
         )
         offsets = ImpairmentConfig(sender_cfo=0.04).sender_offsets(topology.nodes)
-        for source, destination in topology.graph.edges:
+        for source, destination in topology.edges():
             assert topology.link(source, destination).sender_cfo == offsets[source]
 
     def test_fading_fields_stamped_on_every_link(self):
@@ -116,7 +116,7 @@ class TestApplyImpairments:
             fading="rayleigh", fading_mode="drift", fading_doppler=0.01
         )
         apply_impairments(topology, config, np.random.default_rng(6))
-        for source, destination in topology.graph.edges:
+        for source, destination in topology.edges():
             link = topology.link(source, destination)
             assert link.fading == "rayleigh"
             assert link.fading_mode == "drift"
@@ -135,7 +135,7 @@ class TestApplyImpairments:
             phases.append(
                 [
                     topology.link(s, d).fading_los_phase
-                    for s, d in sorted(topology.graph.edges)
+                    for s, d in sorted(topology.edges())
                 ]
             )
         assert phases[0] == phases[1]

@@ -125,7 +125,7 @@ class TestGeometryMeshTrial:
             return np.mean(
                 [
                     topology.link(s, d).attenuation
-                    for s, d in topology.graph.edges
+                    for s, d in topology.edges()
                 ]
             )
 

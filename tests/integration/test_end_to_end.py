@@ -27,7 +27,7 @@ from repro.network.topologies import (
     x_topology,
 )
 from repro.node.node import Node, NodeConfig
-from repro.node.router import RouterAction, RouterNode
+from repro.node.relay import RelayNode
 from repro.protocols.anc import ANCChainProtocol, ANCRelayProtocol, default_min_offset
 from repro.protocols.cope import CopeRelayProtocol
 from repro.protocols.traditional import TraditionalRouting
@@ -52,7 +52,7 @@ class TestAliceBobExchangeManual:
         config = NodeConfig(payload_bits=PAYLOAD, noise_power=conditions.noise_power)
         alice = Node(ALICE, config)
         bob = Node(BOB, config)
-        router = RouterNode(RELAY, neighbors=[ALICE, BOB], config=config)
+        relay = RelayNode(RELAY, config)
         medium = WirelessMedium(topology, rng=rng)
 
         packet_a = alice.make_packet(BOB, rng)
@@ -69,12 +69,13 @@ class TestAliceBobExchangeManual:
             ],
             receivers=[RELAY],
         )
-        decision = router.process(uplink[RELAY])
-        assert decision.action == RouterAction.AMPLIFY_FORWARD
+        # The relay knows neither packet, so it amplifies the collision.
+        assert relay.receive(uplink[RELAY]).outcome == ReceiveOutcome.NEEDS_RELAY
+        broadcast = relay.amplify_and_forward(uplink[RELAY])
 
-        # Slot 2: the router broadcasts the amplified collision.
+        # Slot 2: the relay broadcasts the amplified collision.
         downlink = medium.deliver(
-            [Transmission(RELAY, decision.broadcast)], receivers=[ALICE, BOB]
+            [Transmission(RELAY, broadcast)], receivers=[ALICE, BOB]
         )
         alice_result = alice.receive(downlink[ALICE])
         bob_result = bob.receive(downlink[BOB])

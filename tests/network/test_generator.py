@@ -41,7 +41,7 @@ class TestChain:
     def test_lengths(self):
         for hops in (2, 3, 5, 8):
             topo = generate_chain(CONDITIONS, np.random.default_rng(0), hops=hops)
-            assert len(topo) == hops + 1
+            assert len(topo.nodes) == hops + 1
             assert topo.shortest_path(1, hops + 1) == list(range(1, hops + 2))
 
     def test_only_adjacent_nodes_in_range(self):
@@ -54,7 +54,7 @@ class TestChain:
 class TestStar:
     def test_structure(self):
         topo = generate_star(CONDITIONS, np.random.default_rng(2), leaves=5)
-        assert len(topo) == 6
+        assert len(topo.nodes) == 6
         for leaf in range(1, 6):
             assert topo.in_range(leaf, 0) and topo.in_range(0, leaf)
         assert not topo.in_range(1, 2)
@@ -69,8 +69,8 @@ class TestRandomMesh:
     def test_deterministic_given_seed(self):
         first = generate_random_mesh(CONDITIONS, np.random.default_rng(7), nodes=10)
         second = generate_random_mesh(CONDITIONS, np.random.default_rng(7), nodes=10)
-        assert sorted(first.graph.edges) == sorted(second.graph.edges)
-        for a, b in first.graph.edges:
+        assert sorted(first.edges()) == sorted(second.edges())
+        for a, b in first.edges():
             assert first.link(a, b).attenuation == second.link(a, b).attenuation
 
     @pytest.mark.parametrize("seed", range(6))
@@ -84,7 +84,7 @@ class TestRandomMesh:
 
     def test_attenuation_decays_with_distance(self):
         topo = generate_random_mesh(CONDITIONS, np.random.default_rng(11), nodes=12)
-        attenuations = [topo.link(a, b).attenuation for a, b in topo.graph.edges]
+        attenuations = [topo.link(a, b).attenuation for a, b in topo.edges()]
         jitter = CONDITIONS.attenuation_jitter
         assert max(attenuations) <= CONDITIONS.mean_attenuation + jitter + 1e-9
         assert min(attenuations) >= 0.05
@@ -100,8 +100,8 @@ class TestGeometricMesh:
     def test_deterministic_given_seed(self):
         first = generate_geometric_mesh(CONDITIONS, np.random.default_rng(7), nodes=10)
         second = generate_geometric_mesh(CONDITIONS, np.random.default_rng(7), nodes=10)
-        assert sorted(first.graph.edges) == sorted(second.graph.edges)
-        for a, b in first.graph.edges:
+        assert sorted(first.edges()) == sorted(second.edges())
+        for a, b in first.edges():
             assert first.link(a, b).attenuation == second.link(a, b).attenuation
         assert first.positions == second.positions
 
@@ -125,7 +125,7 @@ class TestGeometricMesh:
         topo = generate_geometric_mesh(
             conditions, np.random.default_rng(11), nodes=12, path_loss=model
         )
-        for a, b in topo.graph.edges:
+        for a, b in topo.edges():
             pos_a = np.asarray(topo.positions[a])
             pos_b = np.asarray(topo.positions[b])
             distance = float(np.linalg.norm(pos_a - pos_b))
@@ -147,7 +147,7 @@ class TestGeometricMesh:
         geometric = generate_geometric_mesh(
             CONDITIONS, np.random.default_rng(9), nodes=10
         )
-        assert sorted(random_mesh.graph.edges) == sorted(geometric.graph.edges)
+        assert sorted(random_mesh.edges()) == sorted(geometric.edges())
         assert random_mesh.positions == geometric.positions
 
     def test_positions_declared_on_every_topology(self):

@@ -73,7 +73,7 @@ class TestChainTopology:
 
     def test_custom_hop_count(self, rng):
         topo = chain_topology(rng=rng, hops=5)
-        assert len(topo) == 6
+        assert len(topo.nodes) == 6
 
     def test_minimum_hops(self, rng):
         with pytest.raises(ConfigurationError):

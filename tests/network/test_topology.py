@@ -20,12 +20,11 @@ class TestConstruction:
     def test_nodes_sorted(self):
         topo = _triangle()
         assert topo.nodes == [1, 2, 3]
-        assert len(topo) == 3
 
-    def test_contains(self):
+    def test_has_node(self):
         topo = _triangle()
-        assert 2 in topo
-        assert 9 not in topo
+        assert topo.has_node(2)
+        assert not topo.has_node(9)
 
     def test_link_before_node_rejected(self):
         topo = Topology()
@@ -47,10 +46,26 @@ class TestConstruction:
         topo = Topology()
         with pytest.raises(TopologyError, match="noise power must be non-negative"):
             topo.add_node(0, noise_power=-1e-3)
-        assert 0 not in topo
+        assert not topo.has_node(0)
 
-    def test_validate_passes_for_wellformed(self):
-        _triangle().validate()
+    def test_add_link_rejects_non_link(self):
+        topo = Topology()
+        topo.add_node(1)
+        topo.add_node(2)
+        with pytest.raises(TopologyError, match="must be a Link"):
+            topo.add_link(1, 2, {"attenuation": 0.8})
+        assert not topo.in_range(1, 2)
+
+    def test_edges_in_insertion_order(self):
+        topo = Topology()
+        for node in (3, 1, 2):
+            topo.add_node(node)
+        topo.add_link(1, 3, Link())
+        topo.add_link(3, 2, Link())
+        topo.add_link(1, 2, Link(), routable=False)
+        topo.add_link(3, 1, Link())
+        # Sources in add_node order, each one's destinations in add_link order.
+        assert topo.edges() == [(3, 2), (3, 1), (1, 3), (1, 2)]
 
 
 class TestQueries:
@@ -71,12 +86,6 @@ class TestQueries:
         with pytest.raises(TopologyError):
             topo.noise_power(42)
 
-    def test_neighbors(self):
-        topo = _triangle()
-        assert topo.neighbors(2) == [1, 3]
-        with pytest.raises(TopologyError):
-            topo.neighbors(99)
-
     def test_shortest_path(self):
         topo = _triangle()
         assert topo.shortest_path(1, 3) == [1, 2, 3]
@@ -87,6 +96,13 @@ class TestQueries:
         topo.add_node(2)
         with pytest.raises(TopologyError):
             topo.shortest_path(1, 2)
+
+    def test_unknown_endpoint_raises(self):
+        with pytest.raises(TopologyError, match="unknown node 9"):
+            _triangle().shortest_path(1, 9)
+
+    def test_path_to_self(self):
+        assert _triangle().shortest_path(2, 2) == [2]
 
     def test_asymmetric_links(self):
         topo = Topology()
@@ -109,9 +125,11 @@ class TestRoutableLinks:
         assert not topo.is_routable(1, 3)
         assert topo.shortest_path(1, 3) == [1, 2, 3]
 
-    def test_routable_graph_subset(self):
+    def test_non_routable_link_is_no_route(self):
         topo = Topology()
         for node in (1, 2):
             topo.add_node(node)
         topo.add_link(1, 2, Link(), routable=False)
-        assert topo.routable_graph().number_of_edges() == 0
+        assert topo.edges() == [(1, 2)]
+        with pytest.raises(TopologyError, match="no route"):
+            topo.shortest_path(1, 2)

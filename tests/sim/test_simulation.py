@@ -102,7 +102,7 @@ class TestDeterminism:
             sim = TrafficSimulation(
                 params, entropy=ENTROPY, conditions=ChannelConditions(snr_db=30.0)
             )
-            for source, destination in sim.topology.graph.edges:
+            for source, destination in sim.topology.edges():
                 sim.topology.link(source, destination).propagation_delay = delay
             return sim.run()
 

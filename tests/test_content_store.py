@@ -4,8 +4,8 @@
   logged, counted miss that is recomputed and republished;
 * entries are keyed by the package's source: an unedited package (even
   at another path) hits, and a one-line edit makes every entry miss;
-* entries are keyed by the runtime too: another numpy, networkx or
-  Python minor version makes every entry miss.
+* entries are keyed by the runtime too: another numpy or Python minor
+  version makes every entry miss.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-import networkx
 import numpy
 import pytest
 
@@ -143,7 +142,6 @@ _VersionInfo = namedtuple("_VersionInfo", "major minor micro releaselevel serial
 #: One way to move each runtime component the fingerprint hashes.
 RUNTIME_BUMPS = {
     "numpy": (numpy, "__version__", "0.0.1"),
-    "networkx": (networkx, "__version__", "0.0.1"),
     "python": (sys, "version_info", _VersionInfo(sys.version_info.major, 99, 0, "final", 0)),
 }
 

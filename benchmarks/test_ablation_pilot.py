@@ -10,6 +10,7 @@ import numpy as np
 from conftest import write_result
 
 from repro.anc.alignment import align_known_frame
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.exceptions import SynchronizationError
 from repro.framing.frame import Framer
@@ -36,7 +37,7 @@ def _misalignment_rate(pilot_length: int, seed: int = 9) -> float:
         lead_in = int(rng.integers(5, 60))
         link = Link(attenuation=0.8, phase_shift=float(rng.uniform(-np.pi, np.pi)),
                     noise_power=NOISE)
-        received = link.propagate(wave.padded(lead_in, 20), rng=rng)
+        received = superpose([(wave.padded(lead_in, 20), link, 0)], link.noise_power, rng, 0)
         try:
             result = align_known_frame(received, pilot=pilot, max_pilot_errors=1)
         except SynchronizationError:

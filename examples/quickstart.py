@@ -17,7 +17,7 @@ import numpy as np
 from repro.anc.pipeline import ReceiveOutcome, ReceivePipeline
 from repro.channel.interference import OverlapModel, superpose
 from repro.channel.link import Link
-from repro.channel.relay import AmplifyAndForwardRelayChannel
+from repro.channel.relay import amplify_and_forward
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
@@ -68,10 +68,12 @@ def main() -> None:
     # 3. The router does not decode; it re-amplifies the interfered
     #    waveform to its power budget and broadcasts it.
     # ------------------------------------------------------------------
-    broadcast = AmplifyAndForwardRelayChannel(transmit_power=1.0).apply(collision)
+    broadcast = amplify_and_forward(collision, transmit_power=1.0)
     downlink_to_alice = Link(attenuation=0.82, phase_shift=2.1,
                              frequency_offset=0.01, noise_power=NOISE_POWER)
-    received_at_alice = downlink_to_alice.propagate(broadcast, rng=rng)
+    received_at_alice = superpose(
+        [(broadcast, downlink_to_alice, 0)], downlink_to_alice.noise_power, rng, 0
+    )
 
     # ------------------------------------------------------------------
     # 4. Alice runs the full receive pipeline: detect the packet, notice

@@ -5,14 +5,18 @@ imperfections an experiment wants on top of the baseline flat channel —
 per-sender carrier frequency offset (§6's exploited imperfection) and
 stochastic Rayleigh/Rician fading (§6's "they do vary with time") — and
 :func:`apply_impairments` stamps them onto every
-:class:`~repro.channel.link.Link` of an already-built topology.  The
-composition order of the resulting per-link stage chain is documented in
+:class:`~repro.channel.link.Link` of an already-built topology, as the
+link's ``sender_cfo`` and ``fading*`` fields.  :meth:`Link.distort
+<repro.channel.link.Link.distort>` applies them in the order documented in
 ``docs/CHANNELS.md``:
 
-1. sender oscillator CFO (:class:`~repro.channel.cfo.CarrierFrequencyOffsetChannel`),
-2. deterministic flat path response (:class:`~repro.channel.flat.FlatFadingChannel`),
-3. stochastic fading (:mod:`repro.channel.fading`),
-4. propagation delay, then receiver noise.
+1. the sender's oscillator ramp (``sender_cfo``),
+2. the deterministic flat path response,
+3. the stochastic fade (:mod:`repro.channel.fading`),
+4. the propagation delay.
+
+Receiver noise comes after, once per receiver, in
+:func:`~repro.channel.interference.superpose`.
 
 Everything defaults to *off*, and a disabled config is a strict no-op: it
 touches no link and consumes **zero** random draws, which is what keeps
@@ -28,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, Sequence
 
 import numpy as np
 
-from repro.channel.fading import FADING_KINDS, FADING_MODES
+from repro.channel.fading import check_fading
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # import at type-check time only: topology imports Link
@@ -54,8 +58,7 @@ class ImpairmentConfig:
         ``+sender_cfo`` down to ``-sender_cfo`` in node-id order, so any
         two distinct radios get *distinct* oscillators — the relative
         offset §6 exploits is never zero for a colliding pair, whatever
-        the topology (see :meth:`sender_offsets`).  ``0`` disables the
-        stage.
+        the topology (see :meth:`sender_offsets`).  ``0`` disables it.
     fading:
         Stochastic fading family applied to every link: ``"none"``,
         ``"rayleigh"`` or ``"rician"``.
@@ -81,18 +84,7 @@ class ImpairmentConfig:
             raise ConfigurationError(
                 "sender_cfo must lie in [0, pi) radians per sample"
             )
-        if self.fading not in FADING_KINDS:
-            raise ConfigurationError(
-                f"unknown fading kind {self.fading!r}; choose from {FADING_KINDS}"
-            )
-        if self.fading_mode not in FADING_MODES:
-            raise ConfigurationError(
-                f"unknown fading mode {self.fading_mode!r}; choose from {FADING_MODES}"
-            )
-        if not 0.0 <= self.fading_doppler < 1.0:
-            raise ConfigurationError("fading_doppler must lie in [0, 1)")
-        if self.fading_mode == "block" and self.fading_doppler != 0.0:
-            raise ConfigurationError("block fading takes no doppler rate")
+        check_fading(self.fading, self.fading_mode, self.fading_doppler, ConfigurationError)
 
     @property
     def enabled(self) -> bool:

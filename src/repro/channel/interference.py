@@ -6,7 +6,10 @@ own noise — this is what a "collision" is at the signal level (§1, §2 of
 the paper).  :func:`superpose` builds that composite waveform; it is the
 one superposition every path uses (the slot protocols through
 :meth:`~repro.network.medium.WirelessMedium.deliver`, the traffic
-simulator and the SIR sweep directly).  The :class:`OverlapModel` draws
+simulator and the SIR sweep directly), and the one place receiver noise
+is drawn — a single transmission over one link is
+``superpose([(signal, link, 0)], link.noise_power, rng, 0)``.  The
+:class:`OverlapModel` draws
 the random start offsets that determine how much of the two packets
 actually overlap, which §11.4 identifies as the main gap between the
 theoretical 2x gain and the measured ~1.7x.

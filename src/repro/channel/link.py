@@ -1,29 +1,24 @@
-"""A directed wireless link between two nodes.
+"""A directed wireless link between two nodes: the whole channel model.
 
-A :class:`Link` bundles the per-hop channel parameters the simulator needs
-when it delivers a transmission from one node to another: amplitude
-attenuation, phase offset, propagation delay and the receiver-side noise
-power.  It can be converted to a :class:`~repro.channel.model.ChannelChain`
-for direct application to a waveform, and exposes the derived quantities
-(power gain, per-hop SNR) used by the capacity analysis.
+A :class:`Link` holds the per-hop channel parameters — attenuation, phase,
+frequency offsets, drift, fading, propagation delay and the receiver's
+noise power — and :meth:`Link.distort` applies them to a waveform.  That
+is the one channel response in the library: the paper's attenuation and
+phase (§5.3) with the slow variation §6 warns about.  Receiver noise is
+not part of it; :func:`~repro.channel.interference.superpose` adds one
+draw per receiver to the sum of everything on the air.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
-from repro.channel.awgn import AWGNChannel
-from repro.channel.cfo import CarrierFrequencyOffsetChannel
-from repro.channel.delay import DelayChannel
-from repro.channel.fading import FADING_KINDS, make_fading_channel
-from repro.channel.flat import FlatFadingChannel
-from repro.channel.model import Channel, ChannelChain
+from repro.channel.fading import check_fading, fading_gains
 from repro.exceptions import ChannelError
+from repro.signal.ops import delay_signal
 from repro.signal.samples import ComplexSignal
-from repro.utils.db import power_ratio_to_db
 
 
 @dataclass
@@ -42,24 +37,24 @@ class Link:
         Noise power added at the *receiver* of this link.
     frequency_offset:
         Residual carrier frequency offset (radians per sample) between the
-        transmitter's and the receiver's oscillators.
-    attenuation_drift, phase_drift:
-        Optional slow drift of the channel coefficient (see
-        :class:`~repro.channel.flat.FlatFadingChannel`).
+        transmitter's and the receiver's oscillators.  It makes the
+        relative phase of two interfering signals sweep over time, which
+        is why the paper's random-phase energy statistics (Eqs. 5-6) hold
+        in practice.
+    phase_drift:
+        Standard deviation (radians) of a per-sample random walk on the
+        path phase (0 disables drift).
     sender_cfo:
-        Additional oscillator offset of the *transmitting* radio (radians
-        per sample), applied as a dedicated
-        :class:`~repro.channel.cfo.CarrierFrequencyOffsetChannel` stage
-        ahead of the path response.  The impairment subsystem
-        (:mod:`repro.channel.impairments`) sets the same value on every
-        outgoing link of a sender — one oscillator per radio.  ``0``
-        (the default) adds no stage, keeping the chain byte-identical to
-        the pre-impairment behaviour.
+        Oscillator offset of the *transmitting* radio (radians per
+        sample), a linear phase ramp applied ahead of the path response.
+        The impairment subsystem (:mod:`repro.channel.impairments`) sets
+        the same value on every outgoing link of a sender — one
+        oscillator per radio.
     fading, fading_k_db, fading_mode, fading_doppler, fading_los_phase:
         Stochastic small-scale fading of this path (see
-        :mod:`repro.channel.fading`): the family (``"none"`` disables the
-        stage entirely), the Rician K-factor in dB, the block/drift time
-        structure, the drift rate, and the Rician LOS phase.
+        :mod:`repro.channel.fading`): the family (``"none"`` disables
+        it), the Rician K-factor in dB, the block/drift time structure,
+        the drift rate, and the Rician LOS phase.
     """
 
     attenuation: float = 1.0
@@ -67,7 +62,6 @@ class Link:
     propagation_delay: int = 0
     noise_power: float = 0.0
     frequency_offset: float = 0.0
-    attenuation_drift: float = 0.0
     phase_drift: float = 0.0
     sender_cfo: float = 0.0
     fading: str = "none"
@@ -84,94 +78,55 @@ class Link:
             raise ChannelError("propagation delay must be non-negative")
         if self.noise_power < 0:
             raise ChannelError("noise power must be non-negative")
-        if self.fading not in FADING_KINDS:
-            raise ChannelError(
-                f"unknown fading kind {self.fading!r}; choose from {FADING_KINDS}"
-            )
-
-    # ------------------------------------------------------------------
-    # Derived quantities
-    # ------------------------------------------------------------------
-    @property
-    def complex_gain(self) -> complex:
-        """Nominal complex coefficient ``h * exp(i gamma)`` of the link."""
-        return self.attenuation * np.exp(1j * self.phase_shift)
+        if self.phase_drift < 0:
+            raise ChannelError("phase_drift must be non-negative")
+        check_fading(self.fading, self.fading_mode, self.fading_doppler, ChannelError)
 
     @property
     def power_gain(self) -> float:
         """Power attenuation ``h^2``."""
         return self.attenuation ** 2
 
-    def received_power(self, transmit_power: float) -> float:
-        """Power observed at the receiver for a given transmit power."""
-        if transmit_power < 0:
-            raise ChannelError("transmit power must be non-negative")
-        return transmit_power * self.power_gain
+    def distort(self, signal: ComplexSignal, rng: np.random.Generator) -> ComplexSignal:
+        """The waveform as it arrives over this link, before receiver noise.
 
-    def snr_db(self, transmit_power: float) -> float:
-        """Per-hop SNR in dB for a given transmit power."""
-        if self.noise_power <= 0:
-            raise ChannelError("SNR is undefined for a noiseless link")
-        return power_ratio_to_db(self.received_power(transmit_power) / self.noise_power)
+        Four steps, in order (``docs/CHANNELS.md``):
 
-    # ------------------------------------------------------------------
-    # Application to waveforms
-    # ------------------------------------------------------------------
-    def to_chain(
-        self,
-        include_noise: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ChannelChain:
-        """Build the channel-stage chain corresponding to this link.
+        1. the sender's oscillator ramp ``exp(i·sender_cfo·n)``;
+        2. the flat path gain: one scalar ``h·exp(iγ)`` when the link has
+           no frequency offset and no drift, else the per-sample
+           ``h·exp(i(γ + frequency_offset·n + drift[n]))``, where the
+           drift is the cumulative sum of one ``normal(0, phase_drift)``
+           draw per sample;
+        3. the fade (:func:`~repro.channel.fading.fading_gains`);
+        4. ``propagation_delay`` leading zeros.
 
-        Composition order (``docs/CHANNELS.md``): sender oscillator CFO,
-        flat path response, stochastic fading, propagation delay, then
-        receiver noise.  The CFO and fading stages only exist when their
-        link fields are active, so a link without impairments builds the
-        exact pre-impairment chain and consumes no extra randomness.
+        A step that is off draws nothing from ``rng``, and steps 1–3 draw
+        nothing for an empty signal.
         """
-        stages: List[Channel] = []
-        if self.sender_cfo != 0.0:
-            stages.append(CarrierFrequencyOffsetChannel(self.sender_cfo))
-        stages.append(
-            FlatFadingChannel(
-                attenuation=self.attenuation,
-                phase_shift=self.phase_shift,
-                frequency_offset=self.frequency_offset,
-                attenuation_drift=self.attenuation_drift,
-                phase_drift=self.phase_drift,
-                rng=rng,
-            )
-        )
-        fading_stage = make_fading_channel(
-            self.fading,
-            k_db=self.fading_k_db,
-            los_phase=self.fading_los_phase,
-            mode=self.fading_mode,
-            doppler=self.fading_doppler,
-            rng=rng,
-        )
-        if fading_stage is not None:
-            stages.append(fading_stage)
-        stages.append(DelayChannel(self.propagation_delay))
-        if include_noise and self.noise_power > 0:
-            stages.append(AWGNChannel(self.noise_power, rng=rng))
-        return ChannelChain(stages)
-
-    def propagate(
-        self,
-        signal: ComplexSignal,
-        include_noise: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> ComplexSignal:
-        """Apply the link's distortion (and optionally noise) to a waveform."""
-        return self.to_chain(include_noise=include_noise, rng=rng).apply(signal)
-
-    def distort(self, signal: ComplexSignal, rng: Optional[np.random.Generator] = None) -> ComplexSignal:
-        """Apply only the deterministic distortion (no receiver noise).
-
-        The medium model uses this when it superposes several concurrent
-        transmissions: each is distorted by its own link, the sum is formed,
-        and a single noise realisation is added at the receiver.
-        """
-        return self.propagate(signal, include_noise=False, rng=rng)
+        samples = signal.samples
+        if samples.size:
+            index = np.arange(samples.size)
+            if self.sender_cfo != 0.0:
+                samples = samples * np.exp(1j * (self.sender_cfo * index))
+            if self.phase_drift == 0.0 and self.frequency_offset == 0.0:
+                samples = samples * (self.attenuation * np.exp(1j * self.phase_shift))
+            else:
+                phase = self.phase_shift + self.frequency_offset * index
+                if self.phase_drift > 0.0:
+                    phase = phase + np.cumsum(rng.normal(0.0, self.phase_drift, samples.size))
+                samples = samples * (self.attenuation * np.exp(1j * phase))
+            if self.fading != "none":
+                samples = samples * fading_gains(
+                    self.fading,
+                    self.fading_k_db,
+                    self.fading_los_phase,
+                    self.fading_mode,
+                    self.fading_doppler,
+                    samples.size,
+                    rng,
+                )
+            signal = ComplexSignal._adopt(samples)
+        if self.propagation_delay == 0:
+            return signal
+        return delay_signal(signal, self.propagation_delay)

@@ -1,64 +1,37 @@
-"""Amplify-and-forward relay behaviour as a channel stage.
+"""Amplify-and-forward: the router's rebroadcast of a received waveform.
 
 In the Alice–Bob and "X" topologies the router does not decode the
 interfered signal; it simply re-amplifies the received waveform (including
 the noise it received with it) to its own power budget and rebroadcasts it
-(§7.5, §8).  This stage models exactly that: the amplification factor is
-chosen so the *output* power equals the relay's transmit power, matching
-the constraint ``A = sqrt(P / (P h_AR^2 + P h_BR^2 + 1))`` used in the
-capacity analysis.
+(§7.5, §8).  :func:`amplify_and_forward` models exactly that: the
+amplification factor is chosen so the *output* power equals the relay's
+transmit power, matching the constraint
+``A = sqrt(P / (P h_AR^2 + P h_BR^2 + 1))`` used in the capacity analysis.
 """
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from repro.channel.model import Channel
 from repro.exceptions import ChannelError
 from repro.signal.samples import ComplexSignal
 
 
-class AmplifyAndForwardRelayChannel(Channel):
-    """Rescale a received waveform to the relay's transmit power budget.
+def amplify_and_forward(signal: ComplexSignal, transmit_power: float) -> ComplexSignal:
+    """Rescale a received waveform to the relay's power budget ``transmit_power``.
 
-    Parameters
-    ----------
-    transmit_power:
-        The relay's output power budget ``P`` (linear units).
-    measure_over_active_samples:
-        When ``True`` (default) the scaling factor is computed from the
-        samples whose energy is above 10 % of the peak, so long stretches
-        of leading / trailing silence in a partially-overlapped collision
-        do not inflate the amplification factor.
+    The power is measured over the samples whose energy is above 10 % of
+    the peak, so long stretches of leading / trailing silence in a
+    partially-overlapped collision do not inflate the amplification.
     """
-
-    def __init__(self, transmit_power: float, measure_over_active_samples: bool = True) -> None:
-        """See the class docstring for the parameter semantics."""
-        if transmit_power <= 0:
-            raise ChannelError("relay transmit power must be positive")
-        self.transmit_power = float(transmit_power)
-        self.measure_over_active_samples = bool(measure_over_active_samples)
-
-    def amplification_factor(self, signal: ComplexSignal) -> float:
-        """Linear amplitude gain the relay applies to this waveform."""
-        samples = signal.samples
-        if samples.size == 0:
-            raise ChannelError("cannot amplify an empty signal")
-        energy = np.abs(samples) ** 2
-        if self.measure_over_active_samples:
-            peak = float(np.max(energy))
-            if peak == 0.0:
-                raise ChannelError("cannot amplify an all-zero signal")
-            active = energy[energy > 0.1 * peak]
-            measured_power = float(np.mean(active))
-        else:
-            measured_power = float(np.mean(energy))
-        if measured_power == 0.0:
-            raise ChannelError("cannot amplify an all-zero signal")
-        return float(np.sqrt(self.transmit_power / measured_power))
-
-    def apply(self, signal: ComplexSignal) -> ComplexSignal:
-        """Rescale the waveform to the relay's transmit power budget."""
-        factor = self.amplification_factor(signal)
-        return signal.scaled(factor)
+    if transmit_power <= 0:
+        raise ChannelError("relay transmit power must be positive")
+    samples = signal.samples
+    if samples.size == 0:
+        raise ChannelError("cannot amplify an empty signal")
+    energy = np.abs(samples) ** 2
+    peak = float(np.max(energy))
+    if peak == 0.0:
+        raise ChannelError("cannot amplify an all-zero signal")
+    measured_power = float(np.mean(energy[energy > 0.1 * peak]))
+    return signal.scaled(float(np.sqrt(transmit_power / measured_power)))

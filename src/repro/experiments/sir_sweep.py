@@ -23,7 +23,7 @@ import numpy as np
 from repro.channel.impairments import impair_link
 from repro.channel.interference import OverlapModel, superpose
 from repro.channel.link import Link
-from repro.channel.relay import AmplifyAndForwardRelayChannel
+from repro.channel.relay import amplify_and_forward
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
 from repro.framing.buffer import SentPacketBuffer
@@ -113,8 +113,7 @@ def run_sir_point_trial(
             rng,
             max(len(alice_wave), offset + len(bob_wave)) + 32,
         )
-        relay = AmplifyAndForwardRelayChannel(transmit_power=1.0)
-        broadcast = relay.apply(collision)
+        broadcast = amplify_and_forward(collision, transmit_power=1.0)
         downlink = Link(
             attenuation=0.8,
             phase_shift=float(rng.uniform(-np.pi, np.pi)),
@@ -128,7 +127,7 @@ def run_sir_point_trial(
                 cfg.impairments,
                 rng,
             )
-        received = downlink.propagate(broadcast, rng=rng)
+        received = superpose([(broadcast, downlink, 0)], downlink.noise_power, rng, 0)
 
         buffer = SentPacketBuffer()
         buffer.store(alice_frame)

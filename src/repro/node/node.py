@@ -10,9 +10,10 @@ A node bundles everything one radio needs:
 * a :class:`~repro.anc.pipeline.ReceivePipeline` for the receive path
   (Fig. 8, right), sharing that buffer.
 
-Every node's transmit path shares one bounded memo of the frames already
-put on the air, so a retry or a forward of the same packet is not framed
-and modulated again.
+Every node shares one bounded memo of the frames already put on the air,
+so a retry or a forward of the same packet is not framed and modulated
+again, and the copy a node keeps of an overheard packet is not framed
+again either.
 
 The node is deliberately passive: *when* it transmits is decided by the
 protocol / scheduler driving the simulation, mirroring how the paper
@@ -138,8 +139,27 @@ class Node:
         A packet that any node already put on the air with the same content
         and the same pilot, scrambler and modulator settings is not framed
         and modulated again while it is still in the :func:`_on_air` LRU.
-        The frame is remembered either way.
+        The frame is remembered either way.  A relay forwards a packet
+        originated elsewhere the same way: the copy keeps its addressing
+        fields, and remembering its frame is what lets the relay cancel it
+        later (chain topology).
         """
+        frame, waveform = self._framed(packet)
+        self.known_frames.store(frame)
+        return waveform
+
+    def remember_packet(self, packet: Packet) -> Frame:
+        """Store the frame of a packet this node knows about without transmitting.
+
+        The packet was overheard or decoded, so it was just on the air and
+        the :func:`_on_air` LRU usually holds its frame.
+        """
+        frame, _ = self._framed(packet)
+        self.known_frames.store(frame)
+        return frame
+
+    def _framed(self, packet: Packet) -> Tuple[Frame, ComplexSignal]:
+        """The frame and waveform this node puts ``packet`` on the air as."""
         modulator = self.modulator
         bits, layout, waveform = _on_air(
             self.framer.pilot,
@@ -152,29 +172,7 @@ class Node:
             packet.sequence,
             packet.payload.tobytes(),
         )
-        frame = Frame(packet=packet, bits=bits, layout=layout)
-        self.known_frames.store(frame)
-        return waveform
-
-    def forward(self, packet: Packet) -> ComplexSignal:
-        """Transmit a packet originated elsewhere (routing).
-
-        The forwarded copy keeps the original addressing fields, so any
-        downstream node that overhears or previously saw the packet can
-        still identify it; the forwarding node also remembers the frame,
-        which is what lets it cancel that frame later (chain topology).
-        """
-        return self.transmit(packet)
-
-    def overhear(self, frame: Frame) -> None:
-        """Store a frame decoded while snooping, for later cancellation (§11.5)."""
-        self.known_frames.store(frame)
-
-    def remember_packet(self, packet: Packet) -> Frame:
-        """Store the frame of a packet this node knows about without transmitting."""
-        frame = self.framer.build(packet)
-        self.known_frames.store(frame)
-        return frame
+        return Frame(packet=packet, bits=bits, layout=layout), waveform
 
     # ------------------------------------------------------------------
     # Receive path

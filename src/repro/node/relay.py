@@ -10,22 +10,13 @@ decoded directly at the node that first hears it (§11.6).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.channel.relay import AmplifyAndForwardRelayChannel
-from repro.node.node import Node, NodeConfig
+from repro.channel.relay import amplify_and_forward
+from repro.node.node import Node
 from repro.signal.samples import ComplexSignal
 
 
 class RelayNode(Node):
     """A node that can rebroadcast received waveforms at its own power."""
-
-    def __init__(self, node_id: int, config: Optional[NodeConfig] = None) -> None:
-        """Create the node plus its amplify-and-forward output stage."""
-        super().__init__(node_id, config)
-        self._relay_channel = AmplifyAndForwardRelayChannel(
-            transmit_power=self.config.tx_amplitude ** 2
-        )
 
     def amplify_and_forward(self, waveform: ComplexSignal) -> ComplexSignal:
         """Rescale a received waveform to this node's transmit power budget.
@@ -33,4 +24,4 @@ class RelayNode(Node):
         The returned waveform (including the relay's received noise) is
         what the relay broadcasts in the next slot.
         """
-        return self._relay_channel.apply(waveform)
+        return amplify_and_forward(waveform, self.config.tx_amplitude ** 2)

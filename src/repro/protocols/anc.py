@@ -50,6 +50,7 @@ from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
 from repro.protocols.scheduled import ChainPipelineProtocol
+from repro.utils.bits import decoded_ber
 
 
 def default_min_offset(margin_bits: int = 24) -> int:
@@ -201,7 +202,7 @@ class ANCRelayProtocol(ProtocolRun):
         outcome = node.receive(waveform)
         if outcome.packet is None or outcome.packet.identity != truth.identity:
             return False
-        ber = self.packet_ber(outcome.packet, truth)
+        ber = decoded_ber(truth.payload, outcome.packet.payload)
         if not self.counts_as_delivered(ber, outcome.crc_ok):
             return False
         # Within FEC reach: the corrected copy is the original packet, and
@@ -227,7 +228,7 @@ class ANCRelayProtocol(ProtocolRun):
             result.packets_lost += 1
             result.packet_bers.append(0.5)
             return
-        ber = self.packet_ber(outcome.packet, truth)
+        ber = decoded_ber(truth.payload, outcome.packet.payload)
         result.packet_bers.append(ber)
         if self.counts_as_delivered(ber, outcome.crc_ok):
             result.packets_delivered += 1

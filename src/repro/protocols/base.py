@@ -18,11 +18,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.framing.packet import Packet
 from repro.network.topology import Topology
 from repro.node.node import Node, NodeConfig
 from repro.node.relay import RelayNode
-from repro.utils.bits import bit_error_rate
 
 
 @dataclass
@@ -164,12 +162,6 @@ class ProtocolRun:
     # ------------------------------------------------------------------
     # Delivery accounting helpers
     # ------------------------------------------------------------------
-    def packet_ber(self, decoded: Optional[Packet], truth: Packet) -> float:
-        """Per-packet payload BER; a missing or mis-sized decode counts as 0.5."""
-        if decoded is None or decoded.payload.size != truth.payload.size:
-            return 0.5
-        return bit_error_rate(truth.payload, decoded.payload)
-
     def counts_as_delivered(self, ber: float, crc_ok: bool) -> bool:
         """Is a decoded packet considered delivered?
 

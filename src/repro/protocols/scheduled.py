@@ -31,6 +31,7 @@ from repro.mac.planner import ChainPipelinePlan, PhaseTemplate, plan_chain_pipel
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
+from repro.utils.bits import decoded_ber
 
 
 def chain_min_offset() -> int:
@@ -197,7 +198,7 @@ class ChainPipelineProtocol(ProtocolRun):
                 waveforms.append(self.nodes[plan.node_at(1)].transmit(packet))
             else:
                 packet = held[position]
-                waveforms.append(self.nodes[plan.node_at(position)].forward(packet))
+                waveforms.append(self.nodes[plan.node_at(position)].transmit(packet))
             outgoing[position] = packet
 
         frame_samples = len(waveforms[0])
@@ -239,7 +240,10 @@ class ChainPipelineProtocol(ProtocolRun):
                 # Deliberate-collision receiver: ANC decode, judged against
                 # the truth with the FEC acceptance; the repaired (original)
                 # payload is what travels on.
-                ber = self.packet_ber(receive.packet, truth)
+                ber = decoded_ber(
+                    truth.payload,
+                    receive.packet.payload if receive.packet is not None else None,
+                )
                 if receive.interfered:
                     result.packet_bers.append(ber)
                 if receive.packet is not None and self.counts_as_delivered(

@@ -15,7 +15,7 @@ from repro.signal.energy import (
     energy_variance,
     peak_power,
 )
-from repro.signal.noise import awgn, complex_gaussian_noise, noise_power_for_snr
+from repro.signal.noise import complex_gaussian_noise
 from repro.signal.ops import (
     add_signals,
     delay_signal,
@@ -30,11 +30,9 @@ __all__ = [
     "InterferenceDetector",
     "add_signals",
     "average_power",
-    "awgn",
     "complex_gaussian_noise",
     "delay_signal",
     "energy_variance",
-    "noise_power_for_snr",
     "normalize_power",
     "overlap_add",
     "peak_power",

@@ -8,15 +8,11 @@ each of the real and imaginary components has variance ``noise_power / 2``.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ChannelError
-from repro.signal.samples import ComplexSignal
-from repro.utils.db import db_to_power_ratio
-
-SignalLike = Union[ComplexSignal, np.ndarray]
 
 
 def complex_gaussian_noise(
@@ -34,21 +30,3 @@ def complex_gaussian_noise(
     generator = rng if rng is not None else np.random.default_rng()
     sigma = np.sqrt(noise_power / 2.0)
     return generator.normal(0.0, sigma, length) + 1j * generator.normal(0.0, sigma, length)
-
-
-def awgn(
-    signal: SignalLike,
-    noise_power: float,
-    rng: Optional[np.random.Generator] = None,
-) -> ComplexSignal:
-    """Add complex AWGN of the given power to a signal."""
-    samples = signal.samples if isinstance(signal, ComplexSignal) else np.asarray(signal)
-    noisy = samples + complex_gaussian_noise(samples.size, noise_power, rng)
-    return ComplexSignal(noisy)
-
-
-def noise_power_for_snr(signal_power: float, snr_db: float) -> float:
-    """Noise power that yields the requested SNR for a given signal power."""
-    if signal_power <= 0:
-        raise ChannelError("signal power must be positive")
-    return signal_power / db_to_power_ratio(snr_db)

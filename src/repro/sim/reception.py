@@ -35,7 +35,6 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.framing.frame import Deframer, DeframeResult
 from repro.modulation.msk import MSKDemodulator
 from repro.signal.samples import ComplexSignal
-from repro.utils.bits import bit_error_rate
 
 __all__ = [
     "DecodeService",
@@ -259,11 +258,3 @@ class DecodeService:
             window = composite.slice(int(start), int(start) + int(frame_samples))
             results.append(self.deframer.parse(self._demodulator.demodulate(window)))
         return results
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def payload_ber(decoded: Optional[np.ndarray], truth: np.ndarray) -> float:
-        """Payload BER against the ground truth; a missing decode is 0.5."""
-        if decoded is None or decoded.size != truth.size:
-            return 0.5
-        return float(bit_error_rate(truth, decoded))

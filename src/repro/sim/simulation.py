@@ -62,7 +62,7 @@ from repro.sim.reception import (
     classify_reception,
 )
 from repro.sim.traffic import TRAFFIC_MODELS, make_arrival_process
-from repro.utils.bits import bit_error_rate
+from repro.utils.bits import decoded_ber
 
 __all__ = ["SCHEMES", "SimParams", "SimReport", "TrafficSimulation"]
 
@@ -574,7 +574,7 @@ class TrafficSimulation:
         else:
             self._begin_tx(
                 RELAY,
-                relay.forward(job["packet"]),
+                relay.transmit(job["packet"]),
                 kind="data",
                 meta=dict(job, origin=RELAY),
             )
@@ -886,8 +886,8 @@ class TrafficSimulation:
             self._account_cope_coded(receiver, tx, parsed, handled)
             return
         truth: Packet = tx.meta["packet"]
-        ber = self.decoder.payload_ber(
-            parsed.packet.payload if parsed.packet is not None else None, truth.payload
+        ber = decoded_ber(
+            truth.payload, parsed.packet.payload if parsed.packet is not None else None
         )
         ok = parsed.payload_crc_ok or ber <= self.params.ber_acceptance
         if tx.meta.get("dst") == receiver and tx.sender == RELAY:
@@ -930,7 +930,7 @@ class TrafficSimulation:
         truth: Packet = truth_entry["packet"]
         result = self.nodes[receiver].receive(composite)
         decoded = result.packet.payload if result.packet is not None else None
-        ber = self.decoder.payload_ber(decoded, truth.payload)
+        ber = decoded_ber(truth.payload, decoded)
         self.report.bers.append(ber)
         if result.crc_ok or ber <= self.params.ber_acceptance:
             self._account_delivery(truth, truth_entry["arrival"])
@@ -948,11 +948,10 @@ class TrafficSimulation:
         truth: Packet = entry["packet"]
         other = tx.meta["pair"][self._other_endpoint(receiver)]
         side_payload = other["packet"].payload
-        if parsed.packet is None or parsed.packet.payload.size != side_payload.size:
-            ber = 0.5
-        else:
+        recovered = None
+        if parsed.packet is not None and parsed.packet.payload.size == side_payload.size:
             recovered = np.bitwise_xor(parsed.packet.payload, side_payload).astype(np.uint8)
-            ber = float(bit_error_rate(truth.payload, recovered))
+        ber = decoded_ber(truth.payload, recovered)
         self.report.bers.append(ber)
         if (parsed.payload_crc_ok and parsed.packet is not None) or ber <= self.params.ber_acceptance:
             self._account_delivery(truth, entry["arrival"])

@@ -124,3 +124,14 @@ def bit_error_rate(reference: BitsLike, received: BitsLike) -> float:
     if arr.size == 0:
         return 0.0
     return hamming_distance(reference, received) / float(arr.size)
+
+
+def decoded_ber(reference: np.ndarray, decoded: Optional[np.ndarray]) -> float:
+    """BER of a decode against the truth; a missing or mis-sized decode counts as 0.5.
+
+    0.5 is what guessing every bit would score, so a lost packet weighs in
+    a BER average as a useless one.
+    """
+    if decoded is None or decoded.size != reference.size:
+        return 0.5
+    return bit_error_rate(reference, decoded)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.anc.alignment import align_known_frame
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.exceptions import SynchronizationError
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
 from repro.modulation.msk import MSKModulator
-from repro.signal.noise import awgn
-from repro.signal.samples import ComplexSignal
 
 
 def _frame_waveform(seed=0, payload=128, amplitude=1.0):
@@ -26,24 +25,26 @@ class TestAlignKnownFrame:
         frame, wave = _frame_waveform()
         rng = np.random.default_rng(1)
         padded = wave.padded(23, 10)
-        noisy = awgn(padded, 1e-4, rng)
+        noisy = superpose([(padded, Link(), 0)], 1e-4, rng, 0)
         result = align_known_frame(noisy)
         assert result.frame_start_sample == 23
 
     def test_frame_at_origin(self):
         frame, wave = _frame_waveform(seed=2)
-        result = align_known_frame(awgn(wave, 1e-4, np.random.default_rng(2)))
+        noisy = superpose([(wave, Link(), 0)], 1e-4, np.random.default_rng(2), 0)
+        result = align_known_frame(noisy)
         assert result.frame_start_sample == 0
 
     def test_raises_when_pilot_missing(self):
         rng = np.random.default_rng(3)
-        noise_only = awgn(ComplexSignal.silence(400), 1e-3, rng)
+        noise_only = superpose([], 1e-3, rng, 400)
         with pytest.raises(SynchronizationError):
             align_known_frame(noise_only)
 
     def test_channel_distortion_tolerated(self):
         frame, wave = _frame_waveform(seed=4)
         link = Link(attenuation=0.6, phase_shift=1.9, frequency_offset=0.02, noise_power=1e-4)
-        received = link.propagate(wave.padded(15, 0), rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        received = superpose([(wave.padded(15, 0), link, 0)], link.noise_power, rng, 0)
         assert align_known_frame(received).frame_start_sample == 15
 

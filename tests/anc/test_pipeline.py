@@ -5,12 +5,11 @@ import numpy as np
 from repro.anc.pipeline import PAYLOAD_CRC_FAILURE, ReceiveOutcome, ReceivePipeline
 from repro.channel.interference import superpose
 from repro.channel.link import Link
-from repro.channel.relay import AmplifyAndForwardRelayChannel
+from repro.channel.relay import amplify_and_forward
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
 from repro.modulation.msk import MSKModulator
-from repro.signal.noise import awgn
 from repro.signal.samples import ComplexSignal
 
 NOISE = 1e-3
@@ -24,6 +23,11 @@ def _framed(seed, src, dst, seq):
     frame = framer.build(packet)
     wave = MSKModulator(amplitude=1.0).modulate(frame.bits)
     return packet, frame, wave
+
+
+def _heard(signal, link, seed):
+    """``signal`` as received over ``link``, noise included."""
+    return superpose([(signal, link, 0)], link.noise_power, np.random.default_rng(seed), 0)
 
 
 def _corrupted_payload(frame):
@@ -53,7 +57,7 @@ class TestCleanPath:
     def test_clean_packet_decoded(self):
         packet, frame, wave = _framed(0, 1, 2, 5)
         link = Link(attenuation=0.8, phase_shift=0.4, frequency_offset=0.02, noise_power=NOISE)
-        received = link.propagate(wave.padded(20, 20), rng=np.random.default_rng(0))
+        received = _heard(wave.padded(20, 20), link, 0)
         result = _pipeline().receive(received)
         assert result.outcome == ReceiveOutcome.CLEAN_DECODED
         assert result.delivered
@@ -63,9 +67,7 @@ class TestCleanPath:
     def test_payload_crc_failure_has_a_reason(self):
         packet, frame, _ = _framed(16, 1, 2, 23)
         link = Link(attenuation=0.8, phase_shift=0.4, noise_power=NOISE)
-        received = link.propagate(
-            _corrupted_payload(frame).padded(20, 20), rng=np.random.default_rng(16)
-        )
+        received = _heard(_corrupted_payload(frame).padded(20, 20), link, 16)
         result = _pipeline().receive(received)
         assert result.outcome == ReceiveOutcome.CLEAN_DECODED
         assert result.packet.identity == packet.identity
@@ -75,12 +77,12 @@ class TestCleanPath:
     def test_delivered_packet_has_no_failure_reason(self):
         _, _, wave = _framed(0, 1, 2, 5)
         link = Link(attenuation=0.8, phase_shift=0.4, noise_power=NOISE)
-        result = _pipeline().receive(link.propagate(wave.padded(20, 20), rng=np.random.default_rng(0)))
+        result = _pipeline().receive(_heard(wave.padded(20, 20), link, 0))
         assert result.delivered
         assert result.failure_reason == ""
 
     def test_noise_only_gives_no_signal(self):
-        noise = awgn(ComplexSignal.silence(600), NOISE, np.random.default_rng(1))
+        noise = superpose([], NOISE, np.random.default_rng(1), 600)
         result = _pipeline().receive(noise)
         assert result.outcome == ReceiveOutcome.NO_SIGNAL
 
@@ -141,9 +143,9 @@ class TestInterferedPath:
         packet_a, frame_a, wave_a = _framed(10, 1, 2, 17)
         packet_b, frame_b, wave_b = _framed(11, 2, 1, 18)
         collision = _collision(wave_a, wave_b, offset=160, seed=10)
-        broadcast = AmplifyAndForwardRelayChannel(transmit_power=1.0).apply(collision)
+        broadcast = amplify_and_forward(collision, transmit_power=1.0)
         downlink = Link(attenuation=0.85, phase_shift=-0.7, frequency_offset=0.01, noise_power=NOISE)
-        received = downlink.propagate(broadcast, rng=np.random.default_rng(10))
+        received = _heard(broadcast, downlink, 10)
         buffer = SentPacketBuffer()
         buffer.store(frame_a)
         result = _pipeline(buffer).receive(received)

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.channel.awgn import AWGNChannel
-from repro.channel.cfo import CarrierFrequencyOffsetChannel
-from repro.channel.delay import DelayChannel
-from repro.channel.fading import RayleighFadingChannel, RicianFadingChannel
-from repro.channel.flat import FlatFadingChannel
 from repro.channel.impairments import ImpairmentConfig, apply_impairments
-from repro.channel.link import Link
-from repro.exceptions import ChannelError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
 from repro.network.topologies import alice_bob_topology
@@ -140,55 +134,6 @@ class TestApplyImpairments:
             )
         assert phases[0] == phases[1]
         assert len(set(phases[0])) > 1, "per-link LOS phases should differ"
-
-
-class TestLinkComposition:
-    def test_default_link_chain_is_the_preimpairment_chain(self):
-        link = Link(attenuation=0.8, noise_power=0.01)
-        stages = link.to_chain(rng=np.random.default_rng(0)).stages
-        assert [type(s) for s in stages] == [
-            FlatFadingChannel,
-            DelayChannel,
-            AWGNChannel,
-        ]
-
-    def test_impaired_link_chain_orders_stages_as_documented(self):
-        link = Link(
-            attenuation=0.8,
-            noise_power=0.01,
-            sender_cfo=0.03,
-            fading="rician",
-            fading_k_db=5.0,
-            fading_los_phase=0.2,
-        )
-        stages = link.to_chain(rng=np.random.default_rng(0)).stages
-        assert [type(s) for s in stages] == [
-            CarrierFrequencyOffsetChannel,
-            FlatFadingChannel,
-            RicianFadingChannel,
-            DelayChannel,
-            AWGNChannel,
-        ]
-        assert stages[0].frequency_offset == 0.03
-        assert stages[2].k_db == 5.0
-
-    def test_rayleigh_link_builds_rayleigh_stage(self):
-        link = Link(attenuation=0.8, fading="rayleigh")
-        stages = link.to_chain(rng=np.random.default_rng(0)).stages
-        assert any(isinstance(s, RayleighFadingChannel) for s in stages)
-
-    def test_link_rejects_unknown_fading(self):
-        with pytest.raises(ChannelError):
-            Link(attenuation=0.8, fading="weibull")
-
-    def test_propagation_with_fading_is_seeded(self):
-        link = Link(attenuation=0.8, fading="rayleigh", noise_power=0.0)
-        from repro.signal.samples import ComplexSignal
-
-        signal = ComplexSignal(np.ones(16, dtype=np.complex128))
-        first = link.propagate(signal, rng=np.random.default_rng(9))
-        second = link.propagate(signal, rng=np.random.default_rng(9))
-        assert np.array_equal(first.samples, second.samples)
 
 
 class TestExperimentConfigSnapshot:

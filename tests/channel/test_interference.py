@@ -59,15 +59,15 @@ class TestSuperpose:
         link_b = Link(attenuation=0.6, phase_shift=-1.0)
         composite = superpose([(a, link_a, 0), (b, link_b, 30)], 0.0, _rng(), 0)
         manual = np.zeros(30 + len(b), dtype=complex)
-        manual[: len(a)] += link_a.distort(a).samples
-        manual[30 : 30 + len(b)] += link_b.distort(b).samples
+        manual[: len(a)] += link_a.distort(a, _rng()).samples
+        manual[30 : 30 + len(b)] += link_b.distort(b, _rng()).samples
         assert np.allclose(composite.samples, manual)
 
     def test_single_component_is_its_distorted_signal(self):
         a = _burst(4)
         link = Link(attenuation=0.4, phase_shift=1.1)
         composite = superpose([(a, link, 0)], 0.0, _rng(), 0)
-        assert np.allclose(composite.samples, link.distort(a).samples)
+        assert np.allclose(composite.samples, link.distort(a, _rng()).samples)
 
     def test_component_past_the_requested_length_extends_the_composite(self):
         a = _burst(15, n=20)

@@ -151,7 +151,7 @@ class TestChainPipeline:
         # N2 previously forwarded packet P to N3, so it knows P.
         old_packet = n1.make_packet(4, rng)
         n2.remember_packet(old_packet)
-        forwarded_wave = n3.forward(old_packet)
+        forwarded_wave = n3.transmit(old_packet)
         new_packet = n1.make_packet(4, rng)
         new_wave = n1.transmit(new_packet)
 

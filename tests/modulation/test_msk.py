@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.flat import FlatFadingChannel
+from repro.channel.link import Link
 from repro.exceptions import ConfigurationError
 from repro.modulation.msk import (
     MSKDemodulator,
@@ -120,16 +120,15 @@ class TestDemodulator:
         """Eq. 1: demodulation is invariant to channel gain and phase offset."""
         bits = random_bits(256, np.random.default_rng(2))
         sig = MSKModulator().modulate(bits)
-        channel = FlatFadingChannel(attenuation=0.3, phase_shift=2.1)
-        received = channel.apply(sig)
+        received = Link(attenuation=0.3, phase_shift=2.1).distort(sig, np.random.default_rng(0))
         decoded = MSKDemodulator().demodulate(received)
         assert np.array_equal(decoded, bits)
 
     def test_roundtrip_with_small_cfo(self):
         bits = random_bits(256, np.random.default_rng(3))
         sig = MSKModulator().modulate(bits)
-        channel = FlatFadingChannel(attenuation=1.0, frequency_offset=0.05)
-        decoded = MSKDemodulator().demodulate(channel.apply(sig))
+        received = Link(frequency_offset=0.05).distort(sig, np.random.default_rng(0))
+        decoded = MSKDemodulator().demodulate(received)
         assert np.array_equal(decoded, bits)
 
     def test_oversampled_roundtrip(self):

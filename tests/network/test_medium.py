@@ -39,7 +39,7 @@ class TestWirelessMedium:
         wave = _burst()
         out = medium.deliver([Transmission(sender=1, waveform=wave)])
         received = out[2]
-        expected = topo.link(1, 2).distort(wave)
+        expected = topo.link(1, 2).distort(wave, np.random.default_rng(0))
         assert np.allclose(received.samples[: len(expected)], expected.samples)
 
     def test_out_of_range_receiver_hears_only_noise(self):
@@ -66,8 +66,9 @@ class TestWirelessMedium:
         )
         at_2 = out[2].samples
         manual = np.zeros_like(at_2)
-        manual[: len(wave_a)] += topo.link(1, 2).distort(wave_a).samples
-        manual[10 : 10 + len(wave_b)] += topo.link(3, 2).distort(wave_b).samples
+        rng = np.random.default_rng(0)
+        manual[: len(wave_a)] += topo.link(1, 2).distort(wave_a, rng).samples
+        manual[10 : 10 + len(wave_b)] += topo.link(3, 2).distort(wave_b, rng).samples
         assert np.allclose(at_2, manual)
 
     def test_receivers_filter(self):

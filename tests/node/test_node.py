@@ -1,8 +1,10 @@
 """Tests for the basic Node abstraction."""
 
+import numpy as np
 import pytest
 
 from repro.anc.pipeline import ReceiveOutcome
+from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.exceptions import ConfigurationError
 from repro.node.node import Node, NodeConfig
@@ -52,16 +54,14 @@ class TestNode:
         wave = node.transmit(packet)
         assert len(wave) == node.frame_samples
 
-    def test_overhear_and_remember(self, rng):
+    def test_remember_packet_stores_its_frame(self, rng):
         node = Node(5, NodeConfig(payload_bits=64))
-        other = Node(1, NodeConfig(payload_bits=64))
-        packet = other.make_packet(9, rng)
-        frame = other.remember_packet(packet)
-        node.overhear(frame)
+        packet = Node(1, NodeConfig(payload_bits=64)).make_packet(9, rng)
+        frame = node.remember_packet(packet)
         assert node.known_frames.contains_header(frame.header)
-        node.known_frames.clear()
-        node.remember_packet(packet)
         assert node.known_frames.lookup(*packet.identity) is not None
+        assert frame.packet is packet
+        assert np.array_equal(frame.bits, node.framer.build(packet).bits)
 
     def test_receive_clean_packet(self, rng):
         sender = Node(1, NodeConfig(payload_bits=64, noise_power=1e-3))
@@ -69,7 +69,7 @@ class TestNode:
         packet = sender.make_packet(2, rng)
         wave = sender.transmit(packet)
         link = Link(attenuation=0.8, phase_shift=0.3, noise_power=1e-3)
-        result = receiver.receive(link.propagate(wave, rng=rng))
+        result = receiver.receive(superpose([(wave, link, 0)], link.noise_power, rng, 0))
         assert result.outcome == ReceiveOutcome.CLEAN_DECODED
         assert packet.identity in receiver.delivered
 
@@ -79,7 +79,7 @@ class TestNode:
         packet = sender.make_packet(2, rng)
         wave = sender.transmit(packet)
         link = Link(attenuation=0.8, noise_power=1e-3)
-        result = receiver.receive(link.propagate(wave, rng=rng))
+        result = receiver.receive(superpose([(wave, link, 0)], link.noise_power, rng, 0))
         assert result.delivered
         assert packet.identity not in receiver.delivered
 
@@ -87,7 +87,7 @@ class TestNode:
         origin = Node(1, NodeConfig(payload_bits=64))
         router = Node(2, NodeConfig(payload_bits=64))
         packet = origin.make_packet(4, rng)
-        router.forward(packet)
+        router.transmit(packet)
         stored = router.known_frames.lookup(*packet.identity)
         assert stored is not None
         assert stored.packet.source == 1

@@ -32,7 +32,7 @@ class TestRelayNode:
         alice = Node(1, _config())
         relay = RelayNode(0, _config())
         wave = alice.transmit(alice.make_packet(2, rng))
-        attenuated = Link(attenuation=0.3).distort(wave)
+        attenuated = Link(attenuation=0.3).distort(wave, rng)
         rebroadcast = relay.amplify_and_forward(attenuated)
         assert rebroadcast.average_power == pytest.approx(1.0, rel=0.05)
 

@@ -84,9 +84,21 @@ class TestHitsAndMisses:
         relay = Node(0, NodeConfig(payload_bits=PAYLOAD))
         packet = packet_with(3)
         sent = sender.transmit(packet)
-        assert relay.forward(packet) is sent
+        assert relay.transmit(packet) is sent
         assert len(build_calls) == 1
         assert relay.known_frames.lookup(*packet.identity).packet is packet
+
+    def test_remember_packet_is_served_by_the_memo(self, build_calls):
+        sender = Node(1, NodeConfig(payload_bits=PAYLOAD))
+        overhearer = Node(3, NodeConfig(payload_bits=PAYLOAD))
+        packet = packet_with(4)
+        sender.transmit(packet)
+        decoded = Packet(packet.source, packet.destination, packet.sequence, packet.payload)
+        frame = overhearer.remember_packet(decoded)
+        assert len(build_calls) == 1
+        assert frame.packet is decoded
+        assert np.array_equal(frame.bits, Framer().build(packet).bits)
+        assert overhearer.known_frames.lookup(*packet.identity) is frame
 
     def test_eviction_drops_the_least_recently_used(self, build_calls):
         # A retry skips framing only while its packet is among the 64 most

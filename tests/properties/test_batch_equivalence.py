@@ -20,8 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anc.decoder import InterferenceDecoder
-from repro.channel.cfo import CarrierFrequencyOffsetChannel
-from repro.channel.fading import make_fading_channel
+from repro.channel.link import Link
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.modulation.msk import MSKDemodulator, MSKModulator
 from repro.signal.samples import ComplexSignal
@@ -132,8 +131,8 @@ class TestDecodeBatchEquivalence:
     def test_cfo_and_fading_collisions_bit_identical(self, spec):
         """Collisions shaped by the impairment stages decode identically.
 
-        Each component passes through a per-sender CFO ramp (opposite
-        signs, the §6 relative-offset geometry) and a seeded
+        Each component passes through a link with a per-sender CFO ramp
+        (opposite signs, the §6 relative-offset geometry) and a seeded
         Rayleigh/Rician fade before superposition.  A shared decoder must
         reproduce a fresh decoder's bits and diagnostics on every row.
         """
@@ -143,33 +142,26 @@ class TestDecodeBatchEquivalence:
         total = offset + n_bits + 1 + 4
         noise_scale = float(10.0 ** (-spec["snr_db"] / 20.0))
         doppler = 0.003 if spec["mode"] == "drift" else 0.0
-        cfo_known = CarrierFrequencyOffsetChannel(spec["cfo"])
-        cfo_unknown = CarrierFrequencyOffsetChannel(-spec["cfo"])
         rows, known_rows = [], []
         for _ in range(spec["n_trials"]):
             known_bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
             unknown_bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-            waves = [
-                cfo.apply(
-                    MSKModulator(
-                        amplitude=amplitude, initial_phase=float(rng.uniform(-np.pi, np.pi))
-                    ).modulate(bits)
-                )
-                for cfo, amplitude, bits in (
-                    (cfo_known, 1.0, known_bits), (cfo_unknown, 0.7, unknown_bits)
-                )
-            ]
             faded = []
-            for wave in waves:
-                stage = make_fading_channel(
-                    spec["fading"],
-                    k_db=spec["k_db"],
-                    los_phase=float(rng.uniform(-np.pi, np.pi)),
-                    mode=spec["mode"],
-                    doppler=doppler,
-                    rng=rng,
+            for cfo, amplitude, bits in (
+                (spec["cfo"], 1.0, known_bits), (-spec["cfo"], 0.7, unknown_bits)
+            ):
+                wave = MSKModulator(
+                    amplitude=amplitude, initial_phase=float(rng.uniform(-np.pi, np.pi))
+                ).modulate(bits)
+                link = Link(
+                    sender_cfo=cfo,
+                    fading=spec["fading"],
+                    fading_k_db=spec["k_db"],
+                    fading_mode=spec["mode"],
+                    fading_doppler=doppler,
+                    fading_los_phase=float(rng.uniform(-np.pi, np.pi)),
                 )
-                faded.append(wave if stage is None else stage.apply(wave))
+                faded.append(link.distort(wave, rng))
             wave_known, wave_unknown = faded
             row = np.zeros(total, dtype=np.complex128)
             row[: wave_known.samples.size] += wave_known.samples

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.framing.packet import Packet
 from repro.network.topologies import ChannelConditions, alice_bob_topology, RELAY
 from repro.node.relay import RelayNode
 from repro.protocols.base import ProtocolRun, RunResult, fresh_run_result
@@ -60,13 +59,6 @@ class TestProtocolRunHelpers:
         relay = protocol.make_relay(RELAY)
         assert isinstance(relay, RelayNode)
         assert protocol.make_relay(RELAY) is relay
-
-    def test_packet_ber_handles_missing_decode(self):
-        protocol = self._protocol()
-        truth = Packet(1, 2, 0, [1, 0, 1, 0])
-        assert protocol.packet_ber(None, truth) == 0.5
-        assert protocol.packet_ber(Packet(1, 2, 0, [1, 0]), truth) == 0.5
-        assert protocol.packet_ber(Packet(1, 2, 0, [1, 0, 1, 1]), truth) == pytest.approx(0.25)
 
     def test_counts_as_delivered(self):
         protocol = self._protocol()

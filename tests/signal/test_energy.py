@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.channel.interference import superpose
+from repro.channel.link import Link
 from repro.exceptions import DetectionError
 from repro.modulation.msk import MSKModulator
 from repro.signal.energy import (
@@ -12,7 +14,6 @@ from repro.signal.energy import (
     energy_variance,
     peak_power,
 )
-from repro.signal.noise import awgn
 from repro.signal.ops import overlap_add
 from repro.signal.samples import ComplexSignal
 from repro.utils.bits import random_bits
@@ -52,7 +53,7 @@ class TestEnergyDetector:
         rng = np.random.default_rng(1)
         burst = _msk_burst()
         padded = burst.padded(50, 80)
-        noisy = awgn(padded, NOISE, rng)
+        noisy = superpose([(padded, Link(), 0)], NOISE, rng, 0)
         detection = EnergyDetector(noise_power=NOISE).detect(noisy)
         assert detection.detected
         assert abs(detection.start_index - 50) <= 16
@@ -60,7 +61,7 @@ class TestEnergyDetector:
 
     def test_no_packet_in_pure_noise(self):
         rng = np.random.default_rng(2)
-        noise_only = awgn(ComplexSignal.silence(400), NOISE, rng)
+        noise_only = superpose([], NOISE, rng, 400)
         detection = EnergyDetector(noise_power=NOISE).detect(noise_only)
         assert not detection.detected
         assert detection.length == 0
@@ -68,7 +69,7 @@ class TestEnergyDetector:
     def test_detection_length_spans_the_burst(self):
         rng = np.random.default_rng(1)
         burst = _msk_burst()
-        noisy = awgn(burst.padded(50, 80), NOISE, rng)
+        noisy = superpose([(burst.padded(50, 80), Link(), 0)], NOISE, rng, 0)
         detection = EnergyDetector(noise_power=NOISE).detect(noisy)
         assert detection.length == detection.end_index - detection.start_index
         assert abs(detection.length - len(burst)) <= 32
@@ -89,7 +90,7 @@ class TestEnergyDetector:
 class TestInterferenceDetector:
     def test_clean_msk_not_flagged(self):
         rng = np.random.default_rng(3)
-        noisy = awgn(_msk_burst(), NOISE, rng)
+        noisy = superpose([(_msk_burst(), Link(), 0)], NOISE, rng, 0)
         assert not InterferenceDetector(noise_power=NOISE).detect(noisy)
 
     def test_collision_flagged(self):
@@ -97,7 +98,7 @@ class TestInterferenceDetector:
         a = _msk_burst(seed=10)
         b = _msk_burst(seed=11, amplitude=0.8)
         collision = overlap_add([(a, 0), (b, 40)])
-        noisy = awgn(collision, NOISE, rng)
+        noisy = superpose([(collision, Link(), 0)], NOISE, rng, 0)
         assert InterferenceDetector(noise_power=NOISE).detect(noisy)
 
     def test_empty_signal_raises(self):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ChannelError
-from repro.signal.noise import awgn, complex_gaussian_noise, noise_power_for_snr
-from repro.signal.samples import ComplexSignal
+from repro.signal.noise import complex_gaussian_noise
 
 
 class TestComplexGaussianNoise:
@@ -35,32 +34,3 @@ class TestComplexGaussianNoise:
     def test_negative_length_rejected(self):
         with pytest.raises(ChannelError):
             complex_gaussian_noise(-5, 1.0)
-
-
-class TestAwgn:
-    def test_preserves_length(self):
-        sig = ComplexSignal(np.ones(64, dtype=complex))
-        assert len(awgn(sig, 0.1, np.random.default_rng(2))) == 64
-
-    def test_zero_noise_identity(self):
-        sig = ComplexSignal(np.ones(16, dtype=complex))
-        assert awgn(sig, 0.0) == sig
-
-    def test_snr_after_noise(self):
-        rng = np.random.default_rng(3)
-        sig = ComplexSignal(np.ones(100_000, dtype=complex))
-        noise_power = noise_power_for_snr(1.0, 20.0)
-        noisy = awgn(sig, noise_power, rng)
-        error = noisy.samples - sig.samples
-        measured_snr = 1.0 / float(np.mean(np.abs(error) ** 2))
-        assert 10 * np.log10(measured_snr) == pytest.approx(20.0, abs=0.5)
-
-
-class TestNoisePowerForSnr:
-    def test_simple_values(self):
-        assert noise_power_for_snr(1.0, 10.0) == pytest.approx(0.1)
-        assert noise_power_for_snr(4.0, 3.0) == pytest.approx(4.0 / 10 ** 0.3)
-
-    def test_rejects_non_positive_signal(self):
-        with pytest.raises(ChannelError):
-            noise_power_for_snr(0.0, 10.0)

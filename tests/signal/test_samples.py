@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.flat import FlatFadingChannel
+from repro.channel.link import Link
 from repro.channel.link import Link
 from repro.exceptions import ConfigurationError
 from repro.modulation.msk import MSKModulator
@@ -138,19 +138,14 @@ class TestLibraryBuiltSignalsAreFrozen:
     def test_modulate(self):
         _assert_frozen(self._wave())
 
-    def test_flat_fading_channel(self):
+    def test_link_distort(self):
         wave = self._wave()
-        for channel in (
-            FlatFadingChannel(0.5, phase_shift=0.3),
-            FlatFadingChannel(
-                0.5,
-                frequency_offset=0.01,
-                attenuation_drift=1e-3,
-                phase_drift=1e-3,
-                rng=np.random.default_rng(1),
-            ),
+        for link in (
+            Link(0.5, phase_shift=0.3),
+            Link(0.5, frequency_offset=0.01, phase_drift=1e-3),
+            Link(0.5, sender_cfo=0.02, fading="rician", propagation_delay=3),
         ):
-            _assert_frozen(channel.apply(wave))
+            _assert_frozen(link.distort(wave, np.random.default_rng(1)))
 
     def test_slice_and_scaled(self):
         wave = self._wave()

@@ -125,10 +125,3 @@ class TestDecodeService:
         waveform = node.transmit(node.make_packet(2, rng=np.random.default_rng(2)))
         with pytest.raises(ConfigurationError):
             DecodeService().decode_window(waveform, -1, len(waveform))
-
-    def test_payload_ber(self):
-        truth = np.array([0, 1, 0, 1], dtype=np.uint8)
-        assert DecodeService.payload_ber(None, truth) == 0.5
-        assert DecodeService.payload_ber(np.array([0, 1], dtype=np.uint8), truth) == 0.5
-        flipped = np.array([1, 1, 0, 1], dtype=np.uint8)
-        assert DecodeService.payload_ber(flipped, truth) == pytest.approx(0.25)

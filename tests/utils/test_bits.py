@@ -12,6 +12,7 @@ from repro.utils.bits import (
     bits_to_bytes,
     bits_to_int,
     bits_to_string,
+    decoded_ber,
     hamming_distance,
     random_bits,
     string_to_bits,
@@ -133,6 +134,19 @@ class TestDistance:
 
     def test_bit_error_rate_empty_is_zero(self):
         assert bit_error_rate([], []) == 0.0
+
+    def test_decoded_ber_counts_errors(self):
+        truth = np.array([0, 1, 0, 1], dtype=np.uint8)
+        flipped = np.array([1, 1, 0, 1], dtype=np.uint8)
+        assert decoded_ber(truth, flipped) == pytest.approx(0.25)
+
+    def test_decoded_ber_missing_decode_is_half(self):
+        assert decoded_ber(np.array([0, 1, 0, 1], dtype=np.uint8), None) == 0.5
+
+    def test_decoded_ber_mis_sized_decode_is_half(self):
+        truth = np.array([0, 1, 0, 1], dtype=np.uint8)
+        assert decoded_ber(truth, np.array([0, 1], dtype=np.uint8)) == 0.5
+        assert decoded_ber(truth, np.zeros(6, dtype=np.uint8)) == 0.5
 
 
 class TestIntGuards:

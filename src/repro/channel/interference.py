@@ -17,7 +17,7 @@ theoretical 2x gain and the measured ~1.7x.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +93,8 @@ class OverlapModel:
         mean_overlap: float = DEFAULT_OVERLAP_FRACTION,
         jitter: float = 0.1,
         min_offset: int = 0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         """See the class docstring for the parameter semantics."""
         self.mean_overlap = ensure_probability(mean_overlap, "mean_overlap")
@@ -101,7 +102,7 @@ class OverlapModel:
         if min_offset < 0:
             raise ChannelError("min_offset must be non-negative")
         self.min_offset = int(min_offset)
-        self._rng = rng if rng is not None else np.random.default_rng()
+        self._rng = rng
 
     def draw_offsets(self, packet_length: int) -> Tuple[int, int]:
         """Draw (first, second) start offsets in samples for a 2-packet collision."""

@@ -26,6 +26,12 @@ Rayleigh/Rician fading), :mod:`~repro.experiments.geometry_mesh`
 :mod:`~repro.experiments.queueing_delay` (delay vs traffic burstiness) —
 run from the CLI as ``python -m repro.cli <scenario>``.
 
+Every testbed trial — the figures' and the sweeps' alike — draws its
+network and runs its schemes through :mod:`repro.experiments.testbed`,
+the one module that constructs protocols: one function draws the run
+(SNR, overlap, topology, impairments) and one builder per protocol
+family runs each scheme on its own random stream.
+
 Figures and scenarios share one registry,
 :data:`repro.experiments.runner.REGISTRY`, behind the public facade
 :mod:`repro.api`.  Every experiment has one result path: its ``run_*``

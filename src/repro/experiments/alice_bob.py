@@ -14,99 +14,23 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from repro.channel.impairments import IMPAIRMENT_STREAM, apply_impairments
-from repro.channel.interference import OverlapModel
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
+from repro.experiments.testbed import RelayExchange, Streams, relay_exchange_trial
 from repro.metrics.report import report_result
-from repro.network.flows import Flow
-from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions, alice_bob_topology
-from repro.network.topology import Topology
-from repro.protocols.anc import ANCRelayProtocol, default_min_offset
+from repro.network.topologies import ALICE, BOB, RELAY, alice_bob_topology
 from repro.protocols.base import RunResult
-from repro.protocols.cope import CopeRelayProtocol
-from repro.protocols.traditional import TraditionalRouting
 from repro.results.model import ExperimentResult
 
-
-def relay_exchange_trial(
-    cfg: ExperimentConfig,
-    run_index: int,
-    topology_fn: Callable[..., Topology],
-    relay: int,
-    flows: Tuple[Tuple[int, int], Tuple[int, int]],
-    stream_base: int,
-    overhearing: bool,
-    topology_name: str,
-) -> Tuple[RunResult, RunResult, RunResult]:
-    """Execute one two-flow relay exchange under all three schemes.
-
-    The shared body of the Fig. 9 (Alice–Bob) and Fig. 10 (X) trials:
-    ``topology_fn`` draws the topology, ``flows`` are the two
-    ``(source, destination)`` pairs crossing ``relay``, and ``overhearing``
-    says whether the destinations learn the interfering packet by
-    overhearing it (X) or by having sent it (Alice–Bob).  All randomness
-    derives from ``cfg.run_rng(run_index, stream_base + k)`` substreams,
-    so the result does not depend on which worker executes the trial or
-    in what order.
-
-    Returns the ``(traditional, cope, anc)`` run results.
-    """
-    topo_rng = cfg.run_rng(run_index, stream=stream_base)
-    snr_db = cfg.draw_run_snr(topo_rng)
-    mean_overlap = cfg.draw_run_overlap(topo_rng)
-    conditions = ChannelConditions(snr_db=snr_db)
-    topology = topology_fn(conditions, topo_rng)
-    apply_impairments(
-        topology, cfg.impairments, cfg.run_rng(run_index, stream=IMPAIRMENT_STREAM)
-    )
-    flow_a = Flow(*flows[0], cfg.packets_per_run)
-    flow_b = Flow(*flows[1], cfg.packets_per_run)
-
-    traditional = TraditionalRouting(
-        topology,
-        [flow_a, flow_b],
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        rng=cfg.run_rng(run_index, stream=stream_base + 1),
-        topology_name=topology_name,
-    )
-    traditional_run = traditional.run()
-
-    cope = CopeRelayProtocol(
-        topology,
-        relay,
-        flow_a,
-        flow_b,
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        overhearing=overhearing,
-        rng=cfg.run_rng(run_index, stream=stream_base + 2),
-        topology_name=topology_name,
-    )
-    cope_run = cope.run()
-
-    anc_rng = cfg.run_rng(run_index, stream=stream_base + 3)
-    overlap_model = OverlapModel(
-        mean_overlap=mean_overlap,
-        jitter=cfg.overlap_jitter,
-        min_offset=default_min_offset(),
-        rng=anc_rng,
-    )
-    anc = ANCRelayProtocol(
-        topology,
-        relay,
-        flow_a,
-        flow_b,
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        redundancy_overhead=cfg.anc_redundancy_overhead,
-        overhearing=overhearing,
-        overlap_model=overlap_model,
-        rng=anc_rng,
-        topology_name=topology_name,
-    )
-    return traditional_run, cope_run, anc.run()
+#: Alice and Bob exchange packets through the router (Fig. 1); each
+#: endpoint knows the interfering packet because it sent it.
+ALICE_BOB = RelayExchange(
+    name="alice_bob",
+    build=alice_bob_topology,
+    relay=RELAY,
+    flows=((ALICE, BOB), (BOB, ALICE)),
+    overhearing=False,
+)
 
 
 def relay_exchange_experiment(
@@ -145,16 +69,8 @@ def run_alice_bob_trial(
     dispatch it to process workers.  Returns the ``(traditional, cope,
     anc)`` run results.
     """
-    return relay_exchange_trial(
-        cfg,
-        run_index,
-        alice_bob_topology,
-        relay=RELAY,
-        flows=((ALICE, BOB), (BOB, ALICE)),
-        stream_base=0,
-        overhearing=False,
-        topology_name="alice_bob",
-    )
+    runs = relay_exchange_trial(cfg, run_index, ALICE_BOB, Streams(0, 1, 2, 3))
+    return runs["traditional"], runs["cope"], runs["anc"]
 
 
 def run_alice_bob_experiment(

@@ -12,68 +12,24 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.channel.impairments import IMPAIRMENT_STREAM, apply_impairments
-from repro.channel.interference import OverlapModel
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
+from repro.experiments.testbed import Streams, chain_trial
 from repro.metrics.report import report_result
-from repro.network.flows import Flow
-from repro.network.topologies import ChannelConditions, chain_topology
-from repro.protocols.anc import ANCChainProtocol, default_min_offset
 from repro.protocols.base import RunResult
-from repro.protocols.traditional import TraditionalRouting
 from repro.results.model import ExperimentResult
-
-#: Node ids of the 3-hop chain N1 -> N2 -> N3 -> N4.
-CHAIN_PATH = (1, 2, 3, 4)
 
 
 def run_chain_trial(
     cfg: ExperimentConfig, run_index: int
 ) -> Tuple[RunResult, RunResult]:
-    """Execute one Fig. 12 chain run under both schemes.
+    """Execute one Fig. 12 run on the 3-hop chain N1 -> N2 -> N3 -> N4 under both schemes.
 
     Picklable engine trial; all randomness is keyed by ``run_index``.
     Returns the ``(traditional, anc)`` run results.
     """
-    topo_rng = cfg.run_rng(run_index, stream=20)
-    snr_db = cfg.draw_run_snr(topo_rng)
-    mean_overlap = cfg.draw_run_overlap(topo_rng)
-    conditions = ChannelConditions(snr_db=snr_db)
-    topology = chain_topology(conditions, topo_rng)
-    apply_impairments(
-        topology, cfg.impairments, cfg.run_rng(run_index, stream=IMPAIRMENT_STREAM)
-    )
-    flow = Flow(CHAIN_PATH[0], CHAIN_PATH[-1], cfg.packets_per_run)
-
-    traditional = TraditionalRouting(
-        topology,
-        [flow],
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        rng=cfg.run_rng(run_index, stream=21),
-        topology_name="chain",
-    )
-    traditional_run = traditional.run()
-
-    anc_rng = cfg.run_rng(run_index, stream=22)
-    overlap_model = OverlapModel(
-        mean_overlap=mean_overlap,
-        jitter=cfg.overlap_jitter,
-        min_offset=default_min_offset(),
-        rng=anc_rng,
-    )
-    anc = ANCChainProtocol(
-        topology,
-        path=CHAIN_PATH,
-        packets=cfg.packets_per_run,
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        redundancy_overhead=cfg.chain_redundancy_overhead,
-        overlap_model=overlap_model,
-        rng=anc_rng,
-    )
-    return traditional_run, anc.run()
+    runs = chain_trial(cfg, run_index, 3, Streams(20, 21, None, 22))
+    return runs["traditional"], runs["anc"]
 
 
 def run_chain_experiment(

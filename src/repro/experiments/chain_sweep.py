@@ -28,24 +28,13 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.channel.impairments import apply_impairments
-from repro.channel.interference import OverlapModel
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import TESTBED_READS
-from repro.experiments.scenarios import (
-    ScenarioSpec,
-    register_scenario,
-    summarize_run,
-)
-from repro.network.flows import Flow
-from repro.network.generator import generate_chain
-from repro.network.topologies import ChannelConditions
-from repro.protocols.anc import default_min_offset
-from repro.protocols.scheduled import ChainPipelineProtocol
-from repro.protocols.traditional import TraditionalRouting
+from repro.experiments.scenarios import ScenarioSpec, register_scenario
+from repro.experiments.testbed import Streams, cells, chain_trial
 
-#: Base RNG stream for this scenario; each (hops, protocol) pair derives
-#: its own substream so sweep points never share randomness.
+#: Base RNG stream for this scenario; each hop count gets its own block
+#: of eight streams so sweep points never share randomness.
 _STREAM_BASE = 400
 
 
@@ -59,65 +48,7 @@ def run_chain_sweep_trial(
     cell is independent of execution order and worker placement.
     """
     hops, run = int(key[0]), int(key[1])
-    streams = _STREAM_BASE + 8 * hops
-    topo_rng = cfg.run_rng(run, stream=streams)
-    snr_db = cfg.draw_run_snr(topo_rng)
-    mean_overlap = cfg.draw_run_overlap(topo_rng)
-    conditions = ChannelConditions(snr_db=snr_db)
-    topology = generate_chain(conditions, topo_rng, hops=hops)
-    apply_impairments(
-        topology, cfg.impairments, cfg.run_rng(run, stream=streams + 6)
-    )
-    path = tuple(range(1, hops + 2))
-    flow = Flow(path[0], path[-1], cfg.packets_per_run)
-
-    traditional = TraditionalRouting(
-        topology,
-        [flow],
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        rng=cfg.run_rng(run, stream=streams + 1),
-        topology_name=f"chain{hops}",
-    ).run()
-
-    cope = ChainPipelineProtocol(
-        topology,
-        path=path,
-        coding="plain",
-        packets=cfg.packets_per_run,
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        redundancy_overhead=0.0,
-        rng=cfg.run_rng(run, stream=streams + 2),
-        topology_name=f"chain{hops}",
-        scheme="cope",
-    ).run()
-
-    anc_rng = cfg.run_rng(run, stream=streams + 3)
-    anc = ChainPipelineProtocol(
-        topology,
-        path=path,
-        coding="anc",
-        packets=cfg.packets_per_run,
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        redundancy_overhead=cfg.chain_redundancy_overhead,
-        overlap_model=OverlapModel(
-            mean_overlap=mean_overlap,
-            jitter=cfg.overlap_jitter,
-            min_offset=default_min_offset(),
-            rng=anc_rng,
-        ),
-        rng=anc_rng,
-        topology_name=f"chain{hops}",
-        scheme="anc",
-    ).run()
-
-    return {
-        "anc": summarize_run(anc),
-        "cope": summarize_run(cope),
-        "traditional": summarize_run(traditional),
-    }
+    return cells(chain_trial(cfg, run, hops, Streams.block(_STREAM_BASE + 8 * hops)))
 
 
 CHAIN_SWEEP = register_scenario(
@@ -125,7 +56,6 @@ CHAIN_SWEEP = register_scenario(
         name="chain_sweep",
         description="throughput gain vs chain length (K = 2..8 hops, "
         "ANC vs pipelined digital coding vs plain routing)",
-        topology="chain",
         sweep_axis="hops",
         sweep_values=(2, 3, 4, 5, 6, 7, 8),
         quick_sweep_values=(2, 3, 5, 8),

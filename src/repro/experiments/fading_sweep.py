@@ -22,22 +22,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Tuple
 
-from repro.channel.impairments import apply_impairments
-from repro.channel.interference import OverlapModel
 from repro.exceptions import ConfigurationError
+from repro.experiments.alice_bob import ALICE_BOB
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import TESTBED_READS
-from repro.experiments.scenarios import (
-    ScenarioSpec,
-    register_scenario,
-    summarize_run,
-)
-from repro.network.flows import Flow
-from repro.network.generator import generate_star
-from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions
-from repro.protocols.anc import ANCRelayProtocol, default_min_offset
-from repro.protocols.cope import CopeRelayProtocol
-from repro.protocols.traditional import TraditionalRouting
+from repro.experiments.scenarios import ScenarioSpec, register_scenario
+from repro.experiments.testbed import Streams, cells, relay_exchange_trial
 
 #: Base RNG stream for this scenario (disjoint from every other family).
 _STREAM_BASE = 850
@@ -67,11 +57,6 @@ def run_fading_sweep_trial(
             "but still recorded in the result's config snapshot). --cfo "
             "and --fading-mode/--fading-doppler compose normally."
         )
-    topo_rng = cfg.run_rng(run, stream=_STREAM_BASE)
-    snr_db = cfg.draw_run_snr(topo_rng)
-    mean_overlap = cfg.draw_run_overlap(topo_rng)
-    conditions = ChannelConditions(snr_db=snr_db)
-    topology = generate_star(conditions, topo_rng, leaves=2, hub=RELAY)
     # The scenario params are the registered defaults; an explicit drift
     # request in the caller's config (--fading-mode/--fading-doppler)
     # takes precedence instead of being silently reset to block fading.
@@ -85,56 +70,8 @@ def run_fading_sweep_trial(
         fading_mode=fading_mode,
         fading_doppler=fading_doppler,
     )
-    apply_impairments(
-        topology, impairments, cfg.run_rng(run, stream=_STREAM_BASE + 6)
-    )
-    flow_a = Flow(ALICE, BOB, cfg.packets_per_run)
-    flow_b = Flow(BOB, ALICE, cfg.packets_per_run)
-
-    traditional = TraditionalRouting(
-        topology,
-        [flow_a, flow_b],
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        rng=cfg.run_rng(run, stream=_STREAM_BASE + 1),
-        topology_name="alice_bob",
-    ).run()
-
-    cope = CopeRelayProtocol(
-        topology,
-        RELAY,
-        flow_a,
-        flow_b,
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        rng=cfg.run_rng(run, stream=_STREAM_BASE + 2),
-        topology_name="alice_bob",
-    ).run()
-
-    anc_rng = cfg.run_rng(run, stream=_STREAM_BASE + 3)
-    anc = ANCRelayProtocol(
-        topology,
-        RELAY,
-        flow_a,
-        flow_b,
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        redundancy_overhead=cfg.anc_redundancy_overhead,
-        overlap_model=OverlapModel(
-            mean_overlap=mean_overlap,
-            jitter=cfg.overlap_jitter,
-            min_offset=default_min_offset(),
-            rng=anc_rng,
-        ),
-        rng=anc_rng,
-        topology_name="alice_bob",
-    ).run()
-
-    return {
-        "anc": summarize_run(anc),
-        "cope": summarize_run(cope),
-        "traditional": summarize_run(traditional),
-    }
+    streams = Streams.block(_STREAM_BASE)
+    return cells(relay_exchange_trial(cfg, run, ALICE_BOB, streams, impairments))
 
 
 FADING_SWEEP = register_scenario(
@@ -143,7 +80,6 @@ FADING_SWEEP = register_scenario(
         description="ANC vs COPE vs routing on the Alice-Bob exchange under "
         "Rayleigh/Rician fading swept over the K-factor (dB; <= -90 is "
         "pure Rayleigh)",
-        topology="star",
         sweep_axis="k_db",
         sweep_values=(-99.0, 0.0, 6.0, 12.0),
         quick_sweep_values=(-99.0, 6.0),

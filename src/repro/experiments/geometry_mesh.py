@@ -13,22 +13,21 @@ the schemes must survive.
 Everything else matches ``mesh_sweep`` byte-for-byte machinery-wise: the
 same flow draw, the same ANC-aware pairing planner, the same three
 schemes over the same flow set
-(:func:`repro.experiments.mesh_sweep.run_mesh_schemes`), with the sweep
+(:func:`repro.experiments.mesh_sweep.mesh_trial`), with the sweep
 axis again the number of offered flows.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Tuple
 
-from repro.channel.impairments import apply_impairments
 from repro.channel.pathloss import PathLossModel
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.mesh_sweep import mesh_trial
 from repro.experiments.runner import TESTBED_READS
-from repro.experiments.mesh_sweep import draw_mesh_flows, run_mesh_schemes
 from repro.experiments.scenarios import ScenarioSpec, register_scenario
 from repro.network.generator import generate_geometric_mesh
-from repro.network.topologies import ChannelConditions
 
 #: Base RNG stream for this scenario (disjoint from every other family).
 _STREAM_BASE = 900
@@ -51,25 +50,14 @@ def run_geometry_mesh_trial(
     the scenario params so registered variants stay cache-distinct.
     """
     n_flows, run = int(key[0]), int(key[1])
-    streams = _STREAM_BASE + 64 * n_flows
-    topo_rng = cfg.run_rng(run, stream=streams)
-    snr_db = cfg.draw_run_snr(topo_rng)
-    mean_overlap = cfg.draw_run_overlap(topo_rng)
-    conditions = ChannelConditions(snr_db=snr_db)
     model = PathLossModel(
         exponent=exponent,
         reference_distance=reference_distance,
         reference_attenuation=0.95,
         min_attenuation=0.05,
     )
-    topology = generate_geometric_mesh(
-        conditions, topo_rng, nodes=nodes, radius=radius, path_loss=model
-    )
-    apply_impairments(
-        topology, cfg.impairments, cfg.run_rng(run, stream=streams + 6)
-    )
-    flows = draw_mesh_flows(topology, n_flows, cfg.packets_per_run, topo_rng)
-    return run_mesh_schemes(cfg, run, streams, topology, flows, mean_overlap)
+    build = partial(generate_geometric_mesh, nodes=nodes, radius=radius, path_loss=model)
+    return mesh_trial(cfg, run, n_flows, _STREAM_BASE + 64 * n_flows, build)
 
 
 GEOMETRY_MESH = register_scenario(
@@ -78,7 +66,6 @@ GEOMETRY_MESH = register_scenario(
         description="mesh_sweep variant with placed nodes and log-distance "
         "path-loss links: aggregate gain vs offered flows when SNR/SIR "
         "follow from the geometry",
-        topology="geometric_mesh",
         sweep_axis="flows",
         sweep_values=(2, 4, 6, 8),
         quick_sweep_values=(2, 4),

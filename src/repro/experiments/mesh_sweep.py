@@ -21,29 +21,19 @@ grows with load — the scheduler's pairing rate (reported per trial as
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.channel.impairments import apply_impairments
-from repro.channel.interference import OverlapModel
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import TESTBED_READS
-from repro.experiments.scenarios import (
-    ScenarioSpec,
-    combine_runs,
-    register_scenario,
-)
-from repro.mac.planner import plan_mesh_exchanges
+from repro.experiments.scenarios import ScenarioSpec, register_scenario
+from repro.experiments.testbed import BuildFn, Streams, draw_testbed, mesh_cells
 from repro.network.flows import Flow
 from repro.network.generator import generate_random_mesh
-from repro.network.topologies import ChannelConditions
 from repro.network.topology import Topology
-from repro.protocols.anc import ANCRelayProtocol, default_min_offset
-from repro.protocols.base import RunResult
-from repro.protocols.cope import CopeRelayProtocol
-from repro.protocols.traditional import TraditionalRouting
 
 #: Base RNG stream for this scenario (disjoint from the chain sweep's).
 _STREAM_BASE = 700
@@ -99,6 +89,20 @@ def draw_mesh_flows(
     return [Flow(source, destination, packets) for source, destination in chosen]
 
 
+def mesh_trial(
+    cfg: ExperimentConfig, run: int, n_flows: int, base: int, build: BuildFn
+) -> Dict[str, Dict[str, float]]:
+    """One mesh cell: draw the mesh, draw ``n_flows`` flows over it, run the three schemes.
+
+    Shared by ``mesh_sweep`` and the path-loss ``geometry_mesh``
+    scenario, which differ only in ``build`` and their stream ``base``.
+    The flows are drawn from the topology stream after the build.
+    """
+    bed = draw_testbed(cfg, run, Streams.mesh(base), build, "mesh")
+    flows = draw_mesh_flows(bed.topology, n_flows, cfg.packets_per_run, bed.topology_rng)
+    return mesh_cells(bed, flows)
+
+
 def run_mesh_sweep_trial(
     cfg: ExperimentConfig,
     key: Tuple[int, int],
@@ -112,109 +116,8 @@ def run_mesh_sweep_trial(
     substreams keyed by the flow count.
     """
     n_flows, run = int(key[0]), int(key[1])
-    streams = _STREAM_BASE + 64 * n_flows
-    topo_rng = cfg.run_rng(run, stream=streams)
-    snr_db = cfg.draw_run_snr(topo_rng)
-    mean_overlap = cfg.draw_run_overlap(topo_rng)
-    conditions = ChannelConditions(snr_db=snr_db)
-    topology = generate_random_mesh(conditions, topo_rng, nodes=nodes, radius=radius)
-    apply_impairments(
-        topology, cfg.impairments, cfg.run_rng(run, stream=streams + 6)
-    )
-    flows = draw_mesh_flows(topology, n_flows, cfg.packets_per_run, topo_rng)
-    return run_mesh_schemes(cfg, run, streams, topology, flows, mean_overlap)
-
-
-def run_mesh_schemes(
-    cfg: ExperimentConfig,
-    run: int,
-    streams: int,
-    topology: Topology,
-    flows: List[Flow],
-    mean_overlap: float,
-) -> Dict[str, Dict[str, float]]:
-    """Carry one flow set under all three schemes over a built mesh.
-
-    The scheme-execution half of a mesh trial, shared by ``mesh_sweep``
-    and the path-loss ``geometry_mesh`` scenario: the ANC-aware planner
-    pairs the flows, matched pairs run the two-slot ANC exchange (or
-    digital XOR coding for the ``cope`` cell), leftovers are routed, and
-    every scheme's parts are combined into one metrics cell.  RNG
-    substreams are keyed off ``streams`` exactly as the original
-    mesh-sweep trial laid them out, so the refactor is byte-identical.
-    """
-    schedule = plan_mesh_exchanges(topology, flows)
-
-    traditional = TraditionalRouting(
-        topology,
-        flows,
-        payload_bits=cfg.payload_bits,
-        ber_acceptance=cfg.ber_acceptance,
-        rng=cfg.run_rng(run, stream=streams + 1),
-        topology_name="mesh",
-    ).run()
-
-    anc_parts: List[RunResult] = []
-    cope_parts: List[RunResult] = []
-    for index, exchange in enumerate(schedule.exchanges):
-        anc_rng = cfg.run_rng(run, stream=streams + 8 + 2 * index)
-        anc_parts.append(
-            ANCRelayProtocol(
-                topology,
-                exchange.relay,
-                exchange.flow_a,
-                exchange.flow_b,
-                payload_bits=cfg.payload_bits,
-                ber_acceptance=cfg.ber_acceptance,
-                redundancy_overhead=cfg.anc_redundancy_overhead,
-                overhearing=exchange.overhearing,
-                overlap_model=OverlapModel(
-                    mean_overlap=mean_overlap,
-                    jitter=cfg.overlap_jitter,
-                    min_offset=default_min_offset(),
-                    rng=anc_rng,
-                ),
-                rng=anc_rng,
-                topology_name="mesh",
-            ).run()
-        )
-        cope_parts.append(
-            CopeRelayProtocol(
-                topology,
-                exchange.relay,
-                exchange.flow_a,
-                exchange.flow_b,
-                payload_bits=cfg.payload_bits,
-                ber_acceptance=cfg.ber_acceptance,
-                overhearing=exchange.overhearing,
-                rng=cfg.run_rng(run, stream=streams + 9 + 2 * index),
-                topology_name="mesh",
-            ).run()
-        )
-    if schedule.routed:
-        for offset, parts in ((4, anc_parts), (5, cope_parts)):
-            parts.append(
-                TraditionalRouting(
-                    topology,
-                    list(schedule.routed),
-                    payload_bits=cfg.payload_bits,
-                    ber_acceptance=cfg.ber_acceptance,
-                    rng=cfg.run_rng(run, stream=streams + offset),
-                    topology_name="mesh",
-                ).run()
-            )
-
-    anc_cell = combine_runs(anc_parts) if anc_parts else combine_runs([traditional])
-    cope_cell = combine_runs(cope_parts) if cope_parts else combine_runs([traditional])
-    for cell in (anc_cell, cope_cell):
-        cell["paired"] = float(schedule.paired_flows)
-    traditional_cell = combine_runs([traditional])
-    traditional_cell["paired"] = 0.0
-    return {
-        "anc": anc_cell,
-        "cope": cope_cell,
-        "traditional": traditional_cell,
-    }
+    build = partial(generate_random_mesh, nodes=nodes, radius=radius)
+    return mesh_trial(cfg, run, n_flows, _STREAM_BASE + 64 * n_flows, build)
 
 
 MESH_SWEEP = register_scenario(
@@ -222,7 +125,6 @@ MESH_SWEEP = register_scenario(
         name="mesh_sweep",
         description="aggregate gain vs offered flows on seeded random "
         "meshes (ANC-paired vs COPE-paired vs all-routed)",
-        topology="random_mesh",
         sweep_axis="flows",
         sweep_values=(2, 4, 6, 8),
         quick_sweep_values=(2, 4, 6),

@@ -109,7 +109,6 @@ OFFERED_LOAD_SWEEP = register_scenario(
         name="offered_load_sweep",
         description="goodput / drops vs offered load on the Alice-relay-Bob "
         "exchange (event-driven queues + CSMA, §8's load experiment)",
-        topology="star",
         sweep_axis="load",
         sweep_values=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2),
         quick_sweep_values=(0.2, 0.8, 1.2),

@@ -57,7 +57,6 @@ QUEUEING_DELAY = register_scenario(
         name="queueing_delay",
         description="mean / p95 queueing delay vs traffic burstiness "
         "(CBR, Poisson, on/off bursts) at fixed offered load",
-        topology="star",
         sweep_axis="traffic",
         sweep_values=TRAFFIC_MODELS,
         schemes=("anc", "cope", "traditional"),

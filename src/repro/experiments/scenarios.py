@@ -1,9 +1,9 @@
 """The scenario registry: N-node workloads declared as data.
 
 A :class:`ScenarioSpec` describes a whole experiment family in one
-declaration — which topology generator builds the network, what the sweep
-axis is, which values it takes, which schemes compete — plus a picklable
-trial function that executes one ``(sweep value, run index)`` cell.  The
+declaration — what the sweep axis is, which values it takes, which
+schemes compete — plus a picklable trial function that executes one
+``(sweep value, run index)`` cell.  The
 generic driver :func:`run_scenario` then provides everything the figure
 runners get from PR 1's runner registry for free:
 
@@ -28,58 +28,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
 from repro.experiments.runner import ExperimentEntry, register
-from repro.protocols.base import RunResult
 from repro.results.model import ExperimentResult, Series, make_result
 
 #: Signature of a scenario trial: ``(config, (sweep_value, run_index),
 #: **params) -> {scheme: {metric: float}}``.  Must be a picklable
 #: top-level callable so the engine can dispatch it to process workers.
 ScenarioTrialFn = Callable[..., Dict[str, Dict[str, float]]]
-
-
-def summarize_run(result: RunResult) -> Dict[str, float]:
-    """Flatten one protocol run into the plain floats a trial returns.
-
-    Engine trials must return picklable, version-stable data; scenario
-    trials therefore reduce each :class:`RunResult` to its headline
-    numbers instead of shipping the full object across processes.
-    """
-    return {
-        "throughput": float(result.throughput),
-        "delivered": float(result.packets_delivered),
-        "offered": float(result.packets_offered),
-        "mean_ber": float(result.mean_ber),
-        "slots": float(result.slots_used),
-    }
-
-
-def combine_runs(results: Sequence[RunResult]) -> Dict[str, float]:
-    """Aggregate several protocol runs that share one scenario cell.
-
-    The mesh scenario executes one protocol instance per ANC pair plus
-    one for the routed leftovers; their slots are serial in time, so the
-    cell's throughput is total useful bits over total air time.
-    """
-    if not results:
-        raise ConfigurationError("cannot combine zero runs")
-    air_time = sum(r.air_time_samples for r in results)
-    useful = sum(r.useful_bits for r in results)
-    bers: List[float] = [b for r in results for b in r.packet_bers]
-    return {
-        "throughput": float(useful / air_time) if air_time else 0.0,
-        "delivered": float(sum(r.packets_delivered for r in results)),
-        "offered": float(sum(r.packets_offered for r in results)),
-        "mean_ber": float(np.mean(bers)) if bers else 0.0,
-        "slots": float(sum(r.slots_used for r in results)),
-    }
 
 
 @dataclass(frozen=True)
@@ -92,10 +53,6 @@ class ScenarioSpec:
         Registry / CLI name (e.g. ``"chain_sweep"``).
     description:
         One-line description shown in ``--help``.
-    topology:
-        Name of the topology generator in
-        :data:`repro.network.generator.GENERATORS` that builds each
-        trial's network.
     sweep_axis:
         Human-readable name of the swept parameter (table's first column).
     sweep_values:
@@ -119,7 +76,6 @@ class ScenarioSpec:
 
     name: str
     description: str
-    topology: str
     sweep_axis: str
     sweep_values: Tuple[Any, ...]
     schemes: Tuple[str, ...]

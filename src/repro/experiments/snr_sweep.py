@@ -18,14 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.capacity.bounds import capacity_gain
-from repro.channel.impairments import IMPAIRMENT_STREAM, apply_impairments
-from repro.channel.interference import OverlapModel
+from repro.experiments.alice_bob import ALICE_BOB
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
-from repro.network.flows import Flow
-from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions, alice_bob_topology
-from repro.protocols.anc import ANCRelayProtocol, default_min_offset
-from repro.protocols.traditional import TraditionalRouting
+from repro.experiments.testbed import Streams, relay_exchange_trial
 from repro.results.model import ExperimentResult, Series, make_result
 
 
@@ -63,40 +59,12 @@ def run_snr_point_trial(
     bers: List[float] = []
     delivery: List[float] = []
     for run in range(runs_per_point):
-        rng = cfg.run_rng(5000 + 100 * index + run, stream=40)
-        conditions = ChannelConditions(snr_db=float(snr_db))
-        topology = alice_bob_topology(conditions, rng)
-        apply_impairments(
-            topology,
-            cfg.impairments,
-            cfg.run_rng(5000 + 100 * index + run, stream=IMPAIRMENT_STREAM),
+        # The grid point fixes the SNR, so the topology stream draws no
+        # overlap: the ANC scheme draws its own first.
+        runs = relay_exchange_trial(
+            cfg, 5000 + 100 * index + run, ALICE_BOB, Streams(40, 41, None, 42), snr_db=snr_db
         )
-        flow_a = Flow(ALICE, BOB, cfg.packets_per_run)
-        flow_b = Flow(BOB, ALICE, cfg.packets_per_run)
-        traditional = TraditionalRouting(
-            topology,
-            [flow_a, flow_b],
-            payload_bits=cfg.payload_bits,
-            ber_acceptance=cfg.ber_acceptance,
-            rng=cfg.run_rng(5000 + 100 * index + run, stream=41),
-        ).run()
-        anc_rng = cfg.run_rng(5000 + 100 * index + run, stream=42)
-        anc = ANCRelayProtocol(
-            topology,
-            RELAY,
-            flow_a,
-            flow_b,
-            payload_bits=cfg.payload_bits,
-            ber_acceptance=cfg.ber_acceptance,
-            redundancy_overhead=cfg.anc_redundancy_overhead,
-            overlap_model=OverlapModel(
-                mean_overlap=cfg.draw_run_overlap(anc_rng),
-                jitter=cfg.overlap_jitter,
-                min_offset=default_min_offset(),
-                rng=anc_rng,
-            ),
-            rng=anc_rng,
-        ).run()
+        traditional, anc = runs["traditional"], runs["anc"]
         gains.append(anc.throughput / traditional.throughput)
         decoded = [b for b in anc.packet_bers if b < 0.5]
         bers.append(float(np.mean(decoded)) if decoded else 0.5)

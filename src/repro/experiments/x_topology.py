@@ -13,12 +13,23 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.experiments.alice_bob import relay_exchange_experiment, relay_exchange_trial
+from repro.experiments.alice_bob import relay_exchange_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
+from repro.experiments.testbed import RelayExchange, Streams, relay_exchange_trial
 from repro.network.topologies import N1, N2, N3, N4, N5, x_topology
 from repro.protocols.base import RunResult
 from repro.results.model import ExperimentResult
+
+#: Flows N1 -> N4 and N3 -> N2 cross at the router N5 (Fig. 11); each
+#: destination knows the interfering packet only if it overheard it.
+X = RelayExchange(
+    name="x",
+    build=x_topology,
+    relay=N5,
+    flows=((N1, N4), (N3, N2)),
+    overhearing=True,
+)
 
 
 def run_x_topology_trial(
@@ -30,16 +41,8 @@ def run_x_topology_trial(
     workers can execute trials in any order.  Returns the
     ``(traditional, cope, anc)`` run results.
     """
-    return relay_exchange_trial(
-        cfg,
-        run_index,
-        x_topology,
-        relay=N5,
-        flows=((N1, N4), (N3, N2)),
-        stream_base=10,
-        overhearing=True,
-        topology_name="x",
-    )
+    runs = relay_exchange_trial(cfg, run_index, X, Streams(10, 11, 12, 13))
+    return runs["traditional"], runs["cope"], runs["anc"]
 
 
 def run_x_topology_experiment(

@@ -10,7 +10,6 @@ XOR bookkeeping refer to them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -73,7 +72,7 @@ class Packet:
         destination: int,
         sequence: int,
         payload_bits: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
     ) -> "Packet":
         """Create a packet with a uniformly random payload (workload generator)."""
         return cls(source, destination, sequence, random_bits(payload_bits, rng))

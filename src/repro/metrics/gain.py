@@ -24,7 +24,6 @@ class GainSample:
     gain: float
     anc_throughput: float
     baseline_throughput: float
-    baseline_scheme: str
 
 
 def pair_runs(
@@ -52,7 +51,6 @@ def pair_runs(
                 gain=anc.throughput / baseline_throughput,
                 anc_throughput=anc.throughput,
                 baseline_throughput=baseline_throughput,
-                baseline_scheme=baseline.scheme,
             )
         )
     return samples

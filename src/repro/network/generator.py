@@ -6,8 +6,6 @@ takes the same three ingredients — a :class:`ChannelConditions` description
 of the radio environment, a seeded ``numpy`` generator, and a handful of
 shape parameters — and returns a :class:`~repro.network.topology.Topology`:
 
-* :func:`generate_chain` — a linear chain of ``hops`` hops (the Fig. 2
-  shape at arbitrary length, the substrate of the chain-length sweep);
 * :func:`generate_star` — ``leaves`` endpoints around a central router,
   the natural host for many crossing 2-hop flows;
 * :func:`generate_random_mesh` — ``nodes`` radios dropped uniformly into a
@@ -19,10 +17,9 @@ shape parameters — and returns a :class:`~repro.network.topology.Topology`:
   :class:`~repro.channel.pathloss.PathLossModel`, so SNR/SIR follow from
   where the radios landed instead of hand-set constants.
 
-The :data:`GENERATORS` registry maps generator names to factories so a
-:class:`~repro.experiments.scenarios.ScenarioSpec` can name its topology as
-data (``topology="random_mesh"``) rather than code; :func:`get_generator`
-resolves the name at run time.
+A chain of any length is
+:func:`~repro.network.topologies.chain_topology` with its ``hops``
+argument.
 """
 
 from __future__ import annotations
@@ -33,31 +30,13 @@ import numpy as np
 
 from repro.channel.pathloss import PathLossModel
 from repro.exceptions import ConfigurationError
-from repro.network.topologies import ChannelConditions, _draw_link, chain_topology
+from repro.network.topologies import ChannelConditions, _draw_link
 from repro.network.topology import Topology
-
-#: Signature every registered generator satisfies.
-GeneratorFn = Callable[..., Topology]
-
-
-def generate_chain(
-    conditions: Optional[ChannelConditions] = None,
-    rng: Optional[np.random.Generator] = None,
-    hops: int = 3,
-) -> Topology:
-    """A linear chain ``1 -> 2 -> ... -> hops + 1`` of ``hops`` hops.
-
-    Thin wrapper over :func:`~repro.network.topologies.chain_topology`
-    registered under the generator-registry calling convention; node ids
-    are consecutive integers starting at 1 and only adjacent nodes are in
-    radio range of each other.
-    """
-    return chain_topology(conditions, rng, hops=hops)
 
 
 def generate_star(
-    conditions: Optional[ChannelConditions] = None,
-    rng: Optional[np.random.Generator] = None,
+    conditions: ChannelConditions,
+    rng: np.random.Generator,
     leaves: int = 4,
     hub: int = 0,
 ) -> Topology:
@@ -81,22 +60,20 @@ def generate_star(
     """
     if leaves < 2:
         raise ConfigurationError("a star needs at least 2 leaves")
-    cond = conditions if conditions is not None else ChannelConditions()
-    generator = rng if rng is not None else np.random.default_rng()
     topology = Topology()
     leaf_ids = [hub + offset for offset in range(1, leaves + 1)]
     for node in [hub] + leaf_ids:
-        topology.add_node(node, noise_power=cond.noise_power)
+        topology.add_node(node, noise_power=conditions.noise_power)
     for leaf in leaf_ids:
         topology.add_symmetric_link(
-            leaf, hub, _draw_link(cond, generator), _draw_link(cond, generator)
+            leaf, hub, _draw_link(conditions, rng), _draw_link(conditions, rng)
         )
     return topology
 
 
 def generate_random_mesh(
-    conditions: Optional[ChannelConditions] = None,
-    rng: Optional[np.random.Generator] = None,
+    conditions: ChannelConditions,
+    rng: np.random.Generator,
     nodes: int = 10,
     radius: float = 0.45,
 ) -> Topology:
@@ -127,10 +104,8 @@ def generate_random_mesh(
         raise ConfigurationError("a mesh needs at least 3 nodes")
     if not 0.0 < radius <= np.sqrt(2.0):
         raise ConfigurationError("radius must lie in (0, sqrt(2)]")
-    cond = conditions if conditions is not None else ChannelConditions()
-    generator = rng if rng is not None else np.random.default_rng()
     node_ids = list(range(1, nodes + 1))
-    positions = {node: generator.uniform(0.0, 1.0, size=2) for node in node_ids}
+    positions = {node: rng.uniform(0.0, 1.0, size=2) for node in node_ids}
 
     def _attenuation(distance: float) -> float:
         # Linear decay from the main-link attenuation at zero distance to
@@ -138,16 +113,16 @@ def generate_random_mesh(
         span = max(radius, distance)
         fraction = min(distance / span, 1.0)
         return (
-            cond.mean_attenuation
-            - (cond.mean_attenuation - cond.overhear_attenuation) * fraction
+            conditions.mean_attenuation
+            - (conditions.mean_attenuation - conditions.overhear_attenuation) * fraction
         )
 
-    return _mesh_from_positions(cond, generator, positions, radius, _attenuation)
+    return _mesh_from_positions(conditions, rng, positions, radius, _attenuation)
 
 
 def generate_geometric_mesh(
-    conditions: Optional[ChannelConditions] = None,
-    rng: Optional[np.random.Generator] = None,
+    conditions: ChannelConditions,
+    rng: np.random.Generator,
     nodes: int = 12,
     radius: float = 0.45,
     path_loss: Optional[PathLossModel] = None,
@@ -192,8 +167,6 @@ def generate_geometric_mesh(
         raise ConfigurationError("a mesh needs at least 3 nodes")
     if not 0.0 < radius <= np.sqrt(2.0):
         raise ConfigurationError("radius must lie in (0, sqrt(2)]")
-    cond = conditions if conditions is not None else ChannelConditions()
-    generator = rng if rng is not None else np.random.default_rng()
     model = (
         path_loss
         if path_loss is not None
@@ -205,13 +178,13 @@ def generate_geometric_mesh(
         )
     )
     node_ids = list(range(1, nodes + 1))
-    positions = {node: generator.uniform(0.0, 1.0, size=2) for node in node_ids}
-    return _mesh_from_positions(cond, generator, positions, radius, model.attenuation)
+    positions = {node: rng.uniform(0.0, 1.0, size=2) for node in node_ids}
+    return _mesh_from_positions(conditions, rng, positions, radius, model.attenuation)
 
 
 def _mesh_from_positions(
-    cond: ChannelConditions,
-    generator: np.random.Generator,
+    conditions: ChannelConditions,
+    rng: np.random.Generator,
     positions: Dict[int, np.ndarray],
     radius: float,
     attenuation_for: Callable[[float], float],
@@ -223,7 +196,7 @@ def _mesh_from_positions(
     ``radius`` are linked, then the closest cross-component pairs are
     bridged, with every link's mean attenuation taken from
     ``attenuation_for(distance)``.  Draw order is fixed by the sorted
-    node ids, so a given ``generator`` state always yields the same mesh.
+    node ids, so a given ``rng`` state always yields the same mesh.
     The placement is recorded as ``topology.positions`` (declared on
     :class:`~repro.network.topology.Topology`) for both mesh families.
     """
@@ -233,7 +206,7 @@ def _mesh_from_positions(
         node: (float(point[0]), float(point[1])) for node, point in positions.items()
     }
     for node in node_ids:
-        topology.add_node(node, noise_power=cond.noise_power)
+        topology.add_node(node, noise_power=conditions.noise_power)
 
     def _link_pair(a: int, b: int) -> None:
         distance = float(np.linalg.norm(positions[a] - positions[b]))
@@ -241,8 +214,8 @@ def _mesh_from_positions(
         topology.add_symmetric_link(
             a,
             b,
-            _draw_link(cond, generator, attenuation=attenuation),
-            _draw_link(cond, generator, attenuation=attenuation),
+            _draw_link(conditions, rng, attenuation=attenuation),
+            _draw_link(conditions, rng, attenuation=attenuation),
         )
 
     for index, a in enumerate(node_ids):
@@ -297,27 +270,3 @@ def _component_bridges(
         root[find(a)] = find(b)
         groups = components()
     return bridges
-
-
-#: Registry of topology generators, keyed by the name scenario specs use.
-GENERATORS: Dict[str, GeneratorFn] = {
-    "chain": generate_chain,
-    "star": generate_star,
-    "random_mesh": generate_random_mesh,
-    "geometric_mesh": generate_geometric_mesh,
-}
-
-
-def available_generators() -> List[str]:
-    """Names of every registered topology generator, in registry order."""
-    return list(GENERATORS)
-
-
-def get_generator(name: str) -> GeneratorFn:
-    """Look up one topology generator by registry name."""
-    try:
-        return GENERATORS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown topology generator {name!r}; choose from {', '.join(GENERATORS)}"
-        ) from None

@@ -75,7 +75,7 @@ class WirelessMedium:
     def __init__(
         self,
         topology: Topology,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
         tail_padding: int = 32,
     ) -> None:
         """Create a medium over ``topology``.
@@ -85,7 +85,7 @@ class WirelessMedium:
         so detectors see the energy drop back to the noise floor.
         """
         self.topology = topology
-        self._rng = rng if rng is not None else np.random.default_rng()
+        self._rng = rng
         if tail_padding < 0:
             raise SimulationError("tail padding must be non-negative")
         self.tail_padding = int(tail_padding)

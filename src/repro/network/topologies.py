@@ -113,27 +113,25 @@ def _draw_link(
 
 
 def alice_bob_topology(
-    conditions: Optional[ChannelConditions] = None,
-    rng: Optional[np.random.Generator] = None,
+    conditions: ChannelConditions,
+    rng: np.random.Generator,
 ) -> Topology:
     """Fig. 1: Alice (1) and Bob (2) connected only through the router (0)."""
-    cond = conditions if conditions is not None else ChannelConditions()
-    generator = rng if rng is not None else np.random.default_rng()
     topology = Topology()
     for node in (RELAY, ALICE, BOB):
-        topology.add_node(node, noise_power=cond.noise_power)
+        topology.add_node(node, noise_power=conditions.noise_power)
     topology.add_symmetric_link(
-        ALICE, RELAY, _draw_link(cond, generator), _draw_link(cond, generator)
+        ALICE, RELAY, _draw_link(conditions, rng), _draw_link(conditions, rng)
     )
     topology.add_symmetric_link(
-        BOB, RELAY, _draw_link(cond, generator), _draw_link(cond, generator)
+        BOB, RELAY, _draw_link(conditions, rng), _draw_link(conditions, rng)
     )
     return topology
 
 
 def chain_topology(
-    conditions: Optional[ChannelConditions] = None,
-    rng: Optional[np.random.Generator] = None,
+    conditions: ChannelConditions,
+    rng: np.random.Generator,
     hops: int = 3,
 ) -> Topology:
     """Fig. 2: a linear chain N1 -> N2 -> ... with ``hops`` hops (default 3).
@@ -144,22 +142,20 @@ def chain_topology(
     """
     if hops < 2:
         raise ConfigurationError("a chain needs at least 2 hops")
-    cond = conditions if conditions is not None else ChannelConditions()
-    generator = rng if rng is not None else np.random.default_rng()
     topology = Topology()
     node_ids = list(range(1, hops + 2))
     for node in node_ids:
-        topology.add_node(node, noise_power=cond.noise_power)
+        topology.add_node(node, noise_power=conditions.noise_power)
     for a, b in zip(node_ids[:-1], node_ids[1:]):
         topology.add_symmetric_link(
-            a, b, _draw_link(cond, generator), _draw_link(cond, generator)
+            a, b, _draw_link(conditions, rng), _draw_link(conditions, rng)
         )
     return topology
 
 
 def x_topology(
-    conditions: Optional[ChannelConditions] = None,
-    rng: Optional[np.random.Generator] = None,
+    conditions: ChannelConditions,
+    rng: np.random.Generator,
 ) -> Topology:
     """Fig. 11: flows N1 -> N4 and N3 -> N2 crossing at the router N5.
 
@@ -169,38 +165,36 @@ def x_topology(
     occasionally corrupts overhearing when both senders transmit at once
     (§11.5).
     """
-    cond = conditions if conditions is not None else ChannelConditions()
-    generator = rng if rng is not None else np.random.default_rng()
     topology = Topology()
     for node in (N1, N2, N3, N4, N5):
-        topology.add_node(node, noise_power=cond.noise_power)
+        topology.add_node(node, noise_power=conditions.noise_power)
     # Main links to/from the central router.
     for endpoint in (N1, N2, N3, N4):
         topology.add_symmetric_link(
-            endpoint, N5, _draw_link(cond, generator), _draw_link(cond, generator)
+            endpoint, N5, _draw_link(conditions, rng), _draw_link(conditions, rng)
         )
     # Overhearing links: each destination hears "its" sender.  These are
     # radio propagation only — routing must still go through the router.
     topology.add_link(
         N1, N2,
-        _draw_link(cond, generator, attenuation=cond.overhear_attenuation),
+        _draw_link(conditions, rng, attenuation=conditions.overhear_attenuation),
         routable=False,
     )
     topology.add_link(
         N3, N4,
-        _draw_link(cond, generator, attenuation=cond.overhear_attenuation),
+        _draw_link(conditions, rng, attenuation=conditions.overhear_attenuation),
         routable=False,
     )
     # Weak cross links: each sender also faintly reaches the other
     # destination, creating interference during simultaneous transmissions.
     topology.add_link(
         N1, N4,
-        _draw_link(cond, generator, attenuation=cond.cross_interference_attenuation),
+        _draw_link(conditions, rng, attenuation=conditions.cross_interference_attenuation),
         routable=False,
     )
     topology.add_link(
         N3, N2,
-        _draw_link(cond, generator, attenuation=cond.cross_interference_attenuation),
+        _draw_link(conditions, rng, attenuation=conditions.cross_interference_attenuation),
         routable=False,
     )
     return topology

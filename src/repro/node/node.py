@@ -123,7 +123,7 @@ class Node:
         self._sequence_counter += 1
         return value
 
-    def make_packet(self, destination: int, rng: Optional[np.random.Generator] = None) -> Packet:
+    def make_packet(self, destination: int, rng: np.random.Generator) -> Packet:
         """Create a new random-payload packet addressed to ``destination``."""
         return Packet.random(
             source=self.node_id,

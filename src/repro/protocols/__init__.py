@@ -8,27 +8,26 @@ optimal MAC, so that throughput differences are intrinsic to the schemes:
 * :class:`~repro.protocols.cope.CopeRelayProtocol` — digital network
   coding: the relay XORs the two packets it holds and broadcasts the XOR
   (the COPE baseline of [17]).
-* :class:`~repro.protocols.anc.ANCRelayProtocol` /
-  :class:`~repro.protocols.anc.ANCChainProtocol` — analog network coding:
-  deliberately concurrent transmissions, amplify-and-forward relaying
-  (Alice–Bob, "X") or in-place interference decoding (chain).
+* :class:`~repro.protocols.anc.ANCRelayProtocol` — analog network
+  coding through a relay: deliberately concurrent transmissions and
+  amplify-and-forward relaying (Alice–Bob, "X").
+* :class:`~repro.protocols.scheduled.ChainPipelineProtocol` — the MAC
+  planner's pipelined chain schedules for *any* hop count: the stride-2
+  ANC discipline with deliberate collisions decoded in place (the chain
+  of Fig. 12), or the stride-3 collision-free spatial-reuse discipline
+  that plain routing and digital coding fall back to on a one-way chain.
 
-The scenario subsystem adds the plan-driven
-:class:`~repro.protocols.scheduled.ChainPipelineProtocol`, which executes
-the MAC planner's pipelined chain schedules for *any* hop count — the
-stride-2 ANC discipline with deliberate collisions, or the stride-3
-collision-free spatial-reuse discipline that plain routing and digital
-coding fall back to on a one-way chain.
+The experiments build these through :mod:`repro.experiments.testbed`,
+which fixes every scheme's parameters and random stream.
 """
 
 from repro.protocols.base import ProtocolRun, RunResult
 from repro.protocols.traditional import TraditionalRouting
 from repro.protocols.cope import CopeRelayProtocol
-from repro.protocols.anc import ANCChainProtocol, ANCRelayProtocol
+from repro.protocols.anc import ANCRelayProtocol
 from repro.protocols.scheduled import ChainPipelineProtocol
 
 __all__ = [
-    "ANCChainProtocol",
     "ANCRelayProtocol",
     "ChainPipelineProtocol",
     "CopeRelayProtocol",

@@ -1,46 +1,33 @@
-"""Analog network coding protocols.
+"""Analog network coding through an amplify-and-forward relay.
 
-Two protocol shapes cover the paper's evaluation:
+:class:`ANCRelayProtocol` runs the Alice–Bob and "X" topologies (§2a,
+§11.4, §11.5).  In slot 1 the two senders transmit *simultaneously*
+(triggered, with the §7.2 random start offsets); the router receives the
+collision and, in slot 2, amplifies and rebroadcasts it.  Each
+destination cancels the component it already knows — its own packet
+(Alice–Bob) or one it overheard during slot 1 ("X") — and decodes the
+other.  Two slots deliver two packets.
 
-* :class:`ANCRelayProtocol` — the Alice–Bob and "X" topologies (§2a,
-  §11.4, §11.5).  In slot 1 the two senders transmit *simultaneously*
-  (triggered, with the §7.2 random start offsets); the router receives the
-  collision and, in slot 2, amplifies and rebroadcasts it.  Each
-  destination cancels the component it already knows — its own packet
-  (Alice–Bob) or one it overheard during slot 1 ("X") — and decodes the
-  other.  Two slots deliver two packets.
+The protocol does not hand-code its slot structure: it executes a
+:class:`~repro.mac.planner.RelayExchangePlan` from the ANC-aware planner
+in :mod:`repro.mac.planner`.  ANC on a chain (§2b, §11.6) is the
+planner's stride-2 schedule, run by
+:class:`~repro.protocols.scheduled.ChainPipelineProtocol`.
 
-* :class:`ANCChainProtocol` — the 3-hop chain (§2b, §11.6).  The middle
-  node's forwarding transmission triggers the source and the third node to
-  transmit concurrently in the next slot; the middle node decodes the new
-  packet out of the collision because it forwarded the interfering packet
-  itself one slot earlier, while the destination hears only the third
-  node.  Two slots move each packet three hops.
-
-Since the scenario subsystem landed, neither protocol hand-codes its slot
-structure: the relay protocol executes a
-:class:`~repro.mac.planner.RelayExchangePlan` and the chain protocol is a
-3-hop pin of the generalized
-:class:`~repro.protocols.scheduled.ChainPipelineProtocol`, both produced
-by the ANC-aware planner in :mod:`repro.mac.planner`.  The byte-for-byte
-figure benchmarks (Figs. 9, 10, 12) are the regression net proving the
-planned schedules match the formerly hand-rolled ones exactly.
-
-Both protocols enforce the paper's *incomplete overlap* requirement: the
-default overlap model never lets the second packet start before the first
-packet's pilot and header have gone out interference-free (§7.2).
+The paper's *incomplete overlap* requirement holds throughout: the
+default overlap model never lets the second packet start before the
+first packet's pilot and header have gone out interference-free (§7.2).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.anc.pipeline import ReceiveOutcome
 from repro.channel.interference import OverlapModel
 from repro.constants import DEFAULT_ANC_REDUNDANCY_OVERHEAD
-from repro.exceptions import ConfigurationError
 from repro.framing.header import Header
 from repro.framing.packet import Packet
 from repro.framing.pilot import PilotSequence
@@ -49,7 +36,6 @@ from repro.network.flows import Flow
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
-from repro.protocols.scheduled import ChainPipelineProtocol
 from repro.utils.bits import decoded_ber
 
 
@@ -74,8 +60,6 @@ class ANCRelayProtocol(ProtocolRun):
     scheduler, not just the canonical figures.
     """
 
-    scheme_name = "anc"
-
     def __init__(
         self,
         topology: Topology,
@@ -87,7 +71,8 @@ class ANCRelayProtocol(ProtocolRun):
         redundancy_overhead: float = DEFAULT_ANC_REDUNDANCY_OVERHEAD,
         overhearing: bool = False,
         overlap_model: Optional[OverlapModel] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         topology_name: str = "alice_bob",
     ) -> None:
         super().__init__(
@@ -234,42 +219,3 @@ class ANCRelayProtocol(ProtocolRun):
             result.packets_delivered += 1
         else:
             result.packets_lost += 1
-
-
-class ANCChainProtocol(ChainPipelineProtocol):
-    """Analog network coding on the 3-hop chain (unidirectional traffic).
-
-    A 4-node pin of the generalized
-    :class:`~repro.protocols.scheduled.ChainPipelineProtocol`: the Fig. 12
-    experiment (and its byte-for-byte benchmark reference) runs exactly
-    the schedule the planner derives for the paper's canonical chain.
-    """
-
-    scheme_name = "anc"
-
-    def __init__(
-        self,
-        topology: Topology,
-        path: Tuple[int, int, int, int] = (1, 2, 3, 4),
-        packets: int = 20,
-        payload_bits: int = 512,
-        ber_acceptance: float = 0.05,
-        redundancy_overhead: float = DEFAULT_ANC_REDUNDANCY_OVERHEAD,
-        overlap_model: Optional[OverlapModel] = None,
-        rng: Optional[np.random.Generator] = None,
-        topology_name: str = "chain",
-    ) -> None:
-        if len(path) != 4:
-            raise ConfigurationError("the chain protocol expects a 4-node path (3 hops)")
-        super().__init__(
-            topology,
-            path=path,
-            coding="anc",
-            packets=packets,
-            payload_bits=payload_bits,
-            ber_acceptance=ber_acceptance,
-            redundancy_overhead=redundancy_overhead,
-            overlap_model=overlap_model,
-            rng=rng,
-            topology_name=topology_name,
-        )

@@ -13,7 +13,7 @@ measured gains (§11.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.node.relay import RelayNode
 class RunResult:
     """Outcome of running one protocol over one topology for one run."""
 
-    scheme: str
     topology: str
     payload_bits: int
     packets_offered: int = 0
@@ -38,7 +37,6 @@ class RunResult:
     packet_bers: List[float] = field(default_factory=list)
     overlap_fractions: List[float] = field(default_factory=list)
     redundancy_overhead: float = 0.0
-    notes: str = ""
 
     @property
     def delivered_payload_bits(self) -> int:
@@ -89,7 +87,6 @@ class RunResult:
         self-contained; the per-packet lists stay out of it.
         """
         return {
-            "scheme": self.scheme,
             "topology": self.topology,
             "payload_bits": self.payload_bits,
             "packets_offered": self.packets_offered,
@@ -106,10 +103,12 @@ class RunResult:
 
 
 class ProtocolRun:
-    """Base class holding the pieces every protocol run needs."""
+    """Base class holding the pieces every protocol run needs.
 
-    #: Name reported in RunResult.scheme; subclasses override.
-    scheme_name = "base"
+    ``rng`` drives every random draw of the run (payloads, channel,
+    noise, offsets); it is required, so a run is a pure function of its
+    inputs.
+    """
 
     def __init__(
         self,
@@ -117,7 +116,8 @@ class ProtocolRun:
         payload_bits: int = 512,
         ber_acceptance: float = 0.05,
         redundancy_overhead: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         if payload_bits <= 0:
             raise ConfigurationError("payload_bits must be positive")
@@ -129,7 +129,7 @@ class ProtocolRun:
         self.payload_bits = int(payload_bits)
         self.ber_acceptance = float(ber_acceptance)
         self.redundancy_overhead = float(redundancy_overhead)
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         self.nodes: Dict[int, Node] = {}
 
     # ------------------------------------------------------------------
@@ -179,7 +179,6 @@ class ProtocolRun:
 def fresh_run_result(protocol: ProtocolRun, topology_name: str) -> RunResult:
     """Construct an empty RunResult for a protocol instance."""
     return RunResult(
-        scheme=protocol.scheme_name,
         topology=topology_name,
         payload_bits=protocol.payload_bits,
         redundancy_overhead=protocol.redundancy_overhead,

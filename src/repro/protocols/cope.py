@@ -27,12 +27,11 @@ from repro.network.flows import Flow
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
+from repro.utils.bits import decoded_ber
 
 
 class CopeRelayProtocol(ProtocolRun):
     """XOR-in-the-router network coding for two flows crossing at a relay."""
-
-    scheme_name = "cope"
 
     def __init__(
         self,
@@ -43,7 +42,8 @@ class CopeRelayProtocol(ProtocolRun):
         payload_bits: int = 512,
         ber_acceptance: float = 0.05,
         overhearing: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         topology_name: str = "alice_bob",
     ) -> None:
         super().__init__(
@@ -170,5 +170,4 @@ class CopeRelayProtocol(ProtocolRun):
         if receive.outcome != ReceiveOutcome.CLEAN_DECODED or not receive.delivered:
             return False
         recovered = np.bitwise_xor(receive.packet.payload, side_packet.payload).astype(np.uint8)
-        ber = float(np.mean(recovered != truth.payload)) if truth.payload.size else 0.0
-        return ber <= self.ber_acceptance
+        return decoded_ber(truth.payload, recovered) <= self.ber_acceptance

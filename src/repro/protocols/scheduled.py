@@ -11,10 +11,10 @@ the stride-3 plain plan the same machinery degenerates to collision-free
 spatial-reuse pipelining (the strongest schedule available to routing or
 digital coding on a one-way chain).
 
-The legacy 3-hop :class:`~repro.protocols.anc.ANCChainProtocol` is a thin
-subclass pinned to 4-node paths; the Fig. 12 benchmark's byte-for-byte
-reference rendering is the regression net proving this generalized
-executor reproduces the formerly hand-coded schedule exactly.
+On the paper's 3-hop chain (Fig. 12, §11.6) the ANC plan is the
+schedule of §2b: the middle node's forward triggers the source and the
+third node to transmit together, and two slots move each packet three
+hops.
 """
 
 from __future__ import annotations
@@ -27,63 +27,45 @@ from repro.channel.interference import OverlapModel
 from repro.constants import DEFAULT_ANC_REDUNDANCY_OVERHEAD
 from repro.exceptions import ConfigurationError
 from repro.framing.packet import Packet
-from repro.mac.planner import ChainPipelinePlan, PhaseTemplate, plan_chain_pipeline
+from repro.mac.planner import PhaseTemplate, plan_chain_pipeline
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
 from repro.utils.bits import decoded_ber
 
 
-def chain_min_offset() -> int:
-    """Default minimum collision offset for chain pipelines (see §7.2)."""
-    from repro.protocols.anc import default_min_offset
-
-    return default_min_offset()
-
-
 class ChainPipelineProtocol(ProtocolRun):
-    """Executes a pipelined chain schedule produced by the MAC planner.
+    """Executes the MAC planner's pipelined schedule for one flow down a chain.
 
     Parameters
     ----------
     topology:
         The network the chain lives in.
-    plan:
-        The phase schedule from
-        :func:`~repro.mac.planner.plan_chain_pipeline` (pass ``None`` to
-        plan ``path`` with the given ``coding`` here).
     path:
-        Node ids from source to destination; only used when ``plan`` is
-        ``None``.
+        Node ids from source to destination.
     coding:
-        Planner discipline when ``plan`` is ``None`` (``"anc"`` or
-        ``"plain"``).
+        Planner discipline: ``"anc"`` (stride-2, deliberate collisions)
+        or ``"plain"`` (stride-3, collision-free).
     packets:
         Number of packets the source injects.
     overlap_model:
         Draws the random start offsets of deliberately colliding
-        transmissions; unused by collision-free plans.
-    scheme:
-        Overrides the reported ``RunResult.scheme`` (defaults to
-        ``"anc"`` for collision plans and ``"plain"`` otherwise).
+        transmissions; required by the ``"anc"`` plan, unused otherwise.
     """
-
-    scheme_name = "anc"
 
     def __init__(
         self,
         topology: Topology,
-        plan: Optional[ChainPipelinePlan] = None,
-        path: Optional[Sequence[int]] = None,
+        path: Sequence[int],
         coding: str = "anc",
         packets: int = 20,
         payload_bits: int = 512,
         ber_acceptance: float = 0.05,
         redundancy_overhead: float = DEFAULT_ANC_REDUNDANCY_OVERHEAD,
         overlap_model: Optional[OverlapModel] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         topology_name: str = "chain",
-        scheme: Optional[str] = None,
     ) -> None:
         super().__init__(
             topology,
@@ -92,25 +74,16 @@ class ChainPipelineProtocol(ProtocolRun):
             redundancy_overhead=redundancy_overhead,
             rng=rng,
         )
-        if plan is None:
-            if path is None:
-                raise ConfigurationError("either a plan or a path is required")
-            plan = plan_chain_pipeline(topology, path, coding=coding)
+        plan = plan_chain_pipeline(topology, path, coding=coding)
         if packets <= 0:
             raise ConfigurationError("packets must be positive")
+        if plan.has_deliberate_collisions and overlap_model is None:
+            raise ConfigurationError("a collision plan needs an overlap model")
         self.plan = plan
         self.path = plan.path
         self.packets = int(packets)
-        self.overlap_model = (
-            overlap_model
-            if overlap_model is not None
-            else OverlapModel(rng=self.rng, min_offset=chain_min_offset())
-        )
+        self.overlap_model = overlap_model
         self.topology_name = topology_name
-        if scheme is not None:
-            self.scheme_name = scheme
-        elif not plan.has_deliberate_collisions:
-            self.scheme_name = "plain"
         for node_id in topology.nodes:
             self.make_node(node_id)
 

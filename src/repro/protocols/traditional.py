@@ -10,7 +10,7 @@ like ANC does, just never for interference.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,15 +24,14 @@ from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
 class TraditionalRouting(ProtocolRun):
     """Shortest-path routing with one transmission per slot."""
 
-    scheme_name = "traditional"
-
     def __init__(
         self,
         topology: Topology,
         flows: Sequence[Flow],
         payload_bits: int = 512,
         ber_acceptance: float = 0.05,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         topology_name: str = "generic",
     ) -> None:
         super().__init__(

@@ -8,8 +8,6 @@ each of the real and imaginary components has variance ``noise_power / 2``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.exceptions import ChannelError
@@ -18,7 +16,7 @@ from repro.exceptions import ChannelError
 def complex_gaussian_noise(
     length: int,
     noise_power: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Generate ``length`` samples of complex AWGN with total power ``noise_power``."""
     if length < 0:
@@ -27,6 +25,5 @@ def complex_gaussian_noise(
         raise ChannelError("noise power must be non-negative")
     if noise_power == 0 or length == 0:
         return np.zeros(length, dtype=np.complex128)
-    generator = rng if rng is not None else np.random.default_rng()
     sigma = np.sqrt(noise_power / 2.0)
-    return generator.normal(0.0, sigma, length) + 1j * generator.normal(0.0, sigma, length)
+    return rng.normal(0.0, sigma, length) + 1j * rng.normal(0.0, sigma, length)

@@ -208,15 +208,6 @@ def classify_reception(
     return ReceptionKind.COLLIDED, None
 
 
-@dataclass(frozen=True)
-class _Window:
-    """One aligned decode request: a slice of a composite waveform."""
-
-    composite: ComplexSignal
-    start: int
-    length: int
-
-
 class DecodeService:
     """Aligned frame decoding through the scalar MSK PHY.
 

@@ -99,12 +99,11 @@ def bits_to_bytes(bits: BitsLike) -> bytes:
     return np.packbits(arr).tobytes()
 
 
-def random_bits(length: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Generate ``length`` uniformly random bits using ``rng`` (or a fresh one)."""
+def random_bits(length: int, rng: np.random.Generator) -> np.ndarray:
+    """Generate ``length`` uniformly random bits using ``rng``."""
     if length < 0:
         raise ConfigurationError("length must be non-negative")
-    generator = rng if rng is not None else np.random.default_rng()
-    return generator.integers(0, 2, size=length, dtype=np.uint8)
+    return rng.integers(0, 2, size=length, dtype=np.uint8)
 
 
 def hamming_distance(a: BitsLike, b: BitsLike) -> int:

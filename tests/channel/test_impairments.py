@@ -7,7 +7,7 @@ from repro.channel.impairments import ImpairmentConfig, apply_impairments
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
-from repro.network.topologies import alice_bob_topology
+from repro.network.topologies import ChannelConditions, alice_bob_topology
 
 
 def _rng_state(rng):
@@ -78,7 +78,7 @@ class TestImpairmentConfig:
 
 class TestApplyImpairments:
     def test_disabled_is_a_strict_noop(self):
-        topology = alice_bob_topology(rng=np.random.default_rng(1))
+        topology = alice_bob_topology(ChannelConditions(), np.random.default_rng(1))
         before = {
             (s, d): (
                 topology.link(s, d).sender_cfo,
@@ -96,7 +96,7 @@ class TestApplyImpairments:
             assert topology.link(s, d).fading == fading
 
     def test_sender_cfo_consistent_per_sender(self):
-        topology = alice_bob_topology(rng=np.random.default_rng(3))
+        topology = alice_bob_topology(ChannelConditions(), np.random.default_rng(3))
         apply_impairments(
             topology, ImpairmentConfig(sender_cfo=0.04), np.random.default_rng(4)
         )
@@ -105,7 +105,7 @@ class TestApplyImpairments:
             assert topology.link(source, destination).sender_cfo == offsets[source]
 
     def test_fading_fields_stamped_on_every_link(self):
-        topology = alice_bob_topology(rng=np.random.default_rng(5))
+        topology = alice_bob_topology(ChannelConditions(), np.random.default_rng(5))
         config = ImpairmentConfig(
             fading="rayleigh", fading_mode="drift", fading_doppler=0.01
         )
@@ -120,7 +120,7 @@ class TestApplyImpairments:
     def test_rician_los_phases_are_deterministic_per_seed(self):
         phases = []
         for _ in range(2):
-            topology = alice_bob_topology(rng=np.random.default_rng(7))
+            topology = alice_bob_topology(ChannelConditions(), np.random.default_rng(7))
             apply_impairments(
                 topology,
                 ImpairmentConfig(fading="rician", rician_k_db=3.0),

@@ -44,12 +44,13 @@ class TestOverlapModel:
         assert offset <= 99
 
     def test_invalid_parameters(self):
+        rng = np.random.default_rng(4)
         with pytest.raises(Exception):
-            OverlapModel(mean_overlap=1.5)
+            OverlapModel(mean_overlap=1.5, rng=rng)
         with pytest.raises(ChannelError):
-            OverlapModel(min_offset=-1)
+            OverlapModel(min_offset=-1, rng=rng)
         with pytest.raises(ChannelError):
-            OverlapModel().draw_offsets(0)
+            OverlapModel(rng=rng).draw_offsets(0)
 
 
 class TestSuperpose:

@@ -5,6 +5,10 @@ Extracts each command line that starts with ``python -m repro.cli`` from
 parses it with the real parsers (``build_parser`` or, for ``campaign``,
 ``build_campaign_parser``).  Nothing runs: a doc that advertises a
 removed command or flag fails here instead of in a user's shell.
+
+Each case is named after its file and its command text, so editing the
+prose around a command renames no case; a repeated command in one file
+gets an ordinal (``#2``, ``#3``, ...).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import io
 import re
 import shlex
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -34,10 +38,11 @@ def _sources() -> List[Tuple[str, str]]:
     return sources
 
 
-def _examples() -> List[Tuple[str, str]]:
-    """``(where, argument text)`` for every documented command line."""
+def _examples() -> List[Tuple[str, str, str]]:
+    """``(case id, where, argument text)`` for every documented command line."""
     examples = []
-    for where, text in _sources():
+    seen: Dict[str, int] = {}
+    for source, text in _sources():
         lines = text.splitlines()
         for number, line in enumerate(lines, start=1):
             match = _COMMAND.match(line)
@@ -48,7 +53,11 @@ def _examples() -> List[Tuple[str, str]]:
             while arguments.rstrip().endswith("\\") and follow < len(lines):
                 arguments = arguments.rstrip()[:-1] + " " + lines[follow]
                 follow += 1
-            examples.append((f"{where}:{number}", arguments))
+            case = f"{source}:{' '.join(arguments.split())}"
+            seen[case] = seen.get(case, 0) + 1
+            if seen[case] > 1:
+                case += f"#{seen[case]}"
+            examples.append((case, f"{source}:{number}", arguments))
     return examples
 
 
@@ -57,13 +66,19 @@ EXAMPLES = _examples()
 
 def test_examples_found():
     # README and the CLI docstring both show figure, scenario and campaign runs.
-    joined = " ".join(arguments for _, arguments in EXAMPLES)
+    joined = " ".join(arguments for _, _, arguments in EXAMPLES)
     assert len(EXAMPLES) >= 20
     for name in ("alice-bob", "chain_sweep", "campaign run"):
         assert name in joined
 
 
-@pytest.mark.parametrize("where,arguments", EXAMPLES, ids=[w for w, _ in EXAMPLES])
+def test_case_ids_are_unique():
+    assert len({case for case, _, _ in EXAMPLES}) == len(EXAMPLES)
+
+
+@pytest.mark.parametrize(
+    "where,arguments", [e[1:] for e in EXAMPLES], ids=[e[0] for e in EXAMPLES]
+)
 def test_documented_command_parses(where, arguments):
     argv = shlex.split(arguments, comments=True)
     if argv[:1] == ["campaign"]:

@@ -10,6 +10,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.fading_sweep import FADING_SWEEP, RAYLEIGH_K_DB, run_fading_sweep_trial
 from repro.experiments.geometry_mesh import GEOMETRY_MESH, run_geometry_mesh_trial
 from repro.experiments.scenarios import run_scenario
+from repro.network.topologies import ChannelConditions
 from repro.results import render_text
 
 TINY = ExperimentConfig(runs=1, packets_per_run=2, payload_bits=512, seed=5)
@@ -112,7 +113,8 @@ class TestGeometryMeshTrial:
 
         def mean_gain(exponent):
             topology = generate_geometric_mesh(
-                rng=np.random.default_rng(6),
+                ChannelConditions(),
+                np.random.default_rng(6),
                 nodes=10,
                 radius=0.5,
                 path_loss=PathLossModel(

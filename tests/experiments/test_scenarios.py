@@ -27,7 +27,6 @@ class TestRegistry:
         assert entry.kind == "scenario"
         assert entry.description == CHAIN_SWEEP.description
         assert CHAIN_SWEEP.schemes[0] == "anc"
-        assert CHAIN_SWEEP.topology == "chain"
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):

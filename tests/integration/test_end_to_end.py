@@ -28,11 +28,14 @@ from repro.network.topologies import (
 )
 from repro.node.node import Node, NodeConfig
 from repro.node.relay import RelayNode
-from repro.protocols.anc import ANCChainProtocol, ANCRelayProtocol, default_min_offset
+from repro.protocols.anc import ANCRelayProtocol, default_min_offset
 from repro.protocols.cope import CopeRelayProtocol
+from repro.protocols.scheduled import ChainPipelineProtocol
 from repro.protocols.traditional import TraditionalRouting
 
 PAYLOAD = 384
+#: The paper's 3-hop chain N1 -> N2 -> N3 -> N4 (Fig. 2).
+CHAIN = (1, 2, 3, 4)
 
 
 def _overlap(seed):
@@ -129,8 +132,8 @@ class TestChainPipeline:
         conditions = ChannelConditions(snr_db=28.0)
         topology = chain_topology(conditions, np.random.default_rng(14))
         packets = 6
-        anc = ANCChainProtocol(
-            topology, packets=packets, payload_bits=PAYLOAD,
+        anc = ChainPipelineProtocol(
+            topology, CHAIN, packets=packets, payload_bits=PAYLOAD,
             overlap_model=_overlap(15), rng=np.random.default_rng(15),
         ).run()
         assert anc.packets_delivered >= packets - 1

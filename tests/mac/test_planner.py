@@ -10,7 +10,7 @@ from repro.mac.planner import (
     plan_relay_exchange,
 )
 from repro.network.flows import Flow
-from repro.network.generator import generate_chain, generate_star
+from repro.network.generator import generate_star
 from repro.network.topologies import (
     ALICE,
     BOB,
@@ -22,6 +22,7 @@ from repro.network.topologies import (
     RELAY,
     ChannelConditions,
     alice_bob_topology,
+    chain_topology,
     x_topology,
 )
 
@@ -29,7 +30,7 @@ CONDITIONS = ChannelConditions(snr_db=28.0)
 
 
 def _chain(hops, seed=0):
-    return generate_chain(CONDITIONS, np.random.default_rng(seed), hops=hops)
+    return chain_topology(CONDITIONS, np.random.default_rng(seed), hops=hops)
 
 
 class TestChainPipelinePlan:

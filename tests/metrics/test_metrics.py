@@ -12,9 +12,8 @@ from repro.results.render import format_cdf_table, gain_samples, render_text
 from repro.utils.cdf import EmpiricalCDF
 
 
-def _run(scheme="anc", delivered=10, air=1000, bers=()):
+def _run(delivered=10, air=1000, bers=()):
     return RunResult(
-        scheme=scheme,
         topology="alice_bob",
         payload_bits=100,
         packets_offered=delivered,
@@ -44,13 +43,13 @@ class TestGainMetrics:
     def test_pair_runs(self):
         anc_runs = [_run(delivered=10, air=500), _run(delivered=10, air=600)]
         base_runs = [
-            _run(scheme="traditional", delivered=10, air=1000),
-            _run(scheme="traditional", delivered=10, air=1000),
+            _run(delivered=10, air=1000),
+            _run(delivered=10, air=1000),
         ]
         samples = pair_runs(anc_runs, base_runs)
         assert len(samples) == 2
         assert samples[0].gain == pytest.approx(2.0)
-        assert samples[1].baseline_scheme == "traditional"
+        assert samples[1].gain == pytest.approx(10 / 600 / (10 / 1000))
 
     def test_pair_runs_length_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -62,7 +61,7 @@ class TestGainMetrics:
 
     def test_pair_runs_names_the_silent_baseline_run(self):
         anc_runs = [_run(), _run()]
-        base_runs = [_run(scheme="cope"), _run(scheme="cope", delivered=0)]
+        base_runs = [_run(), _run(delivered=0)]
         with pytest.raises(ConfigurationError, match="baseline run 1 has non-positive throughput"):
             pair_runs(anc_runs, base_runs)
 
@@ -77,8 +76,8 @@ class TestReports:
     def test_report_result_tables_and_text(self):
         anc = [_run(delivered=10, air=500, bers=(0.01, 0.02)), _run(delivered=10, air=600)]
         traditional = [
-            _run("traditional", delivered=10, air=1000),
-            _run("traditional", delivered=10, air=1000),
+            _run(delivered=10, air=1000),
+            _run(delivered=10, air=1000),
         ]
         result = report_result(
             "toy", "fig_toy", ExperimentConfig(), anc, {"traditional": traditional}

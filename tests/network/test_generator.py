@@ -6,46 +6,24 @@ import pytest
 from repro.channel.pathloss import PathLossModel
 from repro.exceptions import ConfigurationError
 from repro.network.generator import (
-    GENERATORS,
-    available_generators,
-    generate_chain,
     generate_geometric_mesh,
     generate_random_mesh,
     generate_star,
-    get_generator,
 )
-from repro.network.topologies import ChannelConditions
+from repro.network.topologies import ChannelConditions, chain_topology
 
 CONDITIONS = ChannelConditions(snr_db=28.0)
-
-
-class TestRegistry:
-    def test_all_generators_listed(self):
-        assert available_generators() == [
-            "chain",
-            "star",
-            "random_mesh",
-            "geometric_mesh",
-        ]
-
-    def test_lookup_by_name(self):
-        for name in available_generators():
-            assert get_generator(name) is GENERATORS[name]
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_generator("torus")
 
 
 class TestChain:
     def test_lengths(self):
         for hops in (2, 3, 5, 8):
-            topo = generate_chain(CONDITIONS, np.random.default_rng(0), hops=hops)
+            topo = chain_topology(CONDITIONS, np.random.default_rng(0), hops=hops)
             assert len(topo.nodes) == hops + 1
             assert topo.shortest_path(1, hops + 1) == list(range(1, hops + 2))
 
     def test_only_adjacent_nodes_in_range(self):
-        topo = generate_chain(CONDITIONS, np.random.default_rng(1), hops=5)
+        topo = chain_topology(CONDITIONS, np.random.default_rng(1), hops=5)
         assert topo.in_range(2, 3) and topo.in_range(3, 2)
         assert not topo.in_range(1, 3)
         assert not topo.in_range(2, 5)
@@ -153,7 +131,7 @@ class TestGeometricMesh:
     def test_positions_declared_on_every_topology(self):
         """`positions` is a declared Topology attribute: mesh families set
         it, placement-free generators leave it None (no AttributeError)."""
-        assert generate_chain(CONDITIONS, np.random.default_rng(0)).positions is None
+        assert chain_topology(CONDITIONS, np.random.default_rng(0)).positions is None
         assert generate_star(CONDITIONS, np.random.default_rng(0)).positions is None
         mesh = generate_random_mesh(CONDITIONS, np.random.default_rng(0), nodes=8)
         assert sorted(mesh.positions) == mesh.nodes

@@ -35,7 +35,7 @@ def _burst(seed=0, n=80):
 class TestWirelessMedium:
     def test_receiver_in_range_hears_distorted_signal(self):
         topo = _simple_topology(noise=0.0)
-        medium = WirelessMedium(topo, tail_padding=0)
+        medium = WirelessMedium(topo, rng=np.random.default_rng(0), tail_padding=0)
         wave = _burst()
         out = medium.deliver([Transmission(sender=1, waveform=wave)])
         received = out[2]
@@ -50,13 +50,13 @@ class TestWirelessMedium:
 
     def test_transmitter_does_not_hear_itself(self):
         topo = _simple_topology()
-        medium = WirelessMedium(topo)
+        medium = WirelessMedium(topo, rng=np.random.default_rng(0))
         out = medium.deliver([Transmission(sender=1, waveform=_burst())])
         assert 1 not in out
 
     def test_concurrent_transmissions_superpose(self):
         topo = _simple_topology(noise=0.0)
-        medium = WirelessMedium(topo, tail_padding=0)
+        medium = WirelessMedium(topo, rng=np.random.default_rng(0), tail_padding=0)
         wave_a, wave_b = _burst(1), _burst(2)
         out = medium.deliver(
             [
@@ -73,12 +73,12 @@ class TestWirelessMedium:
 
     def test_receivers_filter(self):
         topo = _simple_topology()
-        medium = WirelessMedium(topo)
+        medium = WirelessMedium(topo, rng=np.random.default_rng(0))
         out = medium.deliver([Transmission(sender=1, waveform=_burst())], receivers=[2])
         assert set(out) == {2}
 
     def test_receivers_may_be_any_iterable_and_senders_are_skipped(self):
-        medium = WirelessMedium(_simple_topology())
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         out = medium.deliver(
             [Transmission(sender=1, waveform=_burst())], receivers=iter([3, 1, 2])
         )
@@ -93,7 +93,7 @@ class TestWirelessMedium:
         assert np.array_equal(out[3].samples, expected)
 
     def test_slot_duration(self):
-        medium = WirelessMedium(_simple_topology())
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         wave = _burst()
         duration = medium.slot_duration(
             [Transmission(sender=1, waveform=wave, start_offset=25)]
@@ -101,7 +101,7 @@ class TestWirelessMedium:
         assert duration == len(wave) + 25
 
     def test_slot_duration_spans_the_latest_transmission(self):
-        medium = WirelessMedium(_simple_topology())
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         short, long = _burst(n=40), _burst(seed=1, n=80)
         duration = medium.slot_duration(
             [
@@ -112,7 +112,8 @@ class TestWirelessMedium:
         assert duration == max(len(long), len(short) + 60)
 
     def test_empty_slot_has_no_duration(self):
-        assert WirelessMedium(_simple_topology()).slot_duration([]) == 0
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
+        assert medium.slot_duration([]) == 0
 
     def test_negative_start_offset_rejected(self):
         with pytest.raises(SimulationError, match="start offsets must be non-negative"):
@@ -120,10 +121,10 @@ class TestWirelessMedium:
 
     def test_negative_tail_padding_rejected(self):
         with pytest.raises(SimulationError, match="tail padding must be non-negative"):
-            WirelessMedium(_simple_topology(), tail_padding=-1)
+            WirelessMedium(_simple_topology(), rng=np.random.default_rng(0), tail_padding=-1)
 
     def test_duplicate_sender_rejected(self):
-        medium = WirelessMedium(_simple_topology())
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         wave = _burst()
         with pytest.raises(SimulationError):
             medium.deliver(
@@ -131,13 +132,13 @@ class TestWirelessMedium:
             )
 
     def test_unknown_sender_rejected(self):
-        medium = WirelessMedium(_simple_topology())
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         with pytest.raises(SimulationError):
             medium.deliver([Transmission(sender=9, waveform=_burst())])
 
     def test_empty_slot_rejected(self):
         with pytest.raises(SimulationError):
-            WirelessMedium(_simple_topology()).deliver([])
+            WirelessMedium(_simple_topology(), rng=np.random.default_rng(0)).deliver([])
 
 
 class TestSuperposition:
@@ -204,7 +205,7 @@ class TestSuperposition:
         topo.add_link(1, 2, Link(attenuation=0.5, propagation_delay=delay))
         wave = _burst(n=9)
         assert len(wave) == 10
-        medium = WirelessMedium(topo, tail_padding=tail_padding)
+        medium = WirelessMedium(topo, rng=np.random.default_rng(0), tail_padding=tail_padding)
         received = medium.deliver([Transmission(sender=1, waveform=wave)])[2].samples
         assert len(received) == max(10 + tail_padding, delay + 10)
         assert np.array_equal(received[:delay], np.zeros(delay))
@@ -225,7 +226,7 @@ class TestAirTimeLedger:
         assert medium.air_time == 2 * len(wave) + 30
 
     def test_ledger_charges_the_slot_duration_not_the_padding(self):
-        medium = WirelessMedium(_simple_topology(), tail_padding=50)
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0), tail_padding=50)
         slot = [
             Transmission(sender=1, waveform=_burst(n=40)),
             Transmission(sender=3, waveform=_burst(n=80), start_offset=7),
@@ -235,7 +236,7 @@ class TestAirTimeLedger:
         assert len(observed[2]) == medium.air_time + 50
 
     def test_slot_heard_by_every_receiver_is_charged_once(self):
-        medium = WirelessMedium(_simple_topology(), tail_padding=5)
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0), tail_padding=5)
         wave = _burst(n=60)
         observed = medium.deliver([Transmission(sender=2, waveform=wave, start_offset=4)])
         assert sorted(observed) == [1, 3]
@@ -243,7 +244,7 @@ class TestAirTimeLedger:
         assert (medium.air_time, medium.slots) == (4 + len(wave), 1)
 
     def test_rejected_slot_is_not_charged(self):
-        medium = WirelessMedium(_simple_topology())
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         with pytest.raises(SimulationError):
             medium.deliver([Transmission(sender=9, waveform=_burst())])
         assert (medium.air_time, medium.slots) == (0, 0)

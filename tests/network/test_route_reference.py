@@ -53,7 +53,7 @@ from repro import api
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import REGISTRY
 from repro.network import generator
-from repro.network.topologies import ChannelConditions
+from repro.network.topologies import ChannelConditions, chain_topology
 from repro.network.topology import Topology
 from repro.results import ExperimentResult, render_text
 
@@ -87,7 +87,7 @@ registry = distinct()
 conditions = ChannelConditions()
 for seed in range(12):
     rng = np.random.default_rng(seed)
-    generator.generate_chain(conditions, rng, hops=2 + seed % 6)
+    chain_topology(conditions, rng, hops=2 + seed % 6)
     generator.generate_star(conditions, rng, leaves=2 + seed % 6)
     for nodes, radius in ((5, 0.45), (12, 0.25), (12, 0.45), (20, 0.1), (20, 0.3)):
         generator.generate_random_mesh(conditions, rng, nodes=nodes, radius=radius)

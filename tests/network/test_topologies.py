@@ -38,19 +38,19 @@ class TestChannelConditions:
 
 class TestAliceBobTopology:
     def test_structure(self, rng):
-        topo = alice_bob_topology(rng=rng)
+        topo = alice_bob_topology(ChannelConditions(), rng)
         assert set(topo.nodes) == {RELAY, ALICE, BOB}
         assert topo.in_range(ALICE, RELAY)
         assert topo.in_range(BOB, RELAY)
         assert not topo.in_range(ALICE, BOB)
 
     def test_routing_goes_through_relay(self, rng):
-        topo = alice_bob_topology(rng=rng)
+        topo = alice_bob_topology(ChannelConditions(), rng)
         assert topo.shortest_path(ALICE, BOB) == [ALICE, RELAY, BOB]
 
     def test_different_seeds_draw_different_links(self):
-        a = alice_bob_topology(rng=np.random.default_rng(1))
-        b = alice_bob_topology(rng=np.random.default_rng(2))
+        a = alice_bob_topology(ChannelConditions(), np.random.default_rng(1))
+        b = alice_bob_topology(ChannelConditions(), np.random.default_rng(2))
         assert a.link(ALICE, RELAY).phase_shift != b.link(ALICE, RELAY).phase_shift
 
     def test_noise_power_propagates(self, rng):
@@ -61,28 +61,28 @@ class TestAliceBobTopology:
 
 class TestChainTopology:
     def test_structure(self, rng):
-        topo = chain_topology(rng=rng)
+        topo = chain_topology(ChannelConditions(), rng)
         assert topo.nodes == [1, 2, 3, 4]
         assert topo.in_range(1, 2) and topo.in_range(3, 4)
         assert not topo.in_range(1, 3)
         assert not topo.in_range(1, 4)
 
     def test_route_is_the_chain(self, rng):
-        topo = chain_topology(rng=rng)
+        topo = chain_topology(ChannelConditions(), rng)
         assert topo.shortest_path(1, 4) == [1, 2, 3, 4]
 
     def test_custom_hop_count(self, rng):
-        topo = chain_topology(rng=rng, hops=5)
+        topo = chain_topology(ChannelConditions(), rng, hops=5)
         assert len(topo.nodes) == 6
 
     def test_minimum_hops(self, rng):
         with pytest.raises(ConfigurationError):
-            chain_topology(rng=rng, hops=1)
+            chain_topology(ChannelConditions(), rng, hops=1)
 
 
 class TestXTopology:
     def test_structure(self, rng):
-        topo = x_topology(rng=rng)
+        topo = x_topology(ChannelConditions(), rng)
         assert set(topo.nodes) == {N1, N2, N3, N4, N5}
         for endpoint in (N1, N2, N3, N4):
             assert topo.in_range(endpoint, N5)
@@ -92,7 +92,7 @@ class TestXTopology:
         assert not topo.is_routable(N1, N2)
 
     def test_routes_cross_at_router(self, rng):
-        topo = x_topology(rng=rng)
+        topo = x_topology(ChannelConditions(), rng)
         assert topo.shortest_path(N1, N4) == [N1, N5, N4]
         assert topo.shortest_path(N3, N2) == [N3, N5, N2]
 

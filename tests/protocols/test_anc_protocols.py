@@ -20,11 +20,14 @@ from repro.network.topologies import (
     chain_topology,
     x_topology,
 )
-from repro.protocols.anc import ANCChainProtocol, ANCRelayProtocol, default_min_offset
+from repro.protocols.anc import ANCRelayProtocol, default_min_offset
 from repro.protocols.cope import CopeRelayProtocol
+from repro.protocols.scheduled import ChainPipelineProtocol
 from repro.protocols.traditional import TraditionalRouting
 
 PAYLOAD = 384
+#: The paper's 3-hop chain N1 -> N2 -> N3 -> N4 (Fig. 2).
+CHAIN = (1, 2, 3, 4)
 
 
 def _conditions():
@@ -126,7 +129,8 @@ class TestANCAliceBob:
         topo = alice_bob_topology(_conditions(), np.random.default_rng(12))
         with pytest.raises(ConfigurationError):
             ANCRelayProtocol(
-                topo, RELAY, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 3), payload_bits=PAYLOAD
+                topo, RELAY, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 3), payload_bits=PAYLOAD,
+                rng=np.random.default_rng(12),
             )
 
 
@@ -146,8 +150,8 @@ class TestANCChain:
     def test_two_slots_per_packet_steady_state(self):
         topo = chain_topology(_conditions(), np.random.default_rng(15))
         packets = 8
-        result = ANCChainProtocol(
-            topo, packets=packets, payload_bits=PAYLOAD,
+        result = ChainPipelineProtocol(
+            topo, CHAIN, packets=packets, payload_bits=PAYLOAD,
             overlap_model=_overlap(16), rng=np.random.default_rng(16),
         ).run()
         # 2 slots per packet plus bootstrap/drain overhead.
@@ -160,8 +164,8 @@ class TestANCChain:
         traditional = TraditionalRouting(
             topo, [Flow(1, 4, packets)], payload_bits=PAYLOAD, rng=np.random.default_rng(18)
         ).run()
-        anc = ANCChainProtocol(
-            topo, packets=packets, payload_bits=PAYLOAD, redundancy_overhead=0.04,
+        anc = ChainPipelineProtocol(
+            topo, CHAIN, packets=packets, payload_bits=PAYLOAD, redundancy_overhead=0.04,
             overlap_model=_overlap(19), rng=np.random.default_rng(19),
         ).run()
         assert anc.throughput > traditional.throughput
@@ -172,8 +176,8 @@ class TestANCChain:
         conditions = ChannelConditions(snr_db=24.0)
         chain_topo = chain_topology(conditions, np.random.default_rng(20))
         ab_topo = alice_bob_topology(conditions, np.random.default_rng(21))
-        chain_result = ANCChainProtocol(
-            chain_topo, packets=6, payload_bits=PAYLOAD,
+        chain_result = ChainPipelineProtocol(
+            chain_topo, CHAIN, packets=6, payload_bits=PAYLOAD,
             overlap_model=_overlap(22), rng=np.random.default_rng(22),
         ).run()
         ab_result = ANCRelayProtocol(
@@ -187,6 +191,12 @@ class TestANCChain:
     def test_invalid_parameters(self):
         topo = chain_topology(_conditions(), np.random.default_rng(24))
         with pytest.raises(ConfigurationError):
-            ANCChainProtocol(topo, path=(1, 2, 3), packets=4, payload_bits=PAYLOAD)
+            ChainPipelineProtocol(
+                topo, CHAIN, packets=0, payload_bits=PAYLOAD,
+                overlap_model=_overlap(24), rng=np.random.default_rng(24),
+            )
         with pytest.raises(ConfigurationError):
-            ANCChainProtocol(topo, packets=0, payload_bits=PAYLOAD)
+            ChainPipelineProtocol(
+                topo, CHAIN, coding="xor", packets=4, payload_bits=PAYLOAD,
+                overlap_model=_overlap(24), rng=np.random.default_rng(24),
+            )

@@ -68,7 +68,8 @@ class TestCopeAliceBob:
         topo = alice_bob_topology(_conditions(), np.random.default_rng(5))
         with pytest.raises(ValueError):
             CopeRelayProtocol(
-                topo, RELAY, Flow(ALICE, BOB, 3), Flow(BOB, ALICE, 4), payload_bits=PAYLOAD
+                topo, RELAY, Flow(ALICE, BOB, 3), Flow(BOB, ALICE, 4), payload_bits=PAYLOAD,
+                rng=np.random.default_rng(5),
             )
 
 

@@ -10,7 +10,7 @@ from repro.protocols.base import ProtocolRun, RunResult, fresh_run_result
 
 
 def _result(**kwargs):
-    defaults = dict(scheme="anc", topology="alice_bob", payload_bits=100)
+    defaults = dict(topology="alice_bob", payload_bits=100)
     defaults.update(kwargs)
     return RunResult(**defaults)
 
@@ -68,16 +68,16 @@ class TestProtocolRunHelpers:
 
     def test_validation(self):
         topo = alice_bob_topology(ChannelConditions(), np.random.default_rng(1))
+        rng = np.random.default_rng(1)
         with pytest.raises(ConfigurationError):
-            ProtocolRun(topo, payload_bits=0)
+            ProtocolRun(topo, payload_bits=0, rng=rng)
         with pytest.raises(ConfigurationError):
-            ProtocolRun(topo, ber_acceptance=0.6)
+            ProtocolRun(topo, ber_acceptance=0.6, rng=rng)
         with pytest.raises(ConfigurationError):
-            ProtocolRun(topo, redundancy_overhead=-0.1)
+            ProtocolRun(topo, redundancy_overhead=-0.1, rng=rng)
 
     def test_fresh_run_result(self):
         protocol = self._protocol()
         result = fresh_run_result(protocol, "alice_bob")
-        assert result.scheme == "base"
         assert result.topology == "alice_bob"
         assert result.payload_bits == 128

@@ -5,11 +5,9 @@ import pytest
 
 from repro.channel.interference import OverlapModel
 from repro.exceptions import ConfigurationError
-from repro.mac.planner import plan_chain_pipeline
 from repro.network.flows import Flow
-from repro.network.generator import generate_chain
-from repro.network.topologies import ChannelConditions
-from repro.protocols.anc import ANCChainProtocol, default_min_offset
+from repro.network.topologies import ChannelConditions, chain_topology
+from repro.protocols.anc import default_min_offset
 from repro.protocols.scheduled import ChainPipelineProtocol
 from repro.protocols.traditional import TraditionalRouting
 
@@ -18,7 +16,7 @@ CONDITIONS = ChannelConditions(snr_db=30.0)
 
 
 def _chain(hops, seed=0):
-    return generate_chain(CONDITIONS, np.random.default_rng(seed), hops=hops)
+    return chain_topology(CONDITIONS, np.random.default_rng(seed), hops=hops)
 
 
 def _overlap(seed, mean=0.85):
@@ -53,20 +51,6 @@ def _plain(topology, hops, packets, seed):
 
 
 class TestGeneralizedAncPipeline:
-    def test_matches_legacy_3_hop_protocol_exactly(self):
-        """The generalized executor must reproduce ANCChainProtocol bit-for-bit."""
-        packets = 6
-        legacy = ANCChainProtocol(
-            _chain(3), packets=packets, payload_bits=PAYLOAD,
-            overlap_model=_overlap(3), rng=np.random.default_rng(3),
-        ).run()
-        general = _anc(_chain(3), hops=3, packets=packets, seed=3).run()
-        assert general.slots_used == legacy.slots_used
-        assert general.air_time_samples == legacy.air_time_samples
-        assert general.packets_delivered == legacy.packets_delivered
-        assert general.packet_bers == legacy.packet_bers
-        assert general.overlap_fractions == legacy.overlap_fractions
-
     @pytest.mark.parametrize("hops", [2, 4, 5, 7])
     def test_delivers_across_chain_lengths(self, hops):
         packets = 5
@@ -94,7 +78,6 @@ class TestCollisionFreePipeline:
     @pytest.mark.parametrize("hops", [3, 5, 8])
     def test_plain_pipeline_has_no_interference(self, hops):
         result = _plain(_chain(hops, seed=hops), hops, packets=5, seed=hops).run()
-        assert result.scheme == "plain"
         assert result.packets_delivered == 5
         assert result.overlap_fractions == []
         assert result.packet_bers == []
@@ -110,31 +93,18 @@ class TestCollisionFreePipeline:
         ).run()
         assert pipelined.throughput > 1.3 * naive.throughput
 
-    def test_scheme_override(self):
-        result = ChainPipelineProtocol(
-            _chain(3, seed=30), path=(1, 2, 3, 4), coding="plain", packets=2,
-            payload_bits=PAYLOAD, redundancy_overhead=0.0,
-            rng=np.random.default_rng(30), scheme="cope",
-        ).run()
-        assert result.scheme == "cope"
-
 
 class TestValidation:
-    def test_requires_plan_or_path(self):
-        with pytest.raises(ConfigurationError):
-            ChainPipelineProtocol(_chain(3), packets=2, payload_bits=PAYLOAD)
-
     def test_rejects_non_positive_packets(self):
         with pytest.raises(ConfigurationError):
             ChainPipelineProtocol(
-                _chain(3), path=(1, 2, 3, 4), packets=0, payload_bits=PAYLOAD
+                _chain(3), path=(1, 2, 3, 4), packets=0, payload_bits=PAYLOAD,
+                overlap_model=_overlap(0), rng=np.random.default_rng(0),
             )
 
-    def test_accepts_precomputed_plan(self):
-        topology = _chain(4, seed=31)
-        plan = plan_chain_pipeline(topology, (1, 2, 3, 4, 5), coding="anc")
-        result = ChainPipelineProtocol(
-            topology, plan=plan, packets=3, payload_bits=PAYLOAD,
-            overlap_model=_overlap(31), rng=np.random.default_rng(31),
-        ).run()
-        assert result.packets_offered == 3
+    def test_collision_plan_requires_an_overlap_model(self):
+        with pytest.raises(ConfigurationError):
+            ChainPipelineProtocol(
+                _chain(3), path=(1, 2, 3, 4), coding="anc", packets=2,
+                payload_bits=PAYLOAD, rng=np.random.default_rng(0),
+            )

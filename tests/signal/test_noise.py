@@ -9,10 +9,10 @@ from repro.signal.noise import complex_gaussian_noise
 
 class TestComplexGaussianNoise:
     def test_length(self):
-        assert complex_gaussian_noise(100, 0.5).size == 100
+        assert complex_gaussian_noise(100, 0.5, np.random.default_rng(0)).size == 100
 
     def test_zero_power_is_silent(self):
-        noise = complex_gaussian_noise(50, 0.0)
+        noise = complex_gaussian_noise(50, 0.0, np.random.default_rng(0))
         assert np.all(noise == 0)
 
     def test_power_matches_request(self):
@@ -29,8 +29,8 @@ class TestComplexGaussianNoise:
 
     def test_negative_power_rejected(self):
         with pytest.raises(ChannelError):
-            complex_gaussian_noise(10, -1.0)
+            complex_gaussian_noise(10, -1.0, np.random.default_rng(0))
 
     def test_negative_length_rejected(self):
         with pytest.raises(ChannelError):
-            complex_gaussian_noise(-5, 1.0)
+            complex_gaussian_noise(-5, 1.0, np.random.default_rng(0))

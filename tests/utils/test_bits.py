@@ -111,7 +111,7 @@ class TestRandomBits:
 
     def test_negative_length_raises(self):
         with pytest.raises(ConfigurationError):
-            random_bits(-1)
+            random_bits(-1, np.random.default_rng(0))
 
     def test_values_are_binary(self):
         bits = random_bits(500, np.random.default_rng(1))

@@ -66,7 +66,7 @@ def simulate_schemes(
         cfg.seed,
         stream,
         int(run),
-        RngStreams._key_material(traffic_model),
+        RngStreams.key_material(traffic_model),
         int(round(arrival_rate * 1000)),
     ]
     cell: Dict[str, Dict[str, float]] = {}

@@ -2,8 +2,8 @@
 
 The evaluation runs on the paper's three canonical topologies (Alice–Bob,
 the chain at any length and the "X") plus the parameterized families
-produced by :mod:`repro.network.generator` (stars, seeded random and
-path-loss meshes), each described by a :class:`Topology` of nodes and
+produced by :mod:`repro.network.generator` (seeded random and path-loss
+meshes), each described by a :class:`Topology` of nodes and
 directed :class:`~repro.channel.link.Link` parameters.  The
 :class:`WirelessMedium` runs one transmission slot at a time: it computes,
 for every receiver, the :func:`~repro.channel.interference.superpose` of
@@ -23,7 +23,6 @@ from repro.network.flows import Flow
 from repro.network.generator import (
     generate_geometric_mesh,
     generate_random_mesh,
-    generate_star,
 )
 
 __all__ = [
@@ -35,6 +34,5 @@ __all__ = [
     "chain_topology",
     "generate_geometric_mesh",
     "generate_random_mesh",
-    "generate_star",
     "x_topology",
 ]

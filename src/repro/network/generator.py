@@ -6,8 +6,6 @@ takes the same three ingredients — a :class:`ChannelConditions` description
 of the radio environment, a seeded ``numpy`` generator, and a handful of
 shape parameters — and returns a :class:`~repro.network.topology.Topology`:
 
-* :func:`generate_star` — ``leaves`` endpoints around a central router,
-  the natural host for many crossing 2-hop flows;
 * :func:`generate_random_mesh` — ``nodes`` radios dropped uniformly into a
   unit square and linked when within ``radius``, with distance-dependent
   attenuation; disconnected components are stitched together so every
@@ -32,43 +30,6 @@ from repro.channel.pathloss import PathLossModel
 from repro.exceptions import ConfigurationError
 from repro.network.topologies import ChannelConditions, _draw_link
 from repro.network.topology import Topology
-
-
-def generate_star(
-    conditions: ChannelConditions,
-    rng: np.random.Generator,
-    leaves: int = 4,
-    hub: int = 0,
-) -> Topology:
-    """A star: ``leaves`` endpoint nodes around one central router.
-
-    Every leaf is in range of the hub and of nothing else, so every flow
-    between two leaves is a 2-hop path crossing the hub — the shape that
-    maximises relay-crossing ANC opportunities (the "X" topology is the
-    4-leaf star plus overhearing links).
-
-    Parameters
-    ----------
-    conditions:
-        Channel statistics each hub<->leaf link is drawn from.
-    rng:
-        Seeded generator for the per-link draws.
-    leaves:
-        Number of endpoint nodes (ids ``hub + 1 .. hub + leaves``).
-    hub:
-        Node id of the central router.
-    """
-    if leaves < 2:
-        raise ConfigurationError("a star needs at least 2 leaves")
-    topology = Topology()
-    leaf_ids = [hub + offset for offset in range(1, leaves + 1)]
-    for node in [hub] + leaf_ids:
-        topology.add_node(node, noise_power=conditions.noise_power)
-    for leaf in leaf_ids:
-        topology.add_symmetric_link(
-            leaf, hub, _draw_link(conditions, rng), _draw_link(conditions, rng)
-        )
-    return topology
 
 
 def generate_random_mesh(

@@ -15,13 +15,15 @@ planner's stride-2 schedule, run by
 :class:`~repro.protocols.scheduled.ChainPipelineProtocol`.
 
 The paper's *incomplete overlap* requirement holds throughout: the
-default overlap model never lets the second packet start before the
-first packet's pilot and header have gone out interference-free (§7.2).
+caller's :class:`~repro.channel.interference.OverlapModel` is built with
+``min_offset=default_min_offset()``, so the second packet never starts
+before the first packet's pilot and header have gone out
+interference-free (§7.2).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -70,8 +72,8 @@ class ANCRelayProtocol(ProtocolRun):
         ber_acceptance: float = 0.05,
         redundancy_overhead: float = DEFAULT_ANC_REDUNDANCY_OVERHEAD,
         overhearing: bool = False,
-        overlap_model: Optional[OverlapModel] = None,
         *,
+        overlap_model: OverlapModel,
         rng: np.random.Generator,
         topology_name: str = "alice_bob",
     ) -> None:
@@ -89,11 +91,7 @@ class ANCRelayProtocol(ProtocolRun):
         self.flow_a = flow_a
         self.flow_b = flow_b
         self.overhearing = self.plan.overhearing
-        self.overlap_model = (
-            overlap_model
-            if overlap_model is not None
-            else OverlapModel(rng=self.rng, min_offset=default_min_offset())
-        )
+        self.overlap_model = overlap_model
         self.topology_name = topology_name
         for node_id in topology.nodes:
             self.make_node(node_id)

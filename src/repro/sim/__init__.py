@@ -1,12 +1,14 @@
-"""Discrete-event traffic simulation core (§8-style offered-load runs).
+"""Discrete-event traffic simulation (§8-style offered-load runs).
 
 This package turns the repository's per-exchange protocol models into a
 time-domain system: seeded event scheduling (:mod:`repro.sim.core`),
 traffic sources (:mod:`repro.sim.traffic`), bounded FIFO queues
-(:mod:`repro.sim.queueing`), pluggable MAC policies
-(:mod:`repro.sim.mac`), SINR-segment reception with capture rules
-(:mod:`repro.sim.reception`) and the Alice–relay–Bob simulation that
-ties them together (:mod:`repro.sim.simulation`).
+(:mod:`repro.sim.queueing`), the CSMA/BEB and TDMA MAC policies
+(:mod:`repro.sim.mac`), SINR-segment reception with a capture rule
+(:mod:`repro.sim.reception`) and the one Alice–relay–Bob simulation that
+ties them together (:mod:`repro.sim.simulation`).  Its only production
+caller is :func:`repro.experiments.offered_load.simulate_schemes`, behind
+the ``offered_load_sweep`` and ``queueing_delay`` scenarios.
 """
 
 from repro.sim.core import Event, EventScheduler, RngStreams

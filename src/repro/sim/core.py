@@ -15,8 +15,8 @@ properties the rest of :mod:`repro.sim` leans on hard:
   digest across serial and parallel engine executions; if two runs of the
   same seed ever diverge, the first differing event names the culprit.
 
-Randomness is organised as *named per-node streams*
-(:class:`RngStreams`): every ``(node, purpose)`` pair gets its own
+Randomness is organised as *named streams* (:class:`RngStreams`): every
+key, such as a ``(node, purpose)`` pair, gets its own
 :class:`numpy.random.Generator` spawned from one
 :class:`numpy.random.SeedSequence`, so adding a draw to one stream never
 perturbs any other — the same discipline
@@ -85,11 +85,6 @@ class EventScheduler:
     def now(self) -> float:
         """Current simulation time (the time of the last executed event)."""
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-executed, not-cancelled events in the heap."""
-        return sum(1 for *_, event in self._heap if not event.cancelled)
 
     def schedule(
         self,
@@ -183,8 +178,8 @@ class RngStreams:
         self._cache: Dict[Tuple, np.random.Generator] = {}
 
     @staticmethod
-    def _key_material(part) -> int:
-        """Fold one key part to a stable non-negative integer."""
+    def key_material(part) -> int:
+        """Fold one key part to a stable non-negative 32-bit integer."""
         if isinstance(part, (int, np.integer)):
             return int(part) & 0xFFFFFFFF
         digest = hashlib.sha256(str(part).encode()).digest()
@@ -195,11 +190,7 @@ class RngStreams:
         cache_key = tuple(key)
         generator = self._cache.get(cache_key)
         if generator is None:
-            material = list(self._entropy) + [self._key_material(part) for part in key]
+            material = list(self._entropy) + [self.key_material(part) for part in key]
             generator = np.random.default_rng(np.random.SeedSequence(material))
             self._cache[cache_key] = generator
         return generator
-
-    def node_stream(self, node_id: int, purpose: str) -> np.random.Generator:
-        """Convenience accessor for a per-node, per-purpose stream."""
-        return self.stream(int(node_id), purpose)

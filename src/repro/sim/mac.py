@@ -1,25 +1,25 @@
 """MAC policies for the discrete-event traffic core.
 
-Two pluggable medium-access policies drive :mod:`repro.sim.simulation`:
+Two medium-access policies drive :mod:`repro.sim.simulation`, chosen by
+its ``mac_policy`` (:data:`MAC_POLICIES`):
 
 * :class:`CsmaBackoffMac` — carrier sense with binary exponential
   backoff.  A node with traffic waits DIFS plus a uniformly drawn number
   of contention slots, senses the channel, and transmits if idle.  On a
   loss (the genie feedback the simulation provides in place of ACK
-  timers) the contention window doubles up to ``cw_max``; on success it
-  resets to ``cw_min``.  Because Alice and Bob cannot hear each other in
-  the canonical topology, carrier sense does *not* prevent their packets
-  colliding at the relay — the hidden-terminal behaviour that makes the
-  offered-load sweep interesting.
-* :class:`ScheduledMac` — the existing planner's world view as a policy:
-  a fixed TDMA slot grid whose slots are owned round-robin by the
-  configured ranks, with no contention and no backoff.  This is the
-  "optimal MAC" the paper assumes in §11.1, recast so scheduled phases
-  and CSMA contention are two instances of one interface.
+  timers) the contention window doubles from 4 up to 64 slots; on
+  success it resets to 4, and the fourth failed attempt drops the
+  packet.  Because Alice and Bob cannot hear each other in the canonical
+  topology, carrier sense does *not* prevent their packets colliding at
+  the relay — the hidden-terminal behaviour that makes the offered-load
+  sweep interesting.
+* :class:`ScheduledMac` — the planner's world view: a fixed TDMA slot
+  grid whose slots are owned round-robin by the configured ranks, with
+  no contention, no backoff and no retransmissions.  This is the
+  "optimal MAC" the paper assumes in §11.1.
 
-Both policies are deliberately state-light: the per-node mutable state is
-a tiny dataclass owned by the simulation, so policies themselves stay
-shareable and picklable.
+The per-node mutable CSMA state is a tiny dataclass owned by the
+simulation, so the policies themselves hold only constants.
 """
 
 from __future__ import annotations
@@ -48,41 +48,18 @@ class CsmaState:
 class CsmaBackoffMac:
     """Carrier sense + binary exponential backoff (802.11-style DCF core).
 
-    Parameters
-    ----------
-    slot_samples:
-        Duration of one contention slot, in samples.
-    difs_samples:
-        Fixed idle period sensed before the backoff countdown starts.
-    cw_min, cw_max:
-        Initial and maximum contention window (in slots); the window
-        doubles on every loss and resets on success.
-    max_retries:
-        Transmission attempts per packet before it is dropped.
+    The contention parameters are fixed: one contention slot is
+    :attr:`slot_samples` samples, DIFS is :attr:`difs_samples`, the window
+    starts at :attr:`cw_min` slots and doubles on every loss up to
+    :attr:`cw_max`, and a packet gets :attr:`max_retries` transmission
+    attempts before it is dropped.
     """
 
-    policy_name = "csma"
-
-    def __init__(
-        self,
-        slot_samples: int = 32,
-        difs_samples: int = 64,
-        cw_min: int = 4,
-        cw_max: int = 64,
-        max_retries: int = 4,
-    ) -> None:
-        """Validate and store the contention parameters."""
-        if slot_samples <= 0 or difs_samples < 0:
-            raise ConfigurationError("slot/difs durations must be positive")
-        if not 1 <= cw_min <= cw_max:
-            raise ConfigurationError("need 1 <= cw_min <= cw_max")
-        if max_retries < 1:
-            raise ConfigurationError("max_retries must be at least 1")
-        self.slot_samples = int(slot_samples)
-        self.difs_samples = int(difs_samples)
-        self.cw_min = int(cw_min)
-        self.cw_max = int(cw_max)
-        self.max_retries = int(max_retries)
+    slot_samples = 32
+    difs_samples = 64
+    cw_min = 4
+    cw_max = 64
+    max_retries = 4
 
     def fresh_state(self) -> CsmaState:
         """Initial per-node contention state."""
@@ -121,8 +98,6 @@ class ScheduledMac:
         ``r, r + n_ranks, r + 2 n_ranks, ...``.
     """
 
-    policy_name = "scheduled"
-
     def __init__(self, slot_samples: int, n_ranks: int) -> None:
         """Validate and store the slot grid geometry."""
         if slot_samples <= 0:
@@ -135,7 +110,3 @@ class ScheduledMac:
     def slot_owner(self, slot_index: int) -> int:
         """The rank owning a slot."""
         return int(slot_index) % self.n_ranks
-
-    def slot_start(self, slot_index: int) -> float:
-        """Absolute start time of a slot."""
-        return float(int(slot_index) * self.slot_samples)

@@ -1,18 +1,19 @@
-"""Per-node FIFO packet queues with capacity limits and drop accounting.
+"""Per-endpoint FIFO packet queues with a tail-drop capacity.
 
-Every traffic-simulation node owns one :class:`PacketQueue`.  Arrivals
-:meth:`~PacketQueue.offer` packets; a full queue rejects the packet and
-counts the drop (tail drop, the paper's testbed default).  The MAC pops
-the head of line when the node wins channel access; the queue records
-each packet's waiting time — from arrival to service start — which is
-what the ``queueing_delay`` scenario aggregates into mean/p95 statistics.
+Every traffic-simulation endpoint owns one :class:`PacketQueue`.
+Arrivals :meth:`~PacketQueue.offer` packets and a full queue rejects the
+packet (tail drop, the paper's testbed default); the MAC pops the head of
+line when the endpoint gets to send.  The simulation's report keeps the
+ledger: it counts the drops and records each packet's waiting time, from
+arrival to service start, which the ``queueing_delay`` scenario
+aggregates into mean/p95 statistics.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.framing.packet import Packet
@@ -34,8 +35,7 @@ class PacketQueue:
     Parameters
     ----------
     capacity:
-        Maximum number of queued packets; arrivals beyond it are dropped
-        (and counted in :attr:`drops`).
+        Maximum number of queued packets; arrivals beyond it are dropped.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -44,46 +44,25 @@ class PacketQueue:
             raise ConfigurationError("queue capacity must be positive")
         self.capacity = int(capacity)
         self._entries: Deque[QueuedPacket] = deque()
-        #: Packets rejected because the queue was full.
-        self.drops = 0
-        #: Packets ever accepted (offered minus drops).
-        self.accepted = 0
-        #: Waiting time (samples) of every popped packet, in pop order.
-        self.waiting_times: List[float] = []
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """Number of packets currently queued."""
-        return len(self._entries)
 
     @property
     def is_empty(self) -> bool:
         """True when no packet is waiting."""
         return not self._entries
 
-    @property
-    def is_full(self) -> bool:
-        """True when another offer would be dropped."""
-        return len(self._entries) >= self.capacity
-
-    # ------------------------------------------------------------------
     def offer(self, packet: Packet, now: float) -> bool:
         """Enqueue a packet arriving at time ``now``; False means dropped."""
-        if self.is_full:
-            self.drops += 1
+        if len(self._entries) >= self.capacity:
             return False
         self._entries.append(QueuedPacket(packet=packet, arrival_time=float(now)))
-        self.accepted += 1
         return True
 
     def peek(self) -> Optional[QueuedPacket]:
         """The head-of-line entry without removing it (None when empty)."""
         return self._entries[0] if self._entries else None
 
-    def pop(self, now: float) -> QueuedPacket:
-        """Remove and return the head of line, recording its waiting time."""
+    def pop(self) -> QueuedPacket:
+        """Remove and return the head of line."""
         if not self._entries:
             raise ConfigurationError("cannot pop from an empty queue")
-        entry = self._entries.popleft()
-        self.waiting_times.append(float(now) - entry.arrival_time)
-        return entry
+        return self._entries.popleft()

@@ -5,22 +5,24 @@ receiver, this module decides *what the receiver can make of it* before
 any waveform is touched:
 
 * a :class:`ReceptionSession` tracks every component the receiver hears
-  (power, start, end) and cuts the primary component's span into
+  (power, start, end) and cuts one component's span into
   :class:`SinrSegment` pieces at each interferer boundary — the
   ReceptionSession/segment bookkeeping of the SPE-project exemplar;
 * :func:`classify_reception` turns the segment SINRs into a
   :class:`ReceptionKind`: ``CLEAN`` (no interferer), ``CAPTURED`` (the
   strongest component stays above the capture threshold in every
-  segment, the LoRa ``power_collision`` rule), ``ANC_COLLISION`` (a
-  two-way collision the receiver can hand to the ANC pipeline because it
-  knows one of the frames), or ``COLLIDED`` (nothing recoverable —
-  amplify-and-forward territory, §7.5).
+  segment, the LoRa ``power_collision`` rule) or ``COLLIDED`` (nothing
+  decodable at this receiver).  On the shipped Alice–relay–Bob topology
+  capture never fires: the relay's two received powers differ by at most
+  (0.88/0.72)² ≈ 1.49 (1.74 dB), far under the 10 dB threshold, so every
+  Alice/Bob overlap at the relay is ``COLLIDED``.
 
-The actual demodulation is delegated to :class:`DecodeService`, which
-runs the existing PHY: the :class:`~repro.modulation.msk.MSKDemodulator`
-followed by :class:`~repro.framing.frame.Deframer`.  ANC collisions go
-through the full :class:`~repro.anc.pipeline.ReceivePipeline` on the node
-instead.
+The relay never classifies a paired ANC uplink: it amplifies and
+rebroadcasts it (§7.5), and the endpoints decode that broadcast through
+the node's full :class:`~repro.anc.pipeline.ReceivePipeline`.  Every
+other frame is demodulated by :class:`DecodeService`, which runs the
+existing PHY: the :class:`~repro.modulation.msk.MSKDemodulator` followed
+by the :class:`~repro.framing.frame.Deframer`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class ReceptionKind(enum.Enum):
 
     CLEAN = "clean"
     CAPTURED = "captured"
-    ANC_COLLISION = "anc_collision"
     COLLIDED = "collided"
 
 
@@ -167,9 +168,7 @@ class ReceptionSession:
 
 
 def classify_reception(
-    session: ReceptionSession,
-    capture_threshold_db: float,
-    known_tx_ids: Sequence[int] = (),
+    session: ReceptionSession, capture_threshold_db: float
 ) -> Tuple[ReceptionKind, Optional[int]]:
     """Apply the capture/collision rules to one session.
 
@@ -181,17 +180,13 @@ def classify_reception(
         Minimum worst-segment SINR at which the strongest component is
         decodable despite interference (the LoRa ``power_collision``
         margin; ISO-style thresholds sit around 6-10 dB).
-    known_tx_ids:
-        Transmissions whose frames the receiver already knows (its own
-        earlier transmissions or overheard ones) — what makes a two-way
-        collision ANC-decodable rather than lost.
 
     Returns
     -------
     (kind, primary_tx_id):
         The classification plus the component to decode: the single/
-        strongest component for ``CLEAN``/``CAPTURED``, the *unknown*
-        component for ``ANC_COLLISION``, ``None`` for ``COLLIDED``.
+        strongest component for ``CLEAN``/``CAPTURED``, ``None`` for
+        ``COLLIDED``.
     """
     if not session.components:
         raise SimulationError("cannot classify an empty session")
@@ -200,11 +195,6 @@ def classify_reception(
     strongest = session.strongest()
     if session.min_sinr_db(strongest.tx_id) >= capture_threshold_db:
         return ReceptionKind.CAPTURED, strongest.tx_id
-    if len(session.components) == 2:
-        known = [c for c in session.components if c.tx_id in known_tx_ids]
-        unknown = [c for c in session.components if c.tx_id not in known_tx_ids]
-        if len(known) == 1 and len(unknown) == 1:
-            return ReceptionKind.ANC_COLLISION, unknown[0].tx_id
     return ReceptionKind.COLLIDED, None
 
 
@@ -212,28 +202,15 @@ class DecodeService:
     """Aligned frame decoding through the scalar MSK PHY.
 
     The event core knows exactly where each frame starts inside the
-    composite it built (the MAC scheduled the offsets), so clean and
-    captured receptions are decoded from an aligned window — no pilot
-    search — through the MSK demodulator and the deframer.
-
-    Parameters
-    ----------
-    deframer:
-        Frame parser shared by every decode (defaults to the standard
-        layout).
+    composite it built (the MAC scheduled the offsets), so frames are
+    decoded from an aligned window — no pilot search — through the MSK
+    demodulator and the standard deframer.
     """
 
-    def __init__(self, deframer: Optional[Deframer] = None) -> None:
+    def __init__(self) -> None:
         """Build the demodulator and the deframer."""
-        self.deframer = deframer if deframer is not None else Deframer()
+        self._deframer = Deframer()
         self._demodulator = MSKDemodulator(samples_per_symbol=1)
-
-    # ------------------------------------------------------------------
-    def decode_window(
-        self, composite: ComplexSignal, start: int, frame_samples: int
-    ) -> DeframeResult:
-        """Decode one aligned frame window out of a composite waveform."""
-        return self.decode_windows([(composite, start, frame_samples)])[0]
 
     def decode_windows(
         self, windows: Sequence[Tuple[ComplexSignal, int, int]]
@@ -247,5 +224,5 @@ class DecodeService:
             if start < 0 or frame_samples <= 0:
                 raise ConfigurationError("decode windows need start >= 0 and length > 0")
             window = composite.slice(int(start), int(start) + int(frame_samples))
-            results.append(self.deframer.parse(self._demodulator.demodulate(window)))
+            results.append(self._deframer.parse(self._demodulator.demodulate(window)))
         return results

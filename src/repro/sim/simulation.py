@@ -2,12 +2,12 @@
 
 This module ties the :mod:`repro.sim` pieces together into one
 :class:`TrafficSimulation`: Poisson/CBR/bursty arrivals feed per-endpoint
-FIFO queues, a pluggable MAC (CSMA with binary exponential backoff, or
-the planner-style TDMA grid) grants channel access, overlapping
-transmissions are resolved through SINR-segment capture rules, and every
-surviving waveform is decoded by the *existing* PHY — aligned
-MSK demodulation for clean and captured frames, the full
-:class:`~repro.anc.pipeline.ReceivePipeline` for ANC collisions.
+FIFO queues, a MAC (CSMA with binary exponential backoff, or the
+planner-style TDMA grid) grants channel access, each receiver classifies
+what it hears with the SINR-segment rules of :mod:`repro.sim.reception`,
+and every frame a receiver is meant to get is decoded by the *existing*
+PHY — aligned MSK demodulation for clean frames, the node's full
+:class:`~repro.anc.pipeline.ReceivePipeline` for relayed ANC collisions.
 
 Three relaying schemes compete on the same arrival sample paths:
 
@@ -24,6 +24,11 @@ Three relaying schemes compete on the same arrival sample paths:
   broadcasts it, and each endpoint cancels its own frame to decode the
   other's (2 transmissions per 2 packets).
 
+Every frame has its *consumers* (:meth:`TrafficSimulation._consumers`):
+the relay for an endpoint's frame, the destination for a relay forward,
+and each endpoint a coded broadcast carries a packet to.  A consumer that
+decodes, loses or never hears a frame is charged exactly once for it.
+
 At low offered load all three deliver whatever arrives; past their
 saturation points they diverge — the goodput ordering
 ``anc > cope > traditional`` at high load is the paper's §8 qualitative
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,12 +60,7 @@ from repro.signal.samples import ComplexSignal
 from repro.sim.core import EventScheduler, RngStreams
 from repro.sim.mac import MAC_POLICIES, CsmaBackoffMac, CsmaState, ScheduledMac
 from repro.sim.queueing import PacketQueue
-from repro.sim.reception import (
-    DecodeService,
-    ReceptionKind,
-    ReceptionSession,
-    classify_reception,
-)
+from repro.sim.reception import DecodeService, ReceptionSession, classify_reception
 from repro.sim.traffic import TRAFFIC_MODELS, make_arrival_process
 from repro.utils.bits import decoded_ber
 
@@ -69,8 +69,26 @@ __all__ = ["SCHEMES", "SimParams", "SimReport", "TrafficSimulation"]
 #: The relaying schemes the traffic simulation can run.
 SCHEMES: Tuple[str, ...] = ("anc", "cope", "traditional")
 
+#: Per-endpoint queue capacity in packets (tail drop beyond it).
+QUEUE_CAPACITY = 8
+
+#: Worst-segment SINR (dB) at which the strongest of several overlapping
+#: frames is captured, i.e. decoded despite the interference.
+CAPTURE_THRESHOLD_DB = 10.0
+
+#: How long (frame-times) a lone head-of-line packet waits for a coding
+#: partner (COPE) or a reverse-direction packet (ANC) before it is plainly
+#: forwarded.
+PATIENCE_FRAMES = 3.0
+
+#: Guard time (samples) appended to every TDMA slot.
+GUARD_SAMPLES = 64
+
 #: Broadcast destination id used by COPE-coded relay frames.
 _BROADCAST = 255
+
+#: Relay broadcasts that carry one packet per endpoint (their ``truths``).
+_CODED = ("anc_broadcast", "cope_coded")
 
 #: Tolerance (samples) for comparing event times against deadlines.
 #: ``schedule_at`` round-trips absolute times through a relative delay,
@@ -106,17 +124,6 @@ class SimParams:
         Redundancy charged against the scheme's goodput.
     mean_overlap, overlap_jitter:
         §7.2 deliberate-overlap geometry for the ANC exchanges.
-    queue_capacity:
-        Per-queue packet capacity (tail drop beyond it).
-    capture_threshold_db:
-        Worst-segment SINR above which the strongest colliding frame is
-        captured (decoded despite interference).
-    patience_frames:
-        How long a lone head-of-line packet waits for a coding partner
-        (COPE) or a reverse-direction packet (ANC) before it is plainly
-        forwarded.
-    guard_samples:
-        Guard time appended to scheduled slots.
     """
 
     scheme: str = "anc"
@@ -129,10 +136,6 @@ class SimParams:
     redundancy_overhead: float = 0.0
     mean_overlap: float = 0.85
     overlap_jitter: float = 0.05
-    queue_capacity: int = 8
-    capture_threshold_db: float = 10.0
-    patience_frames: float = 3.0
-    guard_samples: int = 64
 
     def __post_init__(self) -> None:
         """Validate every knob against its registry / admissible range."""
@@ -157,10 +160,6 @@ class SimParams:
             raise ConfigurationError("payload_bits must be a positive multiple of 8")
         if not 0.0 < self.mean_overlap <= 1.0:
             raise ConfigurationError("mean_overlap must lie in (0, 1]")
-        if self.queue_capacity <= 0:
-            raise ConfigurationError("queue_capacity must be positive")
-        if self.patience_frames < 0:
-            raise ConfigurationError("patience_frames must be non-negative")
 
 
 @dataclass
@@ -281,8 +280,7 @@ class TrafficSimulation:
             for endpoint in (ALICE, BOB)
         }
         self.queues = {
-            endpoint: PacketQueue(capacity=params.queue_capacity)
-            for endpoint in (ALICE, BOB)
+            endpoint: PacketQueue(capacity=QUEUE_CAPACITY) for endpoint in (ALICE, BOB)
         }
         #: Relay store-and-forward buffer: dicts with packet/arrival/dst.
         self._relay_buffer: Deque[Dict[str, Any]] = deque()
@@ -320,14 +318,13 @@ class TrafficSimulation:
             min_offset=default_min_offset(),
             rng=self.streams.stream("overlap"),
         )
-        self._patience_samples = params.patience_frames * self.frame_samples
+        self._patience_samples = PATIENCE_FRAMES * self.frame_samples
 
     # ------------------------------------------------------------------
     # Setup helpers
     # ------------------------------------------------------------------
     def _build_slot_grid(self) -> ScheduledMac:
         """Size the TDMA grid for the scheme (ANC slots fit the overlap)."""
-        guard = self.params.guard_samples
         if self.params.scheme == "anc":
             max_offset = int(
                 np.ceil(
@@ -337,9 +334,9 @@ class TrafficSimulation:
             )
             max_offset = max(max_offset, default_min_offset())
             return ScheduledMac(
-                slot_samples=self.frame_samples + max_offset + guard, n_ranks=2
+                slot_samples=self.frame_samples + max_offset + GUARD_SAMPLES, n_ranks=2
             )
-        return ScheduledMac(slot_samples=self.frame_samples + guard, n_ranks=3)
+        return ScheduledMac(slot_samples=self.frame_samples + GUARD_SAMPLES, n_ranks=3)
 
     @staticmethod
     def _other_endpoint(endpoint: int) -> int:
@@ -347,66 +344,69 @@ class TrafficSimulation:
         return BOB if endpoint == ALICE else ALICE
 
     # ------------------------------------------------------------------
-    # Run loop
+    # Run loop and arrivals
     # ------------------------------------------------------------------
     def run(self) -> SimReport:
         """Execute the run and return its aggregated report."""
         for endpoint in (ALICE, BOB):
-            delay = self._arrivals[endpoint].next_interarrival(
-                self.streams.node_stream(endpoint, "arrivals")
-            )
-            self.sched.schedule(
-                delay, lambda e=endpoint: self._on_arrival(e), kind=f"arrival@{endpoint}"
-            )
+            self._schedule_arrival(endpoint)
         if self._scheduled is not None:
             self.sched.schedule_at(0.0, self._on_slot, kind="slot", priority=-1)
         self.report.events = self.sched.run_until(self.duration_samples)
         self.report.trace_digest = self.sched.trace_digest()
         return self.report
 
-    # ------------------------------------------------------------------
-    # Arrivals
-    # ------------------------------------------------------------------
-    def _on_arrival(self, endpoint: int) -> None:
-        """One packet arrives at an endpoint; schedule the next arrival."""
-        now = self.sched.now
-        packet = self.nodes[endpoint].make_packet(
-            self._other_endpoint(endpoint),
-            rng=self.streams.node_stream(endpoint, "payload"),
-        )
-        self.report.offered += 1
-        accepted = self.queues[endpoint].offer(packet, now)
-        if not accepted:
-            self.report.queue_drops += 1
+    def _schedule_arrival(self, endpoint: int) -> None:
+        """Draw the endpoint's next interarrival time and schedule that arrival."""
         delay = self._arrivals[endpoint].next_interarrival(
-            self.streams.node_stream(endpoint, "arrivals")
+            self.streams.stream(endpoint, "arrivals")
         )
         self.sched.schedule(
             delay, lambda e=endpoint: self._on_arrival(e), kind=f"arrival@{endpoint}"
         )
+
+    def _on_arrival(self, endpoint: int) -> None:
+        """One packet arrives at an endpoint; schedule the next arrival."""
+        packet = self.nodes[endpoint].make_packet(
+            self._other_endpoint(endpoint),
+            rng=self.streams.stream(endpoint, "payload"),
+        )
+        self.report.offered += 1
+        accepted = self.queues[endpoint].offer(packet, self.sched.now)
+        if not accepted:
+            self.report.queue_drops += 1
+        self._schedule_arrival(endpoint)
         if accepted and self._scheduled is None:
             self._kick_endpoint(endpoint)
             if self.params.scheme == "anc":
                 self._kick_endpoint(self._other_endpoint(endpoint))
 
-    # ------------------------------------------------------------------
-    # CSMA access
-    # ------------------------------------------------------------------
-    def _sense_busy(self, node_id: int) -> bool:
-        """Carrier sense: does this node currently hear any transmission?"""
-        for tx in self._active:
-            if tx.sender == node_id or self.topology.in_range(tx.sender, node_id):
-                return True
-        return False
+    def _pop_head(self, endpoint: int) -> Dict[str, Any]:
+        """Dequeue the endpoint's head of line and record its queueing wait."""
+        entry = self.queues[endpoint].pop()
+        self.report.queue_waits.append(self.sched.now - entry.arrival_time)
+        return {
+            "packet": entry.packet,
+            "arrival": entry.arrival_time,
+            "dst": self._other_endpoint(endpoint),
+        }
 
-    def _busy_end(self, node_id: int) -> float:
-        """Latest end time among the transmissions this node can hear."""
-        ends = [
-            tx.end
+    def _send_data(self, node_id: int, unit: Dict[str, Any]) -> None:
+        """Put one packet on the air as a data frame toward its next hop."""
+        waveform = self.nodes[node_id].transmit(unit["packet"])
+        self._begin_tx(node_id, waveform, kind="data", meta=dict(unit, origin=node_id))
+
+    # ------------------------------------------------------------------
+    # CSMA access: ``_kick_all`` and ``_on_arrival`` check the policy, so
+    # every kick, patience wake-up and access event below runs under CSMA
+    # ------------------------------------------------------------------
+    def _heard(self, node_id: int) -> List[_Tx]:
+        """The transmissions on the air that this node hears (its own included)."""
+        return [
+            tx
             for tx in self._active
             if tx.sender == node_id or self.topology.in_range(tx.sender, node_id)
         ]
-        return max(ends) if ends else self.sched.now
 
     def _kick_all(self) -> None:
         """Re-evaluate every node's send opportunity (after a resolution)."""
@@ -417,17 +417,14 @@ class TrafficSimulation:
         self._kick_relay()
 
     def _kick_endpoint(self, endpoint: int) -> None:
-        """Endpoint send decision under CSMA (scheme-aware)."""
-        if self._scheduled is not None:
-            return
+        """Endpoint send decision (scheme-aware)."""
         if self._hol[endpoint] is not None or self._pending_access[endpoint]:
             return
         queue = self.queues[endpoint]
         if queue.is_empty:
             return
         if self.params.scheme == "anc":
-            other = self._other_endpoint(endpoint)
-            if not self.queues[other].is_empty:
+            if not self.queues[self._other_endpoint(endpoint)].is_empty:
                 self._maybe_anc_exchange()
                 return
             head = queue.peek()
@@ -435,13 +432,7 @@ class TrafficSimulation:
             if age < self._patience_samples - _TIME_EPS:
                 self._schedule_patience(endpoint, head.arrival_time)
                 return
-        entry = queue.pop(self.sched.now)
-        self.report.queue_waits.append(self.sched.now - entry.arrival_time)
-        self._hol[endpoint] = {
-            "packet": entry.packet,
-            "arrival": entry.arrival_time,
-            "dst": self._other_endpoint(endpoint),
-        }
+        self._hol[endpoint] = self._pop_head(endpoint)
         self._request_access(endpoint)
 
     def _schedule_patience(self, endpoint: int, arrival_time: float) -> None:
@@ -460,11 +451,11 @@ class TrafficSimulation:
         self._patience_events.pop(endpoint, None)
         self._kick_endpoint(endpoint)
 
-    def _request_access(self, node_id: int) -> None:
-        """Begin a DIFS + backoff countdown toward channel access."""
+    def _request_access(self, node_id: int, wait: float = 0.0) -> None:
+        """Begin a DIFS + backoff countdown toward channel access after ``wait``."""
         self._pending_access[node_id] = True
-        delay = self.mac.access_delay(
-            self._csma[node_id], self.streams.node_stream(node_id, "mac")
+        delay = wait + self.mac.access_delay(
+            self._csma[node_id], self.streams.stream(node_id, "mac")
         )
         self.sched.schedule(
             delay, lambda n=node_id: self._on_access(n), kind=f"access@{node_id}"
@@ -473,38 +464,19 @@ class TrafficSimulation:
     def _on_access(self, node_id: int) -> None:
         """Backoff expired: transmit if the channel is idle, else re-arm."""
         self._pending_access[node_id] = False
-        if self._hol[node_id] is None:
-            return
-        if self._sense_busy(node_id):
-            self._pending_access[node_id] = True
-            resume = self._busy_end(node_id) - self.sched.now
-            delay = resume + self.mac.access_delay(
-                self._csma[node_id], self.streams.node_stream(node_id, "mac")
-            )
-            self.sched.schedule(
-                delay, lambda n=node_id: self._on_access(n), kind=f"access@{node_id}"
-            )
-            return
-        self._transmit_hol(node_id)
-
-    def _transmit_hol(self, node_id: int) -> None:
-        """Put the node's head-of-line unit on the air."""
         unit = self._hol[node_id]
         if unit is None:
             return
-        if node_id == RELAY:
+        heard = self._heard(node_id)
+        if heard:
+            self._request_access(node_id, wait=max(tx.end for tx in heard) - self.sched.now)
+        elif node_id == RELAY:
             self._transmit_relay_job(unit)
-            return
-        waveform = self.nodes[node_id].transmit(unit["packet"])
-        self._begin_tx(node_id, waveform, kind="data", meta=dict(unit, origin=node_id))
+        else:
+            self._send_data(node_id, unit)
 
-    # ------------------------------------------------------------------
-    # Relay job management
-    # ------------------------------------------------------------------
     def _kick_relay(self) -> None:
-        """Relay send decision under CSMA."""
-        if self._scheduled is not None:
-            return
+        """Relay send decision."""
         if self._hol[RELAY] is not None or self._pending_access[RELAY]:
             return
         job = self._dequeue_relay_job()
@@ -513,6 +485,23 @@ class TrafficSimulation:
         self._hol[RELAY] = job
         self._request_access(RELAY)
 
+    def _maybe_anc_exchange(self) -> None:
+        """Trigger a paired uplink (both directions have traffic)."""
+        if self._anc_active:
+            return
+        # Every node must be quiescent: a pending relay broadcast winning
+        # channel access mid-exchange would contaminate the uplink group.
+        for node_id in (ALICE, BOB, RELAY):
+            if self._hol[node_id] is not None or self._pending_access[node_id]:
+                return
+            if self._heard(node_id):
+                return
+        self._anc_active = True
+        self._launch_anc_uplink()
+
+    # ------------------------------------------------------------------
+    # Relay jobs (both MAC policies)
+    # ------------------------------------------------------------------
     def _dequeue_relay_job(self) -> Optional[Dict[str, Any]]:
         """Pick the relay's next unit of work (scheme-aware)."""
         if self._relay_broadcasts:
@@ -535,7 +524,7 @@ class TrafficSimulation:
         if for_alice is not None and for_bob is not None:
             self._relay_buffer.remove(for_alice)
             self._relay_buffer.remove(for_bob)
-            return {"kind": "cope_coded", "pair": {ALICE: for_alice, BOB: for_bob}}
+            return {"kind": "cope_coded", "truths": {ALICE: for_alice, BOB: for_bob}}
         oldest = self._relay_buffer[0]
         if self.sched.now - oldest["relay_time"] >= self._patience_samples - _TIME_EPS:
             self._relay_buffer.popleft()
@@ -560,136 +549,78 @@ class TrafficSimulation:
         if job["kind"] == "anc_broadcast":
             self._begin_tx(RELAY, job["waveform"], kind="anc_broadcast", meta=job)
         elif job["kind"] == "cope_coded":
-            pair = job["pair"]
-            coded_payload = np.bitwise_xor(
-                pair[ALICE]["packet"].payload, pair[BOB]["packet"].payload
-            ).astype(np.uint8)
+            truths = job["truths"]
             coded = Packet(
                 source=RELAY,
                 destination=_BROADCAST,
                 sequence=relay.next_sequence(),
-                payload=coded_payload,
+                payload=truths[ALICE]["packet"].xor_payload(truths[BOB]["packet"]),
             )
             self._begin_tx(RELAY, relay.transmit(coded), kind="cope_coded", meta=job)
         else:
-            self._begin_tx(
-                RELAY,
-                relay.transmit(job["packet"]),
-                kind="data",
-                meta=dict(job, origin=RELAY),
-            )
+            self._send_data(RELAY, job)
 
     # ------------------------------------------------------------------
     # Scheduled (TDMA) MAC
     # ------------------------------------------------------------------
     def _on_slot(self) -> None:
-        """One TDMA slot boundary: the owner transmits, the chain continues."""
+        """One TDMA slot boundary: the owner transmits, the chain continues.
+
+        The last rank is the relay's; ANC's one endpoint rank is the
+        paired uplink, the other schemes give Alice and Bob a rank each.
+        """
         grid = self._scheduled
         assert grid is not None
-        slot_index = int(round(self.sched.now / grid.slot_samples))
-        owner = grid.slot_owner(slot_index)
-        self.sched.schedule(
-            grid.slot_samples, self._on_slot, kind="slot", priority=-1
-        )
-        if self.params.scheme == "anc":
-            if owner == 0:
-                self._scheduled_anc_uplink()
-            else:
-                self._scheduled_relay_send()
+        owner = grid.slot_owner(int(round(self.sched.now / grid.slot_samples)))
+        self.sched.schedule(grid.slot_samples, self._on_slot, kind="slot", priority=-1)
+        if owner == grid.n_ranks - 1:
+            job = self._dequeue_relay_job()
+            if job is not None:
+                self._transmit_relay_job(job)
+        elif self.params.scheme == "anc":
+            self._scheduled_anc_uplink()
         else:
-            if owner == 0:
-                self._scheduled_endpoint_send(ALICE)
-            elif owner == 1:
-                self._scheduled_endpoint_send(BOB)
-            else:
-                self._scheduled_relay_send()
+            self._scheduled_endpoint_send((ALICE, BOB)[owner])
 
     def _scheduled_endpoint_send(self, endpoint: int) -> None:
         """A scheduled endpoint slot: send the head of line, if any."""
-        queue = self.queues[endpoint]
-        if queue.is_empty:
-            return
-        entry = queue.pop(self.sched.now)
-        self.report.queue_waits.append(self.sched.now - entry.arrival_time)
-        packet, arrival = entry.packet, entry.arrival_time
-        waveform = self.nodes[endpoint].transmit(packet)
-        self._begin_tx(
-            endpoint,
-            waveform,
-            kind="data",
-            meta={
-                "packet": packet,
-                "arrival": arrival,
-                "dst": self._other_endpoint(endpoint),
-                "origin": endpoint,
-            },
-        )
+        if not self.queues[endpoint].is_empty:
+            self._send_data(endpoint, self._pop_head(endpoint))
 
     def _scheduled_anc_uplink(self) -> None:
         """The ANC grid's endpoint phase: paired uplink, or patient forward."""
-        alice_q, bob_q = self.queues[ALICE], self.queues[BOB]
-        if not alice_q.is_empty and not bob_q.is_empty:
+        if not self.queues[ALICE].is_empty and not self.queues[BOB].is_empty:
             self._launch_anc_uplink()
             return
         for endpoint in (ALICE, BOB):
-            queue = self.queues[endpoint]
-            head = queue.peek()
+            head = self.queues[endpoint].peek()
             if head is None:
                 continue
             if self.sched.now - head.arrival_time >= self._patience_samples:
                 self._scheduled_endpoint_send(endpoint)
             return
 
-    def _scheduled_relay_send(self) -> None:
-        """A scheduled relay slot: broadcast/forward the next job, if any."""
-        job = self._dequeue_relay_job()
-        if job is None:
-            return
-        self._transmit_relay_job(job)
-
     # ------------------------------------------------------------------
-    # ANC exchange (CSMA trigger path)
+    # ANC exchange
     # ------------------------------------------------------------------
-    def _maybe_anc_exchange(self) -> None:
-        """Trigger a paired uplink when both directions have traffic."""
-        if self._anc_active or self._scheduled is not None:
-            return
-        if self.queues[ALICE].is_empty or self.queues[BOB].is_empty:
-            return
-        # Every node must be quiescent: a pending relay broadcast winning
-        # channel access mid-exchange would contaminate the uplink group.
-        for node_id in (ALICE, BOB, RELAY):
-            if self._hol[node_id] is not None or self._pending_access[node_id]:
-                return
-        if self._sense_busy(ALICE) or self._sense_busy(BOB) or self._sense_busy(RELAY):
-            return
-        self._anc_active = True
-        self._launch_anc_uplink()
-
     def _launch_anc_uplink(self) -> None:
         """Pop both heads of line and start the §7.2 offset transmissions."""
-        entries = {}
+        units = {}
         for endpoint in (ALICE, BOB):
             event = self._patience_events.pop(endpoint, None)
             if event is not None:
                 self.sched.cancel(event)
-            entry = self.queues[endpoint].pop(self.sched.now)
-            self.report.queue_waits.append(self.sched.now - entry.arrival_time)
-            entries[endpoint] = entry
+            units[endpoint] = self._pop_head(endpoint)
         first, second = self.overlap_model.draw_offsets(self.frame_samples)
         if self.streams.stream("overlap").uniform() < 0.5:
             offsets = {ALICE: first, BOB: second}
         else:
             offsets = {ALICE: second, BOB: first}
-        for endpoint, entry in entries.items():
-            packet, arrival = entry.packet, entry.arrival_time
+        for endpoint, unit in units.items():
             self.sched.schedule(
                 offsets[endpoint],
-                lambda e=endpoint, p=packet, a=arrival: self._begin_tx(
-                    e,
-                    self.nodes[e].transmit(p),
-                    kind="anc_uplink",
-                    meta={"packet": p, "arrival": a, "dst": self._other_endpoint(e)},
+                lambda e=endpoint, u=unit: self._begin_tx(
+                    e, self.nodes[e].transmit(u["packet"]), kind="anc_uplink", meta=u
                 ),
                 kind=f"anc_uplink@{endpoint}",
             )
@@ -721,7 +652,7 @@ class TrafficSimulation:
         self._active.remove(tx)
         # Coded/broadcast frames are fire-and-forget: no genie feedback,
         # so release the relay's head of line as soon as the frame ends.
-        if tx.kind in ("anc_broadcast", "cope_coded") and self._hol.get(tx.sender) is tx.meta:
+        if tx.kind in _CODED and self._hol.get(tx.sender) is tx.meta:
             self._hol[tx.sender] = None
         if self._active:
             return
@@ -729,83 +660,78 @@ class TrafficSimulation:
         self._resolve_group(group)
         self._kick_all()
 
+    @staticmethod
+    def _consumers(tx: _Tx) -> Tuple[int, ...]:
+        """The receivers a frame is meant for; any other receiver overhears it.
+
+        A coded relay broadcast is meant for every endpoint it carries a
+        packet to, an endpoint's frame (data or ANC uplink) for the relay,
+        and a relay forward for its destination.
+        """
+        if tx.kind in _CODED:
+            return tuple(tx.meta["truths"])
+        return (RELAY,) if tx.sender != RELAY else (tx.meta["dst"],)
+
     # ------------------------------------------------------------------
     # Group resolution: sessions, capture, decode, feedback
     # ------------------------------------------------------------------
     def _resolve_group(self, group: List[_Tx]) -> None:
-        """Resolve every reception of one collision group."""
+        """Resolve every reception of one collision group.
+
+        ``handled`` collects the (frame, consumer) pairs already accounted;
+        a consumer that never examined its frame (it was itself
+        transmitting) loses it.
+        """
         group_start = min(tx.start for tx in group)
         senders = {tx.sender for tx in group}
-        handled: Dict[int, bool] = {}
+        handled: Set[Tuple[int, int]] = set()
         for receiver in self.topology.nodes:
             if receiver in senders:
                 continue
             components = [
                 tx for tx in group if self.topology.in_range(tx.sender, receiver)
             ]
-            if not components:
-                continue
-            self._resolve_receiver(receiver, components, group_start, handled)
-        # Any data frame whose intended next hop never examined it (for
-        # example because that node was itself transmitting) is lost.
+            if components:
+                self._resolve_receiver(receiver, components, group_start, handled)
         for tx in group:
-            if tx.tx_id in handled:
-                continue
-            if tx.kind == "data":
-                self._data_failed(tx)
-            elif tx.kind == "anc_uplink":
-                self.report.losses += 1
-                self._anc_active = False
-            elif tx.kind == "cope_coded":
-                self.report.losses += 2
-            elif tx.kind == "anc_broadcast":
-                self.report.losses += len(tx.meta["truths"])
+            for consumer in self._consumers(tx):
+                if (tx.tx_id, consumer) not in handled:
+                    self._feedback(tx, ok=False)
+        if any(tx.kind == "anc_uplink" for tx in group):
+            self._anc_active = False
 
     def _resolve_receiver(
         self,
         receiver: int,
         components: List[_Tx],
         group_start: float,
-        handled: Dict[int, bool],
+        handled: Set[Tuple[int, int]],
     ) -> None:
-        """Build one receiver's composite, classify it, decode and dispatch."""
-        node = self.nodes[receiver]
-        session = ReceptionSession(noise_power=node.config.noise_power)
-        offsets: Dict[int, int] = {}
-        for tx in components:
-            link = self.topology.link(tx.sender, receiver)
-            offset = int(round(tx.start - group_start))
-            offsets[tx.tx_id] = offset + link.propagation_delay
-            power = (self.nodes[tx.sender].config.tx_amplitude ** 2) * link.power_gain
-            session.add(tx.tx_id, power, tx.start, tx.end)
-
+        """Classify one receiver's reception, decode its frame and charge the rest."""
         # ANC's raison d'etre: the relay never decodes a paired uplink
         # collision — it amplifies and rebroadcasts it (§7.5).
         uplinks = [tx for tx in components if tx.kind == "anc_uplink"]
         if receiver == RELAY and uplinks:
             self._relay_hears_uplink(components, uplinks, group_start, handled)
             return
-
-        kind, primary_id = classify_reception(
-            session, self.params.capture_threshold_db
-        )
-        if kind is ReceptionKind.COLLIDED:
-            for tx in components:
-                self._component_failed_at(receiver, tx, handled)
-            return
-        primary = next(tx for tx in components if tx.tx_id == primary_id)
-        if self._primary_relevant(receiver, primary):
-            composite = self._composite(receiver, components, group_start)
-            if primary.kind == "anc_broadcast":
-                self._decode_anc_broadcast(receiver, primary, composite, handled)
-            else:
-                self._decode_aligned(
-                    receiver, primary, composite, offsets[primary.tx_id], handled
-                )
-        # Captured: the weaker components die at this receiver.
+        session = ReceptionSession(noise_power=self.nodes[receiver].config.noise_power)
         for tx in components:
-            if tx.tx_id != primary.tx_id:
-                self._component_failed_at(receiver, tx, handled)
+            link = self.topology.link(tx.sender, receiver)
+            power = self.nodes[tx.sender].config.tx_amplitude ** 2 * link.power_gain
+            session.add(tx.tx_id, power, tx.start, tx.end)
+        _, primary_id = classify_reception(session, CAPTURE_THRESHOLD_DB)
+        primary = next((tx for tx in components if tx.tx_id == primary_id), None)
+        if primary is not None and receiver in self._consumers(primary):
+            start = (
+                int(round(primary.start - group_start))
+                + self.topology.link(primary.sender, receiver).propagation_delay
+            )
+            composite = self._composite(receiver, components, group_start)
+            self._decode(receiver, primary, composite, start, handled)
+        # Collided, or captured: every other component dies at this receiver.
+        for tx in components:
+            if tx is not primary:
+                self._lost_at(receiver, tx, handled)
 
     def _composite(
         self, receiver: int, components: List[_Tx], group_start: float
@@ -826,19 +752,8 @@ class TrafficSimulation:
         return superpose(
             placed,
             self.nodes[receiver].config.noise_power,
-            self.streams.node_stream(receiver, "noise"),
+            self.streams.stream(receiver, "noise"),
             max(offset + len(waveform) for waveform, _, offset in placed) + 24,
-        )
-
-    @staticmethod
-    def _primary_relevant(receiver: int, tx: _Tx) -> bool:
-        """Is this receiver a consumer of the frame (vs a mere overhearer)?"""
-        if tx.kind == "anc_broadcast":
-            return receiver in tx.meta["truths"]
-        if tx.kind == "cope_coded":
-            return receiver in tx.meta["pair"]
-        return receiver == RELAY or (
-            tx.sender == RELAY and tx.meta.get("dst") == receiver
         )
 
     def _relay_hears_uplink(
@@ -846,169 +761,105 @@ class TrafficSimulation:
         components: List[_Tx],
         uplinks: List[_Tx],
         group_start: float,
-        handled: Dict[int, bool],
+        handled: Set[Tuple[int, int]],
     ) -> None:
         """The relay turns a clean paired uplink into a broadcast job."""
-        relay = self.nodes[RELAY]
         if len(uplinks) == 2 and len(components) == 2:
             composite = self._composite(RELAY, uplinks, group_start)
-            broadcast = relay.amplify_and_forward(composite)
-            truths = {
-                tx.meta["dst"]: {"packet": tx.meta["packet"], "arrival": tx.meta["arrival"]}
-                for tx in uplinks
-            }
             self._relay_broadcasts.append(
-                {"kind": "anc_broadcast", "waveform": broadcast, "truths": truths}
+                {
+                    "kind": "anc_broadcast",
+                    "waveform": self.nodes[RELAY].amplify_and_forward(composite),
+                    "truths": {tx.meta["dst"]: tx.meta for tx in uplinks},
+                }
             )
-            for tx in uplinks:
-                handled[tx.tx_id] = True
+            handled.update((tx.tx_id, RELAY) for tx in uplinks)
         else:
             # A contaminated exchange (a stray frame joined the group):
             # nothing is recoverable at the relay.
             for tx in components:
-                self._component_failed_at(RELAY, tx, handled)
-        self._anc_active = False
+                self._lost_at(RELAY, tx, handled)
 
     # ------------------------------------------------------------------
-    # Decode paths
+    # Decode and outcome accounting
     # ------------------------------------------------------------------
-    def _decode_aligned(
+    def _decode(
         self,
         receiver: int,
         tx: _Tx,
-        composite,
+        composite: ComplexSignal,
         start: int,
-        handled: Dict[int, bool],
+        handled: Set[Tuple[int, int]],
     ) -> None:
-        """Decode a clean/captured frame from its aligned window."""
-        parsed = self.decoder.decode_window(composite, start, self.frame_samples)
-        if tx.kind == "cope_coded":
-            self._account_cope_coded(receiver, tx, parsed, handled)
-            return
-        truth: Packet = tx.meta["packet"]
-        ber = decoded_ber(
-            truth.payload, parsed.packet.payload if parsed.packet is not None else None
-        )
-        ok = parsed.payload_crc_ok or ber <= self.params.ber_acceptance
-        if tx.meta.get("dst") == receiver and tx.sender == RELAY:
-            # Final hop: a relay frame reaching its destination.
-            self.report.bers.append(ber)
-            handled[tx.tx_id] = True
+        """A consumer decodes its frame; the relay buffers it, an endpoint takes it.
+
+        An ANC broadcast goes through the endpoint's full receive pipeline;
+        every other frame is demodulated from its aligned window, and a
+        COPE-coded one is XORed with the endpoint's own packet.  The frame
+        is good when its CRC passes or the assumed FEC repairs its BER.
+        """
+        handled.add((tx.tx_id, receiver))
+        truth = tx.meta["truths"][receiver] if tx.kind in _CODED else tx.meta
+        if tx.kind == "anc_broadcast":
+            result = self.nodes[receiver].receive(composite)
+            packet, crc_ok = result.packet, result.crc_ok
+        else:
+            parsed = self.decoder.decode_windows([(composite, start, self.frame_samples)])[0]
+            packet, crc_ok = parsed.packet, parsed.payload_crc_ok
+        decoded = None if packet is None else packet.payload
+        if tx.kind == "cope_coded" and packet is not None:
+            own = tx.meta["truths"][self._other_endpoint(receiver)]["packet"]
+            decoded = packet.xor_payload(own)
+        ber = decoded_ber(truth["packet"].payload, decoded)
+        ok = crc_ok or ber <= self.params.ber_acceptance
+        if receiver == RELAY:
+            # Store-and-forward: the FEC-repaired copy (the truth packet
+            # once BER is within acceptance) enters the buffer.
             if ok:
-                self._account_delivery(truth, tx.meta["arrival"])
-                self._data_succeeded(tx)
-            else:
-                self._data_failed(tx)
-            return
-        if receiver == RELAY and tx.kind in ("data", "anc_uplink"):
-            handled[tx.tx_id] = True
-            if ok:
-                # Store-and-forward: the FEC-repaired copy (the truth
-                # packet once BER is within acceptance) enters the buffer.
                 self._relay_buffer.append(
                     {
-                        "packet": truth,
-                        "arrival": tx.meta["arrival"],
-                        "dst": tx.meta["dst"],
+                        "packet": truth["packet"],
+                        "arrival": truth["arrival"],
+                        "dst": truth["dst"],
                         "relay_time": self.sched.now,
                     }
                 )
-                self._data_succeeded(tx)
-                if self._scheduled is None:
-                    self._kick_relay()
-            else:
-                self._data_failed(tx)
-
-    def _decode_anc_broadcast(
-        self, receiver: int, tx: _Tx, composite, handled: Dict[int, bool]
-    ) -> None:
-        """An endpoint decodes the relayed collision through the pipeline."""
-        handled[tx.tx_id] = True
-        truth_entry = tx.meta["truths"].get(receiver)
-        if truth_entry is None:
+            self._feedback(tx, ok)
+            if ok and self._scheduled is None:
+                self._kick_relay()
             return
-        truth: Packet = truth_entry["packet"]
-        result = self.nodes[receiver].receive(composite)
-        decoded = result.packet.payload if result.packet is not None else None
-        ber = decoded_ber(truth.payload, decoded)
         self.report.bers.append(ber)
-        if result.crc_ok or ber <= self.params.ber_acceptance:
-            self._account_delivery(truth, truth_entry["arrival"])
-        else:
-            self.report.losses += 1
+        if ok:
+            self.report.delivered += 1
+            self.report.delivered_bits += truth["packet"].payload_length
+            self.report.delays.append(self.sched.now - truth["arrival"])
+        self._feedback(tx, ok)
 
-    def _account_cope_coded(
-        self, receiver: int, tx: _Tx, parsed, handled: Dict[int, bool]
-    ) -> None:
-        """An endpoint XORs the coded broadcast with its own packet."""
-        handled[tx.tx_id] = True
-        entry = tx.meta["pair"].get(receiver)
-        if entry is None:
-            return
-        truth: Packet = entry["packet"]
-        other = tx.meta["pair"][self._other_endpoint(receiver)]
-        side_payload = other["packet"].payload
-        recovered = None
-        if parsed.packet is not None and parsed.packet.payload.size == side_payload.size:
-            recovered = np.bitwise_xor(parsed.packet.payload, side_payload).astype(np.uint8)
-        ber = decoded_ber(truth.payload, recovered)
-        self.report.bers.append(ber)
-        if (parsed.payload_crc_ok and parsed.packet is not None) or ber <= self.params.ber_acceptance:
-            self._account_delivery(truth, entry["arrival"])
-        else:
-            self.report.losses += 1
+    def _lost_at(self, receiver: int, tx: _Tx, handled: Set[Tuple[int, int]]) -> None:
+        """A component is unrecoverable at ``receiver``: a loss if meant for it."""
+        if receiver in self._consumers(tx):
+            handled.add((tx.tx_id, receiver))
+            self._feedback(tx, ok=False)
 
-    # ------------------------------------------------------------------
-    # Outcome accounting and genie MAC feedback
-    # ------------------------------------------------------------------
-    def _account_delivery(self, truth: Packet, arrival: float) -> None:
-        """Record one end-to-end delivery (bits, delay)."""
-        self.report.delivered += 1
-        self.report.delivered_bits += truth.payload_length
-        self.report.delays.append(self.sched.now - arrival)
+    def _feedback(self, tx: _Tx, ok: bool) -> None:
+        """Genie ACK/NACK for one consumer's outcome of a frame.
 
-    def _component_failed_at(
-        self, receiver: int, tx: _Tx, handled: Dict[int, bool]
-    ) -> None:
-        """A component is unrecoverable at a receiver; account if relevant."""
-        if tx.kind == "data" and (
-            (tx.sender != RELAY and receiver == RELAY)
-            or (tx.sender == RELAY and tx.meta.get("dst") == receiver)
-        ):
-            handled[tx.tx_id] = True
-            self._data_failed(tx)
-        elif tx.kind == "anc_uplink" and receiver == RELAY:
-            handled[tx.tx_id] = True
-            self.report.losses += 1
-            self._anc_active = False
-        elif tx.kind == "cope_coded" and receiver in tx.meta["pair"]:
-            # Each endpoint only loses the packet addressed to *it*.
-            handled[tx.tx_id] = True
-            self.report.losses += 1
-        elif tx.kind == "anc_broadcast" and receiver in tx.meta["truths"]:
-            handled[tx.tx_id] = True
-            self.report.losses += 1
-
-    def _data_succeeded(self, tx: _Tx) -> None:
-        """Genie ACK: the data frame reached its next hop."""
+        A CSMA data frame resets its sender's backoff on success and is
+        BEB-retried on failure until its attempts run out.  Every other
+        frame (coded broadcasts, ANC uplinks, anything under the TDMA grid,
+        which has no retransmissions) simply counts a failure as a loss.
+        """
         origin = tx.meta.get("origin")
         if origin is None or self._scheduled is not None:
-            return
-        self.mac.on_success(self._csma[origin])
-        self._hol[origin] = None
-
-    def _data_failed(self, tx: _Tx) -> None:
-        """Genie NACK: BEB-retry the data frame, or drop it when exhausted."""
-        origin = tx.meta.get("origin")
-        if origin is None or self._scheduled is not None:
-            # Scheduled MAC has no retransmissions: a lost frame is a loss.
-            self.report.losses += 1
+            if not ok:
+                self.report.losses += 1
             return
         state = self._csma[origin]
-        self.mac.on_failure(state)
-        if self.mac.exhausted(state):
-            self.mac.on_success(state)
-            self._hol[origin] = None
+        if not ok:
+            self.mac.on_failure(state)
+            if not self.mac.exhausted(state):
+                self._request_access(origin)
+                return
             self.report.retry_drops += 1
-            return
-        self._request_access(origin)
+        self.mac.on_success(state)
+        self._hol[origin] = None

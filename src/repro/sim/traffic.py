@@ -9,10 +9,11 @@ models:
 * :class:`CBRArrivals` — constant bit rate, one packet every
   ``mean_interarrival`` samples exactly (the RTP-style smooth source);
 * :class:`BurstyOnOffArrivals` — an on/off source emitting geometric
-  bursts of back-to-back packets separated by long idle gaps, with the
-  gap length chosen so the *long-run* rate still matches
-  ``mean_interarrival`` (so sweeping the load axis moves every model by
-  the same amount, only the variance differs).
+  bursts (4 packets on average, 4× denser than the long-run rate)
+  separated by long idle gaps, with the gap length chosen so the
+  *long-run* rate still matches ``mean_interarrival`` (so sweeping the
+  load axis moves every model by the same amount, only the variance
+  differs).
 
 All draws come from the generator the caller passes in — by convention a
 per-node stream from :class:`repro.sim.core.RngStreams` — so arrivals at
@@ -46,9 +47,6 @@ class ArrivalProcess:
         Long-run average spacing between packets, in samples.
     """
 
-    #: Registry name; subclasses override.
-    model_name = "base"
-
     def __init__(self, mean_interarrival: float) -> None:
         """Validate and store the long-run mean interarrival time."""
         if mean_interarrival <= 0:
@@ -59,16 +57,9 @@ class ArrivalProcess:
         """Draw the time (samples) until the next packet arrival."""
         raise NotImplementedError
 
-    @property
-    def rate(self) -> float:
-        """Long-run arrival rate in packets per sample."""
-        return 1.0 / self.mean_interarrival
-
 
 class PoissonArrivals(ArrivalProcess):
     """Memoryless (exponential-interarrival) packet arrivals."""
-
-    model_name = "poisson"
 
     def next_interarrival(self, rng: np.random.Generator) -> float:
         """Exponential draw with the configured mean."""
@@ -78,8 +69,6 @@ class PoissonArrivals(ArrivalProcess):
 class CBRArrivals(ArrivalProcess):
     """Constant-bit-rate arrivals: perfectly periodic packets."""
 
-    model_name = "cbr"
-
     def next_interarrival(self, rng: np.random.Generator) -> float:
         """The constant spacing (the generator is unused but kept for the API)."""
         return self.mean_interarrival
@@ -88,35 +77,18 @@ class CBRArrivals(ArrivalProcess):
 class BurstyOnOffArrivals(ArrivalProcess):
     """On/off bursts: geometric trains of closely spaced packets.
 
-    Parameters
-    ----------
-    mean_interarrival:
-        Long-run mean spacing (same load as the other models).
-    burst_length:
-        Mean packets per burst (geometric; at least 1).
-    peak_factor:
-        How much denser than the long-run rate the in-burst spacing is;
-        packets inside a burst are ``mean_interarrival / peak_factor``
-        apart.  The idle gap after each burst absorbs the remainder so
-        the long-run mean stays ``mean_interarrival``.
+    A burst holds :attr:`burst_length` packets on average (geometric, at
+    least 1), spaced ``mean_interarrival / peak_factor`` apart.  The
+    exponential idle gap after each burst absorbs the remainder, so the
+    long-run mean spacing stays ``mean_interarrival``.
     """
 
-    model_name = "bursty"
+    burst_length = 4.0
+    peak_factor = 4.0
 
-    def __init__(
-        self,
-        mean_interarrival: float,
-        burst_length: float = 4.0,
-        peak_factor: float = 4.0,
-    ) -> None:
-        """Validate burst shape and precompute the compensating idle gap."""
+    def __init__(self, mean_interarrival: float) -> None:
+        """Precompute the in-burst spacing and the compensating idle gap."""
         super().__init__(mean_interarrival)
-        if burst_length < 1.0:
-            raise ConfigurationError("burst_length must be at least 1")
-        if peak_factor <= 1.0:
-            raise ConfigurationError("peak_factor must exceed 1")
-        self.burst_length = float(burst_length)
-        self.peak_factor = float(peak_factor)
         self._in_burst_gap = self.mean_interarrival / self.peak_factor
         # Per cycle (one burst of mean L packets): L * mean must elapse on
         # average, (L - 1) of it inside the burst -> the rest is the mean
@@ -139,15 +111,16 @@ class BurstyOnOffArrivals(ArrivalProcess):
 
 #: Registered traffic models, keyed by CLI/scenario name.
 _MODEL_CLASSES: Dict[str, Type[ArrivalProcess]] = {
-    cls.model_name: cls
-    for cls in (PoissonArrivals, CBRArrivals, BurstyOnOffArrivals)
+    "poisson": PoissonArrivals,
+    "cbr": CBRArrivals,
+    "bursty": BurstyOnOffArrivals,
 }
 
 #: Names of the available traffic models, in registration order.
 TRAFFIC_MODELS: Tuple[str, ...] = tuple(_MODEL_CLASSES)
 
 
-def make_arrival_process(model: str, mean_interarrival: float, **kwargs) -> ArrivalProcess:
+def make_arrival_process(model: str, mean_interarrival: float) -> ArrivalProcess:
     """Instantiate a traffic model by registry name."""
     try:
         cls = _MODEL_CLASSES[model]
@@ -155,4 +128,4 @@ def make_arrival_process(model: str, mean_interarrival: float, **kwargs) -> Arri
         raise ConfigurationError(
             f"unknown traffic model {model!r}; choose from {', '.join(TRAFFIC_MODELS)}"
         ) from None
-    return cls(mean_interarrival, **kwargs)
+    return cls(mean_interarrival)

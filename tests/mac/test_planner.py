@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.channel.link import Link
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.mac.planner import (
     plan_chain_pipeline,
@@ -10,7 +11,6 @@ from repro.mac.planner import (
     plan_relay_exchange,
 )
 from repro.network.flows import Flow
-from repro.network.generator import generate_star
 from repro.network.topologies import (
     ALICE,
     BOB,
@@ -25,12 +25,23 @@ from repro.network.topologies import (
     chain_topology,
     x_topology,
 )
+from repro.network.topology import Topology
 
 CONDITIONS = ChannelConditions(snr_db=28.0)
 
 
 def _chain(hops, seed=0):
     return chain_topology(CONDITIONS, np.random.default_rng(seed), hops=hops)
+
+
+def _star(leaves):
+    """``leaves`` endpoints around router 0, each in range of the router only."""
+    topo = Topology()
+    for node in range(leaves + 1):
+        topo.add_node(node)
+    for leaf in range(1, leaves + 1):
+        topo.add_symmetric_link(leaf, 0, Link())
+    return topo
 
 
 class TestChainPipelinePlan:
@@ -116,7 +127,7 @@ class TestRelayExchangePlan:
 
     def test_missing_side_info_rejected(self):
         """Crossing flows whose destinations cannot learn the paired packet."""
-        topo = generate_star(CONDITIONS, np.random.default_rng(3), leaves=4)
+        topo = _star(4)
         with pytest.raises(ConfigurationError):
             # Leaves are out of each other's range, so overhearing fails
             # and the flows are not reverses of each other.
@@ -148,7 +159,7 @@ class TestRelayExchangePlan:
 
 class TestMeshExchanges:
     def test_pairs_reverse_flows_on_a_star(self):
-        topo = generate_star(CONDITIONS, np.random.default_rng(5), leaves=4)
+        topo = _star(4)
         flows = [Flow(1, 2, 3), Flow(2, 1, 3), Flow(3, 4, 3), Flow(4, 3, 3)]
         schedule = plan_mesh_exchanges(topo, flows)
         assert len(schedule.exchanges) == 2
@@ -158,7 +169,7 @@ class TestMeshExchanges:
             assert set(exchange.side_info.values()) == {"reverse"}
 
     def test_unpairable_flows_fall_back_to_routing(self):
-        topo = generate_star(CONDITIONS, np.random.default_rng(6), leaves=4)
+        topo = _star(4)
         flows = [Flow(1, 2, 3), Flow(3, 4, 3)]
         schedule = plan_mesh_exchanges(topo, flows)
         assert schedule.exchanges == ()
@@ -174,7 +185,7 @@ class TestMeshExchanges:
         assert set(exchange.side_info.values()) == {"overhear"}
 
     def test_deterministic_for_a_flow_list(self):
-        topo = generate_star(CONDITIONS, np.random.default_rng(8), leaves=6)
+        topo = _star(6)
         flows = [Flow(1, 2, 3), Flow(2, 1, 3), Flow(5, 6, 3), Flow(6, 5, 3)]
         first = plan_mesh_exchanges(topo, flows)
         second = plan_mesh_exchanges(topo, flows)

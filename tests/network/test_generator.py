@@ -8,7 +8,6 @@ from repro.exceptions import ConfigurationError
 from repro.network.generator import (
     generate_geometric_mesh,
     generate_random_mesh,
-    generate_star,
 )
 from repro.network.topologies import ChannelConditions, chain_topology
 
@@ -27,20 +26,6 @@ class TestChain:
         assert topo.in_range(2, 3) and topo.in_range(3, 2)
         assert not topo.in_range(1, 3)
         assert not topo.in_range(2, 5)
-
-
-class TestStar:
-    def test_structure(self):
-        topo = generate_star(CONDITIONS, np.random.default_rng(2), leaves=5)
-        assert len(topo.nodes) == 6
-        for leaf in range(1, 6):
-            assert topo.in_range(leaf, 0) and topo.in_range(0, leaf)
-        assert not topo.in_range(1, 2)
-        assert topo.shortest_path(1, 4) == [1, 0, 4]
-
-    def test_too_few_leaves_rejected(self):
-        with pytest.raises(ConfigurationError):
-            generate_star(CONDITIONS, np.random.default_rng(3), leaves=1)
 
 
 class TestRandomMesh:
@@ -132,7 +117,6 @@ class TestGeometricMesh:
         """`positions` is a declared Topology attribute: mesh families set
         it, placement-free generators leave it None (no AttributeError)."""
         assert chain_topology(CONDITIONS, np.random.default_rng(0)).positions is None
-        assert generate_star(CONDITIONS, np.random.default_rng(0)).positions is None
         mesh = generate_random_mesh(CONDITIONS, np.random.default_rng(0), nodes=8)
         assert sorted(mesh.positions) == mesh.nodes
 

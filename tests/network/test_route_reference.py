@@ -50,6 +50,7 @@ sys.modules["networkx"] = None
 
 import numpy as np
 from repro import api
+from repro.channel.link import Link
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import REGISTRY
 from repro.network import generator
@@ -88,7 +89,11 @@ conditions = ChannelConditions()
 for seed in range(12):
     rng = np.random.default_rng(seed)
     chain_topology(conditions, rng, hops=2 + seed % 6)
-    generator.generate_star(conditions, rng, leaves=2 + seed % 6)
+    star = Topology()
+    for node in range(3 + seed % 6):
+        star.add_node(node)
+    for leaf in range(1, 3 + seed % 6):
+        star.add_symmetric_link(leaf, 0, Link())
     for nodes, radius in ((5, 0.45), (12, 0.25), (12, 0.45), (20, 0.1), (20, 0.3)):
         generator.generate_random_mesh(conditions, rng, nodes=nodes, radius=radius)
         generator.generate_geometric_mesh(conditions, rng, nodes=nodes, radius=radius)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.channel.interference import OverlapModel
 from repro.framing.packet import Packet
-from repro.network.generator import generate_geometric_mesh, generate_random_mesh, generate_star
+from repro.network.generator import generate_geometric_mesh, generate_random_mesh
 from repro.network.medium import WirelessMedium
 from repro.network.topologies import alice_bob_topology, chain_topology, x_topology
 from repro.node.node import Node
@@ -38,7 +38,6 @@ SEEDED = [
     alice_bob_topology,
     chain_topology,
     x_topology,
-    generate_star,
     generate_random_mesh,
     generate_geometric_mesh,
     random_bits,

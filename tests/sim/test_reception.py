@@ -74,14 +74,6 @@ class TestClassifyReception:
         assert kind is ReceptionKind.CAPTURED
         assert primary == 0
 
-    def test_comparable_pair_with_known_frame_is_anc_decodable(self):
-        session = _session()
-        session.add(0, power=1.0, start=0.0, end=FRAME)
-        session.add(1, power=0.9, start=200.0, end=FRAME + 200.0)
-        kind, primary = classify_reception(session, 10.0, known_tx_ids=(0,))
-        assert kind is ReceptionKind.ANC_COLLISION
-        assert primary == 1, "decode target is the unknown component"
-
     def test_comparable_pair_without_knowledge_collides(self):
         session = _session()
         session.add(0, power=1.0, start=0.0, end=FRAME)
@@ -92,8 +84,7 @@ class TestClassifyReception:
         session = _session()
         for tx_id in range(3):
             session.add(tx_id, power=1.0, start=tx_id * 100.0, end=FRAME + tx_id * 100.0)
-        kind, _ = classify_reception(session, 10.0, known_tx_ids=(0, 1))
-        assert kind is ReceptionKind.COLLIDED
+        assert classify_reception(session, 10.0) == (ReceptionKind.COLLIDED, None)
 
 
 class TestDecodeService:
@@ -101,7 +92,7 @@ class TestDecodeService:
         node = Node(1, NodeConfig(payload_bits=64))
         packet = node.make_packet(destination=2, rng=np.random.default_rng(0))
         waveform = node.transmit(packet)
-        result = DecodeService().decode_window(waveform, 0, len(waveform))
+        (result,) = DecodeService().decode_windows([(waveform, 0, len(waveform))])
         assert result.packet is not None
         assert np.array_equal(result.packet.payload, packet.payload)
 
@@ -124,4 +115,4 @@ class TestDecodeService:
         node = Node(1, NodeConfig(payload_bits=64))
         waveform = node.transmit(node.make_packet(2, rng=np.random.default_rng(2)))
         with pytest.raises(ConfigurationError):
-            DecodeService().decode_window(waveform, -1, len(waveform))
+            DecodeService().decode_windows([(waveform, -1, len(waveform))])

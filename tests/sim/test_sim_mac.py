@@ -10,21 +10,11 @@ from repro.sim.mac import MAC_POLICIES, CsmaBackoffMac, ScheduledMac
 class TestRegistry:
     def test_policy_names(self):
         assert MAC_POLICIES == ("csma", "scheduled")
-        assert CsmaBackoffMac.policy_name == "csma"
-        assert ScheduledMac.policy_name == "scheduled"
 
 
 class TestCsmaBackoffMac:
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigurationError):
-            CsmaBackoffMac(slot_samples=0)
-        with pytest.raises(ConfigurationError):
-            CsmaBackoffMac(cw_min=8, cw_max=4)
-        with pytest.raises(ConfigurationError):
-            CsmaBackoffMac(max_retries=0)
-
     def test_access_delay_within_window(self):
-        mac = CsmaBackoffMac(slot_samples=32, difs_samples=64, cw_min=4)
+        mac = CsmaBackoffMac()
         state = mac.fresh_state()
         rng = np.random.default_rng(0)
         delays = {mac.access_delay(state, rng) for _ in range(200)}
@@ -34,17 +24,17 @@ class TestCsmaBackoffMac:
         assert all((d - 64.0) % 32.0 == 0.0 for d in delays)
 
     def test_binary_exponential_backoff_bounded(self):
-        mac = CsmaBackoffMac(cw_min=4, cw_max=16)
+        mac = CsmaBackoffMac()
         state = mac.fresh_state()
         widths = []
-        for _ in range(4):
+        for _ in range(6):
             mac.on_failure(state)
             widths.append(state.cw)
-        assert widths == [8, 16, 16, 16]
-        assert state.retries == 4
+        assert widths == [8, 16, 32, 64, 64, 64]
+        assert state.retries == 6
 
     def test_success_resets_window(self):
-        mac = CsmaBackoffMac(cw_min=4, cw_max=64)
+        mac = CsmaBackoffMac()
         state = mac.fresh_state()
         mac.on_failure(state)
         mac.on_failure(state)
@@ -53,10 +43,11 @@ class TestCsmaBackoffMac:
         assert state.retries == 0
 
     def test_exhaustion_after_max_retries(self):
-        mac = CsmaBackoffMac(max_retries=2)
+        mac = CsmaBackoffMac()
         state = mac.fresh_state()
-        assert not mac.exhausted(state)
-        mac.on_failure(state)
+        for _ in range(3):
+            assert not mac.exhausted(state)
+            mac.on_failure(state)
         assert not mac.exhausted(state)
         mac.on_failure(state)
         assert mac.exhausted(state)
@@ -72,11 +63,9 @@ class TestScheduledMac:
     def test_round_robin_ownership(self):
         mac = ScheduledMac(slot_samples=100, n_ranks=3)
         assert [mac.slot_owner(i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
-        assert mac.slot_start(4) == 400.0
 
     def test_each_rank_owns_one_slot_per_round(self):
         mac = ScheduledMac(slot_samples=50, n_ranks=4)
         for round_start in (0, 4, 40):
             owners = [mac.slot_owner(round_start + i) for i in range(4)]
             assert sorted(owners) == [0, 1, 2, 3]
-        assert [mac.slot_start(i + 1) - mac.slot_start(i) for i in range(5)] == [50.0] * 5

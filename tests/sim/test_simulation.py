@@ -45,8 +45,6 @@ class TestSimParams:
             ("sim_duration_frames", -1.0),
             ("payload_bits", 100),
             ("mean_overlap", 1.5),
-            ("queue_capacity", 0),
-            ("patience_frames", -1.0),
         ],
     )
     def test_bad_knobs_rejected(self, field, value):
@@ -159,11 +157,6 @@ class TestTrafficModels:
         cbr = _run(mac_policy="scheduled", traffic_model="cbr", arrival_rate=0.5)
         bursty = _run(mac_policy="scheduled", traffic_model="bursty", arrival_rate=0.5)
         assert bursty.metrics()["delay_p95"] > cbr.metrics()["delay_p95"]
-
-    def test_queue_capacity_bounds_backlog_drops(self):
-        small = _run(traffic_model="bursty", arrival_rate=1.5, queue_capacity=1)
-        large = _run(traffic_model="bursty", arrival_rate=1.5, queue_capacity=64)
-        assert small.queue_drops > large.queue_drops
 
 
 class TestReportShape:

@@ -25,7 +25,7 @@ class TestRegistry:
         ):
             process = make_arrival_process(name, 100.0)
             assert isinstance(process, cls)
-            assert process.rate == pytest.approx(0.01)
+            assert process.mean_interarrival == 100.0
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -67,7 +67,7 @@ class TestBursty:
 
     def test_in_burst_spacing_is_denser(self):
         rng = np.random.default_rng(4)
-        process = BurstyOnOffArrivals(100.0, burst_length=8.0, peak_factor=4.0)
+        process = BurstyOnOffArrivals(100.0)
         draws = [process.next_interarrival(rng) for _ in range(2000)]
         in_burst = [d for d in draws if d == pytest.approx(25.0)]
         assert in_burst, "bursts should produce mean/peak_factor spacings"
@@ -79,9 +79,3 @@ class TestBursty:
         draws = [bursty.next_interarrival(rng) for _ in range(4000)]
         # Same long-run rate, much burstier: coefficient of variation > 1.
         assert np.std(draws) / np.mean(draws) > 1.1
-
-    def test_shape_validation(self):
-        with pytest.raises(ConfigurationError):
-            BurstyOnOffArrivals(50.0, burst_length=0.5)
-        with pytest.raises(ConfigurationError):
-            BurstyOnOffArrivals(50.0, peak_factor=1.0)

@@ -81,7 +81,7 @@ def main() -> None:
               "(each published atomically before the kill)")
 
         print("\n[2] re-run of the identical spec (same store):")
-        report = CampaignRunner(store=store, concurrency=4).run_sync(spec)
+        report = CampaignRunner(store=store, concurrency=4).run(spec)
         print(f"  {report.summary()}")
         print(f"  -> {report.cached} jobs served from the store, "
               f"{report.completed} computed (only the gap)")
@@ -89,7 +89,7 @@ def main() -> None:
         assert report.cached >= survived, "stored jobs must not recompute"
 
         print("\n[3] third run — everything cached, zero recomputation:")
-        verify = CampaignRunner(store=store, concurrency=4).run_sync(spec)
+        verify = CampaignRunner(store=store, concurrency=4).run(spec)
         print(f"  {verify.summary()}")
         assert verify.completed == 0 and verify.cached == spec.total_jobs
 

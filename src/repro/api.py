@@ -128,7 +128,6 @@ def _attach_engine_meta(
     """
     return result.with_meta(engine={
         "workers": int(engine.workers),
-        "batch_size": int(engine.batch_size),
         "invocations": len(stats),
         "total_trials": sum(s.total_trials for s in stats),
         "executed_trials": sum(s.executed_trials for s in stats),
@@ -143,8 +142,6 @@ def run_campaign(
     spec,
     store=None,
     concurrency: int = 4,
-    retries: int = 2,
-    backoff: float = 0.5,
     progress=None,
 ):
     """Run a declarative sweep grid locally and return its report.
@@ -152,11 +149,11 @@ def run_campaign(
     The facade entry into :mod:`repro.campaign`: expands ``spec``
     (a :class:`~repro.campaign.spec.CampaignSpec`, or a mapping/JSON
     text in its ``anc-repro.campaign/1`` spec-file format) into its job grid
-    and executes it on an asyncio queue with bounded ``concurrency``
-    and per-job retry.  With ``store`` set (a directory path or a
-    :class:`~repro.campaign.store.ResultStore`), completed jobs are
-    published to the content-addressed result store and a re-run
-    resumes from it — already-stored jobs are not recomputed.
+    and executes the jobs one after another, each once, with their trials
+    spread over ``concurrency`` engine worker processes.  With ``store``
+    set (a directory path or a :class:`~repro.campaign.store.ResultStore`),
+    completed jobs are published to the content-addressed result store
+    and a re-run resumes from it — already-stored jobs are not recomputed.
 
     Returns a :class:`~repro.campaign.runner.CampaignReport`; see
     ``docs/CAMPAIGNS.md`` for the grid-spec format and examples.
@@ -168,12 +165,5 @@ def run_campaign(
         spec = CampaignSpec.from_json(spec)
     elif isinstance(spec, dict):
         spec = CampaignSpec.from_dict(spec)
-    runner = CampaignRunner(
-        store=store,
-        concurrency=concurrency,
-        retries=retries,
-        backoff=backoff,
-        progress=progress,
-    )
-    return runner.run_sync(spec)
+    return CampaignRunner(store=store, concurrency=concurrency, progress=progress).run(spec)
 

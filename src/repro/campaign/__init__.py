@@ -11,14 +11,15 @@ thousand of them, deterministically and resumably":
   ``anc-repro.result/1`` codec over the package's one content-addressed
   store (:mod:`repro.store`); safe under concurrent workers, and the
   resume mechanism (stored digest → job skipped).
-* :mod:`repro.campaign.runner` — :class:`CampaignRunner`, the asyncio
-  job queue: bounded concurrency and per-job retry with exponential
-  backoff.
+* :mod:`repro.campaign.runner` — :class:`CampaignRunner` runs the jobs
+  one after another, each executed once on one shared
+  :class:`~repro.experiments.engine.ExperimentEngine` whose process pool
+  is the package's only parallelism.
 
 See ``docs/CAMPAIGNS.md`` for the user-facing guide.
 """
 
-from repro.campaign.runner import CampaignReport, CampaignRunner, JobOutcome, execute_job
+from repro.campaign.runner import CampaignReport, CampaignRunner, JobOutcome
 from repro.campaign.spec import (
     CAMPAIGN_SCHEMA,
     CampaignJob,
@@ -37,6 +38,5 @@ __all__ = [
     "JobOutcome",
     "ResultStore",
     "audit_snapshot_roundtrip",
-    "execute_job",
     "job_digest",
 ]

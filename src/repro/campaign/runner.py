@@ -1,36 +1,34 @@
-"""The asyncio campaign runner: bounded concurrency, retries, resume.
+"""The campaign runner: resume, execute once, store.
 
 :class:`CampaignRunner` turns an expanded job list into completed
-results.  Execution discipline:
+results, one job after another:
 
-* **bounded concurrency** — at most ``concurrency`` jobs of one
-  campaign run at once (an :class:`asyncio.Semaphore`); everything else
-  waits in line;
 * **resume before work** — a job whose digest is already in the
   :class:`~repro.campaign.store.ResultStore` is counted as ``cached``
   and never executed;
-* **retry with backoff** — a failing job is retried up to ``retries``
-  times with exponential backoff; a job that exhausts its retries is
-  recorded as ``failed`` without sinking the rest of the campaign;
+* **execute once** — every other job runs through :func:`repro.api.run`
+  on the runner's one :class:`~repro.experiments.engine.ExperimentEngine`,
+  whose process pool spreads the job's trials over ``concurrency``
+  workers.  A job is a pure function of (code, config, seed), so a job
+  that fails would fail again: it is recorded as ``failed`` with its
+  error, is not stored, and does not sink the rest of the campaign;
 * **store-through** — every computed result is published to the store
   atomically, so a campaign killed at any instant resumes from exactly
   the set of jobs that completed.
-
-Experiments execute through :func:`repro.api.run` on worker threads
-(:func:`asyncio.to_thread`), so up to ``concurrency`` jobs overlap.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro import api
 from repro.campaign.spec import CampaignJob, CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.exceptions import ConfigurationError
+from repro.experiments.engine import ExperimentEngine
 from repro.results.model import ExperimentResult
 
 #: Executes one job and returns its result (injectable for tests).
@@ -43,19 +41,6 @@ ProgressFn = Callable[[Dict[str, Any]], None]
 JOB_STATUSES = ("completed", "cached", "failed")
 
 
-def execute_job(job: CampaignJob) -> ExperimentResult:
-    """Default job executor: run the experiment through :mod:`repro.api`.
-
-    Each job gets a fresh serial engine, so results are bit-identical to
-    a direct ``api.run`` call; the campaign layer's parallelism comes
-    from running *jobs* concurrently, and the engine's own trial cache /
-    worker fan-out remain available underneath via a custom ``job_fn``.
-    """
-    from repro import api
-
-    return api.run(job.experiment, config=job.config, quick=job.quick)
-
-
 @dataclass(frozen=True)
 class JobOutcome:
     """Terminal record of one campaign job.
@@ -66,18 +51,15 @@ class JobOutcome:
         The grid point this outcome belongs to.
     status:
         ``"completed"`` (computed this run), ``"cached"`` (served from
-        the store) or ``"failed"`` (retries exhausted).
-    attempts:
-        Execution attempts made (0 for cached jobs).
+        the store) or ``"failed"`` (its one execution raised).
     error:
-        Last error message for failed jobs, else empty.
+        The error message for failed jobs, else empty.
     elapsed_seconds:
-        Wall-clock spent on the job in this run (queue wait excluded).
+        Wall-clock spent on the job in this run.
     """
 
     job: CampaignJob
     status: str
-    attempts: int = 0
     error: str = ""
     elapsed_seconds: float = 0.0
 
@@ -86,7 +68,6 @@ class JobOutcome:
         payload = dict(self.job.describe())
         payload.update(
             status=self.status,
-            attempts=self.attempts,
             error=self.error,
             elapsed_seconds=float(self.elapsed_seconds),
         )
@@ -134,7 +115,7 @@ class CampaignReport:
 
     @property
     def failed(self) -> int:
-        """Jobs that exhausted their retries."""
+        """Jobs whose execution raised."""
         return self.count("failed")
 
     @property
@@ -177,8 +158,10 @@ class CampaignReport:
         return "\n".join(lines)
 
 
+
+
 class CampaignRunner:
-    """Runs campaign job sets under one concurrency/retry policy.
+    """Runs campaign job sets one after another on one trial engine.
 
     Parameters
     ----------
@@ -187,127 +170,75 @@ class CampaignRunner:
         :class:`~repro.campaign.store.ResultStore`, or ``None`` for a
         store-less run that recomputes everything).
     concurrency:
-        Maximum jobs in flight at once.
-    retries:
-        Re-executions allowed per job after its first failure.
-    backoff:
-        Base delay in seconds before retry ``n`` (sleeps
-        ``backoff * 2**n``); 0 disables the delay (tests).
+        Worker processes of the runner's
+        :class:`~repro.experiments.engine.ExperimentEngine`; each job's
+        trials fan out over them (results are bit-identical at every
+        value).
     job_fn:
         The executor mapping a job to its result; defaults to
-        :func:`execute_job`.  Injectable so tests (and embedders that
-        want engine workers per job) control execution.
+        :func:`repro.api.run` on the runner's engine.  Injectable so
+        tests control execution.
     progress:
         Optional callback receiving one event dict per job transition
-        (``started`` / ``retry`` / ``completed`` / ``cached`` /
-        ``failed``).
+        (``started`` / ``completed`` / ``cached`` / ``failed``).
     """
 
     def __init__(
         self,
         store: Any = None,
         concurrency: int = 4,
-        retries: int = 2,
-        backoff: float = 0.5,
         job_fn: Optional[JobFn] = None,
         progress: Optional[ProgressFn] = None,
     ) -> None:
-        """Validate and freeze the execution policy."""
+        """Validate the policy and build the shared engine."""
         if int(concurrency) < 1:
             raise ConfigurationError("concurrency must be a positive integer")
-        if int(retries) < 0:
-            raise ConfigurationError("retries must be non-negative")
-        if float(backoff) < 0:
-            raise ConfigurationError("backoff must be non-negative")
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
-        self.concurrency = int(concurrency)
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self.job_fn: JobFn = job_fn if job_fn is not None else execute_job
+        self.engine = ExperimentEngine(workers=int(concurrency))
+        self.job_fn: JobFn = job_fn if job_fn is not None else self._execute
         self.progress = progress
+
+    def _execute(self, job: CampaignJob) -> ExperimentResult:
+        """Default job executor: run the experiment on the shared engine."""
+        return api.run(job.experiment, config=job.config, engine=self.engine, quick=job.quick)
 
     def _emit(self, event: str, job: CampaignJob, **extra: Any) -> None:
         """Deliver one progress event to the callback, if any."""
         if self.progress is not None:
             self.progress({"event": event, **job.describe(), **extra})
 
-    async def run(
+    def run(
         self, spec: CampaignSpec, shard_index: int = 0, shard_count: int = 1
     ) -> CampaignReport:
         """Run one campaign (shard) to completion and report every outcome."""
-        return await self.run_jobs(spec, spec.jobs(shard_index, shard_count))
+        return self.run_jobs(spec, spec.jobs(shard_index, shard_count))
 
-    async def run_jobs(
-        self, spec: CampaignSpec, jobs: Sequence[CampaignJob]
-    ) -> CampaignReport:
+    def run_jobs(self, spec: CampaignSpec, jobs: Sequence[CampaignJob]) -> CampaignReport:
         """Run an explicit job list (already expanded/sharded) to completion."""
         started = time.perf_counter()
-        semaphore = asyncio.Semaphore(self.concurrency)
-        outcomes = await asyncio.gather(
-            *(self._run_job(job, semaphore) for job in jobs)
-        )
+        outcomes = [self._run_job(job) for job in jobs]
         return CampaignReport(
             spec=spec,
-            outcomes=list(outcomes),
+            outcomes=outcomes,
             store_stats=self.store.stats.as_dict(),
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    async def _run_job(self, job: CampaignJob, semaphore: asyncio.Semaphore) -> JobOutcome:
-        """Resume-check, execute-with-retries and store one job."""
-        job_started = time.perf_counter()
+    def _run_job(self, job: CampaignJob) -> JobOutcome:
+        """Resume-check, execute once and store one job."""
+        started = time.perf_counter()
         if self.store.get(job.digest) is not None:
             self._emit("cached", job)
+            return JobOutcome(job, "cached", elapsed_seconds=time.perf_counter() - started)
+        self._emit("started", job)
+        try:
+            result = self.job_fn(job)
+        except Exception as error:
+            message = "".join(traceback.format_exception_only(type(error), error)).strip()
+            self._emit("failed", job, error=message)
             return JobOutcome(
-                job=job,
-                status="cached",
-                attempts=0,
-                elapsed_seconds=time.perf_counter() - job_started,
+                job, "failed", error=message, elapsed_seconds=time.perf_counter() - started
             )
-
-        async with semaphore:
-            self._emit("started", job)
-            attempts = 0
-            last_error = ""
-            while attempts <= self.retries:
-                attempts += 1
-                try:
-                    result = await asyncio.to_thread(self.job_fn, job)
-                except Exception as error:
-                    last_error = "".join(
-                        traceback.format_exception_only(type(error), error)
-                    ).strip()
-                    if attempts <= self.retries:
-                        delay = self.backoff * (2 ** (attempts - 1))
-                        self._emit(
-                            "retry", job, attempt=attempts,
-                            error=last_error, delay_seconds=delay,
-                        )
-                        if delay:
-                            await asyncio.sleep(delay)
-                    continue
-                self.store.put(job.digest, result)
-                self._emit("completed", job, attempts=attempts)
-                return JobOutcome(
-                    job=job,
-                    status="completed",
-                    attempts=attempts,
-                    elapsed_seconds=time.perf_counter() - job_started,
-                )
-        self._emit("failed", job, attempts=attempts, error=last_error)
-        return JobOutcome(
-            job=job,
-            status="failed",
-            attempts=attempts,
-            error=last_error,
-            elapsed_seconds=time.perf_counter() - job_started,
-        )
-
-    def run_sync(
-        self,
-        spec: CampaignSpec,
-        shard_index: int = 0,
-        shard_count: int = 1,
-    ) -> CampaignReport:
-        """Blocking wrapper: run a campaign on a private event loop."""
-        return asyncio.run(self.run(spec, shard_index, shard_count))
+        self.store.put(job.digest, result)
+        self._emit("completed", job)
+        return JobOutcome(job, "completed", elapsed_seconds=time.perf_counter() - started)

@@ -26,13 +26,10 @@ explicit flags still override).
 Monte-Carlo trials execute through the
 :class:`~repro.experiments.engine.ExperimentEngine`: ``--workers N`` fans
 them out over ``N`` processes (bit-identical to serial, just faster),
-``--batch-size`` ships workers whole trial blocks (identical results,
-less dispatch overhead for short trials — see ``docs/PERFORMANCE.md``),
 and ``--resume`` caches completed trials on disk so an interrupted
 paper-scale sweep picks up where it left off::
 
     python -m repro.cli alice-bob --runs 40 --packets 1000 --workers 8 --resume
-    python -m repro.cli chain_sweep --quick --workers 4 --batch-size 8
 
 ``--arrival-rate`` / ``--sim-duration`` / ``--mac-policy`` configure the
 event-driven traffic scenarios.  A flag that sets a config field the
@@ -208,14 +205,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "parallel output is bit-identical to serial)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="trials dispatched to a worker as one block (default 1 = "
-        "trial-by-trial; results are identical at every batch size, "
-        "larger blocks amortize dispatch overhead for short trials)",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="cache completed trials to disk and reuse them on the next "
@@ -282,9 +271,7 @@ def _engine_from_args(args: argparse.Namespace) -> ExperimentEngine:
     cache_dir = args.cache_dir
     if cache_dir is None and args.resume:
         cache_dir = DEFAULT_CACHE_DIR
-    return ExperimentEngine(
-        workers=args.workers, cache_dir=cache_dir, batch_size=args.batch_size
-    )
+    return ExperimentEngine(workers=args.workers, cache_dir=cache_dir)
 
 
 def format_result(result: ExperimentResult, fmt: str) -> str:
@@ -317,7 +304,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run_parser = commands.add_parser(
-        "run", help="expand a grid spec and run it locally on the asyncio queue"
+        "run", help="expand a grid spec and run its jobs locally, one after another"
     )
     run_parser.add_argument(
         "spec", help="path to the campaign spec JSON ('-' reads stdin)"
@@ -345,20 +332,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "--concurrency",
         type=int,
         default=4,
-        help="jobs in flight at once on the asyncio queue (default 4)",
-    )
-    run_parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="extra attempts per failing job before it counts as failed "
-        "(default 2)",
-    )
-    run_parser.add_argument(
-        "--backoff",
-        type=float,
-        default=0.5,
-        help="base retry delay in seconds, doubling per attempt (default 0.5)",
+        help="worker processes each job's trials fan out over (default 4; "
+        "results are bit-identical at every value)",
     )
     run_parser.add_argument(
         "--format",
@@ -382,13 +357,8 @@ def run_campaign_main(argv: List[str]) -> int:
     args = build_campaign_parser().parse_args(argv)
     try:
         spec = sys.stdin.read() if args.spec == "-" else Path(args.spec).read_text()
-        runner = CampaignRunner(
-            store=args.store,
-            concurrency=args.concurrency,
-            retries=args.retries,
-            backoff=args.backoff,
-        )
-        report = runner.run_sync(
+        runner = CampaignRunner(store=args.store, concurrency=args.concurrency)
+        report = runner.run(
             CampaignSpec.from_json(spec),
             shard_index=args.shard_index,
             shard_count=args.shard_count,

@@ -39,7 +39,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, List, Mapping, Optional, Union
 
 import repro
 from repro.exceptions import ConfigurationError
@@ -53,19 +53,6 @@ TrialKey = Union[int, float, str, tuple]
 
 #: Where ``--resume`` caches trials when no explicit directory is given.
 DEFAULT_CACHE_DIR = Path(".anc_cache")
-
-
-def _execute_trial_block(
-    trial_fn: "TrialFn", config: Any, keys: List["TrialKey"], kwargs: Dict[str, Any]
-) -> List[Any]:
-    """Execute one batch of trials in order; the unit a worker receives.
-
-    Top-level (hence picklable) so a whole block crosses the process
-    boundary as one task: one submit, one pickle round-trip and one
-    future per ``batch_size`` trials instead of per trial.  Results come
-    back in ``keys`` order, so batching cannot reorder anything.
-    """
-    return [trial_fn(config, key, **kwargs) for key in keys]
 
 
 def _key_token(key: TrialKey) -> str:
@@ -119,7 +106,6 @@ class EngineStats:
     cached_trials: int
     workers: int
     digest: str
-    batch_size: int = 1
     #: Wall-clock seconds the invocation took (cache loading included).
     elapsed_seconds: float = 0.0
 
@@ -140,29 +126,19 @@ class ExperimentEngine:
         load them instead of recomputing — this is what makes interrupted
         paper-scale sweeps resumable.  ``None`` (the default) disables
         all disk I/O.
-    batch_size:
-        Default number of trials shipped to a worker as one block (see
-        :meth:`map`).  ``1`` (the default) dispatches trial by trial —
-        the reference behaviour.  Batching only amortizes dispatch
-        overhead; results and the per-trial cache layout are identical
-        at every batch size.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
-        batch_size: int = 1,
     ) -> None:
         """See the class docstring for the constructor-knob semantics."""
         if int(workers) < 1:
             raise ConfigurationError("workers must be a positive integer")
-        if int(batch_size) < 1:
-            raise ConfigurationError("batch_size must be a positive integer")
         self.workers = int(workers)
         #: The trial cache; remembers nothing when ``cache_dir`` is ``None``.
         self.store = Store(cache_dir, ".pkl")
-        self.batch_size = int(batch_size)
         #: Stats of the most recent :meth:`map` call (``None`` before any).
         self.last_stats: Optional[EngineStats] = None
         #: Stats of every :meth:`map` call this engine executed, in order.
@@ -259,13 +235,10 @@ class ExperimentEngine:
         """Execute ``trial_fn(config, key, **params)`` for every key.
 
         Results are returned in ``trial_keys`` order regardless of
-        completion order, worker count, batch size, or cache hits, which
-        is what guarantees parallel runs aggregate identically to serial
-        ones.  The engine's ``batch_size`` sets how many trials a worker
-        receives as one block; each trial is still cached under its own
-        key, so a sweep interrupted mid-block resumes at per-trial
-        granularity and a cache written at one batch size is reused at
-        any other.
+        completion order, worker count, or cache hits, which is what
+        guarantees parallel runs aggregate identically to serial ones.
+        Each trial is cached under its own key as soon as it finishes,
+        so an interrupted sweep resumes at per-trial granularity.
 
         Parameters
         ----------
@@ -306,34 +279,25 @@ class ExperimentEngine:
             else:
                 results[index] = cached[0]
 
-        blocks = [
-            pending[start : start + self.batch_size]
-            for start in range(0, len(pending), self.batch_size)
-        ]
-        if self.workers == 1 or len(blocks) <= 1:
-            # Serial execution gains nothing from blocks (no pickling or
-            # future bookkeeping to amortize), so keep the per-trial
-            # execute-then-persist loop: an interruption never loses a
-            # completed trial from the resume cache.
+        if self.workers == 1 or len(pending) <= 1:
+            # In-process: execute then persist trial by trial, so an
+            # interruption never loses a completed trial from the cache.
             for index in pending:
                 results[index] = trial_fn(config, keys[index], **kwargs)
                 self.store.put(entries[index], results[index], _pickle)
         else:
-            max_workers = min(self.workers, len(blocks))
+            max_workers = min(self.workers, len(pending))
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
                 futures = {
-                    pool.submit(
-                        _execute_trial_block, trial_fn, config,
-                        [keys[index] for index in block], kwargs,
-                    ): block
-                    for block in blocks
+                    pool.submit(trial_fn, config, keys[index], **kwargs): index
+                    for index in pending
                 }
                 for future in as_completed(futures):
                     # Persist incrementally so an interruption after this
-                    # point never re-runs this block's trials.
-                    for index, result in zip(futures[future], future.result()):
-                        self.store.put(entries[index], result, _pickle)
-                        results[index] = result
+                    # point never re-runs this trial.
+                    index = futures[future]
+                    results[index] = future.result()
+                    self.store.put(entries[index], results[index], _pickle)
 
         self.last_stats = EngineStats(
             total_trials=len(keys),
@@ -341,7 +305,6 @@ class ExperimentEngine:
             cached_trials=len(keys) - len(pending),
             workers=self.workers,
             digest=digest,
-            batch_size=self.batch_size,
             elapsed_seconds=time.perf_counter() - started,
         )
         self.stats_log.append(self.last_stats)

@@ -1,7 +1,6 @@
-"""Tests for the asyncio campaign runner: retries, resume, the CLI."""
+"""Tests for the campaign runner: execute once, resume, the CLI."""
 
 import json
-import threading
 
 import pytest
 
@@ -12,6 +11,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.exceptions import ConfigurationError
 from repro.results.model import SCHEMA_VERSION, ExperimentResult
+from repro.results.render import render_text
 
 
 def toy_spec(seeds=(1, 2, 3, 4), **overrides):
@@ -41,17 +41,13 @@ class TestPolicyValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             CampaignRunner(concurrency=0)
-        with pytest.raises(ConfigurationError):
-            CampaignRunner(retries=-1)
-        with pytest.raises(ConfigurationError):
-            CampaignRunner(backoff=-0.1)
 
 
 class TestExecution:
     def test_all_jobs_complete_and_store(self, tmp_path):
         store = ResultStore(tmp_path)
         runner = CampaignRunner(store=store, concurrency=2, job_fn=fake_result)
-        report = runner.run_sync(toy_spec())
+        report = runner.run(toy_spec())
         assert report.completed == 4 and report.cached == 0 and report.failed == 0
         assert len(store.digests()) == 4
 
@@ -59,107 +55,78 @@ class TestExecution:
     def test_storeless_campaign_computes_everything_and_counts_nothing(self, store):
         runner = CampaignRunner(store=store, concurrency=2, job_fn=fake_result)
         for _ in range(2):
-            report = runner.run_sync(toy_spec())
+            report = runner.run(toy_spec())
             assert report.completed == 4 and report.cached == 0
             assert report.store_stats == {
                 "hits": 0, "misses": 0, "puts": 0, "races": 0, "corrupt": 0,
             }
 
-    def test_concurrency_bound_respected(self, tmp_path):
-        active = {"now": 0, "peak": 0}
-        lock = threading.Lock()
-
-        def tracked(job):
-            with lock:
-                active["now"] += 1
-                active["peak"] = max(active["peak"], active["now"])
-            try:
-                return fake_result(job)
-            finally:
-                with lock:
-                    active["now"] -= 1
-
-        runner = CampaignRunner(store=tmp_path, concurrency=2, job_fn=tracked)
-        report = runner.run_sync(toy_spec(seeds=tuple(range(1, 9))))
-        assert report.completed == 8
-        assert active["peak"] <= 2
+    def test_concurrency_does_not_move_stored_results(self, tmp_path):
+        # runs=2 gives every map call two trials, so concurrency 2 spawns
+        # the engine's process pool; the stored renders must not move.
+        spec = toy_spec(seeds=(1, 2), base={"runs": 2, "packets_per_run": 2,
+                                            "payload_bits": 64})
+        renders = {}
+        for concurrency in (1, 2):
+            store = ResultStore(tmp_path / str(concurrency))
+            report = CampaignRunner(store=store, concurrency=concurrency).run(spec)
+            assert report.completed == 2 and report.failed == 0
+            results = [store.get(job.digest) for job in spec.jobs()]
+            assert all(r.meta["engine"]["workers"] == concurrency for r in results)
+            renders[concurrency] = [render_text(r) for r in results]
+        assert renders[1] == renders[2]
 
     def test_results_recorded_in_grid_order(self, tmp_path):
         runner = CampaignRunner(store=tmp_path, concurrency=4, job_fn=fake_result)
-        report = runner.run_sync(toy_spec())
+        report = runner.run(toy_spec())
         assert [o.job.index for o in report.outcomes] == [0, 1, 2, 3]
 
 
-class TestRetries:
-    def test_flaky_job_retried_to_success(self, tmp_path):
-        calls = {}
-        lock = threading.Lock()
+class TestFailure:
+    def test_failing_job_runs_once_and_is_recorded(self, tmp_path, capsys, monkeypatch):
+        calls = []
 
-        def flaky(job):
-            with lock:
-                calls[job.digest] = calls.get(job.digest, 0) + 1
-                attempt = calls[job.digest]
-            if job.config.seed == 2 and attempt < 3:
-                raise RuntimeError(f"injected failure {attempt}")
-            return fake_result(job)
-
-        events = []
-        runner = CampaignRunner(
-            store=tmp_path, concurrency=2, retries=2, backoff=0.0,
-            job_fn=flaky, progress=events.append,
-        )
-        report = runner.run_sync(toy_spec(seeds=(1, 2)))
-        assert report.completed == 2 and report.failed == 0
-        flaky_outcome = next(o for o in report.outcomes if o.job.config.seed == 2)
-        assert flaky_outcome.attempts == 3
-        retries = [e for e in events if e["event"] == "retry"]
-        assert len(retries) == 2
-        assert "injected failure" in retries[0]["error"]
-
-    def test_exhausted_retries_fail_without_sinking_campaign(self, tmp_path):
         def doomed(job):
+            calls.append(job.config.seed)
             if job.config.seed == 2:
                 raise RuntimeError("always broken")
             return fake_result(job)
 
+        spec = toy_spec(seeds=(1, 2, 3))
+        events = []
         store = ResultStore(tmp_path)
-        runner = CampaignRunner(
-            store=store, concurrency=2, retries=1, backoff=0.0, job_fn=doomed
-        )
-        report = runner.run_sync(toy_spec(seeds=(1, 2, 3)))
+        runner = CampaignRunner(store=store, job_fn=doomed, progress=events.append)
+        report = runner.run(spec)
+        assert calls == [1, 2, 3]
         assert report.completed == 2 and report.failed == 1
         failure = report.failures()[0]
-        assert failure.attempts == 2
+        assert failure.job.config.seed == 2
         assert "always broken" in failure.error
-        # The failed job must not be stored (a re-run retries it).
+        assert [e["error"] for e in events if e["event"] == "failed"] == [failure.error]
+        # The failed job is not stored, so a re-run executes it again.
         assert len(store.digests()) == 2
+        assert failure.job.digest not in store
 
-    def test_backoff_doubles(self, tmp_path):
-        events = []
-
-        def doomed(job):
-            raise RuntimeError("nope")
-
-        runner = CampaignRunner(
-            store=tmp_path, concurrency=1, retries=2, backoff=0.01,
-            job_fn=doomed, progress=events.append,
-        )
-        report = runner.run_sync(toy_spec(seeds=(1,)))
-        assert report.failed == 1
-        delays = [e["delay_seconds"] for e in events if e["event"] == "retry"]
-        assert delays == [0.01, 0.02]
+        # `campaign run` executes through api.run and exits 1 on a failure.
+        jobs = {job.config: job for job in spec.jobs()}
+        monkeypatch.setattr(api, "run", lambda name, config, engine, quick: doomed(jobs[config]))
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text(spec.to_json())
+        assert main(["campaign", "run", str(spec_path), "--store", str(tmp_path)]) == 1
+        assert calls == [1, 2, 3, 2]
+        assert "0 computed, 2 from store, 1 failed" in capsys.readouterr().out
 
 
 class TestResume:
     def test_rerun_serves_everything_from_store(self, tmp_path):
         runner = CampaignRunner(store=tmp_path, concurrency=2, job_fn=fake_result)
-        assert runner.run_sync(toy_spec()).completed == 4
+        assert runner.run(toy_spec()).completed == 4
 
         def must_not_run(job):
             raise AssertionError("stored job was recomputed")
 
         rerun = CampaignRunner(store=tmp_path, concurrency=2, job_fn=must_not_run)
-        report = rerun.run_sync(toy_spec())
+        report = rerun.run(toy_spec())
         assert report.cached == 4 and report.completed == 0 and report.failed == 0
 
     def test_thousand_job_resume_zero_recompute(self, tmp_path):
@@ -178,7 +145,7 @@ class TestResume:
             raise AssertionError("stored job was recomputed")
 
         runner = CampaignRunner(store=tmp_path, concurrency=8, job_fn=must_not_run)
-        report = runner.run_sync(spec)
+        report = runner.run(spec)
         assert report.total == 1000
         assert report.cached == 1000 and report.completed == 0 and report.failed == 0
         # Store accounting: 1000 hits for this handle, zero new puts.
@@ -192,31 +159,27 @@ class TestResume:
         for job in jobs[:7]:
             store.put(job.digest, fake_result(job))
         executed = []
-        lock = threading.Lock()
 
         def counting(job):
-            with lock:
-                executed.append(job.config.seed)
+            executed.append(job.config.seed)
             return fake_result(job)
 
         runner = CampaignRunner(store=tmp_path, concurrency=4, job_fn=counting)
-        report = runner.run_sync(spec)
+        report = runner.run(spec)
         assert report.cached == 7 and report.completed == 3
         assert sorted(executed) == [j.config.seed for j in jobs[7:]]
 
     def test_superset_campaign_reuses_stored_results(self, tmp_path):
         executed = []
-        lock = threading.Lock()
 
         def counting(job):
-            with lock:
-                executed.append(job.config.seed)
+            executed.append(job.config.seed)
             return fake_result(job)
 
         runner = CampaignRunner(store=tmp_path, concurrency=2, job_fn=counting)
-        assert runner.run_sync(toy_spec(seeds=(1, 2))).completed == 2
+        assert runner.run(toy_spec(seeds=(1, 2))).completed == 2
         # A superset grid: the overlap must come from the store.
-        report = runner.run_sync(toy_spec(seeds=(1, 2, 3), name="superset"))
+        report = runner.run(toy_spec(seeds=(1, 2, 3), name="superset"))
         assert report.cached == 2 and report.completed == 1
         assert sorted(executed) == [1, 2, 3]
 
@@ -224,7 +187,7 @@ class TestResume:
 class TestReport:
     def test_report_shapes(self, tmp_path):
         runner = CampaignRunner(store=tmp_path, concurrency=2, job_fn=fake_result)
-        report = runner.run_sync(toy_spec(seeds=(1, 2)))
+        report = runner.run(toy_spec(seeds=(1, 2)))
         payload = report.as_dict()
         assert payload["total"] == 2
         assert payload["campaign"] == toy_spec(seeds=(1, 2)).campaign_id()
@@ -245,20 +208,20 @@ class TestLocalCampaign:
 
     def test_rerun_under_another_name_is_idempotent(self, tmp_path):
         runner = CampaignRunner(store=tmp_path, concurrency=2, job_fn=fake_result)
-        first = runner.run_sync(toy_spec())
+        first = runner.run(toy_spec())
 
         def must_not_run(job):
             raise AssertionError("stored job was recomputed")
 
         rerun = CampaignRunner(store=tmp_path, concurrency=2, job_fn=must_not_run)
-        again = rerun.run_sync(toy_spec(name="other-label"))
+        again = rerun.run(toy_spec(name="other-label"))
         assert again.as_dict()["campaign"] == first.as_dict()["campaign"]
         assert again.cached == 4 and again.completed == 0
         assert len(ResultStore(tmp_path).digests()) == 4
 
     def test_fetch_single_result_by_digest(self, tmp_path):
         spec = toy_spec()
-        CampaignRunner(store=tmp_path, job_fn=fake_result).run_sync(spec)
+        CampaignRunner(store=tmp_path, job_fn=fake_result).run(spec)
         store = ResultStore(tmp_path)
         for job in spec.jobs():
             result = store.get(job.digest)
@@ -266,7 +229,7 @@ class TestLocalCampaign:
             assert json.loads(store.path(job.digest).read_text())["scalars"] == result.scalars
 
     def test_digest_outside_grid_is_a_miss(self, tmp_path):
-        CampaignRunner(store=tmp_path, job_fn=fake_result).run_sync(toy_spec())
+        CampaignRunner(store=tmp_path, job_fn=fake_result).run(toy_spec())
         store = ResultStore(tmp_path)
         assert store.get("ab" * 32) is None
         assert "ab" * 32 not in store
@@ -277,13 +240,13 @@ class TestLocalCampaign:
             store=tmp_path, concurrency=2, job_fn=fake_result, progress=events.append
         )
         spec = toy_spec(seeds=(5, 6, 7))
-        runner.run_sync(spec)
+        runner.run(spec)
         digests = [job.digest for job in spec.jobs()]
         for digest in digests:
             kinds = [e["event"] for e in events if e["digest"] == digest]
             assert kinds == ["started", "completed"]
         events.clear()
-        runner.run_sync(spec)
+        runner.run(spec)
         assert sorted(e["digest"] for e in events) == sorted(digests)
         assert {e["event"] for e in events} == {"cached"}
 

@@ -117,20 +117,20 @@ FADING_IDS = [f"{kind}-{mode}" for kind, mode, _, _ in FADINGS]
 
 
 @pytest.mark.parametrize("fading", FADINGS, ids=FADING_IDS)
-def test_distort_matches_fixture(fixture, fading):
+def test_distort_matches_fixture(fixture, fading, numpy_pin):
     mismatches = [
         index
         for index, link, length in cases(fading)
         if distorted(link, length, index) != fixture["distort"][index]
     ]
-    assert mismatches == []
+    assert mismatches == [], numpy_pin()
 
 
 @pytest.mark.parametrize("fading", FADINGS, ids=FADING_IDS)
-def test_received_matches_fixture(fixture, fading):
+def test_received_matches_fixture(fixture, fading, numpy_pin):
     mismatches = [
         index
         for index, link, length in cases(fading)
         if received(link, length, index) != fixture["received"][index]
     ]
-    assert mismatches == []
+    assert mismatches == [], numpy_pin()

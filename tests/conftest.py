@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import fnmatch
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,36 @@ from repro.framing.frame import Deframer, Framer
 from repro.framing.packet import Packet
 from repro.modulation.msk import MSKDemodulator, MSKModulator
 from repro.network.topologies import ChannelConditions, alice_bob_topology
+
+REQUIREMENTS = Path(__file__).resolve().parent.parent / "requirements.txt"
+
+
+def numpy_pin_note(version: str = np.__version__) -> str:
+    """What a byte-pinned fixture mismatch says about the numpy pin.
+
+    The golden renders and the trial, sim and link grids pin bytes drawn
+    from numpy ``Generator`` streams, which NEP 19 lets change between
+    numpy feature releases; ``requirements.txt`` pins the minor they were
+    written under.  The note names that pin and ``version`` (the running
+    numpy by default), so a mismatch under another numpy reads as such.
+    """
+    pin = next(
+        line.strip() for line in REQUIREMENTS.read_text().splitlines()
+        if line.startswith("numpy==")
+    )
+    if fnmatch.fnmatch(version, pin.split("==", 1)[1]):
+        return f"numpy {version} satisfies the {pin} pin of requirements.txt"
+    return (
+        f"numpy {version} is outside the {pin} pin of requirements.txt, and a "
+        "numpy feature release may change Generator streams (NEP 19): rerun "
+        "under the pinned numpy before reading this as a regression"
+    )
+
+
+@pytest.fixture(scope="session")
+def numpy_pin():
+    """:func:`numpy_pin_note`, for the messages of byte-pinned asserts."""
+    return numpy_pin_note
 
 
 @pytest.fixture

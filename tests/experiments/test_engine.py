@@ -126,68 +126,43 @@ class TestSerialParallelEquivalence:
         assert serial == parallel
 
 
-class TestBatchDispatch:
-    """Block dispatch must be invisible in results, caching and ordering."""
+class TestDispatch:
+    """One future per trial must be invisible in results, caching and order."""
 
-    def test_results_identical_at_every_batch_size(self, quick_config):
-        reference = ExperimentEngine().map("toy", _draw_trial, quick_config, range(10))
-        for batch_size in (1, 3, 4, 10, 99):
-            batched = ExperimentEngine(batch_size=batch_size).map(
-                "toy", _draw_trial, quick_config, range(10)
-            )
-            assert batched == reference
-
-    def test_parallel_batched_identical_to_serial(self, quick_config):
-        serial = ExperimentEngine(workers=1).map("toy", _draw_trial, quick_config, range(8))
-        parallel = ExperimentEngine(workers=2, batch_size=3).map(
-            "toy", _draw_trial, quick_config, range(8)
-        )
-        assert parallel == serial
-
-    def test_constructor_default_batch_size(self, quick_config):
-        engine = ExperimentEngine(batch_size=4)
-        results = engine.map("toy", _draw_trial, quick_config, range(6))
-        assert results == ExperimentEngine().map("toy", _draw_trial, quick_config, range(6))
-        assert engine.last_stats.batch_size == 4
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentEngine(batch_size=0)
-
-    def test_batched_cache_is_per_trial(self, quick_config, tmp_path):
-        batched = ExperimentEngine(cache_dir=tmp_path, batch_size=3)
-        results = batched.map("toy", _draw_trial, quick_config, range(7))
-        assert batched.last_stats.executed_trials == 7
-        # A later run at a *different* batch size reuses every trial: the
-        # cache layout (and the digest) are independent of batching.
+    def test_parallel_run_matches_serial_and_caches_per_trial(self, quick_config, tmp_path):
+        reference = ExperimentEngine().map("toy", _draw_trial, quick_config, range(7))
+        parallel = ExperimentEngine(workers=2, cache_dir=tmp_path)
+        assert parallel.map("toy", _draw_trial, quick_config, range(7)) == reference
+        assert parallel.last_stats.executed_trials == 7
+        # A serial engine reuses every trial the pool wrote.
         resumed = ExperimentEngine(cache_dir=tmp_path)
-        assert resumed.map("toy", _draw_trial, quick_config, range(7)) == results
+        assert resumed.map("toy", _draw_trial, quick_config, range(7)) == reference
         assert resumed.last_stats.cached_trials == 7
         assert resumed.last_stats.executed_trials == 0
 
-    def test_serial_batched_run_persists_per_trial(self, quick_config, tmp_path):
-        """A serial block must not lose completed trials to an interruption."""
+    def test_interrupted_run_persists_per_trial(self, quick_config, tmp_path):
+        """An interruption must not lose the trials completed before it."""
 
         def _fail_on_two(cfg, key):
             if key == 2:
                 raise RuntimeError("boom")
             return key
 
-        # Module-level picklability is not needed on the serial path.
-        engine = ExperimentEngine(cache_dir=tmp_path, batch_size=4)
+        # Module-level picklability is not needed on the in-process path.
+        engine = ExperimentEngine(cache_dir=tmp_path)
         with pytest.raises(RuntimeError):
             engine.map("toy", _fail_on_two, quick_config, range(4))
         digest = ExperimentEngine.task_digest("toy", _fail_on_two, quick_config)
         cached = sorted(tmp_path.rglob("*.pkl"))
         assert cached == sorted(_trial_file(engine, digest, key) for key in (0, 1))
 
-    def test_alice_bob_batched_report_bit_identical(self, quick_config):
-        serial = run_alice_bob_experiment(quick_config, engine=ExperimentEngine(workers=1))
-        batched = run_alice_bob_experiment(
-            quick_config, engine=ExperimentEngine(workers=2, batch_size=2)
-        )
-        assert serial.series == batched.series
-        assert render_text(serial) == render_text(batched)
+    def test_single_pending_trial_stays_in_process(self, quick_config):
+        # A local function cannot be pickled, so this passes only if the
+        # engine does not start a pool for one trial.
+        def _local(cfg, key):
+            return key
+
+        assert ExperimentEngine(workers=2).map("toy", _local, quick_config, [5]) == [5]
 
 
 class TestResume:

@@ -134,8 +134,8 @@ def test_grid_covers_the_fixture(fixture):
 
 
 @pytest.mark.parametrize("case_id,thunk", CASES, ids=[case_id for case_id, _ in CASES])
-def test_trial_matches_fixture(fixture, case_id, thunk):
-    assert digest(thunk()) == fixture[case_id]
+def test_trial_matches_fixture(fixture, case_id, thunk, numpy_pin):
+    assert digest(thunk()) == fixture[case_id], numpy_pin()
 
 
 if __name__ == "__main__":

@@ -97,8 +97,8 @@ def test_grid_reaches_every_loss_path(fixture):
 
 
 @pytest.mark.parametrize("case_id,kwargs", CASES, ids=[case_id for case_id, _ in CASES])
-def test_run_matches_fixture(fixture, case_id, kwargs):
-    assert outcome(**kwargs) == fixture[case_id]
+def test_run_matches_fixture(fixture, case_id, kwargs, numpy_pin):
+    assert outcome(**kwargs) == fixture[case_id], numpy_pin()
 
 
 if __name__ == "__main__":

@@ -1,12 +1,18 @@
 """End-to-end tests of the event-driven Alice-relay-Bob traffic simulation."""
 
 import dataclasses
+import time
 
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.offered_load import OFFERED_LOAD_SWEEP, run_offered_load_trial
+from repro.experiments.queueing_delay import run_queueing_delay_trial
 from repro.network.topologies import ChannelConditions
+from repro.sim.mac import MAC_POLICIES
 from repro.sim.simulation import SCHEMES, SimParams, TrafficSimulation
+from repro.sim.traffic import TRAFFIC_MODELS
 
 ENTROPY = [7, 600, 0]
 CONDITIONS = ChannelConditions(snr_db=18.0)
@@ -131,6 +137,33 @@ class TestPatienceRegression:
         entropy = [7, 600, run, 1049846468, int(round(rate * 1000))]
         report = TrafficSimulation(params, entropy=entropy, conditions=CONDITIONS).run()
         assert report.events < 200_000, "event count bounded (no zero-delay loop)"
+
+
+#: Every cell the two traffic scenarios run at their default sweep values.
+SCENARIO_CELLS = [
+    (run_offered_load_trial, load) for load in OFFERED_LOAD_SWEEP.sweep_values
+] + [(run_queueing_delay_trial, model) for model in TRAFFIC_MODELS]
+
+#: Wall-clock bound per cell; the slowest takes about 0.15 s on 2 cores.
+CELL_SECONDS = 5.0
+
+
+class TestScenarioCellReplays:
+    """The real scenario cells (their own streams and entropy, unlike the
+    hand-built entropy above) end promptly under both MAC policies."""
+
+    @pytest.mark.parametrize("mac_policy", MAC_POLICIES)
+    @pytest.mark.parametrize("run", [0, 1])
+    @pytest.mark.parametrize(
+        "trial_fn,value", SCENARIO_CELLS,
+        ids=[f"{fn.__name__}-{value}" for fn, value in SCENARIO_CELLS],
+    )
+    def test_cell_terminates(self, trial_fn, value, run, mac_policy):
+        cfg = ExperimentConfig.quick().with_overrides(mac_policy=mac_policy)
+        started = time.perf_counter()
+        cell = trial_fn(cfg, (value, run))
+        assert time.perf_counter() - started < CELL_SECONDS
+        assert sorted(cell) == sorted(SCHEMES)
 
 
 class TestMacPolicies:

@@ -62,10 +62,10 @@ def _campaign_side(root):
     spec = CampaignSpec(
         "alice-bob", base={"runs": 1, "packets_per_run": 1}, axes={"seed": [1, 2, 3]}
     )
-    CampaignRunner(store=root, job_fn=_fake_result).run_sync(spec)
+    CampaignRunner(store=root, job_fn=_fake_result).run(spec)
 
     def rerun():
-        report = CampaignRunner(store=root, job_fn=_fake_result).run_sync(spec)
+        report = CampaignRunner(store=root, job_fn=_fake_result).run(spec)
         return report.store_stats, report.completed
 
     return ".json", rerun

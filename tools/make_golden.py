@@ -4,8 +4,8 @@
 Each JSON fixture freezes the full plain-text rendering (``api.run`` +
 ``render_text``) of one quick-scale figure reproduction (fig09
 Alice-Bob, fig10 X topology, fig12 chain) at a pinned configuration.  ``tests/integration/test_golden.py``
-replays the same experiments — through the scalar engine and through the
-batched engine — and requires byte-identical renderings, so any refactor
+replays the same experiments — through the serial engine and through two
+worker processes — and requires byte-identical renderings, so any refactor
 that silently drifts the reproduced numbers fails CI.  One
 ``render_<name>_quick.txt`` per registered experiment pins the
 ``render_text`` view of its JSON-round-tripped quick result

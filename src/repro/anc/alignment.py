@@ -19,6 +19,10 @@ from repro.framing.pilot import PilotSequence, find_pilot
 from repro.modulation.msk import MSKDemodulator
 from repro.signal.samples import ComplexSignal
 
+#: How many demodulated bits of the interference-free head (or tail) are
+#: searched for the pilot.
+PILOT_SEARCH_BITS = 256
+
 
 @dataclass(frozen=True)
 class AlignmentResult:
@@ -42,10 +46,11 @@ class AlignmentResult:
 def align_known_frame(
     received: ComplexSignal,
     pilot: Optional[PilotSequence] = None,
-    search_bits: int = 256,
     max_pilot_errors: int = 4,
 ) -> AlignmentResult:
     """Find where the first frame starts by locating the pilot in the clean head.
+
+    The first :data:`PILOT_SEARCH_BITS` demodulated bits are searched.
 
     Parameters
     ----------
@@ -54,8 +59,6 @@ def align_known_frame(
         of the first packet.
     pilot:
         The protocol pilot sequence (defaults to the standard 64-bit pilot).
-    search_bits:
-        How many demodulated head bits to search for the pilot.
     max_pilot_errors:
         Bit-error tolerance of the pilot match.
 
@@ -66,9 +69,8 @@ def align_known_frame(
         packet in this case (§7.2).
     """
     pilot_seq = pilot if pilot is not None else PilotSequence()
-    demodulator = MSKDemodulator(samples_per_symbol=1)
-    head = received.slice(0, min(len(received), search_bits + 1))
-    head_bits = demodulator.demodulate(head)
+    head = received.slice(0, min(len(received), PILOT_SEARCH_BITS + 1))
+    head_bits = MSKDemodulator().demodulate(head)
     index = find_pilot(head_bits, pilot_seq, max_errors=max_pilot_errors)
     if index is None:
         raise SynchronizationError("pilot sequence not found in the interference-free head")

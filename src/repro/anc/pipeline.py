@@ -31,8 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.anc.alignment import align_known_frame
-from repro.anc.decoder import DecodeDiagnostics, DecoderConfig, InterferenceDecoder
+from repro.anc.alignment import PILOT_SEARCH_BITS, align_known_frame
+from repro.anc.decoder import DecodeDiagnostics, InterferenceDecoder
+from repro.constants import DETECTOR_WINDOW
 from repro.exceptions import DecodingError, SynchronizationError
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Deframer, Framer
@@ -80,7 +81,11 @@ class ReceiveResult:
 
 
 class ReceivePipeline:
-    """Algorithm 1 of the paper, parameterised by the node's configuration.
+    """Algorithm 1 of the paper, for one receiver.
+
+    The detectors run at the thresholds of :mod:`repro.constants`, the
+    frames carry the protocol pilot and scrambler, and the interference
+    decoder runs at its default :class:`~repro.anc.decoder.DecoderConfig`.
 
     Parameters
     ----------
@@ -94,17 +99,6 @@ class ReceivePipeline:
         Buffer of frames this node can use to cancel interference (its own
         sent frames plus overheard ones).  May be shared with the node's
         transmit path.
-    decoder_config:
-        Tuning knobs for the interference decoder.
-    pilot, framer, deframer:
-        Protocol objects; defaults build the standard ones.
-    packet_threshold_db, interference_threshold_db:
-        Detector thresholds relative to the noise floor.  The paper quotes
-        20 dB for both (§7.1) under 25-40 dB operating SNR; the defaults
-        here are lower so the same pipeline also detects reliably at the
-        ~20 dB low end of the simulated operating range — the relative
-        ordering (interference threshold above the clean-signal energy
-        variance, far below collision variance) is what matters.
     """
 
     def __init__(
@@ -112,32 +106,17 @@ class ReceivePipeline:
         noise_power: float,
         expected_payload_bits: int,
         known_frames: Optional[SentPacketBuffer] = None,
-        decoder_config: Optional[DecoderConfig] = None,
-        pilot: Optional[PilotSequence] = None,
-        framer: Optional[Framer] = None,
-        deframer: Optional[Deframer] = None,
-        packet_threshold_db: float = 12.0,
-        interference_threshold_db: float = 14.0,
-        detector_window: int = 16,
     ) -> None:
         self.noise_power = float(noise_power)
         self.expected_payload_bits = int(expected_payload_bits)
         self.known_frames = known_frames if known_frames is not None else SentPacketBuffer()
-        self.pilot = pilot if pilot is not None else PilotSequence()
-        self.framer = framer if framer is not None else Framer(pilot=self.pilot)
-        self.deframer = deframer if deframer is not None else Deframer(pilot=self.pilot)
-        self.decoder = InterferenceDecoder(decoder_config)
-        self.energy_detector = EnergyDetector(
-            noise_power=self.noise_power,
-            threshold_db=packet_threshold_db,
-            window=detector_window,
-        )
-        self.interference_detector = InterferenceDetector(
-            noise_power=self.noise_power,
-            threshold_db=interference_threshold_db,
-            window=detector_window,
-        )
-        self._demodulator = MSKDemodulator(samples_per_symbol=1)
+        self.pilot = PilotSequence()
+        self.framer = Framer()
+        self.deframer = Deframer()
+        self.decoder = InterferenceDecoder()
+        self.energy_detector = EnergyDetector(self.noise_power)
+        self.interference_detector = InterferenceDetector(self.noise_power)
+        self._demodulator = MSKDemodulator()
 
     # ------------------------------------------------------------------
     # Frame geometry helpers
@@ -180,9 +159,8 @@ class ReceivePipeline:
         for a collision; only genuine superposition inside the packet
         raises the interior energy variance.
         """
-        window = self.interference_detector.window
-        if len(region) > 4 * window:
-            interior = region.slice(window, len(region) - window)
+        if len(region) > 4 * DETECTOR_WINDOW:
+            interior = region.slice(DETECTOR_WINDOW, len(region) - DETECTOR_WINDOW)
         else:
             interior = region
         return self.interference_detector.detect(interior)
@@ -439,10 +417,8 @@ class ReceivePipeline:
 
     def _align_backward(self, reversed_region: ComplexSignal) -> int:
         """Find the second frame's start within the time-reversed waveform."""
-        demod = self._demodulator
-        search_bits = 256
-        head = reversed_region.slice(0, min(len(reversed_region), search_bits + 1))
-        bits = (1 - demod.demodulate(head)).astype(np.uint8)
+        head = reversed_region.slice(0, min(len(reversed_region), PILOT_SEARCH_BITS + 1))
+        bits = (1 - self._demodulator.demodulate(head)).astype(np.uint8)
         index = find_pilot(bits, self.pilot, max_errors=4)
         if index is None:
             raise SynchronizationError("pilot not found in the interference-free tail")

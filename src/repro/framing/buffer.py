@@ -7,16 +7,16 @@ interfered signal."  The same structure also stores *overheard* frames in
 the "X" topology, where the known signal comes from snooping rather than
 from having transmitted it (§11.5).
 
-The buffer is bounded: old entries are evicted FIFO once the capacity is
-reached, mirroring the finite memory of a real forwarding node.
+The buffer is bounded: old entries are evicted FIFO once
+:data:`SentPacketBuffer.CAPACITY` frames are held, mirroring the finite
+memory of a real forwarding node.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.exceptions import ConfigurationError
 from repro.framing.frame import Frame
 from repro.framing.header import Header
 
@@ -24,10 +24,10 @@ from repro.framing.header import Header
 class SentPacketBuffer:
     """Bounded FIFO store of frames keyed by (source, destination, sequence)."""
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ConfigurationError("buffer capacity must be positive")
-        self.capacity = int(capacity)
+    #: Frames held before the oldest is evicted.
+    CAPACITY = 256
+
+    def __init__(self) -> None:
         self._frames: "OrderedDict[Tuple[int, int, int], Frame]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -42,13 +42,8 @@ class SentPacketBuffer:
             self._frames[key] = frame
             return
         self._frames[key] = frame
-        while len(self._frames) > self.capacity:
+        while len(self._frames) > self.CAPACITY:
             self._frames.popitem(last=False)
-
-    def store_all(self, frames: Iterable[Frame]) -> None:
-        """Insert several frames in order."""
-        for frame in frames:
-            self.store(frame)
 
     def lookup(self, source: int, destination: int, sequence: int) -> Optional[Frame]:
         """Fetch the frame with the given identity, or ``None``."""
@@ -58,18 +53,6 @@ class SentPacketBuffer:
         """Fetch the frame matching a decoded header, or ``None``."""
         return self.lookup(header.source, header.destination, header.sequence)
 
-    def contains_header(self, header: Header) -> bool:
-        """Does the buffer hold the frame this header names?"""
-        return header.identity in self._frames
-
-    def discard(self, source: int, destination: int, sequence: int) -> bool:
-        """Remove an entry; returns ``True`` if it was present."""
-        return self._frames.pop((int(source), int(destination), int(sequence)), None) is not None
-
     def clear(self) -> None:
         """Drop every stored frame."""
         self._frames.clear()
-
-    def identities(self) -> Tuple[Tuple[int, int, int], ...]:
-        """The identity triples currently stored, oldest first."""
-        return tuple(self._frames.keys())

@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.coding.crc import CRC16
+from repro.constants import PILOT_LENGTH_BITS
 from repro.exceptions import FramingError, HeaderError
 from repro.framing.header import Header
 from repro.framing.packet import Packet
@@ -52,10 +53,6 @@ class FrameLayout:
         return 2 * self.pilot_length + 2 * self.header_length + self.coded_payload_length
 
     @property
-    def pilot_start(self) -> int:
-        return 0
-
-    @property
     def header_start(self) -> int:
         return self.pilot_length
 
@@ -66,10 +63,6 @@ class FrameLayout:
     @property
     def trailing_header_start(self) -> int:
         return self.payload_start + self.coded_payload_length
-
-    @property
-    def trailing_pilot_start(self) -> int:
-        return self.trailing_header_start + self.header_length
 
 
 @dataclass(frozen=True)
@@ -95,15 +88,15 @@ class Frame:
 
 
 class Framer:
-    """Builds frames from packets (transmit side of Fig. 8)."""
+    """Builds frames from packets (transmit side of Fig. 8).
 
-    def __init__(
-        self,
-        pilot: Optional[PilotSequence] = None,
-        scrambler: Optional[Scrambler] = None,
-    ) -> None:
+    ``pilot`` defaults to the protocol's 64-bit pilot (§7.2); the payload
+    is whitened by the protocol scrambler.
+    """
+
+    def __init__(self, pilot: Optional[PilotSequence] = None) -> None:
         self.pilot = pilot if pilot is not None else PilotSequence()
-        self.scrambler = scrambler if scrambler is not None else Scrambler()
+        self.scrambler = Scrambler()
 
     def layout_for(self, payload_length: int) -> FrameLayout:
         """The frame layout for a packet of the given payload length."""
@@ -164,26 +157,24 @@ class DeframeResult:
 
 
 class Deframer:
-    """Parses demodulated frame bits back into packets (receive side of Fig. 8)."""
+    """Parses demodulated frame bits back into packets (receive side of Fig. 8).
 
-    def __init__(
-        self,
-        pilot: Optional[PilotSequence] = None,
-        scrambler: Optional[Scrambler] = None,
-    ) -> None:
-        self.pilot = pilot if pilot is not None else PilotSequence()
-        self.scrambler = scrambler if scrambler is not None else Scrambler()
+    Frames carry the protocol's 64-bit pilot and scrambler.
+    """
+
+    def __init__(self) -> None:
+        self.scrambler = Scrambler()
 
     def _layout(self, total_bits: int) -> FrameLayout:
         payload_length = (
-            total_bits - 2 * self.pilot.length - 2 * Header.ENCODED_LENGTH - 16
+            total_bits - 2 * PILOT_LENGTH_BITS - 2 * Header.ENCODED_LENGTH - 16
         )
         if payload_length < 0:
             raise FramingError(
                 f"bit stream of length {total_bits} is too short to be a frame"
             )
         return FrameLayout(
-            pilot_length=self.pilot.length,
+            pilot_length=PILOT_LENGTH_BITS,
             header_length=Header.ENCODED_LENGTH,
             payload_length=payload_length,
         )

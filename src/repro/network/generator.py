@@ -28,7 +28,12 @@ import numpy as np
 
 from repro.channel.pathloss import PathLossModel
 from repro.exceptions import ConfigurationError
-from repro.network.topologies import ChannelConditions, _draw_link
+from repro.network.topologies import (
+    MEAN_ATTENUATION,
+    OVERHEAR_ATTENUATION,
+    ChannelConditions,
+    _draw_link,
+)
 from repro.network.topology import Topology
 
 
@@ -42,9 +47,10 @@ def generate_random_mesh(
 
     Node positions are drawn uniformly; every pair closer than ``radius``
     gets a symmetric link whose mean attenuation decays linearly with
-    distance (nearby pairs approach ``conditions.mean_attenuation``, pairs
-    at the edge of the radio range fall towards
-    ``conditions.overhear_attenuation``).  If the resulting radio graph is
+    distance (nearby pairs approach
+    :data:`~repro.network.topologies.MEAN_ATTENUATION`, pairs at the edge
+    of the radio range fall towards
+    :data:`~repro.network.topologies.OVERHEAR_ATTENUATION`).  If the resulting radio graph is
     disconnected, the closest node pairs across components are linked so
     every flow stays routable — the generator guarantees a connected
     topology for any seed.
@@ -52,7 +58,7 @@ def generate_random_mesh(
     Parameters
     ----------
     conditions:
-        Channel statistics the per-link parameters are drawn from.
+        The SNR that sets every receiver's noise floor.
     rng:
         Seeded generator; placement and link draws both come from it, so
         the same seed always yields the same mesh.
@@ -73,10 +79,7 @@ def generate_random_mesh(
         # the overhearing level at the edge of the radio range.
         span = max(radius, distance)
         fraction = min(distance / span, 1.0)
-        return (
-            conditions.mean_attenuation
-            - (conditions.mean_attenuation - conditions.overhear_attenuation) * fraction
-        )
+        return MEAN_ATTENUATION - (MEAN_ATTENUATION - OVERHEAR_ATTENUATION) * fraction
 
     return _mesh_from_positions(conditions, rng, positions, radius, _attenuation)
 
@@ -109,8 +112,9 @@ def generate_geometric_mesh(
     Parameters
     ----------
     conditions:
-        Channel statistics for everything that is *not* the mean gain
-        (attenuation jitter, phase, CFO, noise floor).
+        The SNR that sets every receiver's noise floor (the other link
+        statistics are the module constants of
+        :mod:`repro.network.topologies`).
     rng:
         Seeded generator; placement and link draws both come from it.
     nodes:

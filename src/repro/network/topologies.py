@@ -7,17 +7,16 @@
 * :func:`x_topology` — Fig. 11: two flows N1 → N4 and N3 → N2 crossing at
   the centre router N5, with the destinations overhearing the senders.
 
-Each factory draws per-link attenuations, phase offsets and residual
-carrier-frequency offsets from a :class:`ChannelConditions` description, so
-repeated runs with different seeds reproduce the run-to-run variability the
-paper's CDFs capture.
+Each factory draws per-link attenuations, phase offsets, residual
+carrier-frequency offsets and phase drift from the link statistics below,
+with the noise floor set by a :class:`ChannelConditions` SNR, so repeated
+runs with different seeds reproduce the run-to-run variability the paper's
+CDFs capture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.channel.link import Link
@@ -34,75 +33,62 @@ RELAY = 0
 N1, N2, N3, N4, N5 = 1, 2, 3, 4, 5
 
 
+#: Average amplitude gain of a main link.
+MEAN_ATTENUATION = 0.8
+#: Half-width of the uniform jitter applied to each link's attenuation.
+ATTENUATION_JITTER = 0.08
+#: Largest magnitude of a link's residual carrier frequency offset
+#: (radians per sample); each link draws one between a quarter of it and it.
+MAX_CFO = 0.04
+#: Largest standard deviation (radians per sample) of a link's random-walk
+#: phase noise: the slow channel variation §6 cites as the reason naive
+#: signal subtraction is fragile, and the dominant source of residual BER
+#: for ANC decoding.
+MAX_PHASE_DRIFT = 0.008
+#: Mean amplitude gain of the "X" topology's overhearing links (senders are
+#: further from the opposite destinations); also the mesh gain at the edge
+#: of the radio range.
+OVERHEAR_ATTENUATION = 0.60
+#: Mean amplitude gain of the "X" topology's weak cross-interference links.
+CROSS_INTERFERENCE_ATTENUATION = 0.14
+
+
 @dataclass(frozen=True)
 class ChannelConditions:
-    """Statistical description of the radio environment of a testbed run.
+    """The radio environment of a testbed run.
+
+    Everything but the SNR is a module constant: the link statistics
+    above and the equal transmit amplitude
+    :data:`~repro.constants.DEFAULT_TX_AMPLITUDE` (§8).
 
     Attributes
     ----------
     snr_db:
         Per-hop signal-to-noise ratio for the *main* links (the paper's
         testbed operates in the 20-40 dB WLAN regime, §8).
-    mean_attenuation:
-        Average amplitude gain of a main link.
-    attenuation_jitter:
-        Half-width of the uniform jitter applied to each link's attenuation.
-    max_cfo:
-        Maximum magnitude of the residual carrier frequency offset
-        (radians per sample) between any transmitter/receiver pair.
-    max_phase_drift:
-        Maximum standard deviation (radians per sample) of the random-walk
-        phase noise of a link's oscillator chain.  This is the slow channel
-        variation that §6 cites as the reason naive signal subtraction is
-        fragile; it is also the dominant source of residual BER for ANC
-        decoding on real radios.
-    overhear_attenuation:
-        Amplitude gain of the weak "overhearing" cross links in the "X"
-        topology (senders are further from the opposite destinations).
-    tx_amplitude:
-        Transmit amplitude all nodes use (the paper assumes equal powers).
     """
 
     snr_db: float = 30.0
-    mean_attenuation: float = 0.8
-    attenuation_jitter: float = 0.08
-    max_cfo: float = 0.04
-    max_phase_drift: float = 0.008
-    overhear_attenuation: float = 0.60
-    cross_interference_attenuation: float = 0.14
-    tx_amplitude: float = DEFAULT_TX_AMPLITUDE
-
-    def __post_init__(self) -> None:
-        """Validate the channel statistics."""
-        if self.mean_attenuation <= 0 or self.mean_attenuation > 1.5:
-            raise ConfigurationError("mean_attenuation must be in (0, 1.5]")
-        if self.attenuation_jitter < 0:
-            raise ConfigurationError("attenuation_jitter must be non-negative")
-        if self.max_cfo < 0:
-            raise ConfigurationError("max_cfo must be non-negative")
-        if self.max_phase_drift < 0:
-            raise ConfigurationError("max_phase_drift must be non-negative")
 
     @property
     def noise_power(self) -> float:
         """Receiver noise power implied by the main-link SNR."""
-        received_power = (self.mean_attenuation * self.tx_amplitude) ** 2
+        received_power = (MEAN_ATTENUATION * DEFAULT_TX_AMPLITUDE) ** 2
         return received_power / db_to_power_ratio(self.snr_db)
 
 
 def _draw_link(
     conditions: ChannelConditions,
     rng: np.random.Generator,
-    attenuation: Optional[float] = None,
+    attenuation: float = MEAN_ATTENUATION,
 ) -> Link:
-    """Draw one directed link's parameters from the channel conditions."""
-    base = conditions.mean_attenuation if attenuation is None else attenuation
-    jitter = conditions.attenuation_jitter
-    drawn = float(np.clip(base + rng.uniform(-jitter, jitter), 0.05, 1.5))
+    """Draw one directed link's parameters around a mean ``attenuation``."""
+    jitter = rng.uniform(-ATTENUATION_JITTER, ATTENUATION_JITTER)
+    drawn = float(np.clip(attenuation + jitter, 0.05, 1.5))
     phase = float(rng.uniform(-np.pi, np.pi))
-    cfo_magnitude = float(rng.uniform(0.25 * conditions.max_cfo, conditions.max_cfo))
+    cfo_magnitude = float(rng.uniform(0.25 * MAX_CFO, MAX_CFO))
     cfo = cfo_magnitude * (1.0 if rng.uniform() < 0.5 else -1.0)
-    phase_drift = float(rng.uniform(0.0, conditions.max_phase_drift))
+    phase_drift = float(rng.uniform(0.0, MAX_PHASE_DRIFT))
     return Link(
         attenuation=drawn,
         phase_shift=phase,
@@ -177,24 +163,24 @@ def x_topology(
     # radio propagation only — routing must still go through the router.
     topology.add_link(
         N1, N2,
-        _draw_link(conditions, rng, attenuation=conditions.overhear_attenuation),
+        _draw_link(conditions, rng, attenuation=OVERHEAR_ATTENUATION),
         routable=False,
     )
     topology.add_link(
         N3, N4,
-        _draw_link(conditions, rng, attenuation=conditions.overhear_attenuation),
+        _draw_link(conditions, rng, attenuation=OVERHEAR_ATTENUATION),
         routable=False,
     )
     # Weak cross links: each sender also faintly reaches the other
     # destination, creating interference during simultaneous transmissions.
     topology.add_link(
         N1, N4,
-        _draw_link(conditions, rng, attenuation=conditions.cross_interference_attenuation),
+        _draw_link(conditions, rng, attenuation=CROSS_INTERFERENCE_ATTENUATION),
         routable=False,
     )
     topology.add_link(
         N3, N2,
-        _draw_link(conditions, rng, attenuation=conditions.cross_interference_attenuation),
+        _draw_link(conditions, rng, attenuation=CROSS_INTERFERENCE_ATTENUATION),
         routable=False,
     )
     return topology

@@ -29,46 +29,37 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.anc.decoder import DecoderConfig
 from repro.anc.pipeline import ReceivePipeline, ReceiveResult
-from repro.constants import DEFAULT_TX_AMPLITUDE
 from repro.exceptions import ConfigurationError
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Frame, FrameLayout, Framer
 from repro.framing.packet import Packet
-from repro.framing.pilot import PilotSequence
 from repro.modulation.msk import MSKModulator
-from repro.scrambler.whitening import Scrambler
 from repro.signal.samples import ComplexSignal
 
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """Static configuration of a node's radio and protocol parameters."""
+    """Static configuration of a node's radio.
+
+    Every node transmits at :data:`~repro.constants.DEFAULT_TX_AMPLITUDE`
+    (the paper assumes equal powers, §8) with the protocol pilot and
+    scrambler.
+    """
 
     payload_bits: int = 512
-    tx_amplitude: float = DEFAULT_TX_AMPLITUDE
     noise_power: float = 1e-3
-    buffer_capacity: int = 256
-    decoder_config: Optional[DecoderConfig] = None
 
     def __post_init__(self) -> None:
         """Validate the radio parameters."""
         if self.payload_bits <= 0:
             raise ConfigurationError("payload_bits must be positive")
-        if self.tx_amplitude <= 0:
-            raise ConfigurationError("tx_amplitude must be positive")
-        if self.noise_power < 0:
-            raise ConfigurationError("noise_power must be non-negative")
+        if not self.noise_power > 0:
+            raise ConfigurationError("noise_power must be positive")
 
 
 @functools.lru_cache(maxsize=64)
 def _on_air(
-    pilot: PilotSequence,
-    scrambler_seed: int,
-    amplitude: float,
-    samples_per_symbol: int,
-    initial_phase: float,
     source: int,
     destination: int,
     sequence: int,
@@ -76,17 +67,16 @@ def _on_air(
 ) -> Tuple[np.ndarray, FrameLayout, ComplexSignal]:
     """Frame bits, layout and waveform a packet goes on the air as.
 
-    A pure function of the packet and the sender's pilot, scrambler and
-    modulator settings, so one bounded LRU serves every node: MAC
-    retries, relay forwards and schemes that redraw the same payload
-    stream frame and modulate a packet once while it stays among the 64
-    most recent.  64 frames of a 768-bit payload hold about 1 MB.  The
-    values are read-only arrays, so sharing them is safe.
+    A pure function of the packet (pilot, scrambler and transmit
+    amplitude are protocol constants), so one bounded LRU serves every
+    node: MAC retries, relay forwards and schemes that redraw the same
+    payload stream frame and modulate a packet once while it stays among
+    the 64 most recent.  64 frames of a 768-bit payload hold about 1 MB.
+    The values are read-only arrays, so sharing them is safe.
     """
     packet = Packet._adopt(source, destination, sequence, np.frombuffer(payload, dtype=np.uint8))
-    frame = Framer(pilot=pilot, scrambler=Scrambler(scrambler_seed)).build(packet)
-    modulator = MSKModulator(amplitude, samples_per_symbol, initial_phase)
-    return frame.bits, frame.layout, modulator.modulate(frame.bits)
+    frame = Framer().build(packet)
+    return frame.bits, frame.layout, MSKModulator().modulate(frame.bits)
 
 
 class Node:
@@ -98,17 +88,13 @@ class Node:
             raise ConfigurationError("node id must be non-negative")
         self.node_id = int(node_id)
         self.config = config if config is not None else NodeConfig()
-        self.pilot = PilotSequence()
-        self.framer = Framer(pilot=self.pilot)
-        self.modulator = MSKModulator(amplitude=self.config.tx_amplitude)
-        self.known_frames = SentPacketBuffer(capacity=self.config.buffer_capacity)
+        self.framer = Framer()
+        self.modulator = MSKModulator()
+        self.known_frames = SentPacketBuffer()
         self.pipeline = ReceivePipeline(
             noise_power=self.config.noise_power,
             expected_payload_bits=self.config.payload_bits,
             known_frames=self.known_frames,
-            decoder_config=self.config.decoder_config,
-            pilot=self.pilot,
-            framer=self.framer,
         )
         self._sequence_counter = 0
         #: Packets this node has successfully received, keyed by identity.
@@ -137,12 +123,11 @@ class Node:
         """Frame, remember and modulate a packet in one step.
 
         A packet that any node already put on the air with the same content
-        and the same pilot, scrambler and modulator settings is not framed
-        and modulated again while it is still in the :func:`_on_air` LRU.
-        The frame is remembered either way.  A relay forwards a packet
-        originated elsewhere the same way: the copy keeps its addressing
-        fields, and remembering its frame is what lets the relay cancel it
-        later (chain topology).
+        is not framed and modulated again while it is still in the
+        :func:`_on_air` LRU.  The frame is remembered either way.  A relay
+        forwards a packet originated elsewhere the same way: the copy keeps
+        its addressing fields, and remembering its frame is what lets the
+        relay cancel it later (chain topology).
         """
         frame, waveform = self._framed(packet)
         self.known_frames.store(frame)
@@ -160,13 +145,7 @@ class Node:
 
     def _framed(self, packet: Packet) -> Tuple[Frame, ComplexSignal]:
         """The frame and waveform this node puts ``packet`` on the air as."""
-        modulator = self.modulator
         bits, layout, waveform = _on_air(
-            self.framer.pilot,
-            self.framer.scrambler.seed,
-            modulator.amplitude,
-            modulator.samples_per_symbol,
-            modulator.initial_phase,
             packet.source,
             packet.destination,
             packet.sequence,

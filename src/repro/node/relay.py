@@ -11,6 +11,7 @@ decoded directly at the node that first hears it (§11.6).
 from __future__ import annotations
 
 from repro.channel.relay import amplify_and_forward
+from repro.constants import DEFAULT_TX_AMPLITUDE
 from repro.node.node import Node
 from repro.signal.samples import ComplexSignal
 
@@ -24,4 +25,4 @@ class RelayNode(Node):
         The returned waveform (including the relay's received noise) is
         what the relay broadcasts in the next slot.
         """
-        return amplify_and_forward(waveform, self.config.tx_amplitude ** 2)
+        return amplify_and_forward(waveform, DEFAULT_TX_AMPLITUDE ** 2)

@@ -2,8 +2,9 @@
 
 Section 7.1 of the paper:
 
-* a packet is detected when the received energy rises ~20 dB above the
-  noise floor, and
+* a packet is detected when the received energy rises well above the
+  noise floor (§7.1 quotes 20 dB; see
+  :data:`~repro.constants.PACKET_DETECTION_THRESHOLD_DB`), and
 * interference is detected when the *variance* of the windowed energy is
   large — a clean MSK signal has (nearly) constant energy because all the
   information lives in the phase, while the sum of two MSK signals swings
@@ -20,13 +21,14 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.constants import (
+    DETECTOR_WINDOW,
     INTERFERENCE_VARIANCE_THRESHOLD_DB,
     PACKET_DETECTION_THRESHOLD_DB,
 )
 from repro.exceptions import DetectionError
 from repro.signal.samples import ComplexSignal
 from repro.utils.db import db_to_power_ratio
-from repro.utils.validation import ensure_positive, ensure_positive_int
+from repro.utils.validation import ensure_positive
 from repro.utils.windows import moving_energy, moving_variance
 
 SignalLike = Union[ComplexSignal, np.ndarray]
@@ -81,40 +83,33 @@ class PacketDetection:
 class EnergyDetector:
     """Detects the presence and extent of a packet in a sample stream.
 
+    A packet is declared where the energy over a
+    :data:`~repro.constants.DETECTOR_WINDOW`-sample window rises
+    :data:`~repro.constants.PACKET_DETECTION_THRESHOLD_DB` above the noise
+    floor.
+
     Parameters
     ----------
     noise_power:
         Estimated noise floor (linear power).  In a real radio this comes
         from calibration during idle periods; the simulator knows it
         exactly and nodes are configured with it.
-    threshold_db:
-        How far above the noise floor the windowed energy must rise for a
-        packet to be declared (paper default: 20 dB).
-    window:
-        Moving-window length in samples.
     """
 
-    def __init__(
-        self,
-        noise_power: float,
-        threshold_db: float = PACKET_DETECTION_THRESHOLD_DB,
-        window: int = 16,
-    ) -> None:
+    def __init__(self, noise_power: float) -> None:
         self.noise_power = ensure_positive(noise_power, "noise_power")
-        self.threshold_db = float(threshold_db)
-        self.window = ensure_positive_int(window, "window")
 
     @property
     def threshold_power(self) -> float:
         """Linear energy level above which a packet is declared."""
-        return self.noise_power * db_to_power_ratio(self.threshold_db)
+        return self.noise_power * db_to_power_ratio(PACKET_DETECTION_THRESHOLD_DB)
 
     def detect(self, signal: SignalLike) -> PacketDetection:
         """Find the first contiguous region whose windowed energy exceeds the threshold."""
         samples = _as_samples(signal)
         if samples.size == 0:
             raise DetectionError("cannot run packet detection on an empty signal")
-        energy = moving_energy(samples, self.window)
+        energy = moving_energy(samples, DETECTOR_WINDOW)
         above = energy > self.threshold_power
         if not np.any(above):
             return PacketDetection(detected=False, start_index=None, end_index=None)
@@ -123,19 +118,15 @@ class EnergyDetector:
         # End of the packet: the last index of the first contiguous run of
         # "above" samples, extended through short dips (the window already
         # smooths most dips out).
-        gaps = np.nonzero(np.diff(indices) > self.window)[0]
+        gaps = np.nonzero(np.diff(indices) > DETECTOR_WINDOW)[0]
         if gaps.size:
             end = int(indices[gaps[0]]) + 1
         else:
             end = int(indices[-1]) + 1
         # Compensate for the trailing-window ramp-up: the packet actually
         # starts up to (window - 1) samples before the detection index.
-        start = max(0, start - (self.window - 1))
+        start = max(0, start - (DETECTOR_WINDOW - 1))
         return PacketDetection(detected=True, start_index=start, end_index=end)
-
-    def is_busy(self, signal: SignalLike) -> bool:
-        """Carrier-sense style check: does the stream contain any packet energy?"""
-        return self.detect(signal).detected
 
 
 class InterferenceDetector:
@@ -145,26 +136,20 @@ class InterferenceDetector:
     the mean energy.  A clean MSK packet has an almost flat energy profile,
     so its normalised variance is tiny; two superposed MSK packets beat
     against each other and produce a variance comparable to the signal
-    energy itself.  The paper states the variance threshold as 20 dB; we
-    interpret it as "the energy variance, expressed in dB relative to the
-    noise power, exceeds the threshold", which reproduces the intended
-    behaviour of triggering only on genuine collisions.
+    energy itself.  The paper states the variance threshold in dB; we
+    interpret it as "the windowed energy variance exceeds the noise power
+    by :data:`~repro.constants.INTERFERENCE_VARIANCE_THRESHOLD_DB`", which
+    reproduces the intended behaviour of triggering only on genuine
+    collisions.
     """
 
-    def __init__(
-        self,
-        noise_power: float,
-        threshold_db: float = INTERFERENCE_VARIANCE_THRESHOLD_DB,
-        window: int = 16,
-    ) -> None:
+    def __init__(self, noise_power: float) -> None:
         self.noise_power = ensure_positive(noise_power, "noise_power")
-        self.threshold_db = float(threshold_db)
-        self.window = ensure_positive_int(window, "window")
 
     @property
     def threshold_variance(self) -> float:
         """Linear variance level above which interference is declared."""
-        return self.noise_power * db_to_power_ratio(self.threshold_db)
+        return self.noise_power * db_to_power_ratio(INTERFERENCE_VARIANCE_THRESHOLD_DB)
 
     def detect(self, signal: SignalLike) -> bool:
         """Return ``True`` if the packet region shows collision-level energy variance."""
@@ -172,5 +157,5 @@ class InterferenceDetector:
         if samples.size == 0:
             raise DetectionError("cannot run interference detection on an empty signal")
         energy = np.abs(samples) ** 2
-        variance = moving_variance(energy, self.window)
+        variance = moving_variance(energy, DETECTOR_WINDOW)
         return bool(np.max(variance) > self.threshold_variance)

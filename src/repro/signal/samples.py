@@ -100,11 +100,6 @@ class ComplexSignal:
         return np.abs(self.samples) ** 2
 
     @property
-    def total_energy(self) -> float:
-        """Sum of per-sample energies."""
-        return float(np.sum(self.energy))
-
-    @property
     def average_power(self) -> float:
         """Mean per-sample energy (zero for an empty signal)."""
         if len(self) == 0:

@@ -210,7 +210,7 @@ class DecodeService:
     def __init__(self) -> None:
         """Build the demodulator and the deframer."""
         self._deframer = Deframer()
-        self._demodulator = MSKDemodulator(samples_per_symbol=1)
+        self._demodulator = MSKDemodulator()
 
     def decode_windows(
         self, windows: Sequence[Tuple[ComplexSignal, int, int]]

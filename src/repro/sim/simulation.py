@@ -49,6 +49,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.channel.interference import OverlapModel, superpose
+from repro.constants import DEFAULT_TX_AMPLITUDE
 from repro.exceptions import ConfigurationError
 from repro.framing.packet import Packet
 from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions, alice_bob_topology
@@ -717,7 +718,7 @@ class TrafficSimulation:
         session = ReceptionSession(noise_power=self.nodes[receiver].config.noise_power)
         for tx in components:
             link = self.topology.link(tx.sender, receiver)
-            power = self.nodes[tx.sender].config.tx_amplitude ** 2 * link.power_gain
+            power = DEFAULT_TX_AMPLITUDE ** 2 * link.power_gain
             session.add(tx.tx_id, power, tx.start, tx.end)
         _, primary_id = classify_reception(session, CAPTURE_THRESHOLD_DB)
         primary = next((tx for tx in components if tx.tx_id == primary_id), None)

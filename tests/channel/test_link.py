@@ -233,7 +233,7 @@ class TestDistortOrder:
 
     def test_distort_never_adds_noise(self, rng):
         out = Link(noise_power=10.0).distort(ComplexSignal(np.zeros(100, dtype=complex)), rng)
-        assert out.total_energy == 0.0
+        assert not np.any(out.samples)
 
 
 class TestReception:

@@ -1,9 +1,7 @@
 """Tests for the sent-packet buffer."""
 
 import numpy as np
-import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Framer
 from repro.framing.header import Header
@@ -32,44 +30,31 @@ class TestSentPacketBuffer:
         buffer.store(frame)
         header = Header(source=1, destination=2, sequence=9)
         assert buffer.lookup_header(header) is frame
-        assert buffer.contains_header(header)
 
     def test_capacity_eviction_is_fifo(self):
-        buffer = SentPacketBuffer(capacity=3)
-        frames = [_frame(i) for i in range(5)]
-        buffer.store_all(frames)
-        assert len(buffer) == 3
+        buffer = SentPacketBuffer()
+        frames = [_frame(i) for i in range(SentPacketBuffer.CAPACITY + 2)]
+        for frame in frames:
+            buffer.store(frame)
+        assert len(buffer) == SentPacketBuffer.CAPACITY == 256
         assert buffer.lookup(1, 2, 0) is None
         assert buffer.lookup(1, 2, 1) is None
-        assert buffer.lookup(1, 2, 4) is frames[4]
+        assert buffer.lookup(1, 2, 2) is frames[2]
+        assert buffer.lookup(1, 2, len(frames) - 1) is frames[-1]
 
     def test_refresh_keeps_entry_resident(self):
-        buffer = SentPacketBuffer(capacity=2)
-        first, second, third = _frame(0), _frame(1), _frame(2)
-        buffer.store(first)
-        buffer.store(second)
-        buffer.store(first)  # refresh recency
-        buffer.store(third)  # evicts the stalest entry (second)
+        buffer = SentPacketBuffer()
+        frames = [_frame(i) for i in range(SentPacketBuffer.CAPACITY + 1)]
+        for frame in frames[:-1]:
+            buffer.store(frame)
+        buffer.store(frames[0])  # refresh recency
+        buffer.store(frames[-1])  # evicts the stalest entry (frames[1])
         assert buffer.lookup(1, 2, 0) is not None
         assert buffer.lookup(1, 2, 1) is None
 
-    def test_discard(self):
-        buffer = SentPacketBuffer()
-        buffer.store(_frame(3))
-        assert buffer.discard(1, 2, 3)
-        assert not buffer.discard(1, 2, 3)
-
     def test_clear(self):
         buffer = SentPacketBuffer()
-        buffer.store_all([_frame(0), _frame(1)])
+        buffer.store(_frame(0))
+        buffer.store(_frame(1))
         buffer.clear()
         assert len(buffer) == 0
-
-    def test_identities_order(self):
-        buffer = SentPacketBuffer()
-        buffer.store_all([_frame(2), _frame(0), _frame(1)])
-        assert buffer.identities() == ((1, 2, 2), (1, 2, 0), (1, 2, 1))
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ConfigurationError):
-            SentPacketBuffer(capacity=0)

@@ -22,12 +22,10 @@ class TestFrameLayout:
 
     def test_field_offsets_are_contiguous(self):
         layout = FrameLayout(pilot_length=64, header_length=48, payload_length=128)
-        assert layout.pilot_start == 0
         assert layout.header_start == 64
         assert layout.payload_start == 112
         assert layout.trailing_header_start == 112 + 144
-        assert layout.trailing_pilot_start == layout.trailing_header_start + 48
-        assert layout.trailing_pilot_start + 64 == layout.total_length
+        assert layout.trailing_header_start + 48 + 64 == layout.total_length
 
 
 class TestFramer:
@@ -60,7 +58,7 @@ class TestFramer:
         frame = framer.build(packet)
         layout = frame.layout
         leading = frame.bits[layout.header_start : layout.payload_start]
-        trailing = frame.bits[layout.trailing_header_start : layout.trailing_pilot_start]
+        trailing = frame.bits[layout.trailing_header_start : -layout.pilot_length]
         assert np.array_equal(trailing, leading[::-1])
 
     def test_payload_is_scrambled(self, framer, packet):

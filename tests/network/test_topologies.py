@@ -22,18 +22,8 @@ from repro.network.topologies import (
 
 class TestChannelConditions:
     def test_noise_power_from_snr(self):
-        conditions = ChannelConditions(snr_db=20.0, mean_attenuation=1.0, tx_amplitude=1.0)
-        assert conditions.noise_power == pytest.approx(0.01)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ChannelConditions(mean_attenuation=0.0)
-        with pytest.raises(ConfigurationError):
-            ChannelConditions(attenuation_jitter=-1)
-        with pytest.raises(ConfigurationError):
-            ChannelConditions(max_cfo=-0.1)
-        with pytest.raises(ConfigurationError):
-            ChannelConditions(max_phase_drift=-0.1)
+        # A main link's mean received power is MEAN_ATTENUATION ** 2 = 0.64.
+        assert ChannelConditions(snr_db=20.0).noise_power == pytest.approx(0.0064)
 
 
 class TestAliceBobTopology:

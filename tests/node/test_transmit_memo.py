@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
 from repro.network.topologies import ChannelConditions
@@ -69,16 +70,6 @@ class TestHitsAndMisses:
         stored = node.known_frames.lookup(*packet.identity)
         assert stored.packet is twin
 
-    def test_another_tx_amplitude_misses(self):
-        quiet = Node(1, NodeConfig(payload_bits=PAYLOAD, tx_amplitude=0.5))
-        loud = Node(1, NodeConfig(payload_bits=PAYLOAD, tx_amplitude=1.0))
-        packet = packet_with(0)
-        quiet_wave = quiet.transmit(packet)
-        loud_wave = loud.transmit(packet)
-        assert np.allclose(np.abs(quiet_wave.samples), 0.5)
-        assert np.allclose(np.abs(loud_wave.samples), 1.0)
-        assert np.array_equal(loud_wave.samples, reference_waveform(loud, packet).samples)
-
     def test_relay_forward_hits_the_senders_frame(self, build_calls):
         sender = Node(1, NodeConfig(payload_bits=PAYLOAD))
         relay = Node(0, NodeConfig(payload_bits=PAYLOAD))
@@ -128,20 +119,26 @@ class TestHitsAndMisses:
 
 class TestSideEffects:
     def test_known_frames_recency_matches_an_unmemoized_run(self):
-        packets = [packet_with(i, sequence=i) for i in range(3)]
-        order = [0, 1, 2, 0, 1, 0]
-        memoized = Node(1, NodeConfig(payload_bits=PAYLOAD, buffer_capacity=2))
+        capacity = SentPacketBuffer.CAPACITY
+        packets = [packet_with(i, sequence=i) for i in range(capacity + 2)]
+        # Fill the buffer, refresh packet 0 (long gone from the memo) and the
+        # last one (a memo hit), then push two more: packets 1 and 2 go.
+        order = list(range(capacity)) + [0, capacity - 1, capacity, capacity + 1]
+        memoized = Node(1, NodeConfig(payload_bits=PAYLOAD))
         for index in order:
             memoized.transmit(packets[index])
-        unmemoized = Node(1, NodeConfig(payload_bits=PAYLOAD, buffer_capacity=2))
+        unmemoized = Node(1, NodeConfig(payload_bits=PAYLOAD))
         for index in order:
             _on_air.cache_clear()
             unmemoized.transmit(packets[index])
-        assert memoized.known_frames.identities() == unmemoized.known_frames.identities()
-        for identity in memoized.known_frames.identities():
-            hit = memoized.known_frames.lookup(*identity)
-            built = unmemoized.known_frames.lookup(*identity)
-            assert hit.packet is built.packet
+        assert len(memoized.known_frames) == len(unmemoized.known_frames) == capacity
+        for packet in packets:
+            hit = memoized.known_frames.lookup(*packet.identity)
+            built = unmemoized.known_frames.lookup(*packet.identity)
+            if packet.sequence in (1, 2):
+                assert hit is None and built is None
+                continue
+            assert hit.packet is built.packet is packet
             assert np.array_equal(hit.bits, built.bits)
             assert hit.layout == built.layout
 
@@ -182,29 +179,24 @@ def run_threads(target, count):
 
 class TestThreads:
     def test_threads_match_an_unmemoized_reference(self):
-        # More (config, packet) pairs than the memo holds, so the threads
-        # evict entries while they hit and miss.
-        configs = [NodeConfig(payload_bits=PAYLOAD, tx_amplitude=a) for a in (0.5, 1.0)]
-        packets = [packet_with(i, sequence=i % 3) for i in range(40)]
-        expected = {
-            (c, p): reference_waveform(Node(1, configs[c]), packets[p]).samples
-            for c in range(len(configs))
-            for p in range(len(packets))
-        }
+        # More packets than the memo holds, so the threads evict entries
+        # while they hit and miss.
+        config = NodeConfig(payload_bits=PAYLOAD)
+        packets = [packet_with(i, sequence=i % 3) for i in range(80)]
+        expected = [reference_waveform(Node(1, config), packet).samples for packet in packets]
         errors = []
         barrier = threading.Barrier(4)
 
         def worker(seed):
             order = np.random.default_rng(seed)
-            nodes = [Node(1, config) for config in configs]
+            node = Node(1, config)
             barrier.wait()
             try:
                 for _ in range(400):
-                    c = int(order.integers(len(configs)))
                     p = int(order.integers(len(packets)))
-                    wave = nodes[c].transmit(packets[p])
-                    if not np.array_equal(wave.samples, expected[(c, p)]):
-                        errors.append((seed, c, p))
+                    wave = node.transmit(packets[p])
+                    if not np.array_equal(wave.samples, expected[p]):
+                        errors.append((seed, p))
             except Exception as error:  # a thread's exception would vanish otherwise
                 errors.append((seed, repr(error)))
 

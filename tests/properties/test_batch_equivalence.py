@@ -150,9 +150,8 @@ class TestDecodeBatchEquivalence:
             for cfo, amplitude, bits in (
                 (spec["cfo"], 1.0, known_bits), (-spec["cfo"], 0.7, unknown_bits)
             ):
-                wave = MSKModulator(
-                    amplitude=amplitude, initial_phase=float(rng.uniform(-np.pi, np.pi))
-                ).modulate(bits)
+                start_phase = float(rng.uniform(-np.pi, np.pi))
+                wave = MSKModulator(amplitude).modulate(bits).scaled(np.exp(1j * start_phase))
                 link = Link(
                     sender_cfo=cfo,
                     fading=spec["fading"],

@@ -20,12 +20,12 @@ bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size
 
 
 class TestModulationInvariants:
-    @given(bits=bit_lists, sps=st.sampled_from([1, 2, 4]))
+    @given(bits=bit_lists)
     @settings(max_examples=50, deadline=None)
-    def test_msk_roundtrip_is_identity(self, bits, sps):
+    def test_msk_roundtrip_is_identity(self, bits):
         data = np.array(bits, dtype=np.uint8)
-        signal = MSKModulator(samples_per_symbol=sps).modulate(data)
-        decoded = MSKDemodulator(samples_per_symbol=sps).demodulate(signal)
+        signal = MSKModulator().modulate(data)
+        decoded = MSKDemodulator().demodulate(signal)
         assert np.array_equal(decoded, data)
 
     @given(bits=bit_lists, attenuation=st.floats(0.05, 2.0), phase=st.floats(-np.pi, np.pi))

@@ -1,0 +1,55 @@
+"""The PHY and the radio environment take only the values the network sets.
+
+The paper's radio is one configuration: one complex sample per MSK
+symbol (§5), one 64-bit pilot (§7.2), one detector setting (§7.1) and
+equal transmit powers (§8).  Those are module constants.  What remains a
+parameter below is set by a production caller (or, for the pilot, by the
+pilot-length ablation), and nothing else is.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+from repro.anc.alignment import align_known_frame
+from repro.anc.pipeline import ReceivePipeline
+from repro.framing.buffer import SentPacketBuffer
+from repro.framing.frame import Deframer, Framer
+from repro.modulation.msk import MSKDemodulator, MSKModulator
+from repro.network.topologies import ChannelConditions
+from repro.node.node import NodeConfig
+from repro.signal.energy import EnergyDetector, InterferenceDetector
+
+PARAMETERS = {
+    MSKModulator: ("amplitude",),
+    MSKDemodulator: (),
+    Framer: ("pilot",),
+    Deframer: (),
+    EnergyDetector: ("noise_power",),
+    InterferenceDetector: ("noise_power",),
+    ReceivePipeline: ("noise_power", "expected_payload_bits", "known_frames"),
+    NodeConfig: ("payload_bits", "noise_power"),
+    SentPacketBuffer: (),
+    align_known_frame: ("received", "pilot", "max_pilot_errors"),
+    ChannelConditions: ("snr_db",),
+}
+
+ADVICE = (
+    "a new PHY or radio-environment parameter needs two production callers "
+    "that set different values; a value every caller leaves alone is a module "
+    "constant (see the radio constants table of docs/CHANNELS.md)"
+)
+
+
+@pytest.mark.parametrize(
+    "target", list(PARAMETERS), ids=[target.__qualname__ for target in PARAMETERS]
+)
+def test_parameters_are_pinned(target):
+    names = tuple(inspect.signature(target).parameters)
+    assert names == PARAMETERS[target], f"{target.__qualname__}{names}: {ADVICE}"
+
+
+def test_parameter_count():
+    assert sum(len(names) for names in PARAMETERS.values()) == 13, ADVICE

@@ -74,17 +74,14 @@ class TestEnergyDetector:
         assert detection.length == detection.end_index - detection.start_index
         assert abs(detection.length - len(burst)) <= 32
 
-    def test_is_busy(self):
-        burst = _msk_burst()
-        assert EnergyDetector(noise_power=NOISE).is_busy(burst)
-
     def test_empty_signal_raises(self):
         with pytest.raises(DetectionError):
             EnergyDetector(noise_power=NOISE).detect(ComplexSignal.empty())
 
     def test_threshold_power_scales_with_noise(self):
-        detector = EnergyDetector(noise_power=0.01, threshold_db=20.0)
-        assert detector.threshold_power == pytest.approx(1.0)
+        # 12 dB above the noise floor (PACKET_DETECTION_THRESHOLD_DB).
+        assert EnergyDetector(noise_power=0.01).threshold_power == pytest.approx(0.01 * 10 ** 1.2)
+        assert EnergyDetector(noise_power=0.1).threshold_power == pytest.approx(0.1 * 10 ** 1.2)
 
 
 class TestInterferenceDetector:

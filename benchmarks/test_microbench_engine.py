@@ -64,7 +64,8 @@ def test_engine_parallel_speedup_alice_bob():
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = run_alice_bob_experiment(cfg, engine=ExperimentEngine(workers=4))
+    with ExperimentEngine(workers=4) as engine:
+        parallel = run_alice_bob_experiment(cfg, engine=engine)
     parallel_seconds = time.perf_counter() - start
 
     speedup = serial_seconds / parallel_seconds

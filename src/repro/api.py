@@ -21,8 +21,9 @@ Quickstart::
     print(result.scalars["anc_delivery_ratio"])
     print(result.to_json())                 # machine-readable export
 
-    sweep = api.run("chain_sweep", config=ExperimentConfig.quick(),
-                    engine=ExperimentEngine(workers=4), quick=True)
+    with ExperimentEngine(workers=4) as engine:
+        sweep = api.run("chain_sweep", config=ExperimentConfig.quick(),
+                        engine=engine, quick=True)
     gains = sweep.get_series("cells")
 
 Text output is formatted from the result tables: ``render_text(result)``

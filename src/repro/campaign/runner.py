@@ -9,9 +9,11 @@ results, one job after another:
 * **execute once** — every other job runs through :func:`repro.api.run`
   on the runner's one :class:`~repro.experiments.engine.ExperimentEngine`,
   whose process pool spreads the job's trials over ``concurrency``
-  workers.  A job is a pure function of (code, config, seed), so a job
-  that fails would fail again: it is recorded as ``failed`` with its
-  error, is not stored, and does not sink the rest of the campaign;
+  workers.  The pool is started once, by the first job with trials to
+  spread, and shut down when the job list is done.  A job is a pure
+  function of (code, config, seed), so a job that fails would fail
+  again: it is recorded as ``failed`` with its error, is not stored, and
+  does not sink the rest of the campaign;
 * **store-through** — every computed result is published to the store
   atomically, so a campaign killed at any instant resumes from exactly
   the set of jobs that completed.
@@ -216,7 +218,10 @@ class CampaignRunner:
     def run_jobs(self, spec: CampaignSpec, jobs: Sequence[CampaignJob]) -> CampaignReport:
         """Run an explicit job list (already expanded/sharded) to completion."""
         started = time.perf_counter()
-        outcomes = [self._run_job(job) for job in jobs]
+        try:
+            outcomes = [self._run_job(job) for job in jobs]
+        finally:
+            self.engine.close()
         return CampaignReport(
             spec=spec,
             outcomes=outcomes,

@@ -58,42 +58,44 @@ def _jsonable_axis_value(value: Any) -> bool:
     return False
 
 
-def job_digest(experiment: str, quick: bool, config: ExperimentConfig) -> str:
+def job_digest(experiment: str, quick: bool, snapshot: Mapping[str, Any]) -> str:
     """Content digest of one job: experiment + quick flag + config snapshot.
 
-    The digest is the store key: any config field that survives
-    :meth:`~repro.experiments.config.ExperimentConfig.snapshot` forks it,
-    and the snapshot's omission rules are audited to be injective by
-    :func:`audit_snapshot_roundtrip`, so distinct configs can never share
-    a digest.
+    ``snapshot`` is the job config's
+    :meth:`~repro.experiments.config.ExperimentConfig.snapshot`.  The
+    digest is the store key: any config field that survives the snapshot
+    forks it, and the snapshot's omission rules are audited to be
+    injective by :func:`audit_snapshot_roundtrip`, so distinct configs can
+    never share a digest.
     """
     payload = {
         "schema": CAMPAIGN_SCHEMA,
         "experiment": experiment,
         "quick": bool(quick),
-        "config": config.snapshot(),
+        "config": snapshot,
     }
     return content_digest(payload)
 
 
-def audit_snapshot_roundtrip(config: ExperimentConfig) -> ExperimentConfig:
-    """Assert one config survives the snapshot round-trip unchanged.
+def audit_snapshot_roundtrip(config: ExperimentConfig, snapshot: Mapping[str, Any]) -> None:
+    """Assert one config survives its snapshot round-trip unchanged.
 
-    ``snapshot()`` omits default-valued knobs so historical digests stay
-    stable; that omission is only safe for content addressing if it is
-    *injective* — every field an experiment ``reads`` (and every other
-    field) must reconstruct to an equal config.  A failure here means two
-    distinct grid points would collide on one digest, so it raises
-    instead of letting a campaign silently dedupe wrong results.
+    ``snapshot`` is ``config.snapshot()``, the payload the job digest is
+    taken from.  ``snapshot()`` omits default-valued knobs so historical
+    digests stay stable; that omission is only safe for content
+    addressing if it is *injective* — every field an experiment ``reads``
+    (and every other field) must reconstruct to an equal config.  A
+    failure here means two distinct grid points would collide on one
+    digest, so it raises instead of letting a campaign silently dedupe
+    wrong results.
     """
-    rebuilt = ExperimentConfig.from_snapshot(config.snapshot())
+    rebuilt = ExperimentConfig.from_snapshot(snapshot)
     if rebuilt != config:
         raise ConfigurationError(
             "config does not round-trip through snapshot(): "
             f"{config!r} reconstructed as {rebuilt!r}; a snapshot omission "
             "rule is lossy and campaign digests could collide"
         )
-    return config
 
 
 @dataclass(frozen=True)
@@ -193,10 +195,12 @@ class CampaignSpec:
                     "lists for tuple-typed fields); got "
                     f"{[v for v in values if not _jsonable_axis_value(v)]!r}"
                 )
+        # The grid is built once; jobs() audits and digests these configs.
+        object.__setattr__(self, "_grid", tuple(self._expand()))
         # Enforce the reads contract at declaration time: the per-run
         # check in repro.api.run would catch it too, but only once a job
         # runs — a 1000-job grid that fails on job one is a spec bug.
-        for _, config in self._configs():
+        for _, config in self._grid:
             check_reads(entry, config)
 
     # ------------------------------------------------------------------
@@ -224,11 +228,12 @@ class CampaignSpec:
         round-robin, so every shard sees a representative slice of the
         grid and the union over shards is exactly the full grid.
 
-        Every job's config is validated (construction runs the normal
-        ``ExperimentConfig`` checks), audited for snapshot round-trip
-        (:func:`audit_snapshot_roundtrip`), and digest-checked for
-        uniqueness — duplicate grid points (e.g. a repeated axis value)
-        raise instead of silently deduping.
+        Every job's config was validated when the spec was built
+        (construction runs the normal ``ExperimentConfig`` checks); here
+        its one snapshot is audited for the round-trip
+        (:func:`audit_snapshot_roundtrip`) and digested, and the digests
+        are checked for uniqueness — duplicate grid points (e.g. a
+        repeated axis value) raise instead of silently deduping.
         """
         if shard_count < 1 or not 0 <= shard_index < shard_count:
             raise ConfigurationError(
@@ -237,9 +242,10 @@ class CampaignSpec:
             )
         jobs: List[CampaignJob] = []
         seen: Dict[str, int] = {}
-        for index, (overrides, config) in enumerate(self._configs()):
-            config = audit_snapshot_roundtrip(config)
-            digest = job_digest(self.experiment, self.quick, config)
+        for index, (overrides, config) in enumerate(self._grid):
+            snapshot = config.snapshot()
+            audit_snapshot_roundtrip(config, snapshot)
+            digest = job_digest(self.experiment, self.quick, snapshot)
             if digest in seen:
                 raise ConfigurationError(
                     f"duplicate grid point: jobs {seen[digest]} and {index} "
@@ -259,7 +265,7 @@ class CampaignSpec:
             )
         return [job for job in jobs if job.index % shard_count == shard_index]
 
-    def _configs(self) -> Iterator[Tuple[Tuple[Tuple[str, Any], ...], ExperimentConfig]]:
+    def _expand(self) -> Iterator[Tuple[Tuple[Tuple[str, Any], ...], ExperimentConfig]]:
         """Each grid point's axis overrides and built config, in job order."""
         base_config = ExperimentConfig.from_snapshot(dict(self.base))
         names = self.axis_names

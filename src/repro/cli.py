@@ -383,8 +383,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(arguments)
     try:
         config = _config_from_args(args)
-        engine = _engine_from_args(args)
-        result = api.run(args.experiment, config=config, engine=engine, quick=args.quick)
+        with _engine_from_args(args) as engine:
+            result = api.run(args.experiment, config=config, engine=engine, quick=args.quick)
         _write(format_result(result, args.format), args.output)
     except (ConfigurationError, OSError) as error:
         print(f"anc-repro: error: {error}", file=sys.stderr)

@@ -48,7 +48,8 @@ Their Monte-Carlo trials execute through the
 :class:`~repro.experiments.engine.ExperimentEngine`, which fans them out
 across process workers and caches completed trials to disk — pass
 ``engine=ExperimentEngine(workers=8, cache_dir=...)`` to any runner to
-parallelise or resume a sweep with bit-identical results.
+parallelise or resume a sweep with bit-identical results, and close the
+engine (or use it in a ``with`` block) to stop its workers.
 """
 
 from repro.experiments.config import ExperimentConfig

@@ -11,7 +11,7 @@ published workload for users with time to spare.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
@@ -241,12 +241,11 @@ class ExperimentConfig:
         campaign spec never silently runs the default.
         """
         payload = dict(snapshot)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload).difference(_FIELD_NAMES))
         if unknown:
             raise ConfigurationError(
                 f"unknown config field(s) in snapshot: {', '.join(unknown)}; "
-                f"valid fields are {', '.join(sorted(known))}"
+                f"valid fields are {', '.join(sorted(_FIELD_NAMES))}"
             )
         return cls(**{name: cls.coerce_field(name, value) for name, value in payload.items()})
 
@@ -262,17 +261,22 @@ class ExperimentConfig:
         ``fading_mode="drift"`` request is inactive on most experiments
         but changes what ``fading_sweep`` computes, so it must fork the
         digest.
+
+        The dict is what ``dataclasses.asdict`` gives (the same keys, key
+        order and values) with the omissions applied, built directly from
+        the field names: every field is an immutable scalar or tuple, so
+        ``asdict``'s recursive deep copy only cost time.
         """
-        payload = asdict(self)
-        if self.impairments == ImpairmentConfig():
-            payload.pop("impairments")
-        for knob, default in (
-            ("arrival_rate", 0.0),
-            ("sim_duration", 0.0),
-            ("mac_policy", DEFAULT_MAC_POLICY),
-        ):
+        payload = {name: getattr(self, name) for name in _FIELD_NAMES}
+        if self.impairments == _NO_IMPAIRMENTS:
+            del payload["impairments"]
+        else:
+            payload["impairments"] = {
+                name: getattr(self.impairments, name) for name in _IMPAIRMENT_FIELD_NAMES
+            }
+        for knob, default in _OMITTED_AT_DEFAULT:
             if payload[knob] == default:
-                payload.pop(knob)
+                del payload[knob]
         return payload
 
     # ------------------------------------------------------------------
@@ -299,6 +303,19 @@ class ExperimentConfig:
         return float(rng.uniform(low, high))
 
 
+#: Every config field, in declaration order (the order of :meth:`ExperimentConfig.snapshot`).
+_FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
+#: The impairment fields, flattened into a non-default snapshot in this order.
+_IMPAIRMENT_FIELD_NAMES = tuple(f.name for f in fields(ImpairmentConfig))
+#: The all-off impairment declaration, which :meth:`ExperimentConfig.snapshot` omits.
+_NO_IMPAIRMENTS = ImpairmentConfig()
+#: The traffic knobs :meth:`ExperimentConfig.snapshot` omits at these defaults.
+_OMITTED_AT_DEFAULT = (
+    ("arrival_rate", 0.0),
+    ("sim_duration", 0.0),
+    ("mac_policy", DEFAULT_MAC_POLICY),
+)
+
 #: The fields that model the experiment (everything but :data:`SIZE_FIELDS`);
 #: an experiment's ``reads`` declaration is a subset of these.
-MODEL_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in SIZE_FIELDS)
+MODEL_FIELDS = tuple(name for name in _FIELD_NAMES if name not in SIZE_FIELDS)

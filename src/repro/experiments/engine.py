@@ -12,7 +12,10 @@ property:
 * **Parallelism** — with ``workers > 1`` trials fan out across a
   :class:`concurrent.futures.ProcessPoolExecutor`; results are re-ordered
   by trial key afterwards, so the output is *bit-identical* to serial
-  execution (``workers=1``), just faster.
+  execution (``workers=1``), just faster.  The engine starts one pool on
+  the first call that has two or more trials to execute and keeps it for
+  every later call; :meth:`ExperimentEngine.close` (or leaving a ``with``
+  block) shuts it down.
 * **Resumability** — with a ``cache_dir`` set, every completed trial is
   pickled into the package's one content-addressed store
   (:mod:`repro.store`) under a digest of (experiment name, trial
@@ -36,10 +39,11 @@ from __future__ import annotations
 import json
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 import repro
 from repro.exceptions import ConfigurationError
@@ -146,6 +150,24 @@ class ExperimentEngine:
         #: cache/timing metadata of exactly one experiment to its result
         #: (see :func:`repro.api.run`).
         self.stats_log: List[EngineStats] = []
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def close(self) -> None:
+        """Shut down the worker pool, if one was started (idempotent).
+
+        The engine stays usable: a later parallel call starts a new pool.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "ExperimentEngine":
+        """Use the engine in a ``with`` block that closes its pool."""
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        """Close the pool on leaving the ``with`` block."""
+        self.close()
 
     # ------------------------------------------------------------------
     # Cache keying
@@ -286,18 +308,27 @@ class ExperimentEngine:
                 results[index] = trial_fn(config, keys[index], **kwargs)
                 self.store.put(entries[index], results[index], _pickle)
         else:
-            max_workers = min(self.workers, len(pending))
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = {
-                    pool.submit(trial_fn, config, keys[index], **kwargs): index
-                    for index in pending
-                }
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            futures: Dict[Future, int] = {}
+            try:
+                for index in pending:
+                    futures[self._pool.submit(trial_fn, config, keys[index], **kwargs)] = index
                 for future in as_completed(futures):
                     # Persist incrementally so an interruption after this
                     # point never re-runs this trial.
                     index = futures[future]
                     results[index] = future.result()
                     self.store.put(entries[index], results[index], _pickle)
+            except BrokenProcessPool:
+                # A dead worker breaks the whole pool; the next call
+                # starts a fresh one.
+                self.close()
+                raise
+            finally:
+                # A failed trial leaves nothing queued behind it.
+                for future in futures:
+                    future.cancel()
 
         self.last_stats = EngineStats(
             total_trials=len(keys),

@@ -31,6 +31,7 @@ from repro.framing.frame import Framer
 from repro.framing.packet import Packet
 from repro.anc.pipeline import ReceiveOutcome, ReceivePipeline
 from repro.modulation.msk import MSKModulator
+from repro.network.topologies import MAX_CFO, MEAN_ATTENUATION
 from repro.protocols.anc import default_min_offset
 from repro.results.model import ExperimentResult, Series, make_result
 from repro.utils.db import db_to_linear
@@ -75,8 +76,10 @@ def run_sir_point_trial(
     alice_mod = MSKModulator(amplitude=1.0)
     bob_mod = MSKModulator(amplitude=bob_amplitude)
 
-    # Noise relative to Alice's received power (attenuation 0.8).
-    noise_power = (0.8 ** 2) / (10.0 ** (snr_db / 10.0))
+    # Noise relative to Alice's received power: the ChannelConditions.noise_power
+    # formula at unit amplitude, in Python's float power rather than
+    # db_to_power_ratio's np.power, which differs by an ulp at some SNRs.
+    noise_power = MEAN_ATTENUATION ** 2 / 10.0 ** (snr_db / 10.0)
 
     bers: List[float] = []
     failures = 0
@@ -89,14 +92,14 @@ def run_sir_point_trial(
         bob_wave = bob_mod.modulate(bob_frame.bits)
 
         link_alice = Link(
-            attenuation=0.8,
+            attenuation=MEAN_ATTENUATION,
             phase_shift=float(rng.uniform(-np.pi, np.pi)),
-            frequency_offset=float(rng.uniform(0.01, 0.04)),
+            frequency_offset=float(rng.uniform(0.25 * MAX_CFO, MAX_CFO)),
         )
         link_bob = Link(
-            attenuation=0.8,
+            attenuation=MEAN_ATTENUATION,
             phase_shift=float(rng.uniform(-np.pi, np.pi)),
-            frequency_offset=-float(rng.uniform(0.01, 0.04)),
+            frequency_offset=-float(rng.uniform(0.25 * MAX_CFO, MAX_CFO)),
         )
         if cfg.impairments.enabled:
             # The hand-built Fig. 13 links honour the same impairment
@@ -115,7 +118,7 @@ def run_sir_point_trial(
         )
         broadcast = amplify_and_forward(collision, transmit_power=1.0)
         downlink = Link(
-            attenuation=0.8,
+            attenuation=MEAN_ATTENUATION,
             phase_shift=float(rng.uniform(-np.pi, np.pi)),
             frequency_offset=float(rng.uniform(-0.02, 0.02)),
             noise_power=noise_power,

@@ -46,6 +46,17 @@ SCHEMA_VERSION = "anc-repro.result/1"
 Cell = Union[int, float, str, bool, None]
 
 
+#: The exact types of the non-float JSON scalars.  Cells, metadata and
+#: parsed documents are built from these (and ``float``), so
+#: :func:`_jsonify` and :class:`Series` check the exact type before they
+#: fall back to :func:`_is_cell` and the ``isinstance`` checks, which a
+#: subclass (a numpy float, a :class:`Record`, a named tuple) still takes.
+_SCALAR_TYPES = frozenset((str, int, bool, type(None)))
+
+#: Exact types that need no ``Mapping`` check in :func:`_jsonify`.
+_PLAIN_TYPES = _SCALAR_TYPES | {float, dict, list, tuple}
+
+
 def _is_cell(value: Any) -> bool:
     """Is ``value`` a permitted series cell (a *finite* JSON scalar)?
 
@@ -61,7 +72,10 @@ def _is_cell(value: Any) -> bool:
 
 def _jsonify(value: Any) -> Any:
     """Recursively coerce tuples to lists so equality survives JSON I/O."""
-    if isinstance(value, Mapping):
+    kind = type(value)
+    if kind in _SCALAR_TYPES or (kind is float and math.isfinite(value)):
+        return value
+    if kind is dict or (kind not in _PLAIN_TYPES and isinstance(value, Mapping)):
         return {str(key): _jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(item) for item in value]
@@ -129,22 +143,28 @@ class Series:
 
     def __post_init__(self) -> None:
         """Normalise nested sequences to tuples and validate the shape."""
-        object.__setattr__(self, "columns", tuple(str(c) for c in self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+        object.__setattr__(self, "columns", tuple(map(str, self.columns)))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if not self.name:
             raise ConfigurationError("a series needs a non-empty name")
         if not self.columns:
             raise ConfigurationError(f"series {self.name!r} needs at least one column")
         if len(set(self.columns)) != len(self.columns):
             raise ConfigurationError(f"series {self.name!r} has duplicate column names")
+        width = len(self.columns)
         for row in self.rows:
-            if len(row) != len(self.columns):
+            if len(row) != width:
                 raise ConfigurationError(
                     f"series {self.name!r}: row {row!r} does not match "
                     f"columns {self.columns!r}"
                 )
             for value in row:
-                if not _is_cell(value):
+                kind = type(value)
+                if not (
+                    kind in _SCALAR_TYPES
+                    or (kind is float and math.isfinite(value))
+                    or _is_cell(value)
+                ):
                     raise ConfigurationError(
                         f"series {self.name!r}: cell {value!r} is not a finite JSON scalar"
                     )
@@ -180,11 +200,7 @@ class Series:
     def from_dict(cls, payload: Mapping[str, Any]) -> "Series":
         """Rebuild a series from :meth:`to_dict` output (lossless)."""
         try:
-            return cls(
-                name=payload["name"],
-                columns=tuple(payload["columns"]),
-                rows=tuple(tuple(row) for row in payload["rows"]),
-            )
+            return cls(name=payload["name"], columns=payload["columns"], rows=payload["rows"])
         except KeyError as missing:
             raise ConfigurationError(f"series payload is missing key {missing}") from None
 

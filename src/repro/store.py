@@ -147,8 +147,9 @@ class Store:
         #: Traffic counters of this handle (not shared across processes).
         self.stats = Stats()
 
+    @functools.cached_property
     def _tree(self) -> Optional[Path]:
-        """The directory holding this source tree's entries."""
+        """The directory holding this source tree's entries (resolved once)."""
         if self.root is None:
             return None
         return self.root / source_fingerprint()[:16]
@@ -156,7 +157,7 @@ class Store:
     def path(self, key: str) -> Optional[Path]:
         """Filesystem path a key's entry lives at (``None`` without a root)."""
         key = _check_key(key)
-        tree = self._tree()
+        tree = self._tree
         if tree is None:
             return None
         return tree / key[:2] / f"{key}{self.suffix}"
@@ -168,7 +169,7 @@ class Store:
 
     def keys(self) -> List[str]:
         """Every key currently stored for this source tree, sorted."""
-        tree = self._tree()
+        tree = self._tree
         if tree is None or not tree.is_dir():
             return []
         return sorted(

@@ -1,11 +1,15 @@
 """Tests for the campaign runner: execute once, resume, the CLI."""
 
 import json
+import multiprocessing
+import shutil
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro import api
 from repro.campaign.runner import CampaignRunner
+from repro.experiments import engine as engine_module
 from repro.cli import main
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
@@ -60,21 +64,6 @@ class TestExecution:
             assert report.store_stats == {
                 "hits": 0, "misses": 0, "puts": 0, "races": 0, "corrupt": 0,
             }
-
-    def test_concurrency_does_not_move_stored_results(self, tmp_path):
-        # runs=2 gives every map call two trials, so concurrency 2 spawns
-        # the engine's process pool; the stored renders must not move.
-        spec = toy_spec(seeds=(1, 2), base={"runs": 2, "packets_per_run": 2,
-                                            "payload_bits": 64})
-        renders = {}
-        for concurrency in (1, 2):
-            store = ResultStore(tmp_path / str(concurrency))
-            report = CampaignRunner(store=store, concurrency=concurrency).run(spec)
-            assert report.completed == 2 and report.failed == 0
-            results = [store.get(job.digest) for job in spec.jobs()]
-            assert all(r.meta["engine"]["workers"] == concurrency for r in results)
-            renders[concurrency] = [render_text(r) for r in results]
-        assert renders[1] == renders[2]
 
     def test_results_recorded_in_grid_order(self, tmp_path):
         runner = CampaignRunner(store=tmp_path, concurrency=4, job_fn=fake_result)
@@ -182,6 +171,92 @@ class TestResume:
         report = runner.run(toy_spec(seeds=(1, 2, 3), name="superset"))
         assert report.cached == 2 and report.completed == 1
         assert sorted(executed) == [1, 2, 3]
+
+
+class TestOnePool:
+    """A campaign starts one process pool for all its jobs and leaves no worker."""
+
+    #: runs=2 gives every job two trials, so concurrency 2 needs the pool.
+    SPEC = toy_spec(base={"runs": 2, "packets_per_run": 2, "payload_bits": 64})
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Run the 4-job grid at concurrency 1 and 2, counting the pools started."""
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        outcome = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "ProcessPoolExecutor", CountingPool)
+            for concurrency in (1, 2):
+                store = ResultStore(tmp_path_factory.mktemp(f"concurrency{concurrency}"))
+                report = api.run_campaign(self.SPEC, store=store, concurrency=concurrency)
+                outcome[concurrency] = {
+                    "report": report,
+                    "children": multiprocessing.active_children(),
+                    "results": [store.get(job.digest) for job in self.SPEC.jobs()],
+                }
+        outcome["pools"] = pools
+        return outcome
+
+    def test_one_pool_for_the_grid(self, runs):
+        assert runs[2]["report"].completed == 4 and runs[2]["report"].failed == 0
+        assert runs["pools"] == [2]
+
+    def test_stored_renders_equal_serial(self, runs):
+        for concurrency in (1, 2):
+            results = runs[concurrency]["results"]
+            assert all(r.meta["engine"]["workers"] == concurrency for r in results)
+        assert [render_text(r) for r in runs[2]["results"]] == [
+            render_text(r) for r in runs[1]["results"]
+        ]
+
+    def test_no_worker_outlives_the_campaign(self, runs):
+        assert runs[2]["children"] == []
+
+
+def _nan_cell(text):
+    payload = json.loads(text)
+    payload["series"][0]["rows"][0][0] = float("nan")
+    return json.dumps(payload)
+
+
+def _object_cell(text):
+    payload = json.loads(text)
+    payload["series"][0]["rows"][0][0] = {"nested": 1}
+    return json.dumps(payload)
+
+
+class TestCorruptEntry:
+    """A store hit is fully decoded and validated, so a damaged document is recomputed."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("stored")
+        assert api.run_campaign(toy_spec(), store=root, concurrency=1).completed == 4
+        return root
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: text[: len(text) // 2], _nan_cell, _object_cell],
+        ids=["invalid-json", "nan-cell", "object-cell"],
+    )
+    def test_damaged_document_is_recomputed(self, stored, tmp_path, damage):
+        root = tmp_path / "store"
+        shutil.copytree(stored, root)
+        victim = toy_spec().jobs()[2]
+        path = ResultStore(root).path(victim.digest)
+        original = ResultStore(stored).get(victim.digest)
+        path.write_text(damage(path.read_text()))
+
+        report = api.run_campaign(toy_spec(), store=root, concurrency=1)
+        assert [o.status for o in report.outcomes] == ["cached", "cached", "completed", "cached"]
+        assert report.store_stats["corrupt"] == 1
+        assert render_text(ResultStore(root).get(victim.digest)) == render_text(original)
 
 
 class TestReport:

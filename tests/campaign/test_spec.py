@@ -201,10 +201,11 @@ class TestSerialization:
 
 class TestDigestInjectivity:
     def test_audit_accepts_defaults_and_tuples(self):
-        audit_snapshot_roundtrip(ExperimentConfig())
-        audit_snapshot_roundtrip(
-            ExperimentConfig(snr_db_range=(3, 9), arrival_rate=0.7)
-        )
+        for config in (
+            ExperimentConfig(),
+            ExperimentConfig(snr_db_range=(3, 9), arrival_rate=0.7),
+        ):
+            audit_snapshot_roundtrip(config, config.snapshot())
 
     def test_distinct_configs_distinct_digests(self):
         base = ExperimentConfig(runs=1, packets_per_run=2)
@@ -215,7 +216,7 @@ class TestDigestInjectivity:
             base.with_overrides(arrival_rate=0.7),
             base.with_overrides(mac_policy="scheduled"),
         ]
-        digests = {job_digest("alice-bob", False, cfg) for cfg in variants}
+        digests = {job_digest("alice-bob", False, cfg.snapshot()) for cfg in variants}
         assert len(digests) == len(variants)
 
     def test_digest_payload_carries_schema_tag(self):
@@ -233,4 +234,4 @@ class TestDigestInjectivity:
         expected = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()
-        assert job_digest("alice-bob", False, cfg) == expected
+        assert job_digest("alice-bob", False, cfg.snapshot()) == expected

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fnmatch
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,22 @@ def numpy_pin_note(version: str = np.__version__) -> str:
         f"numpy {version} is outside the {pin} pin of requirements.txt, and a "
         "numpy feature release may change Generator streams (NEP 19): rerun "
         "under the pinned numpy before reading this as a regression"
+    )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves worker processes running.
+
+    An engine with ``workers > 1`` keeps its process pool until it is
+    closed; a test that forgets to close it would leave the pool's
+    workers alive for the rest of the session.
+    """
+    yield
+    leaked = multiprocessing.active_children()
+    assert not leaked, (
+        f"the test left {len(leaked)} worker process(es) running; "
+        "close its ExperimentEngine (use it in a with block)"
     )
 
 

@@ -1,9 +1,12 @@
 """Tests for the experiment configuration."""
 
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 
+from repro.channel.impairments import ImpairmentConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 
@@ -162,3 +165,69 @@ class TestSnapshotRoundTrip:
     def test_unknown_snapshot_key_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_snapshot({"bogus": 1})
+
+
+def _asdict_snapshot(config):
+    """The ``dataclasses.asdict`` construction ``snapshot()`` used to run."""
+    payload = asdict(config)
+    if config.impairments == ImpairmentConfig():
+        payload.pop("impairments")
+    for knob, default in (("arrival_rate", 0.0), ("sim_duration", 0.0), ("mac_policy", "csma")):
+        if payload[knob] == default:
+            payload.pop(knob)
+    return payload
+
+
+def _snapshot_cases():
+    """Every config shape a snapshot is taken of, with a readable id."""
+    from repro.cli import _config_from_args, build_parser
+    from repro.experiments import REGISTRY
+
+    cases = [("default", ExperimentConfig()), ("quick", ExperimentConfig.quick())]
+    for name in sorted(REGISTRY):
+        for flags in ([], ["--quick"]):
+            args = build_parser().parse_args([name, *flags])
+            cases.append((f"cli:{name}{''.join(flags)}", _config_from_args(args)))
+    for label, impairments in (
+        ("cfo", ImpairmentConfig(sender_cfo=0.02)),
+        ("rician-drift", ImpairmentConfig(fading="rician", rician_k_db=3.0,
+                                          fading_mode="drift", fading_doppler=0.01)),
+        ("drift-only", ImpairmentConfig(fading_mode="drift")),
+    ):
+        cases.append((f"impairments:{label}", ExperimentConfig(impairments=impairments)))
+    cases += [
+        ("arrival_rate", ExperimentConfig(arrival_rate=0.7)),
+        ("sim_duration", ExperimentConfig(sim_duration=123.0)),
+        ("mac_policy", ExperimentConfig(mac_policy="scheduled")),
+        ("every-knob", ExperimentConfig.quick().with_overrides(
+            snr_db_range=(3, 9), impairments=ImpairmentConfig(fading="rayleigh"),
+            arrival_rate=1.2, sim_duration=48.0, mac_policy="scheduled")),
+    ]
+    return [pytest.param(config, id=label) for label, config in cases]
+
+
+class TestSnapshotMatchesAsdict:
+    """``snapshot()`` builds its dict by hand; it must equal the old ``asdict`` payload.
+
+    Engine trial digests, campaign job digests and result snapshots are all
+    taken from it, so the dict, its key order, its value types and its
+    ``json.dumps`` bytes must not move.
+    """
+
+    @pytest.mark.parametrize("config", _snapshot_cases())
+    def test_same_payload(self, config):
+        reference = _asdict_snapshot(config)
+        snapshot = config.snapshot()
+        assert snapshot == reference
+        assert list(snapshot) == list(reference)
+        # repr tells tuples from lists and ints from floats.
+        assert repr(snapshot) == repr(reference)
+        assert json.dumps(snapshot) == json.dumps(reference)
+        assert json.dumps(snapshot, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+    def test_snapshot_is_a_fresh_dict(self):
+        config = ExperimentConfig(impairments=ImpairmentConfig(sender_cfo=0.02))
+        first = config.snapshot()
+        first["impairments"]["sender_cfo"] = 0.0
+        first.pop("seed")
+        assert config.snapshot() == _asdict_snapshot(config)

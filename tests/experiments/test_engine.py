@@ -13,7 +13,11 @@ Covers the three guarantees the experiment runners rely on:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ import pytest
 from repro import api
 from repro.exceptions import ConfigurationError
 from repro.experiments.alice_bob import run_alice_bob_experiment, run_alice_bob_trial
+from repro.experiments import engine as engine_module
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, _key_token, default_engine
 from repro.experiments.runner import REGISTRY
@@ -43,6 +48,11 @@ def _echo_trial(cfg: ExperimentConfig, key, scale: float = 1.0):
 def _failing_trial(cfg: ExperimentConfig, key: int) -> float:
     """Toy trial that always raises."""
     raise RuntimeError(f"trial {key} exploded")
+
+
+def _exit_worker(cfg: ExperimentConfig, key: int) -> float:
+    """Toy trial that kills the worker process running it."""
+    os._exit(1)
 
 
 def _none_trial(cfg: ExperimentConfig, key: int) -> None:
@@ -83,8 +93,9 @@ class TestMapBasics:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_trial_errors_propagate(self, quick_config, workers):
-        with pytest.raises(RuntimeError, match="exploded"):
-            ExperimentEngine(workers=workers).map("toy", _failing_trial, quick_config, range(2))
+        with ExperimentEngine(workers=workers) as engine:
+            with pytest.raises(RuntimeError, match="exploded"):
+                engine.map("toy", _failing_trial, quick_config, range(2))
 
     def test_stats_recorded(self, quick_config):
         engine = ExperimentEngine()
@@ -106,14 +117,14 @@ class TestSerialParallelEquivalence:
         serial = ExperimentEngine(workers=1).map(
             "toy", _draw_trial, quick_config, range(6)
         )
-        parallel = ExperimentEngine(workers=2).map(
-            "toy", _draw_trial, quick_config, range(6)
-        )
+        with ExperimentEngine(workers=2) as engine:
+            parallel = engine.map("toy", _draw_trial, quick_config, range(6))
         assert serial == parallel
 
     def test_alice_bob_report_bit_identical(self, quick_config):
         serial = run_alice_bob_experiment(quick_config, engine=ExperimentEngine(workers=1))
-        parallel = run_alice_bob_experiment(quick_config, engine=ExperimentEngine(workers=2))
+        with ExperimentEngine(workers=2) as engine:
+            parallel = run_alice_bob_experiment(quick_config, engine=engine)
         # Exact equality, not approx: parallel execution must reproduce the
         # serial result tables bit for bit.
         assert serial == parallel
@@ -122,7 +133,8 @@ class TestSerialParallelEquivalence:
     def test_sir_sweep_bit_identical(self, quick_config):
         kwargs = dict(sir_db_values=(-3.0, 1.0), packets_per_point=2)
         serial = sir_points(quick_config, engine=ExperimentEngine(workers=1), **kwargs)
-        parallel = sir_points(quick_config, engine=ExperimentEngine(workers=2), **kwargs)
+        with ExperimentEngine(workers=2) as engine:
+            parallel = sir_points(quick_config, engine=engine, **kwargs)
         assert serial == parallel
 
 
@@ -131,8 +143,8 @@ class TestDispatch:
 
     def test_parallel_run_matches_serial_and_caches_per_trial(self, quick_config, tmp_path):
         reference = ExperimentEngine().map("toy", _draw_trial, quick_config, range(7))
-        parallel = ExperimentEngine(workers=2, cache_dir=tmp_path)
-        assert parallel.map("toy", _draw_trial, quick_config, range(7)) == reference
+        with ExperimentEngine(workers=2, cache_dir=tmp_path) as parallel:
+            assert parallel.map("toy", _draw_trial, quick_config, range(7)) == reference
         assert parallel.last_stats.executed_trials == 7
         # A serial engine reuses every trial the pool wrote.
         resumed = ExperimentEngine(cache_dir=tmp_path)
@@ -163,6 +175,33 @@ class TestDispatch:
             return key
 
         assert ExperimentEngine(workers=2).map("toy", _local, quick_config, [5]) == [5]
+
+    def test_one_pool_across_calls_until_closed(self, quick_config, monkeypatch):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", CountingPool)
+        reference = ExperimentEngine().map("toy", _draw_trial, quick_config, range(3))
+        with ExperimentEngine(workers=2) as engine:
+            for _ in range(3):
+                assert engine.map("toy", _draw_trial, quick_config, range(3)) == reference
+            assert pools == [2] and multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
+        # A closed engine starts a new pool when it is used again.
+        with engine:
+            assert engine.map("toy", _draw_trial, quick_config, range(3)) == reference
+        assert pools == [2, 2] and multiprocessing.active_children() == []
+
+    def test_broken_pool_is_replaced(self, quick_config):
+        reference = ExperimentEngine().map("toy", _draw_trial, quick_config, range(3))
+        with ExperimentEngine(workers=2) as engine:
+            with pytest.raises(BrokenProcessPool):
+                engine.map("toy", _exit_worker, quick_config, range(2))
+            assert engine.map("toy", _draw_trial, quick_config, range(3)) == reference
 
 
 class TestResume:

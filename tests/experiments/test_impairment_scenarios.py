@@ -261,7 +261,6 @@ class TestScenarioRuns:
         from repro.experiments.engine import ExperimentEngine
 
         serial = api.run("cfo_sweep", config=TINY, quick=True)
-        parallel = api.run(
-            "cfo_sweep", config=TINY, engine=ExperimentEngine(workers=2), quick=True
-        )
+        with ExperimentEngine(workers=2) as engine:
+            parallel = api.run("cfo_sweep", config=TINY, engine=engine, quick=True)
         assert serial.get_series("cells").rows == parallel.get_series("cells").rows

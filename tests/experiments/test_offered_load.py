@@ -79,12 +79,8 @@ class TestTrials:
 class TestEngineParity:
     def test_serial_and_parallel_results_identical(self):
         serial = api.run("offered_load_sweep", config=SHORT, quick=True)
-        parallel = api.run(
-            "offered_load_sweep",
-            config=SHORT,
-            engine=ExperimentEngine(workers=2),
-            quick=True,
-        )
+        with ExperimentEngine(workers=2) as engine:
+            parallel = api.run("offered_load_sweep", config=SHORT, engine=engine, quick=True)
         a, b = serial.to_dict(), parallel.to_dict()
         assert a["series"] == b["series"]
         assert a["scalars"] == b["scalars"]

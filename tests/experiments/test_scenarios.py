@@ -93,7 +93,8 @@ class TestEngineIntegration:
     def test_parallel_equals_serial(self):
         spec = CHAIN_SWEEP
         serial = run_scenario(spec, TINY, engine=ExperimentEngine(workers=1), quick=True)
-        parallel = run_scenario(spec, TINY, engine=ExperimentEngine(workers=2), quick=True)
+        with ExperimentEngine(workers=2) as engine:
+            parallel = run_scenario(spec, TINY, engine=engine, quick=True)
         assert serial == parallel
 
     def test_cache_resume(self, tmp_path):

@@ -72,11 +72,8 @@ def test_scalar_run_matches_golden(name, numpy_pin):
 def test_parallel_run_matches_golden(name, numpy_pin):
     """The process-pool path (two workers) must match too."""
     fixture = _load_fixture(name)
-    result = api.run(
-        EXPERIMENTS[name],
-        config=_fixture_config(fixture),
-        engine=ExperimentEngine(workers=2),
-    )
+    with ExperimentEngine(workers=2) as engine:
+        result = api.run(EXPERIMENTS[name], config=_fixture_config(fixture), engine=engine)
     assert render_text(result) == fixture["render"], (
         f"{name} parallel run drifted from the golden rendering: worker "
         f"processes must be invisible in results ({numpy_pin()})"
@@ -110,9 +107,8 @@ def test_scenario_parallel_run_matches_golden(scenario, numpy_pin):
     """Worker fan-out must be invisible: same series, scalars and digest."""
     fixture = _scenario_fixture(scenario)
     config = ExperimentConfig(**fixture["config"])
-    result = api.run(
-        scenario, config=config, engine=ExperimentEngine(workers=2), quick=True
-    )
+    with ExperimentEngine(workers=2) as engine:
+        result = api.run(scenario, config=config, engine=engine, quick=True)
     payload = result.to_dict()
     assert payload["series"] == fixture["series"], numpy_pin()
     assert payload["scalars"] == fixture["scalars"], numpy_pin()

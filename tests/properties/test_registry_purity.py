@@ -28,11 +28,11 @@ from repro.experiments import ExperimentConfig, ExperimentEngine
 from repro.results import render_text
 
 workers, names = int(sys.argv[1]), sys.argv[2:]
-engine = ExperimentEngine(workers=workers)
 digests = {}
-for name in names:
-    result = api.run(name, config=ExperimentConfig.quick(), engine=engine, quick=True)
-    digests[name] = hashlib.sha256(render_text(result).encode()).hexdigest()
+with ExperimentEngine(workers=workers) as engine:
+    for name in names:
+        result = api.run(name, config=ExperimentConfig.quick(), engine=engine, quick=True)
+        digests[name] = hashlib.sha256(render_text(result).encode()).hexdigest()
 print(json.dumps(digests))
 """
 

@@ -187,8 +187,7 @@ def _move_reference(name, base):
 class TestDeprecationShims:
     def test_parallel_equals_serial_through_facade(self):
         serial = api.run("chain_sweep", config=TINY, quick=True)
-        parallel = api.run(
-            "chain_sweep", config=TINY, engine=ExperimentEngine(workers=2), quick=True
-        )
+        with ExperimentEngine(workers=2) as engine:
+            parallel = api.run("chain_sweep", config=TINY, engine=engine, quick=True)
         assert render_text(serial) == render_text(parallel)
         assert serial.get_series("cells") == parallel.get_series("cells")

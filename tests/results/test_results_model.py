@@ -6,6 +6,11 @@ machine-readable exports: ``from_dict(to_dict(r)) == r`` and
 not just the ones today's experiments produce.
 """
 
+import math
+from collections import namedtuple
+from collections.abc import Mapping
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +21,8 @@ from repro.results.model import (
     ExperimentResult,
     Record,
     Series,
+    _is_cell,
+    _jsonify,
     config_digest,
 )
 
@@ -243,3 +250,103 @@ class TestExperimentResult:
             ExperimentResult.from_json("not json")
         with pytest.raises(ConfigurationError):
             ExperimentResult.from_json("[1, 2]")
+
+
+# ----------------------------------------------------------------------
+# The exact-type fast paths accept and reject what the isinstance chain did
+# ----------------------------------------------------------------------
+def _reference_is_cell(value):
+    """``_is_cell`` as it was before its exact-type checks."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return value is None or isinstance(value, (bool, int, str))
+
+
+def _reference_jsonify(value):
+    """``_jsonify`` as it was before its exact-type checks."""
+    if isinstance(value, Mapping):
+        return {str(key): _reference_jsonify(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonify(item) for item in value]
+    if _reference_is_cell(value):
+        return value
+    raise ConfigurationError(f"not a JSON value: {value!r}")
+
+
+_Pair = namedtuple("_Pair", "low high")
+
+#: Each value and whether it is a finite JSON scalar cell.
+CELL_CASES = [
+    pytest.param(1.5, True, id="float"),
+    pytest.param(np.float64(0.25), True, id="np.float64"),
+    pytest.param(np.float64("nan"), False, id="np.float64-nan"),
+    pytest.param(np.int64(3), False, id="np.int64"),
+    pytest.param(np.bool_(True), False, id="np.bool_"),
+    pytest.param(True, True, id="bool"),
+    pytest.param(7, True, id="int"),
+    pytest.param("text", True, id="str"),
+    pytest.param(None, True, id="None"),
+    pytest.param(float("nan"), False, id="nan"),
+    pytest.param(float("inf"), False, id="inf"),
+    pytest.param(-float("inf"), False, id="-inf"),
+    pytest.param((1, 2), False, id="tuple"),
+    pytest.param([1, 2], False, id="list"),
+    pytest.param({"a": 1}, False, id="dict"),
+    pytest.param(Record(("a",), (1,)), False, id="Record"),
+    pytest.param(object(), False, id="object"),
+]
+
+
+class TestExactTypeFastPaths:
+    @pytest.mark.parametrize("value, is_cell", CELL_CASES)
+    def test_is_cell_answers_as_before(self, value, is_cell):
+        assert _is_cell(value) is is_cell
+        assert _reference_is_cell(value) is is_cell
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(
+                {"range": (1.0, 2.0), "n": 3, "ok": True, "none": None}, id="dict-of-tuple"
+            ),
+            pytest.param([(1, 2), [3.5, "x"], ()], id="nested-sequences"),
+            pytest.param(_Pair(0.1, 0.9), id="namedtuple"),
+            pytest.param(Record(("a", "b"), (1, 2.5)), id="Record"),
+            pytest.param({"rows": [Record(("a",), (np.float64(0.5),))]}, id="Record-in-dict"),
+            pytest.param({1: "int key", 2.5: "float key"}, id="non-str-keys"),
+            pytest.param(np.float64(0.25), id="np.float64"),
+            pytest.param(True, id="bool"),
+        ],
+    )
+    def test_jsonify_accepts_as_before(self, value):
+        converted = _jsonify(value)
+        reference = _reference_jsonify(value)
+        assert converted == reference
+        assert repr(converted) == repr(reference)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(float("nan"), id="nan"),
+            pytest.param({"x": float("inf")}, id="inf-in-dict"),
+            pytest.param([1, (2, float("nan"))], id="nan-in-tuple"),
+            pytest.param(np.int64(3), id="np.int64"),
+            pytest.param({"x": np.float64("nan")}, id="np.float64-nan"),
+            pytest.param(Record(("a",), (float("nan"),)), id="nan-in-Record"),
+            pytest.param({"x": {1, 2}}, id="set"),
+            pytest.param(object(), id="object"),
+        ],
+    )
+    def test_jsonify_rejects_as_before(self, value):
+        with pytest.raises(ConfigurationError):
+            _reference_jsonify(value)
+        with pytest.raises(ConfigurationError):
+            _jsonify(value)
+
+    @pytest.mark.parametrize("value, is_cell", CELL_CASES)
+    def test_series_cells_follow_is_cell(self, value, is_cell):
+        if is_cell:
+            assert Series(name="t", columns=("a",), rows=((value,),)).rows == ((value,),)
+        else:
+            with pytest.raises(ConfigurationError):
+                Series(name="t", columns=("a",), rows=((value,),))

@@ -102,3 +102,43 @@ class TestMatching:
         solutions = phase_solutions(np.array([1 + 0j]), 1.0, 0.8)
         with pytest.raises(DecodingError):
             match_phase_differences(solutions, np.array([]))
+
+
+def _mod_wrap(angle):
+    wrapped = np.mod(angle + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(np.abs(wrapped + np.pi) <= 1e-8 + 1e-5 * np.pi, np.pi, wrapped)
+
+
+def reference_match(solutions, known):
+    """Eq. 8 written out: every candidate wrapped with ``np.mod``, then selected."""
+    theta = np.stack([solutions.theta1, solutions.theta2])
+    phi = np.stack([solutions.phi1, solutions.phi2])
+    delta_theta = _mod_wrap(theta[:, None, 1:] - theta[None, :, :-1]).reshape(4, -1)
+    delta_phi = _mod_wrap(phi[:, None, 1:] - phi[None, :, :-1]).reshape(4, -1)
+    errors = np.abs(_mod_wrap(delta_theta - known[None, :]))
+    best = np.argmin(errors, axis=0)
+    columns = np.arange(known.size)
+    return delta_phi[best, columns], delta_theta[best, columns], errors[best, columns]
+
+
+class TestMatchesReference:
+    """Every output of the matcher equals the written-out Eq. 8 byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_outputs_equal_reference(self, seed):
+        rng = np.random.default_rng([29, seed])
+        bits_a = random_bits(1050, rng)
+        bits_b = random_bits(1050, rng)
+        amplitude_b = (0.5, 0.8, 1.0, 1.3, 0.7, 0.95)[seed]
+        composite = _collide_msk(
+            bits_a, bits_b, amplitude_b=amplitude_b, noise=(0.0, 1e-3, 5e-2)[seed % 3],
+            seed=seed,
+        )
+        solutions = phase_solutions(composite, 1.0, amplitude_b)
+        known = expected_phase_differences(bits_a)
+        result = match_phase_differences(solutions, known)
+        phi, theta, errors = reference_match(solutions, known)
+        assert result.unknown_differences.tobytes() == phi.tobytes()
+        assert result.known_differences_selected.tobytes() == theta.tobytes()
+        assert result.match_errors.tobytes() == errors.tobytes()
+        assert result.bits.tobytes() == (phi >= 0).astype(np.uint8).tobytes()

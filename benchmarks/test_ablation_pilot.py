@@ -16,7 +16,7 @@ from repro.exceptions import SynchronizationError
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
 from repro.framing.pilot import PilotSequence
-from repro.modulation.msk import MSKModulator
+from repro.modulation.msk import MSKDemodulator, MSKModulator
 
 PILOT_LENGTHS = (8, 16, 32, 64)
 TRIALS = 80
@@ -29,6 +29,7 @@ def _misalignment_rate(pilot_length: int, seed: int = 9) -> float:
     pilot = PilotSequence(length=pilot_length)
     framer = Framer(pilot=pilot)
     modulator = MSKModulator()
+    demodulator = MSKDemodulator()
     failures = 0
     for _ in range(TRIALS):
         packet = Packet.random(1, 2, int(rng.integers(0, 60000)), PAYLOAD, rng)
@@ -39,7 +40,9 @@ def _misalignment_rate(pilot_length: int, seed: int = 9) -> float:
                     noise_power=NOISE)
         received = superpose([(wave.padded(lead_in, 20), link, 0)], link.noise_power, rng, 0)
         try:
-            result = align_known_frame(received, pilot=pilot, max_pilot_errors=1)
+            result = align_known_frame(
+                demodulator.demodulate(received), pilot=pilot, max_pilot_errors=1
+            )
         except SynchronizationError:
             failures += 1
             continue

@@ -1,10 +1,10 @@
 """Alignment of the known signal in a collision (§7.2).
 
 A collision is never perfectly synchronised: the first packet's head and
-the second packet's tail are interference-free.  ``align_known_frame``
-demodulates the interference-free head with standard MSK, searches for
-the protocol pilot, and returns the sample offset at which the first
-frame starts.
+the second packet's tail are interference-free.  The receiver demodulates
+the interference-free head with standard MSK; ``align_known_frame``
+searches those bits for the protocol pilot and returns the sample offset
+at which the first frame starts.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 
 from repro.exceptions import SynchronizationError
 from repro.framing.pilot import PilotSequence, find_pilot
-from repro.modulation.msk import MSKDemodulator
-from repro.signal.samples import ComplexSignal
 
 #: How many demodulated bits of the interference-free head (or tail) are
 #: searched for the pilot.
@@ -31,32 +29,29 @@ class AlignmentResult:
     Attributes
     ----------
     frame_start_sample:
-        Index of the frame's reference sample within the received stream.
-    pilot_bit_index:
-        Bit index (within the demodulated head) at which the pilot was found.
-    head_bits:
-        The bits demodulated from the interference-free head (diagnostic).
+        Index of the frame's reference sample within the received stream
+        (also the bit index at which the pilot was found).
     """
 
     frame_start_sample: int
-    pilot_bit_index: int
-    head_bits: np.ndarray
 
 
 def align_known_frame(
-    received: ComplexSignal,
+    head_bits: np.ndarray,
     pilot: Optional[PilotSequence] = None,
     max_pilot_errors: int = 4,
 ) -> AlignmentResult:
     """Find where the first frame starts by locating the pilot in the clean head.
 
-    The first :data:`PILOT_SEARCH_BITS` demodulated bits are searched.
+    The first :data:`PILOT_SEARCH_BITS` of the demodulated bits are
+    searched.
 
     Parameters
     ----------
-    received:
-        The received sample stream, starting at (or before) the beginning
-        of the first packet.
+    head_bits:
+        :meth:`~repro.modulation.msk.MSKDemodulator.demodulate` of the
+        received sample stream, starting at (or before) the beginning of
+        the first packet; bits past :data:`PILOT_SEARCH_BITS` are ignored.
     pilot:
         The protocol pilot sequence (defaults to the standard 64-bit pilot).
     max_pilot_errors:
@@ -69,16 +64,9 @@ def align_known_frame(
         packet in this case (§7.2).
     """
     pilot_seq = pilot if pilot is not None else PilotSequence()
-    head = received.slice(0, min(len(received), PILOT_SEARCH_BITS + 1))
-    head_bits = MSKDemodulator().demodulate(head)
-    index = find_pilot(head_bits, pilot_seq, max_errors=max_pilot_errors)
+    index = find_pilot(head_bits[:PILOT_SEARCH_BITS], pilot_seq, max_errors=max_pilot_errors)
     if index is None:
         raise SynchronizationError("pilot sequence not found in the interference-free head")
     # With one sample per symbol, the bit at index k is carried by samples
     # (k, k + 1); the frame's reference sample is therefore at sample k.
-    return AlignmentResult(
-        frame_start_sample=int(index),
-        pilot_bit_index=int(index),
-        head_bits=head_bits,
-    )
-
+    return AlignmentResult(frame_start_sample=int(index))

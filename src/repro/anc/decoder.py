@@ -186,34 +186,36 @@ class InterferenceDecoder:
 
         diagnostics = DecodeDiagnostics(reversed_decode=reversed_decode)
         amplitude_a, amplitude_b = self._estimate_amplitudes(
-            samples, known_offset, known_end, unknown_offset, unknown_end, diagnostics
+            received, known_offset, known_end, unknown_offset, unknown_end, diagnostics
         )
 
-        known_diffs_full = expected_phase_differences(known_bits)
         bits = np.zeros(unknown_n_bits, dtype=np.uint8)
         match_errors = []
 
-        # Partition the unknown bit indices into maximal runs of
-        # "interfered" (both samples of the interval overlap the known
-        # frame) and "clean" intervals, and decode each run in one shot.
-        # The known frame is contiguous, so there are at most three runs.
-        n = unknown_offset + np.arange(unknown_n_bits)
-        interval_interfered = (n >= known_offset) & (n + 1 < known_end)
-        boundaries = (np.flatnonzero(np.diff(interval_interfered)) + 1).tolist()
-
-        for i, j in zip([0, *boundaries], [*boundaries, unknown_n_bits]):
+        # Bit i of the unknown frame is "interfered" when both samples of
+        # its interval, unknown_offset + i and + i + 1, lie in the known
+        # frame [known_offset, known_end).  The known frame is contiguous,
+        # so those bits form one run [lo, hi), with clean runs around it,
+        # and each run is decoded in one shot.
+        lo = min(max(known_offset - unknown_offset, 0), unknown_n_bits)
+        hi = max(min(known_end - 1 - unknown_offset, unknown_n_bits), lo)
+        for i, j, interfered in ((0, lo, False), (lo, hi, True), (hi, unknown_n_bits, False)):
+            if i == j:
+                continue
             first_sample = unknown_offset + i
             last_sample = unknown_offset + j  # inclusive end sample of the run
-            block = samples[first_sample : last_sample + 1]
-            if interval_interfered[i]:
-                known_indices = np.arange(first_sample, last_sample) - known_offset
-                known_diffs = known_diffs_full[known_indices]
+            block = received.slice(first_sample, last_sample + 1)
+            if interfered:
+                known_diffs = expected_phase_differences(
+                    known_bits[first_sample - known_offset : last_sample - known_offset]
+                )
                 solutions = phase_solutions(block, amplitude_a, amplitude_b)
                 result = match_phase_differences(solutions, known_diffs)
                 bits[i:j] = result.bits
                 match_errors.append(result.match_errors)
                 diagnostics.interfered_bits += j - i
             else:
+                block = block.samples
                 ratio = block[1:] * np.conj(block[:-1])
                 bits[i:j] = (np.angle(ratio) >= 0).astype(np.uint8)
                 diagnostics.clean_bits += j - i
@@ -235,7 +237,7 @@ class InterferenceDecoder:
     ) -> Tuple[np.ndarray, DecodeDiagnostics]:
         samples = received.samples
         total = samples.size
-        reversed_signal = ComplexSignal(samples[::-1])
+        reversed_signal = received.reversed()
         known_n_samples = known_bits.size + 1
         unknown_n_samples = unknown_n_bits + 1
         # In the reversed stream, a frame that occupied samples
@@ -263,7 +265,7 @@ class InterferenceDecoder:
     # ------------------------------------------------------------------
     def _estimate_amplitudes(
         self,
-        samples: np.ndarray,
+        received: ComplexSignal,
         known_offset: int,
         known_end: int,
         unknown_offset: int,
@@ -280,7 +282,8 @@ class InterferenceDecoder:
         if self.config.amplitude_method == "oracle":
             return self.config.amplitude_oracle
 
-        overlap = samples[overlap_start:overlap_end]
+        samples = received.samples
+        overlap = received.slice(overlap_start, overlap_end)
         head = samples[known_offset:unknown_offset]
         tail = samples[known_end:unknown_end]
         head_amplitude = (
@@ -296,7 +299,7 @@ class InterferenceDecoder:
 
     def _estimate_hybrid(
         self,
-        overlap: np.ndarray,
+        overlap: ComplexSignal,
         head_amplitude: Optional[float],
         tail_amplitude: Optional[float],
         diagnostics: DecodeDiagnostics,
@@ -329,7 +332,7 @@ class InterferenceDecoder:
 
     def _estimate_sigma(
         self,
-        overlap: np.ndarray,
+        overlap: ComplexSignal,
         head_amplitude: Optional[float],
         tail_amplitude: Optional[float],
         diagnostics: DecodeDiagnostics,
@@ -347,7 +350,7 @@ class InterferenceDecoder:
                 sigma=raw.sigma,
             )
         else:
-            hint = float(np.sqrt(np.mean(np.abs(overlap) ** 2) / 2.0))
+            hint = float(np.sqrt(mean_energy(overlap) / 2.0))
             estimate = estimate_amplitudes_with_known(overlap, hint)
         diagnostics.amplitude_estimate = estimate
         return estimate.amplitude_a, estimate.amplitude_b

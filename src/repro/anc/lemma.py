@@ -47,7 +47,11 @@ def interference_cosine(samples: SignalLike, amplitude_a: float, amplitude_b: fl
     """
     a = ensure_positive(amplitude_a, "amplitude_a")
     b = ensure_positive(amplitude_b, "amplitude_b")
-    y = _as_samples(samples)
+    return _cosine(_as_samples(samples), a, b)
+
+
+def _cosine(y: np.ndarray, a: float, b: float) -> np.ndarray:
+    """:func:`interference_cosine` of checked samples and amplitudes."""
     magnitude_sq = np.abs(y) ** 2
     raw = (magnitude_sq - a ** 2 - b ** 2) / (2.0 * a * b)
     return np.clip(raw, -1.0, 1.0)
@@ -125,13 +129,19 @@ def phase_solutions(
     if y.size == 0:
         empty = np.zeros(0, dtype=float)
         return PhaseSolutions(empty, empty, empty, empty, empty)
-    cosine = interference_cosine(y, a, b)
+    cosine = _cosine(y, a, b)
     sine = np.sqrt(np.maximum(1.0 - cosine ** 2, 0.0))
+    # The terms both branches share, each computed once:
+    # y * (a + b*D -/+ i*b*sine) and y * (b + a*D +/- i*a*sine).
+    theta_real = a + b * cosine
+    theta_turn = 1j * b * sine
+    phi_real = b + a * cosine
+    phi_turn = 1j * a * sine
     # Branch 1: sin(phi - theta) = +sine.
-    theta1 = np.angle(y * (a + b * cosine - 1j * b * sine))
-    phi1 = np.angle(y * (b + a * cosine + 1j * a * sine))
+    theta1 = np.angle(y * (theta_real - theta_turn))
+    phi1 = np.angle(y * (phi_real + phi_turn))
     # Branch 2: sin(phi - theta) = -sine.
-    theta2 = np.angle(y * (a + b * cosine + 1j * b * sine))
-    phi2 = np.angle(y * (b + a * cosine - 1j * a * sine))
+    theta2 = np.angle(y * (theta_real + theta_turn))
+    phi2 = np.angle(y * (phi_real - phi_turn))
     return PhaseSolutions(theta1=theta1, phi1=phi1, theta2=theta2, phi2=phi2, cosine=cosine)
 

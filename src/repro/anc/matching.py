@@ -86,21 +86,19 @@ def match_phase_differences(
     theta = np.stack([solutions.theta1, solutions.theta2])  # shape (2, N+1)
     phi = np.stack([solutions.phi1, solutions.phi2])
 
-    # Candidate differences for every (x, y) branch combination:
-    #   delta_theta[x, y, n] = theta_x[n + 1] - theta_y[n]
-    delta_theta = wrap_angle(theta[:, None, 1:] - theta[None, :, :-1])  # (2, 2, N)
-    delta_phi = wrap_angle(phi[:, None, 1:] - phi[None, :, :-1])
+    # Candidate differences for every (x, y) branch combination, flattened
+    # to row 2x + y:  delta_theta[2x + y, n] = theta_x[n + 1] - theta_y[n].
+    delta_theta = wrap_angle(theta[:, None, 1:] - theta[None, :, :-1]).reshape(4, n_intervals)
+    errors = np.abs(wrap_angle(delta_theta - known))  # (4, N)
+    best = np.argmin(errors, axis=0)
 
-    errors = np.abs(wrap_angle(delta_theta - known[None, None, :]))  # (2, 2, N)
-    flat_errors = errors.reshape(4, n_intervals)
-    best = np.argmin(flat_errors, axis=0)
-
-    flat_delta_phi = delta_phi.reshape(4, n_intervals)
-    flat_delta_theta = delta_theta.reshape(4, n_intervals)
-    columns = np.arange(n_intervals)
-    selected_phi = flat_delta_phi[best, columns]
-    selected_theta = flat_delta_theta[best, columns]
-    selected_errors = flat_errors[best, columns]
+    # Only the winning delta phi is sliced; wrapping is elementwise, so it
+    # is wrapped after the selection.
+    selected = best * n_intervals + np.arange(n_intervals)
+    delta_phi = phi[:, None, 1:] - phi[None, :, :-1]
+    selected_phi = wrap_angle(delta_phi.take(selected))
+    selected_theta = delta_theta.take(selected)
+    selected_errors = errors.take(selected)
 
     bits = (selected_phi >= 0).astype(np.uint8)
     return MatchResult(

@@ -41,7 +41,7 @@ from repro.framing.header import Header
 from repro.framing.packet import Packet
 from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
 from repro.modulation.msk import MSKDemodulator
-from repro.signal.energy import EnergyDetector, InterferenceDetector
+from repro.signal.energy import EnergyDetector, InterferenceDetector, power_profile
 from repro.signal.samples import ComplexSignal
 
 
@@ -117,23 +117,15 @@ class ReceivePipeline:
         self.energy_detector = EnergyDetector(self.noise_power)
         self.interference_detector = InterferenceDetector(self.noise_power)
         self._demodulator = MSKDemodulator()
-
-    # ------------------------------------------------------------------
-    # Frame geometry helpers
-    # ------------------------------------------------------------------
-    @property
-    def frame_bits(self) -> int:
-        """Number of bits in every frame of this network."""
-        return self.framer.frame_length(self.expected_payload_bits)
-
-    @property
-    def frame_samples(self) -> int:
-        """Number of complex samples each transmitted frame occupies."""
-        return self.frame_bits + 1
-
-    @property
-    def _header_region_bits(self) -> int:
-        return self.pilot.length + Header.ENCODED_LENGTH
+        #: Number of bits in every frame of this network.
+        self.frame_bits = self.framer.frame_length(self.expected_payload_bits)
+        #: Number of complex samples each transmitted frame occupies.
+        self.frame_samples = self.frame_bits + 1
+        self._header_region_bits = self.pilot.length + Header.ENCODED_LENGTH
+        # Samples of the clean head (or tail) of a collision demodulated
+        # once for both the pilot search and the header behind the pilot:
+        # a pilot found in the first PILOT_SEARCH_BITS bits ends by then.
+        self._edge_samples = PILOT_SEARCH_BITS + Header.ENCODED_LENGTH + 1
 
     # ------------------------------------------------------------------
     # Public entry point (Algorithm 1)
@@ -142,34 +134,37 @@ class ReceivePipeline:
         """Run the full receive chain on a raw waveform."""
         if len(waveform) == 0:
             return ReceiveResult(outcome=ReceiveOutcome.NO_SIGNAL, failure_reason="empty waveform")
-        detection = self.energy_detector.detect(waveform)
+        power = power_profile(waveform)
+        detection = self.energy_detector.detect(power)
         if not detection.detected:
             return ReceiveResult(outcome=ReceiveOutcome.NO_SIGNAL, failure_reason="no energy")
-        region = waveform.slice(detection.start_index, detection.end_index)
-        interfered = self._classify_interference(region)
-        if not interfered:
+        start, end = detection.start_index, detection.end_index
+        region = waveform.slice(start, end)
+        if not self._interfered(power[start:end]):
             return self._receive_clean(region)
         return self._receive_interfered(region)
 
-    def _classify_interference(self, region: ComplexSignal) -> bool:
+    def _interfered(self, region_power: np.ndarray) -> bool:
         """Run the variance detector on the interior of the detected region.
 
-        The first and last detector windows are excluded so that the
-        energy ramp at the packet edges (silence -> signal) is not mistaken
-        for a collision; only genuine superposition inside the packet
-        raises the interior energy variance.
+        ``region_power`` is the region's slice of the waveform's power
+        profile.  The first and last detector windows are excluded so
+        that the energy ramp at the packet edges (silence -> signal) is
+        not mistaken for a collision; only genuine superposition inside
+        the packet raises the interior energy variance.
         """
-        if len(region) > 4 * DETECTOR_WINDOW:
-            interior = region.slice(DETECTOR_WINDOW, len(region) - DETECTOR_WINDOW)
-        else:
-            interior = region
-        return self.interference_detector.detect(interior)
+        if region_power.size > 4 * DETECTOR_WINDOW:
+            region_power = region_power[DETECTOR_WINDOW:-DETECTOR_WINDOW]
+        return self.interference_detector.detect(region_power)
 
     # ------------------------------------------------------------------
     # Clean (non-interfered) path
     # ------------------------------------------------------------------
     def _receive_clean(self, region: ComplexSignal) -> ReceiveResult:
-        candidates = self._clean_frame_candidates(region)
+        # One demodulation of the whole region: bit k is carried by samples
+        # (k, k + 1), so the pilot search and every candidate frame slice it.
+        region_bits = self._demodulator.demodulate(region)
+        candidates = self._clean_frame_candidates(len(region), region_bits)
         if not candidates:
             return ReceiveResult(
                 outcome=ReceiveOutcome.FAILED,
@@ -178,10 +173,9 @@ class ReceivePipeline:
             )
         fallback: Optional[ReceiveResult] = None
         for start in candidates:
-            end = start + self.frame_samples
-            if end > len(region):
+            if start + self.frame_samples > len(region):
                 continue
-            bits = self._demodulator.demodulate(region.slice(start, end))
+            bits = region_bits[start : start + self.frame_bits]
             parsed = self.deframer.parse(bits)
             if parsed.packet is None:
                 if fallback is None:
@@ -213,7 +207,7 @@ class ReceivePipeline:
             failure_reason="received region shorter than one frame",
         )
 
-    def _clean_frame_candidates(self, region: ComplexSignal) -> list:
+    def _clean_frame_candidates(self, region_samples: int, region_bits: np.ndarray) -> list:
         """Candidate frame-start offsets for the clean (non-interfered) path.
 
         A snooping receiver can see more than one pilot in its head region
@@ -222,11 +216,13 @@ class ReceivePipeline:
         whose frame validates wins.
         """
         # A frame starting later than this cannot fit inside the region.
-        last_possible_start = max(0, len(region) - self.frame_samples)
-        head_samples = min(len(region), last_possible_start + self.pilot.length + 1)
-        head_bits = self._demodulator.demodulate(region.slice(0, head_samples))
+        last_possible_start = max(0, region_samples - self.frame_samples)
+        head_samples = min(region_samples, last_possible_start + self.pilot.length + 1)
         return find_all_pilots(
-            head_bits, self.pilot, max_errors=4, search_limit=last_possible_start
+            region_bits[: head_samples - 1],
+            self.pilot,
+            max_errors=4,
+            search_limit=last_possible_start,
         )
 
     # ------------------------------------------------------------------
@@ -377,49 +373,45 @@ class ReceivePipeline:
     def _decode_leading_header(self, region: ComplexSignal):
         """Align on the leading pilot and decode the first frame's header.
 
-        Returns ``(frame_start_sample, header_or_None)``.  Alignment
-        failure (no pilot) raises; a header that does not validate — e.g.
-        because the overlap reaches into it — yields ``None`` so the caller
-        can still proceed if the *other* frame is the known one.
+        One demodulation of the clean head serves the pilot search and the
+        header behind it.  Returns ``(frame_start_sample, header_or_None)``.
+        Alignment failure (no pilot) raises; a header that does not
+        validate — e.g. because the overlap reaches into it — yields
+        ``None`` so the caller can still proceed if the *other* frame is
+        the known one.
         """
-        alignment = align_known_frame(region, pilot=self.pilot)
-        start = alignment.frame_start_sample
-        needed = self._header_region_bits + 1
-        head = region.slice(start, start + needed)
-        if len(head) < needed:
-            return start, None
+        head = region.slice(0, min(len(region), self._edge_samples))
         bits = self._demodulator.demodulate(head)
-        header = Header.try_from_bits(bits[self.pilot.length : self._header_region_bits])
-        return start, header
+        start = align_known_frame(bits, pilot=self.pilot).frame_start_sample
+        return start, self._header_after_pilot(bits, start, len(region))
 
     def _decode_trailing_header(self, region: ComplexSignal):
         """Align on the trailing pilot and decode the second frame's header.
 
         The tail of the composite is interference-free and contains the
         second frame's mirrored pilot and header.  Demodulating the
-        time-reversed waveform and flipping the bits yields the second
-        frame's bits in back-to-front reading order, i.e. pilot first —
-        exactly the same structure the leading-header decoder sees.
-        Returns ``(forward_frame_start_sample, header_or_None)``.
+        time-reversed tail and flipping the bits yields the second frame's
+        bits in back-to-front reading order, i.e. pilot first — exactly
+        the same structure the leading-header decoder sees.  Returns
+        ``(forward_frame_start_sample, header_or_None)``.
         """
-        reversed_region = ComplexSignal(region.samples[::-1])
-        rev_start = self._align_backward(reversed_region)
+        samples = region.samples
+        tail = ComplexSignal(samples[max(0, len(samples) - self._edge_samples) :][::-1])
+        bits = (1 - self._demodulator.demodulate(tail)).astype(np.uint8)
+        rev_start = find_pilot(bits[:PILOT_SEARCH_BITS], self.pilot, max_errors=4)
+        if rev_start is None:
+            raise SynchronizationError("pilot not found in the interference-free tail")
         forward_start = len(region) - rev_start - self.frame_samples
         if forward_start < 0:
             raise SynchronizationError("trailing frame extends beyond the received region")
-        needed = self._header_region_bits + 1
-        tail = reversed_region.slice(rev_start, rev_start + needed)
-        if len(tail) < needed:
-            return forward_start, None
-        bits = (1 - self._demodulator.demodulate(tail)).astype(np.uint8)
-        header = Header.try_from_bits(bits[self.pilot.length : self._header_region_bits])
-        return forward_start, header
+        return forward_start, self._header_after_pilot(bits, rev_start, len(region))
 
-    def _align_backward(self, reversed_region: ComplexSignal) -> int:
-        """Find the second frame's start within the time-reversed waveform."""
-        head = reversed_region.slice(0, min(len(reversed_region), PILOT_SEARCH_BITS + 1))
-        bits = (1 - self._demodulator.demodulate(head)).astype(np.uint8)
-        index = find_pilot(bits, self.pilot, max_errors=4)
-        if index is None:
-            raise SynchronizationError("pilot not found in the interference-free tail")
-        return int(index)
+    def _header_after_pilot(self, bits: np.ndarray, start: int, region_samples: int):
+        """The header behind the pilot at bit ``start``, or ``None``.
+
+        ``None`` when the header runs past the region or does not validate.
+        """
+        header_end = start + self._header_region_bits
+        if header_end + 1 > region_samples:
+            return None
+        return Header.try_from_bits(bits[start + self.pilot.length : header_end])

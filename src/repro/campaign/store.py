@@ -21,11 +21,18 @@ code edit makes every stored job miss.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Union
 
 from repro.exceptions import ConfigurationError
-from repro.results.model import ExperimentResult
+from repro.results.model import ExperimentResult, _jsonify
 from repro.store import Stats, Store
+
+if TYPE_CHECKING:
+    from repro.campaign.spec import CampaignJob
+
+
+class JobMismatchError(ValueError):
+    """A valid result document stored under another job's digest."""
 
 
 def _decode(raw: bytes) -> ExperimentResult:
@@ -62,14 +69,28 @@ class ResultStore:
         """Filesystem path a digest's document lives at."""
         return self._store.path(digest)
 
-    def get(self, digest: str) -> Optional[ExperimentResult]:
+    def get(self, digest: str, job: Optional["CampaignJob"] = None) -> Optional[ExperimentResult]:
         """Load one stored result; ``None`` (a miss) when absent or corrupt.
 
         A document that is not UTF-8, not JSON or not a valid result is a
         logged, counted corrupt miss: the caller recomputes the job and
-        can never be handed a half-written or foreign file.
+        can never be handed a half-written or foreign file.  Given the
+        ``job`` the digest belongs to, a valid document whose experiment
+        or config is not that job's (one copied onto another job's path,
+        say) is corrupt in the same way.
         """
-        return self._store.get(digest, _decode)
+        if job is None:
+            return self._store.get(digest, _decode)
+        expected = _jsonify(job.config.snapshot())
+
+        def decode_job(raw: bytes) -> ExperimentResult:
+            """Decode one document and require it to be ``job``'s result."""
+            result = _decode(raw)
+            if result.name != job.experiment or result.config != expected:
+                raise JobMismatchError(f"stored document is not job {job.index}'s result")
+            return result
+
+        return self._store.get(digest, decode_job)
 
     def put(self, digest: str, result: ExperimentResult) -> bool:
         """Publish one result under its digest; ``False`` if already present.

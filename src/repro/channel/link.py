@@ -106,16 +106,24 @@ class Link:
         """
         samples = signal.samples
         if samples.size:
-            index = np.arange(samples.size)
+            # The phase is built and exponentiated in place; every complex
+            # product allocates, as the formulas above are written.
+            per_sample = self.phase_drift != 0.0 or self.frequency_offset != 0.0
+            if self.sender_cfo != 0.0 or per_sample:
+                index = np.arange(samples.size)
             if self.sender_cfo != 0.0:
-                samples = samples * np.exp(1j * (self.sender_cfo * index))
-            if self.phase_drift == 0.0 and self.frequency_offset == 0.0:
-                samples = samples * (self.attenuation * np.exp(1j * self.phase_shift))
-            else:
-                phase = self.phase_shift + self.frequency_offset * index
+                ramp = 1j * (self.sender_cfo * index)
+                samples = samples * np.exp(ramp, out=ramp)
+            if per_sample:
+                phase = self.frequency_offset * index
+                phase += self.phase_shift
                 if self.phase_drift > 0.0:
-                    phase = phase + np.cumsum(rng.normal(0.0, self.phase_drift, samples.size))
-                samples = samples * (self.attenuation * np.exp(1j * phase))
+                    drift = rng.normal(0.0, self.phase_drift, samples.size)
+                    phase += np.cumsum(drift, out=drift)
+                rotation = 1j * phase
+                samples = samples * (self.attenuation * np.exp(rotation, out=rotation))
+            else:
+                samples = samples * (self.attenuation * np.exp(1j * self.phase_shift))
             if self.fading != "none":
                 samples = samples * fading_gains(
                     self.fading,

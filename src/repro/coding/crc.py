@@ -76,7 +76,7 @@ class _BitwiseCRC:
     def append(self, bits) -> np.ndarray:
         """Return ``bits`` with the CRC appended."""
         data = as_bit_array(bits)
-        return np.concatenate([data, self.compute_bits(data)])
+        return np.concatenate([data, bits_from_int(self._register(data), self.spec.width)])
 
     def verify(self, bits_with_crc) -> bool:
         """Check a bit array whose last ``width`` bits are the CRC."""

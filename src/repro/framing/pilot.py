@@ -140,9 +140,9 @@ def _window_errors(decoded_bits, pilot: PilotSequence, search_limit: Optional[in
     """Bit errors against the pilot of every window starting at or below the limit.
 
     Entry ``i`` scores the window starting at bit ``i``; the array is empty
-    when the stream is shorter than the pilot.  A window of 0/1 bits
-    differs from the pilot in ``ones(window) + ones(pilot) - 2 * (1s they
-    share)`` places, all exact integer sums.
+    when the stream is shorter than the pilot.  A window ``w`` of 0/1 bits
+    differs from the pilot ``p`` in ``sum(w * (1 - 2p)) + sum(p)`` places
+    (``w XOR p = w + p - 2wp``), one exact integer correlation.
     """
     bits = as_bit_array(decoded_bits)
     length = pilot.length
@@ -151,9 +151,15 @@ def _window_errors(decoded_bits, pilot: PilotSequence, search_limit: Optional[in
         return np.zeros(0, dtype=np.intp)
     if search_limit is not None:
         last_start = min(last_start, max(int(search_limit), 0))
+    weights, ones = _pilot_weights(length, pilot.seed)
     head = bits[: last_start + length].astype(np.intp)
-    pattern = pilot.bits.astype(np.intp)
-    shared = np.correlate(head, pattern, mode="valid")
-    cumulative = np.concatenate(([0], np.cumsum(head)))
-    window_ones = cumulative[length:] - cumulative[:-length]
-    return window_ones - 2 * shared + int(pattern.sum())
+    return np.correlate(head, weights, mode="valid") + ones
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _pilot_weights(length: int, seed: int):
+    """``(1 - 2 * pilot, sum(pilot))`` as machine integers, for the window count."""
+    pattern = _pilot_bits(length, seed).astype(np.intp)
+    weights = 1 - 2 * pattern
+    weights.setflags(write=False)
+    return weights, int(pattern.sum())

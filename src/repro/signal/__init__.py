@@ -12,8 +12,7 @@ from repro.signal.energy import (
     EnergyDetector,
     InterferenceDetector,
     average_power,
-    energy_variance,
-    peak_power,
+    power_profile,
 )
 from repro.signal.noise import complex_gaussian_noise
 from repro.signal.ops import (
@@ -32,9 +31,8 @@ __all__ = [
     "average_power",
     "complex_gaussian_noise",
     "delay_signal",
-    "energy_variance",
     "normalize_power",
     "overlap_add",
-    "peak_power",
+    "power_profile",
     "scale_to_power",
 ]

@@ -10,7 +10,10 @@ Section 7.1 of the paper:
   information lives in the phase, while the sum of two MSK signals swings
   between ``(A+B)^2`` and ``(A-B)^2``.
 
-Both detectors operate over moving windows of received samples.
+Both detectors operate over moving windows of the per-sample energy
+``|s|^2`` (:func:`power_profile`); a receiver computes that profile once
+per waveform and hands the energy detector all of it and the variance
+detector the slice it judges.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.exceptions import DetectionError
 from repro.signal.samples import ComplexSignal
 from repro.utils.db import db_to_power_ratio
 from repro.utils.validation import ensure_positive
-from repro.utils.windows import moving_energy, moving_variance
+from repro.utils.windows import moving_average, moving_variance
 
 SignalLike = Union[ComplexSignal, np.ndarray]
 
@@ -48,20 +51,9 @@ def average_power(signal: SignalLike) -> float:
     return float(np.mean(np.abs(samples) ** 2))
 
 
-def peak_power(signal: SignalLike) -> float:
-    """Maximum per-sample energy of a signal."""
-    samples = _as_samples(signal)
-    if samples.size == 0:
-        return 0.0
-    return float(np.max(np.abs(samples) ** 2))
-
-
-def energy_variance(signal: SignalLike) -> float:
-    """Variance of per-sample energy — near zero for clean constant-envelope MSK."""
-    samples = _as_samples(signal)
-    if samples.size == 0:
-        return 0.0
-    return float(np.var(np.abs(samples) ** 2))
+def power_profile(signal: SignalLike) -> np.ndarray:
+    """Per-sample energy ``|s|^2``, the array both detectors read."""
+    return np.abs(_as_samples(signal)) ** 2
 
 
 @dataclass(frozen=True)
@@ -98,34 +90,29 @@ class EnergyDetector:
 
     def __init__(self, noise_power: float) -> None:
         self.noise_power = ensure_positive(noise_power, "noise_power")
+        #: Linear energy level above which a packet is declared.
+        self.threshold_power = self.noise_power * db_to_power_ratio(
+            PACKET_DETECTION_THRESHOLD_DB
+        )
 
-    @property
-    def threshold_power(self) -> float:
-        """Linear energy level above which a packet is declared."""
-        return self.noise_power * db_to_power_ratio(PACKET_DETECTION_THRESHOLD_DB)
+    def detect(self, power: np.ndarray) -> PacketDetection:
+        """Find the first contiguous region whose windowed energy exceeds the threshold.
 
-    def detect(self, signal: SignalLike) -> PacketDetection:
-        """Find the first contiguous region whose windowed energy exceeds the threshold."""
-        samples = _as_samples(signal)
-        if samples.size == 0:
+        ``power`` is the waveform's :func:`power_profile`.
+        """
+        if power.size == 0:
             raise DetectionError("cannot run packet detection on an empty signal")
-        energy = moving_energy(samples, DETECTOR_WINDOW)
-        above = energy > self.threshold_power
-        if not np.any(above):
+        indices = (moving_average(power, DETECTOR_WINDOW) > self.threshold_power).nonzero()[0]
+        if indices.size == 0:
             return PacketDetection(detected=False, start_index=None, end_index=None)
-        indices = np.nonzero(above)[0]
-        start = int(indices[0])
         # End of the packet: the last index of the first contiguous run of
         # "above" samples, extended through short dips (the window already
         # smooths most dips out).
-        gaps = np.nonzero(np.diff(indices) > DETECTOR_WINDOW)[0]
-        if gaps.size:
-            end = int(indices[gaps[0]]) + 1
-        else:
-            end = int(indices[-1]) + 1
+        gaps = (indices[1:] - indices[:-1] > DETECTOR_WINDOW).nonzero()[0]
+        end = int(indices[gaps[0] if gaps.size else -1]) + 1
         # Compensate for the trailing-window ramp-up: the packet actually
         # starts up to (window - 1) samples before the detection index.
-        start = max(0, start - (DETECTOR_WINDOW - 1))
+        start = max(0, int(indices[0]) - (DETECTOR_WINDOW - 1))
         return PacketDetection(detected=True, start_index=start, end_index=end)
 
 
@@ -145,17 +132,17 @@ class InterferenceDetector:
 
     def __init__(self, noise_power: float) -> None:
         self.noise_power = ensure_positive(noise_power, "noise_power")
+        #: Linear variance level above which interference is declared.
+        self.threshold_variance = self.noise_power * db_to_power_ratio(
+            INTERFERENCE_VARIANCE_THRESHOLD_DB
+        )
 
-    @property
-    def threshold_variance(self) -> float:
-        """Linear variance level above which interference is declared."""
-        return self.noise_power * db_to_power_ratio(INTERFERENCE_VARIANCE_THRESHOLD_DB)
+    def detect(self, power: np.ndarray) -> bool:
+        """Return ``True`` if the packet region shows collision-level energy variance.
 
-    def detect(self, signal: SignalLike) -> bool:
-        """Return ``True`` if the packet region shows collision-level energy variance."""
-        samples = _as_samples(signal)
-        if samples.size == 0:
+        ``power`` is the :func:`power_profile` of the region judged.
+        """
+        if power.size == 0:
             raise DetectionError("cannot run interference detection on an empty signal")
-        energy = np.abs(samples) ** 2
-        variance = moving_variance(energy, DETECTOR_WINDOW)
+        variance = moving_variance(power, DETECTOR_WINDOW)
         return bool(np.max(variance) > self.threshold_variance)

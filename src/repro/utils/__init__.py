@@ -8,8 +8,6 @@ CDFs used by the evaluation harness.
 
 from repro.utils.angles import (
     phase_difference,
-    principal_angle,
-    unwrap_phase,
     wrap_angle,
 )
 from repro.utils.bits import (
@@ -38,7 +36,7 @@ from repro.utils.validation import (
     ensure_positive,
     ensure_probability,
 )
-from repro.utils.windows import moving_average, moving_energy, moving_variance
+from repro.utils.windows import moving_average, moving_variance
 
 __all__ = [
     "EmpiricalCDF",
@@ -58,15 +56,12 @@ __all__ = [
     "hamming_distance",
     "linear_to_db",
     "moving_average",
-    "moving_energy",
     "moving_variance",
     "phase_difference",
     "pn_bits",
     "power_ratio_to_db",
-    "principal_angle",
     "random_bits",
     "snr_db_from_powers",
     "string_to_bits",
-    "unwrap_phase",
     "wrap_angle",
 ]

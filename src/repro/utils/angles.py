@@ -33,23 +33,26 @@ def wrap_angle(angle: ArrayLike) -> ArrayLike:
     float or numpy.ndarray
         The same angles mapped to the principal interval.
     """
-    wrapped = np.mod(np.asarray(angle, dtype=float) + np.pi, TWO_PI) - np.pi
+    values = np.asarray(angle, dtype=float)
+    shifted = values + np.pi
+    if values.size and -TWO_PI <= shifted.min() and shifted.max() < 2.0 * TWO_PI:
+        # np.mod(y, 2pi) for y in [-2pi, 4pi), operation for operation:
+        # fmod(y, 2pi) is y - 2pi from 2pi up (exact by Sterbenz's lemma)
+        # and y below, and a negative remainder gets 2pi added.
+        shifted = np.where(shifted >= TWO_PI, shifted - TWO_PI, shifted)
+        shifted = np.where(shifted < 0.0, shifted + TWO_PI, shifted)
+    else:
+        shifted = np.mod(shifted, TWO_PI)
+    wrapped = shifted - np.pi
     # np.mod maps exact multiples of 2*pi to -pi; keep +pi as the principal
     # representative so that wrap_angle(pi) == pi.  The test is exactly
     # np.isclose(wrapped, -pi) with its default tolerances, minus its
     # per-call set-up.
-    wrapped = np.where(np.abs(wrapped + np.pi) <= _NEAR_MINUS_PI, np.pi, wrapped)
-    if np.isscalar(angle) or np.ndim(angle) == 0:
-        return float(wrapped)
+    near_minus_pi = np.abs(wrapped + np.pi) <= _NEAR_MINUS_PI
+    if values.ndim == 0:
+        return float(np.pi if near_minus_pi else wrapped)
+    np.copyto(wrapped, np.pi, where=near_minus_pi)
     return wrapped
-
-
-def principal_angle(value: ArrayLike) -> ArrayLike:
-    """Return the principal argument of a complex value in ``(-pi, pi]``."""
-    ang = np.angle(np.asarray(value))
-    if np.isscalar(value) or np.ndim(value) == 0:
-        return float(ang)
-    return ang
 
 
 def phase_difference(later: ArrayLike, earlier: ArrayLike) -> ArrayLike:
@@ -59,12 +62,3 @@ def phase_difference(later: ArrayLike, earlier: ArrayLike) -> ArrayLike:
     difference decodes to a "1" bit and a negative difference to "0".
     """
     return wrap_angle(np.asarray(later, dtype=float) - np.asarray(earlier, dtype=float))
-
-
-def unwrap_phase(phases: np.ndarray) -> np.ndarray:
-    """Unwrap a sequence of wrapped phases into a continuous trajectory.
-
-    Thin wrapper around :func:`numpy.unwrap` kept here so that callers in
-    the library never import numpy's signal helpers directly.
-    """
-    return np.unwrap(np.asarray(phases, dtype=float))

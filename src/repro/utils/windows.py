@@ -1,9 +1,9 @@
 """Sliding-window statistics over sample streams.
 
 The packet detector and the interference detector of §7.1 both operate on
-moving windows of received complex samples: the former thresholds the
-windowed energy, the latter thresholds the windowed *variance* of the
-energy.  The helpers here compute those windowed statistics vectorised.
+moving windows of the received per-sample energy: the former thresholds
+its windowed mean, the latter the windowed *variance*.  The helpers here
+compute those windowed statistics vectorised.
 """
 
 from __future__ import annotations
@@ -42,21 +42,18 @@ def _trailing_means(buffer: np.ndarray, window: int) -> np.ndarray:
     the same order as ``np.cumsum(np.insert(values, 0, 0.0))``.  Entry
     ``i`` is then ``(c[i + 1] - c[max(i + 1 - window, 0)]) / min(i + 1,
     window)``; the first ``window`` entries skip subtracting ``c[0]``,
-    which is +0.0 and so changes no value.
+    which is +0.0 and so changes no value, and the rest divide by the
+    scalar ``window``, the same double as their count.
     """
     np.cumsum(buffer, axis=-1, out=buffer)
     n = buffer.shape[-1] - 1
     sums = buffer[..., 1:].copy()
     if window < n:
         sums[..., window:] -= buffer[..., 1 : n + 1 - window]
-    return sums / np.minimum(np.arange(1, n + 1), window)
-
-
-def moving_energy(samples: np.ndarray, window: int) -> np.ndarray:
-    """Moving average of ``|samples|^2`` (the windowed signal energy)."""
-    arr = np.asarray(samples)
-    _validate_window(window, arr.size)
-    return moving_average(np.abs(arr) ** 2, window)
+    head = min(window, n)
+    sums[..., :head] /= np.arange(1.0, head + 1.0)
+    sums[..., head:] /= window
+    return sums
 
 
 def moving_variance(values: np.ndarray, window: int) -> np.ndarray:
@@ -67,8 +64,9 @@ def moving_variance(values: np.ndarray, window: int) -> np.ndarray:
     buffer = np.empty((2, arr.size + 1))
     buffer[:, 0] = 0.0
     buffer[0, 1:] = arr
-    buffer[1, 1:] = arr ** 2
+    np.square(arr, out=buffer[1, 1:])
     mean, mean_sq = _trailing_means(buffer, window)
-    variance = mean_sq - mean ** 2
+    # variance = mean_sq - mean ** 2, computed in place.
+    variance = np.subtract(mean_sq, np.square(mean, out=mean), out=mean_sq)
     # Numerical noise can push the variance a hair below zero.
-    return np.maximum(variance, 0.0)
+    return np.maximum(variance, 0.0, out=variance)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.anc.alignment import align_known_frame
+from repro.anc.alignment import PILOT_SEARCH_BITS
+from repro.anc.alignment import align_known_frame as align
 from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.exceptions import SynchronizationError
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
-from repro.modulation.msk import MSKModulator
+from repro.modulation.msk import MSKDemodulator, MSKModulator
 
 
 def _frame_waveform(seed=0, payload=128, amplitude=1.0):
@@ -18,6 +19,10 @@ def _frame_waveform(seed=0, payload=128, amplitude=1.0):
     packet = Packet.random(1, 2, seed, payload, rng)
     frame = framer.build(packet)
     return frame, MSKModulator(amplitude=amplitude).modulate(frame.bits)
+
+
+def align_known_frame(received, **kwargs):
+    return align(MSKDemodulator().demodulate(received), **kwargs)
 
 
 class TestAlignKnownFrame:
@@ -48,3 +53,11 @@ class TestAlignKnownFrame:
         received = superpose([(wave.padded(15, 0), link, 0)], link.noise_power, rng, 0)
         assert align_known_frame(received).frame_start_sample == 15
 
+    def test_searches_only_the_first_pilot_search_bits(self):
+        frame, wave = _frame_waveform(seed=5)
+        noisy = superpose([(wave.padded(PILOT_SEARCH_BITS - 40, 0), Link(), 0)], 1e-4,
+                          np.random.default_rng(5), 0)
+        bits = MSKDemodulator().demodulate(noisy)
+        with pytest.raises(SynchronizationError):
+            align(bits)
+        assert align(bits[PILOT_SEARCH_BITS - 60 :]).frame_start_sample == 20

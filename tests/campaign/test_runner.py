@@ -14,6 +14,7 @@ from repro.cli import main
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.exceptions import ConfigurationError
+from repro.experiments.config import ExperimentConfig
 from repro.results.model import SCHEMA_VERSION, ExperimentResult
 from repro.results.render import render_text
 
@@ -257,6 +258,21 @@ class TestCorruptEntry:
         assert [o.status for o in report.outcomes] == ["cached", "cached", "completed", "cached"]
         assert report.store_stats["corrupt"] == 1
         assert render_text(ResultStore(root).get(victim.digest)) == render_text(original)
+
+    def test_document_of_another_job_is_recomputed(self, stored, tmp_path, caplog):
+        root = tmp_path / "store"
+        shutil.copytree(stored, root)
+        seed_1, seed_2 = toy_spec().jobs()[:2]
+        store = ResultStore(root)
+        shutil.copyfile(store.path(seed_1.digest), store.path(seed_2.digest))
+
+        report = api.run_campaign(toy_spec(), store=root, concurrency=1)
+        assert [o.status for o in report.outcomes] == ["cached", "completed", "cached", "cached"]
+        assert report.store_stats["corrupt"] == 1
+        assert "JobMismatchError" in caplog.text
+        stored_2 = ResultStore(root).get(seed_2.digest)
+        assert stored_2.seed == 2
+        assert ExperimentConfig.from_snapshot(stored_2.config) == seed_2.config
 
 
 class TestReport:

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.exceptions import ConfigurationError
 from repro.results.model import ExperimentResult
@@ -64,6 +65,23 @@ class TestBasics:
         assert not store.put(DIGEST, toy_result("second"))
         assert store.get(DIGEST).name == "first"
         assert store.stats.races == 1
+
+    def test_hit_must_hold_the_jobs_experiment_and_config(self, tmp_path):
+        job = CampaignSpec(
+            experiment="x", base={"runs": 1}, axes={"seed": (1, 2)}, name="own"
+        ).jobs()[0]
+        own = ExperimentResult(name="x", kind="figure", config=job.config.snapshot())
+        other_experiment = ExperimentResult(name="alice-bob", kind="figure", config=own.config)
+        other_config = ExperimentResult(name="x", kind="figure", config={**own.config, "seed": 2})
+        for index, foreign in enumerate((other_experiment, other_config)):
+            store = ResultStore(tmp_path / str(index))
+            store.put(job.digest, foreign)
+            assert store.get(job.digest) is not None
+            assert store.get(job.digest, job) is None
+            assert job.digest not in store
+            assert store.stats.corrupt == 1
+            store.put(job.digest, own)
+            assert store.get(job.digest, job).config == own.config
 
     def test_corrupt_document_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -32,7 +32,7 @@ PARAMETERS = {
     ReceivePipeline: ("noise_power", "expected_payload_bits", "known_frames"),
     NodeConfig: ("payload_bits", "noise_power"),
     SentPacketBuffer: (),
-    align_known_frame: ("received", "pilot", "max_pilot_errors"),
+    align_known_frame: ("head_bits", "pilot", "max_pilot_errors"),
     ChannelConditions: ("snr_db",),
 }
 

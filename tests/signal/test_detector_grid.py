@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.anc.pipeline import ReceivePipeline
+from repro.signal.energy import power_profile
 
 TESTS = Path(__file__).resolve().parents[1]
 FIXTURE = Path(__file__).with_name("detector_grid.json")
@@ -50,12 +51,12 @@ def decision(pipeline: ReceivePipeline, waveform):
     """``[start, end, interfered]`` of one waveform, as ``receive`` decides it."""
     if len(waveform) == 0:
         return "empty"
-    detection = pipeline.energy_detector.detect(waveform)
+    power = power_profile(waveform)
+    detection = pipeline.energy_detector.detect(power)
     if not detection.detected:
         return None
-    region = waveform.slice(detection.start_index, detection.end_index)
-    interfered = pipeline._classify_interference(region)
-    return [detection.start_index, detection.end_index, interfered]
+    start, end = detection.start_index, detection.end_index
+    return [start, end, pipeline._interfered(power[start:end])]
 
 
 def link_decisions(floor: float) -> list:

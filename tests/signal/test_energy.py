@@ -11,8 +11,7 @@ from repro.signal.energy import (
     EnergyDetector,
     InterferenceDetector,
     average_power,
-    energy_variance,
-    peak_power,
+    power_profile,
 )
 from repro.signal.ops import overlap_add
 from repro.signal.samples import ComplexSignal
@@ -30,22 +29,19 @@ class TestPowerHelpers:
     def test_average_power(self):
         assert average_power(ComplexSignal([2.0, 2.0j])) == pytest.approx(4.0)
 
-    def test_peak_power(self):
-        assert peak_power(ComplexSignal([1.0, 3.0j])) == pytest.approx(9.0)
-
-    def test_energy_variance_constant_envelope(self):
-        assert energy_variance(_msk_burst()) == pytest.approx(0.0, abs=1e-12)
-
     def test_empty_signal_zero(self):
         assert average_power(ComplexSignal.empty()) == 0.0
-        assert peak_power(ComplexSignal.empty()) == 0.0
-        assert energy_variance(ComplexSignal.empty()) == 0.0
+        assert power_profile(ComplexSignal.empty()).size == 0
 
     def test_helpers_accept_raw_sample_arrays(self):
         samples = np.array([1.0, 1j, -2.0])
         assert average_power(samples) == pytest.approx(2.0)
-        assert peak_power(samples) == pytest.approx(4.0)
-        assert energy_variance(samples) == pytest.approx(np.var([1.0, 1.0, 4.0]))
+        assert power_profile(samples).tolist() == [1.0, 1.0, 4.0]
+
+    def test_power_profile_is_abs_squared(self):
+        burst = _msk_burst(amplitude=0.7)
+        expected = np.abs(burst.samples) ** 2
+        assert power_profile(burst).tobytes() == expected.tobytes()
 
 
 class TestEnergyDetector:
@@ -54,7 +50,7 @@ class TestEnergyDetector:
         burst = _msk_burst()
         padded = burst.padded(50, 80)
         noisy = superpose([(padded, Link(), 0)], NOISE, rng, 0)
-        detection = EnergyDetector(noise_power=NOISE).detect(noisy)
+        detection = EnergyDetector(noise_power=NOISE).detect(power_profile(noisy))
         assert detection.detected
         assert abs(detection.start_index - 50) <= 16
         assert detection.end_index >= 50 + len(burst) - 16
@@ -62,7 +58,7 @@ class TestEnergyDetector:
     def test_no_packet_in_pure_noise(self):
         rng = np.random.default_rng(2)
         noise_only = superpose([], NOISE, rng, 400)
-        detection = EnergyDetector(noise_power=NOISE).detect(noise_only)
+        detection = EnergyDetector(noise_power=NOISE).detect(power_profile(noise_only))
         assert not detection.detected
         assert detection.length == 0
 
@@ -70,13 +66,13 @@ class TestEnergyDetector:
         rng = np.random.default_rng(1)
         burst = _msk_burst()
         noisy = superpose([(burst.padded(50, 80), Link(), 0)], NOISE, rng, 0)
-        detection = EnergyDetector(noise_power=NOISE).detect(noisy)
+        detection = EnergyDetector(noise_power=NOISE).detect(power_profile(noisy))
         assert detection.length == detection.end_index - detection.start_index
         assert abs(detection.length - len(burst)) <= 32
 
     def test_empty_signal_raises(self):
         with pytest.raises(DetectionError):
-            EnergyDetector(noise_power=NOISE).detect(ComplexSignal.empty())
+            EnergyDetector(noise_power=NOISE).detect(power_profile(ComplexSignal.empty()))
 
     def test_threshold_power_scales_with_noise(self):
         # 12 dB above the noise floor (PACKET_DETECTION_THRESHOLD_DB).
@@ -88,7 +84,7 @@ class TestInterferenceDetector:
     def test_clean_msk_not_flagged(self):
         rng = np.random.default_rng(3)
         noisy = superpose([(_msk_burst(), Link(), 0)], NOISE, rng, 0)
-        assert not InterferenceDetector(noise_power=NOISE).detect(noisy)
+        assert not InterferenceDetector(noise_power=NOISE).detect(power_profile(noisy))
 
     def test_collision_flagged(self):
         rng = np.random.default_rng(4)
@@ -96,8 +92,8 @@ class TestInterferenceDetector:
         b = _msk_burst(seed=11, amplitude=0.8)
         collision = overlap_add([(a, 0), (b, 40)])
         noisy = superpose([(collision, Link(), 0)], NOISE, rng, 0)
-        assert InterferenceDetector(noise_power=NOISE).detect(noisy)
+        assert InterferenceDetector(noise_power=NOISE).detect(power_profile(noisy))
 
     def test_empty_signal_raises(self):
         with pytest.raises(DetectionError):
-            InterferenceDetector(noise_power=NOISE).detect(ComplexSignal.empty())
+            InterferenceDetector(noise_power=NOISE).detect(power_profile(ComplexSignal.empty()))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.angles import phase_difference, unwrap_phase, wrap_angle
+from repro.utils.angles import phase_difference, wrap_angle
 
 
 class TestWrapAngle:
@@ -53,14 +53,6 @@ class TestPhaseDifference:
         earlier = np.array([0.0, 2.0])
         out = phase_difference(later, earlier)
         assert out == pytest.approx([0.5, -1.0])
-
-
-class TestUnwrapPhase:
-    def test_unwrap_recovers_ramp(self):
-        ramp = np.linspace(0, 8 * np.pi, 200)
-        wrapped = wrap_angle(ramp)
-        unwrapped = unwrap_phase(wrapped)
-        assert np.allclose(np.diff(unwrapped), np.diff(ramp), atol=1e-9)
 
 
 def reference_wrap_angle(angle):

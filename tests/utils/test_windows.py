@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.utils.windows import moving_average, moving_energy, moving_variance
+from repro.utils.windows import moving_average, moving_variance
 
 
 class TestMovingAverage:
@@ -30,19 +30,6 @@ class TestMovingAverage:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigurationError):
             moving_average(np.array([]), 3)
-
-
-class TestMovingEnergy:
-    def test_constant_envelope_signal(self):
-        samples = 2.0 * np.exp(1j * np.linspace(0, 10, 50))
-        out = moving_energy(samples, window=8)
-        assert out == pytest.approx(np.full(50, 4.0))
-
-    def test_energy_step_detected(self):
-        samples = np.concatenate([np.zeros(20), np.ones(20)]).astype(complex)
-        out = moving_energy(samples, window=4)
-        assert out[10] == pytest.approx(0.0)
-        assert out[-1] == pytest.approx(1.0)
 
 
 class TestMovingVariance:
@@ -98,13 +85,6 @@ class TestBitEqualToReference:
         for values, window in _window_cases():
             expected = reference_moving_variance(values, window)
             assert moving_variance(values, window).tobytes() == expected.tobytes()
-
-    def test_moving_energy(self):
-        rng = np.random.default_rng(12)
-        samples = rng.normal(size=700) + 1j * rng.normal(size=700)
-        for window in (1, 16, 700, 701):
-            expected = reference_moving_average(np.abs(samples) ** 2, window)
-            assert moving_energy(samples, window).tobytes() == expected.tobytes()
 
     def test_leading_negative_zero_and_non_finite_values(self):
         values = np.array([-0.0, -0.0, 1.5, np.inf, 2.0, np.nan, -3.0, -0.0])

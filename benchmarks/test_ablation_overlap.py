@@ -11,8 +11,9 @@ import numpy as np
 from conftest import write_result
 
 from repro.channel.interference import OverlapModel
+from repro.mac.planner import plan_relay_exchange
 from repro.network.flows import Flow
-from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions, alice_bob_topology
+from repro.network.topologies import ALICE, BOB, ChannelConditions, alice_bob_topology
 from repro.protocols.anc import ANCRelayProtocol, default_min_offset
 from repro.protocols.traditional import TraditionalRouting
 
@@ -30,7 +31,8 @@ def _gain_at_overlap(mean_overlap: float, seed: int = 5) -> float:
         topology, [flow_a, flow_b], payload_bits=PAYLOAD, rng=np.random.default_rng(seed + 1)
     ).run()
     anc = ANCRelayProtocol(
-        topology, RELAY, flow_a, flow_b, payload_bits=PAYLOAD, redundancy_overhead=0.0,
+        topology, plan_relay_exchange(topology, flow_a, flow_b), payload_bits=PAYLOAD,
+        redundancy_overhead=0.0,
         overlap_model=OverlapModel(
             mean_overlap=mean_overlap, jitter=0.02, min_offset=default_min_offset(),
             rng=np.random.default_rng(seed + 2),

@@ -16,10 +16,9 @@ This package implements the paper's primary contribution (§6 and §7):
   Algorithm 1 (detection, classification, header decode, ANC decode).
 """
 
-from repro.anc.lemma import PhaseSolutions, phase_solutions, interference_cosine
+from repro.anc.lemma import PhaseSolutions, phase_solutions
 from repro.anc.amplitude import (
     AmplitudeEstimate,
-    estimate_amplitudes,
     estimate_amplitudes_with_known,
     mean_energy,
     sigma_statistic,
@@ -49,9 +48,7 @@ __all__ = [
     "ReceiveResult",
     "SubtractionDecoder",
     "align_known_frame",
-    "estimate_amplitudes",
     "estimate_amplitudes_with_known",
-    "interference_cosine",
     "match_phase_differences",
     "mean_energy",
     "phase_solutions",

@@ -11,7 +11,7 @@ interfered block:
 
 Solving the two equations gives ``A`` and ``B`` up to the obvious
 labelling ambiguity (which one is the known signal's amplitude); the
-``estimate_amplitudes_with_known`` variant resolves the labelling with an
+:func:`estimate_amplitudes_with_known` resolves the labelling with an
 independent estimate of the known signal's amplitude, e.g. measured from
 the interference-free head of the packet.
 """
@@ -87,11 +87,6 @@ class AmplitudeEstimate:
     sigma: float
 
     @property
-    def sum_power(self) -> float:
-        """``A^2 + B^2`` implied by the estimate."""
-        return self.amplitude_a ** 2 + self.amplitude_b ** 2
-
-    @property
     def sir_db(self) -> float:
         """Signal-to-interference ratio (unknown over known), Eq. 9."""
         if self.amplitude_a <= 0 or self.amplitude_b <= 0:
@@ -115,19 +110,6 @@ def _solve_from_statistics(mu: float, sigma: float) -> Tuple[float, float]:
     larger_sq = (mu + root) / 2.0
     smaller_sq = (mu - root) / 2.0
     return float(np.sqrt(max(larger_sq, 0.0))), float(np.sqrt(max(smaller_sq, 0.0)))
-
-
-def estimate_amplitudes(samples: SignalLike) -> Tuple[float, float]:
-    """Estimate the two component amplitudes of an interfered block.
-
-    Returns the unordered pair ``(larger, smaller)``.  Use
-    :func:`estimate_amplitudes_with_known` when an independent estimate of
-    the known signal's amplitude is available to resolve which is which.
-    """
-    y = _as_samples(samples)
-    mu = mean_energy(y)
-    sigma = sigma_statistic(y, mu)
-    return _solve_from_statistics(mu, sigma)
 
 
 def estimate_amplitudes_with_known(

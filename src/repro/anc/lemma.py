@@ -38,20 +38,13 @@ def _as_samples(signal: SignalLike) -> np.ndarray:
     return ensure_complex_array(signal, "samples")
 
 
-def interference_cosine(samples: SignalLike, amplitude_a: float, amplitude_b: float) -> np.ndarray:
+def _cosine(y: np.ndarray, a: float, b: float) -> np.ndarray:
     """The quantity ``D = cos(theta - phi)`` implied by each sample's magnitude.
 
     Values are clipped to ``[-1, 1]``: receiver noise routinely pushes the
     raw ratio slightly outside the valid range, and clipping is the
     maximum-likelihood projection back onto it.
     """
-    a = ensure_positive(amplitude_a, "amplitude_a")
-    b = ensure_positive(amplitude_b, "amplitude_b")
-    return _cosine(_as_samples(samples), a, b)
-
-
-def _cosine(y: np.ndarray, a: float, b: float) -> np.ndarray:
-    """:func:`interference_cosine` of checked samples and amplitudes."""
     magnitude_sq = np.abs(y) ** 2
     raw = (magnitude_sq - a ** 2 - b ** 2) / (2.0 * a * b)
     return np.clip(raw, -1.0, 1.0)

@@ -29,7 +29,6 @@ from typing import Union
 import numpy as np
 
 from repro.exceptions import ChannelError
-from repro.utils.db import linear_to_db
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -89,23 +88,3 @@ class PathLossModel:
         if np.isscalar(distance) or np.ndim(distance) == 0:
             return float(gain)
         return gain
-
-    def path_loss_db(self, distance: ArrayLike) -> ArrayLike:
-        """Path loss in dB at ``distance`` (positive numbers = loss)."""
-        gain = self.attenuation(distance)
-        result = -linear_to_db(gain)
-        return result
-
-    @classmethod
-    def free_space(cls, **overrides: float) -> "PathLossModel":
-        """The free-space law (``n = 2``) with optional field overrides."""
-        defaults = {"exponent": 2.0}
-        defaults.update(overrides)
-        return cls(**defaults)
-
-    @classmethod
-    def indoor_office(cls, **overrides: float) -> "PathLossModel":
-        """A typical indoor-office law (``n = 3.1``) with optional overrides."""
-        defaults = {"exponent": 3.1}
-        defaults.update(overrides)
-        return cls(**defaults)

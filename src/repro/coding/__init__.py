@@ -8,7 +8,7 @@ payloads, and the :class:`FECPipeline` interface that chains block codes
 and reports their aggregate redundancy.
 """
 
-from repro.coding.crc import CRC16, CRC32, append_crc, check_and_strip_crc
+from repro.coding.crc import CRC16, CRC32, check_and_strip_crc
 from repro.coding.fec import FECPipeline, IdentityCode, BlockCode
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "CRC32",
     "FECPipeline",
     "IdentityCode",
-    "append_crc",
     "check_and_strip_crc",
 ]

@@ -69,10 +69,6 @@ class _BitwiseCRC:
                 register ^= self._polynomial
         return register
 
-    def compute_bits(self, bits) -> np.ndarray:
-        """CRC value rendered as a bit array of the CRC's width."""
-        return bits_from_int(self.compute(bits), self.spec.width)
-
     def append(self, bits) -> np.ndarray:
         """Return ``bits`` with the CRC appended."""
         data = as_bit_array(bits)
@@ -99,11 +95,6 @@ CRC16 = _BitwiseCRC(CRCSpec(width=16, polynomial=0x1021, initial=0xFFFF, name="C
 
 #: CRC-32 (IEEE 802.3 polynomial, non-reflected variant used only internally).
 CRC32 = _BitwiseCRC(CRCSpec(width=32, polynomial=0x04C11DB7, initial=0xFFFFFFFF, name="CRC-32"))
-
-
-def append_crc(bits, crc: _BitwiseCRC = CRC16) -> np.ndarray:
-    """Append a CRC to a bit array (default CRC-16)."""
-    return crc.append(bits)
 
 
 def check_and_strip_crc(bits, crc: _BitwiseCRC = CRC16) -> Tuple[np.ndarray, bool]:

@@ -17,20 +17,12 @@ class ConfigurationError(ReproError):
     """Raised when a component is constructed with invalid parameters."""
 
 
-class ModulationError(ReproError):
-    """Raised when modulation or demodulation cannot proceed."""
-
-
 class FramingError(ReproError):
     """Raised when a frame cannot be built or parsed."""
 
 
 class HeaderError(FramingError):
     """Raised when a frame header fails to parse or validate."""
-
-
-class PilotNotFoundError(FramingError):
-    """Raised when the pilot sequence cannot be located in a received signal."""
 
 
 class CodingError(ReproError):
@@ -43,10 +35,6 @@ class CRCError(CodingError):
 
 class DecodingError(ReproError):
     """Raised when the ANC interference decoder cannot decode a signal."""
-
-
-class KnownPacketMissingError(DecodingError):
-    """Raised when the sent-packet buffer has no copy of the interfering packet."""
 
 
 class SynchronizationError(DecodingError):
@@ -67,10 +55,6 @@ class TopologyError(ReproError):
 
 class SimulationError(ReproError):
     """Raised when the network simulator reaches an inconsistent state."""
-
-
-class ProtocolError(ReproError):
-    """Raised when a protocol implementation is asked to do something unsupported."""
 
 
 class CapacityError(ReproError):

@@ -18,7 +18,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine, default_engine
 from repro.experiments.testbed import RelayExchange, Streams, relay_exchange_trial
 from repro.metrics.report import report_result
-from repro.network.topologies import ALICE, BOB, RELAY, alice_bob_topology
+from repro.network.topologies import ALICE, BOB, alice_bob_topology
 from repro.protocols.base import RunResult
 from repro.results.model import ExperimentResult
 
@@ -27,9 +27,7 @@ from repro.results.model import ExperimentResult
 ALICE_BOB = RelayExchange(
     name="alice_bob",
     build=alice_bob_topology,
-    relay=RELAY,
     flows=((ALICE, BOB), (BOB, ALICE)),
-    overhearing=False,
 )
 
 

@@ -41,12 +41,13 @@ import pickle
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 import repro
 from repro.exceptions import ConfigurationError
+from repro.experiments.config import ExperimentConfig
 from repro.store import Store, content_digest
 
 #: Signature every trial function must satisfy: ``(config, key, **params)``.
@@ -176,7 +177,7 @@ class ExperimentEngine:
     def task_digest(
         experiment: str,
         trial_fn: TrialFn,
-        config: Any,
+        config: ExperimentConfig,
         params: Optional[Mapping[str, Any]] = None,
     ) -> str:
         """Stable digest identifying one (experiment, config, params) task.
@@ -187,31 +188,10 @@ class ExperimentEngine:
         configurations (code edits are caught by the store's source
         fingerprint instead).
 
-        Configs that are neither snapshot-bearing, nor dataclasses, nor
-        plainly JSON-serializable are rejected with
-        :class:`~repro.exceptions.ConfigurationError`: silently digesting
-        their ``repr`` would bake memory addresses into the digest and
-        resume would never hit.
+        The config is digested through :meth:`ExperimentConfig.snapshot`,
+        its JSON view (which omits disabled impairments so older digests
+        stay valid).
         """
-        snapshot = getattr(config, "snapshot", None)
-        if callable(snapshot):
-            # Configs that curate their own JSON view (ExperimentConfig
-            # omits disabled impairments so old digests stay valid) are
-            # digested through it.
-            config_repr: Any = snapshot()
-        elif is_dataclass(config) and not isinstance(config, type):
-            config_repr = asdict(config)
-        else:
-            try:
-                json.dumps(config)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"cannot build a stable cache digest for config of type "
-                    f"{type(config).__name__}: it is not a dataclass, has no "
-                    "snapshot() method, and is not JSON-serializable (its repr "
-                    "would embed memory addresses, so resume would never hit)"
-                ) from None
-            config_repr = config
         params_repr = dict(params) if params else {}
         for name, value in params_repr.items():
             try:
@@ -227,16 +207,10 @@ class ExperimentEngine:
             "version": getattr(repro, "__version__", "0"),
             "experiment": experiment,
             "trial_fn": f"{trial_fn.__module__}.{trial_fn.__qualname__}",
-            "config": config_repr,
+            "config": config.snapshot(),
             "params": params_repr,
         }
-        try:
-            return content_digest(payload, 20)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"cannot build a stable cache digest for config of type "
-                f"{type(config).__name__}: a field is not JSON-serializable"
-            ) from None
+        return content_digest(payload, 20)
 
     @property
     def cache_dir(self) -> Optional[Path]:
@@ -250,7 +224,7 @@ class ExperimentEngine:
         self,
         experiment: str,
         trial_fn: TrialFn,
-        config: Any,
+        config: ExperimentConfig,
         trial_keys: Iterable[TrialKey],
         params: Optional[Mapping[str, Any]] = None,
     ) -> List[Any]:

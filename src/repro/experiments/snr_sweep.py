@@ -35,11 +35,6 @@ class SNRPoint:
     delivery_ratio: float
     theoretical_gain: float
 
-    @property
-    def anc_wins(self) -> bool:
-        """Did ANC beat traditional routing at this SNR?"""
-        return self.gain_over_traditional > 1.0
-
 
 def run_snr_point_trial(
     cfg: ExperimentConfig,

@@ -37,7 +37,7 @@ from repro.channel.impairments import IMPAIRMENT_STREAM, ImpairmentConfig, apply
 from repro.channel.interference import OverlapModel
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.mac.planner import plan_mesh_exchanges
+from repro.mac.planner import RelayExchangePlan, plan_mesh_exchanges, plan_relay_exchange
 from repro.network.flows import Flow
 from repro.network.topologies import ChannelConditions, chain_topology
 from repro.network.topology import Topology
@@ -157,36 +157,25 @@ def route(bed: Testbed, flows: Sequence[Flow], stream: int) -> RunResult:
     ).run()
 
 
-def relay_exchange(
-    bed: Testbed,
-    scheme: str,
-    relay: int,
-    flows: Tuple[Flow, Flow],
-    overhearing: bool,
-    stream: int,
-) -> RunResult:
-    """Two flows crossing at ``relay``, coded by COPE (``"cope"``) or ANC (``"anc"``)."""
+def relay_exchange(bed: Testbed, scheme: str, plan: RelayExchangePlan, stream: int) -> RunResult:
+    """The exchange ``plan`` over the testbed, coded by COPE (``"cope"``) or ANC (``"anc"``)."""
     cfg, rng = bed.cfg, bed.rng(stream)
     if scheme == "cope":
         protocol = CopeRelayProtocol(
             bed.topology,
-            relay,
-            *flows,
+            plan,
             payload_bits=cfg.payload_bits,
             ber_acceptance=cfg.ber_acceptance,
-            overhearing=overhearing,
             rng=rng,
             topology_name=bed.name,
         )
     else:
         protocol = ANCRelayProtocol(
             bed.topology,
-            relay,
-            *flows,
+            plan,
             payload_bits=cfg.payload_bits,
             ber_acceptance=cfg.ber_acceptance,
             redundancy_overhead=cfg.anc_redundancy_overhead,
-            overhearing=overhearing,
             overlap_model=_overlap_model(bed, rng),
             rng=rng,
             topology_name=bed.name,
@@ -220,15 +209,14 @@ def chain_pipeline(bed: Testbed, path: Sequence[int], coding: str, stream: int) 
 class RelayExchange:
     """Two flows crossing at a relay: the testbed of Figs. 9 and 10.
 
-    ``overhearing`` says whether the destinations learn the interfering
-    packet by overhearing it (X) or by having sent it (Alice–Bob).
+    The planner derives the relay and how each destination learns the
+    packet it cancels (by having sent it in Alice–Bob, by overhearing it
+    in the X) from each run's topology.
     """
 
     name: str
     build: BuildFn
-    relay: int
     flows: Tuple[Tuple[int, int], Tuple[int, int]]
-    overhearing: bool
 
 
 def relay_exchange_trial(
@@ -239,15 +227,17 @@ def relay_exchange_trial(
     impairments: Optional[ImpairmentConfig] = None,
     snr_db: Optional[float] = None,
 ) -> Dict[str, RunResult]:
-    """One relay-exchange run under traditional routing, COPE (if it has a stream) and ANC."""
+    """One relay-exchange run under traditional routing, COPE (if it has a stream) and ANC.
+
+    COPE and ANC run the same :class:`~repro.mac.planner.RelayExchangePlan`.
+    """
     bed = draw_testbed(cfg, run, streams, exchange.build, exchange.name, impairments, snr_db)
-    flows = tuple(Flow(source, dest, cfg.packets_per_run) for source, dest in exchange.flows)
-    runs = {"traditional": route(bed, flows, streams.traditional)}
+    flow_a, flow_b = (Flow(source, dest, cfg.packets_per_run) for source, dest in exchange.flows)
+    plan = plan_relay_exchange(bed.topology, flow_a, flow_b)
+    runs = {"traditional": route(bed, [flow_a, flow_b], streams.traditional)}
     for scheme, stream in (("cope", streams.cope), ("anc", streams.anc)):
         if stream is not None:
-            runs[scheme] = relay_exchange(
-                bed, scheme, exchange.relay, flows, exchange.overhearing, stream
-            )
+            runs[scheme] = relay_exchange(bed, scheme, plan, stream)
     return runs
 
 
@@ -284,18 +274,9 @@ def mesh_cells(bed: Testbed, flows: List[Flow]) -> Dict[str, Dict[str, float]]:
     schedule = plan_mesh_exchanges(bed.topology, flows)
     traditional = route(bed, flows, streams.traditional)
     parts: Dict[str, List[RunResult]] = {"anc": [], "cope": []}
-    for index, exchange in enumerate(schedule.exchanges):
+    for index, plan in enumerate(schedule.exchanges):
         for scheme, stream in (("anc", streams.anc), ("cope", streams.cope)):
-            parts[scheme].append(
-                relay_exchange(
-                    bed,
-                    scheme,
-                    exchange.relay,
-                    (exchange.flow_a, exchange.flow_b),
-                    exchange.overhearing,
-                    stream + 2 * index,
-                )
-            )
+            parts[scheme].append(relay_exchange(bed, scheme, plan, stream + 2 * index))
     if schedule.routed:
         for scheme, offset in (("anc", 4), ("cope", 5)):
             parts[scheme].append(

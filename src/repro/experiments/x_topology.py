@@ -17,7 +17,7 @@ from repro.experiments.alice_bob import relay_exchange_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.testbed import RelayExchange, Streams, relay_exchange_trial
-from repro.network.topologies import N1, N2, N3, N4, N5, x_topology
+from repro.network.topologies import N1, N2, N3, N4, x_topology
 from repro.protocols.base import RunResult
 from repro.results.model import ExperimentResult
 
@@ -26,9 +26,7 @@ from repro.results.model import ExperimentResult
 X = RelayExchange(
     name="x",
     build=x_topology,
-    relay=N5,
     flows=((N1, N4), (N3, N2)),
-    overhearing=True,
 )
 
 

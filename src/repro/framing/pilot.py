@@ -50,18 +50,6 @@ class PilotSequence:
         """
         return _pilot_bits(self.length, self.seed)
 
-    @property
-    def mirrored_bits(self) -> np.ndarray:
-        """The bit-reversed pilot attached to the end of each frame."""
-        return self.bits[::-1].copy()
-
-    def matches(self, candidate, max_errors: int = 0) -> bool:
-        """Does ``candidate`` equal the pilot up to ``max_errors`` bit flips?"""
-        arr = as_bit_array(candidate)
-        if arr.size != self.length:
-            return False
-        return int(np.count_nonzero(arr != self.bits)) <= max_errors
-
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _pilot_bits(length: int, seed: int) -> np.ndarray:

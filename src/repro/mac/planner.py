@@ -19,9 +19,12 @@ Three planners cover the workload shapes the scenario subsystem ships:
   spaced *three* apart: the closest spacing that is collision-free under
   the chain's radio ranges, i.e. classic spatial-reuse pipelining.
 * :func:`plan_relay_exchange` — two flows crossing at a shared relay (the
-  Alice–Bob / "X" shape): one deliberately-concurrent uplink slot into the
-  relay followed by one amplify-and-forward broadcast slot, with the side
-  information each destination will cancel tracked per destination.
+  Alice–Bob / "X" shape): which node relays, who listens to the uplink,
+  and how each destination gets the side information it cancels — from
+  the reverse flow (§2a) or by overhearing (§11.5).  The relay and the
+  side information are derived from the topology, so a figure, a sweep
+  and the mesh scheduler all get the same plan for the same flows.  COPE
+  and ANC both run that one plan.
 * :func:`plan_mesh_exchanges` — a whole flow set over an arbitrary mesh:
   greedily pairs flows that cross at a shared relay with side information
   available into ANC exchanges and leaves the rest to plain routing.
@@ -29,7 +32,8 @@ Three planners cover the workload shapes the scenario subsystem ships:
 The plans are *structure*, not executed schedules: they name which
 positions may transmit in which phase, who must listen, and which
 receivers are deliberate-collision receivers.  The signal-level executors
-in :mod:`repro.protocols` turn them into actual slots.
+in :mod:`repro.protocols` turn them into actual slots; the relay of an
+exchange is a plain :class:`~repro.node.node.Node`.
 """
 
 from __future__ import annotations
@@ -93,11 +97,6 @@ class ChainPipelinePlan:
     path: Tuple[int, ...]
     stride: int
     phases: Tuple[PhaseTemplate, ...]
-
-    @property
-    def hops(self) -> int:
-        """Number of hops the flow traverses."""
-        return len(self.path) - 1
 
     @property
     def has_deliberate_collisions(self) -> bool:
@@ -171,46 +170,36 @@ def plan_chain_pipeline(
     return ChainPipelinePlan(path=nodes, stride=stride, phases=tuple(phases))
 
 
-#: How a destination obtains the side information it cancels: it is the
-#: *source* of the paired reverse flow ("reverse", Alice–Bob) or it must
-#: overhear the paired sender's uplink transmission ("overhear", the "X").
-SIDE_INFO_MODES = ("reverse", "overhear")
-
-
 @dataclass(frozen=True)
 class RelayExchangePlan:
-    """The two-slot ANC schedule for two flows crossing at a shared relay.
+    """The schedule of two flows crossing at a shared relay.
+
+    ANC runs it as one collision slot and one broadcast slot; COPE runs
+    the same plan as two clean uplink slots and one coded broadcast.
 
     Attributes
     ----------
     relay:
-        The shared relay node that captures and rebroadcasts the collision.
+        The shared relay node that forwards both flows' packets.
     flow_a / flow_b:
         The two crossing flows (equal packet counts).
-    uplink_senders:
-        Both flow sources — they transmit *concurrently* in slot 1, the
-        deliberate collision at the heart of ANC.
     uplink_receivers:
-        Who listens during the collision slot: always the relay, plus both
-        destinations when they must overhear their side information.
+        Who listens to the uplink: always the relay, then each destination
+        that must overhear its side information.
     downlink_receivers:
-        Who listens to the amplify-and-forward broadcast in slot 2.
+        Who listens to the relay's broadcast.
     side_info:
-        Per-destination mode from :data:`SIDE_INFO_MODES`.
+        How each destination learns the packet it cancels: ``"reverse"``
+        when it sent that packet itself (Alice–Bob), ``"overhear"`` when it
+        hears the paired sender's uplink (the "X").
     """
 
     relay: int
     flow_a: Flow
     flow_b: Flow
-    uplink_senders: Tuple[int, int]
     uplink_receivers: Tuple[int, ...]
     downlink_receivers: Tuple[int, int]
     side_info: Dict[int, str]
-
-    @property
-    def overhearing(self) -> bool:
-        """True when either destination must overhear its side packet."""
-        return any(mode == "overhear" for mode in self.side_info.values())
 
 
 def _side_info_mode(
@@ -225,32 +214,20 @@ def _side_info_mode(
 
 
 def plan_relay_exchange(
-    topology: Topology,
-    flow_a: Flow,
-    flow_b: Flow,
-    relay: Optional[int] = None,
-    overhearing: Optional[bool] = None,
+    topology: Topology, flow_a: Flow, flow_b: Flow
 ) -> RelayExchangePlan:
-    """Plan the two-slot ANC exchange for two flows crossing at a relay.
+    """Plan the exchange of two flows crossing at a relay.
 
-    Parameters
-    ----------
-    topology:
-        The network the exchange runs over.
-    flow_a / flow_b:
-        The crossing flows; both must be 2-hop flows through the relay.
-    relay:
-        The shared relay.  ``None`` auto-detects it as the common middle
-        node of both flows' shortest routable paths.
-    overhearing:
-        Force the side-information mode: ``True`` requires both
-        destinations to overhear, ``False`` requires both flows to be
-        reverses of each other, ``None`` picks per destination.
+    The relay is the lowest-numbered middle node that both flows'
+    shortest routable paths share; each flow must be two routable hops
+    through it.  A destination that sent the paired packet itself uses it
+    as side information (``"reverse"``); otherwise it must be in radio
+    range of the paired sender to overhear it (``"overhear"``).
 
     Raises
     ------
     ConfigurationError
-        If the flows do not cross at the relay, or a destination has no
+        If the flows do not cross at a relay, or a destination has no
         way to obtain the side information it would need to decode.
     """
     if flow_a.packets != flow_b.packets:
@@ -262,18 +239,13 @@ def plan_relay_exchange(
     if flow_a.destination == flow_b.destination:
         raise ConfigurationError("crossing flows need distinct destinations")
 
-    if relay is None:
-        middles_a = set(topology.shortest_path(flow_a.source, flow_a.destination)[1:-1])
-        middles_b = set(topology.shortest_path(flow_b.source, flow_b.destination)[1:-1])
-        shared = sorted(middles_a & middles_b)
-        if not shared:
-            raise ConfigurationError("flows do not share a relay node")
-        relay = shared[0]
-    relay = int(relay)
-
+    middles_a = set(topology.shortest_path(flow_a.source, flow_a.destination)[1:-1])
+    middles_b = set(topology.shortest_path(flow_b.source, flow_b.destination)[1:-1])
+    shared = sorted(middles_a & middles_b)
+    if not shared:
+        raise ConfigurationError("flows do not share a relay node")
+    relay = int(shared[0])
     for flow in (flow_a, flow_b):
-        if relay in (flow.source, flow.destination):
-            raise ConfigurationError("the relay cannot be a flow endpoint")
         if not topology.is_routable(flow.source, relay) or not topology.is_routable(
             relay, flow.destination
         ):
@@ -287,10 +259,6 @@ def plan_relay_exchange(
         (flow_b.destination, flow_a.source),
     ):
         mode = _side_info_mode(topology, paired_source, destination)
-        if overhearing is True:
-            mode = "overhear" if topology.in_range(paired_source, destination) else None
-        elif overhearing is False and mode == "overhear":
-            mode = None
         if mode is None:
             raise ConfigurationError(
                 f"destination {destination} has no side information for the "
@@ -298,16 +266,12 @@ def plan_relay_exchange(
             )
         side_info[destination] = mode
 
-    needs_overhearing = any(mode == "overhear" for mode in side_info.values())
-    uplink_receivers: Tuple[int, ...] = (relay,)
-    if needs_overhearing:
-        uplink_receivers = (relay, flow_a.destination, flow_b.destination)
+    overhearers = tuple(d for d, mode in side_info.items() if mode == "overhear")
     return RelayExchangePlan(
         relay=relay,
         flow_a=flow_a,
         flow_b=flow_b,
-        uplink_senders=(flow_a.source, flow_b.source),
-        uplink_receivers=uplink_receivers,
+        uplink_receivers=(relay,) + overhearers,
         downlink_receivers=(flow_a.destination, flow_b.destination),
         side_info=side_info,
     )
@@ -341,9 +305,9 @@ def plan_mesh_exchanges(topology: Topology, flows: Sequence[Flow]) -> MeshSchedu
     are 2-hop flows whose shortest routable paths share a middle node),
     their four endpoint roles do not conflict with half-duplex operation,
     and *both* destinations can obtain their side information the same way
-    (both "reverse" or both "overhear") — the uniform-mode restriction
-    matches the relay-protocol executor's contract.  Pairing is greedy in
-    flow order, so the result is deterministic for a given flow list.
+    (both "reverse" or both "overhear").  Pairing is greedy in flow order,
+    so the result is deterministic for a given flow list.  The schemes run
+    each exchange plan as it is.
     """
     remaining = list(flows)
     exchanges: List[RelayExchangePlan] = []

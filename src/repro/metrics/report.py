@@ -5,9 +5,12 @@ per-run topology draws and reports the same three tables:
 
 * ``runs`` — one summary row per (scheme, run);
 * ``gains`` — the per-run throughput gain of ANC over each baseline (the
-  Figs. 9a / 10a / 12a CDFs);
+  Figs. 9a / 10a / 12a CDFs).  The i-th runs of two schemes share the
+  topology draw and the traffic, which is what "two consecutive runs"
+  means in §11.2;
 * ``ber`` — the sorted per-packet BER of the ANC decodes (Figs. 9b / 10b /
-  12b), lost packets included.
+  12b), lost packets included at the 0.5 the protocols record for them,
+  which gives the "X" topology's BER CDF its heavy tail (Fig. 10b).
 
 :func:`report_result` builds them straight from the protocol runs;
 :func:`repro.results.render.render_text` formats them.
@@ -19,8 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.metrics.ber import ber_cdf
-from repro.metrics.gain import pair_runs
+from repro.exceptions import ConfigurationError
 from repro.protocols.base import RunResult
 from repro.results.model import ExperimentResult, Series, make_result
 
@@ -64,12 +66,21 @@ def report_result(
         for index, run in enumerate(runs):
             record = run.to_record()
             run_rows.append((index, scheme) + tuple(record[c] for c in RUN_COLUMNS[2:]))
-    gain_rows = [
-        (baseline, s.run_index, s.gain, s.anc_throughput, s.baseline_throughput)
-        for baseline, runs in baseline_runs.items()
-        for s in pair_runs(anc_runs, runs)
-    ]
-    ber = ber_cdf(anc_runs, include_losses=True)
+    gain_rows = []
+    for baseline, runs in baseline_runs.items():
+        if not runs or len(runs) != len(anc_runs):
+            raise ConfigurationError(f"{baseline} needs one run per ANC run")
+        for index, (anc, base) in enumerate(zip(anc_runs, runs)):
+            if base.throughput <= 0:
+                raise ConfigurationError(
+                    f"{baseline} run {index} has non-positive throughput"
+                )
+            gain_rows.append(
+                (baseline, index, anc.throughput / base.throughput, anc.throughput, base.throughput)
+            )
+    bers = sorted(float(ber) for run in anc_runs for ber in run.packet_bers)
+    if not bers:
+        raise ConfigurationError("the ANC runs hold no BER samples")
     return make_result(
         name,
         "figure",
@@ -78,7 +89,7 @@ def report_result(
         [
             Series("runs", RUN_COLUMNS, tuple(run_rows)),
             Series("gains", GAIN_COLUMNS, tuple(gain_rows)),
-            Series("ber", ("ber",), tuple((float(v),) for v in ber.samples)),
+            Series("ber", ("ber",), tuple((ber,) for ber in bers)),
         ],
         {
             "mean_overlap": float(np.mean([r.mean_overlap for r in anc_runs])),

@@ -1,16 +1,16 @@
-"""Node abstractions: endpoints and relays.
+"""The wireless node.
 
 A :class:`Node` owns the full transmit and receive chains of Fig. 8 — the
-framer, modulator, sent-packet buffer and the ANC receive pipeline — and is
-the unit the network simulator schedules.  :class:`RelayNode` adds the
-amplify-and-forward behaviour of the Alice–Bob / "X" router (§7.5).
+shared framing/modulation memo, the sent-packet buffer and the ANC receive
+pipeline — and is the unit the protocols and the traffic simulation
+schedule.  A relay is a plain node: its amplify-and-forward rebroadcast
+(§7.5) is :func:`repro.channel.relay.amplify_and_forward`, called by the
+scheme that relays.
 """
 
 from repro.node.node import Node, NodeConfig
-from repro.node.relay import RelayNode
 
 __all__ = [
     "Node",
     "NodeConfig",
-    "RelayNode",
 ]

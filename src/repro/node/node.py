@@ -2,8 +2,8 @@
 
 A node bundles everything one radio needs:
 
-* a :class:`~repro.framing.frame.Framer` and MSK modulator for the
-  transmit path (Fig. 8, left),
+* the transmit path (Fig. 8, left): the :class:`~repro.framing.frame.Framer`
+  and the MSK modulator, reached through the shared memo below,
 * a :class:`~repro.framing.buffer.SentPacketBuffer` holding copies of the
   frames it transmitted or overheard — the network-layer side information
   ANC exploits,
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -88,8 +88,6 @@ class Node:
             raise ConfigurationError("node id must be non-negative")
         self.node_id = int(node_id)
         self.config = config if config is not None else NodeConfig()
-        self.framer = Framer()
-        self.modulator = MSKModulator()
         self.known_frames = SentPacketBuffer()
         self.pipeline = ReceivePipeline(
             noise_power=self.config.noise_power,
@@ -97,8 +95,6 @@ class Node:
             known_frames=self.known_frames,
         )
         self._sequence_counter = 0
-        #: Packets this node has successfully received, keyed by identity.
-        self.delivered: Dict[tuple, Packet] = {}
 
     # ------------------------------------------------------------------
     # Transmit path
@@ -158,11 +154,7 @@ class Node:
     # ------------------------------------------------------------------
     def receive(self, waveform: ComplexSignal) -> ReceiveResult:
         """Run the full receive pipeline on a waveform heard off the air."""
-        result = self.pipeline.receive(waveform)
-        if result.delivered and result.packet is not None:
-            if result.packet.destination == self.node_id:
-                self.delivered[result.packet.identity] = result.packet
-        return result
+        return self.pipeline.receive(waveform)
 
     @property
     def frame_samples(self) -> int:

@@ -17,8 +17,11 @@ optimal MAC, so that throughput differences are intrinsic to the schemes:
   of Fig. 12), or the stride-3 collision-free spatial-reuse discipline
   that plain routing and digital coding fall back to on a one-way chain.
 
-The experiments build these through :mod:`repro.experiments.testbed`,
-which fixes every scheme's parameters and random stream.
+COPE and ANC run the same :class:`~repro.mac.planner.RelayExchangePlan`,
+and every scheme builds one plain :class:`~repro.node.node.Node` per
+topology node (a relay is one of them).  The experiments build these
+through :mod:`repro.experiments.testbed`, which fixes every scheme's
+parameters and random stream.
 """
 
 from repro.protocols.base import ProtocolRun, RunResult

@@ -8,11 +8,13 @@ destination cancels the component it already knows — its own packet
 (Alice–Bob) or one it overheard during slot 1 ("X") — and decodes the
 other.  Two slots deliver two packets.
 
-The protocol does not hand-code its slot structure: it executes a
-:class:`~repro.mac.planner.RelayExchangePlan` from the ANC-aware planner
-in :mod:`repro.mac.planner`.  ANC on a chain (§2b, §11.6) is the
-planner's stride-2 schedule, run by
-:class:`~repro.protocols.scheduled.ChainPipelineProtocol`.
+The protocol runs the :class:`~repro.mac.planner.RelayExchangePlan` it
+is given: the plan names the relay, who listens to the collision and
+how each destination gets its side information, and COPE runs the same
+plan.  The relay is a plain node; its rebroadcast is
+:func:`~repro.channel.relay.amplify_and_forward` at the common transmit
+power.  ANC on a chain (§2b, §11.6) is the planner's stride-2 schedule,
+run by :class:`~repro.protocols.scheduled.ChainPipelineProtocol`.
 
 The paper's *incomplete overlap* requirement holds throughout: the
 caller's :class:`~repro.channel.interference.OverlapModel` is built with
@@ -29,15 +31,15 @@ import numpy as np
 
 from repro.anc.pipeline import ReceiveOutcome
 from repro.channel.interference import OverlapModel
-from repro.constants import DEFAULT_ANC_REDUNDANCY_OVERHEAD
+from repro.channel.relay import amplify_and_forward
+from repro.constants import DEFAULT_ANC_REDUNDANCY_OVERHEAD, DEFAULT_TX_AMPLITUDE
 from repro.framing.header import Header
 from repro.framing.packet import Packet
 from repro.framing.pilot import PilotSequence
-from repro.mac.planner import RelayExchangePlan, plan_relay_exchange
-from repro.network.flows import Flow
+from repro.mac.planner import RelayExchangePlan
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
-from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
+from repro.protocols.base import ProtocolRun, RunResult
 from repro.utils.bits import decoded_ber
 
 
@@ -55,23 +57,18 @@ def default_min_offset(margin_bits: int = 24) -> int:
 class ANCRelayProtocol(ProtocolRun):
     """Analog network coding through an amplify-and-forward router.
 
-    The slot structure — who collides in the uplink slot, who must listen,
-    and how each destination obtains its side information — comes from the
-    MAC planner's :class:`~repro.mac.planner.RelayExchangePlan`, so the
-    same class also serves arbitrary crossing flow pairs found by the mesh
-    scheduler, not just the canonical figures.
+    It executes a :class:`~repro.mac.planner.RelayExchangePlan`, so the
+    same class serves the canonical figures and any crossing flow pair
+    the mesh scheduler finds.
     """
 
     def __init__(
         self,
         topology: Topology,
-        relay: int,
-        flow_a: Flow,
-        flow_b: Flow,
+        plan: RelayExchangePlan,
         payload_bits: int = 512,
         ber_acceptance: float = 0.05,
         redundancy_overhead: float = DEFAULT_ANC_REDUNDANCY_OVERHEAD,
-        overhearing: bool = False,
         *,
         overlap_model: OverlapModel,
         rng: np.random.Generator,
@@ -83,26 +80,19 @@ class ANCRelayProtocol(ProtocolRun):
             ber_acceptance=ber_acceptance,
             redundancy_overhead=redundancy_overhead,
             rng=rng,
+            topology_name=topology_name,
         )
-        self.plan: RelayExchangePlan = plan_relay_exchange(
-            topology, flow_a, flow_b, relay=relay, overhearing=bool(overhearing)
-        )
-        self.relay_id = self.plan.relay
-        self.flow_a = flow_a
-        self.flow_b = flow_b
-        self.overhearing = self.plan.overhearing
+        self.plan = plan
         self.overlap_model = overlap_model
-        self.topology_name = topology_name
-        for node_id in topology.nodes:
-            self.make_node(node_id)
-        self.make_relay(self.relay_id)
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Execute every two-slot exchange and return the run's accounting."""
         medium = WirelessMedium(self.topology, rng=self.rng)
-        result = fresh_run_result(self, self.topology_name)
-        for _ in range(self.flow_a.packets):
+        result = RunResult(
+            self.topology_name, self.payload_bits, redundancy_overhead=self.redundancy_overhead
+        )
+        for _ in range(self.plan.flow_a.packets):
             self._run_exchange(medium, result)
         result.air_time_samples = medium.air_time
         result.slots_used = medium.slots
@@ -149,10 +139,9 @@ class ANCRelayProtocol(ProtocolRun):
             overheard[dst_a] = self._try_overhear(dst_a, uplink[dst_a], packet_b)
 
         # Slot 2: the router amplifies the collision and broadcasts it.
-        relay_node = self.nodes[self.relay_id]
-        broadcast = relay_node.amplify_and_forward(uplink[self.relay_id])
+        broadcast = amplify_and_forward(uplink[plan.relay], DEFAULT_TX_AMPLITUDE ** 2)
         downlink = medium.deliver(
-            [Transmission(sender=self.relay_id, waveform=broadcast)],
+            [Transmission(sender=plan.relay, waveform=broadcast)],
             receivers=list(plan.downlink_receivers),
         )
 

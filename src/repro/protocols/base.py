@@ -20,7 +20,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.network.topology import Topology
 from repro.node.node import Node, NodeConfig
-from repro.node.relay import RelayNode
 
 
 @dataclass
@@ -105,9 +104,11 @@ class RunResult:
 class ProtocolRun:
     """Base class holding the pieces every protocol run needs.
 
-    ``rng`` drives every random draw of the run (payloads, channel,
-    noise, offsets); it is required, so a run is a pure function of its
-    inputs.
+    It builds one plain :class:`~repro.node.node.Node` per topology node,
+    in ``topology.nodes`` order; a relay is one of them.  ``rng`` drives
+    every random draw of the run (payloads, channel, noise, offsets); it
+    is required, so a run is a pure function of its inputs.
+    ``topology_name`` labels the run's :class:`RunResult`.
     """
 
     def __init__(
@@ -118,6 +119,7 @@ class ProtocolRun:
         redundancy_overhead: float = 0.0,
         *,
         rng: np.random.Generator,
+        topology_name: str,
     ) -> None:
         if payload_bits <= 0:
             raise ConfigurationError("payload_bits must be positive")
@@ -130,38 +132,18 @@ class ProtocolRun:
         self.ber_acceptance = float(ber_acceptance)
         self.redundancy_overhead = float(redundancy_overhead)
         self.rng = rng
-        self.nodes: Dict[int, Node] = {}
+        self.topology_name = topology_name
+        self.nodes: Dict[int, Node] = {
+            node_id: Node(
+                node_id,
+                NodeConfig(
+                    payload_bits=self.payload_bits,
+                    noise_power=topology.noise_power(node_id),
+                ),
+            )
+            for node_id in topology.nodes
+        }
 
-    # ------------------------------------------------------------------
-    # Node construction helpers
-    # ------------------------------------------------------------------
-    def _node_config(self, node_id: int) -> NodeConfig:
-        return NodeConfig(
-            payload_bits=self.payload_bits,
-            noise_power=self.topology.noise_power(node_id),
-        )
-
-    def make_node(self, node_id: int) -> Node:
-        """Create (or return the cached) plain node for an id."""
-        if node_id not in self.nodes:
-            self.nodes[node_id] = Node(node_id, self._node_config(node_id))
-        return self.nodes[node_id]
-
-    def make_relay(self, node_id: int) -> RelayNode:
-        """Create (or return the cached) amplify-and-forward relay node.
-
-        If the id is currently bound to a plain node (e.g. because the
-        constructor instantiated every topology node generically first),
-        it is upgraded to a relay.
-        """
-        existing = self.nodes.get(node_id)
-        if not isinstance(existing, RelayNode):
-            self.nodes[node_id] = RelayNode(node_id, self._node_config(node_id))
-        return self.nodes[node_id]
-
-    # ------------------------------------------------------------------
-    # Delivery accounting helpers
-    # ------------------------------------------------------------------
     def counts_as_delivered(self, ber: float, crc_ok: bool) -> bool:
         """Is a decoded packet considered delivered?
 
@@ -174,12 +156,3 @@ class ProtocolRun:
         if crc_ok:
             return True
         return ber <= self.ber_acceptance
-
-
-def fresh_run_result(protocol: ProtocolRun, topology_name: str) -> RunResult:
-    """Construct an empty RunResult for a protocol instance."""
-    return RunResult(
-        topology=topology_name,
-        payload_bits=protocol.payload_bits,
-        redundancy_overhead=protocol.redundancy_overhead,
-    )

@@ -10,9 +10,12 @@ XOR-ing again with the packet it already has:
 * in the "X" topology each destination uses the packet it *overheard* from
   the nearby sender in the sender's clean uplink slot.
 
-Three slots deliver two packets, versus four for traditional routing —
-COPE's 4/3 advantage — and every transmission is a clean one, which is why
-the paper's COPE numbers have essentially no residual BER.
+:class:`CopeRelayProtocol` runs the same
+:class:`~repro.mac.planner.RelayExchangePlan` as ANC: the plan names the
+relay and each destination's side information.  Three slots deliver two
+packets, versus four for traditional routing — COPE's 4/3 advantage —
+and every transmission is a clean one, which is why the paper's COPE
+numbers have essentially no residual BER.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import numpy as np
 
 from repro.anc.pipeline import ReceiveOutcome
 from repro.framing.packet import Packet
-from repro.network.flows import Flow
+from repro.mac.planner import RelayExchangePlan
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
-from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
+from repro.protocols.base import ProtocolRun, RunResult
 from repro.utils.bits import decoded_ber
 
 
@@ -36,12 +39,9 @@ class CopeRelayProtocol(ProtocolRun):
     def __init__(
         self,
         topology: Topology,
-        relay: int,
-        flow_a: Flow,
-        flow_b: Flow,
+        plan: RelayExchangePlan,
         payload_bits: int = 512,
         ber_acceptance: float = 0.05,
-        overhearing: bool = False,
         *,
         rng: np.random.Generator,
         topology_name: str = "alice_bob",
@@ -52,24 +52,16 @@ class CopeRelayProtocol(ProtocolRun):
             ber_acceptance=ber_acceptance,
             redundancy_overhead=0.0,
             rng=rng,
+            topology_name=topology_name,
         )
-        if flow_a.packets != flow_b.packets:
-            raise ValueError("COPE pairing requires both flows to carry the same packet count")
-        self.relay_id = int(relay)
-        self.flow_a = flow_a
-        self.flow_b = flow_b
-        self.overhearing = bool(overhearing)
-        self.topology_name = topology_name
-        for node_id in topology.nodes:
-            self.make_node(node_id)
-        self.make_relay(self.relay_id)
+        self.plan = plan
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Execute every coded exchange and return the run's accounting."""
         medium = WirelessMedium(self.topology, rng=self.rng)
-        result = fresh_run_result(self, self.topology_name)
-        for _ in range(self.flow_a.packets):
+        result = RunResult(self.topology_name, self.payload_bits)
+        for _ in range(self.plan.flow_a.packets):
             self._run_exchange(medium, result)
         result.air_time_samples = medium.air_time
         result.slots_used = medium.slots
@@ -81,21 +73,21 @@ class CopeRelayProtocol(ProtocolRun):
         medium: WirelessMedium,
         sender_id: int,
         packet: Packet,
-        overhearer: Optional[int],
+        overhearer: int,
     ) -> Tuple[Optional[Packet], Optional[Packet]]:
-        """One clean uplink slot: relay receives, an optional overhearer snoops."""
+        """One clean uplink slot: the relay receives; ``overhearer`` snoops if the plan says so."""
+        relay_id = self.plan.relay
         sender = self.nodes[sender_id]
         waveform = sender.transmit(packet)
-        receivers = [self.relay_id]
-        if overhearer is not None:
-            receivers.append(overhearer)
+        snoops = self.plan.side_info[overhearer] == "overhear"
+        receivers = [relay_id, overhearer] if snoops else [relay_id]
         slot = medium.deliver(
             [Transmission(sender=sender_id, waveform=waveform)], receivers=receivers
         )
-        relay_result = self.nodes[self.relay_id].receive(slot[self.relay_id])
+        relay_result = self.nodes[relay_id].receive(slot[relay_id])
         relay_packet = relay_result.packet if relay_result.delivered else None
         overheard_packet = None
-        if overhearer is not None:
+        if snoops:
             ov_result = self.nodes[overhearer].receive(slot[overhearer])
             if ov_result.delivered:
                 overheard_packet = ov_result.packet
@@ -105,18 +97,18 @@ class CopeRelayProtocol(ProtocolRun):
 
     def _run_exchange(self, medium: WirelessMedium, result: RunResult) -> None:
         """Three slots: two clean uplinks and one XOR broadcast."""
-        src_a, dst_a = self.flow_a.source, self.flow_a.destination
-        src_b, dst_b = self.flow_b.source, self.flow_b.destination
+        plan = self.plan
+        src_a, dst_a = plan.flow_a.source, plan.flow_a.destination
+        src_b, dst_b = plan.flow_b.source, plan.flow_b.destination
         node_a = self.nodes[src_a]
         node_b = self.nodes[src_b]
         packet_a = node_a.make_packet(dst_a, rng=self.rng)
         packet_b = node_b.make_packet(dst_b, rng=self.rng)
         result.packets_offered += 2
 
-        overhear_a = dst_b if self.overhearing else None  # dst of flow B hears src A
-        overhear_b = dst_a if self.overhearing else None
-        relay_a, overheard_by_dst_b = self._uplink(medium, src_a, packet_a, overhear_a)
-        relay_b, overheard_by_dst_a = self._uplink(medium, src_b, packet_b, overhear_b)
+        # The destination of flow B may overhear source A, and vice versa.
+        relay_a, overheard_by_dst_b = self._uplink(medium, src_a, packet_a, dst_b)
+        relay_b, overheard_by_dst_a = self._uplink(medium, src_b, packet_b, dst_a)
 
         if relay_a is None or relay_b is None:
             # The relay failed to receive one of the packets: nothing to code.
@@ -124,30 +116,34 @@ class CopeRelayProtocol(ProtocolRun):
             return
 
         # The relay XORs the two payloads and broadcasts the coded packet.
-        relay_node = self.nodes[self.relay_id]
+        relay_id = plan.relay
+        relay_node = self.nodes[relay_id]
         xor_payload = relay_a.xor_payload(relay_b)
         coded = Packet(
-            source=self.relay_id,
-            destination=0 if self.relay_id != 0 else 255,
+            source=relay_id,
+            destination=0 if relay_id != 0 else 255,
             sequence=relay_node.next_sequence(),
             payload=xor_payload,
         )
         waveform = relay_node.transmit(coded)
         slot = medium.deliver(
-            [Transmission(sender=self.relay_id, waveform=waveform)],
-            receivers=[dst_a, dst_b],
+            [Transmission(sender=relay_id, waveform=waveform)],
+            receivers=list(plan.downlink_receivers),
         )
 
+        # A "reverse" destination sent the paired packet itself.
+        reverse_a = plan.side_info[dst_a] == "reverse"
+        reverse_b = plan.side_info[dst_b] == "reverse"
         delivered_a = self._decode_at_destination(
             destination=dst_a,
             coded_slot_waveform=slot[dst_a],
-            side_packet=packet_b if not self.overhearing else overheard_by_dst_a,
+            side_packet=packet_b if reverse_a else overheard_by_dst_a,
             truth=packet_a,
         )
         delivered_b = self._decode_at_destination(
             destination=dst_b,
             coded_slot_waveform=slot[dst_b],
-            side_packet=packet_a if not self.overhearing else overheard_by_dst_b,
+            side_packet=packet_a if reverse_b else overheard_by_dst_b,
             truth=packet_b,
         )
         for delivered in (delivered_a, delivered_b):

@@ -30,7 +30,7 @@ from repro.framing.packet import Packet
 from repro.mac.planner import PhaseTemplate, plan_chain_pipeline
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
-from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
+from repro.protocols.base import ProtocolRun, RunResult
 from repro.utils.bits import decoded_ber
 
 
@@ -73,6 +73,7 @@ class ChainPipelineProtocol(ProtocolRun):
             ber_acceptance=ber_acceptance,
             redundancy_overhead=redundancy_overhead,
             rng=rng,
+            topology_name=topology_name,
         )
         plan = plan_chain_pipeline(topology, path, coding=coding)
         if packets <= 0:
@@ -83,9 +84,6 @@ class ChainPipelineProtocol(ProtocolRun):
         self.path = plan.path
         self.packets = int(packets)
         self.overlap_model = overlap_model
-        self.topology_name = topology_name
-        for node_id in topology.nodes:
-            self.make_node(node_id)
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
@@ -93,7 +91,9 @@ class ChainPipelineProtocol(ProtocolRun):
         plan = self.plan
         length = len(plan.path)
         medium = WirelessMedium(self.topology, rng=self.rng)
-        result = fresh_run_result(self, self.topology_name)
+        result = RunResult(
+            self.topology_name, self.payload_bits, redundancy_overhead=self.redundancy_overhead
+        )
 
         source_node = self.nodes[plan.node_at(1)]
         destination_id = plan.node_at(length)

@@ -18,7 +18,7 @@ from repro.anc.pipeline import ReceiveOutcome
 from repro.network.flows import Flow
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
-from repro.protocols.base import ProtocolRun, fresh_run_result, RunResult
+from repro.protocols.base import ProtocolRun, RunResult
 
 
 class TraditionalRouting(ProtocolRun):
@@ -40,18 +40,16 @@ class TraditionalRouting(ProtocolRun):
             ber_acceptance=ber_acceptance,
             redundancy_overhead=0.0,
             rng=rng,
+            topology_name=topology_name,
         )
         if not flows:
             raise ValueError("at least one flow is required")
         self.flows = list(flows)
-        self.topology_name = topology_name
-        for node_id in topology.nodes:
-            self.make_node(node_id)
 
     def run(self) -> RunResult:
         """Deliver every flow's packets hop by hop and account the air time."""
         medium = WirelessMedium(self.topology, rng=self.rng)
-        result = fresh_run_result(self, self.topology_name)
+        result = RunResult(self.topology_name, self.payload_bits)
 
         # Interleave the flows round-robin, matching the fair time-sharing
         # assumed by the capacity analysis (§8).

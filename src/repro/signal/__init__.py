@@ -16,9 +16,7 @@ from repro.signal.energy import (
 )
 from repro.signal.noise import complex_gaussian_noise
 from repro.signal.ops import (
-    add_signals,
     delay_signal,
-    normalize_power,
     overlap_add,
     scale_to_power,
 )
@@ -27,11 +25,9 @@ __all__ = [
     "ComplexSignal",
     "EnergyDetector",
     "InterferenceDetector",
-    "add_signals",
     "average_power",
     "complex_gaussian_noise",
     "delay_signal",
-    "normalize_power",
     "overlap_add",
     "power_profile",
     "scale_to_power",

@@ -25,5 +25,11 @@ def complex_gaussian_noise(
         raise ChannelError("noise power must be non-negative")
     if noise_power == 0 or length == 0:
         return np.zeros(length, dtype=np.complex128)
-    sigma = np.sqrt(noise_power / 2.0)
-    return rng.normal(0.0, sigma, length) + 1j * rng.normal(0.0, sigma, length)
+    # One draw fills the real parts, then the imaginary parts: the values
+    # and the generator state of two consecutive ``normal(0, sigma, n)``
+    # draws, without the temporaries of ``a + 1j * b``.
+    parts = rng.normal(0.0, np.sqrt(noise_power / 2.0), (2, length))
+    noise = np.empty(length, dtype=np.complex128)
+    noise.real = parts[0]
+    noise.imag = parts[1]
+    return noise

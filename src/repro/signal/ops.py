@@ -8,7 +8,7 @@ receiver (``overlap_add``), and finally noise is added.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,18 +54,6 @@ def delay_signal(
         else:
             delayed = delayed[:total_length]
     return ComplexSignal(delayed)
-
-
-def add_signals(signals: Iterable[SignalLike]) -> ComplexSignal:
-    """Superpose equal-length signals (the channel's additive mixing)."""
-    arrays = [_as_samples(s) for s in signals]
-    if not arrays:
-        raise ChannelError("at least one signal is required")
-    length = arrays[0].size
-    for arr in arrays[1:]:
-        if arr.size != length:
-            raise ChannelError("all signals must have the same length; use overlap_add")
-    return ComplexSignal(np.sum(arrays, axis=0))
 
 
 def overlap_add(
@@ -126,8 +114,3 @@ def scale_to_power(signal: SignalLike, target_power: float) -> ComplexSignal:
         raise ChannelError("cannot scale an all-zero signal to non-zero power")
     factor = np.sqrt(target_power / current)
     return ComplexSignal(samples * factor)
-
-
-def normalize_power(signal: SignalLike) -> ComplexSignal:
-    """Scale a signal to unit average power."""
-    return scale_to_power(signal, 1.0)

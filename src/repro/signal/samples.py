@@ -16,7 +16,6 @@ from typing import Iterable, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.angles import phase_difference
 from repro.utils.validation import ensure_complex_array
 
 
@@ -106,18 +105,6 @@ class ComplexSignal:
             return 0.0
         return float(np.mean(self.energy))
 
-    def phase_differences(self) -> np.ndarray:
-        """Wrapped phase difference between consecutive samples.
-
-        For an MSK signal these are exactly the ±pi/2 steps that carry the
-        bits; for an interfered signal they are what the ANC decoder has to
-        untangle.
-        """
-        ph = self.phase
-        if ph.size < 2:
-            return np.zeros(0, dtype=float)
-        return phase_difference(ph[1:], ph[:-1])
-
     # ------------------------------------------------------------------
     # Structural operations
     # ------------------------------------------------------------------
@@ -165,12 +152,6 @@ class ComplexSignal:
         if not isinstance(other, ComplexSignal):
             return NotImplemented
         return len(self) == len(other) and bool(np.allclose(self.samples, other.samples))
-
-    def isclose(self, other: "ComplexSignal", tol: float = 1e-9) -> bool:
-        """Approximate equality with an explicit tolerance."""
-        return len(self) == len(other) and bool(
-            np.allclose(self.samples, other.samples, atol=tol)
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ComplexSignal(n={len(self)}, power={self.average_power:.4g})"

@@ -4,8 +4,8 @@ This package turns the repository's per-exchange protocol models into a
 time-domain system: seeded event scheduling (:mod:`repro.sim.core`),
 traffic sources (:mod:`repro.sim.traffic`), bounded FIFO queues
 (:mod:`repro.sim.queueing`), the CSMA/BEB and TDMA MAC policies
-(:mod:`repro.sim.mac`), SINR-segment reception with a capture rule
-(:mod:`repro.sim.reception`) and the one Alice–relay–Bob simulation that
+(:mod:`repro.sim.mac`), SINR-segment reception sessions and the
+collision rule (:mod:`repro.sim.reception`) and the one Alice–relay–Bob simulation that
 ties them together (:mod:`repro.sim.simulation`).  Its only production
 caller is :func:`repro.experiments.offered_load.simulate_schemes`, behind
 the ``offered_load_sweep`` and ``queueing_delay`` scenarios.

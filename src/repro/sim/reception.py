@@ -1,4 +1,4 @@
-"""SINR-segment reception sessions and the capture/collision rules.
+"""SINR-segment reception sessions and the collision rule.
 
 When the event core resolves a group of overlapping transmissions at one
 receiver, this module decides *what the receiver can make of it* before
@@ -8,14 +8,13 @@ any waveform is touched:
   (power, start, end) and cuts one component's span into
   :class:`SinrSegment` pieces at each interferer boundary — the
   ReceptionSession/segment bookkeeping of the SPE-project exemplar;
-* :func:`classify_reception` turns the segment SINRs into a
-  :class:`ReceptionKind`: ``CLEAN`` (no interferer), ``CAPTURED`` (the
-  strongest component stays above the capture threshold in every
-  segment, the LoRa ``power_collision`` rule) or ``COLLIDED`` (nothing
-  decodable at this receiver).  On the shipped Alice–relay–Bob topology
-  capture never fires: the relay's two received powers differ by at most
-  (0.88/0.72)² ≈ 1.49 (1.74 dB), far under the 10 dB threshold, so every
-  Alice/Bob overlap at the relay is ``COLLIDED``.
+* :func:`classify_reception` turns the session into a
+  :class:`ReceptionKind`: ``CLEAN`` (one component, decodable) or
+  ``COLLIDED`` (nothing decodable at this receiver).  There is no
+  capture rule: the only receiver that hears two components is the
+  relay (Alice and Bob cannot hear each other), and its two received
+  powers differ by at most (0.88/0.72)² ≈ 1.49 (1.74 dB), far under any
+  capture margin, so a stronger-frame rule would never fire.
 
 The relay never classifies a paired ANC uplink: it amplifies and
 rebroadcasts it (§7.5), and the endpoints decode that broadcast through
@@ -48,10 +47,9 @@ __all__ = [
 ]
 
 class ReceptionKind(enum.Enum):
-    """What the capture/collision rules concluded about a reception."""
+    """What the collision rule concluded about a reception."""
 
     CLEAN = "clean"
-    CAPTURED = "captured"
     COLLIDED = "collided"
 
 
@@ -120,12 +118,6 @@ class ReceptionSession:
                 return comp
         raise SimulationError(f"transmission {tx_id} not part of this session")
 
-    def strongest(self) -> ReceptionComponent:
-        """The highest-power component (ties broken by earliest tx_id)."""
-        if not self.components:
-            raise SimulationError("session has no components")
-        return max(self.components, key=lambda c: (c.power, -c.tx_id))
-
     def segments_for(self, tx_id: int) -> List[SinrSegment]:
         """Cut one component's span at every interferer boundary.
 
@@ -161,40 +153,20 @@ class ReceptionSession:
             )
         return segments
 
-    def min_sinr_db(self, tx_id: int) -> float:
-        """Worst-segment SINR of a component (the capture decision input)."""
-        segments = self.segments_for(tx_id)
-        return min(segment.sinr_db for segment in segments)
 
-
-def classify_reception(
-    session: ReceptionSession, capture_threshold_db: float
-) -> Tuple[ReceptionKind, Optional[int]]:
-    """Apply the capture/collision rules to one session.
-
-    Parameters
-    ----------
-    session:
-        The receiver's component bookkeeping for the group.
-    capture_threshold_db:
-        Minimum worst-segment SINR at which the strongest component is
-        decodable despite interference (the LoRa ``power_collision``
-        margin; ISO-style thresholds sit around 6-10 dB).
+def classify_reception(session: ReceptionSession) -> Tuple[ReceptionKind, Optional[int]]:
+    """Apply the collision rule to one session.
 
     Returns
     -------
     (kind, primary_tx_id):
-        The classification plus the component to decode: the single/
-        strongest component for ``CLEAN``/``CAPTURED``, ``None`` for
-        ``COLLIDED``.
+        ``CLEAN`` and the only component's id when the receiver heard one
+        transmission; ``COLLIDED`` and ``None`` when it heard several.
     """
     if not session.components:
         raise SimulationError("cannot classify an empty session")
     if len(session.components) == 1:
         return ReceptionKind.CLEAN, session.components[0].tx_id
-    strongest = session.strongest()
-    if session.min_sinr_db(strongest.tx_id) >= capture_threshold_db:
-        return ReceptionKind.CAPTURED, strongest.tx_id
     return ReceptionKind.COLLIDED, None
 
 

@@ -49,13 +49,13 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.channel.interference import OverlapModel, superpose
+from repro.channel.relay import amplify_and_forward
 from repro.constants import DEFAULT_TX_AMPLITUDE
 from repro.exceptions import ConfigurationError
 from repro.framing.packet import Packet
 from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions, alice_bob_topology
 from repro.network.topology import Topology
 from repro.node.node import Node, NodeConfig
-from repro.node.relay import RelayNode
 from repro.protocols.anc import default_min_offset
 from repro.signal.samples import ComplexSignal
 from repro.sim.core import EventScheduler, RngStreams
@@ -72,10 +72,6 @@ SCHEMES: Tuple[str, ...] = ("anc", "cope", "traditional")
 
 #: Per-endpoint queue capacity in packets (tail drop beyond it).
 QUEUE_CAPACITY = 8
-
-#: Worst-segment SINR (dB) at which the strongest of several overlapping
-#: frames is captured, i.e. decoded despite the interference.
-CAPTURE_THRESHOLD_DB = 10.0
 
 #: How long (frame-times) a lone head-of-line packet waits for a coding
 #: partner (COPE) or a reverse-direction packet (ANC) before it is plainly
@@ -254,16 +250,16 @@ class TrafficSimulation:
         self.topology: Topology = alice_bob_topology(
             self.conditions, self.streams.stream("topology")
         )
-        self.nodes: Dict[int, Node] = {}
-        for node_id in self.topology.nodes:
-            node_config = NodeConfig(
-                payload_bits=params.payload_bits,
-                noise_power=self.topology.noise_power(node_id),
+        self.nodes: Dict[int, Node] = {
+            node_id: Node(
+                node_id,
+                NodeConfig(
+                    payload_bits=params.payload_bits,
+                    noise_power=self.topology.noise_power(node_id),
+                ),
             )
-            if node_id == RELAY:
-                self.nodes[node_id] = RelayNode(node_id, node_config)
-            else:
-                self.nodes[node_id] = Node(node_id, node_config)
+            for node_id in self.topology.nodes
+        }
         self.frame_samples = self.nodes[ALICE].frame_samples
         self.duration_samples = params.sim_duration_frames * self.frame_samples
         self.sched = EventScheduler()
@@ -674,7 +670,7 @@ class TrafficSimulation:
         return (RELAY,) if tx.sender != RELAY else (tx.meta["dst"],)
 
     # ------------------------------------------------------------------
-    # Group resolution: sessions, capture, decode, feedback
+    # Group resolution: sessions, collisions, decode, feedback
     # ------------------------------------------------------------------
     def _resolve_group(self, group: List[_Tx]) -> None:
         """Resolve every reception of one collision group.
@@ -720,7 +716,7 @@ class TrafficSimulation:
             link = self.topology.link(tx.sender, receiver)
             power = DEFAULT_TX_AMPLITUDE ** 2 * link.power_gain
             session.add(tx.tx_id, power, tx.start, tx.end)
-        _, primary_id = classify_reception(session, CAPTURE_THRESHOLD_DB)
+        _, primary_id = classify_reception(session)
         primary = next((tx for tx in components if tx.tx_id == primary_id), None)
         if primary is not None and receiver in self._consumers(primary):
             start = (
@@ -729,7 +725,7 @@ class TrafficSimulation:
             )
             composite = self._composite(receiver, components, group_start)
             self._decode(receiver, primary, composite, start, handled)
-        # Collided, or captured: every other component dies at this receiver.
+        # Collided: every component but a clean one dies at this receiver.
         for tx in components:
             if tx is not primary:
                 self._lost_at(receiver, tx, handled)
@@ -770,7 +766,7 @@ class TrafficSimulation:
             self._relay_broadcasts.append(
                 {
                     "kind": "anc_broadcast",
-                    "waveform": self.nodes[RELAY].amplify_and_forward(composite),
+                    "waveform": amplify_and_forward(composite, DEFAULT_TX_AMPLITUDE ** 2),
                     "truths": {tx.meta["dst"]: tx.meta for tx in uplinks},
                 }
             )

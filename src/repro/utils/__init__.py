@@ -11,11 +11,7 @@ from repro.utils.angles import (
     wrap_angle,
 )
 from repro.utils.bits import (
-    bits_from_bytes,
     bits_from_int,
-    bits_to_bytes,
-    bits_to_int,
-    bits_to_string,
     hamming_distance,
     random_bits,
     string_to_bits,
@@ -24,15 +20,11 @@ from repro.utils.cdf import EmpiricalCDF
 from repro.utils.db import (
     db_to_linear,
     db_to_power_ratio,
-    linear_to_db,
-    power_ratio_to_db,
-    snr_db_from_powers,
 )
 from repro.utils.pn import PNSequence, pn_bits
 from repro.utils.validation import (
     ensure_bit_array,
     ensure_complex_array,
-    ensure_in_range,
     ensure_positive,
     ensure_probability,
 )
@@ -41,27 +33,19 @@ from repro.utils.windows import moving_average, moving_variance
 __all__ = [
     "EmpiricalCDF",
     "PNSequence",
-    "bits_from_bytes",
     "bits_from_int",
-    "bits_to_bytes",
-    "bits_to_int",
-    "bits_to_string",
     "db_to_linear",
     "db_to_power_ratio",
     "ensure_bit_array",
     "ensure_complex_array",
-    "ensure_in_range",
     "ensure_positive",
     "ensure_probability",
     "hamming_distance",
-    "linear_to_db",
     "moving_average",
     "moving_variance",
     "phase_difference",
     "pn_bits",
-    "power_ratio_to_db",
     "random_bits",
-    "snr_db_from_powers",
     "string_to_bits",
     "wrap_angle",
 ]

@@ -55,11 +55,6 @@ def string_to_bits(text: str) -> np.ndarray:
     return np.array([int(c) for c in stripped], dtype=np.uint8)
 
 
-def bits_to_string(bits: BitsLike) -> str:
-    """Render a bit array as a compact string of 0/1 characters."""
-    return "".join(str(int(b)) for b in as_bit_array(bits))
-
-
 def bits_from_int(value: int, width: int) -> np.ndarray:
     """Encode an unsigned integer as ``width`` bits, most-significant first."""
     if width <= 0:
@@ -72,31 +67,9 @@ def bits_from_int(value: int, width: int) -> np.ndarray:
     return np.unpackbits(packed)[-width:]
 
 
-def bits_to_int(bits: BitsLike) -> int:
-    """Decode a most-significant-first bit array into an unsigned integer."""
-    return _int_from_bits(as_bit_array(bits))
-
-
 def _int_from_bits(arr: np.ndarray) -> int:
     """:func:`bits_to_int` of an already checked canonical bit array."""
     return int.from_bytes(np.packbits(arr).tobytes(), "big") >> (-arr.size % 8)
-
-
-def bits_from_bytes(data: bytes) -> np.ndarray:
-    """Expand a byte string into a bit array, most-significant bit first."""
-    if len(data) == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-
-
-def bits_to_bytes(bits: BitsLike) -> bytes:
-    """Pack a bit array into bytes; the length must be a multiple of 8."""
-    arr = as_bit_array(bits)
-    if arr.size % 8 != 0:
-        raise ConfigurationError("bit array length must be a multiple of 8 to pack into bytes")
-    if arr.size == 0:
-        return b""
-    return np.packbits(arr).tobytes()
 
 
 def random_bits(length: int, rng: np.random.Generator) -> np.ndarray:

@@ -64,18 +64,8 @@ class EmpiricalCDF:
         return float(np.mean(self.samples))
 
     @property
-    def minimum(self) -> float:
-        return self.samples[0]
-
-    @property
     def maximum(self) -> float:
         return self.samples[-1]
-
-    def fraction_below(self, x: float) -> float:
-        """Fraction of samples strictly less than ``x``."""
-        if not self.samples:
-            raise ConfigurationError("empty CDF")
-        return float(np.searchsorted(np.asarray(self.samples), x, side="left")) / self.n
 
     def table(self, points: Sequence[float]) -> List[Tuple[float, float]]:
         """Evaluate the CDF at the given points, returning (x, F(x)) pairs."""

@@ -42,33 +42,6 @@ def ensure_probability(value: Real, name: str) -> float:
     return val
 
 
-def ensure_in_range(value: Real, low: float, high: float, name: str) -> float:
-    """Require ``low <= value <= high`` and return it as a float."""
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-    if not (low <= value <= high):
-        raise ConfigurationError(f"{name} must lie in [{low}, {high}], got {value}")
-    return float(value)
-
-
-def ensure_positive_int(value: int, name: str) -> int:
-    """Require a strictly positive integer and return it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be a positive integer, got {value}")
-    return int(value)
-
-
-def ensure_non_negative_int(value: int, name: str) -> int:
-    """Require a non-negative integer and return it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ConfigurationError(f"{name} must be non-negative, got {value}")
-    return int(value)
-
-
 def ensure_bit_array(bits: Union[Iterable[int], np.ndarray], name: str = "bits") -> np.ndarray:
     """Require an iterable of 0/1 values and return the canonical bit array."""
     return checked_bit_array(bits, name)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.anc.amplitude import (
     AmplitudeEstimate,
-    estimate_amplitudes,
     estimate_amplitudes_with_known,
     mean_energy,
     sigma_statistic,
@@ -53,24 +52,19 @@ class TestStatistics:
 class TestEstimateAmplitudes:
     def test_recovers_amplitudes(self):
         y = _random_phase_mixture(1.0, 0.6, 100_000, seed=2)
-        larger, smaller = estimate_amplitudes(y)
-        assert larger == pytest.approx(1.0, rel=0.05)
-        assert smaller == pytest.approx(0.6, rel=0.08)
+        estimate = estimate_amplitudes_with_known(y, known_amplitude_hint=1.0)
+        assert estimate.amplitude_a == pytest.approx(1.0, rel=0.05)
+        assert estimate.amplitude_b == pytest.approx(0.6, rel=0.08)
 
     def test_equal_amplitudes(self):
         y = _random_phase_mixture(0.8, 0.8, 100_000, seed=3)
-        larger, smaller = estimate_amplitudes(y)
-        assert larger == pytest.approx(0.8, rel=0.1)
-        assert smaller == pytest.approx(0.8, rel=0.1)
+        estimate = estimate_amplitudes_with_known(y, known_amplitude_hint=0.8)
+        assert estimate.amplitude_a == pytest.approx(0.8, rel=0.1)
+        assert estimate.amplitude_b == pytest.approx(0.8, rel=0.1)
 
     def test_silent_block_rejected(self):
         with pytest.raises(DecodingError, match="mean energy must be positive"):
-            estimate_amplitudes(np.zeros(64, dtype=complex))
-
-    def test_ordering(self):
-        y = _random_phase_mixture(0.4, 1.2, 50_000, seed=4)
-        larger, smaller = estimate_amplitudes(y)
-        assert larger >= smaller
+            estimate_amplitudes_with_known(np.zeros(64, dtype=complex), 1.0)
 
 
 class TestEstimateWithKnown:
@@ -94,7 +88,8 @@ class TestEstimateWithKnown:
     def test_sum_power_consistent_with_mu(self):
         y = _random_phase_mixture(0.9, 0.6, 50_000, seed=8)
         estimate = estimate_amplitudes_with_known(y, known_amplitude_hint=0.9)
-        assert estimate.sum_power == pytest.approx(estimate.mu, rel=0.05)
+        sum_power = estimate.amplitude_a ** 2 + estimate.amplitude_b ** 2
+        assert sum_power == pytest.approx(estimate.mu, rel=0.05)
 
     def test_invalid_hint_rejected(self):
         with pytest.raises(DecodingError):

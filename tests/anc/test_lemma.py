@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.anc.lemma import interference_cosine, phase_solutions
+from repro.anc.lemma import _cosine, phase_solutions
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.angles import wrap_angle
 
@@ -20,17 +20,17 @@ class TestInterferenceCosine:
         theta = rng.uniform(-np.pi, np.pi, 200)
         phi = rng.uniform(-np.pi, np.pi, 200)
         y = _mixture(1.0, 0.6, theta, phi)
-        cos_est = interference_cosine(y, 1.0, 0.6)
+        cos_est = _cosine(y, 1.0, 0.6)
         assert cos_est == pytest.approx(np.cos(theta - phi), abs=1e-9)
 
     def test_clipping_under_noise(self):
         # A sample magnitude slightly beyond the feasible region clips to ±1.
         y = np.array([(1.0 + 0.6) * 1.001 + 0j])
-        assert interference_cosine(y, 1.0, 0.6)[0] == 1.0
+        assert _cosine(y, 1.0, 0.6)[0] == 1.0
 
     def test_rejects_non_positive_amplitudes(self):
         with pytest.raises(ConfigurationError):
-            interference_cosine(np.array([1 + 0j]), 0.0, 1.0)
+            phase_solutions(np.array([1 + 0j]), 0.0, 1.0)
 
 
 class TestPhaseSolutions:

@@ -1,4 +1,4 @@
-"""Tests for the Theorem 8.1 capacity bounds and the relay SNR derivation."""
+"""Tests for the Theorem 8.1 capacity bounds against the relay SNR derivation."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.capacity.bounds import (
     crossover_snr_db,
     traditional_capacity_upper_bound,
 )
-from repro.capacity.relay import amplification_factor, anc_receiver_snr, relay_received_snr
 from repro.exceptions import CapacityError
 from repro.utils.db import db_to_power_ratio
 
@@ -82,41 +81,27 @@ class TestBounds:
             crossover_snr_db(**kwargs)
 
 
+def _anc_receiver_snr(snr):
+    """Eq. 25 with unit link gains and unit noise power: Alice's SNR after she cancels her signal.
+
+    The relay scales by ``A^2 = P / (P h_AR^2 + P h_BR^2 + N)`` to keep its
+    output at its power budget, and Alice sees
+    ``A^2 P h_RA^2 h_BR^2 / (A^2 h_RA^2 N + N)``.
+    """
+    factor_sq = snr / (2.0 * snr + 1.0)
+    return factor_sq * snr / (factor_sq + 1.0)
+
+
 class TestRelayDerivation:
-    def test_amplification_factor_normalises_power(self):
-        """A = sqrt(P / (P h_AR^2 + P h_BR^2 + N))."""
-        assert amplification_factor(10.0, 1.0, 1.0, 1.0) == pytest.approx(
-            np.sqrt(10.0 / 21.0)
-        )
-
-    def test_relay_received_snr(self):
-        assert relay_received_snr(100.0, gain=0.5, noise_power=1.0) == pytest.approx(25.0)
-
     def test_receiver_snr_matches_theorem_expression(self):
         """Eq. 25 reduces to SNR^2 / (3 SNR + 1) for unit gains and noise."""
         for snr in (1.0, 10.0, 100.0, 1000.0):
-            derived = anc_receiver_snr(snr)
+            derived = _anc_receiver_snr(snr)
             expected = snr ** 2 / (3 * snr + 1)
             assert derived == pytest.approx(expected, rel=1e-9)
 
     def test_capacity_bound_consistent_with_link_level_derivation(self):
         snr_db = 25.0
         snr = db_to_power_ratio(snr_db)
-        link_level = np.log2(1 + anc_receiver_snr(snr))
+        link_level = np.log2(1 + _anc_receiver_snr(snr))
         assert anc_capacity_lower_bound(snr_db) == pytest.approx(link_level)
-
-    def test_invalid_powers(self):
-        with pytest.raises(CapacityError):
-            amplification_factor(0.0)
-        with pytest.raises(CapacityError):
-            anc_receiver_snr(-1.0)
-
-    def test_amplification_factor_rejects_zero_noise(self):
-        with pytest.raises(CapacityError, match="noise power must be positive"):
-            amplification_factor(10.0, noise_power=0.0)
-
-    @pytest.mark.parametrize("transmit_power, noise_power", [(0.0, 1.0), (1.0, 0.0)])
-    def test_relay_received_snr_rejects_non_positive_powers(self, transmit_power, noise_power):
-        with pytest.raises(CapacityError, match="powers must be positive"):
-            relay_received_snr(transmit_power, gain=1.0, noise_power=noise_power)
-

@@ -70,18 +70,9 @@ class TestAttenuation:
 
 
 class TestDerivedQuantities:
-    def test_path_loss_db_positive_beyond_reference(self):
-        model = PathLossModel(reference_attenuation=0.95)
-        assert model.path_loss_db(1.0) > model.path_loss_db(0.3) > 0.0
-
     def test_free_space_doubles_distance_costs_six_db(self):
-        model = PathLossModel.free_space(
-            reference_distance=0.1, reference_attenuation=1.0, min_attenuation=0.001
+        model = PathLossModel(
+            exponent=2.0, reference_distance=0.1, reference_attenuation=1.0, min_attenuation=0.001
         )
-        delta = model.path_loss_db(0.4) - model.path_loss_db(0.2)
+        delta = 20.0 * np.log10(model.attenuation(0.2) / model.attenuation(0.4))
         assert delta == pytest.approx(6.0206, abs=1e-3)
-
-    def test_presets(self):
-        assert PathLossModel.free_space().exponent == 2.0
-        assert PathLossModel.indoor_office().exponent == pytest.approx(3.1)
-        assert PathLossModel.indoor_office(exponent=3.5).exponent == 3.5

@@ -10,11 +10,10 @@ from repro.coding.crc import (
     CRC32,
     CRCSpec,
     _BitwiseCRC,
-    append_crc,
     check_and_strip_crc,
 )
 from repro.exceptions import CRCError, ConfigurationError
-from repro.utils.bits import bits_from_bytes, random_bits
+from repro.utils.bits import random_bits
 
 
 def reference_crc(spec: CRCSpec, bits) -> int:
@@ -102,7 +101,7 @@ class TestCRC32:
 
 
 class TestKnownAnswers:
-    CHECK = bits_from_bytes(b"123456789")
+    CHECK = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
 
     def test_crc16_ccitt_false_check_value(self):
         assert CRC16.compute(self.CHECK) == 0x29B1
@@ -139,17 +138,17 @@ class TestByteTableMatchesBitwise:
 class TestHelpers:
     def test_append_crc_default(self):
         data = random_bits(32, np.random.default_rng(9))
-        assert append_crc(data).size == 48
+        assert CRC16.append(data).size == 48
 
     def test_check_and_strip_ok(self):
         data = random_bits(32, np.random.default_rng(10))
-        payload, ok = check_and_strip_crc(append_crc(data))
+        payload, ok = check_and_strip_crc(CRC16.append(data))
         assert ok
         assert np.array_equal(payload, data)
 
     def test_check_and_strip_corrupted_does_not_raise(self):
         data = random_bits(32, np.random.default_rng(11))
-        coded = append_crc(data)
+        coded = CRC16.append(data)
         coded[0] ^= 1
         payload, ok = check_and_strip_crc(coded)
         assert not ok

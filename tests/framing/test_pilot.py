@@ -20,24 +20,6 @@ class TestPilotSequence:
         with pytest.raises(ConfigurationError, match="pilot length must be positive"):
             PilotSequence(length=length)
 
-    def test_mirrored(self):
-        pilot = PilotSequence()
-        assert np.array_equal(pilot.mirrored_bits, pilot.bits[::-1])
-
-    def test_matches_exact(self):
-        pilot = PilotSequence()
-        assert pilot.matches(pilot.bits)
-
-    def test_matches_with_tolerance(self):
-        pilot = PilotSequence()
-        noisy = pilot.bits.copy()
-        noisy[0] ^= 1
-        assert not pilot.matches(noisy, max_errors=0)
-        assert pilot.matches(noisy, max_errors=1)
-
-    def test_matches_wrong_length(self):
-        assert not PilotSequence().matches(np.zeros(10, dtype=np.uint8))
-
 
 class TestFindPilot:
     def test_finds_at_offset(self):
@@ -144,11 +126,3 @@ class TestPilotBitsAreShared:
     def test_equal_pilots_share_one_array(self):
         assert PilotSequence().bits is PilotSequence().bits
         assert not np.array_equal(PilotSequence(seed=0x1234).bits, PilotSequence().bits)
-
-    def test_mirrored_bits_is_a_writable_copy(self):
-        pilot = PilotSequence()
-        mirrored = pilot.mirrored_bits
-        assert mirrored.flags.writeable
-        mirrored[:] = 0
-        assert np.array_equal(pilot.mirrored_bits, pilot.bits[::-1])
-        assert pilot.bits.any()

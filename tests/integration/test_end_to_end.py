@@ -10,6 +10,9 @@ import numpy as np
 
 from repro.anc.pipeline import ReceiveOutcome
 from repro.channel.interference import OverlapModel
+from repro.channel.relay import amplify_and_forward
+from repro.constants import DEFAULT_TX_AMPLITUDE
+from repro.mac.planner import plan_relay_exchange
 from repro.network.flows import Flow
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topologies import (
@@ -27,7 +30,6 @@ from repro.network.topologies import (
     x_topology,
 )
 from repro.node.node import Node, NodeConfig
-from repro.node.relay import RelayNode
 from repro.protocols.anc import ANCRelayProtocol, default_min_offset
 from repro.protocols.cope import CopeRelayProtocol
 from repro.protocols.scheduled import ChainPipelineProtocol
@@ -55,7 +57,7 @@ class TestAliceBobExchangeManual:
         config = NodeConfig(payload_bits=PAYLOAD, noise_power=conditions.noise_power)
         alice = Node(ALICE, config)
         bob = Node(BOB, config)
-        relay = RelayNode(RELAY, config)
+        relay = Node(RELAY, config)
         medium = WirelessMedium(topology, rng=rng)
 
         packet_a = alice.make_packet(BOB, rng)
@@ -74,7 +76,7 @@ class TestAliceBobExchangeManual:
         )
         # The relay knows neither packet, so it amplifies the collision.
         assert relay.receive(uplink[RELAY]).outcome == ReceiveOutcome.NEEDS_RELAY
-        broadcast = relay.amplify_and_forward(uplink[RELAY])
+        broadcast = amplify_and_forward(uplink[RELAY], DEFAULT_TX_AMPLITUDE ** 2)
 
         # Slot 2: the relay broadcasts the amplified collision.
         downlink = medium.deliver(
@@ -101,11 +103,12 @@ class TestThroughputOrdering:
         traditional = TraditionalRouting(
             topology, [flow_a, flow_b], payload_bits=PAYLOAD, rng=np.random.default_rng(8)
         ).run()
+        plan = plan_relay_exchange(topology, flow_a, flow_b)
         cope = CopeRelayProtocol(
-            topology, RELAY, flow_a, flow_b, payload_bits=PAYLOAD, rng=np.random.default_rng(9)
+            topology, plan, payload_bits=PAYLOAD, rng=np.random.default_rng(9)
         ).run()
         anc = ANCRelayProtocol(
-            topology, RELAY, flow_a, flow_b, payload_bits=PAYLOAD,
+            topology, plan, payload_bits=PAYLOAD,
             overlap_model=_overlap(10), rng=np.random.default_rng(10),
         ).run()
         # The paper's headline ordering (§11.3).
@@ -120,8 +123,10 @@ class TestThroughputOrdering:
         traditional = TraditionalRouting(
             topology, [flow_a, flow_b], payload_bits=PAYLOAD, rng=np.random.default_rng(12)
         ).run()
+        plan = plan_relay_exchange(topology, flow_a, flow_b)
+        assert plan.relay == N5
         anc = ANCRelayProtocol(
-            topology, N5, flow_a, flow_b, payload_bits=PAYLOAD, overhearing=True,
+            topology, plan, payload_bits=PAYLOAD,
             overlap_model=_overlap(13), rng=np.random.default_rng(13), topology_name="x",
         ).run()
         assert anc.throughput > traditional.throughput

@@ -1,10 +1,8 @@
-"""Tests for the evaluation metrics (BER, gains, reports)."""
+"""Tests for the testbed figure report (runs, gains and BER tables)."""
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.metrics.ber import ber_cdf, payload_ber_samples
-from repro.metrics.gain import pair_runs
 from repro.metrics.report import report_result
 from repro.experiments.config import ExperimentConfig
 from repro.protocols.base import RunResult
@@ -23,47 +21,51 @@ def _run(delivered=10, air=1000, bers=()):
     )
 
 
-class TestBerMetrics:
-    def test_payload_ber_samples_filters_losses(self):
-        runs = [_run(bers=[0.01, 0.5]), _run(bers=[0.02])]
-        assert payload_ber_samples(runs, include_losses=True) == [0.01, 0.5, 0.02]
-        assert payload_ber_samples(runs, include_losses=False) == [0.01, 0.02]
-
-    def test_ber_cdf(self):
-        runs = [_run(bers=[0.0, 0.02, 0.04])]
-        cdf = ber_cdf(runs)
-        assert cdf.evaluate(0.02) == pytest.approx(2 / 3)
-
-    def test_ber_cdf_requires_samples(self):
-        with pytest.raises(ConfigurationError):
-            ber_cdf([_run(bers=[])])
+def _report(anc_runs, baseline_runs):
+    return report_result(
+        "toy", "fig_toy", ExperimentConfig(), anc_runs, {"traditional": baseline_runs}
+    )
 
 
-class TestGainMetrics:
-    def test_pair_runs(self):
-        anc_runs = [_run(delivered=10, air=500), _run(delivered=10, air=600)]
+class TestBerSeries:
+    def test_ber_series_is_sorted_and_keeps_losses(self):
+        anc = [_run(bers=[0.01, 0.5]), _run(bers=[0.02])]
+        result = _report(anc, [_run(), _run()])
+        assert result.get_series("ber").column("ber") == [0.01, 0.02, 0.5]
+
+    def test_ber_series_requires_samples(self):
+        with pytest.raises(ConfigurationError, match="no BER samples"):
+            _report([_run(bers=[])], [_run()])
+
+
+class TestGainSeries:
+    def test_gains_pair_runs_by_index(self):
+        anc_runs = [_run(delivered=10, air=500, bers=[0.0]), _run(delivered=10, air=600)]
         base_runs = [
             _run(delivered=10, air=1000),
             _run(delivered=10, air=1000),
         ]
-        samples = pair_runs(anc_runs, base_runs)
-        assert len(samples) == 2
-        assert samples[0].gain == pytest.approx(2.0)
-        assert samples[1].gain == pytest.approx(10 / 600 / (10 / 1000))
+        gains = _report(anc_runs, base_runs).get_series("gains")
+        assert gains.column("run") == [0, 1]
+        assert gains.column("gain") == pytest.approx([2.0, 10 / 600 / (10 / 1000)])
+        assert gains.column("anc_throughput") == pytest.approx([1000 / 500, 1000 / 600])
+        assert gains.column("baseline_throughput") == pytest.approx([1.0, 1.0])
 
-    def test_pair_runs_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            pair_runs([_run()], [])
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError, match="traditional needs one run per ANC run"):
+            _report([_run(bers=[0.0])], [])
 
-    def test_pair_runs_requires_a_pair(self):
-        with pytest.raises(ConfigurationError, match="at least one run pair"):
-            pair_runs([], [])
+    def test_requires_a_pair(self):
+        with pytest.raises(ConfigurationError, match="one run per ANC run"):
+            _report([], [])
 
-    def test_pair_runs_names_the_silent_baseline_run(self):
-        anc_runs = [_run(), _run()]
+    def test_names_the_silent_baseline_run(self):
+        anc_runs = [_run(bers=[0.0]), _run()]
         base_runs = [_run(), _run(delivered=0)]
-        with pytest.raises(ConfigurationError, match="baseline run 1 has non-positive throughput"):
-            pair_runs(anc_runs, base_runs)
+        with pytest.raises(
+            ConfigurationError, match="traditional run 1 has non-positive throughput"
+        ):
+            _report(anc_runs, base_runs)
 
 
 class TestReports:

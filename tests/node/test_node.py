@@ -7,6 +7,7 @@ from repro.anc.pipeline import ReceiveOutcome
 from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.exceptions import ConfigurationError
+from repro.framing.frame import Framer
 from repro.node.node import Node, NodeConfig
 
 
@@ -69,7 +70,7 @@ class TestNode:
         assert node.known_frames.lookup_header(frame.header) is frame
         assert node.known_frames.lookup(*packet.identity) is not None
         assert frame.packet is packet
-        assert np.array_equal(frame.bits, node.framer.build(packet).bits)
+        assert np.array_equal(frame.bits, Framer().build(packet).bits)
 
     def test_receive_clean_packet(self, rng):
         sender = Node(1, NodeConfig(payload_bits=64, noise_power=1e-3))
@@ -79,9 +80,11 @@ class TestNode:
         link = Link(attenuation=0.8, phase_shift=0.3, noise_power=1e-3)
         result = receiver.receive(superpose([(wave, link, 0)], link.noise_power, rng, 0))
         assert result.outcome == ReceiveOutcome.CLEAN_DECODED
-        assert packet.identity in receiver.delivered
+        assert result.delivered
+        assert result.packet.identity == packet.identity
 
-    def test_receive_ignores_packets_for_others(self, rng):
+    def test_receive_decodes_packets_for_others(self, rng):
+        """A node decodes what it overhears; the protocol decides what it keeps."""
         sender = Node(1, NodeConfig(payload_bits=64, noise_power=1e-3))
         receiver = Node(7, NodeConfig(payload_bits=64, noise_power=1e-3))
         packet = sender.make_packet(2, rng)
@@ -89,7 +92,8 @@ class TestNode:
         link = Link(attenuation=0.8, noise_power=1e-3)
         result = receiver.receive(superpose([(wave, link, 0)], link.noise_power, rng, 0))
         assert result.delivered
-        assert packet.identity not in receiver.delivered
+        assert result.packet.identity == packet.identity
+        assert result.packet.destination == 2
 
     def test_forward_keeps_original_addressing(self, rng):
         origin = Node(1, NodeConfig(payload_bits=64))

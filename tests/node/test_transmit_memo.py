@@ -9,6 +9,7 @@ import pytest
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
+from repro.modulation.msk import MSKModulator
 from repro.network.topologies import ChannelConditions
 from repro.node.node import Node, NodeConfig, _on_air
 from repro.sim.simulation import SimParams, TrafficSimulation
@@ -38,9 +39,9 @@ def build_calls(monkeypatch):
     return calls
 
 
-def reference_waveform(node, packet):
-    """What the node puts on the air for ``packet``, built without the memo."""
-    return node.modulator.modulate(node.framer.build(packet).bits)
+def reference_waveform(packet):
+    """What a node puts on the air for ``packet``, built without the memo."""
+    return MSKModulator().modulate(Framer().build(packet).bits)
 
 
 def packet_with(payload_seed, sequence=0, source=1, destination=2):
@@ -56,7 +57,7 @@ class TestHitsAndMisses:
         retry = node.transmit(packet)
         assert len(build_calls) == 1
         assert retry is first
-        assert np.array_equal(retry.samples, reference_waveform(node, packet).samples)
+        assert np.array_equal(retry.samples, reference_waveform(packet).samples)
 
     def test_same_identity_with_another_payload_misses(self):
         node = Node(1, NodeConfig(payload_bits=PAYLOAD))
@@ -65,7 +66,7 @@ class TestHitsAndMisses:
         first = node.transmit(packet)
         second = node.transmit(twin)
         assert second is not first
-        assert np.array_equal(second.samples, reference_waveform(node, twin).samples)
+        assert np.array_equal(second.samples, reference_waveform(twin).samples)
         assert not np.array_equal(second.samples, first.samples)
         stored = node.known_frames.lookup(*packet.identity)
         assert stored.packet is twin
@@ -105,7 +106,7 @@ class TestHitsAndMisses:
         assert build_calls == []
         rebuilt = node.transmit(packets[1])
         assert build_calls == [(packets[1].identity, packets[1].payload.tobytes())]
-        assert np.array_equal(rebuilt.samples, reference_waveform(node, packets[1]).samples)
+        assert np.array_equal(rebuilt.samples, reference_waveform(packets[1]).samples)
 
     def test_shared_frame_bits_are_read_only(self):
         node = Node(1, NodeConfig(payload_bits=PAYLOAD))
@@ -183,7 +184,7 @@ class TestThreads:
         # while they hit and miss.
         config = NodeConfig(payload_bits=PAYLOAD)
         packets = [packet_with(i, sequence=i % 3) for i in range(80)]
-        expected = [reference_waveform(Node(1, config), packet).samples for packet in packets]
+        expected = [reference_waveform(packet).samples for packet in packets]
         errors = []
         barrier = threading.Barrier(4)
 

@@ -13,7 +13,7 @@ from repro.framing.packet import Packet
 from repro.modulation.msk import MSKDemodulator, MSKModulator
 from repro.scrambler.whitening import Scrambler
 from repro.utils.angles import wrap_angle
-from repro.utils.bits import bits_from_int, bits_to_int
+from repro.utils.bits import _int_from_bits, bits_from_int
 from repro.utils.cdf import EmpiricalCDF
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=256)
@@ -136,7 +136,7 @@ class TestUtilityInvariants:
     @given(value=st.integers(0, 2 ** 16 - 1), width=st.just(16))
     @settings(max_examples=50, deadline=None)
     def test_int_bits_roundtrip(self, value, width):
-        assert bits_to_int(bits_from_int(value, width)) == value
+        assert _int_from_bits(bits_from_int(value, width)) == value
 
     @given(angle=st.floats(-100.0, 100.0))
     @settings(max_examples=100, deadline=None)

@@ -5,6 +5,10 @@ symbol (§5), one 64-bit pilot (§7.2), one detector setting (§7.1) and
 equal transmit powers (§8).  Those are module constants.  What remains a
 parameter below is set by a production caller (or, for the pilot, by the
 pilot-length ablation), and nothing else is.
+
+A relay exchange is one plan: the planner derives the relay and each
+destination's side information from the topology, and COPE and ANC run
+that plan, so neither the schemes nor the testbed take those values.
 """
 
 from __future__ import annotations
@@ -15,11 +19,15 @@ import pytest
 
 from repro.anc.alignment import align_known_frame
 from repro.anc.pipeline import ReceivePipeline
+from repro.experiments.testbed import RelayExchange, relay_exchange
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Deframer, Framer
+from repro.mac.planner import plan_relay_exchange
 from repro.modulation.msk import MSKDemodulator, MSKModulator
 from repro.network.topologies import ChannelConditions
 from repro.node.node import NodeConfig
+from repro.protocols.anc import ANCRelayProtocol
+from repro.protocols.cope import CopeRelayProtocol
 from repro.signal.energy import EnergyDetector, InterferenceDetector
 
 PARAMETERS = {
@@ -34,12 +42,34 @@ PARAMETERS = {
     SentPacketBuffer: (),
     align_known_frame: ("head_bits", "pilot", "max_pilot_errors"),
     ChannelConditions: ("snr_db",),
+    plan_relay_exchange: ("topology", "flow_a", "flow_b"),
+    ANCRelayProtocol: (
+        "topology",
+        "plan",
+        "payload_bits",
+        "ber_acceptance",
+        "redundancy_overhead",
+        "overlap_model",
+        "rng",
+        "topology_name",
+    ),
+    CopeRelayProtocol: (
+        "topology",
+        "plan",
+        "payload_bits",
+        "ber_acceptance",
+        "rng",
+        "topology_name",
+    ),
+    relay_exchange: ("bed", "scheme", "plan", "stream"),
+    RelayExchange: ("name", "build", "flows"),
 }
 
 ADVICE = (
-    "a new PHY or radio-environment parameter needs two production callers "
-    "that set different values; a value every caller leaves alone is a module "
-    "constant (see the radio constants table of docs/CHANNELS.md)"
+    "a new PHY, radio-environment or relay-exchange parameter needs two "
+    "production callers that set different values; a value every caller leaves "
+    "alone is a module constant (see the radio constants table of "
+    "docs/CHANNELS.md), and a value the topology determines is the planner's"
 )
 
 
@@ -52,4 +82,4 @@ def test_parameters_are_pinned(target):
 
 
 def test_parameter_count():
-    assert sum(len(names) for names in PARAMETERS.values()) == 13, ADVICE
+    assert sum(len(names) for names in PARAMETERS.values()) == 37, ADVICE

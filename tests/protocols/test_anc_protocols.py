@@ -5,6 +5,7 @@ import pytest
 
 from repro.channel.interference import OverlapModel
 from repro.exceptions import ConfigurationError
+from repro.mac.planner import plan_relay_exchange
 from repro.network.flows import Flow
 from repro.network.topologies import (
     ALICE,
@@ -13,8 +14,6 @@ from repro.network.topologies import (
     N2,
     N3,
     N4,
-    N5,
-    RELAY,
     ChannelConditions,
     alice_bob_topology,
     chain_topology,
@@ -54,7 +53,7 @@ class TestANCAliceBob:
         """Fig. 1d: ANC delivers two packets in 2 slots."""
         topo = alice_bob_topology(_conditions(), np.random.default_rng(0))
         result = ANCRelayProtocol(
-            topo, RELAY, Flow(ALICE, BOB, 4), Flow(BOB, ALICE, 4),
+            topo, plan_relay_exchange(topo, Flow(ALICE, BOB, 4), Flow(BOB, ALICE, 4)),
             payload_bits=PAYLOAD, overlap_model=_overlap(1), rng=np.random.default_rng(1),
         ).run()
         assert result.slots_used == 2 * 4
@@ -63,7 +62,7 @@ class TestANCAliceBob:
     def test_delivers_packets_with_low_ber(self):
         topo = alice_bob_topology(_conditions(), np.random.default_rng(2))
         result = ANCRelayProtocol(
-            topo, RELAY, Flow(ALICE, BOB, 5), Flow(BOB, ALICE, 5),
+            topo, plan_relay_exchange(topo, Flow(ALICE, BOB, 5), Flow(BOB, ALICE, 5)),
             payload_bits=PAYLOAD, overlap_model=_overlap(3), rng=np.random.default_rng(3),
         ).run()
         assert result.packets_delivered >= 9
@@ -74,7 +73,7 @@ class TestANCAliceBob:
     def test_overlap_fraction_recorded(self):
         topo = alice_bob_topology(_conditions(), np.random.default_rng(4))
         result = ANCRelayProtocol(
-            topo, RELAY, Flow(ALICE, BOB, 3), Flow(BOB, ALICE, 3),
+            topo, plan_relay_exchange(topo, Flow(ALICE, BOB, 3), Flow(BOB, ALICE, 3)),
             payload_bits=PAYLOAD, overlap_model=_overlap(5, mean=0.8),
             rng=np.random.default_rng(5),
         ).run()
@@ -88,7 +87,7 @@ class TestANCAliceBob:
         """
         topo = alice_bob_topology(_conditions(), np.random.default_rng(6))
         protocol = ANCRelayProtocol(
-            topo, RELAY, Flow(ALICE, BOB, 3), Flow(BOB, ALICE, 3),
+            topo, plan_relay_exchange(topo, Flow(ALICE, BOB, 3), Flow(BOB, ALICE, 3)),
             payload_bits=PAYLOAD, overlap_model=_overlap(7), rng=np.random.default_rng(7),
         )
         result = protocol.run()
@@ -103,11 +102,12 @@ class TestANCAliceBob:
         traditional = TraditionalRouting(
             topo, [flow_a, flow_b], payload_bits=PAYLOAD, rng=np.random.default_rng(7)
         ).run()
+        plan = plan_relay_exchange(topo, flow_a, flow_b)
         cope = CopeRelayProtocol(
-            topo, RELAY, flow_a, flow_b, payload_bits=PAYLOAD, rng=np.random.default_rng(8)
+            topo, plan, payload_bits=PAYLOAD, rng=np.random.default_rng(8)
         ).run()
         anc = ANCRelayProtocol(
-            topo, RELAY, flow_a, flow_b, payload_bits=PAYLOAD,
+            topo, plan, payload_bits=PAYLOAD,
             overlap_model=_overlap(9), rng=np.random.default_rng(9),
         ).run()
         assert anc.throughput > cope.throughput > traditional.throughput
@@ -117,7 +117,7 @@ class TestANCAliceBob:
     def test_redundancy_overhead_charged(self):
         topo = alice_bob_topology(_conditions(), np.random.default_rng(10))
         result = ANCRelayProtocol(
-            topo, RELAY, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 2),
+            topo, plan_relay_exchange(topo, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 2)),
             payload_bits=PAYLOAD, redundancy_overhead=0.08,
             overlap_model=_overlap(11), rng=np.random.default_rng(11),
         ).run()
@@ -125,21 +125,12 @@ class TestANCAliceBob:
             result.delivered_payload_bits / 1.08
         )
 
-    def test_mismatched_flows_rejected(self):
-        topo = alice_bob_topology(_conditions(), np.random.default_rng(12))
-        with pytest.raises(ConfigurationError):
-            ANCRelayProtocol(
-                topo, RELAY, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 3), payload_bits=PAYLOAD,
-                overlap_model=_overlap(12), rng=np.random.default_rng(12),
-            )
-
-
 class TestANCXTopology:
     def test_overhearing_enables_decoding(self):
         topo = x_topology(_conditions(), np.random.default_rng(13))
         result = ANCRelayProtocol(
-            topo, N5, Flow(N1, N4, 5), Flow(N3, N2, 5),
-            payload_bits=PAYLOAD, overhearing=True,
+            topo, plan_relay_exchange(topo, Flow(N1, N4, 5), Flow(N3, N2, 5)),
+            payload_bits=PAYLOAD,
             overlap_model=_overlap(14), rng=np.random.default_rng(14), topology_name="x",
         ).run()
         assert result.slots_used == 2 * 5
@@ -181,7 +172,7 @@ class TestANCChain:
             overlap_model=_overlap(22), rng=np.random.default_rng(22),
         ).run()
         ab_result = ANCRelayProtocol(
-            ab_topo, RELAY, Flow(ALICE, BOB, 6), Flow(BOB, ALICE, 6),
+            ab_topo, plan_relay_exchange(ab_topo, Flow(ALICE, BOB, 6), Flow(BOB, ALICE, 6)),
             payload_bits=PAYLOAD, overlap_model=_overlap(23), rng=np.random.default_rng(23),
         ).run()
         chain_bers = [b for b in chain_result.packet_bers if b < 0.5]

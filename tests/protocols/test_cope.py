@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.mac.planner import plan_relay_exchange
 from repro.network.flows import Flow
 from repro.network.topologies import (
     ALICE,
@@ -11,8 +12,6 @@ from repro.network.topologies import (
     N2,
     N3,
     N4,
-    N5,
-    RELAY,
     ChannelConditions,
     alice_bob_topology,
     x_topology,
@@ -31,7 +30,7 @@ class TestCopeAliceBob:
         """Fig. 1c: COPE delivers two packets in 3 slots."""
         topo = alice_bob_topology(_conditions(), np.random.default_rng(0))
         result = CopeRelayProtocol(
-            topo, RELAY, Flow(ALICE, BOB, 4), Flow(BOB, ALICE, 4),
+            topo, plan_relay_exchange(topo, Flow(ALICE, BOB, 4), Flow(BOB, ALICE, 4)),
             payload_bits=PAYLOAD, rng=np.random.default_rng(1),
         ).run()
         assert result.slots_used == 3 * 4
@@ -42,7 +41,7 @@ class TestCopeAliceBob:
         """Every COPE slot carries one frame of the same length, at offset 0."""
         topo = alice_bob_topology(_conditions(), np.random.default_rng(2))
         protocol = CopeRelayProtocol(
-            topo, RELAY, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 2),
+            topo, plan_relay_exchange(topo, Flow(ALICE, BOB, 2), Flow(BOB, ALICE, 2)),
             payload_bits=PAYLOAD, rng=np.random.default_rng(3),
         )
         result = protocol.run()
@@ -57,28 +56,19 @@ class TestCopeAliceBob:
             topo, flows, payload_bits=PAYLOAD, rng=np.random.default_rng(3)
         ).run()
         cope = CopeRelayProtocol(
-            topo, RELAY, flows[0], flows[1], payload_bits=PAYLOAD,
+            topo, plan_relay_exchange(topo, flows[0], flows[1]), payload_bits=PAYLOAD,
             rng=np.random.default_rng(4),
         ).run()
         gain = cope.throughput / traditional.throughput
         # The theoretical COPE gain for this topology is 4/3.
         assert gain == pytest.approx(4 / 3, rel=0.05)
 
-    def test_mismatched_flow_sizes_rejected(self):
-        topo = alice_bob_topology(_conditions(), np.random.default_rng(5))
-        with pytest.raises(ValueError):
-            CopeRelayProtocol(
-                topo, RELAY, Flow(ALICE, BOB, 3), Flow(BOB, ALICE, 4), payload_bits=PAYLOAD,
-                rng=np.random.default_rng(5),
-            )
-
-
 class TestCopeXTopology:
     def test_overhearing_delivery(self):
         topo = x_topology(_conditions(), np.random.default_rng(6))
         result = CopeRelayProtocol(
-            topo, N5, Flow(N1, N4, 4), Flow(N3, N2, 4),
-            payload_bits=PAYLOAD, overhearing=True,
+            topo, plan_relay_exchange(topo, Flow(N1, N4, 4), Flow(N3, N2, 4)),
+            payload_bits=PAYLOAD,
             rng=np.random.default_rng(7), topology_name="x",
         ).run()
         assert result.packets_offered == 8

@@ -5,8 +5,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.network.topologies import ChannelConditions, alice_bob_topology, RELAY
-from repro.node.relay import RelayNode
-from repro.protocols.base import ProtocolRun, RunResult, fresh_run_result
+from repro.node.node import Node
+from repro.protocols.base import ProtocolRun, RunResult
 
 
 def _result(**kwargs):
@@ -47,18 +47,20 @@ class TestRunResult:
 class TestProtocolRunHelpers:
     def _protocol(self, seed=0):
         topo = alice_bob_topology(ChannelConditions(), np.random.default_rng(seed))
-        return ProtocolRun(topo, payload_bits=128, rng=np.random.default_rng(seed))
+        return ProtocolRun(
+            topo, payload_bits=128, rng=np.random.default_rng(seed), topology_name="alice_bob"
+        )
 
-    def test_make_node_cached(self):
+    def test_one_plain_node_per_topology_node(self):
         protocol = self._protocol()
-        assert protocol.make_node(1) is protocol.make_node(1)
-
-    def test_make_relay_upgrades_plain_node(self):
-        protocol = self._protocol()
-        protocol.make_node(RELAY)
-        relay = protocol.make_relay(RELAY)
-        assert isinstance(relay, RelayNode)
-        assert protocol.make_relay(RELAY) is relay
+        assert list(protocol.nodes) == list(protocol.topology.nodes)
+        assert RELAY in protocol.nodes
+        for node_id, node in protocol.nodes.items():
+            assert type(node) is Node
+            assert node.node_id == node_id
+            assert node.config.payload_bits == 128
+            assert node.config.noise_power == protocol.topology.noise_power(node_id)
+        assert protocol.topology_name == "alice_bob"
 
     def test_counts_as_delivered(self):
         protocol = self._protocol()
@@ -70,14 +72,8 @@ class TestProtocolRunHelpers:
         topo = alice_bob_topology(ChannelConditions(), np.random.default_rng(1))
         rng = np.random.default_rng(1)
         with pytest.raises(ConfigurationError):
-            ProtocolRun(topo, payload_bits=0, rng=rng)
+            ProtocolRun(topo, payload_bits=0, rng=rng, topology_name="t")
         with pytest.raises(ConfigurationError):
-            ProtocolRun(topo, ber_acceptance=0.6, rng=rng)
+            ProtocolRun(topo, ber_acceptance=0.6, rng=rng, topology_name="t")
         with pytest.raises(ConfigurationError):
-            ProtocolRun(topo, redundancy_overhead=-0.1, rng=rng)
-
-    def test_fresh_run_result(self):
-        protocol = self._protocol()
-        result = fresh_run_result(protocol, "alice_bob")
-        assert result.topology == "alice_bob"
-        assert result.payload_bits == 128
+            ProtocolRun(topo, redundancy_overhead=-0.1, rng=rng, topology_name="t")

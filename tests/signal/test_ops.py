@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ChannelError
-from repro.signal.ops import add_signals, delay_signal, normalize_power, overlap_add, scale_to_power
+from repro.signal.ops import delay_signal, overlap_add, scale_to_power
 from repro.signal.samples import ComplexSignal
 
 
@@ -39,20 +39,6 @@ class TestDelaySignal:
         out = delay_signal(np.array([1.0, 2.0]), 2)
         assert isinstance(out, ComplexSignal)
         assert np.array_equal(out.samples, [0, 0, 1, 2])
-
-
-class TestAddSignals:
-    def test_superposition(self):
-        out = add_signals([ComplexSignal([1 + 0j]), ComplexSignal([2 + 0j])])
-        assert out.samples[0] == 3
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ChannelError):
-            add_signals([ComplexSignal([1 + 0j]), ComplexSignal([1 + 0j, 2 + 0j])])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ChannelError):
-            add_signals([])
 
 
 class TestOverlapAdd:
@@ -98,11 +84,6 @@ class TestPowerScaling:
         sig = ComplexSignal(np.full(100, 2.0, dtype=complex))
         out = scale_to_power(sig, 1.0)
         assert out.average_power == pytest.approx(1.0)
-
-    def test_normalize_power(self):
-        rng = np.random.default_rng(1)
-        sig = ComplexSignal(3 * (rng.normal(size=500) + 1j * rng.normal(size=500)))
-        assert normalize_power(sig).average_power == pytest.approx(1.0)
 
     def test_zero_signal_to_zero_power_ok(self):
         out = scale_to_power(ComplexSignal.silence(5), 0.0)

@@ -1,4 +1,4 @@
-"""Tests of the SINR-segment sessions, capture rules, and decode service."""
+"""Tests of the SINR-segment sessions, the collision rule, and the decode service."""
 
 import numpy as np
 import pytest
@@ -44,13 +44,11 @@ class TestReceptionSession:
         assert segments[0].end == 600.0
         # The overlapped tail's SINR reflects the interferer power ratio.
         assert segments[1].sinr_db == pytest.approx(10.0 * np.log10(2.0), abs=0.1)
-        assert session.min_sinr_db(0) == segments[1].sinr_db
 
-    def test_strongest_and_lookup(self):
+    def test_component_lookup(self):
         session = _session()
         session.add(0, power=0.2, start=0.0, end=FRAME)
         session.add(1, power=0.9, start=0.0, end=FRAME)
-        assert session.strongest().tx_id == 1
         assert session.component(0).power == 0.2
         with pytest.raises(SimulationError):
             session.component(99)
@@ -59,32 +57,31 @@ class TestReceptionSession:
 class TestClassifyReception:
     def test_empty_session_rejected(self):
         with pytest.raises(SimulationError):
-            classify_reception(_session(), capture_threshold_db=10.0)
+            classify_reception(_session())
 
     def test_single_component_is_clean(self):
         session = _session()
         session.add(7, power=1.0, start=0.0, end=FRAME)
-        assert classify_reception(session, 10.0) == (ReceptionKind.CLEAN, 7)
+        assert classify_reception(session) == (ReceptionKind.CLEAN, 7)
 
-    def test_strong_component_captures(self):
+    def test_strong_component_still_collides(self):
+        """No capture: a 20 dB stronger frame is lost with the weaker one."""
         session = _session()
         session.add(0, power=1.0, start=0.0, end=FRAME)
         session.add(1, power=0.01, start=100.0, end=FRAME + 100.0)
-        kind, primary = classify_reception(session, capture_threshold_db=10.0)
-        assert kind is ReceptionKind.CAPTURED
-        assert primary == 0
+        assert classify_reception(session) == (ReceptionKind.COLLIDED, None)
 
     def test_comparable_pair_without_knowledge_collides(self):
         session = _session()
         session.add(0, power=1.0, start=0.0, end=FRAME)
         session.add(1, power=0.9, start=200.0, end=FRAME + 200.0)
-        assert classify_reception(session, 10.0) == (ReceptionKind.COLLIDED, None)
+        assert classify_reception(session) == (ReceptionKind.COLLIDED, None)
 
     def test_three_way_pileup_collides(self):
         session = _session()
         for tx_id in range(3):
             session.add(tx_id, power=1.0, start=tx_id * 100.0, end=FRAME + tx_id * 100.0)
-        assert classify_reception(session, 10.0) == (ReceptionKind.COLLIDED, None)
+        assert classify_reception(session) == (ReceptionKind.COLLIDED, None)
 
 
 class TestDecodeService:

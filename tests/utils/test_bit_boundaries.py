@@ -9,7 +9,7 @@ its check along the way: each entry point below must refuse 256, -1,
 import numpy as np
 import pytest
 
-from repro.coding.crc import CRC16, append_crc, check_and_strip_crc
+from repro.coding.crc import CRC16, check_and_strip_crc
 from repro.exceptions import ConfigurationError
 from repro.framing.frame import Deframer
 from repro.framing.header import Header
@@ -17,7 +17,6 @@ from repro.framing.packet import Packet
 from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
 from repro.modulation.msk import MSKModulator, expected_phase_differences
 from repro.scrambler.whitening import Scrambler
-from repro.utils.bits import bits_to_int
 
 BAD_BITS = [[0, 1, bad] for bad in (256, -1, 0.7, 1.9)] + [np.array([0, 1, 2], dtype=np.uint8)]
 
@@ -31,9 +30,7 @@ ENTRY_POINTS = {
     "CRC16.compute": CRC16.compute,
     "CRC16.verify": CRC16.verify,
     "CRC16.append": CRC16.append,
-    "append_crc": append_crc,
     "check_and_strip_crc": check_and_strip_crc,
-    "bits_to_int": bits_to_int,
     "find_pilot": lambda bits: find_pilot(bits, PilotSequence()),
     "find_all_pilots": lambda bits: find_all_pilots(bits, PilotSequence()),
     "MSKModulator.modulate": MSKModulator().modulate,

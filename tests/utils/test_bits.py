@@ -5,13 +5,10 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.utils.bits import (
+    _int_from_bits,
     as_bit_array,
     bit_error_rate,
-    bits_from_bytes,
     bits_from_int,
-    bits_to_bytes,
-    bits_to_int,
-    bits_to_string,
     decoded_ber,
     hamming_distance,
     random_bits,
@@ -21,21 +18,21 @@ from repro.utils.bits import (
 
 class TestConversion:
     def test_string_roundtrip(self):
-        assert bits_to_string(string_to_bits("101101")) == "101101"
+        assert string_to_bits("101101").tolist() == [1, 0, 1, 1, 0, 1]
 
     def test_string_rejects_non_binary(self):
         with pytest.raises(ConfigurationError):
             string_to_bits("10201")
 
     def test_int_roundtrip(self):
-        assert bits_to_int(bits_from_int(173, 8)) == 173
+        assert _int_from_bits(bits_from_int(173, 8)) == 173
 
     def test_int_width_is_respected(self):
         assert bits_from_int(5, 8).size == 8
 
     def test_int_msb_first(self):
-        assert bits_to_string(bits_from_int(1, 4)) == "0001"
-        assert bits_to_string(bits_from_int(8, 4)) == "1000"
+        assert bits_from_int(1, 4).tolist() == [0, 0, 0, 1]
+        assert bits_from_int(8, 4).tolist() == [1, 0, 0, 0]
 
     def test_int_too_large_raises(self):
         with pytest.raises(ConfigurationError):
@@ -44,18 +41,6 @@ class TestConversion:
     def test_negative_int_raises(self):
         with pytest.raises(ConfigurationError):
             bits_from_int(-1, 4)
-
-    def test_bytes_roundtrip(self):
-        data = b"\x00\xff\x5a"
-        assert bits_to_bytes(bits_from_bytes(data)) == data
-
-    def test_bytes_requires_multiple_of_eight(self):
-        with pytest.raises(ConfigurationError):
-            bits_to_bytes([1, 0, 1])
-
-    def test_empty_bytes(self):
-        assert bits_from_bytes(b"").size == 0
-        assert bits_to_bytes([]) == b""
 
     def test_as_bit_array_rejects_twos(self):
         with pytest.raises(ConfigurationError):
@@ -97,7 +82,7 @@ class TestConversion:
                 bits = bits_from_int(value, width)
                 assert bits.dtype == np.uint8
                 assert bits.size == width
-                assert bits_to_int(bits) == value
+                assert _int_from_bits(bits) == value
 
 
 class TestRandomBits:

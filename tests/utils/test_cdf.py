@@ -39,10 +39,6 @@ class TestEvaluation:
         values = [cdf.evaluate(p) for p in points]
         assert values == sorted(values)
 
-    def test_fraction_below_excludes_equal(self):
-        cdf = EmpiricalCDF.from_samples([1.0, 2.0, 2.0, 3.0])
-        assert cdf.fraction_below(2.0) == pytest.approx(0.25)
-
     def test_quantile_median(self):
         cdf = EmpiricalCDF.from_samples([10.0, 20.0, 30.0, 40.0])
         assert cdf.median == pytest.approx(20.0)
@@ -58,7 +54,6 @@ class TestEvaluation:
     def test_mean_min_max(self):
         cdf = EmpiricalCDF.from_samples([2.0, 4.0, 6.0])
         assert cdf.mean == pytest.approx(4.0)
-        assert cdf.minimum == 2.0
         assert cdf.maximum == 6.0
 
     def test_table(self):
@@ -76,7 +71,3 @@ class TestEmptyCDF:
     def test_evaluate_rejected(self):
         with pytest.raises(ConfigurationError, match="empty CDF"):
             EmpiricalCDF().evaluate(0.0)
-
-    def test_fraction_below_rejected(self):
-        with pytest.raises(ConfigurationError, match="empty CDF"):
-            EmpiricalCDF().fraction_below(0.0)

@@ -7,11 +7,8 @@ from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
     ensure_bit_array,
     ensure_complex_array,
-    ensure_in_range,
     ensure_non_negative,
-    ensure_non_negative_int,
     ensure_positive,
-    ensure_positive_int,
     ensure_probability,
 )
 
@@ -37,26 +34,6 @@ class TestScalarValidators:
         assert ensure_probability(0.5, "p") == 0.5
         with pytest.raises(ConfigurationError):
             ensure_probability(1.2, "p")
-
-    def test_ensure_in_range(self):
-        assert ensure_in_range(3, 1, 5, "x") == 3.0
-        with pytest.raises(ConfigurationError):
-            ensure_in_range(6, 1, 5, "x")
-
-    def test_ensure_positive_int(self):
-        assert ensure_positive_int(4, "n") == 4
-        with pytest.raises(ConfigurationError):
-            ensure_positive_int(0, "n")
-        with pytest.raises(ConfigurationError):
-            ensure_positive_int(2.5, "n")
-
-    def test_ensure_non_negative_int(self):
-        assert ensure_non_negative_int(0, "n") == 0
-        with pytest.raises(ConfigurationError):
-            ensure_non_negative_int(-1, "n")
-
-    def test_numpy_integers_accepted(self):
-        assert ensure_positive_int(np.int64(3), "n") == 3
 
 
 class TestArrayValidators:
@@ -98,9 +75,6 @@ _SCALAR_VALIDATORS = {
     "positive": ensure_positive,
     "non_negative": ensure_non_negative,
     "probability": ensure_probability,
-    "in_range": lambda value, name: ensure_in_range(value, 0, 10, name),
-    "positive_int": ensure_positive_int,
-    "non_negative_int": ensure_non_negative_int,
 }
 
 
@@ -110,10 +84,5 @@ class TestTypeGuards:
     @pytest.mark.parametrize("bad", [True, "1", None], ids=["bool", "str", "none"])
     @pytest.mark.parametrize("kind", sorted(_SCALAR_VALIDATORS))
     def test_rejects_non_numbers(self, kind, bad):
-        with pytest.raises(ConfigurationError, match=r"^width must be (a real number|an integer)"):
+        with pytest.raises(ConfigurationError, match=r"^width must be a real number"):
             _SCALAR_VALIDATORS[kind](bad, "width")
-
-    @pytest.mark.parametrize("kind", ["positive_int", "non_negative_int"])
-    def test_integer_validators_reject_whole_floats(self, kind):
-        with pytest.raises(ConfigurationError, match="must be an integer"):
-            _SCALAR_VALIDATORS[kind](2.0, "n")

@@ -4,8 +4,9 @@
 results, one job after another:
 
 * **resume before work** — a job whose digest is already in the
-  :class:`~repro.campaign.store.ResultStore`, holding that job's
-  experiment and config, is counted as ``cached`` and never executed;
+  :class:`~repro.campaign.store.ResultStore`, sealed and naming that
+  job's experiment and config (:meth:`~repro.campaign.store.ResultStore.holds`),
+  is counted as ``cached`` and never executed;
 * **execute once** — every other job runs through :func:`repro.api.run`
   on the runner's one :class:`~repro.experiments.engine.ExperimentEngine`,
   whose process pool spreads the job's trials over ``concurrency``
@@ -232,7 +233,7 @@ class CampaignRunner:
     def _run_job(self, job: CampaignJob) -> JobOutcome:
         """Resume-check, execute once and store one job."""
         started = time.perf_counter()
-        if self.store.get(job.digest, job) is not None:
+        if self.store.holds(job.digest, job):
             self._emit("cached", job)
             return JobOutcome(job, "cached", elapsed_seconds=time.perf_counter() - started)
         self._emit("started", job)

@@ -11,20 +11,33 @@ job's content digest (:func:`repro.campaign.spec.job_digest`), so
 * a stored result reads back from the exact ``anc-repro.result/1`` JSON
   document that was written, with no re-serialization drift.
 
-:class:`ResultStore` is the JSON codec and the ``ExperimentResult`` type
-check over :class:`repro.store.Store`, which owns the layout, the atomic
-publish, the corrupt-entry handling and the counters (see
+:class:`ResultStore` is the codec and the ``ExperimentResult`` type
+check over :class:`repro.store.Store`, which owns the layout, the seal,
+the atomic publish, the corrupt-entry handling and the counters (see
 :mod:`repro.store`).  Entries are keyed by the source tree too, so a
 code edit makes every stored job miss.
+
+A stored payload is one identity line, ``["<name>", "<config_digest>"]``
+(JSON, so no name can end it early), followed by the unchanged
+:meth:`~repro.results.model.ExperimentResult.to_json` document.  The
+campaign runner's resume check, :meth:`ResultStore.holds`, verifies the
+seal and compares the identity line with the job's experiment and
+config digest; it never parses the document.  That is sound because
+only :meth:`repro.store.Store.put` writes seals, and it seals only the
+encoding of an ``ExperimentResult`` that exists — one validated when it
+was built and serialized with ``allow_nan=False``.  :meth:`ResultStore.get`
+still parses and validates the whole document for every caller that
+wants the result.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional, Union
 
 from repro.exceptions import ConfigurationError
-from repro.results.model import ExperimentResult, _jsonify
+from repro.results.model import ExperimentResult, config_digest
 from repro.store import Stats, Store
 
 if TYPE_CHECKING:
@@ -32,15 +45,24 @@ if TYPE_CHECKING:
 
 
 class JobMismatchError(ValueError):
-    """A valid result document stored under another job's digest."""
+    """A stored identity line that is not the expected one."""
 
 
-def _decode(raw: bytes) -> ExperimentResult:
-    return ExperimentResult.from_json(raw.decode("utf-8"))
+def _identity(name: str, digest: str) -> bytes:
+    """The identity line of a result named ``name`` with config ``digest``."""
+    return (json.dumps([name, digest]) + "\n").encode("ascii")
+
+
+def _decode(payload: bytes) -> ExperimentResult:
+    line, newline, document = payload.partition(b"\n")
+    result = ExperimentResult.from_json(document.decode("utf-8"))
+    if line + newline != _identity(result.name, result.config_digest):
+        raise JobMismatchError("identity line does not match the stored document")
+    return result
 
 
 def _encode(result: ExperimentResult) -> bytes:
-    return result.to_json().encode("utf-8")
+    return _identity(result.name, result.config_digest) + result.to_json().encode("utf-8")
 
 
 class ResultStore:
@@ -69,28 +91,34 @@ class ResultStore:
         """Filesystem path a digest's document lives at."""
         return self._store.path(digest)
 
-    def get(self, digest: str, job: Optional["CampaignJob"] = None) -> Optional[ExperimentResult]:
+    def get(self, digest: str) -> Optional[ExperimentResult]:
         """Load one stored result; ``None`` (a miss) when absent or corrupt.
 
-        A document that is not UTF-8, not JSON or not a valid result is a
-        logged, counted corrupt miss: the caller recomputes the job and
-        can never be handed a half-written or foreign file.  Given the
-        ``job`` the digest belongs to, a valid document whose experiment
-        or config is not that job's (one copied onto another job's path,
-        say) is corrupt in the same way.
+        An entry that fails its seal, is not UTF-8, not JSON, not a valid
+        result or not the result its identity line names is a logged,
+        counted corrupt miss: the caller recomputes the job and can never
+        be handed a half-written or foreign file.
         """
-        if job is None:
-            return self._store.get(digest, _decode)
-        expected = _jsonify(job.config.snapshot())
+        return self._store.get(digest, _decode)
 
-        def decode_job(raw: bytes) -> ExperimentResult:
-            """Decode one document and require it to be ``job``'s result."""
-            result = _decode(raw)
-            if result.name != job.experiment or result.config != expected:
-                raise JobMismatchError(f"stored document is not job {job.index}'s result")
-            return result
+    def holds(self, digest: str, job: "CampaignJob") -> bool:
+        """Is ``job``'s result stored under ``digest``?  (The resume check.)
 
-        return self._store.get(digest, decode_job)
+        Verifies the entry's seal and compares its identity line with the
+        job's experiment and config digest, without parsing the document.
+        An entry that fails either check is a logged, counted corrupt
+        miss (:class:`JobMismatchError` for an identity mismatch), so the
+        runner recomputes the job.
+        """
+        expected = _identity(job.experiment, config_digest(job.config.snapshot()))
+
+        def check(payload: bytes) -> bool:
+            """Require the payload to open with ``job``'s identity line."""
+            if not payload.startswith(expected):
+                raise JobMismatchError(f"stored result is not job {job.index}'s result")
+            return True
+
+        return self._store.get(digest, check) is not None
 
     def put(self, digest: str, result: ExperimentResult) -> bool:
         """Publish one result under its digest; ``False`` if already present.

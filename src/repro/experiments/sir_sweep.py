@@ -31,7 +31,7 @@ from repro.framing.frame import Framer
 from repro.framing.packet import Packet
 from repro.anc.pipeline import ReceiveOutcome, ReceivePipeline
 from repro.modulation.msk import MSKModulator
-from repro.network.topologies import MAX_CFO, MEAN_ATTENUATION
+from repro.network.topologies import MAX_CFO, MEAN_ATTENUATION, ChannelConditions
 from repro.protocols.anc import default_min_offset
 from repro.results.model import ExperimentResult, Series, make_result
 from repro.utils.db import db_to_linear
@@ -76,10 +76,9 @@ def run_sir_point_trial(
     alice_mod = MSKModulator(amplitude=1.0)
     bob_mod = MSKModulator(amplitude=bob_amplitude)
 
-    # Noise relative to Alice's received power: the ChannelConditions.noise_power
-    # formula at unit amplitude, in Python's float power rather than
-    # db_to_power_ratio's np.power, which differs by an ulp at some SNRs.
-    noise_power = MEAN_ATTENUATION ** 2 / 10.0 ** (snr_db / 10.0)
+    # The testbed's noise floor: relative to Alice's received power at unit
+    # transmit amplitude.
+    noise_power = ChannelConditions(snr_db).noise_power
 
     bers: List[float] = []
     failures = 0

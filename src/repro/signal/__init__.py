@@ -15,11 +15,7 @@ from repro.signal.energy import (
     power_profile,
 )
 from repro.signal.noise import complex_gaussian_noise
-from repro.signal.ops import (
-    delay_signal,
-    overlap_add,
-    scale_to_power,
-)
+from repro.signal.ops import delay_signal, overlap_add
 
 __all__ = [
     "ComplexSignal",
@@ -30,5 +26,4 @@ __all__ = [
     "delay_signal",
     "overlap_add",
     "power_profile",
-    "scale_to_power",
 ]

@@ -1,4 +1,4 @@
-"""Structural signal operations: delay, superposition, power scaling.
+"""Structural signal operations: delay and superposition.
 
 These are the primitives the wireless medium model composes: each
 transmitter's waveform is delayed by its start offset, attenuated and
@@ -95,22 +95,3 @@ def overlap_add(
         end = min(off + arr.size, length)
         out[off:end] += arr[: end - off]
     return ComplexSignal._adopt(out)
-
-
-def scale_to_power(signal: SignalLike, target_power: float) -> ComplexSignal:
-    """Scale a signal so its average per-sample power equals ``target_power``.
-
-    This is what the amplify-and-forward relay does: it re-amplifies the
-    received (interfered, noisy) waveform back up to its own transmit power
-    budget before rebroadcasting it (§7.5, §8).
-    """
-    if target_power < 0:
-        raise ChannelError("target power must be non-negative")
-    samples = _as_samples(signal)
-    current = float(np.mean(np.abs(samples) ** 2)) if samples.size else 0.0
-    if current == 0.0:
-        if target_power == 0.0:
-            return ComplexSignal(samples)
-        raise ChannelError("cannot scale an all-zero signal to non-zero power")
-    factor = np.sqrt(target_power / current)
-    return ComplexSignal(samples * factor)

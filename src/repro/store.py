@@ -22,9 +22,23 @@ go to a temp file in the final directory and are published with
 or nothing, and any number of processes (or machines with the same
 source on a shared disk) may share one root.  A key that is already
 present keeps its first writer and the later put is counted as a race;
-content addressing makes the two byte-equivalent.  An entry that fails
-to decode is logged, counted as ``corrupt``, removed and read as a miss,
-so the caller recomputes and republishes it.
+content addressing makes the two byte-equivalent.
+
+Every entry is sealed: one 65-byte line, the SHA-256 hex of
+``key + NUL + payload`` and a newline, followed by the codec's payload.
+:meth:`Store.get` checks the seal before it decodes, so an entry whose
+bytes were changed after it was published — a torn write, a flipped bit,
+an edited document — or an entry copied onto another key's path is
+corrupt.  A corrupt entry (a seal or a decode failure) is logged,
+counted as ``corrupt``, removed and read as a miss, so the caller
+recomputes and republishes it.
+
+Only :meth:`Store.put` writes seals, and it seals only the codec's
+output of a value that already exists, so a sealed payload is what the
+codec produced for that key.  Entries written in an older format sit
+under another source-fingerprint directory and are never read.  This
+module is the one place that reads or publishes entry files (CI's
+"One store format" lint step keeps it so).
 """
 
 from __future__ import annotations
@@ -50,6 +64,11 @@ _KEY = re.compile(r"^[0-9a-f]{16,64}$")
 logger = logging.getLogger(__name__)
 
 
+#: The encoder ``json.dumps(payload, sort_keys=True)`` builds on every
+#: call, built once: the same settings, so the same text.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def content_digest(payload: Any, length: int = 64) -> str:
     """SHA-256 hex of ``json.dumps(payload, sort_keys=True)``, truncated.
 
@@ -57,7 +76,7 @@ def content_digest(payload: Any, length: int = 64) -> str:
     caller decides what goes into its payload.  Raises ``TypeError`` or
     ``ValueError`` when the payload is not JSON-serializable.
     """
-    blob = json.dumps(payload, sort_keys=True)
+    blob = _SORTED_JSON.encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]
 
 
@@ -90,6 +109,30 @@ def source_fingerprint() -> str:
     return hasher.hexdigest()
 
 
+class SealError(ValueError):
+    """A stored entry whose seal does not match its key and payload."""
+
+
+#: Width of the seal line: 64 hex digits and a newline.
+_SEAL_WIDTH = 65
+
+
+def _seal(key: str, payload: bytes) -> bytes:
+    """The seal line of ``payload`` stored under ``key``."""
+    hasher = hashlib.sha256(key.encode("ascii"))
+    hasher.update(b"\0")
+    hasher.update(payload)
+    return hasher.hexdigest().encode("ascii") + b"\n"
+
+
+def _unseal(key: str, raw: bytes) -> bytes:
+    """The payload of a sealed entry; :class:`SealError` when the seal fails."""
+    payload = raw[_SEAL_WIDTH:]
+    if raw[:_SEAL_WIDTH] != _seal(key, payload):
+        raise SealError(f"entry does not carry the seal of key {key}")
+    return payload
+
+
 def _check_key(key: str) -> str:
     """Validate a store key (hex digest) before it touches the filesystem."""
     if not isinstance(key, str) or not _KEY.match(key):
@@ -114,7 +157,8 @@ class Stats:
     races:
         Puts that found the key already present and kept the first writer.
     corrupt:
-        Misses caused by an entry that failed to decode (also in ``misses``).
+        Misses caused by an entry that failed its seal or its decode
+        (also in ``misses``).
     """
 
     hits: int = 0
@@ -160,7 +204,7 @@ class Store:
         tree = self._tree
         if tree is None:
             return None
-        return tree / key[:2] / f"{key}{self.suffix}"
+        return tree.joinpath(key[:2], f"{key}{self.suffix}")
 
     def __contains__(self, key: str) -> bool:
         """Membership test (does not touch the counters)."""
@@ -179,9 +223,11 @@ class Store:
     def get(self, key: str, decode: Callable[[bytes], Any]) -> Any:
         """Decode one stored entry; ``None`` (a miss) when absent or corrupt.
 
-        Any exception ``decode`` raises marks the entry corrupt: it is
-        logged with its path and error type, counted, removed so that the
-        recomputed value can be published, and read as a miss.
+        ``decode`` receives the payload once the seal has been verified.
+        A seal mismatch (:class:`SealError`) or any exception ``decode``
+        raises marks the entry corrupt: it is logged with its path and
+        error type, counted, removed so that the recomputed value can be
+        published, and read as a miss.
         """
         path = self.path(key)
         if path is None:
@@ -192,7 +238,7 @@ class Store:
             self.stats.misses += 1
             return None
         try:
-            value = decode(raw)
+            value = decode(_unseal(key, raw))
         except Exception as error:
             self.stats.misses += 1
             self.stats.corrupt += 1
@@ -208,7 +254,7 @@ class Store:
         return value
 
     def put(self, key: str, value: Any, encode: Callable[[Any], bytes]) -> bool:
-        """Publish ``encode(value)`` under ``key``; ``False`` on a race.
+        """Publish ``encode(value)``, sealed, under ``key``; ``False`` on a race.
 
         A key that is already stored keeps its first writer and the call
         only counts a race.  Without a root the value is dropped and
@@ -220,12 +266,13 @@ class Store:
         if path.is_file():
             self.stats.races += 1
             return False
-        data = encode(value)
+        payload = encode(value)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                handle.write(_seal(key, payload))
+                handle.write(payload)
             os.replace(tmp_name, path)
         except BaseException:
             try:

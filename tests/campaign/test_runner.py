@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import re
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 
@@ -232,8 +233,25 @@ def _object_cell(text):
     return json.dumps(payload)
 
 
+def _document(path):
+    """A stored entry's document part (after its seal and identity lines)."""
+    return path.read_bytes().split(b"\n", 2)[2]
+
+
+def _edit_first_scalar(text):
+    """Change the first scalar's value: still valid JSON and a valid result."""
+    edited, count = re.subn(
+        r'("scalars": \{\s*"[^"]+": )(-?[0-9][0-9.eE+-]*)',
+        lambda match: match.group(1) + repr(float(match.group(2)) + 1.0),
+        text,
+        count=1,
+    )
+    assert count == 1
+    return edited
+
+
 class TestCorruptEntry:
-    """A store hit is fully decoded and validated, so a damaged document is recomputed."""
+    """A stored entry is sealed, so a damaged document is recomputed, never served."""
 
     @pytest.fixture(scope="class")
     def stored(self, tmp_path_factory):
@@ -252,10 +270,24 @@ class TestCorruptEntry:
         victim = toy_spec().jobs()[2]
         path = ResultStore(root).path(victim.digest)
         original = ResultStore(stored).get(victim.digest)
-        path.write_text(damage(path.read_text()))
+        seal, identity, document = path.read_text().split("\n", 2)
+        path.write_text("\n".join((seal, identity, damage(document))))
 
         report = api.run_campaign(toy_spec(), store=root, concurrency=1)
         assert [o.status for o in report.outcomes] == ["cached", "cached", "completed", "cached"]
+        assert report.store_stats["corrupt"] == 1
+        assert render_text(ResultStore(root).get(victim.digest)) == render_text(original)
+
+    def test_edited_scalar_is_recomputed(self, stored, tmp_path):
+        root = tmp_path / "store"
+        shutil.copytree(stored, root)
+        victim = toy_spec().jobs()[1]
+        path = ResultStore(root).path(victim.digest)
+        original = ResultStore(stored).get(victim.digest)
+        path.write_text(_edit_first_scalar(path.read_text()))
+
+        report = api.run_campaign(toy_spec(), store=root, concurrency=1)
+        assert [o.status for o in report.outcomes] == ["cached", "completed", "cached", "cached"]
         assert report.store_stats["corrupt"] == 1
         assert render_text(ResultStore(root).get(victim.digest)) == render_text(original)
 
@@ -269,7 +301,7 @@ class TestCorruptEntry:
         report = api.run_campaign(toy_spec(), store=root, concurrency=1)
         assert [o.status for o in report.outcomes] == ["cached", "completed", "cached", "cached"]
         assert report.store_stats["corrupt"] == 1
-        assert "JobMismatchError" in caplog.text
+        assert "SealError" in caplog.text
         stored_2 = ResultStore(root).get(seed_2.digest)
         assert stored_2.seed == 2
         assert ExperimentConfig.from_snapshot(stored_2.config) == seed_2.config
@@ -317,7 +349,7 @@ class TestLocalCampaign:
         for job in spec.jobs():
             result = store.get(job.digest)
             assert result.scalars["seed"] == float(job.config.seed)
-            assert json.loads(store.path(job.digest).read_text())["scalars"] == result.scalars
+            assert json.loads(_document(store.path(job.digest)))["scalars"] == result.scalars
 
     def test_digest_outside_grid_is_a_miss(self, tmp_path):
         CampaignRunner(store=tmp_path, job_fn=fake_result).run(toy_spec())

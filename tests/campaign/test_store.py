@@ -1,8 +1,10 @@
-"""Tests for the content-addressed result store: atomicity, concurrency."""
+"""Tests for the content-addressed result store: format, atomicity, concurrency."""
 
+import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.results.model import ExperimentResult
 from repro.store import source_fingerprint
 
 DIGEST = "ab" * 32
+OTHER = "cd" * 32
 
 
 def toy_result(tag="toy"):
@@ -20,6 +23,17 @@ def toy_result(tag="toy"):
     return ExperimentResult(
         name=tag, kind="figure", config={"runs": 1}, scalars={"value": 1.0}
     )
+
+
+def sealed(key, payload):
+    """``payload`` under its seal line: SHA-256 hex of key, NUL, payload."""
+    seal = hashlib.sha256(key.encode() + b"\0" + payload).hexdigest()
+    return seal.encode() + b"\n" + payload
+
+
+def entry_parts(path):
+    """A stored entry's seal line, identity line and document, as bytes."""
+    return path.read_bytes().split(b"\n", 2)
 
 
 class TestBasics:
@@ -77,11 +91,24 @@ class TestBasics:
             store = ResultStore(tmp_path / str(index))
             store.put(job.digest, foreign)
             assert store.get(job.digest) is not None
-            assert store.get(job.digest, job) is None
+            assert not store.holds(job.digest, job)
             assert job.digest not in store
             assert store.stats.corrupt == 1
             store.put(job.digest, own)
-            assert store.get(job.digest, job).config == own.config
+            assert store.holds(job.digest, job)
+            assert store.get(job.digest).config == own.config
+
+    def test_holds_never_parses_the_document(self, tmp_path):
+        job = CampaignSpec(experiment="x", base={"runs": 1}, axes={"seed": (1,)}).jobs()[0]
+        store = ResultStore(tmp_path)
+        store.put(job.digest, ExperimentResult(name="x", kind="figure", config=job.config.snapshot()))
+        _, identity, _ = entry_parts(store.path(job.digest))
+        # Only Store.put writes seals; a sealed entry is trusted to be the
+        # codec's output, so the resume check reads no further than its
+        # identity line.
+        store.path(job.digest).write_bytes(sealed(job.digest, identity + b"\n{not json"))
+        assert store.holds(job.digest, job)
+        assert store.get(job.digest) is None and store.stats.corrupt == 1
 
     def test_corrupt_document_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -95,15 +122,52 @@ class TestBasics:
     def test_wrong_schema_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(DIGEST, toy_result())
-        doc = json.loads(store.path(DIGEST).read_text())
+        _, identity, document = entry_parts(store.path(DIGEST))
+        doc = json.loads(document)
         doc["schema_version"] = "anc-repro.result/999"
-        store.path(DIGEST).write_text(json.dumps(doc))
+        # Sealed correctly, so the schema check itself rejects it.
+        payload = identity + b"\n" + json.dumps(doc).encode()
+        store.path(DIGEST).write_bytes(sealed(DIGEST, payload))
         assert store.get(DIGEST) is None
+        assert store.stats.corrupt == 1 and DIGEST not in store
+
+    def test_identity_line_must_match_the_document(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(DIGEST, toy_result())
+        _, _, document = entry_parts(store.path(DIGEST))
+        foreign = json.dumps(["other", toy_result().config_digest]).encode()
+        store.path(DIGEST).write_bytes(sealed(DIGEST, foreign + b"\n" + document))
+        assert store.get(DIGEST) is None
+        assert store.stats.corrupt == 1 and DIGEST not in store
 
     def test_stored_document_is_the_exact_json_export(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(DIGEST, toy_result())
-        assert store.path(DIGEST).read_text() == toy_result().to_json()
+        seal, identity, document = entry_parts(store.path(DIGEST))
+        assert document.decode() == toy_result().to_json()
+        assert json.loads(identity) == ["toy", toy_result().config_digest]
+        assert store.path(DIGEST).read_bytes() == sealed(DIGEST, identity + b"\n" + document)
+        assert len(seal) == 64
+
+    def test_edited_document_is_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(DIGEST, toy_result())
+        path = store.path(DIGEST)
+        text = path.read_text()
+        # Still valid JSON and a valid result: only the seal catches it.
+        path.write_text(text.replace('"value": 1.0', '"value": 2.0'))
+        assert path.read_text() != text
+        assert store.get(DIGEST) is None
+        assert store.stats.corrupt == 1 and DIGEST not in store
+
+    def test_entry_copied_under_another_digest_is_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(DIGEST, toy_result())
+        store.path(OTHER).parent.mkdir(parents=True)
+        shutil.copyfile(store.path(DIGEST), store.path(OTHER))
+        assert store.get(OTHER) is None
+        assert store.stats.corrupt == 1 and OTHER not in store
+        assert store.get(DIGEST).name == "toy"
 
     def test_no_temp_litter_after_put(self, tmp_path):
         store = ResultStore(tmp_path)

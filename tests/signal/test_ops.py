@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ChannelError
-from repro.signal.ops import delay_signal, overlap_add, scale_to_power
+from repro.signal.ops import delay_signal, overlap_add
 from repro.signal.samples import ComplexSignal
 
 
@@ -77,22 +77,3 @@ class TestOverlapAdd:
             b, 5, total_length=25
         ).samples
         assert np.allclose(composite.samples, manual)
-
-
-class TestPowerScaling:
-    def test_scale_to_power(self):
-        sig = ComplexSignal(np.full(100, 2.0, dtype=complex))
-        out = scale_to_power(sig, 1.0)
-        assert out.average_power == pytest.approx(1.0)
-
-    def test_zero_signal_to_zero_power_ok(self):
-        out = scale_to_power(ComplexSignal.silence(5), 0.0)
-        assert out.average_power == 0.0
-
-    def test_zero_signal_to_positive_power_rejected(self):
-        with pytest.raises(ChannelError):
-            scale_to_power(ComplexSignal.silence(5), 1.0)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ChannelError):
-            scale_to_power(ComplexSignal([1 + 0j]), -1.0)

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import SynchronizationError
-from repro.framing.pilot import PilotSequence, find_pilot
+from repro.framing.pilot import PilotSequence, _find_pilot
+from repro.utils.bits import as_bit_array
 
 #: How many demodulated bits of the interference-free head (or tail) are
 #: searched for the pilot.
@@ -64,9 +65,15 @@ def align_known_frame(
         packet in this case (§7.2).
     """
     pilot_seq = pilot if pilot is not None else PilotSequence()
-    index = find_pilot(head_bits[:PILOT_SEARCH_BITS], pilot_seq, max_errors=max_pilot_errors)
+    head = as_bit_array(head_bits[:PILOT_SEARCH_BITS])
+    return AlignmentResult(frame_start_sample=_leading_pilot(head, pilot_seq, max_pilot_errors))
+
+
+def _leading_pilot(head_bits: np.ndarray, pilot: PilotSequence, max_errors: int) -> int:
+    """:func:`align_known_frame`'s frame start in already checked canonical bits."""
+    index = _find_pilot(head_bits[:PILOT_SEARCH_BITS], pilot, max_errors, None)
     if index is None:
         raise SynchronizationError("pilot sequence not found in the interference-free head")
     # With one sample per symbol, the bit at index k is carried by samples
     # (k, k + 1); the frame's reference sample is therefore at sample k.
-    return AlignmentResult(frame_start_sample=int(index))
+    return index

@@ -44,7 +44,7 @@ from repro.anc.amplitude import (
 from repro.anc.lemma import phase_solutions
 from repro.anc.matching import match_phase_differences
 from repro.exceptions import DecodingError
-from repro.modulation.msk import expected_phase_differences
+from repro.modulation.msk import _phase_steps
 from repro.signal.samples import ComplexSignal
 from repro.utils.validation import ensure_bit_array
 
@@ -206,7 +206,8 @@ class InterferenceDecoder:
             last_sample = unknown_offset + j  # inclusive end sample of the run
             block = received.slice(first_sample, last_sample + 1)
             if interfered:
-                known_diffs = expected_phase_differences(
+                # The ±pi/2 differences of the checked known bits (§6.3).
+                known_diffs = _phase_steps(
                     known_bits[first_sample - known_offset : last_sample - known_offset]
                 )
                 solutions = phase_solutions(block, amplitude_a, amplitude_b)

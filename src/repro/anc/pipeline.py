@@ -31,15 +31,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.anc.alignment import PILOT_SEARCH_BITS, align_known_frame
+from repro.anc.alignment import PILOT_SEARCH_BITS, _leading_pilot
 from repro.anc.decoder import DecodeDiagnostics, InterferenceDecoder
 from repro.constants import DETECTOR_WINDOW
-from repro.exceptions import DecodingError, SynchronizationError
+from repro.exceptions import DecodingError, HeaderError, SynchronizationError
 from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Deframer, Framer
 from repro.framing.header import Header
 from repro.framing.packet import Packet
-from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
+from repro.framing.pilot import PilotSequence, _find_all_pilots, _find_pilot
 from repro.modulation.msk import MSKDemodulator
 from repro.signal.energy import EnergyDetector, InterferenceDetector, power_profile
 from repro.signal.samples import ComplexSignal
@@ -111,14 +111,14 @@ class ReceivePipeline:
         self.expected_payload_bits = int(expected_payload_bits)
         self.known_frames = known_frames if known_frames is not None else SentPacketBuffer()
         self.pilot = PilotSequence()
-        self.framer = Framer()
+        self._layout = Framer().layout_for(self.expected_payload_bits)
         self.deframer = Deframer()
         self.decoder = InterferenceDecoder()
         self.energy_detector = EnergyDetector(self.noise_power)
         self.interference_detector = InterferenceDetector(self.noise_power)
         self._demodulator = MSKDemodulator()
         #: Number of bits in every frame of this network.
-        self.frame_bits = self.framer.frame_length(self.expected_payload_bits)
+        self.frame_bits = self._layout.total_length
         #: Number of complex samples each transmitted frame occupies.
         self.frame_samples = self.frame_bits + 1
         self._header_region_bits = self.pilot.length + Header.ENCODED_LENGTH
@@ -218,11 +218,8 @@ class ReceivePipeline:
         # A frame starting later than this cannot fit inside the region.
         last_possible_start = max(0, region_samples - self.frame_samples)
         head_samples = min(region_samples, last_possible_start + self.pilot.length + 1)
-        return find_all_pilots(
-            region_bits[: head_samples - 1],
-            self.pilot,
-            max_errors=4,
-            search_limit=last_possible_start,
+        return _find_all_pilots(
+            region_bits[: head_samples - 1], self.pilot, 4, last_possible_start
         )
 
     # ------------------------------------------------------------------
@@ -307,24 +304,12 @@ class ReceivePipeline:
             )
 
         parsed = self.deframer.parse(bits)
-        packet = parsed.packet
-        if packet is None and unknown_header is not None:
+        if parsed.packet is None and unknown_header is not None:
             # The payload region was recovered but the embedded header copy
             # was corrupted; rebuild the packet from the header we already
             # decoded out of the clean region so the payload is not lost.
-            payload_region, _ = self.deframer.extract_payload_region(bits)
-            descrambled = self.deframer.scrambler.descramble(payload_region)
-            from repro.coding.crc import check_and_strip_crc
-
-            payload, crc_ok = check_and_strip_crc(descrambled)
-            packet = Packet(
-                source=unknown_header.source,
-                destination=unknown_header.destination,
-                sequence=unknown_header.sequence,
-                payload=payload,
-            )
-            parsed_crc_ok = crc_ok
-        elif packet is None:
+            parsed = self.deframer._read_payload(bits, self._layout, unknown_header)
+        elif parsed.packet is None:
             return ReceiveResult(
                 outcome=ReceiveOutcome.FAILED,
                 interfered=True,
@@ -334,19 +319,17 @@ class ReceivePipeline:
                 diagnostics=diagnostics,
                 failure_reason="decoded frame failed header validation",
             )
-        else:
-            parsed_crc_ok = parsed.payload_crc_ok
 
         return ReceiveResult(
             outcome=ReceiveOutcome.ANC_DECODED,
-            packet=packet,
-            crc_ok=parsed_crc_ok,
+            packet=parsed.packet,
+            crc_ok=parsed.payload_crc_ok,
             interfered=True,
             first_header=first_header,
             second_header=second_header,
             decoded_bits=bits,
             diagnostics=diagnostics,
-            failure_reason="" if parsed_crc_ok else PAYLOAD_CRC_FAILURE,
+            failure_reason="" if parsed.payload_crc_ok else PAYLOAD_CRC_FAILURE,
         )
 
     def _with_best_effort(self, region: ComplexSignal, result: ReceiveResult) -> ReceiveResult:
@@ -382,7 +365,7 @@ class ReceivePipeline:
         """
         head = region.slice(0, min(len(region), self._edge_samples))
         bits = self._demodulator.demodulate(head)
-        start = align_known_frame(bits, pilot=self.pilot).frame_start_sample
+        start = _leading_pilot(bits, self.pilot, 4)
         return start, self._header_after_pilot(bits, start, len(region))
 
     def _decode_trailing_header(self, region: ComplexSignal):
@@ -398,7 +381,7 @@ class ReceivePipeline:
         samples = region.samples
         tail = ComplexSignal(samples[max(0, len(samples) - self._edge_samples) :][::-1])
         bits = (1 - self._demodulator.demodulate(tail)).astype(np.uint8)
-        rev_start = find_pilot(bits[:PILOT_SEARCH_BITS], self.pilot, max_errors=4)
+        rev_start = _find_pilot(bits[:PILOT_SEARCH_BITS], self.pilot, 4, None)
         if rev_start is None:
             raise SynchronizationError("pilot not found in the interference-free tail")
         forward_start = len(region) - rev_start - self.frame_samples
@@ -414,4 +397,7 @@ class ReceivePipeline:
         header_end = start + self._header_region_bits
         if header_end + 1 > region_samples:
             return None
-        return Header.try_from_bits(bits[start + self.pilot.length : header_end])
+        try:
+            return Header._decode(bits[start + self.pilot.length : header_end])
+        except HeaderError:
+            return None

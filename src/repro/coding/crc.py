@@ -71,7 +71,10 @@ class _BitwiseCRC:
 
     def append(self, bits) -> np.ndarray:
         """Return ``bits`` with the CRC appended."""
-        data = as_bit_array(bits)
+        return self._append(as_bit_array(bits))
+
+    def _append(self, data: np.ndarray) -> np.ndarray:
+        """:meth:`append` of an already checked canonical bit array."""
         return np.concatenate([data, bits_from_int(self._register(data), self.spec.width)])
 
     def verify(self, bits_with_crc) -> bool:

@@ -123,7 +123,8 @@ class Framer:
             destination=packet.destination,
             sequence=packet.sequence,
         ).to_bits()
-        payload_with_crc = CRC16.append(packet.payload)
+        # ``Packet`` holds canonical bits, so the CRC goes on unchecked.
+        payload_with_crc = CRC16._append(packet.payload)
         scrambled_payload = self.scrambler.scramble(payload_with_crc)
         pilot_bits = self.pilot.bits
         bits = np.concatenate(
@@ -184,12 +185,18 @@ class Deframer:
         arr = as_bit_array(bits)
         try:
             layout = self._layout(arr.size)
-        except FramingError:
-            return DeframeResult(packet=None, header=None, payload_crc_ok=False)
-        try:
             header = Header._decode(arr[layout.header_start : layout.payload_start])
-        except HeaderError:
+        except (FramingError, HeaderError):
             return DeframeResult(packet=None, header=None, payload_crc_ok=False)
+        return self._read_payload(arr, layout, header)
+
+    def _read_payload(self, arr: np.ndarray, layout: FrameLayout, header: Header) -> DeframeResult:
+        """The packet ``header`` names, carrying the payload of the frame bits ``arr``.
+
+        ``arr`` is an already checked canonical bit array laid out as
+        ``layout``; its own header copy is not read, so a receiver that
+        decoded the header elsewhere can still recover the payload.
+        """
         scrambled = arr[layout.payload_start : layout.trailing_header_start]
         payload_with_crc = self.scrambler.descramble(scrambled)
         # The layout guarantees the 16 CRC bits; the descrambled array is

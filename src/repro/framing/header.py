@@ -9,6 +9,7 @@ one before acting on it.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,10 @@ import numpy as np
 from repro.coding.crc import CRC16
 from repro.constants import HEADER_DST_BITS, HEADER_SEQ_BITS, HEADER_SRC_BITS
 from repro.exceptions import HeaderError
-from repro.utils.bits import _int_from_bits, as_bit_array, bits_from_int
+from repro.utils.bits import as_bit_array
+
+#: Bytes of the (SrcID, DstID, SeqNo) fields; the CRC-16 adds two more.
+_FIELD_BYTES = (HEADER_SRC_BITS + HEADER_DST_BITS + HEADER_SEQ_BITS) // 8
 
 
 @dataclass(frozen=True)
@@ -41,15 +45,20 @@ class Header:
             raise HeaderError(f"sequence {self.sequence} does not fit in {HEADER_SEQ_BITS} bits")
 
     def to_bits(self) -> np.ndarray:
-        """Encode the header fields plus CRC-16 as a bit array."""
-        fields = np.concatenate(
-            [
-                bits_from_int(self.source, HEADER_SRC_BITS),
-                bits_from_int(self.destination, HEADER_DST_BITS),
-                bits_from_int(self.sequence, HEADER_SEQ_BITS),
-            ]
-        )
-        return CRC16.append(fields)
+        """Encode the header fields plus CRC-16 as a bit array.
+
+        The fields fill whole bytes, so they are packed and their CRC-16
+        taken over the bytes (``binascii.crc_hqx`` from the CRC's initial
+        value computes :data:`~repro.coding.crc.CRC16`): the same bits as
+        ``CRC16.append`` of the fields, unpacked once.
+        """
+        fields = (
+            int(self.source) << (HEADER_DST_BITS + HEADER_SEQ_BITS)
+            | int(self.destination) << HEADER_SEQ_BITS
+            | int(self.sequence)
+        ).to_bytes(_FIELD_BYTES, "big")
+        crc = binascii.crc_hqx(fields, CRC16.spec.initial).to_bytes(2, "big")
+        return np.unpackbits(np.frombuffer(fields + crc, dtype=np.uint8))
 
     @classmethod
     def from_bits(cls, bits) -> "Header":
@@ -69,13 +78,15 @@ class Header:
             raise HeaderError(
                 f"header must be {cls.ENCODED_LENGTH} bits, got {arr.size}"
             )
-        if not CRC16.verify(arr):
+        raw = np.packbits(arr).tobytes()
+        fields, crc = raw[:_FIELD_BYTES], raw[_FIELD_BYTES:]
+        if binascii.crc_hqx(fields, CRC16.spec.initial) != int.from_bytes(crc, "big"):
             raise HeaderError("header CRC check failed")
-        fields = _int_from_bits(arr[:-16])
+        value = int.from_bytes(fields, "big")
         return cls(
-            source=fields >> (HEADER_DST_BITS + HEADER_SEQ_BITS),
-            destination=(fields >> HEADER_SEQ_BITS) & ((1 << HEADER_DST_BITS) - 1),
-            sequence=fields & ((1 << HEADER_SEQ_BITS) - 1),
+            source=value >> (HEADER_DST_BITS + HEADER_SEQ_BITS),
+            destination=(value >> HEADER_SEQ_BITS) & ((1 << HEADER_DST_BITS) - 1),
+            sequence=value & ((1 << HEADER_SEQ_BITS) - 1),
         )
 
     @classmethod

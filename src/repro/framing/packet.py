@@ -17,6 +17,11 @@ from repro.exceptions import ConfigurationError
 from repro.utils.bits import as_bit_array, random_bits
 
 
+def _check_identifiers(source: int, destination: int, sequence: int) -> None:
+    if source < 0 or destination < 0 or sequence < 0:
+        raise ConfigurationError("packet identifiers must be non-negative")
+
+
 @dataclass(frozen=True)
 class Packet:
     """An immutable network-layer packet.
@@ -39,8 +44,7 @@ class Packet:
     payload: np.ndarray = field(compare=False)
 
     def __init__(self, source: int, destination: int, sequence: int, payload) -> None:
-        if source < 0 or destination < 0 or sequence < 0:
-            raise ConfigurationError("packet identifiers must be non-negative")
+        _check_identifiers(source, destination, sequence)
         bits = as_bit_array(payload)
         bits = bits.copy()
         bits.setflags(write=False)
@@ -74,8 +78,14 @@ class Packet:
         payload_bits: int,
         rng: np.random.Generator,
     ) -> "Packet":
-        """Create a packet with a uniformly random payload (workload generator)."""
-        return cls(source, destination, sequence, random_bits(payload_bits, rng))
+        """Create a packet with a uniformly random payload (workload generator).
+
+        The freshly drawn payload is canonical, so the packet adopts it.
+        """
+        _check_identifiers(source, destination, sequence)
+        return cls._adopt(
+            int(source), int(destination), int(sequence), random_bits(payload_bits, rng)
+        )
 
     @property
     def identity(self) -> tuple:

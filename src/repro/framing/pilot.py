@@ -75,7 +75,14 @@ def find_all_pilots(
     candidate and keeping the frame that validates is how the overhearing
     path locks onto the decodable one.
     """
-    errors = _window_errors(decoded_bits, pilot, search_limit)
+    return _find_all_pilots(as_bit_array(decoded_bits), pilot, max_errors, search_limit)
+
+
+def _find_all_pilots(
+    bits: np.ndarray, pilot: PilotSequence, max_errors: int, search_limit: Optional[int]
+) -> list:
+    """:func:`find_all_pilots` in an already checked canonical bit array."""
+    errors = _window_errors(bits, pilot, search_limit)
     candidates = np.flatnonzero(errors <= max_errors)
     ranked = candidates[np.argsort(errors[candidates], kind="stable")]
     selected: list = []
@@ -115,7 +122,14 @@ def find_pilot(
         Index of the first bit of the pilot within ``decoded_bits``, or
         ``None`` if no window matches.
     """
-    errors = _window_errors(decoded_bits, pilot, search_limit)
+    return _find_pilot(as_bit_array(decoded_bits), pilot, max_errors, search_limit)
+
+
+def _find_pilot(
+    bits: np.ndarray, pilot: PilotSequence, max_errors: int, search_limit: Optional[int]
+) -> Optional[int]:
+    """:func:`find_pilot` in an already checked canonical bit array."""
+    errors = _window_errors(bits, pilot, search_limit)
     if errors.size == 0:
         return None
     best_index = int(np.argmin(errors))
@@ -124,15 +138,17 @@ def find_pilot(
     return None
 
 
-def _window_errors(decoded_bits, pilot: PilotSequence, search_limit: Optional[int]) -> np.ndarray:
+def _window_errors(
+    bits: np.ndarray, pilot: PilotSequence, search_limit: Optional[int]
+) -> np.ndarray:
     """Bit errors against the pilot of every window starting at or below the limit.
 
-    Entry ``i`` scores the window starting at bit ``i``; the array is empty
-    when the stream is shorter than the pilot.  A window ``w`` of 0/1 bits
-    differs from the pilot ``p`` in ``sum(w * (1 - 2p)) + sum(p)`` places
+    ``bits`` is a checked canonical bit array.  Entry ``i`` scores the
+    window starting at bit ``i``; the array is empty when the stream is
+    shorter than the pilot.  A window ``w`` of 0/1 bits differs from the
+    pilot ``p`` in ``sum(w * (1 - 2p)) + sum(p)`` places
     (``w XOR p = w + p - 2wp``), one exact integer correlation.
     """
-    bits = as_bit_array(decoded_bits)
     length = pilot.length
     last_start = bits.size - length
     if last_start < 0:

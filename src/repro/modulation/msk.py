@@ -28,8 +28,12 @@ def msk_phase_trajectory(bits: np.ndarray) -> np.ndarray:
     phase after the first ``k`` bits, i.e. the trajectory Fig. 3 of the
     paper plots.  Length is ``len(bits) + 1``.
     """
-    steps = np.where(np.asarray(bits, dtype=np.uint8) == 1, MSK_PHASE_STEP, -MSK_PHASE_STEP)
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    return np.concatenate([[0.0], np.cumsum(_phase_steps(np.asarray(bits, dtype=np.uint8)))])
+
+
+def _phase_steps(bits: np.ndarray) -> np.ndarray:
+    """The ±pi/2 phase step of each bit of an already checked canonical bit array."""
+    return np.where(bits == 1, MSK_PHASE_STEP, -MSK_PHASE_STEP)
 
 
 class MSKModulator:
@@ -85,5 +89,4 @@ def expected_phase_differences(bits: BitsLike) -> np.ndarray:
     Alice feeds into the ANC matcher (§6.3): she regenerates it from the
     packet she previously transmitted.
     """
-    clean = ensure_bit_array(bits, "bits")
-    return np.where(clean == 1, MSK_PHASE_STEP, -MSK_PHASE_STEP).astype(float)
+    return _phase_steps(ensure_bit_array(bits, "bits"))

@@ -58,6 +58,12 @@ class NodeConfig:
             raise ConfigurationError("noise_power must be positive")
 
 
+#: The one transmit chain every memo miss runs: both are stateless across
+#: packets (protocol pilot, scrambler and transmit amplitude).
+_FRAMER = Framer()
+_MODULATOR = MSKModulator()
+
+
 @functools.lru_cache(maxsize=64)
 def _on_air(
     source: int,
@@ -75,8 +81,8 @@ def _on_air(
     The values are read-only arrays, so sharing them is safe.
     """
     packet = Packet._adopt(source, destination, sequence, np.frombuffer(payload, dtype=np.uint8))
-    frame = Framer().build(packet)
-    return frame.bits, frame.layout, MSKModulator().modulate(frame.bits)
+    frame = _FRAMER.build(packet)
+    return frame.bits, frame.layout, _MODULATOR.modulate(frame.bits)
 
 
 class Node:

@@ -8,6 +8,8 @@ compute those windowed statistics vectorised.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -51,9 +53,20 @@ def _trailing_means(buffer: np.ndarray, window: int) -> np.ndarray:
     if window < n:
         sums[..., window:] -= buffer[..., 1 : n + 1 - window]
     head = min(window, n)
-    sums[..., :head] /= np.arange(1.0, head + 1.0)
+    sums[..., :head] /= _ramp_counts(head)
     sums[..., head:] /= window
     return sums
+
+
+@functools.lru_cache(maxsize=16)
+def _ramp_counts(head: int) -> np.ndarray:
+    """``arange(1.0, head + 1.0)``, the ramp-up window counts.
+
+    Shared read-only through a view, so the flag cannot be switched back on.
+    """
+    counts = np.arange(1.0, head + 1.0)
+    counts.setflags(write=False)
+    return counts.view()
 
 
 def moving_variance(values: np.ndarray, window: int) -> np.ndarray:

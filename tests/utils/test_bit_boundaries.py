@@ -1,14 +1,17 @@
 """Every public entry point that takes bits rejects a non-bit value.
 
-The PHY checks bits once per stage and hands the checked array to its
-internal helpers unchecked, so this pins that no public boundary lost
-its check along the way: each entry point below must refuse 256, -1,
-0.7 and 1.9 (checked before any cast to ``uint8``) and a ``uint8`` 2.
+The PHY checks bits where they enter and once per traced stage, and
+hands arrays it built itself to private cores unchecked, so this pins
+that no public boundary lost its check along the way: each entry point
+below must refuse 256, -1, 0.7 and 1.9 (checked before any cast to
+``uint8``) and a ``uint8`` 2.
 """
 
 import numpy as np
 import pytest
 
+from repro.anc.alignment import align_known_frame
+from repro.anc.decoder import InterferenceDecoder
 from repro.coding.crc import CRC16, check_and_strip_crc
 from repro.exceptions import ConfigurationError
 from repro.framing.frame import Deframer
@@ -17,12 +20,15 @@ from repro.framing.packet import Packet
 from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
 from repro.modulation.msk import MSKModulator, expected_phase_differences
 from repro.scrambler.whitening import Scrambler
+from repro.signal.samples import ComplexSignal
+from repro.utils.bits import bit_error_rate, hamming_distance
 
 BAD_BITS = [[0, 1, bad] for bad in (256, -1, 0.7, 1.9)] + [np.array([0, 1, 2], dtype=np.uint8)]
 
 ENTRY_POINTS = {
     "Packet": lambda bits: Packet(0, 1, 2, bits),
     "Header.from_bits": Header.from_bits,
+    "Header.try_from_bits": Header.try_from_bits,
     "Deframer.parse": Deframer().parse,
     "Deframer.parse_backward": Deframer().parse_backward,
     "Deframer.extract_payload_region": Deframer().extract_payload_region,
@@ -35,6 +41,18 @@ ENTRY_POINTS = {
     "find_all_pilots": lambda bits: find_all_pilots(bits, PilotSequence()),
     "MSKModulator.modulate": MSKModulator().modulate,
     "expected_phase_differences": expected_phase_differences,
+    "align_known_frame": align_known_frame,
+    "bit_error_rate(reference)": lambda bits: bit_error_rate(bits, [0, 1, 0]),
+    "bit_error_rate(received)": lambda bits: bit_error_rate([0, 1, 0], bits),
+    "hamming_distance(a)": lambda bits: hamming_distance(bits, [0, 1, 0]),
+    "hamming_distance(b)": lambda bits: hamming_distance([0, 1, 0], bits),
+    "InterferenceDecoder.decode(known_bits)": lambda bits: InterferenceDecoder().decode(
+        ComplexSignal(np.ones(64, dtype=complex)),
+        known_bits=bits,
+        known_offset=0,
+        unknown_offset=8,
+        unknown_n_bits=16,
+    ),
 }
 
 
@@ -43,3 +61,17 @@ ENTRY_POINTS = {
 def test_public_bit_entry_point_rejects_non_bits(entry, bits):
     with pytest.raises(ConfigurationError, match="0s and 1s"):
         ENTRY_POINTS[entry](bits)
+
+
+def test_try_from_bits_still_returns_none_for_a_bad_header():
+    bits = Header(1, 2, 3).to_bits()
+    bits[7] ^= 1
+    assert Header.try_from_bits(bits) is None
+    assert Header.try_from_bits(bits[:-1]) is None
+
+
+def test_random_packet_rejects_a_negative_identifier():
+    rng = np.random.default_rng(0)
+    for ids in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            Packet.random(*ids, 8, rng)

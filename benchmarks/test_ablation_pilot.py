@@ -40,13 +40,13 @@ def _misalignment_rate(pilot_length: int, seed: int = 9) -> float:
                     noise_power=NOISE)
         received = superpose([(wave.padded(lead_in, 20), link, 0)], link.noise_power, rng, 0)
         try:
-            result = align_known_frame(
+            start = align_known_frame(
                 demodulator.demodulate(received), pilot=pilot, max_pilot_errors=1
             )
         except SynchronizationError:
             failures += 1
             continue
-        if result.frame_start_sample != lead_in:
+        if start != lead_in:
             failures += 1
     return failures / TRIALS
 

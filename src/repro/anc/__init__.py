@@ -25,18 +25,15 @@ from repro.anc.amplitude import (
 )
 from repro.anc.matching import MatchResult, match_phase_differences
 from repro.anc.decoder import (
-    ANCDecoder,
     DecoderConfig,
     DecodeDiagnostics,
     InterferenceDecoder,
     SubtractionDecoder,
 )
-from repro.anc.alignment import AlignmentResult, align_known_frame
+from repro.anc.alignment import align_known_frame
 from repro.anc.pipeline import ReceivePipeline, ReceiveResult, ReceiveOutcome
 
 __all__ = [
-    "ANCDecoder",
-    "AlignmentResult",
     "AmplitudeEstimate",
     "DecodeDiagnostics",
     "DecoderConfig",

@@ -3,13 +3,12 @@
 A collision is never perfectly synchronised: the first packet's head and
 the second packet's tail are interference-free.  The receiver demodulates
 the interference-free head with standard MSK; ``align_known_frame``
-searches those bits for the protocol pilot and returns the sample offset
+searches those bits for the protocol pilot and returns the sample index
 at which the first frame starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,29 +22,17 @@ from repro.utils.bits import as_bit_array
 PILOT_SEARCH_BITS = 256
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
-    """Where the known frame starts within the received sample stream.
-
-    Attributes
-    ----------
-    frame_start_sample:
-        Index of the frame's reference sample within the received stream
-        (also the bit index at which the pilot was found).
-    """
-
-    frame_start_sample: int
-
-
 def align_known_frame(
     head_bits: np.ndarray,
     pilot: Optional[PilotSequence] = None,
     max_pilot_errors: int = 4,
-) -> AlignmentResult:
+) -> int:
     """Find where the first frame starts by locating the pilot in the clean head.
 
     The first :data:`PILOT_SEARCH_BITS` of the demodulated bits are
-    searched.
+    searched.  Returns the index of the frame's reference sample within
+    the received stream, which is also the bit index at which the pilot
+    was found.
 
     Parameters
     ----------
@@ -66,7 +53,7 @@ def align_known_frame(
     """
     pilot_seq = pilot if pilot is not None else PilotSequence()
     head = as_bit_array(head_bits[:PILOT_SEARCH_BITS])
-    return AlignmentResult(frame_start_sample=_leading_pilot(head, pilot_seq, max_pilot_errors))
+    return _leading_pilot(head, pilot_seq, max_pilot_errors)
 
 
 def _leading_pilot(head_bits: np.ndarray, pilot: PilotSequence, max_errors: int) -> int:

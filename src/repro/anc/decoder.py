@@ -48,17 +48,21 @@ from repro.modulation.msk import _phase_steps
 from repro.signal.samples import ComplexSignal
 from repro.utils.validation import ensure_bit_array
 
+#: Fewest interference-free edge samples (the head before the second
+#: frame starts, or the tail after the first ends) that both decoders
+#: trust as a direct measurement of one signal's channel.
+MIN_EDGE_SAMPLES = 8
+
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Tunable parameters of the interference decoder.
+    """How the interference decoder obtains the two received amplitudes.
+
+    The amplitude ablation sets both fields; every other caller uses the
+    defaults.
 
     Attributes
     ----------
-    min_head_samples:
-        Minimum number of interference-free head samples needed before the
-        head is trusted as a direct amplitude measurement for the known
-        signal.
     amplitude_method:
         How the two received amplitudes are obtained:
 
@@ -77,11 +81,11 @@ class DecoderConfig:
         The ``(A, B)`` pair used when ``amplitude_method == "oracle"``.
     """
 
-    min_head_samples: int = 8
     amplitude_method: str = "hybrid"
     amplitude_oracle: Optional[Tuple[float, float]] = None
 
     def __post_init__(self) -> None:
+        """Reject an unknown method, or an oracle without amplitudes."""
         if self.amplitude_method not in {"hybrid", "sigma", "oracle"}:
             raise DecodingError(
                 f"unknown amplitude_method {self.amplitude_method!r}; "
@@ -114,6 +118,7 @@ class InterferenceDecoder:
     """
 
     def __init__(self, config: Optional[DecoderConfig] = None) -> None:
+        """A decoder using ``config`` (the default hybrid estimator when omitted)."""
         self.config = config if config is not None else DecoderConfig()
 
     # ------------------------------------------------------------------
@@ -288,10 +293,10 @@ class InterferenceDecoder:
         head = samples[known_offset:unknown_offset]
         tail = samples[known_end:unknown_end]
         head_amplitude = (
-            float(np.mean(np.abs(head))) if head.size >= self.config.min_head_samples else None
+            float(np.mean(np.abs(head))) if head.size >= MIN_EDGE_SAMPLES else None
         )
         tail_amplitude = (
-            float(np.mean(np.abs(tail))) if tail.size >= self.config.min_head_samples else None
+            float(np.mean(np.abs(tail))) if tail.size >= MIN_EDGE_SAMPLES else None
         )
 
         if self.config.amplitude_method == "hybrid":
@@ -357,10 +362,6 @@ class InterferenceDecoder:
         return estimate.amplitude_a, estimate.amplitude_b
 
 
-#: The paper-facing name of the interference decoder.
-ANCDecoder = InterferenceDecoder
-
-
 class SubtractionDecoder:
     """Naive decode-by-subtraction baseline (the §6 strawman).
 
@@ -374,9 +375,6 @@ class SubtractionDecoder:
     paper rejects it in favour of the phase-difference method.
     """
 
-    def __init__(self, min_head_samples: int = 8) -> None:
-        self.min_head_samples = int(min_head_samples)
-
     def decode(
         self,
         received: ComplexSignal,
@@ -384,7 +382,6 @@ class SubtractionDecoder:
         known_offset: int,
         unknown_offset: int,
         unknown_n_bits: int,
-        known_amplitude: float = 1.0,
     ) -> np.ndarray:
         """Decode the unknown packet's bits by subtracting the known signal."""
         known = ensure_bit_array(known_bits, "known_bits")
@@ -404,7 +401,7 @@ class SubtractionDecoder:
         known_end = known_offset + reference.size
 
         head_length = min(unknown_offset - known_offset, reference.size)
-        if head_length < self.min_head_samples:
+        if head_length < MIN_EDGE_SAMPLES:
             raise DecodingError("interference-free head too short to estimate the channel")
         head_rx = samples[known_offset : known_offset + head_length]
         head_ref = reference[:head_length]

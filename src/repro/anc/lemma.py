@@ -25,7 +25,6 @@ from typing import Union
 
 import numpy as np
 
-from repro.exceptions import DecodingError
 from repro.signal.samples import ComplexSignal
 from repro.utils.validation import ensure_complex_array, ensure_positive
 
@@ -73,23 +72,8 @@ class PhaseSolutions:
     cosine: np.ndarray
 
     def __len__(self) -> int:
+        """Number of samples solved."""
         return int(self.theta1.size)
-
-    def theta(self, branch: int) -> np.ndarray:
-        """Theta candidates of branch 1 or 2."""
-        if branch == 1:
-            return self.theta1
-        if branch == 2:
-            return self.theta2
-        raise DecodingError("branch must be 1 or 2")
-
-    def phi(self, branch: int) -> np.ndarray:
-        """Phi candidates of branch 1 or 2."""
-        if branch == 1:
-            return self.phi1
-        if branch == 2:
-            return self.phi2
-        raise DecodingError("branch must be 1 or 2")
 
 
 def phase_solutions(

@@ -48,6 +48,7 @@ class MatchResult:
     bits: np.ndarray
 
     def __len__(self) -> int:
+        """Number of decoded bits."""
         return int(self.bits.size)
 
 

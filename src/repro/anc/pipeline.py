@@ -107,6 +107,7 @@ class ReceivePipeline:
         expected_payload_bits: int,
         known_frames: Optional[SentPacketBuffer] = None,
     ) -> None:
+        """A receive chain for one network's noise floor and payload size."""
         self.noise_power = float(noise_power)
         self.expected_payload_bits = int(expected_payload_bits)
         self.known_frames = known_frames if known_frames is not None else SentPacketBuffer()

@@ -57,16 +57,20 @@ class IdentityCode(BlockCode):
 
     @property
     def data_bits_per_block(self) -> int:
+        """One data bit per block."""
         return 1
 
     @property
     def coded_bits_per_block(self) -> int:
+        """One coded bit per block."""
         return 1
 
     def encode(self, bits) -> np.ndarray:
+        """A checked copy of ``bits``, unchanged."""
         return ensure_bit_array(bits, "bits")
 
     def decode(self, bits) -> np.ndarray:
+        """A checked copy of ``bits``, unchanged."""
         return ensure_bit_array(bits, "bits")
 
 
@@ -82,6 +86,7 @@ class FECPipeline:
     """
 
     def __init__(self, stages: Iterable[BlockCode]) -> None:
+        """Chain ``stages``; an empty chain is the identity code."""
         self.stages: List[BlockCode] = list(stages)
         if not self.stages:
             self.stages = [IdentityCode()]
@@ -90,12 +95,14 @@ class FECPipeline:
                 raise CodingError(f"not a BlockCode: {stage!r}")
 
     def encode(self, bits) -> np.ndarray:
+        """Encode ``bits`` with every stage, outermost first."""
         out = ensure_bit_array(bits, "bits")
         for stage in self.stages:
             out = stage.encode(out)
         return out
 
     def decode(self, bits) -> np.ndarray:
+        """Decode ``bits`` with every stage, innermost first."""
         out = ensure_bit_array(bits, "bits")
         for stage in reversed(self.stages):
             out = stage.decode(out)

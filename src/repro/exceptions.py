@@ -3,7 +3,7 @@
 Every error raised by :mod:`repro` derives from :class:`ReproError` so that
 callers can catch library failures with a single ``except`` clause while
 still being able to distinguish the individual failure modes that matter
-operationally (e.g. a CRC failure vs. a missing known packet).
+operationally (e.g. a bad header vs. a missing known packet).
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ class HeaderError(FramingError):
 
 
 class CodingError(ReproError):
-    """Raised by the error-control coding layer (CRC/FEC)."""
-
-
-class CRCError(CodingError):
-    """Raised when a CRC check fails on a decoded frame."""
+    """Raised by the error-control coding layer (FEC)."""
 
 
 class DecodingError(ReproError):

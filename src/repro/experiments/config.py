@@ -133,7 +133,10 @@ class ExperimentConfig:
         for name in _FLOAT_FIELDS:
             _check_finite(name, getattr(self, name))
         for name in self._TUPLE_FIELDS:
-            for end in getattr(self, name):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or len(value) != 2:
+                raise ConfigurationError(f"{name} must be a (low, high) pair, got {value!r}")
+            for end in value:
                 _check_finite(name, end)
         if self.runs <= 0:
             raise ConfigurationError("runs must be positive")
@@ -224,6 +227,12 @@ class ExperimentConfig:
         if name in cls._TUPLE_FIELDS and isinstance(value, (list, tuple)):
             return tuple(value)
         if name == "impairments" and isinstance(value, Mapping):
+            unknown = sorted(set(value).difference(_IMPAIRMENT_FIELD_NAMES))
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown impairment field(s): {', '.join(map(str, unknown))}; "
+                    f"valid fields are {', '.join(_IMPAIRMENT_FIELD_NAMES)}"
+                )
             return ImpairmentConfig(**dict(value))
         return value
 

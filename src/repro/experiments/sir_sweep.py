@@ -34,6 +34,7 @@ from repro.modulation.msk import MSKModulator
 from repro.network.topologies import MAX_CFO, MEAN_ATTENUATION, ChannelConditions
 from repro.protocols.anc import default_min_offset
 from repro.results.model import ExperimentResult, Series, make_result
+from repro.utils.bits import decoded_ber
 from repro.utils.db import db_to_linear
 
 
@@ -79,6 +80,11 @@ def run_sir_point_trial(
     # The testbed's noise floor: relative to Alice's received power at unit
     # transmit amplitude.
     noise_power = ChannelConditions(snr_db).noise_power
+    # The hand-built Fig. 13 links honour the same impairment declaration
+    # as topology-based trials: the implicit node set is (relay 0, Alice 1,
+    # Bob 2), so the two colliding senders get distinct oscillators and
+    # every hop fades.  The offsets draw no randomness.
+    offsets = cfg.impairments.sender_offsets([0, 1, 2])
 
     bers: List[float] = []
     failures = 0
@@ -101,11 +107,6 @@ def run_sir_point_trial(
             frequency_offset=-float(rng.uniform(0.25 * MAX_CFO, MAX_CFO)),
         )
         if cfg.impairments.enabled:
-            # The hand-built Fig. 13 links honour the same impairment
-            # declaration as topology-based trials: the implicit node set
-            # is (relay 0, Alice 1, Bob 2), so the two colliding senders
-            # get distinct oscillators and every hop fades.
-            offsets = cfg.impairments.sender_offsets([0, 1, 2])
             impair_link(link_alice, offsets[1], cfg.impairments, rng)
             impair_link(link_bob, offsets[2], cfg.impairments, rng)
         _, offset = overlap_model.draw_offsets(len(alice_wave))
@@ -123,12 +124,7 @@ def run_sir_point_trial(
             noise_power=noise_power,
         )
         if cfg.impairments.enabled:
-            impair_link(
-                downlink,
-                cfg.impairments.sender_offsets([0, 1, 2])[0],
-                cfg.impairments,
-                rng,
-            )
+            impair_link(downlink, offsets[0], cfg.impairments, rng)
         received = superpose([(broadcast, downlink, 0)], downlink.noise_power, rng, 0)
 
         buffer = SentPacketBuffer()
@@ -146,9 +142,7 @@ def run_sir_point_trial(
         ):
             failures += 1
             continue
-        bers.append(
-            float(np.mean(outcome.packet.payload != bob_packet.payload))
-        )
+        bers.append(decoded_ber(bob_packet.payload, outcome.packet.payload))
 
     mean_ber = float(np.mean(bers)) if bers else 0.5
     return SIRPoint(

@@ -15,7 +15,7 @@ to decide between decoding, amplify-and-forward and dropping (§7.5).
 
 from repro.framing.header import Header
 from repro.framing.packet import Packet
-from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
+from repro.framing.pilot import PilotSequence
 from repro.framing.frame import Frame, FrameLayout, Framer, Deframer
 from repro.framing.buffer import SentPacketBuffer
 
@@ -28,6 +28,4 @@ __all__ = [
     "Packet",
     "PilotSequence",
     "SentPacketBuffer",
-    "find_all_pilots",
-    "find_pilot",
 ]

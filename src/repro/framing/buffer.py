@@ -28,9 +28,11 @@ class SentPacketBuffer:
     CAPACITY = 256
 
     def __init__(self) -> None:
+        """An empty buffer."""
         self._frames: "OrderedDict[Tuple[int, int, int], Frame]" = OrderedDict()
 
     def __len__(self) -> int:
+        """Number of frames held."""
         return len(self._frames)
 
     def store(self, frame: Frame) -> None:

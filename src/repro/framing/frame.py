@@ -20,7 +20,7 @@ parses demodulated bits back into packets, in either direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -54,14 +54,17 @@ class FrameLayout:
 
     @property
     def header_start(self) -> int:
+        """Index of the leading header's first bit."""
         return self.pilot_length
 
     @property
     def payload_start(self) -> int:
+        """Index of the scrambled payload's first bit."""
         return self.pilot_length + self.header_length
 
     @property
     def trailing_header_start(self) -> int:
+        """Index of the reversed trailing header's first bit."""
         return self.payload_start + self.coded_payload_length
 
 
@@ -84,6 +87,7 @@ class Frame:
 
     @property
     def length(self) -> int:
+        """Number of over-the-air bits in the frame."""
         return int(self.bits.size)
 
 
@@ -95,6 +99,7 @@ class Framer:
     """
 
     def __init__(self, pilot: Optional[PilotSequence] = None) -> None:
+        """A framer for ``pilot`` (the protocol pilot when omitted)."""
         self.pilot = pilot if pilot is not None else PilotSequence()
         self.scrambler = Scrambler()
 
@@ -107,10 +112,6 @@ class Framer:
             header_length=Header.ENCODED_LENGTH,
             payload_length=payload_length,
         )
-
-    def frame_length(self, payload_length: int) -> int:
-        """Total frame length in bits for a payload of the given size."""
-        return self.layout_for(payload_length).total_length
 
     def build(self, packet: Packet) -> Frame:
         """Assemble the over-the-air bit sequence for a packet.
@@ -164,6 +165,7 @@ class Deframer:
     """
 
     def __init__(self) -> None:
+        """A deframer for the protocol pilot and scrambler."""
         self.scrambler = Scrambler()
 
     def _layout(self, total_bits: int) -> FrameLayout:
@@ -217,14 +219,3 @@ class Deframer:
         """
         arr = as_bit_array(reversed_bits)
         return self.parse(arr[::-1])
-
-    def extract_payload_region(self, bits) -> Tuple[np.ndarray, FrameLayout]:
-        """Return the scrambled payload+CRC region and the inferred layout.
-
-        Used by the evaluation harness to compute raw (pre-FEC) bit error
-        rates over exactly the payload bits, matching the paper's BER
-        metric (§11.2).
-        """
-        arr = as_bit_array(bits)
-        layout = self._layout(arr.size)
-        return arr[layout.payload_start : layout.trailing_header_start], layout

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coding.crc import CRC16
+from repro.coding.crc import CRC_INITIAL
 from repro.constants import HEADER_DST_BITS, HEADER_SEQ_BITS, HEADER_SRC_BITS
 from repro.exceptions import HeaderError
 from repro.utils.bits import as_bit_array
@@ -35,6 +35,7 @@ class Header:
     ENCODED_LENGTH: int = HEADER_SRC_BITS + HEADER_DST_BITS + HEADER_SEQ_BITS + 16
 
     def __post_init__(self) -> None:
+        """Check that every field fits its width."""
         if not 0 <= self.source < (1 << HEADER_SRC_BITS):
             raise HeaderError(f"source id {self.source} does not fit in {HEADER_SRC_BITS} bits")
         if not 0 <= self.destination < (1 << HEADER_DST_BITS):
@@ -48,16 +49,17 @@ class Header:
         """Encode the header fields plus CRC-16 as a bit array.
 
         The fields fill whole bytes, so they are packed and their CRC-16
-        taken over the bytes (``binascii.crc_hqx`` from the CRC's initial
-        value computes :data:`~repro.coding.crc.CRC16`): the same bits as
-        ``CRC16.append`` of the fields, unpacked once.
+        taken over the bytes (``binascii.crc_hqx`` from
+        :data:`~repro.coding.crc.CRC_INITIAL` computes
+        :data:`~repro.coding.crc.CRC16`): the same bits as ``CRC16.append``
+        of the fields, unpacked once.
         """
         fields = (
             int(self.source) << (HEADER_DST_BITS + HEADER_SEQ_BITS)
             | int(self.destination) << HEADER_SEQ_BITS
             | int(self.sequence)
         ).to_bytes(_FIELD_BYTES, "big")
-        crc = binascii.crc_hqx(fields, CRC16.spec.initial).to_bytes(2, "big")
+        crc = binascii.crc_hqx(fields, CRC_INITIAL).to_bytes(2, "big")
         return np.unpackbits(np.frombuffer(fields + crc, dtype=np.uint8))
 
     @classmethod
@@ -80,7 +82,7 @@ class Header:
             )
         raw = np.packbits(arr).tobytes()
         fields, crc = raw[:_FIELD_BYTES], raw[_FIELD_BYTES:]
-        if binascii.crc_hqx(fields, CRC16.spec.initial) != int.from_bytes(crc, "big"):
+        if binascii.crc_hqx(fields, CRC_INITIAL) != int.from_bytes(crc, "big"):
             raise HeaderError("header CRC check failed")
         value = int.from_bytes(fields, "big")
         return cls(
@@ -88,14 +90,6 @@ class Header:
             destination=(value >> HEADER_SEQ_BITS) & ((1 << HEADER_DST_BITS) - 1),
             sequence=value & ((1 << HEADER_SEQ_BITS) - 1),
         )
-
-    @classmethod
-    def try_from_bits(cls, bits):
-        """Like :meth:`from_bits` but returns ``None`` instead of raising."""
-        try:
-            return cls.from_bits(bits)
-        except HeaderError:
-            return None
 
     @property
     def identity(self) -> tuple:

@@ -44,6 +44,7 @@ class Packet:
     payload: np.ndarray = field(compare=False)
 
     def __init__(self, source: int, destination: int, sequence: int, payload) -> None:
+        """Check the identifiers and keep a frozen canonical copy of ``payload``."""
         _check_identifiers(source, destination, sequence)
         bits = as_bit_array(payload)
         bits = bits.copy()
@@ -110,9 +111,11 @@ class Packet:
         return np.bitwise_xor(self.payload, other.payload).astype(np.uint8)
 
     def __hash__(self) -> int:
+        """Hash of the (source, destination, sequence) identity."""
         return hash(self.identity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        """The identity and payload length, for debugging."""
         return (
             f"Packet(src={self.source}, dst={self.destination}, seq={self.sequence}, "
             f"len={self.payload_length})"

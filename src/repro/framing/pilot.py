@@ -9,8 +9,9 @@ and ends with a mirrored copy of it.  The pilot serves two purposes:
   of a partially-overlapped collision is decodable with plain MSK
   demodulation, which anchors the whole ANC decoding procedure.
 
-``find_pilot`` locates the pilot within a decoded bit stream, tolerating a
-configurable number of bit errors.
+``_find_pilot`` locates the pilot within a decoded bit stream, tolerating a
+given number of bit errors; the receive chain calls it on bits it
+demodulated itself.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from repro.constants import PILOT_LENGTH_BITS, PILOT_SEED
 from repro.exceptions import ConfigurationError
-from repro.utils.bits import as_bit_array
 from repro.utils.pn import pn_bits
 
 
@@ -31,14 +31,16 @@ from repro.utils.pn import pn_bits
 class PilotSequence:
     """The protocol-wide known pilot bit pattern.
 
-    All nodes construct the pilot from the same seed, so any receiver can
-    regenerate it locally; nothing about the pilot is packet-specific.
+    All nodes construct the pilot from the same seed
+    (:data:`~repro.constants.PILOT_SEED`), so any receiver can regenerate
+    it locally; nothing about the pilot is packet-specific.  Only the
+    length varies, in the pilot-length ablation.
     """
 
     length: int = PILOT_LENGTH_BITS
-    seed: int = PILOT_SEED
 
     def __post_init__(self) -> None:
+        """Reject a non-positive length."""
         if self.length <= 0:
             raise ConfigurationError("pilot length must be positive")
 
@@ -46,26 +48,23 @@ class PilotSequence:
     def bits(self) -> np.ndarray:
         """The pilot bit pattern (most-significant generated bit first).
 
-        Every pilot with this ``(length, seed)`` shares one read-only array.
+        Every pilot of this length shares one read-only array.
         """
-        return _pilot_bits(self.length, self.seed)
+        return _pilot_bits(self.length)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _pilot_bits(length: int, seed: int) -> np.ndarray:
+def _pilot_bits(length: int) -> np.ndarray:
     """The shared pilot, read-only through a view so it cannot be unfrozen."""
-    bits = pn_bits(length, seed=seed)
+    bits = pn_bits(length, seed=PILOT_SEED)
     bits.setflags(write=False)
     return bits.view()
 
 
-def find_all_pilots(
-    decoded_bits,
-    pilot: PilotSequence,
-    max_errors: int = 4,
-    search_limit: Optional[int] = None,
+def _find_all_pilots(
+    bits: np.ndarray, pilot: PilotSequence, max_errors: int, search_limit: Optional[int]
 ) -> list:
-    """Find every candidate pilot position in a decoded bit stream.
+    """Every candidate pilot position in the checked canonical bits ``bits``.
 
     Returns the start indices of all windows within ``max_errors`` of the
     pilot, best match first (ties broken by earliest position), with
@@ -73,15 +72,9 @@ def find_all_pilots(
     pilot-length apart.  A receiver snooping on a collision can see two
     pilots in its head region (one per colliding frame); trying each
     candidate and keeping the frame that validates is how the overhearing
-    path locks onto the decodable one.
+    path locks onto the decodable one.  Only starts at or below
+    ``search_limit`` are considered, when it is given.
     """
-    return _find_all_pilots(as_bit_array(decoded_bits), pilot, max_errors, search_limit)
-
-
-def _find_all_pilots(
-    bits: np.ndarray, pilot: PilotSequence, max_errors: int, search_limit: Optional[int]
-) -> list:
-    """:func:`find_all_pilots` in an already checked canonical bit array."""
     errors = _window_errors(bits, pilot, search_limit)
     candidates = np.flatnonzero(errors <= max_errors)
     ranked = candidates[np.argsort(errors[candidates], kind="stable")]
@@ -92,43 +85,16 @@ def _find_all_pilots(
     return selected
 
 
-def find_pilot(
-    decoded_bits,
-    pilot: PilotSequence,
-    max_errors: int = 4,
-    search_limit: Optional[int] = None,
-) -> Optional[int]:
-    """Locate the pilot within a decoded bit stream.
-
-    Parameters
-    ----------
-    decoded_bits:
-        Bits obtained by standard MSK demodulation of the (start of the)
-        received signal.
-    pilot:
-        The protocol pilot to search for.
-    max_errors:
-        Maximum Hamming distance at which a window still counts as the
-        pilot; a small tolerance makes the search robust to the occasional
-        demodulation error in the interference-free region.
-    search_limit:
-        Only consider candidate start positions below this index (the
-        paper's receiver only needs to search the interference-free head
-        of the signal).
-
-    Returns
-    -------
-    int or None
-        Index of the first bit of the pilot within ``decoded_bits``, or
-        ``None`` if no window matches.
-    """
-    return _find_pilot(as_bit_array(decoded_bits), pilot, max_errors, search_limit)
-
-
 def _find_pilot(
     bits: np.ndarray, pilot: PilotSequence, max_errors: int, search_limit: Optional[int]
 ) -> Optional[int]:
-    """:func:`find_pilot` in an already checked canonical bit array."""
+    """Start of the best pilot match in the checked canonical bits ``bits``.
+
+    The window with the fewest bit errors wins (the earliest on a tie);
+    ``None`` when it has more than ``max_errors`` errors or the stream is
+    shorter than the pilot.  Only starts at or below ``search_limit`` are
+    considered, when it is given.
+    """
     errors = _window_errors(bits, pilot, search_limit)
     if errors.size == 0:
         return None
@@ -155,15 +121,15 @@ def _window_errors(
         return np.zeros(0, dtype=np.intp)
     if search_limit is not None:
         last_start = min(last_start, max(int(search_limit), 0))
-    weights, ones = _pilot_weights(length, pilot.seed)
+    weights, ones = _pilot_weights(length)
     head = bits[: last_start + length].astype(np.intp)
     return np.correlate(head, weights, mode="valid") + ones
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _pilot_weights(length: int, seed: int):
+def _pilot_weights(length: int):
     """``(1 - 2 * pilot, sum(pilot))`` as machine integers, for the window count."""
-    pattern = _pilot_bits(length, seed).astype(np.intp)
+    pattern = _pilot_bits(length).astype(np.intp)
     weights = 1 - 2 * pattern
     weights.setflags(write=False)
     return weights, int(pattern.sum())

@@ -48,6 +48,7 @@ class MSKModulator:
     """
 
     def __init__(self, amplitude: float = DEFAULT_TX_AMPLITUDE) -> None:
+        """A modulator emitting at the positive ``amplitude``."""
         self.amplitude = ensure_positive(amplitude, "amplitude")
 
     def modulate(self, bits: BitsLike) -> ComplexSignal:
@@ -80,13 +81,3 @@ class MSKDemodulator:
         if samples.size < 2:
             return np.zeros(0, dtype=np.uint8)
         return (np.angle(samples[1:] * np.conj(samples[:-1])) >= 0).astype(np.uint8)
-
-
-def expected_phase_differences(bits: BitsLike) -> np.ndarray:
-    """The ±pi/2 phase-difference sequence a given bit pattern produces.
-
-    This is the "known phase difference" sequence ``delta theta_s[n]`` that
-    Alice feeds into the ANC matcher (§6.3): she regenerates it from the
-    packet she previously transmitted.
-    """
-    return _phase_steps(ensure_bit_array(bits, "bits"))

@@ -11,7 +11,6 @@ from repro.signal.samples import ComplexSignal
 from repro.signal.energy import (
     EnergyDetector,
     InterferenceDetector,
-    average_power,
     power_profile,
 )
 from repro.signal.noise import complex_gaussian_noise
@@ -21,7 +20,6 @@ __all__ = [
     "ComplexSignal",
     "EnergyDetector",
     "InterferenceDetector",
-    "average_power",
     "complex_gaussian_noise",
     "delay_signal",
     "overlap_add",

@@ -43,14 +43,6 @@ def _as_samples(signal: SignalLike) -> np.ndarray:
     return np.asarray(signal, dtype=np.complex128)
 
 
-def average_power(signal: SignalLike) -> float:
-    """Mean per-sample energy of a signal."""
-    samples = _as_samples(signal)
-    if samples.size == 0:
-        return 0.0
-    return float(np.mean(np.abs(samples) ** 2))
-
-
 def power_profile(signal: SignalLike) -> np.ndarray:
     """Per-sample energy ``|s|^2``, the array both detectors read."""
     return np.abs(_as_samples(signal)) ** 2
@@ -89,6 +81,7 @@ class EnergyDetector:
     """
 
     def __init__(self, noise_power: float) -> None:
+        """A detector for the positive linear ``noise_power``."""
         self.noise_power = ensure_positive(noise_power, "noise_power")
         #: Linear energy level above which a packet is declared.
         self.threshold_power = self.noise_power * db_to_power_ratio(
@@ -131,6 +124,7 @@ class InterferenceDetector:
     """
 
     def __init__(self, noise_power: float) -> None:
+        """A detector for the positive linear ``noise_power``."""
         self.noise_power = ensure_positive(noise_power, "noise_power")
         #: Linear variance level above which interference is declared.
         self.threshold_variance = self.noise_power * db_to_power_ratio(

@@ -3,9 +3,8 @@
 A wireless signal in this library is a finite stream of complex baseband
 samples, exactly as the paper describes (§5.1: "we will talk about complex
 samples, of the form ``A_s[n] e^{i theta_s[n]}``").  The container wraps a
-``numpy`` array and offers the handful of derived quantities (amplitude,
-phase, phase differences, energy) that the modulation and ANC layers keep
-recomputing, plus simple slicing and concatenation.
+``numpy`` array, freezes it, and offers the few structural operations
+(slicing, reversal, padding, scaling) the channel and ANC layers use.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ class ComplexSignal:
     samples: np.ndarray
 
     def __init__(self, samples: Union[np.ndarray, Iterable[complex]]) -> None:
+        """A frozen copy of ``samples`` as a one-dimensional complex array."""
         # ensure_complex_array casts with astype, which always allocates, so
         # the signal never aliases the caller's array.
         object.__setattr__(self, "samples", _frozen(ensure_complex_array(samples, "samples")))
@@ -66,11 +66,6 @@ class ComplexSignal:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def empty(cls) -> "ComplexSignal":
-        """A signal with no samples."""
-        return cls(np.zeros(0, dtype=np.complex128))
-
-    @classmethod
     def silence(cls, length: int) -> "ComplexSignal":
         """A signal of ``length`` zero samples (idle channel)."""
         if length < 0:
@@ -81,29 +76,8 @@ class ComplexSignal:
     # Basic properties
     # ------------------------------------------------------------------
     def __len__(self) -> int:
+        """Number of samples."""
         return int(self.samples.size)
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        """Per-sample magnitude ``|s[n]|``."""
-        return np.abs(self.samples)
-
-    @property
-    def phase(self) -> np.ndarray:
-        """Per-sample phase ``arg(s[n])`` in ``(-pi, pi]``."""
-        return np.angle(self.samples)
-
-    @property
-    def energy(self) -> np.ndarray:
-        """Per-sample energy ``|s[n]|^2``."""
-        return np.abs(self.samples) ** 2
-
-    @property
-    def average_power(self) -> float:
-        """Mean per-sample energy (zero for an empty signal)."""
-        if len(self) == 0:
-            return 0.0
-        return float(np.mean(self.energy))
 
     # ------------------------------------------------------------------
     # Structural operations
@@ -111,10 +85,6 @@ class ComplexSignal:
     def slice(self, start: int, stop: int) -> "ComplexSignal":
         """Return the sub-signal ``samples[start:stop]`` (a read-only view)."""
         return ComplexSignal._adopt(self.samples[start:stop])
-
-    def concatenate(self, other: "ComplexSignal") -> "ComplexSignal":
-        """Append ``other`` after this signal."""
-        return ComplexSignal(np.concatenate([self.samples, other.samples]))
 
     def reversed(self) -> "ComplexSignal":
         """Time-reversed copy (used by Bob's backward decoding, §7.4)."""
@@ -138,20 +108,12 @@ class ComplexSignal:
         """Multiply every sample by ``factor`` (attenuation and/or phase shift)."""
         return ComplexSignal._adopt(self.samples * factor)
 
-    def __add__(self, other: "ComplexSignal") -> "ComplexSignal":
-        """Superpose two signals of identical length (what the channel does)."""
-        if not isinstance(other, ComplexSignal):
-            return NotImplemented
-        if len(self) != len(other):
-            raise ConfigurationError(
-                "signals must have equal length to superpose; use overlap_add for offsets"
-            )
-        return ComplexSignal(self.samples + other.samples)
-
     def __eq__(self, other: object) -> bool:
+        """Equal length and samples equal within ``np.allclose``."""
         if not isinstance(other, ComplexSignal):
             return NotImplemented
         return len(self) == len(other) and bool(np.allclose(self.samples, other.samples))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ComplexSignal(n={len(self)}, power={self.average_power:.4g})"
+        """The sample count, for debugging."""
+        return f"ComplexSignal(n={len(self)})"

@@ -6,13 +6,9 @@ pseudo-noise sequence generation, sliding-window statistics, and empirical
 CDFs used by the evaluation harness.
 """
 
-from repro.utils.angles import (
-    phase_difference,
-    wrap_angle,
-)
+from repro.utils.angles import wrap_angle
 from repro.utils.bits import (
     bits_from_int,
-    hamming_distance,
     random_bits,
     string_to_bits,
 )
@@ -40,10 +36,8 @@ __all__ = [
     "ensure_complex_array",
     "ensure_positive",
     "ensure_probability",
-    "hamming_distance",
     "moving_average",
     "moving_variance",
-    "phase_difference",
     "pn_bits",
     "random_bits",
     "string_to_bits",

@@ -53,12 +53,3 @@ def wrap_angle(angle: ArrayLike) -> ArrayLike:
         return float(np.pi if near_minus_pi else wrapped)
     np.copyto(wrapped, np.pi, where=near_minus_pi)
     return wrapped
-
-
-def phase_difference(later: ArrayLike, earlier: ArrayLike) -> ArrayLike:
-    """Wrapped phase difference ``later - earlier`` in ``(-pi, pi]``.
-
-    This is the quantity MSK demodulation thresholds on: a positive
-    difference decodes to a "1" bit and a negative difference to "0".
-    """
-    return wrap_angle(np.asarray(later, dtype=float) - np.asarray(earlier, dtype=float))

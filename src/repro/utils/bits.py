@@ -2,9 +2,9 @@
 
 The library represents bit streams as ``numpy.ndarray`` of dtype ``uint8``
 containing only 0s and 1s.  These helpers convert between that canonical
-representation and integers, bytes and strings, and provide the small
-amount of bit arithmetic (Hamming distance, random generation) that the
-framing, coding and evaluation layers need.
+representation and integers and strings, and provide the small amount of
+bit arithmetic (random generation, decoded BER) that the framing, coding
+and evaluation layers need.
 """
 
 from __future__ import annotations
@@ -79,32 +79,12 @@ def random_bits(length: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=length, dtype=np.uint8)
 
 
-def hamming_distance(a: BitsLike, b: BitsLike) -> int:
-    """Number of positions at which two equal-length bit arrays differ."""
-    arr_a = as_bit_array(a)
-    arr_b = as_bit_array(b)
-    if arr_a.size != arr_b.size:
-        raise ConfigurationError(
-            f"bit arrays must have equal length (got {arr_a.size} and {arr_b.size})"
-        )
-    return int(np.count_nonzero(arr_a != arr_b))
-
-
-def bit_error_rate(reference: BitsLike, received: BitsLike) -> float:
-    """Fraction of differing bits between two equal-length bit arrays."""
-    arr = as_bit_array(reference)
-    if arr.size == 0:
-        return 0.0
-    return hamming_distance(reference, received) / float(arr.size)
-
-
 def decoded_ber(reference: np.ndarray, decoded: Optional[np.ndarray]) -> float:
     """BER of a decode against the truth; a missing or mis-sized decode counts as 0.5.
 
     0.5 is what guessing every bit would score, so a lost packet weighs in
     a BER average as a useless one.  Both arrays are canonical bits the
-    library built, so the mismatches are counted without
-    :func:`bit_error_rate`'s checks.
+    library built, so the mismatches are counted without a check.
     """
     if decoded is None or decoded.size != reference.size:
         return 0.5

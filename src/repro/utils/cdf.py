@@ -28,6 +28,7 @@ class EmpiricalCDF:
 
     @classmethod
     def from_samples(cls, values: Iterable[float]) -> "EmpiricalCDF":
+        """The CDF of ``values``; rejects an empty or NaN-holding sample."""
         data = tuple(float(v) for v in values)
         if not data:
             raise ConfigurationError("an empirical CDF needs at least one sample")
@@ -65,6 +66,7 @@ class EmpiricalCDF:
 
     @property
     def maximum(self) -> float:
+        """The largest sample."""
         return self.samples[-1]
 
     def table(self, points: Sequence[float]) -> List[Tuple[float, float]]:
@@ -72,4 +74,5 @@ class EmpiricalCDF:
         return [(float(p), self.evaluate(float(p))) for p in points]
 
     def __len__(self) -> int:
+        """Number of underlying samples."""
         return self.n

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.anc.decoder import ANCDecoder, InterferenceDecoder
+from repro.anc.decoder import InterferenceDecoder
 from repro.exceptions import DecodingError
 from repro.modulation.msk import MSKModulator
 from repro.signal.samples import ComplexSignal
@@ -33,7 +33,7 @@ class TestDecodeBatch:
     def test_zero_overlap_raises_like_scalar(self):
         # Known frame [0, 21), unknown frame [40, ...): no overlap at all.
         rows, known = _disjoint_rows(2, 20, 40, 90, seed=6)
-        for decoder in (InterferenceDecoder(), ANCDecoder()):
-            for row, known_bits in zip(rows, known):
-                with pytest.raises(DecodingError, match="overlap"):
-                    decoder.decode(row, known_bits, 0, 40, 20)
+        decoder = InterferenceDecoder()
+        for row, known_bits in zip(rows, known):
+            with pytest.raises(DecodingError, match="overlap"):
+                decoder.decode(row, known_bits, 0, 40, 20)

@@ -340,6 +340,6 @@ class TestSubtractionBaseline:
     def test_subtraction_requires_clean_head(self):
         received, frame_a, frame_b, _ = _make_collision(seed=14)
         with pytest.raises(DecodingError):
-            SubtractionDecoder(min_head_samples=8).decode(
+            SubtractionDecoder().decode(
                 received, frame_a.bits, 0, 2, len(frame_b.bits)
             )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.anc.lemma import _cosine, phase_solutions
-from repro.exceptions import ConfigurationError, DecodingError
+from repro.exceptions import ConfigurationError
 from repro.utils.angles import wrap_angle
 
 
@@ -74,20 +74,6 @@ class TestPhaseSolutions:
     def test_empty_input(self):
         sol = phase_solutions(np.array([], dtype=complex), 1.0, 1.0)
         assert len(sol) == 0
-
-    def test_branch_accessors(self):
-        y = _mixture(1.0, 0.5, [0.1], [1.2])
-        sol = phase_solutions(y, 1.0, 0.5)
-        assert np.array_equal(sol.theta(1), sol.theta1)
-        assert np.array_equal(sol.phi(2), sol.phi2)
-        with pytest.raises(DecodingError):
-            sol.theta(3)
-
-    @pytest.mark.parametrize("branch", [0, 3])
-    def test_phi_accessor_rejects_unknown_branch(self, branch):
-        sol = phase_solutions(_mixture(1.0, 0.5, [0.1], [1.2]), 1.0, 0.5)
-        with pytest.raises(DecodingError, match="branch must be 1 or 2"):
-            sol.phi(branch)
 
     def test_accepts_complex_signal_container(self):
         from repro.signal.samples import ComplexSignal

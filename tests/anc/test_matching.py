@@ -7,7 +7,7 @@ from repro.anc.lemma import phase_solutions
 from repro.anc.matching import match_phase_differences
 from repro.constants import MSK_PHASE_STEP
 from repro.exceptions import DecodingError
-from repro.modulation.msk import MSKModulator, expected_phase_differences
+from repro.modulation.msk import MSKModulator, _phase_steps
 from repro.utils.bits import random_bits
 
 
@@ -36,7 +36,7 @@ class TestMatching:
         bits_b = random_bits(300, rng)
         composite = _collide_msk(bits_a, bits_b)
         solutions = phase_solutions(composite, 1.0, 0.8)
-        result = match_phase_differences(solutions, expected_phase_differences(bits_a))
+        result = match_phase_differences(solutions, _phase_steps(bits_a))
         ber = np.mean(result.bits != bits_b)
         assert ber < 0.02
 
@@ -46,7 +46,7 @@ class TestMatching:
         bits_b = random_bits(300, rng)
         composite = _collide_msk(bits_a, bits_b, noise=1e-3, seed=3)
         solutions = phase_solutions(composite, 1.0, 0.8)
-        result = match_phase_differences(solutions, expected_phase_differences(bits_a))
+        result = match_phase_differences(solutions, _phase_steps(bits_a))
         assert np.mean(result.bits != bits_b) < 0.05
 
     def test_works_when_unknown_is_weaker(self):
@@ -56,7 +56,7 @@ class TestMatching:
         bits_b = random_bits(400, rng)
         composite = _collide_msk(bits_a, bits_b, amplitude_a=1.0, amplitude_b=0.7, noise=5e-4)
         solutions = phase_solutions(composite, 1.0, 0.7)
-        result = match_phase_differences(solutions, expected_phase_differences(bits_a))
+        result = match_phase_differences(solutions, _phase_steps(bits_a))
         assert np.mean(result.bits != bits_b) < 0.06
 
     def test_selected_known_difference_close_to_truth(self):
@@ -65,7 +65,7 @@ class TestMatching:
         bits_b = random_bits(200, rng)
         composite = _collide_msk(bits_a, bits_b)
         solutions = phase_solutions(composite, 1.0, 0.8)
-        known = expected_phase_differences(bits_a)
+        known = _phase_steps(bits_a)
         result = match_phase_differences(solutions, known)
         # The selected known-signal differences track the true ±pi/2 steps
         # up to the CFO-induced offset.
@@ -77,7 +77,7 @@ class TestMatching:
         bits_b = random_bits(100, rng)
         composite = _collide_msk(bits_a, bits_b)
         solutions = phase_solutions(composite, 1.0, 0.8)
-        result = match_phase_differences(solutions, expected_phase_differences(bits_a))
+        result = match_phase_differences(solutions, _phase_steps(bits_a))
         assert result.match_errors.size == 100
         assert np.all(result.match_errors >= 0)
 
@@ -87,7 +87,7 @@ class TestMatching:
         bits_b = random_bits(50, rng)
         composite = _collide_msk(bits_a, bits_b)
         solutions = phase_solutions(composite, 1.0, 0.8)
-        result = match_phase_differences(solutions, expected_phase_differences(bits_a))
+        result = match_phase_differences(solutions, _phase_steps(bits_a))
         assert np.array_equal(result.bits, (result.unknown_differences >= 0).astype(np.uint8))
 
     def test_length_validation(self):
@@ -135,7 +135,7 @@ class TestMatchesReference:
             seed=seed,
         )
         solutions = phase_solutions(composite, 1.0, amplitude_b)
-        known = expected_phase_differences(bits_a)
+        known = _phase_steps(bits_a)
         result = match_phase_differences(solutions, known)
         phi, theta, errors = reference_match(solutions, known)
         assert result.unknown_differences.tobytes() == phi.tobytes()

@@ -87,13 +87,13 @@ class TestCleanPath:
         assert result.outcome == ReceiveOutcome.NO_SIGNAL
 
     def test_empty_waveform(self):
-        result = _pipeline().receive(ComplexSignal.empty())
+        result = _pipeline().receive(ComplexSignal.silence(0))
         assert result.outcome == ReceiveOutcome.NO_SIGNAL
 
     def test_frame_geometry_properties(self):
         pipeline = _pipeline()
         assert pipeline.frame_samples == pipeline.frame_bits + 1
-        assert pipeline.frame_bits == Framer().frame_length(PAYLOAD)
+        assert pipeline.frame_bits == Framer().layout_for(PAYLOAD).total_length
 
 
 class TestInterferedPath:

@@ -106,7 +106,7 @@ def reception(kind: str, snr_db: float, seed: int):
         noise_power=noise, expected_payload_bits=PAYLOAD, known_frames=buffer
     )
     if kind == "empty":
-        return pipeline, ComplexSignal.empty()
+        return pipeline, ComplexSignal.silence(0)
     if kind == "no_energy":
         return pipeline, superpose([], noise, rng, 600)
     if kind.startswith("clean"):

@@ -405,3 +405,16 @@ class TestCampaignCommand:
         spec_path.write_text(json.dumps({"bogus": True}))
         assert main(["campaign", "run", str(spec_path)]) == 2
         assert "unknown key(s): bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base",
+        [{"overlap_range": [0.8]}, {"snr_db_range": 25}, {"impairments": {"bogus": 1}}],
+        ids=["range_one_end", "range_scalar", "impairment_key"],
+    )
+    def test_malformed_base_value_is_clean_error(self, tmp_path, capsys, base):
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text(json.dumps({"experiment": "alice-bob", "base": base}))
+        assert main(["campaign", "run", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("anc-repro: error: ")
+        assert "Traceback" not in err

@@ -191,6 +191,22 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match=message):
             CampaignSpec.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            ({"overlap_range": [0.8]}, r"overlap_range must be a \(low, high\) pair"),
+            ({"overlap_range": [0.8, 0.9, 0.95]}, r"overlap_range must be a \(low, high\) pair"),
+            ({"snr_db_range": 25}, r"snr_db_range must be a \(low, high\) pair"),
+            ({"snr_db_range": "25"}, r"snr_db_range must be a \(low, high\) pair"),
+            ({"impairments": {"bogus": 1}}, r"unknown impairment field\(s\): bogus"),
+        ],
+        ids=["range_one_end", "range_three_ends", "range_scalar", "range_string", "impairment_key"],
+    )
+    def test_malformed_base_value_rejected(self, base, message):
+        document = json.dumps({"experiment": "alice-bob", "base": base})
+        with pytest.raises(ConfigurationError, match=message):
+            CampaignSpec.from_json(document)
+
     def test_schema_optional_on_input(self):
         payload = small_spec().to_dict()
         del payload["schema"]

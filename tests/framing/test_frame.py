@@ -31,7 +31,7 @@ class TestFrameLayout:
 class TestFramer:
     def test_frame_length_matches_layout(self, framer, packet):
         frame = framer.build(packet)
-        assert frame.length == framer.frame_length(packet.payload_length)
+        assert frame.length == framer.layout_for(packet.payload_length).total_length
 
     def test_frame_bits_are_read_only(self, framer, packet):
         frame = framer.build(packet)
@@ -115,12 +115,6 @@ class TestDeframer:
         result = deframer.parse(np.zeros(50, dtype=np.uint8))
         assert result.packet is None
         assert not result.delivered
-
-    def test_extract_payload_region(self, framer, deframer, packet):
-        frame = framer.build(packet)
-        region, layout = deframer.extract_payload_region(frame.bits)
-        assert region.size == packet.payload_length + 16
-        assert layout.payload_length == packet.payload_length
 
     def test_zero_length_payload_roundtrip(self, framer, deframer):
         packet = Packet(1, 2, 0, np.array([], dtype=np.uint8))

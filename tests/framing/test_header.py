@@ -38,15 +38,6 @@ class TestHeader:
         with pytest.raises(HeaderError):
             Header.from_bits(bits)
 
-    def test_try_from_bits_returns_none_on_corruption(self):
-        bits = Header(1, 2, 3).to_bits()
-        bits[0] ^= 1
-        assert Header.try_from_bits(bits) is None
-
-    def test_try_from_bits_ok(self):
-        header = Header(3, 4, 5)
-        assert Header.try_from_bits(header.to_bits()) == header
-
     def test_wrong_length_rejected(self):
         with pytest.raises(HeaderError):
             Header.from_bits(np.zeros(10, dtype=np.uint8))

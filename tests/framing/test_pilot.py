@@ -1,10 +1,14 @@
-"""Tests for pilot sequences and pilot search."""
+"""Tests for pilot sequences and pilot search.
+
+The search runs on bits the receiver demodulated itself, so it is tested
+through the private cores the receive chain calls.
+"""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
+from repro.framing.pilot import PilotSequence, _find_all_pilots, _find_pilot
 from repro.utils.bits import random_bits
 
 
@@ -26,33 +30,33 @@ class TestFindPilot:
         pilot = PilotSequence()
         rng = np.random.default_rng(0)
         stream = np.concatenate([random_bits(37, rng), pilot.bits, random_bits(50, rng)])
-        assert find_pilot(stream, pilot) == 37
+        assert _find_pilot(stream, pilot, 4, None) == 37
 
     def test_finds_at_start(self):
         pilot = PilotSequence()
         stream = np.concatenate([pilot.bits, random_bits(10, np.random.default_rng(1))])
-        assert find_pilot(stream, pilot) == 0
+        assert _find_pilot(stream, pilot, 4, None) == 0
 
     def test_tolerates_bit_errors(self):
         pilot = PilotSequence()
         corrupted = pilot.bits.copy()
         corrupted[[3, 17, 40]] ^= 1
         stream = np.concatenate([random_bits(20, np.random.default_rng(2)), corrupted])
-        assert find_pilot(stream, pilot, max_errors=4) == 20
+        assert _find_pilot(stream, pilot, 4, None) == 20
 
     def test_returns_none_when_absent(self):
         pilot = PilotSequence()
         stream = random_bits(200, np.random.default_rng(3))
-        assert find_pilot(stream, pilot, max_errors=2) is None
+        assert _find_pilot(stream, pilot, 2, None) is None
 
     def test_returns_none_for_short_stream(self):
-        assert find_pilot(random_bits(10, np.random.default_rng(4)), PilotSequence()) is None
+        assert _find_pilot(random_bits(10, np.random.default_rng(4)), PilotSequence(), 4, None) is None
 
     def test_search_limit(self):
         pilot = PilotSequence()
         stream = np.concatenate([random_bits(100, np.random.default_rng(5)), pilot.bits])
-        assert find_pilot(stream, pilot, search_limit=50) is None
-        assert find_pilot(stream, pilot, search_limit=150) == 100
+        assert _find_pilot(stream, pilot, 4, 50) is None
+        assert _find_pilot(stream, pilot, 4, 150) == 100
 
 
 class TestFindAllPilots:
@@ -62,7 +66,7 @@ class TestFindAllPilots:
         stream = np.concatenate(
             [pilot.bits, random_bits(40, rng), pilot.bits, random_bits(10, rng)]
         )
-        found = find_all_pilots(stream, pilot)
+        found = _find_all_pilots(stream, pilot, 4, None)
         assert set(found) == {0, 104}
 
     def test_best_match_first(self):
@@ -70,17 +74,17 @@ class TestFindAllPilots:
         corrupted = pilot.bits.copy()
         corrupted[0] ^= 1
         stream = np.concatenate([corrupted, np.zeros(16, dtype=np.uint8), pilot.bits])
-        found = find_all_pilots(stream, pilot, max_errors=2)
+        found = _find_all_pilots(stream, pilot, 2, None)
         assert found[0] == 80  # the exact match outranks the 1-error match
 
     def test_overlapping_matches_suppressed(self):
         pilot = PilotSequence()
         stream = np.concatenate([pilot.bits, pilot.bits])
-        found = find_all_pilots(stream, pilot, max_errors=0)
+        found = _find_all_pilots(stream, pilot, 0, None)
         assert found == [0, 64]
 
     def test_empty_when_absent(self):
-        assert find_all_pilots(random_bits(128, np.random.default_rng(7)), PilotSequence(), max_errors=1) == []
+        assert _find_all_pilots(random_bits(128, np.random.default_rng(7)), PilotSequence(), 1, None) == []
 
 
 def reference_window_scores(bits, pilot, search_limit):
@@ -110,8 +114,8 @@ class TestVectorisedSearchMatchesWindowLoop:
                     expected_all.append(start)
             # The first window with the fewest errors wins a tie.
             expected_one = in_range[0][1] if in_range else None
-            assert find_all_pilots(bits, pilot, max_errors, limit) == expected_all
-            assert find_pilot(bits, pilot, max_errors, limit) == expected_one
+            assert _find_all_pilots(bits, pilot, max_errors, limit) == expected_all
+            assert _find_pilot(bits, pilot, max_errors, limit) == expected_one
 
 
 class TestPilotBitsAreShared:
@@ -125,4 +129,4 @@ class TestPilotBitsAreShared:
 
     def test_equal_pilots_share_one_array(self):
         assert PilotSequence().bits is PilotSequence().bits
-        assert not np.array_equal(PilotSequence(seed=0x1234).bits, PilotSequence().bits)
+        assert PilotSequence(length=8).bits is PilotSequence(length=8).bits

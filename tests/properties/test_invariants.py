@@ -60,8 +60,8 @@ class TestLemmaInvariants:
         assume(abs(y) > 1e-3)
         solutions = phase_solutions(np.array([y]), amplitude_a, amplitude_b)
         for branch in (1, 2):
-            rebuilt = amplitude_a * np.exp(1j * solutions.theta(branch)[0]) + (
-                amplitude_b * np.exp(1j * solutions.phi(branch)[0])
+            rebuilt = amplitude_a * np.exp(1j * getattr(solutions, f"theta{branch}")[0]) + (
+                amplitude_b * np.exp(1j * getattr(solutions, f"phi{branch}")[0])
             )
             assert abs(rebuilt - y) < 1e-7
 

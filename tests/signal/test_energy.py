@@ -10,7 +10,6 @@ from repro.modulation.msk import MSKModulator
 from repro.signal.energy import (
     EnergyDetector,
     InterferenceDetector,
-    average_power,
     power_profile,
 )
 from repro.signal.ops import overlap_add
@@ -26,16 +25,11 @@ def _msk_burst(n_bits=200, amplitude=1.0, seed=0):
 
 
 class TestPowerHelpers:
-    def test_average_power(self):
-        assert average_power(ComplexSignal([2.0, 2.0j])) == pytest.approx(4.0)
-
     def test_empty_signal_zero(self):
-        assert average_power(ComplexSignal.empty()) == 0.0
-        assert power_profile(ComplexSignal.empty()).size == 0
+        assert power_profile(ComplexSignal.silence(0)).size == 0
 
     def test_helpers_accept_raw_sample_arrays(self):
         samples = np.array([1.0, 1j, -2.0])
-        assert average_power(samples) == pytest.approx(2.0)
         assert power_profile(samples).tolist() == [1.0, 1.0, 4.0]
 
     def test_power_profile_is_abs_squared(self):
@@ -72,7 +66,7 @@ class TestEnergyDetector:
 
     def test_empty_signal_raises(self):
         with pytest.raises(DetectionError):
-            EnergyDetector(noise_power=NOISE).detect(power_profile(ComplexSignal.empty()))
+            EnergyDetector(noise_power=NOISE).detect(power_profile(ComplexSignal.silence(0)))
 
     def test_threshold_power_scales_with_noise(self):
         # 12 dB above the noise floor (PACKET_DETECTION_THRESHOLD_DB).
@@ -96,4 +90,4 @@ class TestInterferenceDetector:
 
     def test_empty_signal_raises(self):
         with pytest.raises(DetectionError):
-            InterferenceDetector(noise_power=NOISE).detect(power_profile(ComplexSignal.empty()))
+            InterferenceDetector(noise_power=NOISE).detect(power_profile(ComplexSignal.silence(0)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.angles import phase_difference, wrap_angle
+from repro.utils.angles import wrap_angle
 
 
 class TestWrapAngle:
@@ -35,24 +35,6 @@ class TestWrapAngle:
 
     def test_large_multiple_of_two_pi(self):
         assert wrap_angle(10 * 2 * np.pi + 0.3) == pytest.approx(0.3)
-
-
-class TestPhaseDifference:
-    def test_simple_difference(self):
-        assert phase_difference(1.0, 0.25) == pytest.approx(0.75)
-
-    def test_wraps_across_boundary(self):
-        # 3.0 - (-3.0) = 6.0, which wraps to 6.0 - 2*pi.
-        assert phase_difference(3.0, -3.0) == pytest.approx(6.0 - 2 * np.pi)
-
-    def test_msk_step_positive(self):
-        assert phase_difference(np.pi / 2, 0.0) == pytest.approx(np.pi / 2)
-
-    def test_array_difference(self):
-        later = np.array([0.5, 1.0])
-        earlier = np.array([0.0, 2.0])
-        out = phase_difference(later, earlier)
-        assert out == pytest.approx([0.5, -1.0])
 
 
 def reference_wrap_angle(angle):

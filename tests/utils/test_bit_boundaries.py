@@ -11,42 +11,44 @@ import numpy as np
 import pytest
 
 from repro.anc.alignment import align_known_frame
-from repro.anc.decoder import InterferenceDecoder
-from repro.coding.crc import CRC16, check_and_strip_crc
-from repro.exceptions import ConfigurationError
+from repro.anc.decoder import InterferenceDecoder, SubtractionDecoder
+from repro.coding.crc import CRC16
+from repro.coding.fec import FECPipeline, IdentityCode
+from repro.exceptions import ConfigurationError, HeaderError
 from repro.framing.frame import Deframer
 from repro.framing.header import Header
 from repro.framing.packet import Packet
-from repro.framing.pilot import PilotSequence, find_all_pilots, find_pilot
-from repro.modulation.msk import MSKModulator, expected_phase_differences
+from repro.modulation.msk import MSKModulator
 from repro.scrambler.whitening import Scrambler
 from repro.signal.samples import ComplexSignal
-from repro.utils.bits import bit_error_rate, hamming_distance
+from repro.utils.validation import ensure_bit_array
 
 BAD_BITS = [[0, 1, bad] for bad in (256, -1, 0.7, 1.9)] + [np.array([0, 1, 2], dtype=np.uint8)]
 
 ENTRY_POINTS = {
     "Packet": lambda bits: Packet(0, 1, 2, bits),
     "Header.from_bits": Header.from_bits,
-    "Header.try_from_bits": Header.try_from_bits,
     "Deframer.parse": Deframer().parse,
     "Deframer.parse_backward": Deframer().parse_backward,
-    "Deframer.extract_payload_region": Deframer().extract_payload_region,
     "Scrambler.scramble": Scrambler().scramble,
     "CRC16.compute": CRC16.compute,
     "CRC16.verify": CRC16.verify,
     "CRC16.append": CRC16.append,
-    "check_and_strip_crc": check_and_strip_crc,
-    "find_pilot": lambda bits: find_pilot(bits, PilotSequence()),
-    "find_all_pilots": lambda bits: find_all_pilots(bits, PilotSequence()),
+    "IdentityCode.encode": IdentityCode().encode,
+    "IdentityCode.decode": IdentityCode().decode,
+    "FECPipeline.encode": FECPipeline([IdentityCode()]).encode,
+    "FECPipeline.decode": FECPipeline([IdentityCode()]).decode,
+    "ensure_bit_array": ensure_bit_array,
     "MSKModulator.modulate": MSKModulator().modulate,
-    "expected_phase_differences": expected_phase_differences,
     "align_known_frame": align_known_frame,
-    "bit_error_rate(reference)": lambda bits: bit_error_rate(bits, [0, 1, 0]),
-    "bit_error_rate(received)": lambda bits: bit_error_rate([0, 1, 0], bits),
-    "hamming_distance(a)": lambda bits: hamming_distance(bits, [0, 1, 0]),
-    "hamming_distance(b)": lambda bits: hamming_distance([0, 1, 0], bits),
     "InterferenceDecoder.decode(known_bits)": lambda bits: InterferenceDecoder().decode(
+        ComplexSignal(np.ones(64, dtype=complex)),
+        known_bits=bits,
+        known_offset=0,
+        unknown_offset=8,
+        unknown_n_bits=16,
+    ),
+    "SubtractionDecoder.decode(known_bits)": lambda bits: SubtractionDecoder().decode(
         ComplexSignal(np.ones(64, dtype=complex)),
         known_bits=bits,
         known_offset=0,
@@ -63,11 +65,13 @@ def test_public_bit_entry_point_rejects_non_bits(entry, bits):
         ENTRY_POINTS[entry](bits)
 
 
-def test_try_from_bits_still_returns_none_for_a_bad_header():
+def test_from_bits_raises_header_error_for_a_bad_header():
     bits = Header(1, 2, 3).to_bits()
     bits[7] ^= 1
-    assert Header.try_from_bits(bits) is None
-    assert Header.try_from_bits(bits[:-1]) is None
+    with pytest.raises(HeaderError, match="CRC"):
+        Header.from_bits(bits)
+    with pytest.raises(HeaderError, match="must be"):
+        Header.from_bits(bits[:-1])
 
 
 def test_random_packet_rejects_a_negative_identifier():

@@ -7,10 +7,8 @@ from repro.exceptions import ConfigurationError
 from repro.utils.bits import (
     _int_from_bits,
     as_bit_array,
-    bit_error_rate,
     bits_from_int,
     decoded_ber,
-    hamming_distance,
     random_bits,
     string_to_bits,
 )
@@ -104,22 +102,6 @@ class TestRandomBits:
 
 
 class TestDistance:
-    def test_hamming_distance_zero_for_identical(self):
-        assert hamming_distance([1, 0, 1], [1, 0, 1]) == 0
-
-    def test_hamming_distance_counts_flips(self):
-        assert hamming_distance("1111", "1001") == 2
-
-    def test_hamming_distance_requires_equal_length(self):
-        with pytest.raises(ConfigurationError):
-            hamming_distance([1, 0], [1, 0, 1])
-
-    def test_bit_error_rate_fraction(self):
-        assert bit_error_rate("1010", "1011") == pytest.approx(0.25)
-
-    def test_bit_error_rate_empty_is_zero(self):
-        assert bit_error_rate([], []) == 0.0
-
     def test_decoded_ber_counts_errors(self):
         truth = np.array([0, 1, 0, 1], dtype=np.uint8)
         flipped = np.array([1, 1, 0, 1], dtype=np.uint8)

@@ -7,28 +7,24 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.utils.pn import DEFAULT_REGISTER_BITS, DEFAULT_TAPS, PNSequence, pn_bits
+from repro.utils.pn import LFSR_REGISTER_BITS, LFSR_TAPS, PNSequence, pn_bits
+
+PERIOD = (1 << LFSR_REGISTER_BITS) - 1
 
 
 class ReferenceLFSR:
     """Per-bit Fibonacci LFSR, stepped directly: the definition of the stream."""
 
-    def __init__(self, seed, taps=DEFAULT_TAPS, register_bits=DEFAULT_REGISTER_BITS):
-        self.register_bits = register_bits
-        self.mask = (1 << register_bits) - 1
-        self.taps = taps
-        self.initial = seed & self.mask
-        self.state = self.initial
-
-    def reset(self):
-        self.state = self.initial
+    def __init__(self, seed):
+        self.mask = (1 << LFSR_REGISTER_BITS) - 1
+        self.state = seed & self.mask
 
     def next_bit(self):
         feedback = 0
-        for tap in self.taps:
+        for tap in LFSR_TAPS:
             feedback ^= (self.state >> (tap - 1)) & 1
         output = self.state & 1
-        self.state = ((self.state >> 1) | (feedback << (self.register_bits - 1))) & self.mask
+        self.state = ((self.state >> 1) | (feedback << (LFSR_REGISTER_BITS - 1))) & self.mask
         return output
 
     def bits(self, length):
@@ -46,20 +42,13 @@ class TestPNSequence:
         b = PNSequence(seed=0xCAFE).bits(256)
         assert not np.array_equal(a, b)
 
-    def test_reset_restores_stream(self):
-        gen = PNSequence(seed=0x1234)
-        first = gen.bits(100)
-        gen.reset()
-        second = gen.bits(100)
-        assert np.array_equal(first, second)
-
     def test_zero_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             PNSequence(seed=0)
 
     def test_seed_reduced_modulo_register_rejected_if_zero(self):
         with pytest.raises(ConfigurationError):
-            PNSequence(seed=1 << DEFAULT_REGISTER_BITS)
+            PNSequence(seed=1 << LFSR_REGISTER_BITS)
 
     def test_bits_are_binary(self):
         bits = PNSequence(seed=0x7777).bits(1000)
@@ -74,32 +63,16 @@ class TestPNSequence:
         with pytest.raises(ConfigurationError):
             PNSequence(seed=1).bits(-1)
 
-    @pytest.mark.parametrize("register_bits", [0, -8])
-    def test_non_positive_register_rejected_on_every_call(self, register_bits):
-        # The validated stream key is memoised; a rejected one must not be.
-        for _ in range(2):
-            with pytest.raises(ConfigurationError, match="register_bits must be positive"):
-                PNSequence(seed=1, taps=(1,), register_bits=register_bits)
-
     def test_maximal_length_period(self):
-        # A maximal-length 16-bit LFSR revisits its initial state only
-        # after 2^16 - 1 steps.
-        gen = PNSequence(seed=0x0001)
-        initial = gen.state
-        period = 0
-        while True:
-            gen.next_bit()
-            period += 1
-            if gen.state == initial:
-                break
-            assert period <= (1 << 16)
-        assert period == (1 << 16) - 1
-
-    def test_invalid_taps_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PNSequence(seed=1, taps=())
-        with pytest.raises(ConfigurationError):
-            PNSequence(seed=1, taps=(40,), register_bits=16)
+        # A maximal-length 16-bit LFSR repeats its output after 2^16 - 1
+        # bits and after no proper divisor of that: the smallest period
+        # divides every period, so the four largest proper divisors of
+        # 65535 = 3 * 5 * 17 * 257 cover them all.
+        bits = PNSequence(seed=0x0001).bits(2 * PERIOD)
+        assert np.array_equal(bits[PERIOD:], bits[:PERIOD])
+        for prime in (3, 5, 17, 257):
+            shift = PERIOD // prime
+            assert not np.array_equal(bits[shift : shift + PERIOD], bits[:PERIOD])
 
 
 class TestPnBits:
@@ -111,46 +84,16 @@ class TestAgainstReference:
     """The cached stream must reproduce the per-bit LFSR exactly."""
 
     @pytest.mark.parametrize("seed", [0x0001, 0xACE1, 0xBEEF, 0xFFFF])
-    def test_interleaved_calls_past_the_period(self, seed):
+    def test_consecutive_reads_past_the_period(self, seed):
         gen, ref = PNSequence(seed=seed), ReferenceLFSR(seed)
         rng = np.random.default_rng(seed)
         consumed = 0
-        # Long reads carry both generators well past the 65 535-bit period.
-        while consumed < 3 * 65_535:
-            action = int(rng.integers(0, 10))
-            if action < 5:
-                length = int(rng.integers(0, 20_000))
-                assert np.array_equal(gen.bits(length), ref.bits(length))
-                consumed += length
-            elif action < 8:
-                assert gen.next_bit() == ref.next_bit()
-                consumed += 1
-            elif action < 9:
-                assert gen.state == ref.state
-            else:
-                gen.reset()
-                ref.reset()
-            assert gen.state == ref.state
-
-    def test_taps_that_never_revisit_the_seed(self):
-        # Without tap 1 the register loses its seed state for good, so a
-        # generator that searched for a period would never stop.
-        gen = PNSequence(seed=0xACE1, taps=(3,))
-        ref = ReferenceLFSR(0xACE1, taps=(3,))
-        assert np.array_equal(gen.bits(5000), ref.bits(5000))
-        assert gen.state == ref.state
-        assert gen.next_bit() == ref.next_bit()
-
-    @pytest.mark.parametrize(
-        "taps,register_bits", [((2, 5), 7), ((1,), 1), ((1, 40, 64), 70)]
-    )
-    def test_other_registers(self, taps, register_bits):
-        seed = 0x5A5A5A5A5A5A5A5A5 | 1
-        gen = PNSequence(seed=seed, taps=taps, register_bits=register_bits)
-        ref = ReferenceLFSR(seed, taps=taps, register_bits=register_bits)
-        for length in (0, 1, 37, 3000):
-            assert gen.state == ref.state
+        # Long reads carry both generators well past the 65 535-bit period;
+        # 0- and 1-bit reads step the generator's position one bit at a time.
+        while consumed < 3 * PERIOD:
+            length = int(rng.integers(0, 20_000)) if rng.integers(0, 2) else int(rng.integers(0, 2))
             assert np.array_equal(gen.bits(length), ref.bits(length))
+            consumed += length
 
     def test_mutating_a_returned_array_does_not_change_later_output(self):
         first = PNSequence(seed=0x1357).bits(4096)
@@ -165,10 +108,8 @@ class TestAgainstReference:
         assert np.array_equal(a.bits(100), ref[:100])
         assert np.array_equal(b.bits(50), ref[:50])
         assert np.array_equal(a.bits(100), ref[100:200])
-        assert b.next_bit() == ref[50]
-        a.reset()
-        assert np.array_equal(b.bits(10), ref[51:61])
-        assert np.array_equal(a.bits(10), ref[:10])
+        assert np.array_equal(b.bits(11), ref[50:61])
+        assert np.array_equal(PNSequence(seed=0x2468).bits(10), ref[:10])
 
 
 def test_concurrent_readers_of_a_new_stream_all_see_the_reference():

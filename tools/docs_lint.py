@@ -6,10 +6,10 @@ Self-contained (stdlib only) so it runs identically in CI and offline:
 * every relative link in ``README.md`` and ``docs/*.md`` must point at a
   file or directory that exists in the repo;
 * every public module, class, function and method in the documented
-  packages (``repro.experiments``, ``repro.network``, ``repro.mac``,
-  ``repro.node``, ``repro.results``, ``repro.channel``, ``repro.sim``,
-  ``repro.campaign``) must carry a
-  docstring (a lightweight, dependency-free subset of ``pydocstyle``).
+  packages (:data:`DOCSTRING_PACKAGES`: the PHY, the network and node
+  layers, the channel, the simulation, the experiments, results and
+  campaigns) must carry a docstring (a lightweight, dependency-free
+  subset of ``pydocstyle``).
 
 Exit code 0 when clean; 1 with one line per finding otherwise.
 
@@ -31,6 +31,13 @@ DOC_GLOBS = ("README.md", "docs/*.md")
 
 #: Packages whose public API must be fully docstringed.
 DOCSTRING_PACKAGES = (
+    "src/repro/utils",
+    "src/repro/coding",
+    "src/repro/framing",
+    "src/repro/modulation",
+    "src/repro/signal",
+    "src/repro/anc",
+    "src/repro/scrambler",
     "src/repro/experiments",
     "src/repro/network",
     "src/repro/mac",

@@ -14,7 +14,7 @@ from repro.channel.interference import OverlapModel
 from repro.mac.planner import plan_relay_exchange
 from repro.network.flows import Flow
 from repro.network.topologies import ALICE, BOB, ChannelConditions, alice_bob_topology
-from repro.protocols.anc import ANCRelayProtocol, default_min_offset
+from repro.protocols.anc import ANCRelayProtocol
 from repro.protocols.traditional import TraditionalRouting
 
 OVERLAPS = (0.70, 0.80, 0.90, 0.97)
@@ -34,8 +34,7 @@ def _gain_at_overlap(mean_overlap: float, seed: int = 5) -> float:
         topology, plan_relay_exchange(topology, flow_a, flow_b), payload_bits=PAYLOAD,
         redundancy_overhead=0.0,
         overlap_model=OverlapModel(
-            mean_overlap=mean_overlap, jitter=0.02, min_offset=default_min_offset(),
-            rng=np.random.default_rng(seed + 2),
+            mean_overlap=mean_overlap, jitter=0.02, rng=np.random.default_rng(seed + 2)
         ),
         rng=np.random.default_rng(seed + 2),
     ).run()

@@ -22,7 +22,6 @@ from repro.framing.buffer import SentPacketBuffer
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
 from repro.modulation.msk import MSKModulator
-from repro.protocols.anc import default_min_offset
 
 PAYLOAD_BITS = 512
 NOISE_POWER = 1.5e-3  # roughly 27 dB SNR on each hop
@@ -51,7 +50,7 @@ def main() -> None:
     # 2. Both transmit at once; the router hears the sum of the two
     #    signals after each traversed its own (different) channel.
     # ------------------------------------------------------------------
-    overlap = OverlapModel(mean_overlap=0.85, min_offset=default_min_offset(), rng=rng)
+    overlap = OverlapModel(mean_overlap=0.85, rng=rng)
     _, bob_offset = overlap.draw_offsets(len(alice_wave))
     uplink_alice = Link(attenuation=0.85, phase_shift=0.7, frequency_offset=0.025)
     uplink_bob = Link(attenuation=0.80, phase_shift=-1.9, frequency_offset=-0.02)

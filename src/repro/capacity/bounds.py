@@ -12,10 +12,11 @@ additive white Gaussian noise, the paper states:
 
       C_anc = 4 alpha * log(1 + SNR^2 / (3 SNR + 1))
 
-where ``alpha`` is the scheduling constant (1/4: each of the four
-traditional transmissions gets a quarter of the time).  The ratio of the
-two tends to 2 as SNR grows, and drops below 1 in the low-SNR regime
-(roughly below 8 dB) where the relay's amplified noise dominates.
+where ``alpha`` is the time-sharing constant :data:`ALPHA` = 1/4 (each
+of the four traditional transmissions gets a quarter of the time); the
+theorem fixes it, so the bounds take the SNR alone.  The ratio of the two
+tends to 2 as SNR grows, and drops below 1 in the low-SNR regime (roughly
+below 8 dB) where the relay's amplified noise dominates.
 
 Logarithms are base 2, so capacities are in bits/s/Hz.
 """
@@ -32,7 +33,10 @@ from repro.utils.db import db_to_power_ratio
 ArrayLike = Union[float, np.ndarray]
 
 #: Time-sharing constant of Theorem 8.1 (four transmissions share the medium).
-DEFAULT_ALPHA = 0.25
+ALPHA = 0.25
+
+#: Step (dB) of the grid :func:`crossover_snr_db` searches.
+CROSSOVER_RESOLUTION_DB = 0.01
 
 
 def _validate_snr(snr_linear: ArrayLike) -> np.ndarray:
@@ -42,43 +46,33 @@ def _validate_snr(snr_linear: ArrayLike) -> np.ndarray:
     return arr
 
 
-def traditional_capacity_upper_bound(
-    snr_db: ArrayLike,
-    alpha: float = DEFAULT_ALPHA,
-) -> ArrayLike:
+def traditional_capacity_upper_bound(snr_db: ArrayLike) -> ArrayLike:
     """Upper bound on the routing capacity of the Alice–Bob network (b/s/Hz)."""
-    if alpha <= 0:
-        raise CapacityError("alpha must be positive")
     snr = _validate_snr(db_to_power_ratio(np.asarray(snr_db, dtype=float)))
-    capacity = alpha * (np.log2(1.0 + 2.0 * snr) + np.log2(1.0 + snr))
+    capacity = ALPHA * (np.log2(1.0 + 2.0 * snr) + np.log2(1.0 + snr))
     if np.isscalar(snr_db) or np.ndim(snr_db) == 0:
         return float(capacity)
     return capacity
 
 
-def anc_capacity_lower_bound(
-    snr_db: ArrayLike,
-    alpha: float = DEFAULT_ALPHA,
-) -> ArrayLike:
+def anc_capacity_lower_bound(snr_db: ArrayLike) -> ArrayLike:
     """Achievable lower bound on the ANC capacity of the Alice–Bob network (b/s/Hz)."""
-    if alpha <= 0:
-        raise CapacityError("alpha must be positive")
     snr = _validate_snr(db_to_power_ratio(np.asarray(snr_db, dtype=float)))
     effective = (snr ** 2) / (3.0 * snr + 1.0)
-    capacity = 4.0 * alpha * np.log2(1.0 + effective)
+    capacity = 4.0 * ALPHA * np.log2(1.0 + effective)
     if np.isscalar(snr_db) or np.ndim(snr_db) == 0:
         return float(capacity)
     return capacity
 
 
-def capacity_gain(snr_db: ArrayLike, alpha: float = DEFAULT_ALPHA) -> ArrayLike:
+def capacity_gain(snr_db: ArrayLike) -> ArrayLike:
     """Ratio of the ANC lower bound to the traditional upper bound.
 
     Asymptotically approaches 2 as the SNR grows (Theorem 8.1); values
     below 1 indicate the low-SNR regime where amplify-and-forward hurts.
     """
-    anc = np.asarray(anc_capacity_lower_bound(snr_db, alpha), dtype=float)
-    traditional = np.asarray(traditional_capacity_upper_bound(snr_db, alpha), dtype=float)
+    anc = np.asarray(anc_capacity_lower_bound(snr_db), dtype=float)
+    traditional = np.asarray(traditional_capacity_upper_bound(snr_db), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = np.where(traditional > 0, anc / traditional, 0.0)
     if np.isscalar(snr_db) or np.ndim(snr_db) == 0:
@@ -86,23 +80,17 @@ def capacity_gain(snr_db: ArrayLike, alpha: float = DEFAULT_ALPHA) -> ArrayLike:
     return gain
 
 
-def crossover_snr_db(
-    low_db: float = 0.0,
-    high_db: float = 30.0,
-    resolution_db: float = 0.01,
-    alpha: float = DEFAULT_ALPHA,
-) -> float:
+def crossover_snr_db(low_db: float = 0.0, high_db: float = 30.0) -> float:
     """SNR (dB) above which the ANC lower bound beats the routing upper bound.
 
     The paper's Fig. 7 places this crossover at roughly 8 dB; this helper
-    locates it numerically on the stated bounds.
+    locates it numerically on the stated bounds, searching ``[low_db,
+    high_db]`` in steps of :data:`CROSSOVER_RESOLUTION_DB`.
     """
     if high_db <= low_db:
         raise CapacityError("high_db must exceed low_db")
-    if resolution_db <= 0:
-        raise CapacityError("resolution_db must be positive")
-    grid = np.arange(low_db, high_db + resolution_db, resolution_db)
-    gains = capacity_gain(grid, alpha)
+    grid = np.arange(low_db, high_db + CROSSOVER_RESOLUTION_DB, CROSSOVER_RESOLUTION_DB)
+    gains = capacity_gain(grid)
     above = np.nonzero(gains >= 1.0)[0]
     if above.size == 0:
         raise CapacityError("ANC never overtakes routing in the requested SNR range")

@@ -10,17 +10,17 @@ one place receiver noise is drawn.
 
 Beyond the baseline flat channel, the *impairment subsystem* models the
 real-channel imperfections the paper's decoding strategy leans on:
-per-sender carrier frequency offset (the §6 mechanism), stochastic
-Rayleigh/Rician fading (:mod:`repro.channel.fading`) and geometry-driven
-path loss (:mod:`repro.channel.pathloss`), all declared through one
-:class:`ImpairmentConfig` and stamped onto a topology with
-:func:`apply_impairments`.  See ``docs/CHANNELS.md`` for the link fields
-and the order ``distort`` applies them in.
+per-sender carrier frequency offset (the §6 mechanism) and stochastic
+Rayleigh/Rician fading (:mod:`repro.channel.fading`), both declared
+through one :class:`ImpairmentConfig` and stamped onto a topology with
+:func:`apply_impairments`.  Geometry-driven path loss is the link-gain
+law of :func:`repro.network.generator.generate_geometric_mesh`.  See
+``docs/CHANNELS.md`` for the link fields and the order ``distort``
+applies them in.
 """
 
 from repro.channel.fading import FADING_KINDS, FADING_MODES, fading_gains
 from repro.channel.link import Link
-from repro.channel.pathloss import PathLossModel
 from repro.channel.relay import amplify_and_forward
 from repro.channel.impairments import (
     IMPAIRMENT_STREAM,
@@ -37,7 +37,6 @@ __all__ = [
     "ImpairmentConfig",
     "Link",
     "OverlapModel",
-    "PathLossModel",
     "amplify_and_forward",
     "apply_impairments",
     "fading_gains",

@@ -12,8 +12,7 @@ link's ``sender_cfo`` and ``fading*`` fields.  :meth:`Link.distort
 
 1. the sender's oscillator ramp (``sender_cfo``),
 2. the deterministic flat path response,
-3. the stochastic fade (:mod:`repro.channel.fading`),
-4. the propagation delay.
+3. the stochastic fade (:mod:`repro.channel.fading`).
 
 Receiver noise comes after, once per receiver, in
 :func:`~repro.channel.interference.superpose`.
@@ -27,6 +26,8 @@ the pre-impairment figure references and golden fixtures byte-identical
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Sequence
 
@@ -44,6 +45,9 @@ if TYPE_CHECKING:  # import at type-check time only: topology imports Link
 #: occupy 0–3 / 10–13 / 20–22, the SIR/SNR sweeps 30 / 40–42, and the
 #: scenario families live at 400+).
 IMPAIRMENT_STREAM = 61
+
+#: Rician K-factor (dB) of an :class:`ImpairmentConfig` that sets none.
+DEFAULT_RICIAN_K_DB = 6.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,8 @@ class ImpairmentConfig:
         Stochastic fading family applied to every link: ``"none"``,
         ``"rayleigh"`` or ``"rician"``.
     rician_k_db:
-        Rician K-factor in dB (ignored unless ``fading="rician"``).
+        Rician K-factor in dB.  Only Rician fading reads it, so any other
+        family rejects a value away from :data:`DEFAULT_RICIAN_K_DB`.
     fading_mode:
         ``"block"`` (one fade per packet) or ``"drift"`` (in-packet
         Gauss–Markov evolution) — see :mod:`repro.channel.fading`.
@@ -74,17 +79,34 @@ class ImpairmentConfig:
 
     sender_cfo: float = 0.0
     fading: str = "none"
-    rician_k_db: float = 6.0
+    rician_k_db: float = DEFAULT_RICIAN_K_DB
     fading_mode: str = "block"
     fading_doppler: float = 0.0
 
     def __post_init__(self) -> None:
-        """Validate the impairment declaration."""
+        """Validate the impairment declaration: types first, then ranges."""
+        for name in ("sender_cfo", "rician_k_db", "fading_doppler"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+        for name in ("fading", "fading_mode"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigurationError(f"{name} must be a string, got {value!r}")
         if not 0.0 <= self.sender_cfo < np.pi:
             raise ConfigurationError(
                 "sender_cfo must lie in [0, pi) radians per sample"
             )
         check_fading(self.fading, self.fading_mode, self.fading_doppler, ConfigurationError)
+        if self.rician_k_db != DEFAULT_RICIAN_K_DB and self.fading != "rician":
+            raise ConfigurationError(
+                f"rician_k_db is read only by Rician fading; set fading='rician' "
+                f"or leave rician_k_db at {DEFAULT_RICIAN_K_DB}"
+            )
 
     @property
     def enabled(self) -> bool:

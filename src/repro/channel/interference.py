@@ -22,12 +22,27 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.channel.link import Link
-from repro.constants import DEFAULT_OVERLAP_FRACTION
+from repro.constants import (
+    DEFAULT_OVERLAP_FRACTION,
+    HEADER_DST_BITS,
+    HEADER_SEQ_BITS,
+    HEADER_SRC_BITS,
+    PILOT_LENGTH_BITS,
+)
 from repro.exceptions import ChannelError
 from repro.signal.noise import complex_gaussian_noise
 from repro.signal.ops import overlap_add
 from repro.signal.samples import ComplexSignal
 from repro.utils.validation import ensure_probability
+
+#: Smallest start offset (samples) between two colliding packets: the
+#: pilot and the header (its three fields and their CRC-16) at one sample
+#: per bit, plus a 24-sample margin.  The paper's randomisation prevents
+#: complete overlap so these fields stay interference-free at the start
+#: of the first packet and the end of the second (§7.2).
+MIN_COLLISION_OFFSET: int = (
+    PILOT_LENGTH_BITS + HEADER_SRC_BITS + HEADER_DST_BITS + HEADER_SEQ_BITS + 16 + 24
+)
 
 
 def superpose(
@@ -39,13 +54,12 @@ def superpose(
     """The waveform a receiver hears when ``components`` are on the air.
 
     Each ``(transmitted_signal, link, start_offset)`` triple is distorted
-    by its link (attenuation, phase, CFO, fading and propagation delay —
-    but *not* noise), in order, and placed at its start offset; the sum
-    gets one draw of receiver noise of power ``noise_power``.  The link's
-    propagation delay is part of its distortion, so an offset is where a
-    transmission starts, not where it arrives.  The composite is ``length`` samples long, or up to
-    the latest distorted component's end if that is later; with no
-    components it is noise (or silence) of ``length`` samples.
+    by its link (attenuation, phase, CFO and fading — but *not* noise), in
+    order, and placed at its start offset; the sum gets one draw of
+    receiver noise of power ``noise_power``.  The composite is ``length``
+    samples long, or up to the latest distorted component's end if that is
+    later; with no components it is noise (or silence) of ``length``
+    samples.
     """
     if noise_power < 0:
         raise ChannelError("noise power must be non-negative")
@@ -69,7 +83,10 @@ class OverlapModel:
     (§7.2) and user-space jitter adds more, so on average only ~80 % of the
     two packets overlap (§11.4).  This model reproduces that: the first
     sender starts at offset 0 and the second sender's offset is drawn so
-    the expected overlap matches ``mean_overlap``.
+    the expected overlap matches ``mean_overlap``, but never earlier than
+    :data:`MIN_COLLISION_OFFSET` (or the last sample of a shorter packet):
+    the protocol *enforces* incomplete overlap so the pilot and header at
+    the start and end of the collision stay interference-free (§7.2).
 
     Parameters
     ----------
@@ -78,12 +95,6 @@ class OverlapModel:
     jitter:
         Half-width of the uniform jitter around the mean offset, expressed
         as a fraction of the packet length.
-    min_offset:
-        Minimum start offset in samples between the two packets.  The
-        paper's protocol *enforces* incomplete overlap so that the pilot
-        (and header) at the start and end of the collision stay
-        interference-free (§7.2); protocols set this to the pilot + header
-        length plus a small margin.
     rng:
         Random generator used to draw offsets.
     """
@@ -92,16 +103,12 @@ class OverlapModel:
         self,
         mean_overlap: float = DEFAULT_OVERLAP_FRACTION,
         jitter: float = 0.1,
-        min_offset: int = 0,
         *,
         rng: np.random.Generator,
     ) -> None:
         """See the class docstring for the parameter semantics."""
         self.mean_overlap = ensure_probability(mean_overlap, "mean_overlap")
         self.jitter = ensure_probability(jitter, "jitter")
-        if min_offset < 0:
-            raise ChannelError("min_offset must be non-negative")
-        self.min_offset = int(min_offset)
         self._rng = rng
 
     def draw_offsets(self, packet_length: int) -> Tuple[int, int]:
@@ -112,6 +119,5 @@ class OverlapModel:
         low = max(0.0, mean_offset - self.jitter * packet_length)
         high = mean_offset + self.jitter * packet_length
         offset = int(round(self._rng.uniform(low, high)))
-        offset = max(offset, min(self.min_offset, packet_length - 1))
-        offset = min(max(offset, 0), packet_length - 1)
+        offset = min(max(offset, MIN_COLLISION_OFFSET), packet_length - 1)
         return 0, offset

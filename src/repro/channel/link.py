@@ -1,10 +1,10 @@
 """A directed wireless link between two nodes: the whole channel model.
 
 A :class:`Link` holds the per-hop channel parameters — attenuation, phase,
-frequency offsets, drift, fading, propagation delay and the receiver's
-noise power — and :meth:`Link.distort` applies them to a waveform.  That
-is the one channel response in the library: the paper's attenuation and
-phase (§5.3) with the slow variation §6 warns about.  Receiver noise is
+frequency offsets, drift, fading and the receiver's noise power — and
+:meth:`Link.distort` applies them to a waveform.  That is the one channel
+response in the library: the paper's attenuation and phase (§5.3) with
+the slow variation §6 warns about.  Receiver noise is
 not part of it; :func:`~repro.channel.interference.superpose` adds one
 draw per receiver to the sum of everything on the air.
 """
@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.channel.fading import check_fading, fading_gains
 from repro.exceptions import ChannelError
-from repro.signal.ops import delay_signal
 from repro.signal.samples import ComplexSignal
 
 
@@ -31,8 +30,6 @@ class Link:
         Amplitude gain ``h`` of the link.
     phase_shift:
         Phase offset ``gamma`` (radians) introduced by the path.
-    propagation_delay:
-        Integer sample delay of the path.
     noise_power:
         Noise power added at the *receiver* of this link.
     frequency_offset:
@@ -59,7 +56,6 @@ class Link:
 
     attenuation: float = 1.0
     phase_shift: float = 0.0
-    propagation_delay: int = 0
     noise_power: float = 0.0
     frequency_offset: float = 0.0
     phase_drift: float = 0.0
@@ -74,8 +70,6 @@ class Link:
         """Validate the link parameters."""
         if self.attenuation <= 0:
             raise ChannelError("link attenuation must be positive")
-        if self.propagation_delay < 0:
-            raise ChannelError("propagation delay must be non-negative")
         if self.noise_power < 0:
             raise ChannelError("noise power must be non-negative")
         if self.phase_drift < 0:
@@ -90,7 +84,7 @@ class Link:
     def distort(self, signal: ComplexSignal, rng: np.random.Generator) -> ComplexSignal:
         """The waveform as it arrives over this link, before receiver noise.
 
-        Four steps, in order (``docs/CHANNELS.md``):
+        Three steps, in order (``docs/CHANNELS.md``):
 
         1. the sender's oscillator ramp ``exp(i·sender_cfo·n)``;
         2. the flat path gain: one scalar ``h·exp(iγ)`` when the link has
@@ -98,11 +92,10 @@ class Link:
            ``h·exp(i(γ + frequency_offset·n + drift[n]))``, where the
            drift is the cumulative sum of one ``normal(0, phase_drift)``
            draw per sample;
-        3. the fade (:func:`~repro.channel.fading.fading_gains`);
-        4. ``propagation_delay`` leading zeros.
+        3. the fade (:func:`~repro.channel.fading.fading_gains`).
 
-        A step that is off draws nothing from ``rng``, and steps 1–3 draw
-        nothing for an empty signal.
+        A step that is off draws nothing from ``rng``, and an empty signal
+        draws nothing at all.
         """
         samples = signal.samples
         if samples.size:
@@ -135,6 +128,4 @@ class Link:
                     rng,
                 )
             signal = ComplexSignal._adopt(samples)
-        if self.propagation_delay == 0:
-            return signal
-        return delay_signal(signal, self.propagation_delay)
+        return signal

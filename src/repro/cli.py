@@ -165,7 +165,7 @@ def _add_impairment_arguments(parser: argparse.ArgumentParser) -> None:
         "--rician-k-db",
         type=float,
         default=6.0,
-        help="Rician K-factor in dB (only used with --fading rician)",
+        help="Rician K-factor in dB (requires --fading rician)",
     )
     parser.add_argument(
         "--fading-mode",

@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.capacity.bounds import (
-    DEFAULT_ALPHA,
     anc_capacity_lower_bound,
     crossover_snr_db,
     traditional_capacity_upper_bound,
@@ -26,9 +25,7 @@ from repro.experiments.engine import ExperimentEngine, default_engine
 from repro.results.model import ExperimentResult, Series, make_result
 
 
-def run_capacity_point_trial(
-    cfg: ExperimentConfig, snr_db: float, alpha: float = DEFAULT_ALPHA
-) -> Tuple[float, float, float]:
+def run_capacity_point_trial(cfg: ExperimentConfig, snr_db: float) -> Tuple[float, float, float]:
     """Evaluate both Theorem 8.1 bounds and their ratio at one SNR.
 
     The engine passes the SNR value itself as the trial key; ``cfg`` is
@@ -39,8 +36,8 @@ def run_capacity_point_trial(
     from the already-evaluated bounds instead of re-deriving them.
     """
     grid = np.asarray([float(snr_db)], dtype=float)
-    traditional = float(np.atleast_1d(traditional_capacity_upper_bound(grid, alpha))[0])
-    anc = float(np.atleast_1d(anc_capacity_lower_bound(grid, alpha))[0])
+    traditional = float(np.atleast_1d(traditional_capacity_upper_bound(grid))[0])
+    anc = float(np.atleast_1d(anc_capacity_lower_bound(grid))[0])
     gain = anc / traditional if traditional > 0 else 0.0
     return traditional, anc, gain
 
@@ -60,13 +57,7 @@ def run_capacity_experiment(
     """
     cfg = config if config is not None else ExperimentConfig()
     grid = [float(v) for v in np.arange(0.0, 56.0, 1.0)]
-    points = default_engine(engine).map(
-        "fig07_capacity",
-        run_capacity_point_trial,
-        cfg,
-        grid,
-        params={"alpha": float(DEFAULT_ALPHA)},
-    )
+    points = default_engine(engine).map("fig07_capacity", run_capacity_point_trial, cfg, grid)
     curve = Series(
         "curve",
         ("snr_db", "traditional", "anc", "gain"),

@@ -9,12 +9,12 @@ Rician K-factor swept from the scattered-only Rayleigh regime (no line of
 sight, deep fades) up to a strongly specular channel that approaches the
 baseline flat link.
 
-The K-factor axis is in dB; the sentinel value
-:data:`RAYLEIGH_K_DB` (and anything at or below it) selects pure Rayleigh
-fading.  Fades are drawn per packet (``block`` mode by default — the
-``fading_mode``/``fading_doppler`` scenario params select the in-packet
-drift variant) from the per-trial engine substream, so the sweep is fully
-reproducible and parallelisable.
+The K-factor axis is in dB; the sentinel value :data:`RAYLEIGH_K_DB` (and
+anything at or below it) selects pure Rayleigh fading.  Fades are drawn
+per packet (``block`` mode by default — the config's ``fading_mode`` and
+``fading_doppler``, set by ``--fading-mode`` and ``--fading-doppler``,
+select the in-packet drift variant) from the per-trial engine substream,
+so the sweep is fully reproducible and parallelisable.
 """
 
 from __future__ import annotations
@@ -37,17 +37,14 @@ RAYLEIGH_K_DB = -90.0
 
 
 def run_fading_sweep_trial(
-    cfg: ExperimentConfig,
-    key: Tuple[float, int],
-    fading_mode: str = "block",
-    fading_doppler: float = 0.0,
+    cfg: ExperimentConfig, key: Tuple[float, int]
 ) -> Dict[str, Dict[str, float]]:
     """Execute one (k_db, run) cell of the fading sweep.
 
     Picklable engine trial.  As in the CFO sweep, the topology substream
     ignores the sweep value so every K-factor point of a run shares one
-    radio environment; any sender CFO in ``cfg.impairments`` is kept, so
-    fading and CFO compose.
+    radio environment.  The sender CFO and the fading mode and doppler
+    come from ``cfg.impairments``, so fading, drift and CFO compose.
     """
     k_db, run = float(key[0]), int(key[1])
     if cfg.impairments.fading != "none":
@@ -57,19 +54,10 @@ def run_fading_sweep_trial(
             "but still recorded in the result's config snapshot). --cfo "
             "and --fading-mode/--fading-doppler compose normally."
         )
-    # The scenario params are the registered defaults; an explicit drift
-    # request in the caller's config (--fading-mode/--fading-doppler)
-    # takes precedence instead of being silently reset to block fading.
-    base = cfg.impairments
-    if (base.fading_mode, base.fading_doppler) != ("block", 0.0):
-        fading_mode, fading_doppler = base.fading_mode, base.fading_doppler
-    impairments = replace(
-        base,
-        fading="rayleigh" if k_db <= RAYLEIGH_K_DB else "rician",
-        rician_k_db=k_db,
-        fading_mode=fading_mode,
-        fading_doppler=fading_doppler,
-    )
+    if k_db <= RAYLEIGH_K_DB:
+        impairments = replace(cfg.impairments, fading="rayleigh")
+    else:
+        impairments = replace(cfg.impairments, fading="rician", rician_k_db=k_db)
     streams = Streams.block(_STREAM_BASE)
     return cells(relay_exchange_trial(cfg, run, ALICE_BOB, streams, impairments))
 
@@ -85,7 +73,6 @@ FADING_SWEEP = register_scenario(
         quick_sweep_values=(-99.0, 6.0),
         schemes=("anc", "cope", "traditional"),
         trial_fn=run_fading_sweep_trial,
-        params={"fading_mode": "block", "fading_doppler": 0.0},
         reads=TESTBED_READS + ("anc_redundancy_overhead",),
     )
 )

@@ -2,13 +2,11 @@
 
 The ``mesh_sweep`` scenario hand-sets its link gains (a linear decay
 between two constants); this variant derives them from where the radios
-actually landed, through the log-distance
-:class:`~repro.channel.pathloss.PathLossModel`.  Nearby node pairs get
-strong links, pairs at the edge of the radio range get weak ones, and the
-path-loss ``exponent`` parameter turns one placement into a whole family
-of propagation environments — free space (2.0) spreads gains gently,
-indoor-office values (≈3) punish distance hard and widen the SNR spread
-the schemes must survive.
+actually landed, through the free-space log-distance path-loss law of
+:func:`~repro.network.generator.generate_geometric_mesh`.  Nearby node
+pairs get strong links and pairs at the edge of the radio range get weak
+ones, so the SNR spread the schemes must survive follows from the
+placement.
 
 Everything else matches ``mesh_sweep`` byte-for-byte machinery-wise: the
 same flow draw, the same ANC-aware pairing planner, the same three
@@ -19,10 +17,8 @@ axis again the number of offered flows.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, Tuple
 
-from repro.channel.pathloss import PathLossModel
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.mesh_sweep import mesh_trial
 from repro.experiments.runner import TESTBED_READS
@@ -34,30 +30,16 @@ _STREAM_BASE = 900
 
 
 def run_geometry_mesh_trial(
-    cfg: ExperimentConfig,
-    key: Tuple[int, int],
-    nodes: int = 12,
-    radius: float = 0.45,
-    exponent: float = 2.0,
-    reference_distance: float = 0.2,
+    cfg: ExperimentConfig, key: Tuple[int, int]
 ) -> Dict[str, Dict[str, float]]:
     """Execute one (n_flows, run) cell of the path-loss mesh sweep.
 
     Picklable engine trial; placement, link draws, the flow draw and
     every protocol's randomness derive from ``cfg.run_rng`` substreams
-    keyed by the flow count, exactly like the hand-set mesh sweep.  The
-    path-loss law (``exponent``, ``reference_distance``) arrives through
-    the scenario params so registered variants stay cache-distinct.
+    keyed by the flow count, exactly like the hand-set mesh sweep.
     """
     n_flows, run = int(key[0]), int(key[1])
-    model = PathLossModel(
-        exponent=exponent,
-        reference_distance=reference_distance,
-        reference_attenuation=0.95,
-        min_attenuation=0.05,
-    )
-    build = partial(generate_geometric_mesh, nodes=nodes, radius=radius, path_loss=model)
-    return mesh_trial(cfg, run, n_flows, _STREAM_BASE + 64 * n_flows, build)
+    return mesh_trial(cfg, run, n_flows, _STREAM_BASE + 64 * n_flows, generate_geometric_mesh)
 
 
 GEOMETRY_MESH = register_scenario(
@@ -71,12 +53,6 @@ GEOMETRY_MESH = register_scenario(
         quick_sweep_values=(2, 4),
         schemes=("anc", "cope", "traditional"),
         trial_fn=run_geometry_mesh_trial,
-        params={
-            "nodes": 12,
-            "radius": 0.45,
-            "exponent": 2.0,
-            "reference_distance": 0.2,
-        },
         reads=TESTBED_READS + ("anc_redundancy_overhead",),
     )
 )

@@ -21,7 +21,6 @@ grows with load — the scheduler's pairing rate (reported per trial as
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -83,9 +82,7 @@ def draw_mesh_flows(
             if pair not in chosen:
                 chosen.append(pair)
     if not chosen:
-        raise ConfigurationError(
-            "mesh offers no multi-hop node pairs to route; lower the radius"
-        )
+        raise ConfigurationError("mesh offers no multi-hop node pairs to route")
     return [Flow(source, destination, packets) for source, destination in chosen]
 
 
@@ -104,10 +101,7 @@ def mesh_trial(
 
 
 def run_mesh_sweep_trial(
-    cfg: ExperimentConfig,
-    key: Tuple[int, int],
-    nodes: int = 12,
-    radius: float = 0.45,
+    cfg: ExperimentConfig, key: Tuple[int, int]
 ) -> Dict[str, Dict[str, float]]:
     """Execute one (n_flows, run) cell of the mesh multi-flow sweep.
 
@@ -116,8 +110,7 @@ def run_mesh_sweep_trial(
     substreams keyed by the flow count.
     """
     n_flows, run = int(key[0]), int(key[1])
-    build = partial(generate_random_mesh, nodes=nodes, radius=radius)
-    return mesh_trial(cfg, run, n_flows, _STREAM_BASE + 64 * n_flows, build)
+    return mesh_trial(cfg, run, n_flows, _STREAM_BASE + 64 * n_flows, generate_random_mesh)
 
 
 MESH_SWEEP = register_scenario(
@@ -130,7 +123,6 @@ MESH_SWEEP = register_scenario(
         quick_sweep_values=(2, 4, 6),
         schemes=("anc", "cope", "traditional"),
         trial_fn=run_mesh_sweep_trial,
-        params={"nodes": 12, "radius": 0.45},
         reads=TESTBED_READS + ("anc_redundancy_overhead",),
     )
 )

@@ -26,9 +26,9 @@ topology generator API, the scheduler contract, and a worked example).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,10 +37,10 @@ from repro.experiments.engine import ExperimentEngine, default_engine
 from repro.experiments.runner import ExperimentEntry, register
 from repro.results.model import ExperimentResult, Series, make_result
 
-#: Signature of a scenario trial: ``(config, (sweep_value, run_index),
-#: **params) -> {scheme: {metric: float}}``.  Must be a picklable
-#: top-level callable so the engine can dispatch it to process workers.
-ScenarioTrialFn = Callable[..., Dict[str, Dict[str, float]]]
+#: Signature of a scenario trial: ``(config, (sweep_value, run_index)) ->
+#: {scheme: {metric: float}}``.  Must be a picklable top-level callable so
+#: the engine can dispatch it to process workers.
+ScenarioTrialFn = Callable[[ExperimentConfig, Tuple[Any, int]], Dict[str, Dict[str, float]]]
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,6 @@ class ScenarioSpec:
         first scheme is the numerator of the rendered gain columns.
     trial_fn:
         Picklable top-level callable executing one ``(value, run)`` cell.
-    params:
-        Extra keyword arguments passed to every trial (and hashed into
-        the engine's cache digest), e.g. the mesh size.
     reads:
         The model fields of :class:`ExperimentConfig` the trials depend
         on; becomes the registry entry's
@@ -81,7 +78,6 @@ class ScenarioSpec:
     schemes: Tuple[str, ...]
     trial_fn: ScenarioTrialFn
     quick_sweep_values: Optional[Tuple[Any, ...]] = None
-    params: Mapping[str, Any] = field(default_factory=dict)
     reads: Tuple[str, ...] = ()
 
     def values_for(self, quick: bool) -> Tuple[Any, ...]:
@@ -104,14 +100,13 @@ def run_scenario(
     keyed and re-ordered so the result is identical however they ran.
     The ``cells`` table holds one row per (sweep value, scheme, metric)
     with the metric's mean over the runs; ``meta`` carries the axis name,
-    scheme order, value order and runs per point.
+    scheme order, value order and runs per point, and an empty
+    ``params`` mapping that the ``anc-repro.result/1`` schema carries.
     """
     cfg = config if config is not None else ExperimentConfig()
     values = spec.values_for(quick)
     keys = [(value, run) for value in values for run in range(cfg.runs)]
-    cells = default_engine(engine).map(
-        f"scenario_{spec.name}", spec.trial_fn, cfg, keys, params=spec.params
-    )
+    cells = default_engine(engine).map(f"scenario_{spec.name}", spec.trial_fn, cfg, keys)
 
     cell_rows = []
     for value in values:
@@ -132,7 +127,7 @@ def run_scenario(
         schemes=list(spec.schemes),
         sweep_values=list(values),
         runs=int(cfg.runs),
-        params=dict(spec.params),
+        params={},
     )
 
 

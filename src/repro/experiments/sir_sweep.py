@@ -32,7 +32,6 @@ from repro.framing.packet import Packet
 from repro.anc.pipeline import ReceiveOutcome, ReceivePipeline
 from repro.modulation.msk import MSKModulator
 from repro.network.topologies import MAX_CFO, MEAN_ATTENUATION, ChannelConditions
-from repro.protocols.anc import default_min_offset
 from repro.results.model import ExperimentResult, Series, make_result
 from repro.utils.bits import decoded_ber
 from repro.utils.db import db_to_linear
@@ -67,7 +66,6 @@ def run_sir_point_trial(
     overlap_model = OverlapModel(
         mean_overlap=cfg.draw_run_overlap(rng),
         jitter=cfg.overlap_jitter,
-        min_offset=default_min_offset(),
         rng=rng,
     )
     # Alice transmits at unit amplitude; Bob's amplitude realises the

@@ -41,7 +41,7 @@ from repro.mac.planner import RelayExchangePlan, plan_mesh_exchanges, plan_relay
 from repro.network.flows import Flow
 from repro.network.topologies import ChannelConditions, chain_topology
 from repro.network.topology import Topology
-from repro.protocols.anc import ANCRelayProtocol, default_min_offset
+from repro.protocols.anc import ANCRelayProtocol
 from repro.protocols.base import RunResult
 from repro.protocols.cope import CopeRelayProtocol
 from repro.protocols.scheduled import ChainPipelineProtocol
@@ -140,7 +140,6 @@ def _overlap_model(bed: Testbed, rng: np.random.Generator) -> OverlapModel:
     return OverlapModel(
         mean_overlap=mean_overlap,
         jitter=bed.cfg.overlap_jitter,
-        min_offset=default_min_offset(),
         rng=rng,
     )
 

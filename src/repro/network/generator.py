@@ -1,19 +1,19 @@
-"""Parameterized topology generators for arbitrary N-node scenarios.
+"""Seeded topology generators for N-node mesh scenarios.
 
-The paper evaluates ANC on three fixed topologies; the scenario subsystem
-generalizes that to whole *families* of workloads.  Every generator here
-takes the same three ingredients — a :class:`ChannelConditions` description
-of the radio environment, a seeded ``numpy`` generator, and a handful of
-shape parameters — and returns a :class:`~repro.network.topology.Topology`:
+The paper evaluates ANC on three fixed topologies; the mesh scenarios
+generalize that to seeded random deployments.  Each generator is a
+:data:`~repro.experiments.testbed.BuildFn`: it takes a
+:class:`ChannelConditions` description of the radio environment and a
+seeded ``numpy`` generator, drops :data:`MESH_NODES` radios uniformly
+into a unit square, links every pair within :data:`MESH_RADIUS`, and
+stitches disconnected components together so every flow remains
+routable.  The two differ only in the link-gain law:
 
-* :func:`generate_random_mesh` — ``nodes`` radios dropped uniformly into a
-  unit square and linked when within ``radius``, with distance-dependent
-  attenuation; disconnected components are stitched together so every
-  flow remains routable.
-* :func:`generate_geometric_mesh` — the same placement, but link gains
-  derived from the node geometry through a log-distance
-  :class:`~repro.channel.pathloss.PathLossModel`, so SNR/SIR follow from
-  where the radios landed instead of hand-set constants.
+* :func:`generate_random_mesh` — the mean attenuation decays linearly
+  with distance between two hand-set constants;
+* :func:`generate_geometric_mesh` — the mean attenuation follows a
+  log-distance path-loss law of the node geometry, so SNR/SIR follow
+  from where the radios landed.
 
 A chain of any length is
 :func:`~repro.network.topologies.chain_topology` with its ``hops``
@@ -22,12 +22,10 @@ argument.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
-from repro.channel.pathloss import PathLossModel
-from repro.exceptions import ConfigurationError
 from repro.network.topologies import (
     MEAN_ATTENUATION,
     OVERHEAR_ATTENUATION,
@@ -36,136 +34,93 @@ from repro.network.topologies import (
 )
 from repro.network.topology import Topology
 
+ArrayLike = Union[float, np.ndarray]
 
-def generate_random_mesh(
-    conditions: ChannelConditions,
-    rng: np.random.Generator,
-    nodes: int = 10,
-    radius: float = 0.45,
-) -> Topology:
-    """A seeded random geometric mesh of ``nodes`` radios in a unit square.
+#: Radios in a generated mesh (ids ``1 .. MESH_NODES``).
+MESH_NODES = 12
 
-    Node positions are drawn uniformly; every pair closer than ``radius``
-    gets a symmetric link whose mean attenuation decays linearly with
-    distance (nearby pairs approach
+#: Radio range as a fraction of the unit square's side.
+MESH_RADIUS = 0.45
+
+#: The log-distance path-loss law of :func:`generate_geometric_mesh`:
+#: power falls as ``(d_0/d)^n`` beyond the reference distance ``d_0``
+#: (``n = 2`` is free space), the amplitude gain at and inside ``d_0`` is
+#: the reference value, and it never falls below the floor.  These keep
+#: links at the edge of :data:`MESH_RADIUS` within the decodable SNR
+#: regime of the paper's testbed.
+PATH_LOSS_EXPONENT = 2.0
+PATH_LOSS_REFERENCE_DISTANCE = 0.2
+PATH_LOSS_REFERENCE_ATTENUATION = 0.95
+PATH_LOSS_MIN_ATTENUATION = 0.05
+
+
+def _linear_decay(distance: float) -> float:
+    """Mean attenuation of a random-mesh link ``distance`` apart.
+
+    Linear decay from the main-link attenuation at zero distance to the
+    overhearing level at the edge of the radio range.
+    """
+    fraction = min(distance / MESH_RADIUS, 1.0)
+    return MEAN_ATTENUATION - (MEAN_ATTENUATION - OVERHEAR_ATTENUATION) * fraction
+
+
+def _path_loss(distance: ArrayLike) -> ArrayLike:
+    """Amplitude gain of a geometric-mesh link ``distance`` apart (any shape).
+
+    Power follows ``(d_0/d)^n``, so the amplitude follows
+    ``(d_0/d)^{n/2}``.
+    """
+    ratio = PATH_LOSS_REFERENCE_DISTANCE / np.maximum(distance, PATH_LOSS_REFERENCE_DISTANCE)
+    gain = PATH_LOSS_REFERENCE_ATTENUATION * np.power(ratio, PATH_LOSS_EXPONENT / 2.0)
+    return np.maximum(gain, PATH_LOSS_MIN_ATTENUATION)
+
+
+def generate_random_mesh(conditions: ChannelConditions, rng: np.random.Generator) -> Topology:
+    """A seeded random mesh whose link gains decay linearly with distance.
+
+    Nearby pairs approach
     :data:`~repro.network.topologies.MEAN_ATTENUATION`, pairs at the edge
     of the radio range fall towards
-    :data:`~repro.network.topologies.OVERHEAR_ATTENUATION`).  If the resulting radio graph is
-    disconnected, the closest node pairs across components are linked so
-    every flow stays routable — the generator guarantees a connected
-    topology for any seed.
-
-    Parameters
-    ----------
-    conditions:
-        The SNR that sets every receiver's noise floor.
-    rng:
-        Seeded generator; placement and link draws both come from it, so
-        the same seed always yields the same mesh.
-    nodes:
-        Number of radios (ids ``1 .. nodes``).
-    radius:
-        Radio range as a fraction of the unit square's side.
+    :data:`~repro.network.topologies.OVERHEAR_ATTENUATION`.  ``conditions``
+    sets every receiver's noise floor; placement and link draws both come
+    from ``rng``, so the same seed always yields the same mesh.
     """
-    if nodes < 3:
-        raise ConfigurationError("a mesh needs at least 3 nodes")
-    if not 0.0 < radius <= np.sqrt(2.0):
-        raise ConfigurationError("radius must lie in (0, sqrt(2)]")
-    node_ids = list(range(1, nodes + 1))
-    positions = {node: rng.uniform(0.0, 1.0, size=2) for node in node_ids}
-
-    def _attenuation(distance: float) -> float:
-        # Linear decay from the main-link attenuation at zero distance to
-        # the overhearing level at the edge of the radio range.
-        span = max(radius, distance)
-        fraction = min(distance / span, 1.0)
-        return MEAN_ATTENUATION - (MEAN_ATTENUATION - OVERHEAR_ATTENUATION) * fraction
-
-    return _mesh_from_positions(conditions, rng, positions, radius, _attenuation)
+    return _mesh(conditions, rng, _linear_decay)
 
 
 def generate_geometric_mesh(
-    conditions: ChannelConditions,
-    rng: np.random.Generator,
-    nodes: int = 12,
-    radius: float = 0.45,
-    path_loss: Optional[PathLossModel] = None,
+    conditions: ChannelConditions, rng: np.random.Generator
 ) -> Topology:
-    """A random geometric mesh whose link gains follow a path-loss law.
+    """A seeded random mesh whose link gains follow the path-loss law.
 
     Placement and connectivity work exactly like
-    :func:`generate_random_mesh` — ``nodes`` radios dropped uniformly
-    into the unit square, pairs within ``radius`` linked, disconnected
-    components bridged — but every link's mean attenuation is derived
-    from the node *geometry* through a log-distance
-    :class:`~repro.channel.pathloss.PathLossModel` instead of the
-    hand-set linear decay.  Nearby pairs therefore get strong
-    high-SNR links and pairs at the edge of the radio range get weak
-    ones, with the spread controlled by the model's exponent: the mesh's
+    :func:`generate_random_mesh`, but every link's mean attenuation comes
+    from the node geometry through the log-distance law of the
+    ``PATH_LOSS_*`` constants: nearby pairs get strong high-SNR links and
+    pairs at the edge of the radio range get weak ones, so the mesh's
     SNR/SIR landscape is a consequence of the placement, as in a real
     deployment.
-
-    The generated topology carries the placement as
-    ``topology.positions`` (node id → ``(x, y)`` tuple) so callers can
-    relate per-flow results back to the geometry.
-
-    Parameters
-    ----------
-    conditions:
-        The SNR that sets every receiver's noise floor (the other link
-        statistics are the module constants of
-        :mod:`repro.network.topologies`).
-    rng:
-        Seeded generator; placement and link draws both come from it.
-    nodes:
-        Number of radios (ids ``1 .. nodes``).
-    radius:
-        Radio range as a fraction of the unit square's side.
-    path_loss:
-        The gain law.  The default
-        (``PathLossModel(exponent=2.0, reference_distance=0.2,
-        reference_attenuation=0.95, min_attenuation=0.05)``) keeps links
-        at the edge of the default radius within the decodable SNR
-        regime of the paper's testbed.
     """
-    if nodes < 3:
-        raise ConfigurationError("a mesh needs at least 3 nodes")
-    if not 0.0 < radius <= np.sqrt(2.0):
-        raise ConfigurationError("radius must lie in (0, sqrt(2)]")
-    model = (
-        path_loss
-        if path_loss is not None
-        else PathLossModel(
-            exponent=2.0,
-            reference_distance=0.2,
-            reference_attenuation=0.95,
-            min_attenuation=0.05,
-        )
-    )
-    node_ids = list(range(1, nodes + 1))
-    positions = {node: rng.uniform(0.0, 1.0, size=2) for node in node_ids}
-    return _mesh_from_positions(conditions, rng, positions, radius, model.attenuation)
+    return _mesh(conditions, rng, _path_loss)
 
 
-def _mesh_from_positions(
+def _mesh(
     conditions: ChannelConditions,
     rng: np.random.Generator,
-    positions: Dict[int, np.ndarray],
-    radius: float,
-    attenuation_for: Callable[[float], float],
+    attenuation_for: Callable[[float], ArrayLike],
 ) -> Topology:
-    """Build a connected mesh over fixed positions with a given gain law.
+    """Place the radios and build a connected mesh with a given gain law.
 
-    Shared by :func:`generate_random_mesh` (linear-decay law) and
-    :func:`generate_geometric_mesh` (path-loss law): pairs within
-    ``radius`` are linked, then the closest cross-component pairs are
-    bridged, with every link's mean attenuation taken from
-    ``attenuation_for(distance)``.  Draw order is fixed by the sorted
-    node ids, so a given ``rng`` state always yields the same mesh.
-    The placement is recorded as ``topology.positions`` (declared on
-    :class:`~repro.network.topology.Topology`) for both mesh families.
+    Positions are drawn first, then pairs within :data:`MESH_RADIUS` are
+    linked, then the closest cross-component pairs are bridged, with
+    every link's mean attenuation taken from
+    ``attenuation_for(distance)``.  Draw order is fixed by the sorted node
+    ids, so a given ``rng`` state always yields the same mesh.  The
+    placement is recorded as ``topology.positions`` (declared on
+    :class:`~repro.network.topology.Topology`).
     """
-    node_ids = sorted(positions)
+    node_ids = list(range(1, MESH_NODES + 1))
+    positions = {node: rng.uniform(0.0, 1.0, size=2) for node in node_ids}
     topology = Topology()
     topology.positions = {
         node: (float(point[0]), float(point[1])) for node, point in positions.items()
@@ -175,7 +130,7 @@ def _mesh_from_positions(
 
     def _link_pair(a: int, b: int) -> None:
         distance = float(np.linalg.norm(positions[a] - positions[b]))
-        attenuation = attenuation_for(distance)
+        attenuation = float(attenuation_for(distance))
         topology.add_symmetric_link(
             a,
             b,
@@ -185,7 +140,7 @@ def _mesh_from_positions(
 
     for index, a in enumerate(node_ids):
         for b in node_ids[index + 1 :]:
-            if float(np.linalg.norm(positions[a] - positions[b])) <= radius:
+            if float(np.linalg.norm(positions[a] - positions[b])) <= MESH_RADIUS:
                 _link_pair(a, b)
 
     for a, b in _component_bridges(topology, positions):

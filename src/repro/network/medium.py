@@ -29,6 +29,10 @@ from repro.exceptions import SimulationError
 from repro.network.topology import Topology
 from repro.signal.samples import ComplexSignal
 
+#: Silent samples appended to every slot, so detectors see the energy
+#: drop back to the noise floor after the last transmission ends.
+TAIL_PADDING = 32
+
 
 @dataclass(frozen=True)
 class Transmission:
@@ -72,23 +76,14 @@ class WirelessMedium:
         Number of slots delivered so far.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        rng: np.random.Generator,
-        tail_padding: int = 32,
-    ) -> None:
+    def __init__(self, topology: Topology, rng: np.random.Generator) -> None:
         """Create a medium over ``topology``.
 
         ``rng`` drives every link's distortion and receiver's thermal
-        noise; ``tail_padding`` extends each slot by a few silent samples
-        so detectors see the energy drop back to the noise floor.
+        noise.
         """
         self.topology = topology
         self._rng = rng
-        if tail_padding < 0:
-            raise SimulationError("tail padding must be non-negative")
-        self.tail_padding = int(tail_padding)
         self.air_time = 0
         self.slots = 0
 
@@ -145,7 +140,7 @@ class WirelessMedium:
                 components,
                 self.topology.noise_power(receiver),
                 self._rng,
-                duration + self.tail_padding,
+                duration + TAIL_PADDING,
             )
         self.air_time += duration
         self.slots += 1

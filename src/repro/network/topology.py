@@ -2,7 +2,7 @@
 
 A topology is a directed graph whose edges carry the
 :class:`~repro.channel.link.Link` parameters (attenuation, phase offset,
-carrier-frequency offset, propagation delay) of each radio path, plus a
+carrier-frequency offset, drift and fading) of each radio path, plus a
 per-node receiver noise power.  Only node pairs connected by an edge hear
 each other at all — exactly the "radio range" notion the paper's canonical
 topologies rely on (e.g. Alice and Bob are *not* connected, N1 and N4 in

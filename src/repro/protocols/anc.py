@@ -17,10 +17,10 @@ power.  ANC on a chain (§2b, §11.6) is the planner's stride-2 schedule,
 run by :class:`~repro.protocols.scheduled.ChainPipelineProtocol`.
 
 The paper's *incomplete overlap* requirement holds throughout: the
-caller's :class:`~repro.channel.interference.OverlapModel` is built with
-``min_offset=default_min_offset()``, so the second packet never starts
-before the first packet's pilot and header have gone out
-interference-free (§7.2).
+caller's :class:`~repro.channel.interference.OverlapModel` never starts
+the second packet earlier than
+:data:`~repro.channel.interference.MIN_COLLISION_OFFSET`, so the first
+packet's pilot and header go out interference-free (§7.2).
 """
 
 from __future__ import annotations
@@ -33,25 +33,12 @@ from repro.anc.pipeline import ReceiveOutcome
 from repro.channel.interference import OverlapModel
 from repro.channel.relay import amplify_and_forward
 from repro.constants import DEFAULT_ANC_REDUNDANCY_OVERHEAD, DEFAULT_TX_AMPLITUDE
-from repro.framing.header import Header
 from repro.framing.packet import Packet
-from repro.framing.pilot import PilotSequence
 from repro.mac.planner import RelayExchangePlan
 from repro.network.medium import Transmission, WirelessMedium
 from repro.network.topology import Topology
 from repro.protocols.base import ProtocolRun, RunResult
 from repro.utils.bits import decoded_ber
-
-
-def default_min_offset(margin_bits: int = 24) -> int:
-    """Smallest collision offset that keeps pilot + header interference-free.
-
-    The paper's randomisation scheme deliberately prevents complete overlap
-    so that the synchronisation fields at the start of the first packet and
-    the end of the second stay clean (§7.2); this returns that minimum in
-    samples (one sample per bit plus a safety margin).
-    """
-    return PilotSequence().length + Header.ENCODED_LENGTH + int(margin_bits)
 
 
 class ANCRelayProtocol(ProtocolRun):
@@ -74,6 +61,7 @@ class ANCRelayProtocol(ProtocolRun):
         rng: np.random.Generator,
         topology_name: str = "alice_bob",
     ) -> None:
+        """Run ``plan`` over ``topology``; ``overlap_model`` draws the uplink offsets."""
         super().__init__(
             topology,
             payload_bits=payload_bits,

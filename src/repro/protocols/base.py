@@ -121,6 +121,7 @@ class ProtocolRun:
         rng: np.random.Generator,
         topology_name: str,
     ) -> None:
+        """Validate the run's sizes and build one node per topology node."""
         if payload_bits <= 0:
             raise ConfigurationError("payload_bits must be positive")
         if not 0.0 <= ber_acceptance < 0.5:

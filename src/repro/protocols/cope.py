@@ -46,6 +46,7 @@ class CopeRelayProtocol(ProtocolRun):
         rng: np.random.Generator,
         topology_name: str = "alice_bob",
     ) -> None:
+        """Run ``plan`` over ``topology`` with two clean uplinks and one XOR broadcast."""
         super().__init__(
             topology,
             payload_bits=payload_bits,

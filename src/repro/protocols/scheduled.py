@@ -67,6 +67,7 @@ class ChainPipelineProtocol(ProtocolRun):
         rng: np.random.Generator,
         topology_name: str = "chain",
     ) -> None:
+        """Plan the chain pipeline along ``path``; see the class docstring."""
         super().__init__(
             topology,
             payload_bits=payload_bits,

@@ -34,6 +34,7 @@ class TraditionalRouting(ProtocolRun):
         rng: np.random.Generator,
         topology_name: str = "generic",
     ) -> None:
+        """Route ``flows`` over ``topology``; at least one flow is required."""
         super().__init__(
             topology,
             payload_bits=payload_bits,

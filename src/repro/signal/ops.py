@@ -1,8 +1,8 @@
-"""Structural signal operations: delay and superposition.
+"""Structural signal operation: superposition.
 
-These are the primitives the wireless medium model composes: each
-transmitter's waveform is delayed by its start offset, attenuated and
-phase-rotated by its link, then all concurrent waveforms are summed at the
+This is the primitive the wireless medium model composes: each
+transmitter's waveform is attenuated and phase-rotated by its link, then
+all concurrent waveforms are summed at their start offsets at the
 receiver (``overlap_add``), and finally noise is added.
 """
 
@@ -22,38 +22,6 @@ def _as_samples(signal: SignalLike) -> np.ndarray:
     if isinstance(signal, ComplexSignal):
         return signal.samples
     return np.asarray(signal, dtype=np.complex128)
-
-
-def delay_signal(
-    signal: SignalLike, delay: int, total_length: Optional[int] = None
-) -> ComplexSignal:
-    """Shift a signal later in time by ``delay`` zero samples.
-
-    Parameters
-    ----------
-    signal:
-        The waveform to delay.
-    delay:
-        Non-negative integer number of samples of silence to prepend.
-    total_length:
-        If given, the result is zero-padded or truncated to exactly this
-        many samples, which is how the medium model lines all concurrent
-        transmissions up on a common time axis.
-    """
-    if delay < 0:
-        raise ChannelError("delay must be non-negative")
-    samples = _as_samples(signal)
-    delayed = np.concatenate([np.zeros(delay, dtype=np.complex128), samples])
-    if total_length is not None:
-        if total_length < 0:
-            raise ChannelError("total_length must be non-negative")
-        if delayed.size < total_length:
-            delayed = np.concatenate(
-                [delayed, np.zeros(total_length - delayed.size, dtype=np.complex128)]
-            )
-        else:
-            delayed = delayed[:total_length]
-    return ComplexSignal(delayed)
 
 
 def overlap_add(

@@ -48,7 +48,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.channel.interference import OverlapModel, superpose
+from repro.channel.interference import MIN_COLLISION_OFFSET, OverlapModel, superpose
 from repro.channel.relay import amplify_and_forward
 from repro.constants import DEFAULT_TX_AMPLITUDE
 from repro.exceptions import ConfigurationError
@@ -56,7 +56,6 @@ from repro.framing.packet import Packet
 from repro.network.topologies import ALICE, BOB, RELAY, ChannelConditions, alice_bob_topology
 from repro.network.topology import Topology
 from repro.node.node import Node, NodeConfig
-from repro.protocols.anc import default_min_offset
 from repro.signal.samples import ComplexSignal
 from repro.sim.core import EventScheduler, RngStreams
 from repro.sim.mac import MAC_POLICIES, CsmaBackoffMac, CsmaState, ScheduledMac
@@ -312,7 +311,6 @@ class TrafficSimulation:
         self.overlap_model = OverlapModel(
             mean_overlap=params.mean_overlap,
             jitter=params.overlap_jitter,
-            min_offset=default_min_offset(),
             rng=self.streams.stream("overlap"),
         )
         self._patience_samples = PATIENCE_FRAMES * self.frame_samples
@@ -329,7 +327,7 @@ class TrafficSimulation:
                     * self.frame_samples
                 )
             )
-            max_offset = max(max_offset, default_min_offset())
+            max_offset = max(max_offset, MIN_COLLISION_OFFSET)
             return ScheduledMac(
                 slot_samples=self.frame_samples + max_offset + GUARD_SAMPLES, n_ranks=2
             )
@@ -719,10 +717,7 @@ class TrafficSimulation:
         _, primary_id = classify_reception(session)
         primary = next((tx for tx in components if tx.tx_id == primary_id), None)
         if primary is not None and receiver in self._consumers(primary):
-            start = (
-                int(round(primary.start - group_start))
-                + self.topology.link(primary.sender, receiver).propagation_delay
-            )
+            start = int(round(primary.start - group_start))
             composite = self._composite(receiver, components, group_start)
             self._decode(receiver, primary, composite, start, handled)
         # Collided: every component but a clean one dies at this receiver.

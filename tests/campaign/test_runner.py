@@ -408,8 +408,26 @@ class TestCampaignCommand:
 
     @pytest.mark.parametrize(
         "base",
-        [{"overlap_range": [0.8]}, {"snr_db_range": 25}, {"impairments": {"bogus": 1}}],
-        ids=["range_one_end", "range_scalar", "impairment_key"],
+        [
+            {"overlap_range": [0.8]},
+            {"snr_db_range": 25},
+            {"impairments": {"bogus": 1}},
+            {"impairments": {"sender_cfo": "x"}},
+            {"impairments": {"fading_doppler": "x"}},
+            {"impairments": {"fading": "rician", "rician_k_db": "x"}},
+            {"impairments": {"rician_k_db": "x"}},
+            {"impairments": {"rician_k_db": 10.0}},
+        ],
+        ids=[
+            "range_one_end",
+            "range_scalar",
+            "impairment_key",
+            "cfo_string",
+            "doppler_string",
+            "rician_k_string",
+            "k_string_without_fading",
+            "k_set_without_rician",
+        ],
     )
     def test_malformed_base_value_is_clean_error(self, tmp_path, capsys, base):
         spec_path = tmp_path / "grid.json"

@@ -199,8 +199,31 @@ class TestSerialization:
             ({"snr_db_range": 25}, r"snr_db_range must be a \(low, high\) pair"),
             ({"snr_db_range": "25"}, r"snr_db_range must be a \(low, high\) pair"),
             ({"impairments": {"bogus": 1}}, r"unknown impairment field\(s\): bogus"),
+            ({"impairments": {"sender_cfo": "x"}}, "sender_cfo must be a finite number"),
+            ({"impairments": {"fading_doppler": "x"}}, "fading_doppler must be a finite number"),
+            (
+                {"impairments": {"fading": "rician", "rician_k_db": "x"}},
+                "rician_k_db must be a finite number",
+            ),
+            ({"impairments": {"rician_k_db": "x"}}, "rician_k_db must be a finite number"),
+            ({"impairments": {"rician_k_db": 10.0}}, "rician_k_db is read only by Rician fading"),
+            ({"impairments": {"fading": 1}}, "fading must be a string"),
+            ({"impairments": {"fading_mode": None}}, "fading_mode must be a string"),
         ],
-        ids=["range_one_end", "range_three_ends", "range_scalar", "range_string", "impairment_key"],
+        ids=[
+            "range_one_end",
+            "range_three_ends",
+            "range_scalar",
+            "range_string",
+            "impairment_key",
+            "cfo_string",
+            "doppler_string",
+            "rician_k_string",
+            "k_string_without_fading",
+            "k_set_without_rician",
+            "fading_not_string",
+            "fading_mode_not_string",
+        ],
     )
     def test_malformed_base_value_rejected(self, base, message):
         document = json.dumps({"experiment": "alice-bob", "base": base})

@@ -58,23 +58,13 @@ class TestBounds:
         values = traditional_capacity_upper_bound(grid)
         assert values[0] == pytest.approx(traditional_capacity_upper_bound(10.0))
 
-    def test_invalid_alpha(self):
-        with pytest.raises(CapacityError):
-            traditional_capacity_upper_bound(10.0, alpha=0.0)
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.25])
-    def test_anc_bound_rejects_non_positive_alpha(self, alpha):
-        with pytest.raises(CapacityError, match="alpha must be positive"):
-            anc_capacity_lower_bound(10.0, alpha=alpha)
-
     @pytest.mark.parametrize(
         "kwargs, match",
         [
             ({"low_db": 10.0, "high_db": 10.0}, "high_db must exceed low_db"),
-            ({"resolution_db": 0.0}, "resolution_db must be positive"),
             ({"low_db": 0.0, "high_db": 5.0}, "never overtakes routing"),
         ],
-        ids=["empty_range", "zero_resolution", "below_crossover"],
+        ids=["empty_range", "below_crossover"],
     )
     def test_crossover_search_rejections(self, kwargs, match):
         with pytest.raises(CapacityError, match=match):

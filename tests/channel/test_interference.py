@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.channel.interference import OverlapModel, superpose
+from repro.channel.interference import MIN_COLLISION_OFFSET, OverlapModel, superpose
 from repro.channel.link import Link
 from repro.exceptions import ChannelError
+from repro.framing.header import Header
+from repro.framing.pilot import PilotSequence
 from repro.modulation.msk import MSKModulator
 from repro.signal.noise import complex_gaussian_noise
 from repro.utils.bits import random_bits
@@ -33,22 +35,23 @@ class TestOverlapModel:
         assert measured_overlap == pytest.approx(0.8, abs=0.02)
 
     def test_min_offset_enforced(self):
-        model = OverlapModel(mean_overlap=1.0, min_offset=150, rng=np.random.default_rng(2))
-        for _ in range(50):
-            _, offset = model.draw_offsets(1000)
-            assert offset >= 150
+        model = OverlapModel(mean_overlap=1.0, rng=np.random.default_rng(2))
+        offsets = [model.draw_offsets(1000)[1] for _ in range(50)]
+        assert min(offsets) == MIN_COLLISION_OFFSET
 
     def test_min_offset_capped_by_packet_length(self):
-        model = OverlapModel(mean_overlap=1.0, min_offset=5000, rng=np.random.default_rng(3))
+        model = OverlapModel(mean_overlap=1.0, rng=np.random.default_rng(3))
         _, offset = model.draw_offsets(100)
-        assert offset <= 99
+        assert offset == 99
+
+    def test_floor_is_pilot_plus_header_plus_margin(self):
+        """§7.2: the pilot and header of both packets stay interference-free."""
+        assert MIN_COLLISION_OFFSET == PilotSequence().length + Header.ENCODED_LENGTH + 24
 
     def test_invalid_parameters(self):
         rng = np.random.default_rng(4)
         with pytest.raises(Exception):
             OverlapModel(mean_overlap=1.5, rng=rng)
-        with pytest.raises(ChannelError):
-            OverlapModel(min_offset=-1, rng=rng)
         with pytest.raises(ChannelError):
             OverlapModel(rng=rng).draw_offsets(0)
 
@@ -127,13 +130,6 @@ class TestSuperpose:
         only_a = superpose([(a, link_a, 0)], 0.0, _rng(), 200)
         only_b = superpose([(b, link_b, 45)], 0.0, _rng(), 200)
         assert np.allclose(both.samples, only_a.samples + only_b.samples)
-
-    def test_propagation_delay_applied_once_and_nothing_truncated(self):
-        a = _burst(6, n=9)
-        composite = superpose([(a, Link(propagation_delay=3), 2)], 0.0, _rng(), 4)
-        assert len(composite) == 2 + 3 + len(a)
-        assert np.array_equal(composite.samples[:5], np.zeros(5))
-        assert np.allclose(composite.samples[5:], a.samples)
 
     def test_noise_added(self):
         a = _burst(6)

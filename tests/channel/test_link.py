@@ -9,7 +9,6 @@ from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.exceptions import ChannelError, ConfigurationError
 from repro.modulation.msk import MSKDemodulator, MSKModulator
-from repro.signal.ops import delay_signal
 from repro.signal.samples import ComplexSignal
 from repro.utils.bits import random_bits
 
@@ -36,10 +35,6 @@ class TestLinkValidation:
     def test_invalid_attenuation(self):
         with pytest.raises(ChannelError):
             Link(attenuation=0.0)
-
-    def test_invalid_delay(self):
-        with pytest.raises(ChannelError):
-            Link(propagation_delay=-1)
 
     def test_invalid_noise(self):
         with pytest.raises(ChannelError):
@@ -148,23 +143,11 @@ class TestSenderCfo:
 
 
 class TestDelay:
-    def test_delay(self, rng):
-        out = Link(propagation_delay=3).distort(ComplexSignal([1 + 0j]), rng)
-        assert len(out) == 4
-        assert out.samples[3] == 1
+    """A link adds no delay: where a waveform starts is its start offset."""
 
     def test_zero_delay_keeps_length(self, rng):
         signal = ComplexSignal([1 + 0j, 2j])
         assert Link().distort(signal, rng) == signal
-
-    def test_empty_signal_is_delayed(self, rng):
-        out = Link(propagation_delay=5).distort(ComplexSignal.silence(0), rng)
-        assert np.array_equal(out.samples, np.zeros(5))
-
-    def test_gain_then_delay(self, rng):
-        out = Link(attenuation=0.5, propagation_delay=2).distort(ComplexSignal([2 + 0j]), rng)
-        assert len(out) == 3
-        assert out.samples[2] == pytest.approx(1.0)
 
 
 class TestFading:
@@ -201,11 +184,10 @@ class TestDistortOrder:
         assert np.array_equal(out.samples, _signal().samples * (0.8 * np.exp(0.3j)))
 
     def test_impaired_link_applies_steps_as_documented(self):
-        """Sender ramp, path gain with drift, fade, then delay; drift draws first."""
+        """Sender ramp, path gain with drift, then fade; drift draws first."""
         link = Link(
             attenuation=0.8,
             phase_shift=-0.4,
-            propagation_delay=4,
             frequency_offset=0.01,
             phase_drift=0.003,
             sender_cfo=0.03,
@@ -229,7 +211,7 @@ class TestDistortOrder:
             * np.exp(1j * (-0.4 + 0.01 * n + drift))
             * fade
         )
-        assert np.allclose(out.samples, delay_signal(expected, 4).samples)
+        assert np.allclose(out.samples, expected)
 
     def test_distort_never_adds_noise(self, rng):
         out = Link(noise_power=10.0).distort(ComplexSignal(np.zeros(100, dtype=complex)), rng)
@@ -258,16 +240,3 @@ class TestReception:
         received = superpose([(MSKModulator().modulate(bits), link, 0)], link.noise_power, rng, 0)
         assert np.array_equal(MSKDemodulator().demodulate(received), bits)
 
-    def test_msk_survives_a_delayed_link(self):
-        bits = random_bits(128, np.random.default_rng(4))
-        link = Link(
-            attenuation=0.6,
-            phase_shift=1.0,
-            frequency_offset=0.02,
-            propagation_delay=5,
-            noise_power=1e-4,
-        )
-        rng = np.random.default_rng(5)
-        received = superpose([(MSKModulator().modulate(bits), link, 0)], link.noise_power, rng, 0)
-        decoded = MSKDemodulator().demodulate(received.slice(5, len(received)))
-        assert np.array_equal(decoded, bits)

@@ -81,6 +81,13 @@ class TestMain:
         assert main(["alice-bob", "--workers", "0"]) == 2
         assert "workers must be a positive integer" in capsys.readouterr().err
 
+    def test_rician_k_factor_without_rician_fading_is_clean_error(self, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(ExperimentEngine, "map", lambda *args, **kwargs: trials.append(args))
+        assert main(["alice-bob", "--quick", "--rician-k-db", "3"]) == 2
+        assert "rician_k_db is read only by Rician fading" in capsys.readouterr().err
+        assert trials == []
+
     def test_resume_reuses_cache(self, capsys, tmp_path):
         base = [
             "sir", "--runs", "1", "--packets", "3", "--payload-bits", "512",

@@ -1,6 +1,5 @@
 """Tests of the impairment-sweep scenarios (cfo, fading, geometry)."""
 
-import numpy as np
 import pytest
 
 from repro import api
@@ -10,7 +9,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.fading_sweep import FADING_SWEEP, RAYLEIGH_K_DB, run_fading_sweep_trial
 from repro.experiments.geometry_mesh import GEOMETRY_MESH, run_geometry_mesh_trial
 from repro.experiments.scenarios import run_scenario
-from repro.network.topologies import ChannelConditions
 from repro.results import render_text
 
 TINY = ExperimentConfig(runs=1, packets_per_run=2, payload_bits=512, seed=5)
@@ -85,16 +83,10 @@ class TestFadingSweepTrial:
         cell = run_fading_sweep_trial(TINY, (RAYLEIGH_K_DB - 9.0, 0))
         assert cell["anc"]["offered"] > 0
 
-    def test_drift_mode_params_accepted(self):
-        cell = run_fading_sweep_trial(
-            TINY, (6.0, 0), fading_mode="drift", fading_doppler=0.005
-        )
-        assert cell["anc"]["offered"] > 0
-
 
 class TestGeometryMeshTrial:
     def test_cell_reports_every_scheme_with_pairing(self):
-        cell = run_geometry_mesh_trial(TINY, (2, 0), nodes=10, radius=0.5)
+        cell = run_geometry_mesh_trial(TINY, (2, 0))
         assert set(cell) == {"anc", "cope", "traditional"}
         assert cell["anc"]["paired"] >= 0.0
         assert cell["traditional"]["paired"] == 0.0
@@ -103,35 +95,6 @@ class TestGeometryMeshTrial:
         assert run_geometry_mesh_trial(TINY, (2, 1)) == run_geometry_mesh_trial(
             TINY, (2, 1)
         )
-
-    def test_exponent_shapes_the_link_budget(self):
-        """A harsher path-loss exponent weakens the generated links (the
-        trial metrics can tie at smoke scale when every packet still
-        gets through, so assert on the geometry-derived gains)."""
-        from repro.channel.pathloss import PathLossModel
-        from repro.network.generator import generate_geometric_mesh
-
-        def mean_gain(exponent):
-            topology = generate_geometric_mesh(
-                ChannelConditions(),
-                np.random.default_rng(6),
-                nodes=10,
-                radius=0.5,
-                path_loss=PathLossModel(
-                    exponent=exponent,
-                    reference_distance=0.2,
-                    reference_attenuation=0.95,
-                    min_attenuation=0.05,
-                ),
-            )
-            return np.mean(
-                [
-                    topology.link(s, d).attenuation
-                    for s, d in topology.edges()
-                ]
-            )
-
-        assert mean_gain(3.5) < mean_gain(2.0)
 
 
 class TestImpairmentThreading:

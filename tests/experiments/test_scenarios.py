@@ -71,7 +71,7 @@ class TestMeshSweep:
     def test_flow_draw_prefers_two_hop_pairs(self):
         conditions = ChannelConditions(snr_db=28.0)
         rng = np.random.default_rng(5)
-        topology = generate_random_mesh(conditions, rng, nodes=12, radius=0.45)
+        topology = generate_random_mesh(conditions, rng)
         flows = draw_mesh_flows(topology, 6, packets=3, rng=rng)
         assert len(flows) == 6
         assert len({(f.source, f.destination) for f in flows}) == 6
@@ -79,7 +79,7 @@ class TestMeshSweep:
             assert len(topology.shortest_path(flow.source, flow.destination)) >= 3
 
     def test_trial_reports_all_schemes(self):
-        cell = run_mesh_sweep_trial(QUICK, (4, 0), nodes=10, radius=0.5)
+        cell = run_mesh_sweep_trial(QUICK, (4, 0))
         assert set(cell) == {"anc", "cope", "traditional"}
         assert cell["traditional"]["paired"] == 0.0
         assert cell["anc"]["paired"] == cell["cope"]["paired"]

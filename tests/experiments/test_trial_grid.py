@@ -85,7 +85,7 @@ def digest(output) -> str:
 def scenario_case(name: str, cfg: ExperimentConfig, value, run: int):
     """One ``(value, run)`` cell of a registered scenario, called as the engine does."""
     spec = REGISTRY[name].run.args[0]
-    return lambda: spec.trial_fn(cfg, (value, run), **dict(spec.params))
+    return lambda: spec.trial_fn(cfg, (value, run))
 
 
 def cases():

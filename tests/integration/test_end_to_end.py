@@ -30,7 +30,7 @@ from repro.network.topologies import (
     x_topology,
 )
 from repro.node.node import Node, NodeConfig
-from repro.protocols.anc import ANCRelayProtocol, default_min_offset
+from repro.protocols.anc import ANCRelayProtocol
 from repro.protocols.cope import CopeRelayProtocol
 from repro.protocols.scheduled import ChainPipelineProtocol
 from repro.protocols.traditional import TraditionalRouting
@@ -41,10 +41,7 @@ CHAIN = (1, 2, 3, 4)
 
 
 def _overlap(seed):
-    return OverlapModel(
-        mean_overlap=0.85, jitter=0.05, min_offset=default_min_offset(),
-        rng=np.random.default_rng(seed),
-    )
+    return OverlapModel(mean_overlap=0.85, jitter=0.05, rng=np.random.default_rng(seed))
 
 
 class TestAliceBobExchangeManual:

@@ -1,12 +1,10 @@
 """Tests for the ANC-aware schedule planner."""
 
-from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.channel.link import Link
-from repro.channel.pathloss import PathLossModel
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.geometry_mesh import _STREAM_BASE as GEOMETRY_STREAM_BASE
@@ -190,20 +188,9 @@ def _forced_plan(topology, flow_a, flow_b, relay, overhearing):
 def _mesh_schedules():
     """The mesh planner's schedules for the flow sets the two mesh sweeps draw."""
     cfg = ExperimentConfig()
-    geometric = partial(
-        generate_geometric_mesh,
-        nodes=12,
-        radius=0.45,
-        path_loss=PathLossModel(
-            exponent=2.0,
-            reference_distance=0.2,
-            reference_attenuation=0.95,
-            min_attenuation=0.05,
-        ),
-    )
     builds = (
-        (partial(generate_random_mesh, nodes=12, radius=0.45), MESH_STREAM_BASE),
-        (geometric, GEOMETRY_STREAM_BASE),
+        (generate_random_mesh, MESH_STREAM_BASE),
+        (generate_geometric_mesh, GEOMETRY_STREAM_BASE),
     )
     for build, base in builds:
         for n_flows in (2, 4, 6, 8):

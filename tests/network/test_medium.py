@@ -7,7 +7,7 @@ from repro.channel.interference import superpose
 from repro.channel.link import Link
 from repro.exceptions import SimulationError
 from repro.modulation.msk import MSKModulator
-from repro.network.medium import Transmission, WirelessMedium
+from repro.network.medium import TAIL_PADDING, Transmission, WirelessMedium
 from repro.network.topologies import (
     ChannelConditions,
     alice_bob_topology,
@@ -35,7 +35,7 @@ def _burst(seed=0, n=80):
 class TestWirelessMedium:
     def test_receiver_in_range_hears_distorted_signal(self):
         topo = _simple_topology(noise=0.0)
-        medium = WirelessMedium(topo, rng=np.random.default_rng(0), tail_padding=0)
+        medium = WirelessMedium(topo, rng=np.random.default_rng(0))
         wave = _burst()
         out = medium.deliver([Transmission(sender=1, waveform=wave)])
         received = out[2]
@@ -56,7 +56,7 @@ class TestWirelessMedium:
 
     def test_concurrent_transmissions_superpose(self):
         topo = _simple_topology(noise=0.0)
-        medium = WirelessMedium(topo, rng=np.random.default_rng(0), tail_padding=0)
+        medium = WirelessMedium(topo, rng=np.random.default_rng(0))
         wave_a, wave_b = _burst(1), _burst(2)
         out = medium.deliver(
             [
@@ -89,7 +89,9 @@ class TestWirelessMedium:
         wave = _burst()
         medium = WirelessMedium(topo, rng=np.random.default_rng(5))
         out = medium.deliver([Transmission(sender=1, waveform=wave)], receivers=[3])
-        expected = complex_gaussian_noise(len(wave) + 32, 1e-4, np.random.default_rng(5))
+        expected = complex_gaussian_noise(
+            len(wave) + TAIL_PADDING, 1e-4, np.random.default_rng(5)
+        )
         assert np.array_equal(out[3].samples, expected)
 
     def test_slot_duration(self):
@@ -119,10 +121,6 @@ class TestWirelessMedium:
         with pytest.raises(SimulationError, match="start offsets must be non-negative"):
             Transmission(sender=1, waveform=_burst(), start_offset=-1)
 
-    def test_negative_tail_padding_rejected(self):
-        with pytest.raises(SimulationError, match="tail padding must be non-negative"):
-            WirelessMedium(_simple_topology(), rng=np.random.default_rng(0), tail_padding=-1)
-
     def test_duplicate_sender_rejected(self):
         medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         wave = _burst()
@@ -143,13 +141,13 @@ class TestWirelessMedium:
 
 class TestSuperposition:
     @staticmethod
-    def _assert_deliver_equals_superpose(topo, slots, tail_padding):
-        medium = WirelessMedium(topo, rng=np.random.default_rng(11), tail_padding=tail_padding)
+    def _assert_deliver_equals_superpose(topo, slots):
+        medium = WirelessMedium(topo, rng=np.random.default_rng(11))
         delivered = [medium.deliver(slot) for slot in slots]
 
         rng = np.random.default_rng(11)
         for slot, observed in zip(slots, delivered):
-            length = medium.slot_duration(slot) + tail_padding
+            length = medium.slot_duration(slot) + TAIL_PADDING
             senders = {t.sender for t in slot}
             expected = {}
             for receiver in (n for n in topo.nodes if n not in senders):
@@ -176,7 +174,7 @@ class TestSuperposition:
             ],
             [Transmission(sender=2, waveform=wave_a)],
         ]
-        self._assert_deliver_equals_superpose(topo, slots, tail_padding=16)
+        self._assert_deliver_equals_superpose(topo, slots)
 
     @pytest.mark.parametrize(
         "build, senders",
@@ -193,26 +191,7 @@ class TestSuperposition:
             ],
             [Transmission(sender=second, waveform=_burst(7))],
         ]
-        self._assert_deliver_equals_superpose(topo, slots, tail_padding=32)
-
-    @pytest.mark.parametrize(
-        "delay, tail_padding", [(3, 0), (0, 0), (3, 32), (40, 32)]
-    )
-    def test_propagation_delay_applied_once_and_nothing_truncated(self, delay, tail_padding):
-        topo = Topology()
-        topo.add_node(1, noise_power=0.0)
-        topo.add_node(2, noise_power=0.0)
-        topo.add_link(1, 2, Link(attenuation=0.5, propagation_delay=delay))
-        wave = _burst(n=9)
-        assert len(wave) == 10
-        medium = WirelessMedium(topo, rng=np.random.default_rng(0), tail_padding=tail_padding)
-        received = medium.deliver([Transmission(sender=1, waveform=wave)])[2].samples
-        assert len(received) == max(10 + tail_padding, delay + 10)
-        assert np.array_equal(received[:delay], np.zeros(delay))
-        assert np.allclose(received[delay : delay + 10], 0.5 * wave.samples)
-        assert np.array_equal(received[delay + 10 :], np.zeros(len(received) - delay - 10))
-        # The ledger charges the slot as transmitted; the delay is not air time.
-        assert medium.air_time == 10
+        self._assert_deliver_equals_superpose(topo, slots)
 
 
 class TestAirTimeLedger:
@@ -226,21 +205,21 @@ class TestAirTimeLedger:
         assert medium.air_time == 2 * len(wave) + 30
 
     def test_ledger_charges_the_slot_duration_not_the_padding(self):
-        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0), tail_padding=50)
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         slot = [
             Transmission(sender=1, waveform=_burst(n=40)),
             Transmission(sender=3, waveform=_burst(n=80), start_offset=7),
         ]
         observed = medium.deliver(slot)
         assert medium.air_time == medium.slot_duration(slot) == 7 + 81
-        assert len(observed[2]) == medium.air_time + 50
+        assert len(observed[2]) == medium.air_time + TAIL_PADDING
 
     def test_slot_heard_by_every_receiver_is_charged_once(self):
-        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0), tail_padding=5)
+        medium = WirelessMedium(_simple_topology(), rng=np.random.default_rng(0))
         wave = _burst(n=60)
         observed = medium.deliver([Transmission(sender=2, waveform=wave, start_offset=4)])
         assert sorted(observed) == [1, 3]
-        assert {len(signal) for signal in observed.values()} == {4 + len(wave) + 5}
+        assert {len(signal) for signal in observed.values()} == {4 + len(wave) + TAIL_PADDING}
         assert (medium.air_time, medium.slots) == (4 + len(wave), 1)
 
     def test_rejected_slot_is_not_charged(self):

@@ -94,9 +94,10 @@ for seed in range(12):
         star.add_node(node)
     for leaf in range(1, 3 + seed % 6):
         star.add_symmetric_link(leaf, 0, Link())
-    for nodes, radius in ((5, 0.45), (12, 0.25), (12, 0.45), (20, 0.1), (20, 0.3)):
-        generator.generate_random_mesh(conditions, rng, nodes=nodes, radius=radius)
-        generator.generate_geometric_mesh(conditions, rng, nodes=nodes, radius=radius)
+for seed in range(60):
+    rng = np.random.default_rng(seed)
+    generator.generate_random_mesh(conditions, rng)
+    generator.generate_geometric_mesh(conditions, rng)
 print(json.dumps({"renders": renders, "registry": registry, "sweep": distinct()}))
 """
 

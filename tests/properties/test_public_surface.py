@@ -1,10 +1,11 @@
-"""Every public PHY name has a caller outside the tests.
+"""Every exported name has a caller outside the tests.
 
-The radio is one configuration with one path through it, so a name the
-PHY packages export is either reached by production code (the library,
-the benchmarks, the examples, the tools or the perfbench harness) or is a
-perfbench wrap target.  A name only tests reach is dead surface: delete
-it, or call the private core the pipeline uses from the test.
+The radio is one configuration with one path through it, and the layers
+above it keep one surface, so a name a package exports is either reached
+by production code (the library, the benchmarks, the examples, the tools
+or the perfbench harness) or is a perfbench wrap target.  A name only
+tests reach is dead surface: delete it, or call the private core the
+pipeline uses from the test.
 
 A use is any identifier in the code (a name, an attribute or an imported
 name), so docstrings and comments do not count, nor does the name's own
@@ -32,6 +33,17 @@ PACKAGES = (
     "repro.signal",
     "repro.anc",
     "repro.scrambler",
+    "repro.channel",
+    "repro.network",
+    "repro.capacity",
+    "repro.mac",
+    "repro.protocols",
+    "repro.node",
+    "repro.sim",
+    "repro.metrics",
+    "repro.results",
+    "repro.campaign",
+    "repro.experiments",
 )
 
 #: Where production code lives; ``tests/`` is deliberately absent.

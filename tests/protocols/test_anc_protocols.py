@@ -19,7 +19,7 @@ from repro.network.topologies import (
     chain_topology,
     x_topology,
 )
-from repro.protocols.anc import ANCRelayProtocol, default_min_offset
+from repro.protocols.anc import ANCRelayProtocol
 from repro.protocols.cope import CopeRelayProtocol
 from repro.protocols.scheduled import ChainPipelineProtocol
 from repro.protocols.traditional import TraditionalRouting
@@ -34,18 +34,7 @@ def _conditions():
 
 
 def _overlap(seed, mean=0.85):
-    return OverlapModel(
-        mean_overlap=mean, jitter=0.05, min_offset=default_min_offset(),
-        rng=np.random.default_rng(seed),
-    )
-
-
-class TestDefaultMinOffset:
-    def test_covers_pilot_and_header(self):
-        assert default_min_offset() >= 64 + 48
-
-    def test_margin_parameter(self):
-        assert default_min_offset(margin_bits=0) == 64 + 48
+    return OverlapModel(mean_overlap=mean, jitter=0.05, rng=np.random.default_rng(seed))
 
 
 class TestANCAliceBob:

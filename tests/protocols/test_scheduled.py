@@ -7,7 +7,6 @@ from repro.channel.interference import OverlapModel
 from repro.exceptions import ConfigurationError
 from repro.network.flows import Flow
 from repro.network.topologies import ChannelConditions, chain_topology
-from repro.protocols.anc import default_min_offset
 from repro.protocols.scheduled import ChainPipelineProtocol
 from repro.protocols.traditional import TraditionalRouting
 
@@ -20,10 +19,7 @@ def _chain(hops, seed=0):
 
 
 def _overlap(seed, mean=0.85):
-    return OverlapModel(
-        mean_overlap=mean, jitter=0.05, min_offset=default_min_offset(),
-        rng=np.random.default_rng(seed),
-    )
+    return OverlapModel(mean_overlap=mean, jitter=0.05, rng=np.random.default_rng(seed))
 
 
 def _anc(topology, hops, packets, seed):

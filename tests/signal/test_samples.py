@@ -97,7 +97,7 @@ class TestLibraryBuiltSignalsAreFrozen:
         for link in (
             Link(0.5, phase_shift=0.3),
             Link(0.5, frequency_offset=0.01, phase_drift=1e-3),
-            Link(0.5, sender_cfo=0.02, fading="rician", propagation_delay=3),
+            Link(0.5, sender_cfo=0.02, fading="rician"),
         ):
             _assert_frozen(link.distort(wave, np.random.default_rng(1)))
 

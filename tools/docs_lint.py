@@ -6,9 +6,9 @@ Self-contained (stdlib only) so it runs identically in CI and offline:
 * every relative link in ``README.md`` and ``docs/*.md`` must point at a
   file or directory that exists in the repo;
 * every public module, class, function and method in the documented
-  packages (:data:`DOCSTRING_PACKAGES`: the PHY, the network and node
-  layers, the channel, the simulation, the experiments, results and
-  campaigns) must carry a docstring (a lightweight, dependency-free
+  packages (:data:`DOCSTRING_PACKAGES`: the PHY, the network, node and
+  protocol layers, the channel, the simulation, the experiments, results
+  and campaigns) must carry a docstring (a lightweight, dependency-free
   subset of ``pydocstyle``).
 
 Exit code 0 when clean; 1 with one line per finding otherwise.
@@ -48,6 +48,7 @@ DOCSTRING_PACKAGES = (
     "src/repro/campaign",
     "src/repro/metrics",
     "src/repro/capacity",
+    "src/repro/protocols",
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
